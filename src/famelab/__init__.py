@@ -22,12 +22,10 @@ from .errors import (
 from .schedule import (
     NoiseSchedule,
     Rng,
-    SampleState,
     TrajectoryRecord,
     derive_seed,
     load_trajectory,
     make_schedule,
-    sample_initial_noise,
     save_trajectory,
 )
 from .gmm import (
@@ -54,7 +52,6 @@ from .guidance import (
     GuidanceConfig,
     cfg_combine,
     fame_combine,
-    fame_score_identity_check,
     guided_source,
     replay_active,
 )
@@ -63,7 +60,6 @@ from .pool import (
     PoolBuildConfig,
     build_pool,
     load_pool,
-    negative_output,
     save_pool,
 )
 from .denoiser import (

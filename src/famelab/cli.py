@@ -13,31 +13,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import ExperimentConfig, SweepSpec, load_config
-from .denoiser import save_checkpoint, train
-from .errors import (
-    FamelabError,
-    InvalidArgumentError,
-    NotFoundError,
-    PipelineStageError,
-)
-from .gmm import save_spec
-from .guidance import GuidanceConfig, guided_source
-from .metrics import make_scorer, render_report
-from .pipeline import (
-    _base_source,
-    _obtain_pool,
-    _resolve_classes,
-    _run_dir,
-    _sample_records,
-    _write_trajectories,
-    compare_paired,
-    resolve_spec,
-    run_pipeline,
-    run_sweep,
-)
-from .pool import PoolBuildConfig, build_pool, save_pool
-from .sampler import SamplerConfig
-from .schedule import derive_seed, make_schedule
+from .errors import FamelabError, InvalidArgumentError, PipelineStageError
+from .metrics import render_report
+from .pipeline import Experiment, compare_paired, run_pipeline, run_sweep
 
 
 def _add_common(p):
@@ -78,10 +56,9 @@ def _resolve_config(args) -> ExperimentConfig:
 
 
 def cmd_dataset(cfg, args):
-    spec = resolve_spec(cfg)
-    run_dir = _run_dir(cfg)
-    path = run_dir / "dataset.json"
-    save_spec(spec, path)
+    exp = Experiment(cfg)
+    path = exp.write_dataset()
+    spec = exp.spec
     print(f"dataset : {cfg.dataset}")
     print(f"dim     : {spec.dim}")
     print(f"classes : {sorted(spec.classes)}")
@@ -94,61 +71,30 @@ def cmd_dataset(cfg, args):
 
 
 def cmd_train(cfg, args):
-    spec = resolve_spec(cfg)
-    run_dir = _run_dir(cfg)
-    model = train(spec, cfg.train)
-    path = run_dir / "checkpoint.mlpd"
-    save_checkpoint(model, path)
+    # trains the MLP whatever cfg.source says, so a checkpoint can be made first
+    exp = Experiment(cfg)
+    model = exp.stage("train", exp.train_model)
     n_params = sum(p.size for p in model.params.values())
     print(f"trained {cfg.train.steps} steps, {n_params} parameters")
-    print(f"written : {path}")
+    print(f"written : {exp.run_dir / 'checkpoint.mlpd'}")
     return 0
 
 
 def cmd_build_pool(cfg, args):
-    spec = resolve_spec(cfg)
-    classes = _resolve_classes(cfg, spec)
-    schedule = make_schedule(cfg.schedule_kind, cfg.n_steps, cfg.sigma_min, cfg.sigma_max)
-    run_dir = _run_dir(cfg)
-    base = _base_source(cfg, spec, run_dir)
-    scorer = make_scorer(spec, cfg.scorer)
-    build_w = cfg.pool_build_w if cfg.pool_build_w is not None else cfg.guidance.w
-    builder = guided_source(base, None, GuidanceConfig(w=build_w))
-    pool = build_pool(
-        builder,
-        SamplerConfig(schedule=schedule, method=cfg.method, record_outputs=True),
-        scorer,
-        PoolBuildConfig(
-            n_candidates_per_class=cfg.pool_candidates,
-            n_f=cfg.pool_n_f,
-            mode=cfg.pool_mode,
-            seed=derive_seed(cfg.seed, 101),
-        ),
-        classes,
-        workers=cfg.workers,
-    )
-    path = run_dir / "pool.fmpl"
-    save_pool(pool, path)
+    exp = Experiment(cfg)
+    pool = exp.build_pool(cfg.guidance)
     scores = ", ".join(f"{r.quality_score:.3f}" for r in pool.records)
     print(f"pool    : {len(pool)} records ({cfg.pool_mode}) from {cfg.pool_candidates}/class")
     print(f"scores  : [{scores}]")
-    print(f"written : {path}")
+    print(f"written : {exp.run_dir / 'pool.fmpl'}")
     return 0
 
 
 def cmd_sample(cfg, args):
-    spec = resolve_spec(cfg)
-    classes = _resolve_classes(cfg, spec)
-    schedule = make_schedule(cfg.schedule_kind, cfg.n_steps, cfg.sigma_min, cfg.sigma_max)
-    run_dir = _run_dir(cfg)
-    base = _base_source(cfg, spec, run_dir)
-    scorer = make_scorer(spec, cfg.scorer)
-    pool = _obtain_pool(cfg, spec, base, schedule, classes, scorer, run_dir)
-    source = guided_source(base, pool, cfg.guidance)
-    records = _sample_records(replace(cfg, save_trajectories=True), source, schedule, classes)
-    _write_trajectories(records, classes, cfg.n_per_class, run_dir)
-    print(f"sampled : {len(records)} trajectories ({cfg.n_per_class} x {len(classes)} classes)")
-    print(f"written : {run_dir / 'trajectories'}")
+    exp = Experiment(cfg)
+    records = exp.stage("sample", lambda: exp.sample(cfg.guidance, save_trajectories=True))
+    print(f"sampled : {len(records)} trajectories ({cfg.n_per_class} x {len(exp.classes)} classes)")
+    print(f"written : {exp.run_dir / 'trajectories'}")
     return 0
 
 
@@ -246,7 +192,7 @@ def main(argv=None) -> int:
     except PipelineStageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InvalidArgumentError, NotFoundError, FileNotFoundError) as exc:
+    except (InvalidArgumentError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FamelabError as exc:

@@ -17,8 +17,10 @@ import numpy as np
 from .denoiser import TrainConfig
 from .errors import InvalidArgumentError
 from .guidance import GuidanceConfig
+from .metrics import check_scorer_id
 from .pool import POOL_MODES
 from .sampler import SAMPLER_METHODS
+from .schedule import SCHEDULE_KINDS
 
 SOURCE_KINDS = ("analytic", "neural")
 SWEEP_AXES = ("w", "f", "tau")
@@ -57,10 +59,14 @@ class ExperimentConfig:
             raise InvalidArgumentError(f"source must be one of {SOURCE_KINDS}, got {self.source!r}")
         if self.method not in SAMPLER_METHODS:
             raise InvalidArgumentError(f"method must be one of {SAMPLER_METHODS}")
+        if self.schedule_kind not in SCHEDULE_KINDS:
+            raise InvalidArgumentError(f"schedule_kind must be one of {SCHEDULE_KINDS}")
+        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, int):
+            raise InvalidArgumentError(f"n_steps must be an integer, got {self.n_steps!r}")
         if self.n_steps < 1:
             raise InvalidArgumentError("n_steps must be >= 1")
-        if not (0.0 <= self.sigma_min < self.sigma_max and np.isfinite(self.sigma_max)):
-            raise InvalidArgumentError("need 0 <= sigma_min < sigma_max < inf")
+        if not (0.0 < self.sigma_min < self.sigma_max and np.isfinite(self.sigma_max)):
+            raise InvalidArgumentError("need 0 < sigma_min < sigma_max < inf")
         if self.n_per_class < 1:
             raise InvalidArgumentError("n_per_class must be >= 1")
         if self.pool_candidates < 1 or self.pool_n_f < 1:
@@ -71,6 +77,7 @@ class ExperimentConfig:
             np.isfinite(self.pool_build_w) and self.pool_build_w >= 0
         ):
             raise InvalidArgumentError("pool_build_w must be finite and >= 0")
+        check_scorer_id(self.scorer)
         if self.classes is not None:
             if len(self.classes) == 0:
                 raise InvalidArgumentError("classes, when given, must be nonempty")

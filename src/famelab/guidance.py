@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .gmm import GmmSpec, analytic_score, ideal_denoiser
 from .schedule import NoiseSchedule
 
 
@@ -113,36 +112,6 @@ def effective_w(cfg: GuidanceConfig, k: int, T: int) -> float:
     lo, hi = cfg.cfg_interval
     t = k / T
     return cfg.w if lo <= t <= hi else 1.0
-
-
-def fame_score_identity_check(
-    spec: GmmSpec, x, sigma: float, class_id, w: float, f: float, x_neg
-) -> float:
-    """Max-abs residual between the score-space and denoiser-space forms of
-    the guided update at one probe point.
-
-    Score form:    (w+f) * s1(x) + (1-w) * s0(x) - f * s_neg
-    Denoiser form: (fame_combine(d1, d0, d_neg, w, f) - x) / sigma^2
-
-    The negative direction comes from a denoiser output produced at the
-    replayed point x_neg but consumed as if it were the denoiser value for the
-    current x, so its score contribution is (d_neg - x) / sigma^2; that is the
-    only anchoring under which the two forms agree identically.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    x_neg = np.asarray(x_neg, dtype=np.float64)
-    if not sigma > 0:
-        raise InvalidArgumentError(f"identity check needs sigma > 0, got {sigma}")
-    d1 = ideal_denoiser(spec, x, sigma, class_id)
-    d0 = ideal_denoiser(spec, x, sigma, None)
-    d_neg = ideal_denoiser(spec, x_neg, sigma, class_id)
-    denoiser_form = (fame_combine(d1, d0, d_neg, w, f) - x) / sigma**2
-
-    s1 = analytic_score(spec, x, sigma, class_id)
-    s0 = analytic_score(spec, x, sigma, None)
-    s_neg = (d_neg - x) / sigma**2
-    score_form = (w + f) * s1 + (1.0 - w) * s0 - f * s_neg
-    return float(np.abs(denoiser_form - score_form).max())
 
 
 class GuidedSource:

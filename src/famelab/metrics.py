@@ -9,7 +9,6 @@ components so runs can report how much mass landed in low-quality modes.
 
 from __future__ import annotations
 
-import math
 import shlex
 import subprocess
 from dataclasses import dataclass
@@ -73,7 +72,10 @@ class ExternalScorer:
     id = "external"
 
     def __init__(self, command):
-        self.argv = shlex.split(command) if isinstance(command, str) else list(command)
+        try:
+            self.argv = shlex.split(command) if isinstance(command, str) else list(command)
+        except ValueError as exc:
+            raise InvalidArgumentError(f"external scorer command {command!r}: {exc}") from exc
         if not self.argv:
             raise InvalidArgumentError("external scorer command is empty")
 
@@ -101,19 +103,30 @@ class ExternalScorer:
             raise ScorerFailedError(f"non-numeric scorer output: {exc}") from exc
 
 
+_BUILTIN_SCORERS = {cls.id: cls for cls in (ComponentTagScorer, LogDensityScorer)}
+_EXTERNAL_PREFIX = "external:"
+
+
+def check_scorer_id(ident) -> None:
+    """Raise InvalidArgumentError unless make_scorer accepts ident."""
+    if not isinstance(ident, str):
+        raise InvalidArgumentError(f"scorer id must be a string, got {ident!r}")
+    if ident.startswith(_EXTERNAL_PREFIX):
+        ExternalScorer(ident[len(_EXTERNAL_PREFIX) :])
+    elif ident not in _BUILTIN_SCORERS:
+        raise InvalidArgumentError(f"unknown scorer {ident!r}")
+
+
 def make_scorer(spec, ident: str):
     """Build a scorer from its config identifier.
 
     "component-tag" and "log-density" need a mixture; "external:<command>"
     runs the given shell command per batch.
     """
-    if ident == "component-tag":
-        return ComponentTagScorer(spec)
-    if ident == "log-density":
-        return LogDensityScorer(spec)
-    if ident.startswith("external:"):
-        return ExternalScorer(ident[len("external:") :])
-    raise InvalidArgumentError(f"unknown scorer {ident!r}")
+    check_scorer_id(ident)
+    if ident in _BUILTIN_SCORERS:
+        return _BUILTIN_SCORERS[ident](spec)
+    return ExternalScorer(ident[len(_EXTERNAL_PREFIX) :])
 
 
 # ---------------------------------------------------------------------------

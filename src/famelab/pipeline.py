@@ -8,6 +8,7 @@ already written plus a FAILED marker naming the stage and cause.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass, replace
@@ -43,179 +44,220 @@ _SAMPLE_KEY = 102
 _REF_KEY = 103
 
 
-def resolve_spec(cfg: ExperimentConfig) -> GmmSpec:
-    if cfg.dataset in PRESET_NAMES:
-        return preset(cfg.dataset)
-    if os.path.exists(cfg.dataset):
-        return load_spec(cfg.dataset)
-    raise NotFoundError(f"dataset {cfg.dataset!r} is neither a preset nor a file")
+def _staged(stage_name):
+    """Turn an Experiment method into a lazily resolved, cached attribute whose
+    failures are reported as stage `stage_name`."""
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def resolve(self):
+            return self.stage(stage_name, lambda: fn(self))
+
+        return functools.cached_property(resolve)
+
+    return decorate
 
 
-def _resolve_classes(cfg: ExperimentConfig, spec: GmmSpec) -> list:
-    if cfg.classes is None:
-        return sorted(spec.classes)
-    for c in cfg.classes:
-        if c not in spec.classes:
-            raise NotFoundError(f"class {c} not in dataset")
-    return list(cfg.classes)
+def _dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _run_dir(cfg: ExperimentConfig) -> Path:
-    p = Path(cfg.out_dir) / cfg.name
-    (p / "reports").mkdir(parents=True, exist_ok=True)
-    (p / "plots").mkdir(exist_ok=True)
-    (p / "trajectories").mkdir(exist_ok=True)
-    return p
+class Experiment:
+    """The setup one config resolves to, shared by every stage and subcommand.
 
+    Owns the run directory out_dir/name and the stage runner.  spec, classes,
+    schedule, base, scorer and references are resolved on first use, each
+    inside the stage that names its failures, so a subcommand pays only for
+    what it touches.  The failure pool is built or loaded at most once.
+    """
 
-class _StageRunner:
-    def __init__(self, run_dir: Path):
-        self.run_dir = run_dir
-        marker = run_dir / "FAILED"
-        if marker.exists():
-            marker.unlink()
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        self.run_dir = Path(cfg.out_dir) / cfg.name
+        (self.run_dir / "reports").mkdir(parents=True, exist_ok=True)
+        (self.run_dir / "plots").mkdir(exist_ok=True)
+        (self.run_dir / "trajectories").mkdir(exist_ok=True)
+        (self.run_dir / "FAILED").unlink(missing_ok=True)
+        self._pool = None
 
-    def __call__(self, name, fn):
+    def stage(self, name, fn):
+        """Run fn as stage `name`: a failure writes the FAILED marker and is
+        raised as PipelineStageError; one already raised by a nested stage
+        passes through unchanged."""
         try:
             return fn()
+        except PipelineStageError:
+            raise
         except Exception as exc:
             (self.run_dir / "FAILED").write_text(f"stage: {name}\ncause: {exc!r}\n")
             raise PipelineStageError(name, exc) from exc
 
+    @_staged("dataset")
+    def spec(self) -> GmmSpec:
+        if self.cfg.dataset in PRESET_NAMES:
+            return preset(self.cfg.dataset)
+        if os.path.exists(self.cfg.dataset):
+            return load_spec(self.cfg.dataset)
+        raise NotFoundError(f"dataset {self.cfg.dataset!r} is neither a preset nor a file")
 
-def _base_source(cfg: ExperimentConfig, spec: GmmSpec, run_dir: Path):
-    if cfg.source == "analytic":
-        return AnalyticSource(spec)
-    if cfg.checkpoint is not None:
-        model = load_checkpoint(cfg.checkpoint)
-    else:
-        model = train(spec, cfg.train)
-        save_checkpoint(model, run_dir / "checkpoint.mlpd")
-    if model.dim != spec.dim:
-        raise InvalidArgumentError(
-            f"checkpoint dimension {model.dim} != dataset dimension {spec.dim}"
+    @_staged("dataset")
+    def classes(self) -> list:
+        if self.cfg.classes is None:
+            return sorted(self.spec.classes)
+        for c in self.cfg.classes:
+            if c not in self.spec.classes:
+                raise NotFoundError(f"class {c} not in dataset")
+        return list(self.cfg.classes)
+
+    @_staged("dataset")
+    def schedule(self):
+        cfg = self.cfg
+        return make_schedule(cfg.schedule_kind, cfg.n_steps, cfg.sigma_min, cfg.sigma_max)
+
+    @_staged("train")
+    def base(self):
+        if self.cfg.source == "analytic":
+            return AnalyticSource(self.spec)
+        if self.cfg.checkpoint is not None:
+            model = load_checkpoint(self.cfg.checkpoint)
+        else:
+            model = self.train_model()
+        if model.dim != self.spec.dim:
+            raise InvalidArgumentError(
+                f"checkpoint dimension {model.dim} != dataset dimension {self.spec.dim}"
+            )
+        return NeuralSource(model)
+
+    @_staged("evaluate-setup")
+    def scorer(self):
+        return make_scorer(self.spec, self.cfg.scorer)
+
+    @_staged("evaluate-setup")
+    def references(self) -> dict:
+        """Exact draws from each class, n_per_class each, on the reference stream."""
+        return {
+            c: exact_sampler(
+                self.spec,
+                Rng(derive_seed(self.cfg.seed, _REF_KEY, c)),
+                class_id=c,
+                n=self.cfg.n_per_class,
+            )
+            for c in self.classes
+        }
+
+    def write_dataset(self) -> Path:
+        """Resolve the dataset stage (spec, classes, schedule) and write the
+        spec to dataset.json."""
+        path = self.run_dir / "dataset.json"
+        self.stage("dataset", lambda: (self.classes, self.schedule, save_spec(self.spec, path)))
+        return path
+
+    def train_model(self):
+        """Train the MLP denoiser on the dataset and write checkpoint.mlpd."""
+        model = train(self.spec, self.cfg.train)
+        save_checkpoint(model, self.run_dir / "checkpoint.mlpd")
+        return model
+
+    def pool(self, guidance: GuidanceConfig):
+        """The failure pool replay under `guidance` uses: None when f = 0,
+        otherwise pool_path loaded or a pool built, once per experiment."""
+        if guidance.f == 0.0:
+            return None
+        if self._pool is None:
+            if self.cfg.pool_path is not None:
+                self._pool = self.stage("pool", lambda: load_pool(self.cfg.pool_path))
+            else:
+                self._pool = self.build_pool(guidance)
+        return self._pool
+
+    def build_pool(self, guidance: GuidanceConfig):
+        """Build a pool from CFG candidates at pool_build_w (guidance.w when
+        unset) on the pool stream and write it to pool.fmpl."""
+        cfg = self.cfg
+        build_w = cfg.pool_build_w if cfg.pool_build_w is not None else guidance.w
+
+        def build():
+            pool = build_pool(
+                guided_source(self.base, None, GuidanceConfig(w=build_w)),
+                SamplerConfig(schedule=self.schedule, method=cfg.method, record_outputs=True),
+                self.scorer,
+                PoolBuildConfig(
+                    n_candidates_per_class=cfg.pool_candidates,
+                    n_f=cfg.pool_n_f,
+                    mode=cfg.pool_mode,
+                    seed=derive_seed(cfg.seed, _POOL_KEY),
+                ),
+                self.classes,
+                workers=cfg.workers,
+            )
+            save_pool(pool, self.run_dir / "pool.fmpl")
+            return pool
+
+        return self.stage("pool", build)
+
+    def sample(self, guidance: GuidanceConfig, save_trajectories: bool = False) -> list:
+        """n_per_class trajectories per class under `guidance`, on the sample
+        stream, so every guidance setting sees the same initial noise.  With
+        save_trajectories the per-step denoiser outputs are recorded and each
+        class is written to trajectories/class_<c>.traj."""
+        cfg = self.cfg
+        source = guided_source(self.base, self.pool(guidance), guidance)
+        records = sample_batch(
+            source,
+            SamplerConfig(schedule=self.schedule, method=cfg.method, record_outputs=save_trajectories),
+            derive_seed(cfg.seed, _SAMPLE_KEY),
+            self.classes,
+            cfg.n_per_class,
+            workers=cfg.workers,
         )
-    return NeuralSource(model)
+        if save_trajectories:
+            for c, block in self._by_class(records):
+                with open(self.run_dir / "trajectories" / f"class_{c}.traj", "wb") as fh:
+                    for r in block:
+                        fh.write(trajectory_to_bytes(r))
+        return records
 
+    def _by_class(self, records):
+        n = self.cfg.n_per_class
+        return [(c, records[b * n : (b + 1) * n]) for b, c in enumerate(self.classes)]
 
-def _obtain_pool(cfg, spec, base, schedule, classes, scorer, run_dir):
-    if cfg.guidance.f == 0.0:
-        return None
-    if cfg.pool_path is not None:
-        return load_pool(cfg.pool_path)
-    build_w = cfg.pool_build_w if cfg.pool_build_w is not None else cfg.guidance.w
-    builder = guided_source(base, None, GuidanceConfig(w=build_w))
-    pool = build_pool(
-        builder,
-        SamplerConfig(schedule=schedule, method=cfg.method, record_outputs=True),
-        scorer,
-        PoolBuildConfig(
-            n_candidates_per_class=cfg.pool_candidates,
-            n_f=cfg.pool_n_f,
-            mode=cfg.pool_mode,
-            seed=derive_seed(cfg.seed, _POOL_KEY),
-        ),
-        classes,
-        workers=cfg.workers,
-    )
-    save_pool(pool, run_dir / "pool.fmpl")
-    return pool
+    def evaluate(self, records):
+        """Final samples grouped by class, and their report against the
+        reference sets."""
+        samples = {
+            c: np.stack([r.final_sample for r in block]).astype(np.float64)
+            for c, block in self._by_class(records)
+        }
+        return samples, evaluate(samples, self.references, self.scorer, spec=self.spec)
 
-
-def _sample_records(cfg, source, schedule, classes):
-    sampler_cfg = SamplerConfig(
-        schedule=schedule, method=cfg.method, record_outputs=cfg.save_trajectories
-    )
-    return sample_batch(
-        source,
-        sampler_cfg,
-        derive_seed(cfg.seed, _SAMPLE_KEY),
-        classes,
-        cfg.n_per_class,
-        workers=cfg.workers,
-    )
-
-
-def _group_by_class(records, classes, n_per_class):
-    out = {}
-    for b, c in enumerate(classes):
-        block = records[b * n_per_class : (b + 1) * n_per_class]
-        out[c] = np.stack([r.final_sample for r in block]).astype(np.float64)
-    return out
-
-
-def _reference_sets(cfg, spec, classes):
-    return {
-        c: exact_sampler(
-            spec, Rng(derive_seed(cfg.seed, _REF_KEY, c)), class_id=c, n=cfg.n_per_class
-        )
-        for c in classes
-    }
-
-
-def _write_trajectories(records, classes, n_per_class, run_dir):
-    for b, c in enumerate(classes):
-        block = records[b * n_per_class : (b + 1) * n_per_class]
-        path = run_dir / "trajectories" / f"class_{c}.traj"
-        with open(path, "wb") as fh:
-            for r in block:
-                fh.write(trajectory_to_bytes(r))
-
-
-def _write_report(cfg, spec, report, samples_by_class, reference_by_class, run_dir):
-    (run_dir / "reports" / "class_quality.csv").write_text(class_report_csv(report))
-    summary = {"config": config_to_dict(cfg), "report": report.to_dict()}
-    (run_dir / "reports" / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
-    (run_dir / "reports" / "report.txt").write_text(render_report(report))
-    if spec.dim == 2:
-        pooled = np.concatenate([samples_by_class[c] for c in sorted(samples_by_class)])
-        pooled_ref = np.concatenate(
-            [reference_by_class[c] for c in sorted(reference_by_class)]
-        )
-        svg = mode_scatter_svg(spec, pooled_ref, pooled, title=cfg.name)
-        (run_dir / "plots" / "modes.svg").write_text(svg)
+    def write_report(self, samples, report: EvalReport) -> None:
+        """Write class_quality.csv, summary.json and report.txt, and in 2-D
+        the scatter of samples over references."""
+        reports = self.run_dir / "reports"
+        (reports / "class_quality.csv").write_text(class_report_csv(report))
+        summary = {"config": config_to_dict(self.cfg), "report": report.to_dict()}
+        (reports / "summary.json").write_text(_dumps(summary))
+        (reports / "report.txt").write_text(render_report(report))
+        if self.spec.dim == 2:
+            pooled = np.concatenate([samples[c] for c in sorted(samples)])
+            refs = self.references
+            pooled_ref = np.concatenate([refs[c] for c in sorted(refs)])
+            svg = mode_scatter_svg(self.spec, pooled_ref, pooled, title=self.cfg.name)
+            (self.run_dir / "plots" / "modes.svg").write_text(svg)
 
 
 def run_pipeline(cfg: ExperimentConfig) -> EvalReport:
-    run_dir = _run_dir(cfg)
-    stage = _StageRunner(run_dir)
-    (run_dir / "config.echo").write_text(
-        json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n"
-    )
-
-    def dataset_stage():
-        spec = resolve_spec(cfg)
-        classes = _resolve_classes(cfg, spec)
-        schedule = make_schedule(cfg.schedule_kind, cfg.n_steps, cfg.sigma_min, cfg.sigma_max)
-        save_spec(spec, run_dir / "dataset.json")
-        return spec, classes, schedule
-
-    spec, classes, schedule = stage("dataset", dataset_stage)
-    base = stage("train", lambda: _base_source(cfg, spec, run_dir))
-    scorer = stage("evaluate-setup", lambda: make_scorer(spec, cfg.scorer))
-    pool = stage(
-        "pool", lambda: _obtain_pool(cfg, spec, base, schedule, classes, scorer, run_dir)
-    )
-    source = guided_source(base, pool, cfg.guidance)
-
-    def sample_stage():
-        records = _sample_records(cfg, source, schedule, classes)
-        if cfg.save_trajectories:
-            _write_trajectories(records, classes, cfg.n_per_class, run_dir)
-        return records
-
-    records = stage("sample", sample_stage)
+    exp = Experiment(cfg)
+    (exp.run_dir / "config.echo").write_text(_dumps(config_to_dict(cfg)))
+    exp.write_dataset()
+    records = exp.stage("sample", lambda: exp.sample(cfg.guidance, cfg.save_trajectories))
 
     def evaluate_stage():
-        samples = _group_by_class(records, classes, cfg.n_per_class)
-        refs = _reference_sets(cfg, spec, classes)
-        report = evaluate(samples, refs, scorer, spec=spec)
-        _write_report(cfg, spec, report, samples, refs, run_dir)
+        samples, report = exp.evaluate(records)
+        exp.write_report(samples, report)
         return report
 
-    return stage("evaluate", evaluate_stage)
+    return exp.stage("evaluate", evaluate_stage)
 
 
 _SWEEP_COLUMNS = "value,frechet,precision,recall,mean_score,bad_mode_fraction,status"
@@ -224,53 +266,31 @@ _SWEEP_COLUMNS = "value,frechet,precision,recall,mean_score,bad_mode_fraction,st
 def run_sweep(cfg: ExperimentConfig, sweep: SweepSpec) -> list:
     """One sampled+evaluated row per axis value, sharing the dataset, source,
     pool, and per-trajectory seeds; returns [(value, EvalReport | None), ...]
-    and writes the table CSV.  A failed row is recorded and skipped."""
-    run_dir = _run_dir(cfg)
-    stage = _StageRunner(run_dir)
-
-    def setup():
-        spec = resolve_spec(cfg)
-        classes = _resolve_classes(cfg, spec)
-        schedule = make_schedule(cfg.schedule_kind, cfg.n_steps, cfg.sigma_min, cfg.sigma_max)
-        base = _base_source(cfg, spec, run_dir)
-        scorer = make_scorer(spec, cfg.scorer)
-        return spec, classes, schedule, base, scorer
-
-    spec, classes, schedule, base, scorer = stage("dataset", setup)
-
-    # the pool is shared across rows; build it if any row will use replay
-    f_values = sweep.values if sweep.axis == "f" else (cfg.guidance.f,)
-    needs_pool = any(v > 0 for v in f_values)
-    pool_cfg = cfg if cfg.guidance.f > 0 else replace(cfg, guidance=replace(cfg.guidance, f=0.02))
-    pool = stage(
-        "pool",
-        lambda: _obtain_pool(pool_cfg, spec, base, schedule, classes, scorer, run_dir)
-        if needs_pool
-        else None,
-    )
-
+    and writes the table CSV.  A failed row is recorded and skipped; a failed
+    stage of the shared setup ends the sweep."""
+    exp = Experiment(cfg)
+    # the shared pool is built at the config's own w, also on a w sweep; an f
+    # sweep from f=0 builds it in its first replaying row, at that same w
+    exp.pool(cfg.guidance)
     rows = []
     results = []
     for value in sweep.values:
         try:
             guidance = replace(cfg.guidance, **{sweep.axis: value})
-            row_cfg = replace(cfg, guidance=guidance, save_trajectories=False)
-            source = guided_source(base, pool, guidance)
-            records = _sample_records(row_cfg, source, schedule, classes)
-            samples = _group_by_class(records, classes, cfg.n_per_class)
-            refs = _reference_sets(cfg, spec, classes)
-            report = evaluate(samples, refs, scorer, spec=spec)
+            _, report = exp.evaluate(exp.sample(guidance))
             rows.append(
                 f"{value:g},{report.frechet:.9g},{report.precision:.9g},"
                 f"{report.recall:.9g},{report.mean_score:.9g},"
                 f"{report.bad_mode_fraction:.9g},ok"
             )
             results.append((value, report))
+        except PipelineStageError:
+            raise
         except FamelabError as exc:
             rows.append(f"{value:g},,,,,,failed: {type(exc).__name__}")
             results.append((value, None))
     csv = "\n".join([_SWEEP_COLUMNS] + rows) + "\n"
-    (run_dir / "reports" / f"sweep_{sweep.axis}.csv").write_text(csv)
+    (exp.run_dir / "reports" / f"sweep_{sweep.axis}.csv").write_text(csv)
     return results
 
 
@@ -295,56 +315,28 @@ def compare_paired(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig) -> PairedCo
     identical initial noise) and report per-pair score deltas, b minus a."""
     if not _comparable(cfg_a, cfg_b):
         raise InvalidArgumentError("compared configs may differ only in guidance")
-    run_dir = _run_dir(replace(cfg_a, name=f"{cfg_a.name}_vs_{cfg_b.name}"))
-    stage = _StageRunner(run_dir)
-
-    def setup():
-        spec = resolve_spec(cfg_a)
-        classes = _resolve_classes(cfg_a, spec)
-        schedule = make_schedule(
-            cfg_a.schedule_kind, cfg_a.n_steps, cfg_a.sigma_min, cfg_a.sigma_max
-        )
-        base = _base_source(cfg_a, spec, run_dir)
-        scorer = make_scorer(spec, cfg_a.scorer)
-        return spec, classes, schedule, base, scorer
-
-    spec, classes, schedule, base, scorer = stage("dataset", setup)
-
-    needs_pool = cfg_a.guidance.f > 0 or cfg_b.guidance.f > 0
-    pool_side = cfg_b if cfg_b.guidance.f > 0 else cfg_a
-    pool = stage(
-        "pool",
-        lambda: _obtain_pool(pool_side, spec, base, schedule, classes, scorer, run_dir)
-        if needs_pool
-        else None,
-    )
-
-    def run_side(cfg):
-        source = guided_source(base, pool, cfg.guidance)
-        records = _sample_records(replace(cfg, save_trajectories=False), source, schedule, classes)
-        samples = _group_by_class(records, classes, cfg.n_per_class)
-        refs = _reference_sets(cfg, spec, classes)
-        return samples, refs, evaluate(samples, refs, scorer, spec=spec)
-
-    samples_a, refs, report_a = stage("sample", lambda: run_side(cfg_a))
-    samples_b, _, report_b = stage("sample", lambda: run_side(cfg_b))
+    exp = Experiment(replace(cfg_a, name=f"{cfg_a.name}_vs_{cfg_b.name}"))
+    # the pool both sides share is built at b's w when b replays
+    exp.pool(cfg_b.guidance)
+    samples_a, report_a = exp.stage("sample", lambda: exp.evaluate(exp.sample(cfg_a.guidance)))
+    samples_b, report_b = exp.stage("sample", lambda: exp.evaluate(exp.sample(cfg_b.guidance)))
 
     def pair_stage():
         lines = ["class,index,score_a,score_b,delta"]
         deltas = []
-        for c in classes:
-            sa = np.asarray(scorer(samples_a[c], c), dtype=np.float64)
-            sb = np.asarray(scorer(samples_b[c], c), dtype=np.float64)
+        for c in exp.classes:
+            sa = np.asarray(exp.scorer(samples_a[c], c), dtype=np.float64)
+            sb = np.asarray(exp.scorer(samples_b[c], c), dtype=np.float64)
             for i, (x, y) in enumerate(zip(sa, sb)):
                 lines.append(f"{c},{i},{x:.9g},{y:.9g},{y - x:.9g}")
             deltas.append(sb - sa)
         deltas = np.concatenate(deltas)
-        (run_dir / "reports" / "pairs.csv").write_text("\n".join(lines) + "\n")
-        if spec.dim == 2:
-            pa = np.concatenate([samples_a[c] for c in classes])
-            pb = np.concatenate([samples_b[c] for c in classes])
-            svg = side_by_side_svg(spec, pa, pb, labels=(cfg_a.name, cfg_b.name))
-            (run_dir / "plots" / "compare.svg").write_text(svg)
+        (exp.run_dir / "reports" / "pairs.csv").write_text("\n".join(lines) + "\n")
+        if exp.spec.dim == 2:
+            pa = np.concatenate([samples_a[c] for c in exp.classes])
+            pb = np.concatenate([samples_b[c] for c in exp.classes])
+            svg = side_by_side_svg(exp.spec, pa, pb, labels=(cfg_a.name, cfg_b.name))
+            (exp.run_dir / "plots" / "compare.svg").write_text(svg)
         return PairedCompareReport(
             n_pairs=len(deltas),
             mean_delta=float(deltas.mean()),
@@ -354,4 +346,4 @@ def compare_paired(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig) -> PairedCo
             report_b=report_b,
         )
 
-    return stage("evaluate", pair_stage)
+    return exp.stage("evaluate", pair_stage)

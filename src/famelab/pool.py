@@ -27,7 +27,6 @@ from .errors import (
 from .sampler import sample_batch
 from .schedule import (
     NoiseSchedule,
-    TrajectoryRecord,
     splitmix64,
     trajectory_from_bytes,
     trajectory_to_bytes,
@@ -143,14 +142,6 @@ class FailurePool:
             and len(self.records) == len(other.records)
             and all(a == b for a, b in zip(self.records, other.records))
         )
-
-
-def negative_output(pool: FailurePool, step: int, seed: int, class_id=None) -> np.ndarray:
-    """Single-trajectory form of the replay lookup: the cached output, at the
-    given step, of the record this seed binds to."""
-    cls = None if class_id is None else np.array([class_id])
-    idx = pool.select_indices(np.array([seed], dtype=np.uint64), cls)
-    return pool.replay_outputs(idx, step)[0]
 
 
 @dataclass(frozen=True)

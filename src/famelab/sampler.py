@@ -48,11 +48,6 @@ class SamplerConfig:
             )
 
 
-def ode_rhs(score, sigma: float):
-    """Right-hand side of the flow at noise level sigma: -sigma * score."""
-    return -sigma * np.asarray(score, dtype=np.float64)
-
-
 class ScoreSource:
     """Interface mapping a batch of states to denoiser outputs.
 

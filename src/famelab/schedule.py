@@ -155,32 +155,6 @@ def make_schedule(kind: str, T: int, sigma_min: float, sigma_max: float) -> Nois
     return NoiseSchedule(sig, kind=kind)
 
 
-def sample_initial_noise(rng: Rng, d: int, sigma_max: float) -> np.ndarray:
-    """Draw the starting point x_0 ~ N(0, sigma_max^2 I)."""
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise InvalidArgumentError(f"dimension must be a positive integer, got {d!r}")
-    if not (sigma_max > 0 and np.isfinite(sigma_max)):
-        raise InvalidArgumentError(f"sigma_max must be positive finite, got {sigma_max}")
-    return sigma_max * rng.standard_normal(d)
-
-
-@dataclass(frozen=True)
-class SampleState:
-    """A point mid-integration: position, schedule index, and conditioning class."""
-
-    x: np.ndarray
-    sigma_index: int
-    class_id: int | None = None
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64)
-        if x.ndim != 1:
-            raise InvalidArgumentError("state x must be a vector")
-        if self.sigma_index < 0:
-            raise InvalidArgumentError("sigma_index must be >= 0")
-        object.__setattr__(self, "x", x)
-
-
 @dataclass(frozen=True)
 class TrajectoryRecord:
     """One finished trajectory: seed, class, every visited state, and the

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import famelab
 from famelab import _accel
 from famelab._kernels import (
     _nb_gmm_eval,
@@ -16,6 +17,16 @@ from famelab._kernels import (
     gmm_eval,
     pairwise_sqdist,
 )
+
+
+def child_env(**overrides):
+    """Environment for a child interpreter that imports the same famelab as
+    this process, whether or not the package is installed."""
+    env = {k: v for k, v in os.environ.items() if k != "FAMELAB_NO_NUMBA"}
+    src = os.path.dirname(os.path.dirname(famelab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    env.update(overrides)
+    return env
 
 
 def random_mixture(rng, n, d, K):
@@ -99,7 +110,7 @@ class TestPathSelection:
             "import famelab._accel as a, famelab._kernels as k;"
             "print(a.USE_NUMBA, k.gmm_eval is k._np_gmm_eval)"
         )
-        env = dict(os.environ, FAMELAB_NO_NUMBA="1")
+        env = child_env(FAMELAB_NO_NUMBA="1")
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env
         )
@@ -107,7 +118,7 @@ class TestPathSelection:
         assert proc.stdout.strip() == "False True"
 
     def test_flag_unset_prefers_numba_when_available(self):
-        env = {k: v for k, v in os.environ.items() if k != "FAMELAB_NO_NUMBA"}
+        env = child_env()
         code = (
             "import famelab._accel as a, famelab._kernels as k;"
             "print(a.HAVE_NUMBA, a.USE_NUMBA, k.gmm_eval is k._nb_gmm_eval)"
@@ -134,7 +145,7 @@ class TestPathSelection:
             "recs = sample_batch(AnalyticSource(s), SamplerConfig(schedule=sched), 1, (1,), 4)\n"
             "print(len(recs))\n"
         )
-        env = dict(os.environ, FAMELAB_NO_NUMBA="1")
+        env = child_env(FAMELAB_NO_NUMBA="1")
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env
         )

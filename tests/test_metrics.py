@@ -40,7 +40,7 @@ def sqrtm_frechet_oracle(a, b):
     mu_a, mu_b = a.mean(0), b.mean(0)
     ca = np.atleast_2d(np.cov(a, rowvar=False, ddof=1))
     cb = np.atleast_2d(np.cov(b, rowvar=False, ddof=1))
-    s, _ = linalg.sqrtm(ca @ cb, disp=False)
+    s = linalg.sqrtm(ca @ cb)
     diff = mu_a - mu_b
     return float(diff @ diff + np.trace(ca) + np.trace(cb) - 2 * np.trace(s.real))
 

@@ -20,7 +20,6 @@ from famelab.pool import (
     PoolBuildConfig,
     build_pool,
     load_pool,
-    negative_output,
     save_pool,
 )
 from famelab.sampler import AnalyticSource, SamplerConfig, sample_batch
@@ -247,11 +246,11 @@ class TestSelection:
 
     def test_negative_output_matches_bound_record(self, selection_pool):
         seed = derive_seed(4, 2, 0)
-        idx = int(selection_pool.select_indices(np.array([seed], dtype=np.uint64))[0])
+        idx = selection_pool.select_indices(np.array([seed], dtype=np.uint64))
         for step in (0, 7, 15):
-            v = negative_output(selection_pool, step, seed)
+            v = selection_pool.replay_outputs(idx, step)[0]
             np.testing.assert_array_equal(
-                v, selection_pool.records[idx].denoiser_outputs[step].astype(np.float64)
+                v, selection_pool.records[int(idx[0])].denoiser_outputs[step].astype(np.float64)
             )
 
     def test_replay_returns_float64(self, selection_pool):

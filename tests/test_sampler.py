@@ -11,7 +11,6 @@ from famelab.sampler import (
     AnalyticSource,
     NeuralSource,
     SamplerConfig,
-    ode_rhs,
     sample_batch,
     sample_one,
 )
@@ -29,15 +28,6 @@ def closed_form_endpoint(x0, mean, std, sigma_max):
     contracts by sqrt((s^2 + sigma^2) / (s^2 + sigma_max^2)) as sigma -> 0."""
     shrink = np.sqrt(std**2 / (std**2 + sigma_max**2))
     return mean + (x0 - mean) * shrink
-
-
-class TestOdeRhs:
-    def test_hand_values(self):
-        assert ode_rhs(2.0, 0.5) == -1.0
-        np.testing.assert_array_equal(ode_rhs(np.array([1.0, -3.0]), 2.0), [-2.0, 6.0])
-
-    def test_zero_sigma_is_zero(self):
-        np.testing.assert_array_equal(ode_rhs(np.array([5.0]), 0.0), [0.0])
 
 
 class TestHandSteps:

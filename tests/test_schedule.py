@@ -7,12 +7,10 @@ from famelab.errors import InvalidArgumentError, MalformedFileError
 from famelab.schedule import (
     NoiseSchedule,
     Rng,
-    SampleState,
     TrajectoryRecord,
     derive_seed,
     load_trajectory,
     make_schedule,
-    sample_initial_noise,
     save_trajectory,
     splitmix64,
     trajectory_from_bytes,
@@ -107,34 +105,6 @@ class TestSeeds:
         c = Rng(43).standard_normal(16)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
-
-
-class TestInitialNoise:
-    def test_scale(self):
-        rng = Rng(0)
-        draws = np.stack([sample_initial_noise(rng, 4, 10.0) for _ in range(4000)])
-        assert draws.std() == pytest.approx(10.0, rel=0.02)
-        assert abs(draws.mean()) < 0.3
-
-    def test_matches_raw_stream(self):
-        x = sample_initial_noise(Rng(5), 3, 2.5)
-        np.testing.assert_array_equal(x, 2.5 * Rng(5).standard_normal(3))
-
-    def test_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            sample_initial_noise(Rng(0), 0, 1.0)
-        with pytest.raises(InvalidArgumentError):
-            sample_initial_noise(Rng(0), 2, 0.0)
-
-
-class TestSampleState:
-    def test_basic(self):
-        s = SampleState(np.array([1.0, 2.0]), 3, class_id=1)
-        assert s.sigma_index == 3
-        with pytest.raises(InvalidArgumentError):
-            SampleState(np.zeros((2, 2)), 0)
-        with pytest.raises(InvalidArgumentError):
-            SampleState(np.zeros(2), -1)
 
 
 def _record(T=5, d=2, seed=99, class_id=3, score=float("nan")):
