@@ -1,9 +1,11 @@
-"""Dual-path numeric kernels.
+"""Numeric kernels: the fused mixture evaluation and pairwise distances.
 
-Each kernel has a vectorized numpy implementation and an explicit-loop numba
-implementation.  The public names (gmm_eval, pairwise_sqdist) bind to whichever
-path _accel selected; the private _np_* / _nb_* variants remain importable so
-tests can assert equivalence and the benchmark can time both.
+Both are plain numpy (and scipy's cdist).  The mixture kernel works on d
+per-axis (n, K) planes, so the rotations by Q are a short Python loop over the
+dimension with broadcast multiply-adds inside, and the only reductions over
+components are row-wise: the log-sum-exp along axis 1 of (n, K) arrays and
+einsum("nk,nka->na").  Each output row is therefore computed from that row's
+data alone, whatever the batch size (see `sampler`).
 
 Array contracts (all float64, C-contiguous):
   X      (n, d)    evaluation points
@@ -17,13 +19,25 @@ Array contracts (all float64, C-contiguous):
 import math
 
 import numpy as np
-
-from ._accel import USE_NUMBA, njit
+from scipy.spatial.distance import cdist
 
 LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _np_gmm_eval(X, means, qmats, lams, logw, sig2):
+def _rotate(planes, qmats):
+    """Q v per component, for v given as d (n, K) planes: plane a of the
+    result is sum_b Q[:, a, b] * v_b."""
+    d = len(planes)
+    out = []
+    for a in range(d):
+        acc = planes[0] * qmats[:, a, 0]
+        for b in range(1, d):
+            acc = acc + planes[b] * qmats[:, a, b]
+        out.append(acc)
+    return out
+
+
+def gmm_eval(X, means, qmats, lams, logw, sig2):
     """Fused mixture evaluation at noise level sigma = sqrt(sig2).
 
     Returns (logp, resp, score, denoise) where logp is the log density of the
@@ -31,12 +45,17 @@ def _np_gmm_eval(X, means, qmats, lams, logw, sig2):
     responsibilities, score the gradient of logp in x, and denoise the
     posterior mean E[x0 | x] under the same convolution.
     """
-    n, d = X.shape
-    diff = X[:, None, :] - means[None, :, :]
-    w = np.einsum("nkb,kba->nka", diff, qmats)
-    den = lams[None, :, :] + sig2
-    quad = np.einsum("nka,nka->nk", w / den, w)
-    logdet = np.log(lams + sig2).sum(axis=1)
+    d = X.shape[1]
+    den = lams + sig2
+    # w = Q^T (x - mu) per component; sd = w / den is Sigma_sigma^-1 (x - mu)
+    # in the eigenbasis
+    w = _rotate([X[:, b, None] - means[:, b] for b in range(d)], qmats.transpose(0, 2, 1))
+    sd = [w[a] / den[:, a] for a in range(d)]
+    with np.errstate(over="ignore"):  # quad = inf far from every component
+        quad = sd[0] * w[0]
+        for a in range(1, d):
+            quad = quad + sd[a] * w[a]
+    logdet = np.log(den).sum(axis=1)
     logcomp = logw[None, :] - 0.5 * (d * LOG_2PI + logdet)[None, :] - 0.5 * quad
 
     m = logcomp.max(axis=1)
@@ -47,88 +66,15 @@ def _np_gmm_eval(X, means, qmats, lams, logw, sig2):
         logp = safe + np.log(s)
     resp = e / np.maximum(s, 1e-300)[:, None]
 
-    # score_k = -Q (w / den); posterior mean_k = mu + Q (w * lam / den)
-    sd = w / den
-    score = -np.einsum("nk,kab,nkb->na", resp, qmats, sd)
-    pm = means[None, :, :] + np.einsum("kab,nkb->nka", qmats, sd * lams[None, :, :])
+    # score_k = -Q sd; posterior mean_k = mu + Q (sd * lam)
+    qsd = np.stack(_rotate(sd, qmats), axis=-1)
+    score = -np.einsum("nk,nka->na", resp, qsd)
+    shrunk = _rotate([sd[b] * lams[:, b] for b in range(d)], qmats)
+    pm = np.stack([means[:, a] + shrunk[a] for a in range(d)], axis=-1)
     denoise = np.einsum("nk,nka->na", resp, pm)
     return logp, resp, score, denoise
 
 
-@njit(cache=True)
-def _nb_gmm_eval(X, means, qmats, lams, logw, sig2):
-    n, d = X.shape
-    K = means.shape[0]
-    logp = np.empty(n)
-    resp = np.zeros((n, K))
-    score = np.zeros((n, d))
-    denoise = np.zeros((n, d))
-    w = np.empty((K, d))
-    logcomp = np.empty(K)
-    for i in range(n):
-        mmax = -np.inf
-        for k in range(K):
-            quad = 0.0
-            logdet = 0.0
-            for a in range(d):
-                acc = 0.0
-                for b in range(d):
-                    acc += (X[i, b] - means[k, b]) * qmats[k, b, a]
-                w[k, a] = acc
-                den = lams[k, a] + sig2
-                quad += acc * acc / den
-                logdet += math.log(den)
-            lc = logw[k] - 0.5 * (d * LOG_2PI + logdet + quad)
-            logcomp[k] = lc
-            if lc > mmax:
-                mmax = lc
-        if mmax == -np.inf:
-            logp[i] = -np.inf
-            continue
-        s = 0.0
-        for k in range(K):
-            s += math.exp(logcomp[k] - mmax)
-        lp = mmax + math.log(s)
-        logp[i] = lp
-        for k in range(K):
-            r = math.exp(logcomp[k] - lp)
-            resp[i, k] = r
-            for a in range(d):
-                acc_s = 0.0
-                acc_m = 0.0
-                for b in range(d):
-                    den = lams[k, b] + sig2
-                    acc_s += qmats[k, a, b] * (w[k, b] / den)
-                    acc_m += qmats[k, a, b] * (w[k, b] * lams[k, b] / den)
-                score[i, a] -= r * acc_s
-                denoise[i, a] += r * (means[k, a] + acc_m)
-    return logp, resp, score, denoise
-
-
-def _np_pairwise_sqdist(a, b):
+def pairwise_sqdist(a, b):
     """Squared euclidean distances, shape (len(a), len(b))."""
-    d = a[:, None, :] - b[None, :, :]
-    return np.einsum("ijk,ijk->ij", d, d)
-
-
-@njit(cache=True)
-def _nb_pairwise_sqdist(a, b):
-    n, d = a.shape
-    m = b.shape[0]
-    out = np.empty((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for k in range(d):
-                t = a[i, k] - b[j, k]
-                acc += t * t
-            out[i, j] = acc
-    return out
-
-
-if USE_NUMBA:
-    gmm_eval = _nb_gmm_eval
-    pairwise_sqdist = _nb_pairwise_sqdist
-else:
-    gmm_eval = _np_gmm_eval
-    pairwise_sqdist = _np_pairwise_sqdist
+    return cdist(a, b, "sqeuclidean")

@@ -140,7 +140,7 @@ class GuidedSource:
     def bind(self, ctx: StepContext) -> None:
         self.base.bind(ctx)
         if self.pool is not None:
-            self.pool.check_compatible(ctx.schedule, self.dim)
+            self.pool.check_compatible(ctx.schedule, self.dim, self.base.fingerprint())
             ctx.neg_indices = self.pool.select_indices(ctx.seeds, ctx.class_ids)
 
     def evaluate(self, x, sigma_index, class_ids, ctx: StepContext):

@@ -20,6 +20,7 @@ from .config import ExperimentConfig, SweepSpec, config_to_dict
 from .denoiser import load_checkpoint, save_checkpoint, train
 from .errors import (
     FamelabError,
+    IncompatiblePoolError,
     InvalidArgumentError,
     NotFoundError,
     PipelineStageError,
@@ -160,15 +161,24 @@ class Experiment:
 
     def pool(self, guidance: GuidanceConfig):
         """The failure pool replay under `guidance` uses: None when f = 0,
-        otherwise pool_path loaded or a pool built, once per experiment."""
+        otherwise pool_path loaded (its mode must be pool_mode) or a pool
+        built, once per experiment."""
         if guidance.f == 0.0:
             return None
         if self._pool is None:
             if self.cfg.pool_path is not None:
-                self._pool = self.stage("pool", lambda: load_pool(self.cfg.pool_path))
+                self._pool = self.stage("pool", self._load_pool)
             else:
                 self._pool = self.build_pool(guidance)
         return self._pool
+
+    def _load_pool(self):
+        pool = load_pool(self.cfg.pool_path)
+        if pool.mode != self.cfg.pool_mode:
+            raise IncompatiblePoolError(
+                f"pool {self.cfg.pool_path} is {pool.mode}, the config asks for {self.cfg.pool_mode}"
+            )
+        return pool
 
     def build_pool(self, guidance: GuidanceConfig):
         """Build a pool from CFG candidates at pool_build_w (guidance.w when

@@ -98,13 +98,18 @@ class FailurePool:
     def dim(self) -> int:
         return self.records[0].dim
 
-    def check_compatible(self, schedule: NoiseSchedule, dim: int) -> None:
+    def check_compatible(self, schedule: NoiseSchedule, dim: int, source_hash: int) -> None:
         if self.T != schedule.T or self.schedule_hash != schedule.fingerprint():
             raise IncompatiblePoolError(
                 f"pool was built on a different schedule (T={self.T} vs {schedule.T})"
             )
         if self.dim != dim:
             raise IncompatiblePoolError(f"pool dimension {self.dim} != source dimension {dim}")
+        if self.source_hash != source_hash:
+            raise IncompatiblePoolError(
+                f"pool was built on a different source "
+                f"(fingerprint {self.source_hash:#x} vs {source_hash:#x})"
+            )
 
     def select_indices(self, seeds, class_ids=None) -> np.ndarray:
         """Bind one record to each trajectory by hashing its seed.

@@ -9,10 +9,13 @@ Trajectories are processed in lockstep chunks of fixed width.  Per-trajectory
 seeds derive from (base_seed, class, index), initial noise is drawn from each
 trajectory's own stream, and chunk boundaries depend only on position, so
 results are independent of worker count.  Chunk results are bit-reproducible
-because every kernel (numba, numpy einsum, BLAS matmul with n >= 2 rows)
-computes row i from row i's data alone; the neural source pads single-row
-evaluations to two rows to stay off the differently-accumulated matvec path,
-and the test suite asserts cross-layout equality.
+because every kernel computes row i from row i's data alone: the mixture
+kernel uses elementwise broadcasts and reductions along each row only (never
+batched matmul, and never a sum over the rows of a (K, n) array, whose order
+numpy changes when n = 1); the MLP's BLAS matmul accumulates each row alike
+for n >= 2, so the neural source pads single-row evaluations to two rows to
+stay off the differently-accumulated matvec path.  The test suite asserts
+cross-layout equality.
 """
 
 from __future__ import annotations

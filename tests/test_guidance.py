@@ -202,7 +202,7 @@ class _SpyPool:
     def __len__(self):
         return self.n
 
-    def check_compatible(self, schedule, dim):
+    def check_compatible(self, schedule, dim, source_hash):
         pass
 
     def select_indices(self, seeds, class_ids=None):

@@ -1,0 +1,153 @@
+"""The numeric kernels against their direct einsum formulas.
+
+The oracles below are the kernels' earlier implementations: three-operand
+einsum contractions for the mixture evaluation and a broadcast difference for
+the distances.  Random mixtures must agree to rounding; the packs the
+reference run evaluates must agree exactly, which is what keeps sampled
+trajectories and pools byte-stable across kernel rewrites.
+"""
+
+import math
+
+import numpy as np
+
+from famelab._kernels import gmm_eval, pairwise_sqdist
+from famelab.config import ExperimentConfig
+from famelab.gmm import preset
+from famelab.schedule import make_schedule
+
+LOG_2PI = math.log(2.0 * math.pi)
+
+
+def gmm_eval_oracle(X, means, qmats, lams, logw, sig2):
+    n, d = X.shape
+    diff = X[:, None, :] - means[None, :, :]
+    w = np.einsum("nkb,kba->nka", diff, qmats)
+    den = lams[None, :, :] + sig2
+    quad = np.einsum("nka,nka->nk", w / den, w)
+    logdet = np.log(lams + sig2).sum(axis=1)
+    logcomp = logw[None, :] - 0.5 * (d * LOG_2PI + logdet)[None, :] - 0.5 * quad
+
+    m = logcomp.max(axis=1)
+    safe = np.where(np.isfinite(m), m, 0.0)
+    e = np.exp(logcomp - safe[:, None])
+    s = e.sum(axis=1)
+    with np.errstate(divide="ignore"):
+        logp = safe + np.log(s)
+    resp = e / np.maximum(s, 1e-300)[:, None]
+
+    sd = w / den
+    score = -np.einsum("nk,kab,nkb->na", resp, qmats, sd)
+    pm = means[None, :, :] + np.einsum("kab,nkb->nka", qmats, sd * lams[None, :, :])
+    denoise = np.einsum("nk,nka->na", resp, pm)
+    return logp, resp, score, denoise
+
+
+def pairwise_sqdist_oracle(a, b):
+    d = a[:, None, :] - b[None, :, :]
+    return np.einsum("ijk,ijk->ij", d, d)
+
+
+def random_mixture(rng, n, d, K):
+    X = rng.standard_normal((n, d)) * 3.0
+    means = rng.standard_normal((K, d)) * 2.0
+    lams = np.empty((K, d))
+    qmats = np.empty((K, d, d))
+    for k in range(K):
+        a = rng.standard_normal((d, d))
+        cov = a @ a.T + 0.1 * np.eye(d)
+        lam, q = np.linalg.eigh(cov)
+        lams[k] = lam
+        qmats[k] = q
+    w = rng.random(K) + 0.1
+    logw = np.log(w / w.sum())
+    return X, means, qmats, lams, logw
+
+
+def reference_sigmas():
+    cfg = ExperimentConfig()
+    sched = make_schedule(cfg.schedule_kind, cfg.n_steps, cfg.sigma_min, cfg.sigma_max)
+    return [float(s) for s in sched.sigmas]
+
+
+class TestGmmEval:
+    def test_matches_oracle_over_random_mixtures(self):
+        for trial in range(40):
+            rng = np.random.default_rng(4000 + trial)
+            X, means, qmats, lams, logw = random_mixture(
+                rng,
+                n=int(rng.integers(1, 30)),
+                d=int(rng.integers(1, 5)),
+                K=int(rng.integers(1, 20)),
+            )
+            sig2 = 0.0 if trial % 4 == 0 else float(rng.random() * 4.0)
+            ref = gmm_eval_oracle(X, means, qmats, lams, logw, sig2)
+            got = gmm_eval(X, means, qmats, lams, logw, sig2)
+            for r, g in zip(ref, got):
+                np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-12)
+
+    def test_matches_oracle_at_zero_noise(self):
+        rng = np.random.default_rng(77)
+        X, means, qmats, lams, logw = random_mixture(rng, n=40, d=2, K=3)
+        ref = gmm_eval_oracle(X, means, qmats, lams, logw, 0.0)
+        got = gmm_eval(X, means, qmats, lams, logw, 0.0)
+        for r, g in zip(ref, got):
+            np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-12)
+
+    def test_underflow_point_gives_neg_inf(self):
+        rng = np.random.default_rng(3)
+        _, means, qmats, lams, logw = random_mixture(rng, n=1, d=2, K=2)
+        X = np.full((1, 2), 1e200)
+        logp, resp, score, denoise = gmm_eval(X, means, qmats, lams, logw, 1.0)
+        assert logp[0] == -np.inf
+        np.testing.assert_array_equal(resp, 0.0)
+        np.testing.assert_array_equal(score, 0.0)
+        np.testing.assert_array_equal(denoise, 0.0)
+
+    def test_exact_on_reference_packs(self):
+        """Every pack of imbalanced2d (K=2 per class, K=16 marginal) at every
+        noise level of the reference schedule: identical to the oracle."""
+        spec = preset("imbalanced2d")
+        rng = np.random.default_rng(11)
+        for sigma in reference_sigmas():
+            X = rng.standard_normal((64, 2)) * (2.0 + sigma)
+            for class_id in [None, *sorted(spec.classes)]:
+                p = spec.pack(class_id)
+                args = (X, p.means, p.qmats, p.lams, p.logw, sigma**2)
+                for r, g in zip(gmm_eval_oracle(*args), gmm_eval(*args)):
+                    np.testing.assert_array_equal(g, r)
+
+    def test_rows_independent_of_batch(self):
+        """Each output row equals that row's one-row evaluation, bit for bit."""
+        p = preset("imbalanced2d").pack(None)
+        rng = np.random.default_rng(12)
+        X3, *mix3 = random_mixture(rng, n=9, d=3, K=5)
+        cases = [
+            (rng.standard_normal((40, 2)) * 3.0, p.means, p.qmats, p.lams, p.logw),
+            (X3, *mix3),
+        ]
+        for X, *mix in cases:
+            batch = gmm_eval(X, *mix, 0.49)
+            for i in range(len(X)):
+                single = gmm_eval(X[i : i + 1], *mix, 0.49)
+                for b, s in zip(batch, single):
+                    np.testing.assert_array_equal(b[i], s[0])
+
+
+class TestPairwiseSqdist:
+    def test_matches_oracle(self):
+        for trial in range(10):
+            rng = np.random.default_rng(500 + trial)
+            for d in (2, 3):
+                a = rng.standard_normal((int(rng.integers(1, 50)), d))
+                b = rng.standard_normal((int(rng.integers(1, 50)), d))
+                got, ref = pairwise_sqdist(a, b), pairwise_sqdist_oracle(a, b)
+                if d == 2:
+                    np.testing.assert_array_equal(got, ref)
+                else:
+                    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+    def test_self_distance_is_exactly_zero(self):
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((16, 2))
+        np.testing.assert_array_equal(np.diag(pairwise_sqdist(a, a)), 0.0)

@@ -5,6 +5,8 @@ import os
 import numpy as np
 import pytest
 
+from famelab.cli import main
+from famelab.config import ExperimentConfig, save_config
 from famelab.errors import (
     IncompatiblePoolError,
     InvalidArgumentError,
@@ -329,13 +331,77 @@ class TestCompatibility:
             PoolBuildConfig(n_candidates_per_class=2, n_f=1, seed=1),
             [1],
         )
-        pool.check_compatible(sched, 2)
+        src = cfg_source.fingerprint()
+        pool.check_compatible(sched, 2, src)
         with pytest.raises(IncompatiblePoolError):
-            pool.check_compatible(make_schedule("karras-like", 32, 0.02, 8.0), 2)
+            pool.check_compatible(make_schedule("karras-like", 32, 0.02, 8.0), 2, src)
         with pytest.raises(IncompatiblePoolError):
-            pool.check_compatible(make_schedule("karras-like", 16, 0.02, 9.0), 2)
+            pool.check_compatible(make_schedule("karras-like", 16, 0.02, 9.0), 2, src)
         with pytest.raises(IncompatiblePoolError):
-            pool.check_compatible(sched, 3)
+            pool.check_compatible(sched, 3, src)
+        with pytest.raises(IncompatiblePoolError):
+            pool.check_compatible(sched, 2, src ^ 1)
+
+
+def provenance_config(tmp_path, pool, **overrides):
+    """A config on imbalanced2d with the schedule of `sched` that replays
+    `pool` from a file."""
+    save_pool(pool, tmp_path / "given.fmpl")
+    fields = dict(
+        name="run",
+        n_steps=16,
+        sigma_min=0.02,
+        sigma_max=8.0,
+        guidance=GuidanceConfig(w=1.5, f=0.05),
+        pool_path=str(tmp_path / "given.fmpl"),
+        n_per_class=8,
+        classes=(1, 2),
+        out_dir=str(tmp_path / "out"),
+    )
+    fields.update(overrides)
+    path = tmp_path / "exp.json"
+    save_config(ExperimentConfig(**fields), path)
+    return str(path)
+
+
+class TestProvenance:
+    """A pool replays only on the source and in the mode it was built for;
+    a mismatch fails its stage (exit 2, FAILED marker)."""
+
+    def test_pool_from_other_dataset_rejected(self, analytic_cfg, tmp_path, capsys):
+        balanced = preset("balanced2d")
+        pool = build_pool(
+            guided_source(AnalyticSource(balanced), None, GuidanceConfig(w=1.5)),
+            analytic_cfg,
+            ComponentTagScorer(balanced),
+            PoolBuildConfig(n_candidates_per_class=4, n_f=2, seed=1),
+            [1, 2],
+        )
+        replay = guided_source(
+            AnalyticSource(preset("imbalanced2d")), pool, GuidanceConfig(w=1.5, f=0.05)
+        )
+        with pytest.raises(IncompatiblePoolError):
+            sample_batch(replay, analytic_cfg, 5, [1], 2)
+        assert main(["evaluate", "--config", provenance_config(tmp_path, pool)]) == 2
+        marker = (tmp_path / "out" / "run" / "FAILED").read_text()
+        assert "stage: sample" in marker and "IncompatiblePoolError" in marker
+        assert "different source" in capsys.readouterr().err
+
+    def test_per_class_pool_rejected_under_global_config(self, cfg_source, analytic_cfg, tmp_path):
+        pool = build_pool(
+            cfg_source,
+            analytic_cfg,
+            ComponentTagScorer(preset("imbalanced2d")),
+            PoolBuildConfig(n_candidates_per_class=4, n_f=2, mode="per-class", seed=1),
+            [1, 2],
+        )
+        path = provenance_config(tmp_path, pool, pool_mode="global")
+        assert main(["evaluate", "--config", path]) == 2
+        marker = (tmp_path / "out" / "run" / "FAILED").read_text()
+        assert "stage: pool" in marker and "IncompatiblePoolError" in marker
+        # the same file under a per-class config replays
+        path = provenance_config(tmp_path, pool, pool_mode="per-class")
+        assert main(["evaluate", "--config", path]) == 0
 
 
 @pytest.fixture(scope="module")
