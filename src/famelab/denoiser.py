@@ -12,8 +12,20 @@ are looked up in an embedding table whose row 0 is the unconditional (null)
 token.  Training is plain denoising score matching with label dropout, so one
 network answers both conditional and unconditional queries.
 
+There are two forward passes over the same arithmetic.  `_denoise` is the
+inference pass (sampling, `MlpDenoiser.forward`): it keeps no activations and
+runs the hidden layers through two (n, HIDDEN) buffers that swap roles from
+layer to layer, with the SiLU gate, bias adds and matmuls written into them.
+`_apply` is the training pass: it keeps every pre-activation and gate for the
+backward pass, but still adds biases and forms gates in place.  Buffer reuse
+matters because a fresh (n, HIDDEN) float64 temporary of a megabyte or so is
+handed back to the operating system when freed, so the next one is faulted
+in page by page again; at n=1000 that page faulting, not the arithmetic,
+used to be most of a forward pass.  Every operation keeps its operands and
+order, so both passes give the same bits as the plain expressions.
+
 Gradients are handwritten reverse accumulation over the fixed architecture;
-the optimizer is Adam.
+the optimizer is Adam, updated in place.
 """
 
 from __future__ import annotations
@@ -67,15 +79,29 @@ class TrainConfig:
             raise InvalidArgumentError("label_dropout must be in [0, 1)")
 
 
-def _silu(a):
-    # saturation overflow in exp is benign: s -> 0 exactly
+def _gate(a, out):
+    """out = 1 / (1 + exp(-a)), the SiLU gate, computed in out."""
+    np.negative(a, out=out)
+    # saturation overflow in exp is benign: the gate -> 0 exactly
     with np.errstate(over="ignore"):
-        s = 1.0 / (1.0 + np.exp(-a))
+        np.exp(out, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
+    return out
+
+
+def _silu(a):
+    s = _gate(a, np.empty_like(a))
     return a * s, s
 
 
 def _silu_grad(a, s):
-    return s * (1.0 + a * (1.0 - s))
+    # s * (1 + a * (1 - s)) with one temporary
+    t = 1.0 - s
+    t *= a
+    t += 1.0
+    t *= s
+    return t
 
 
 def _precondition(sigma):
@@ -164,7 +190,7 @@ class MlpDenoiser:
         if np.any(sig <= 0) or not np.all(np.isfinite(sig)):
             raise InvalidArgumentError("sigma must be positive finite")
         tokens = self._tokens(class_id, len(X))
-        D, _ = _apply(self.params, X, sig, tokens)
+        D = _denoise(self.params, X, sig, tokens)
         return D[0] if single else D
 
     def flat_params(self) -> np.ndarray:
@@ -177,16 +203,49 @@ class MlpDenoiser:
         return int.from_bytes(h.digest(), "little")
 
 
-def _apply(params, X, sig, tokens):
+def _features(params, X, sig, tokens):
+    """Preconditioning coefficients and the input features of the first layer."""
     c_skip, c_out, c_in = _precondition(sig)
     h = np.concatenate([c_in[:, None] * X, _fourier(sig), params["emb"][tokens]], axis=1)
-    a0 = h @ params["w0"] + params["b0"]
+    return c_skip, c_out, h
+
+
+def _layer(h, w, b, out=None):
+    """h @ w + b, written into out when given."""
+    out = np.matmul(h, w, out=out)
+    out += b
+    return out
+
+
+def _denoise(params, X, sig, tokens):
+    """Inference forward pass: D(X; sig, tokens), no activations kept.
+
+    Two (n, HIDDEN) buffers swap roles: `a` holds a pre-activation and then,
+    scaled by its gate in `g`, the activation; the next layer's matmul and
+    bias go into `g`.
+    """
+    c_skip, c_out, h = _features(params, X, sig, tokens)
+    a = _layer(h, params["w0"], params["b0"])
+    g = np.empty_like(a)
+    for i in range(1, N_HIDDEN):
+        a *= _gate(a, g)
+        _layer(a, params[f"w{i}"], params[f"b{i}"], out=g)
+        a, g = g, a
+    a *= _gate(a, g)
+    out = _layer(a, params["w3"], params["b3"])
+    return c_skip[:, None] * X + c_out[:, None] * out
+
+
+def _apply(params, X, sig, tokens):
+    """Training forward pass: D and the cache `loss_and_grad` backpropagates."""
+    c_skip, c_out, h = _features(params, X, sig, tokens)
+    a0 = _layer(h, params["w0"], params["b0"])
     h1, s0 = _silu(a0)
-    a1 = h1 @ params["w1"] + params["b1"]
+    a1 = _layer(h1, params["w1"], params["b1"])
     h2, s1 = _silu(a1)
-    a2 = h2 @ params["w2"] + params["b2"]
+    a2 = _layer(h2, params["w2"], params["b2"])
     h3, s2 = _silu(a2)
-    out = h3 @ params["w3"] + params["b3"]
+    out = _layer(h3, params["w3"], params["b3"])
     D = c_skip[:, None] * X + c_out[:, None] * out
     cache = (c_out, h, a0, s0, h1, a1, s1, h2, a2, s2, h3, tokens)
     return D, cache
@@ -216,15 +275,15 @@ def loss_and_grad(model: MlpDenoiser, x0, sigma, tokens, eps):
     g_out = (2.0 / B) * r * c_out[:, None]
     grads = {"w3": h3.T @ g_out, "b3": g_out.sum(axis=0)}
     g = g_out @ p["w3"].T
-    g = g * _silu_grad(a2, s2)
+    g *= _silu_grad(a2, s2)
     grads["w2"] = h2.T @ g
     grads["b2"] = g.sum(axis=0)
     g = g @ p["w2"].T
-    g = g * _silu_grad(a1, s1)
+    g *= _silu_grad(a1, s1)
     grads["w1"] = h1.T @ g
     grads["b1"] = g.sum(axis=0)
     g = g @ p["w1"].T
-    g = g * _silu_grad(a0, s0)
+    g *= _silu_grad(a0, s0)
     grads["w0"] = h.T @ g
     grads["b0"] = g.sum(axis=0)
     g_h = g @ p["w0"].T
@@ -263,9 +322,24 @@ def train(spec: GmmSpec, cfg: TrainConfig) -> MlpDenoiser:
         bc1 = 1.0 - beta1**step
         bc2 = 1.0 - beta2**step
         for k, g in grads.items():
-            m[k] = beta1 * m[k] + (1.0 - beta1) * g
-            v[k] = beta2 * v[k] + (1.0 - beta2) * g * g
-            model.params[k] -= cfg.lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + eps_adam)
+            # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+            # p -= lr * (m/bc1) / (sqrt(v/bc2) + eps), in place with one
+            # temporary t; g is this step's own array, so it is reused last
+            mk, vk = m[k], v[k]
+            mk *= beta1
+            t = (1.0 - beta1) * g
+            mk += t
+            vk *= beta2
+            np.multiply(1.0 - beta2, g, out=t)
+            t *= g
+            vk += t
+            np.divide(mk, bc1, out=t)
+            t *= cfg.lr
+            np.divide(vk, bc2, out=g)
+            np.sqrt(g, out=g)
+            g += eps_adam
+            t /= g
+            model.params[k] -= t
     return model
 
 
@@ -297,6 +371,10 @@ def load_checkpoint(path) -> MlpDenoiser:
         raise MalformedFileError(f"bad checkpoint magic {magic!r}", offset=0)
     if version != CHECKPOINT_VERSION:
         raise MalformedFileError(f"unsupported checkpoint version {version}", offset=4)
+    if dim < 1:
+        raise MalformedFileError("checkpoint declares dim 0", offset=6)
+    if n_classes < 1:
+        raise MalformedFileError("checkpoint declares zero classes", offset=10)
     if (hidden, embed, nfreq) != (HIDDEN, EMBED_DIM, N_FREQ):
         raise MalformedFileError(
             f"checkpoint architecture ({hidden}, {embed}, {nfreq}) does not match this build"

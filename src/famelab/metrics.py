@@ -14,7 +14,6 @@ import subprocess
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from ._kernels import pairwise_sqdist
 from .errors import InvalidArgumentError, ScorerFailedError
@@ -261,6 +260,9 @@ def histogram_kl(
 def bin_masses(density, edges) -> np.ndarray:
     """Adaptive-quadrature mass of a 1-D density over each bin, with the two
     tails folded into the edge bins; sums to 1 for any proper density."""
+    # imported here: scipy.integrate is a large import that only this uses
+    from scipy import integrate
+
     edges = np.asarray(edges, dtype=np.float64)
     q = np.empty(len(edges) - 1)
     for i in range(len(q)):

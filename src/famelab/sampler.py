@@ -14,7 +14,10 @@ kernel uses elementwise broadcasts and reductions along each row only (never
 batched matmul, and never a sum over the rows of a (K, n) array, whose order
 numpy changes when n = 1); the MLP's BLAS matmul accumulates each row alike
 for n >= 2, so the neural source pads single-row evaluations to two rows to
-stay off the differently-accumulated matvec path.  The test suite asserts
+stay off the differently-accumulated matvec path.  The neural source calls
+the MLP's inference forward (`denoiser._denoise`), which keeps no
+activations and reuses two hidden-layer buffers; it gives the same bits as
+the training forward that backpropagation uses.  The test suite asserts
 cross-layout equality.
 """
 
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import MlpDenoiser, _apply
+from .denoiser import MlpDenoiser, _denoise
 from .errors import DegeneratePointError, DivergedError, InvalidArgumentError
 from .gmm import GmmSpec, ideal_denoiser
 from .guidance import StepContext
@@ -113,10 +116,9 @@ class NeuralSource(ScoreSource):
             # duplicate the row: single-row matmuls take a different BLAS
             # path with different accumulation order
             x2 = np.concatenate([x, x])
-            D, _ = _apply(self.model.params, x2, np.full(2, sigma), np.concatenate([tokens, tokens]))
+            D = _denoise(self.model.params, x2, np.full(2, sigma), np.concatenate([tokens, tokens]))
             return D[:1]
-        D, _ = _apply(self.model.params, x, np.full(n, sigma), tokens)
-        return D
+        return _denoise(self.model.params, x, np.full(n, sigma), tokens)
 
     def fingerprint(self) -> int:
         return self.model.fingerprint()

@@ -1,11 +1,23 @@
 """MLP denoiser: preconditioning, handwritten gradients, training, checkpoints."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
 from famelab.denoiser import (
+    _CKPT_HEADER,
+    HIDDEN,
+    N_FREQ,
     MlpDenoiser,
     TrainConfig,
+    _apply,
+    _denoise,
+    _fourier,
+    _precondition,
+    _silu,
+    _silu_grad,
     load_checkpoint,
     loss_and_grad,
     save_checkpoint,
@@ -17,8 +29,8 @@ from famelab.errors import (
     NotFoundError,
     TrainingDivergedError,
 )
-from famelab.gmm import GmmComponent, GmmSpec, ideal_denoiser
-from famelab.schedule import Rng
+from famelab.gmm import GmmComponent, GmmSpec, ideal_denoiser, sample_clean_batch
+from famelab.schedule import Rng, derive_seed, make_schedule
 from tests.test_gmm import two_mode_1d
 
 
@@ -222,3 +234,201 @@ class TestCheckpoint:
         bad.write_bytes(blob + b"\x00\x00")
         with pytest.raises(MalformedFileError):
             load_checkpoint(bad)
+
+    def test_zero_dim_or_classes_in_header_is_malformed(self, tmp_path):
+        """A well-formed body for dim=0 (resp. n_classes=0) must not reach the
+        model constructor's InvalidArgumentError."""
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(MlpDenoiser(2, 2, seed=0), p)
+        header = bytearray(p.read_bytes()[: _CKPT_HEADER.size])
+        for field_offset, shapes in (
+            (6, [(3, 16), (2 * N_FREQ + 16, HIDDEN), (HIDDEN,), (HIDDEN, HIDDEN), (HIDDEN,),
+                 (HIDDEN, HIDDEN), (HIDDEN,), (HIDDEN, 0), (0,)]),
+            (10, [(1, 16), (2 + 2 * N_FREQ + 16, HIDDEN), (HIDDEN,), (HIDDEN, HIDDEN), (HIDDEN,),
+                  (HIDDEN, HIDDEN), (HIDDEN,), (HIDDEN, 2), (2,)]),
+        ):
+            bad_header = bytearray(header)
+            bad_header[field_offset : field_offset + 4] = b"\x00\x00\x00\x00"
+            body = b"".join(np.zeros(shape, dtype="<f4").tobytes() for shape in shapes)
+            p.write_bytes(bytes(bad_header) + body)
+            with pytest.raises(MalformedFileError) as exc:
+                load_checkpoint(p)
+            assert exc.value.offset == field_offset
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the plain-expression forward, backward and Adam loop that the
+# in-place and two-buffer code must reproduce bit for bit.
+
+
+def oracle_silu(a):
+    with np.errstate(over="ignore"):
+        s = 1.0 / (1.0 + np.exp(-a))
+    return a * s, s
+
+
+def oracle_silu_grad(a, s):
+    return s * (1.0 + a * (1.0 - s))
+
+
+def oracle_apply(params, X, sig, tokens):
+    c_skip, c_out, c_in = _precondition(sig)
+    h = np.concatenate([c_in[:, None] * X, _fourier(sig), params["emb"][tokens]], axis=1)
+    a0 = h @ params["w0"] + params["b0"]
+    h1, s0 = oracle_silu(a0)
+    a1 = h1 @ params["w1"] + params["b1"]
+    h2, s1 = oracle_silu(a1)
+    a2 = h2 @ params["w2"] + params["b2"]
+    h3, s2 = oracle_silu(a2)
+    out = h3 @ params["w3"] + params["b3"]
+    D = c_skip[:, None] * X + c_out[:, None] * out
+    return D, (c_out, h, a0, s0, h1, a1, s1, h2, a2, s2, h3)
+
+
+def oracle_loss_and_grad(model, x0, sigma, tokens, eps):
+    B = len(x0)
+    xn = x0 + sigma[:, None] * eps
+    D, (c_out, h, a0, s0, h1, a1, s1, h2, a2, s2, h3) = oracle_apply(
+        model.params, xn, sigma, tokens
+    )
+    r = D - x0
+    p = model.params
+    g_out = (2.0 / B) * r * c_out[:, None]
+    grads = {"w3": h3.T @ g_out, "b3": g_out.sum(axis=0)}
+    g = g_out @ p["w3"].T
+    g = g * oracle_silu_grad(a2, s2)
+    grads["w2"] = h2.T @ g
+    grads["b2"] = g.sum(axis=0)
+    g = g @ p["w2"].T
+    g = g * oracle_silu_grad(a1, s1)
+    grads["w1"] = h1.T @ g
+    grads["b1"] = g.sum(axis=0)
+    g = g @ p["w1"].T
+    g = g * oracle_silu_grad(a0, s0)
+    grads["w0"] = h.T @ g
+    grads["b0"] = g.sum(axis=0)
+    g_h = g @ p["w0"].T
+    g_emb = np.zeros_like(p["emb"])
+    np.add.at(g_emb, tokens, g_h[:, model.dim + 2 * N_FREQ :])
+    grads["emb"] = g_emb
+    return grads
+
+
+def oracle_train(spec, cfg):
+    model = MlpDenoiser(spec.dim, max(spec.class_ids), seed=derive_seed(cfg.seed, 1))
+    rng = Rng(derive_seed(cfg.seed, 2))
+    class_ids = np.array(spec.class_ids)
+    priors = np.array([spec.class_priors[c] for c in spec.class_ids])
+    priors = priors / priors.sum()
+    beta1, beta2, eps_adam = 0.9, 0.999, 1e-8
+    m = {k: np.zeros_like(v) for k, v in model.params.items()}
+    v = {k: np.zeros_like(vv) for k, vv in model.params.items()}
+    for step in range(1, cfg.steps + 1):
+        cls = class_ids[rng.choice(len(class_ids), size=cfg.batch_size, p=priors)]
+        x0 = sample_clean_batch(spec, rng, cls)
+        tokens = np.where(rng.random(cfg.batch_size) < cfg.label_dropout, 0, cls)
+        sigma = np.exp(rng.uniform(np.log(cfg.sigma_lo), np.log(cfg.sigma_hi), cfg.batch_size))
+        eps = rng.standard_normal((cfg.batch_size, spec.dim))
+        grads = oracle_loss_and_grad(model, x0, sigma, tokens, eps)
+        bc1 = 1.0 - beta1**step
+        bc2 = 1.0 - beta2**step
+        for k, g in grads.items():
+            m[k] = beta1 * m[k] + (1.0 - beta1) * g
+            v[k] = beta2 * v[k] + (1.0 - beta2) * g * g
+            model.params[k] -= cfg.lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + eps_adam)
+    return model
+
+
+def perturbed_params(dim, n_classes, seed):
+    """Random weights everywhere, including the zero-initialized output layer
+    and the biases, so every term of the forward pass matters."""
+    params = MlpDenoiser(dim, n_classes, seed=seed).params
+    rng = Rng(seed + 1)
+    return {k: v + 0.3 * rng.standard_normal(v.shape) for k, v in params.items()}
+
+
+class TestInferenceForward:
+    def test_equals_training_forward_exactly(self):
+        params = perturbed_params(2, 8, seed=20)
+        sigmas = make_schedule("karras-like", 64, 0.01, 10.0).sigmas
+        rng = Rng(21)
+        for n in (2, 3, 1000, 1024):
+            X = 3.0 * rng.standard_normal((n, 2))
+            tokens = rng.integers(0, 9, n)
+            tokens[0] = 0
+            for k in (0, 16, 40, 63):
+                sig = np.full(n, sigmas[k])
+                np.testing.assert_array_equal(
+                    _denoise(params, X, sig, tokens), _apply(params, X, sig, tokens)[0]
+                )
+            sig = np.exp(rng.uniform(np.log(0.01), np.log(10.0), n))
+            np.testing.assert_array_equal(
+                _denoise(params, X, sig, tokens), _apply(params, X, sig, tokens)[0]
+            )
+
+    def test_matches_oracle_when_exp_overflows_without_warning(self):
+        params = perturbed_params(2, 3, seed=22)
+        params["w0"] = params["w0"] * 2000.0
+        rng = Rng(23)
+        X = 4.0 * rng.standard_normal((64, 2))
+        sig = np.full(64, 0.05)
+        tokens = rng.integers(0, 4, 64)
+        want, cache = oracle_apply(params, X, sig, tokens)
+        assert np.any(-cache[2] > 710.0)  # exp(-a0) overflows somewhere
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _denoise(params, X, sig, tokens)
+            got_train = _apply(params, X, sig, tokens)[0]
+        assert np.all(np.isfinite(want))
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got_train, want)
+
+    def test_silu_and_grad_match_oracle_formulas(self):
+        a = np.concatenate([Rng(24).standard_normal((50, 7)).ravel() * 30.0, [0.0, -800.0, 800.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h, s = _silu(a)
+        want_h, want_s = oracle_silu(a)
+        np.testing.assert_array_equal(h, want_h)
+        np.testing.assert_array_equal(s, want_s)
+        np.testing.assert_array_equal(_silu_grad(a, s), oracle_silu_grad(a, want_s))
+
+    def test_peak_allocation_is_about_two_hidden_buffers(self):
+        n = 1024
+        params = perturbed_params(2, 8, seed=25)
+        rng = Rng(26)
+        X = rng.standard_normal((n, 2))
+        sig = np.full(n, 0.5)
+        tokens = rng.integers(0, 9, n)
+        _denoise(params, X, sig, tokens)
+        tracemalloc.start()
+        try:
+            _denoise(params, X, sig, tokens)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * n * HIDDEN * 8, peak
+
+
+class TestInPlaceTraining:
+    def test_gradients_match_oracle_exactly(self):
+        model = MlpDenoiser(dim=2, n_classes=3, seed=27)
+        model.params = perturbed_params(2, 3, seed=27)
+        rng = Rng(28)
+        B = 64
+        x0 = rng.standard_normal((B, 2))
+        sigma = np.exp(rng.uniform(np.log(0.02), np.log(12.0), B))
+        tokens = rng.integers(0, 4, B)
+        eps = rng.standard_normal((B, 2))
+        _, grads = loss_and_grad(model, x0, sigma, tokens, eps)
+        want = oracle_loss_and_grad(model, x0, sigma, tokens, eps)
+        assert grads.keys() == want.keys()
+        for k in want:
+            np.testing.assert_array_equal(grads[k], want[k], err_msg=k)
+
+    def test_train_matches_oracle_adam_loop_exactly(self):
+        cfg = TrainConfig(steps=25)
+        got = train(small_spec(), cfg)
+        want = oracle_train(small_spec(), cfg)
+        for k in want.params:
+            np.testing.assert_array_equal(got.params[k], want.params[k], err_msg=k)

@@ -1,0 +1,111 @@
+"""Loader fuzzing: damaged `.mlpd`, `.fmpl` and `.traj` files must either load
+or raise MalformedFileError, never any other exception.
+
+Each file is damaged one way per example: some bits flipped, a run of bytes
+overwritten, or the tail cut off.  Positions are drawn half the time from the
+headers, where a damaged field changes how the rest is parsed, and half the
+time from the whole file.  The examples are derandomized, so every run
+checks the same cases.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from famelab.denoiser import _CKPT_HEADER, MlpDenoiser, load_checkpoint, save_checkpoint
+from famelab.errors import MalformedFileError
+from famelab.pool import _POOL_HEADER, FailurePool, load_pool, save_pool
+from famelab.schedule import (
+    _TRAJ_HEADER,
+    Rng,
+    TrajectoryRecord,
+    load_trajectory,
+    save_trajectory,
+)
+
+FUZZ = settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+def _record(rng, seed, class_id, score, T=3, d=2):
+    return TrajectoryRecord.create(
+        seed,
+        class_id,
+        rng.standard_normal((T + 1, d)),
+        rng.standard_normal((T, d)),
+        score,
+    )
+
+
+@st.composite
+def damaged(draw, blob, hot):
+    """blob damaged by flipped bits, overwritten bytes or truncation; `hot`
+    is the length of the header region positions favour."""
+    where = st.one_of(st.integers(0, hot - 1), st.integers(0, len(blob) - 1))
+    kind = draw(st.sampled_from(("flip", "overwrite", "truncate")))
+    if kind == "truncate":
+        return blob[: draw(where)]
+    buf = bytearray(blob)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(where)
+        if kind == "flip":
+            buf[i] ^= 1 << draw(st.integers(0, 7))
+        else:
+            data = draw(st.binary(min_size=1, max_size=8))[: len(buf) - i]
+            buf[i : i + len(data)] = data
+    return bytes(buf)
+
+
+def loads_or_malformed(load, path, buf):
+    path.write_bytes(buf)
+    try:
+        load(path)
+    except MalformedFileError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def blobs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    rng = Rng(0)
+    save_checkpoint(MlpDenoiser(2, 2, seed=0), d / "m.mlpd")
+    records = [
+        _record(rng, 10 + i, c, score)
+        for i, (c, score) in enumerate([(1, 0.1), (1, 0.5), (2, 0.2)])
+    ]
+    save_pool(FailurePool(records, "per-class", 123, 456), d / "p.fmpl")
+    save_trajectory(_record(rng, 7, None, 0.3), d / "t.traj")
+    return {name: (d / name).read_bytes() for name in ("m.mlpd", "p.fmpl", "t.traj")}
+
+
+def test_blobs_load_undamaged(blobs, tmp_path):
+    loaders = {"m.mlpd": load_checkpoint, "p.fmpl": load_pool, "t.traj": load_trajectory}
+    for name, load in loaders.items():
+        (tmp_path / name).write_bytes(blobs[name])
+        load(tmp_path / name)
+
+
+@FUZZ
+@given(data=st.data())
+def test_damaged_checkpoint(blobs, tmp_path, data):
+    buf = data.draw(damaged(blobs["m.mlpd"], _CKPT_HEADER.size))
+    loads_or_malformed(load_checkpoint, tmp_path / "x.mlpd", buf)
+
+
+@FUZZ
+@given(data=st.data())
+def test_damaged_pool(blobs, tmp_path, data):
+    buf = data.draw(damaged(blobs["p.fmpl"], _POOL_HEADER.size + _TRAJ_HEADER.size))
+    loads_or_malformed(load_pool, tmp_path / "x.fmpl", buf)
+
+
+@FUZZ
+@given(data=st.data())
+def test_damaged_trajectory(blobs, tmp_path, data):
+    buf = data.draw(damaged(blobs["t.traj"], _TRAJ_HEADER.size))
+    loads_or_malformed(load_trajectory, tmp_path / "x.traj", buf)
