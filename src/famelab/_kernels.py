@@ -7,6 +7,17 @@ components are row-wise: the log-sum-exp along axis 1 of (n, K) arrays and
 einsum("nk,nka->na").  Each output row is therefore computed from that row's
 data alone, whatever the batch size (see `sampler`).
 
+The evaluation comes in two parts.  `gmm_terms` computes what each component
+contributes independently of the mixture weights (log determinant, quadratic
+form, posterior mean); `gmm_reduce` takes any selection of those columns with
+their log weights and does the log-sum-exp and the responsibility-weighted
+mean.  A source that needs several mixtures over shared components (a class
+and the marginal) evaluates each distinct component once and reduces once per
+mixture.  The score costs a third rotation and is computed only by
+`gmm_score`, on request; `gmm_eval` composes all three for the public `gmm`
+functions.  Every product and reduction is the same whichever entry point
+computes it, so the parts give the bits `gmm_eval` gives.
+
 Array contracts (all float64, C-contiguous):
   X      (n, d)    evaluation points
   means  (K, d)    component means
@@ -37,13 +48,17 @@ def _rotate(planes, qmats):
     return out
 
 
-def gmm_eval(X, means, qmats, lams, logw, sig2):
-    """Fused mixture evaluation at noise level sigma = sqrt(sig2).
+def gmm_terms(X, means, qmats, lams, sig2):
+    """The weight-free part of the mixture evaluation at sigma = sqrt(sig2).
 
-    Returns (logp, resp, score, denoise) where logp is the log density of the
-    mixture convolved with N(0, sig2 I), resp the per-component posterior
-    responsibilities, score the gradient of logp in x, and denoise the
-    posterior mean E[x0 | x] under the same convolution.
+    Returns (logdet, quad, sd, pm): logdet (K,) the log determinant of each
+    noised covariance Sigma + sig2 I, quad (n, K) the squared Mahalanobis
+    distance of each point under it, sd the d (n, K) planes of
+    (Sigma + sig2 I)^-1 (x - mu) in each component's eigenbasis (what the
+    score needs), and pm (n, K, d) each component's posterior mean
+    E[x0 | x, k].  Every column depends on its own component alone, so a
+    caller may evaluate a table of components once and hand any selection
+    of its columns to `gmm_reduce`.
     """
     d = X.shape[1]
     den = lams + sig2
@@ -56,8 +71,26 @@ def gmm_eval(X, means, qmats, lams, logw, sig2):
         for a in range(1, d):
             quad = quad + sd[a] * w[a]
     logdet = np.log(den).sum(axis=1)
-    logcomp = logw[None, :] - 0.5 * (d * LOG_2PI + logdet)[None, :] - 0.5 * quad
+    # posterior mean_k = mu + Q (sd * lam)
+    shrunk = _rotate([sd[b] * lams[:, b] for b in range(d)], qmats)
+    pm = np.stack([means[:, a] + shrunk[a] for a in range(d)], axis=-1)
+    return logdet, quad, sd, pm
 
+
+def gmm_reduce(const, quad, pm):
+    """The weighted reduction over the components of one mixture.
+
+    const holds logw - 0.5 * (d log 2pi + logdet) per component, either one
+    (1, K) row for every point or an (n, K) row per point; quad (n, K) and
+    pm (n, K, d) are `gmm_terms` columns in the same component order.
+    Returns (logp, resp, denoise): the log density, the posterior
+    responsibilities and the posterior mean E[x0 | x].
+
+    The row sums run over C-ordered (n, K) arrays, where numpy adds K >= 8
+    terms pairwise; over a column-major array (what `quad[:, cols]` returns)
+    it adds them one by one, so logcomp is made C-ordered first.
+    """
+    logcomp = np.ascontiguousarray(const - 0.5 * quad)
     m = logcomp.max(axis=1)
     safe = np.where(np.isfinite(m), m, 0.0)
     e = np.exp(logcomp - safe[:, None])
@@ -65,14 +98,30 @@ def gmm_eval(X, means, qmats, lams, logw, sig2):
     with np.errstate(divide="ignore"):
         logp = safe + np.log(s)
     resp = e / np.maximum(s, 1e-300)[:, None]
-
-    # score_k = -Q sd; posterior mean_k = mu + Q (sd * lam)
-    qsd = np.stack(_rotate(sd, qmats), axis=-1)
-    score = -np.einsum("nk,nka->na", resp, qsd)
-    shrunk = _rotate([sd[b] * lams[:, b] for b in range(d)], qmats)
-    pm = np.stack([means[:, a] + shrunk[a] for a in range(d)], axis=-1)
     denoise = np.einsum("nk,nka->na", resp, pm)
-    return logp, resp, score, denoise
+    return logp, resp, denoise
+
+
+def gmm_score(resp, sd, qmats):
+    """Gradient of logp in x from `gmm_reduce`'s responsibilities and
+    `gmm_terms`' sd planes: the responsibility-weighted -Q sd."""
+    qsd = np.stack(_rotate(sd, qmats), axis=-1)
+    return -np.einsum("nk,nka->na", resp, qsd)
+
+
+def gmm_eval(X, means, qmats, lams, logw, sig2):
+    """Fused mixture evaluation at noise level sigma = sqrt(sig2).
+
+    Returns (logp, resp, score, denoise) where logp is the log density of the
+    mixture convolved with N(0, sig2 I), resp the per-component posterior
+    responsibilities, score the gradient of logp in x, and denoise the
+    posterior mean E[x0 | x] under the same convolution.
+    """
+    d = X.shape[1]
+    logdet, quad, sd, pm = gmm_terms(X, means, qmats, lams, sig2)
+    const = logw[None, :] - 0.5 * (d * LOG_2PI + logdet)[None, :]
+    logp, resp, denoise = gmm_reduce(const, quad, pm)
+    return logp, resp, gmm_score(resp, sd, qmats), denoise
 
 
 def pairwise_sqdist(a, b):

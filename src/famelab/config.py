@@ -3,7 +3,9 @@
 A config resolves to: a dataset (preset name or mixture-spec path), a score
 source, a noise schedule, guidance knobs, pool knobs, a scorer, seeds and
 counts, and an output directory.  Loading validates every numeric range up
-front so a bad config fails before any artifact is written.
+front, and every field's type before that (integers must be ints, not
+bools or floats), so a bad config fails with InvalidArgumentError before any
+artifact is written.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .denoiser import TrainConfig
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_int, check_real, check_str
 from .guidance import GuidanceConfig
 from .metrics import check_scorer_id
 from .pool import POOL_MODES
@@ -24,6 +26,21 @@ from .schedule import SCHEDULE_KINDS
 
 SOURCE_KINDS = ("analytic", "neural")
 SWEEP_AXES = ("w", "f", "tau")
+
+# each scalar field's type, checked before any range; only _OPTIONAL fields
+# may be None
+_FIELD_TYPES = {
+    **dict.fromkeys(
+        ("n_steps", "pool_candidates", "pool_n_f", "seed", "n_per_class", "workers"), check_int
+    ),
+    **dict.fromkeys(("sigma_min", "sigma_max", "pool_build_w"), check_real),
+    **dict.fromkeys(
+        ("name", "dataset", "source", "checkpoint", "schedule_kind", "method",
+         "pool_path", "pool_mode", "scorer", "out_dir"),
+        check_str,
+    ),
+}
+_OPTIONAL = {"checkpoint", "pool_path", "pool_build_w", "workers"}
 
 
 @dataclass(frozen=True)
@@ -53,6 +70,14 @@ class ExperimentConfig:
     save_trajectories: bool = True
 
     def __post_init__(self):
+        for name, check in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not (value is None and name in _OPTIONAL):
+                check(name, value)
+        if not isinstance(self.save_trajectories, bool):
+            raise InvalidArgumentError(
+                f"save_trajectories must be true or false, got {self.save_trajectories!r}"
+            )
         if not self.name or "/" in self.name or self.name in (".", ".."):
             raise InvalidArgumentError(f"experiment name {self.name!r} is not a valid directory name")
         if self.source not in SOURCE_KINDS:
@@ -61,8 +86,6 @@ class ExperimentConfig:
             raise InvalidArgumentError(f"method must be one of {SAMPLER_METHODS}")
         if self.schedule_kind not in SCHEDULE_KINDS:
             raise InvalidArgumentError(f"schedule_kind must be one of {SCHEDULE_KINDS}")
-        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, int):
-            raise InvalidArgumentError(f"n_steps must be an integer, got {self.n_steps!r}")
         if self.n_steps < 1:
             raise InvalidArgumentError("n_steps must be >= 1")
         if not (0.0 < self.sigma_min < self.sigma_max and np.isfinite(self.sigma_max)):
@@ -79,8 +102,12 @@ class ExperimentConfig:
             raise InvalidArgumentError("pool_build_w must be finite and >= 0")
         check_scorer_id(self.scorer)
         if self.classes is not None:
-            if len(self.classes) == 0:
-                raise InvalidArgumentError("classes, when given, must be nonempty")
+            if not isinstance(self.classes, (list, tuple)) or len(self.classes) == 0:
+                raise InvalidArgumentError(
+                    f"classes, when given, must be a nonempty list, got {self.classes!r}"
+                )
+            for c in self.classes:
+                check_int("each class id", c)
             object.__setattr__(self, "classes", tuple(int(c) for c in self.classes))
         if self.workers is not None and self.workers < 1:
             raise InvalidArgumentError("workers must be >= 1")
@@ -121,14 +148,10 @@ def config_from_dict(d: dict) -> ExperimentConfig:
             sub_unknown = set(sub) - sub_known
             if sub_unknown:
                 raise InvalidArgumentError(f"unknown {key} keys: {sorted(sub_unknown)}")
-            if key == "guidance" and sub.get("cfg_interval") is not None:
-                sub = dict(sub, cfg_interval=tuple(sub["cfg_interval"]))
             try:
                 kwargs[key] = cls(**sub)
             except TypeError as exc:
                 raise InvalidArgumentError(f"bad {key} section: {exc}") from exc
-    if kwargs.get("classes") is not None:
-        kwargs["classes"] = tuple(kwargs["classes"])
     try:
         return ExperimentConfig(**kwargs)
     except TypeError as exc:

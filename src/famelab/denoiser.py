@@ -41,6 +41,8 @@ from .errors import (
     MalformedFileError,
     NotFoundError,
     TrainingDivergedError,
+    check_int,
+    check_real,
 )
 from .gmm import GmmSpec, sample_clean_batch
 from .schedule import Rng, derive_seed
@@ -69,12 +71,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("steps", "batch_size", "seed"):
+            check_int(name, getattr(self, name))
+        for name in ("lr", "sigma_lo", "sigma_hi", "label_dropout"):
+            check_real(name, getattr(self, name))
         if self.steps < 1 or self.batch_size < 1:
             raise InvalidArgumentError("steps and batch_size must be positive")
         if not (self.lr > 0 and np.isfinite(self.lr)):
             raise InvalidArgumentError("lr must be positive")
-        if not (0.0 < self.sigma_lo < self.sigma_hi):
-            raise InvalidArgumentError("need 0 < sigma_lo < sigma_hi")
+        if not (0.0 < self.sigma_lo < self.sigma_hi < np.inf):
+            raise InvalidArgumentError("need 0 < sigma_lo < sigma_hi < inf")
         if not (0.0 <= self.label_dropout < 1.0):
             raise InvalidArgumentError("label_dropout must be in [0, 1)")
 

@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the type checks config
+fields use to raise them.
 
 Every error raised on a documented failure path derives from FamelabError so
 callers can catch the whole family at the CLI boundary.
 """
+
+import numbers
 
 
 class FamelabError(Exception):
@@ -75,3 +78,21 @@ class PipelineStageError(FamelabError, RuntimeError):
         self.stage = stage
         self.cause = cause
         super().__init__(f"stage '{stage}' failed: {cause}")
+
+
+def check_int(name, value) -> None:
+    """Raise InvalidArgumentError unless value is an integer (bools are not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+
+
+def check_real(name, value) -> None:
+    """Raise InvalidArgumentError unless value is a real number (bools are not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidArgumentError(f"{name} must be a number, got {value!r}")
+
+
+def check_str(name, value) -> None:
+    """Raise InvalidArgumentError unless value is a string."""
+    if not isinstance(value, str):
+        raise InvalidArgumentError(f"{name} must be a string, got {value!r}")

@@ -65,20 +65,47 @@ class GmmComponent:
         return self.mean.size
 
 
-class _Pack:
-    """Components of one mixture flattened into kernel-ready arrays."""
+class _Table:
+    """The distinct components of a spec as kernel-ready arrays.
 
-    __slots__ = ("means", "qmats", "lams", "logw", "tags", "weights")
+    Two components are the same table entry only when their mean and cov
+    bytes are equal; each entry's covariance is eigendecomposed once.
+    """
 
-    def __init__(self, components, log_prior_per_comp):
-        self.means = np.ascontiguousarray([c.mean for c in components])
-        self.qmats = np.empty((len(components), components[0].dim, components[0].dim))
-        self.lams = np.empty((len(components), components[0].dim))
-        for i, c in enumerate(components):
+    __slots__ = ("means", "qmats", "lams", "cols")
+
+    def __init__(self, components):
+        index = {}
+        distinct = []
+        cols = []
+        for c in components:
+            key = (c.mean.tobytes(), c.cov.tobytes())
+            if key not in index:
+                index[key] = len(distinct)
+                distinct.append(c)
+            cols.append(index[key])
+        # cols[i] is the entry of components[i]
+        self.cols = np.array(cols, dtype=np.intp)
+        self.means = np.ascontiguousarray([c.mean for c in distinct])
+        self.qmats = np.empty((len(distinct), distinct[0].dim, distinct[0].dim))
+        self.lams = np.empty((len(distinct), distinct[0].dim))
+        for i, c in enumerate(distinct):
             lam, q = np.linalg.eigh(c.cov)
             self.lams[i] = lam
             self.qmats[i] = q
-        self.qmats = np.ascontiguousarray(self.qmats)
+
+
+class _Pack:
+    """Components of one mixture flattened into kernel-ready arrays: its
+    columns `cols` of the spec's component table and their log weights."""
+
+    __slots__ = ("cols", "means", "qmats", "lams", "logw", "tags", "weights")
+
+    def __init__(self, table, cols, components, log_prior_per_comp):
+        self.cols = cols
+        self.means = table.means[cols]
+        self.qmats = table.qmats[cols]
+        self.lams = table.lams[cols]
         w = np.array([c.weight for c in components])
         self.logw = np.log(w) + np.asarray(log_prior_per_comp)
         self.weights = np.exp(self.logw)
@@ -91,6 +118,15 @@ class GmmSpec:
     classes maps class_id -> list of GmmComponent whose weights sum to 1;
     class_priors maps the same ids to marginal probabilities summing to 1.
     The unconditional mixture is the prior-weighted union of all classes.
+
+    `table` holds every distinct component once (a component shared by
+    several classes, like imbalanced2d's bad mode, is one entry); each class
+    and the marginal is a list of table columns plus its own log weights,
+    `pack(class_id).cols` and `.logw`.  A class's logw is log(weight); the
+    marginal's adds the log class prior.  Duplicates stay separate columns
+    of the marginal (imbalanced2d: 16 columns over 9 entries), so its
+    reduction sums the same terms in the same order whether or not they
+    share an entry.
     """
 
     def __init__(self, classes: dict, class_priors: dict):
@@ -125,10 +161,6 @@ class GmmSpec:
         self.dim = dims.pop()
         self.classes = {cid: tuple(classes[cid]) for cid in ids}
         self.class_priors = {cid: float(class_priors[cid]) for cid in ids}
-        self._packs = {
-            cid: _Pack(self.classes[cid], np.zeros(len(self.classes[cid])))
-            for cid in ids
-        }
         marg_comps = []
         marg_logp = []
         for cid in ids:
@@ -136,7 +168,17 @@ class GmmSpec:
             for c in self.classes[cid]:
                 marg_comps.append(c)
                 marg_logp.append(lp)
-        self._marginal = _Pack(marg_comps, np.array(marg_logp))
+        self.table = _Table(marg_comps)
+        # the marginal lists every class's components in class order, so each
+        # class owns a contiguous run of the marginal's table columns
+        self._packs = {}
+        start = 0
+        for cid in ids:
+            comps = self.classes[cid]
+            cols = self.table.cols[start : start + len(comps)]
+            self._packs[cid] = _Pack(self.table, cols, comps, np.zeros(len(comps)))
+            start += len(comps)
+        self._marginal = _Pack(self.table, self.table.cols, marg_comps, np.array(marg_logp))
 
     def pack(self, class_id):
         """Kernel arrays for one class, or the marginal mixture for None."""
@@ -165,7 +207,9 @@ class GmmSpec:
         return _spec_to_dict(self) == _spec_to_dict(other)
 
 
-def _eval(spec, x, sigma, class_id):
+def check_points(spec, x, sigma):
+    """x as a validated C-contiguous (n, d) float64 batch, and whether it
+    was a single vector; sigma must be finite and >= 0."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     X = np.ascontiguousarray(np.atleast_2d(x))
@@ -175,6 +219,11 @@ def _eval(spec, x, sigma, class_id):
         raise InvalidArgumentError("points must be finite")
     if not (sigma >= 0 and np.isfinite(sigma)):
         raise InvalidArgumentError(f"sigma must be finite and >= 0, got {sigma}")
+    return single, X
+
+
+def _eval(spec, x, sigma, class_id):
+    single, X = check_points(spec, x, sigma)
     p = spec.pack(class_id)
     logp, resp, score, denoise = _kernels.gmm_eval(
         X, p.means, p.qmats, p.lams, p.logw, float(sigma) ** 2

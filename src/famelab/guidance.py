@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_real
 from .schedule import NoiseSchedule
 
 
@@ -30,6 +30,8 @@ class GuidanceConfig:
     cfg_interval: tuple | None = None
 
     def __post_init__(self):
+        for name in ("w", "f", "tau"):
+            check_real(name, getattr(self, name))
         if not (np.isfinite(self.w) and self.w >= 0):
             raise InvalidArgumentError(f"w must be finite and >= 0, got {self.w}")
         if not (np.isfinite(self.f) and self.f >= 0):
@@ -37,7 +39,13 @@ class GuidanceConfig:
         if not 0.0 <= self.tau <= 1.0:
             raise InvalidArgumentError(f"tau must be in [0, 1], got {self.tau}")
         if self.cfg_interval is not None:
+            if not isinstance(self.cfg_interval, (list, tuple)) or len(self.cfg_interval) != 2:
+                raise InvalidArgumentError(
+                    f"cfg_interval must be a pair [lo, hi], got {self.cfg_interval!r}"
+                )
             lo, hi = self.cfg_interval
+            check_real("cfg_interval bounds", lo)
+            check_real("cfg_interval bounds", hi)
             if not 0.0 <= lo < hi <= 1.0:
                 raise InvalidArgumentError(
                     f"cfg_interval must satisfy 0 <= lo < hi <= 1, got {self.cfg_interval}"
@@ -119,8 +127,10 @@ class GuidedSource:
 
     Implements the same evaluate/bind interface as the base sources.  The
     unconditional branch is only evaluated when the effective w differs from
-    1, and the pool is only consulted inside the activation window, so plain
-    conditional sampling and plain CFG pay nothing for the machinery.
+    1, and then together with the conditional one through the base's
+    evaluate_pair; the pool is only consulted inside the activation window,
+    so plain conditional sampling and plain CFG pay nothing for the
+    machinery.
     """
 
     def __init__(self, base, pool, cfg: GuidanceConfig):
@@ -144,14 +154,14 @@ class GuidedSource:
             ctx.neg_indices = self.pool.select_indices(ctx.seeds, ctx.class_ids)
 
     def evaluate(self, x, sigma_index, class_ids, ctx: StepContext):
-        d1 = self.base.evaluate(x, sigma_index, class_ids, ctx)
-        ctx.conditional_output = d1
         T = ctx.schedule.T
         w = effective_w(self.cfg, sigma_index, T)
-        active = self.pool is not None and replay_active(self.cfg, sigma_index, T)
-        d0 = None
         if w != 1.0:
-            d0 = self.base.evaluate(x, sigma_index, None, ctx)
+            d1, d0 = self.base.evaluate_pair(x, sigma_index, class_ids, ctx)
+        else:
+            d1, d0 = self.base.evaluate(x, sigma_index, class_ids, ctx), None
+        ctx.conditional_output = d1
+        active = self.pool is not None and replay_active(self.cfg, sigma_index, T)
         if active:
             d_neg = self.pool.replay_outputs(ctx.neg_indices, sigma_index)
             return fame_combine(d1, d0, d_neg, w, self.cfg.f)

@@ -56,6 +56,16 @@ BAD_CONFIG_VALUES = (
     {"schedule_kind": "cosine"},
     {"n_steps": 16.5},
     {"scorer": "fid"},
+    {"classes": 5},
+    {"classes": ["a"]},
+    {"classes": [1.7]},
+    {"guidance": {"cfg_interval": 5}},
+    {"guidance": {"cfg_interval": [1]}},
+    {"seed": "abc"},
+    {"n_per_class": 2.5},
+    {"workers": 1.5},
+    {"pool_candidates": 1.5},
+    {"dataset": 5},
 )
 
 

@@ -1,8 +1,11 @@
 """Config serialization, validation, and sweep axis checks."""
 
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from famelab.config import (
     ExperimentConfig,
@@ -106,6 +109,29 @@ class TestValidation:
         for scorer in ("fid", "external:", "external:'unclosed"):
             with pytest.raises(InvalidArgumentError):
                 ExperimentConfig(scorer=scorer)
+        # wrong JSON types: once a bare TypeError/ValueError, or accepted and
+        # failing only later in the run (or, for 1.7, truncated to 1)
+        for bad in (
+            {"classes": 5},
+            {"classes": ["a"]},
+            {"classes": [1.7]},
+            {"classes": [True]},
+            {"guidance": {"cfg_interval": 5}},
+            {"guidance": {"cfg_interval": [1]}},
+            {"guidance": {"w": "2"}},
+            {"seed": "abc"},
+            {"n_per_class": 2.5},
+            {"workers": 1.5},
+            {"pool_candidates": 1.5},
+            {"dataset": 5},
+            {"name": 5},
+            {"sigma_min": None},
+            {"save_trajectories": 1},
+            {"train": {"steps": 2.5}},
+            {"train": {"lr": "fast"}},
+        ):
+            with pytest.raises(InvalidArgumentError):
+                config_from_dict(bad)
 
     def test_nested_guidance_validated_at_load(self):
         with pytest.raises(InvalidArgumentError):
@@ -138,3 +164,53 @@ class TestSweepSpec:
     def test_non_finite_values(self):
         with pytest.raises(InvalidArgumentError):
             SweepSpec("w", (1.0, float("nan")))
+
+
+# JSON-like values: scalars of every JSON type (NaN and infinities included,
+# which Python's json module reads), nested lists and objects, and values a
+# field could plausibly hold, so examples also reach the checks past the type
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.text(max_size=8),
+    st.sampled_from(
+        [0, 1, 2, -1, 0.5, 1.5, 0.0, "", "a/b", "heun", "euler", "analytic", "neural",
+         "karras-like", "global", "per-class", "log-density", "external:", "balanced2d"]
+    ),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+def _section(cls, extra):
+    """Dicts over cls's field names (plus sometimes an unknown key), or any value."""
+    names = [f.name for f in dataclasses.fields(cls)] + [extra]
+    return st.fixed_dictionaries({}, optional={n: _VALUES for n in names}) | _VALUES
+
+
+_CONFIG_DICTS = st.fixed_dictionaries(
+    {},
+    optional={
+        **{f.name: _VALUES for f in dataclasses.fields(ExperimentConfig)},
+        "guidance": _section(GuidanceConfig, "omega"),
+        "train": _section(TrainConfig, "epochs"),
+        "nsteps": _VALUES,
+    },
+)
+
+
+class TestConfigFuzz:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(_CONFIG_DICTS)
+    def test_valid_config_or_invalid_argument(self, d):
+        try:
+            cfg = config_from_dict(d)
+        except InvalidArgumentError:
+            return
+        # what loads also survives the JSON round trip unchanged
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg

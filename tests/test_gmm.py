@@ -319,6 +319,48 @@ class TestPresets:
             preset("spiral")
 
 
+class TestComponentTable:
+    def test_shared_mode_is_one_entry(self):
+        spec = preset("imbalanced2d")
+        assert len(spec.table.means) == 9
+        bad = spec.pack(1).cols[1]
+        assert all(spec.pack(c).cols[1] == bad for c in spec.class_ids)
+        marginal = spec.pack(None).cols
+        assert len(marginal) == 16 and len(set(marginal.tolist())) == 9
+        assert len(preset("balanced2d").table.means) == 8
+
+    def test_near_equal_components_stay_apart(self):
+        mean = np.array([0.5, -0.25])
+        nudged = np.array([np.nextafter(0.5, 1.0), -0.25])
+        cov = 0.3 * np.eye(2)
+        spec = GmmSpec(
+            {
+                1: [GmmComponent(mean, cov, 1.0, 2.0)],
+                2: [GmmComponent(nudged, cov, 1.0, 2.0)],
+                3: [GmmComponent(mean.copy(), cov.copy(), 1.0, 1.0)],
+                4: [GmmComponent(mean, np.nextafter(cov, 1.0), 1.0, 2.0)],
+            },
+            {1: 0.25, 2: 0.25, 3: 0.25, 4: 0.25},
+        )
+        # the same bytes (the tag aside) share an entry; one ulp apart does not
+        assert [int(spec.pack(c).cols[0]) for c in spec.class_ids] == [0, 1, 0, 2]
+
+    def test_packs_hold_each_components_own_arrays(self):
+        for spec in (preset("imbalanced2d"), skewed_2d()):
+            mixtures = [(cid, [(c, 1.0) for c in spec.components(cid)]) for cid in spec.class_ids]
+            marginal = [(c, spec.class_priors[k]) for k in spec.class_ids for c in spec.components(k)]
+            mixtures.append((None, marginal))
+            for cid, comps in mixtures:
+                p = spec.pack(cid)
+                assert len(p.cols) == len(comps)
+                for i, (c, prior) in enumerate(comps):
+                    lam, q = np.linalg.eigh(c.cov)
+                    np.testing.assert_array_equal(p.means[i], c.mean)
+                    np.testing.assert_array_equal(p.lams[i], lam)
+                    np.testing.assert_array_equal(p.qmats[i], q)
+                    assert p.weights[i] == pytest.approx(c.weight * prior, rel=1e-12)
+
+
 class TestSpecFiles:
     def test_round_trip(self, tmp_path):
         spec = skewed_2d()

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from famelab._kernels import gmm_eval, pairwise_sqdist
+from famelab._kernels import gmm_eval, gmm_reduce, gmm_score, gmm_terms, pairwise_sqdist
 from famelab.config import ExperimentConfig
 from famelab.gmm import preset
 from famelab.schedule import make_schedule
@@ -132,6 +132,34 @@ class TestGmmEval:
                 single = gmm_eval(X[i : i + 1], *mix, 0.49)
                 for b, s in zip(batch, single):
                     np.testing.assert_array_equal(b[i], s[0])
+
+
+class TestSplitKernel:
+    """`gmm_terms` over a component table, then `gmm_reduce` over a mixture's
+    columns of it: the bits `gmm_eval` gives on that mixture's own pack."""
+
+    def test_table_columns_reduce_to_pack_results(self):
+        spec = preset("imbalanced2d")
+        t = spec.table
+        rng = np.random.default_rng(13)
+        for sigma in reference_sigmas()[::7]:
+            X = rng.standard_normal((300, 2)) * (2.0 + sigma)
+            logdet, quad, sd, pm = gmm_terms(X, t.means, t.qmats, t.lams, sigma**2)
+            for class_id in [None, *spec.class_ids]:
+                p = spec.pack(class_id)
+                const = p.logw[None, :] - 0.5 * (2 * LOG_2PI + logdet[p.cols])[None, :]
+                q, m = np.take(quad, p.cols, axis=1), np.take(pm, p.cols, axis=1)
+                logp, resp, denoise = gmm_reduce(const, q, m)
+                # quad[:, cols] is column-major; the sums must not follow it
+                assert not quad[:, p.cols].flags.c_contiguous or len(p.cols) == 1
+                alt = gmm_reduce(const, quad[:, p.cols], pm[:, p.cols])
+                want = gmm_eval(X, p.means, p.qmats, p.lams, p.logw, sigma**2)
+                for got, ref in zip((logp, resp, denoise), (want[0], want[1], want[3])):
+                    np.testing.assert_array_equal(got, ref)
+                for got, ref in zip(alt, (want[0], want[1], want[3])):
+                    np.testing.assert_array_equal(got, ref)
+                score = gmm_score(resp, [s[:, p.cols] for s in sd], p.qmats)
+                np.testing.assert_array_equal(score, want[2])
 
 
 class TestPairwiseSqdist:

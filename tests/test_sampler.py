@@ -3,14 +3,19 @@
 import numpy as np
 import pytest
 
+from famelab.config import ExperimentConfig
 from famelab.denoiser import TrainConfig, train
-from famelab.errors import DegeneratePointError, DivergedError, InvalidArgumentError
+from famelab.errors import DegeneratePointError, DivergedError, InvalidArgumentError, NotFoundError
 from famelab.gmm import GmmComponent, GmmSpec, exact_sampler, ideal_denoiser, preset
-from famelab.metrics import frechet_distance
+from famelab.guidance import GuidanceConfig, StepContext, guided_source
+from famelab.metrics import ComponentTagScorer, frechet_distance
+from famelab.pool import PoolBuildConfig, build_pool
 from famelab.sampler import (
     AnalyticSource,
     NeuralSource,
     SamplerConfig,
+    ScoreSource,
+    _integrate_chunk,
     sample_batch,
     sample_one,
 )
@@ -274,3 +279,168 @@ class TestSampleQuality:
         gen = np.stack([r.final_sample for r in recs]).astype(np.float64)
         ref = exact_sampler(spec, Rng(77), class_id=3, n=4000)
         assert frechet_distance(gen, ref) < 0.05
+
+
+class _PerClassSource(ScoreSource):
+    """The analytic oracle evaluated the plain way: one `ideal_denoiser`
+    call per class present, on that class's rows, and one on the marginal.
+    It defines only evaluate, so guidance reaches it through the default
+    evaluate_pair (two evaluate calls)."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.dim = spec.dim
+
+    def evaluate(self, x, sigma_index, class_ids, ctx):
+        sigma = float(ctx.schedule.sigmas[sigma_index])
+        if class_ids is None:
+            return ideal_denoiser(self.spec, x, sigma, None)
+        out = np.empty_like(x)
+        for c in np.unique(class_ids):
+            rows = class_ids == c
+            out[rows] = ideal_denoiser(self.spec, x[rows], sigma, int(c))
+        return out
+
+    def fingerprint(self):
+        return self.spec.fingerprint()
+
+
+def _component(mean, var, weight, tag=2.0):
+    return GmmComponent(np.asarray(mean, dtype=float), var * np.eye(len(mean)), weight, tag)
+
+
+def uneven_spec():
+    """Classes of 1, 2 and 3 components; classes 2 and 3 share one."""
+    shared = _component([0.0, 0.5], 0.6, 0.25, 1.4)
+    return GmmSpec(
+        {
+            1: [_component([3.0, 0.0], 0.2, 1.0)],
+            2: [_component([-3.0, 1.0], 0.3, 0.75), shared],
+            3: [_component([0.0, -3.0], 0.1, 0.5), _component([1.0, -2.0], 0.4, 0.25), shared],
+        },
+        {1: 0.5, 2: 0.3, 3: 0.2},
+    )
+
+
+def wide_spec():
+    """A 9-component class beside a 4-component one sharing a component:
+    past 8 terms numpy sums a row pairwise, so padding the narrow class
+    with zero terms would change its bits."""
+    rng = np.random.default_rng(5)
+    shared = _component([0.0, 0.0], 0.8, 0.2, 1.4)
+    wide = [_component(rng.normal(size=2) * 3, 0.3, 0.1) for _ in range(8)]
+    narrow = [_component(rng.normal(size=2) * 3, 0.2, 0.8 / 3) for _ in range(3)]
+    return GmmSpec({1: wide + [shared], 2: narrow + [shared]}, {1: 0.6, 2: 0.4})
+
+
+def reference_schedule():
+    cfg = ExperimentConfig()
+    return make_schedule(cfg.schedule_kind, cfg.n_steps, cfg.sigma_min, cfg.sigma_max)
+
+
+class TestSharedComponentOracle:
+    """AnalyticSource evaluates each distinct component once and reduces per
+    mixture; every output must carry the bits of the per-class evaluation."""
+
+    @pytest.mark.parametrize(
+        "spec, every",
+        [(preset("imbalanced2d"), 1), (preset("balanced2d"), 4), (uneven_spec(), 4), (wide_spec(), 4)],
+        ids=["imbalanced2d", "balanced2d", "uneven", "wide"],
+    )
+    def test_matches_per_class_denoiser(self, spec, every):
+        sched = reference_schedule()
+        ctx = StepContext(schedule=sched, seeds=np.zeros(1, dtype=np.uint64))
+        src, ref = AnalyticSource(spec), _PerClassSource(spec)
+        ids = np.array(spec.class_ids)
+        rng = np.random.default_rng(21)
+        for n in (1, 2, 3, 1024):
+            for k in range(0, sched.T, every):
+                x = rng.standard_normal((n, 2)) * (2.0 + sched.sigmas[k])
+                cls = rng.choice(ids, size=n)
+                d1, d0 = src.evaluate_pair(x, k, cls, ctx)
+                want1, want0 = ref.evaluate(x, k, cls, ctx), ref.evaluate(x, k, None, ctx)
+                np.testing.assert_array_equal(d1, want1)
+                np.testing.assert_array_equal(d0, want0)
+                np.testing.assert_array_equal(src.evaluate(x, k, cls, ctx), want1)
+                np.testing.assert_array_equal(src.evaluate(x, k, None, ctx), want0)
+
+    def test_unconditional_pair_is_marginal_twice(self):
+        spec = preset("imbalanced2d")
+        sched = reference_schedule()
+        ctx = StepContext(schedule=sched, seeds=np.zeros(1, dtype=np.uint64))
+        x = np.random.default_rng(3).standard_normal((5, 2))
+        d1, d0 = AnalyticSource(spec).evaluate_pair(x, 10, None, ctx)
+        want = ideal_denoiser(spec, x, float(sched.sigmas[10]), None)
+        np.testing.assert_array_equal(d1, want)
+        np.testing.assert_array_equal(d0, want)
+
+    def test_underflow_raises_on_both_branches(self):
+        src = AnalyticSource(preset("imbalanced2d"))
+        ctx = StepContext(schedule=reference_schedule(), seeds=np.zeros(2, dtype=np.uint64))
+        x = np.array([[0.0, 0.0], [1e200, -1e200]])
+        cls = np.array([1, 2])
+        with pytest.raises(DegeneratePointError):
+            src.evaluate(x, 5, cls, ctx)
+        with pytest.raises(DegeneratePointError):
+            src.evaluate(x, 5, None, ctx)
+        with pytest.raises(DegeneratePointError):
+            src.evaluate_pair(x, 5, cls, ctx)
+        with pytest.raises(DegeneratePointError):
+            src.evaluate_pair(x, 5, None, ctx)
+
+    def test_inputs_validated(self):
+        src = AnalyticSource(preset("imbalanced2d"))
+        ctx = StepContext(schedule=reference_schedule(), seeds=np.zeros(2, dtype=np.uint64))
+        x = np.zeros((2, 2))
+        with pytest.raises(NotFoundError):
+            src.evaluate_pair(x, 0, np.array([1, 9]), ctx)
+        with pytest.raises(InvalidArgumentError):
+            src.evaluate_pair(np.zeros((2, 3)), 0, np.array([1, 2]), ctx)
+        with pytest.raises(InvalidArgumentError):
+            src.evaluate(np.array([[0.0, np.nan], [0.0, 0.0]]), 0, None, ctx)
+        with pytest.raises(InvalidArgumentError):
+            src.evaluate(x, 0, np.array([1]), ctx)
+
+
+@pytest.fixture(scope="module")
+def replay_pool():
+    spec = preset("imbalanced2d")
+    cfg = SamplerConfig(schedule=make_schedule("karras-like", 16, 0.02, 8.0))
+    return build_pool(
+        guided_source(AnalyticSource(spec), None, GuidanceConfig(w=1.5)),
+        cfg,
+        ComponentTagScorer(spec),
+        PoolBuildConfig(n_candidates_per_class=30, n_f=4, mode="global", seed=6),
+        [1, 2, 3],
+    )
+
+
+class TestSharedPassSampling:
+    """Whole trajectories through GuidedSource: the shared-component pass
+    against the per-class oracle, in float64 before the records' float32
+    rounding and in the records sample_batch returns."""
+
+    @pytest.mark.parametrize(
+        "guidance",
+        [GuidanceConfig(w=1.5, f=0.05, tau=0.5), GuidanceConfig(w=1.0, f=0.05, tau=0.5),
+         GuidanceConfig(w=2.0)],
+        ids=["w1.5-replay", "w1-replay", "w2-cfg"],
+    )
+    def test_states_and_outputs_identical(self, replay_pool, guidance):
+        spec = preset("imbalanced2d")
+        cfg = SamplerConfig(schedule=make_schedule("karras-like", 16, 0.02, 8.0))
+        pool = replay_pool if guidance.f > 0 else None
+        shared = guided_source(AnalyticSource(spec), pool, guidance)
+        plain = guided_source(_PerClassSource(spec), pool, guidance)
+
+        seeds = [derive_seed(4, i) for i in range(60)]
+        cls = np.repeat(np.array([1, 2, 3]), 20)
+        labels = [(int(c), i) for i, c in enumerate(cls)]
+        a = _integrate_chunk(shared, cfg, seeds, cls, labels, True)
+        b = _integrate_chunk(plain, cfg, seeds, cls, labels, True)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
+
+        ra = sample_batch(shared, cfg, 8, [1, 2, 3], 15)
+        rb = sample_batch(plain, cfg, 8, [1, 2, 3], 15)
+        assert ra == rb
