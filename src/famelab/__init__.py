@@ -22,11 +22,10 @@ from .errors import (
 from .schedule import (
     NoiseSchedule,
     Rng,
-    TrajectoryRecord,
     derive_seed,
-    load_trajectory,
+    load_trajectories,
     make_schedule,
-    save_trajectory,
+    trajectory_dtype,
 )
 from .gmm import (
     GmmComponent,
@@ -45,7 +44,6 @@ from .sampler import (
     NeuralSource,
     SamplerConfig,
     sample_batch,
-    sample_one,
 )
 from .guidance import (
     FAME_DEFAULTS,
@@ -77,10 +75,8 @@ from .metrics import (
     LogDensityScorer,
     ModeStats,
     assign_modes,
-    bin_masses,
     evaluate,
     frechet_distance,
-    histogram_kl,
     make_scorer,
     mode_stats,
     precision_recall,
@@ -90,7 +86,6 @@ from .config import (
     ExperimentConfig,
     SweepSpec,
     load_config,
-    save_config,
 )
 from .pipeline import (
     PairedCompareReport,

@@ -83,7 +83,7 @@ def cmd_train(cfg, args):
 def cmd_build_pool(cfg, args):
     exp = Experiment(cfg)
     pool = exp.build_pool(cfg.guidance)
-    scores = ", ".join(f"{r.quality_score:.3f}" for r in pool.records)
+    scores = ", ".join(f"{s:.3f}" for s in pool.records["score"].tolist())
     print(f"pool    : {len(pool)} records ({cfg.pool_mode}) from {cfg.pool_candidates}/class")
     print(f"scores  : [{scores}]")
     print(f"written : {exp.run_dir / 'pool.fmpl'}")
@@ -92,8 +92,8 @@ def cmd_build_pool(cfg, args):
 
 def cmd_sample(cfg, args):
     exp = Experiment(cfg)
-    records = exp.stage("sample", lambda: exp.sample(cfg.guidance, save_trajectories=True))
-    print(f"sampled : {len(records)} trajectories ({cfg.n_per_class} x {len(exp.classes)} classes)")
+    batch = exp.stage("sample", lambda: exp.sample(cfg.guidance, save_trajectories=True))
+    print(f"sampled : {len(batch)} trajectories ({cfg.n_per_class} x {len(exp.classes)} classes)")
     print(f"written : {exp.run_dir / 'trajectories'}")
     return 0
 

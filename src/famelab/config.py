@@ -158,12 +158,6 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         raise InvalidArgumentError(f"bad config: {exc}") from exc
 
 
-def save_config(cfg: ExperimentConfig, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def load_config(path) -> ExperimentConfig:
     try:
         with open(path) as fh:

@@ -313,28 +313,6 @@ def sample_clean_batch(spec: GmmSpec, rng: Rng, class_ids: np.ndarray) -> np.nda
     return out
 
 
-def projected_density_1d(spec: GmmSpec, u, class_id=None):
-    """Exact 1-D density of the projection u . x under the clean mixture."""
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != (spec.dim,):
-        raise InvalidArgumentError(f"projection must have shape ({spec.dim},)")
-    p = spec.pack(class_id)
-    m = p.means @ u
-    qu = np.einsum("kab,a->kb", p.qmats, u)
-    v = np.einsum("kb,kb->k", p.lams * qu, qu)
-    w = p.weights / p.weights.sum()
-
-    def density(t):
-        t = np.asarray(t, dtype=np.float64)
-        scalar = t.ndim == 0
-        tt = np.atleast_1d(t)
-        comp = np.exp(-0.5 * (tt[:, None] - m) ** 2 / v) / np.sqrt(2.0 * np.pi * v)
-        out = comp @ w
-        return float(out[0]) if scalar else out
-
-    return density
-
-
 # ---------------------------------------------------------------------------
 # Presets
 #

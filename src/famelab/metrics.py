@@ -1,9 +1,8 @@
 """Sample-quality measurement.
 
 Scorers map final samples to scalar quality; distribution fidelity is
-measured by Frechet distance between gaussian moment fits, k-NN manifold
-precision/recall, and KL divergence between a sample histogram and the
-bin-integrated analytic density.  Mixture-aware helpers assign samples to
+measured by Frechet distance between gaussian moment fits and k-NN manifold
+precision/recall.  Mixture-aware helpers assign samples to
 components so runs can report how much mass landed in low-quality modes.
 """
 
@@ -217,59 +216,6 @@ def precision_recall(gen, real, k: int = 3) -> tuple[float, float]:
     precision = float((d_gr <= radii_real[None, :]).any(axis=1).mean())
     recall = float((d_gr <= radii_gen[:, None]).any(axis=0).mean())
     return precision, recall
-
-
-def histogram_kl(
-    samples,
-    density,
-    bins: int = 64,
-    range_=None,
-    projection=None,
-    smoothing: float = 1e-12,
-) -> float:
-    """KL(sample histogram || bin-integrated analytic density).
-
-    Multivariate samples are reduced with the given projection vector.  Bin
-    masses come from adaptive quadrature of the density over each bin, with
-    tail mass folded into the edge bins (samples are clipped the same way).
-    Bins the density assigns zero mass get additive smoothing so the result
-    stays finite.
-    """
-    x = np.asarray(samples, dtype=np.float64)
-    if x.ndim == 2:
-        if projection is None:
-            raise InvalidArgumentError("multivariate samples need a projection vector")
-        x = x @ np.asarray(projection, dtype=np.float64)
-    if x.ndim != 1 or len(x) == 0:
-        raise InvalidArgumentError("samples must be a nonempty vector after projection")
-    if bins < 2:
-        raise InvalidArgumentError("need at least 2 bins")
-    lo, hi = range_ if range_ is not None else (float(x.min()), float(x.max()))
-    if not lo < hi:
-        raise InvalidArgumentError(f"degenerate histogram range ({lo}, {hi})")
-    edges = np.linspace(lo, hi, bins + 1)
-    counts, _ = np.histogram(np.clip(x, lo, hi), edges)
-    p = counts / counts.sum()
-
-    q = bin_masses(density, edges) + smoothing
-    q = q / q.sum()
-    mask = p > 0
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
-
-
-def bin_masses(density, edges) -> np.ndarray:
-    """Adaptive-quadrature mass of a 1-D density over each bin, with the two
-    tails folded into the edge bins; sums to 1 for any proper density."""
-    # imported here: scipy.integrate is a large import that only this uses
-    from scipy import integrate
-
-    edges = np.asarray(edges, dtype=np.float64)
-    q = np.empty(len(edges) - 1)
-    for i in range(len(q)):
-        q[i], _ = integrate.quad(density, edges[i], edges[i + 1], limit=200)
-    q[0] += integrate.quad(density, -np.inf, edges[0], limit=200)[0]
-    q[-1] += integrate.quad(density, edges[-1], np.inf, limit=200)[0]
-    return q
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from .metrics import (
 from .plots import mode_scatter_svg, side_by_side_svg
 from .pool import PoolBuildConfig, build_pool, load_pool, save_pool
 from .sampler import AnalyticSource, NeuralSource, SamplerConfig, sample_batch
-from .schedule import Rng, derive_seed, make_schedule, trajectory_to_bytes
+from .schedule import Rng, derive_seed, make_schedule
 
 # stage stream keys; distinct constants keep the seed chains disjoint
 _POOL_KEY = 101
@@ -205,14 +205,15 @@ class Experiment:
 
         return self.stage("pool", build)
 
-    def sample(self, guidance: GuidanceConfig, save_trajectories: bool = False) -> list:
+    def sample(self, guidance: GuidanceConfig, save_trajectories: bool = False):
         """n_per_class trajectories per class under `guidance`, on the sample
-        stream, so every guidance setting sees the same initial noise.  With
-        save_trajectories the per-step denoiser outputs are recorded and each
-        class is written to trajectories/class_<c>.traj."""
+        stream, so every guidance setting sees the same initial noise, as one
+        record array.  With save_trajectories the per-step denoiser outputs
+        are recorded and each class's rows are written to
+        trajectories/class_<c>.traj."""
         cfg = self.cfg
         source = guided_source(self.base, self.pool(guidance), guidance)
-        records = sample_batch(
+        batch = sample_batch(
             source,
             SamplerConfig(schedule=self.schedule, method=cfg.method, record_outputs=save_trajectories),
             derive_seed(cfg.seed, _SAMPLE_KEY),
@@ -221,23 +222,18 @@ class Experiment:
             workers=cfg.workers,
         )
         if save_trajectories:
-            for c, block in self._by_class(records):
-                with open(self.run_dir / "trajectories" / f"class_{c}.traj", "wb") as fh:
-                    for r in block:
-                        fh.write(trajectory_to_bytes(r))
-        return records
+            for c, block in self._by_class(batch):
+                (self.run_dir / "trajectories" / f"class_{c}.traj").write_bytes(block.tobytes())
+        return batch
 
-    def _by_class(self, records):
+    def _by_class(self, batch):
         n = self.cfg.n_per_class
-        return [(c, records[b * n : (b + 1) * n]) for b, c in enumerate(self.classes)]
+        return [(c, batch[b * n : (b + 1) * n]) for b, c in enumerate(self.classes)]
 
-    def evaluate(self, records):
+    def evaluate(self, batch):
         """Final samples grouped by class, and their report against the
         reference sets."""
-        samples = {
-            c: np.stack([r.final_sample for r in block]).astype(np.float64)
-            for c, block in self._by_class(records)
-        }
+        samples = {c: block["states"][:, -1].astype(np.float64) for c, block in self._by_class(batch)}
         return samples, evaluate(samples, self.references, self.scorer, spec=self.spec)
 
     def write_report(self, samples, report: EvalReport) -> None:
@@ -260,10 +256,10 @@ def run_pipeline(cfg: ExperimentConfig) -> EvalReport:
     exp = Experiment(cfg)
     (exp.run_dir / "config.echo").write_text(_dumps(config_to_dict(cfg)))
     exp.write_dataset()
-    records = exp.stage("sample", lambda: exp.sample(cfg.guidance, cfg.save_trajectories))
+    batch = exp.stage("sample", lambda: exp.sample(cfg.guidance, cfg.save_trajectories))
 
     def evaluate_stage():
-        samples, report = exp.evaluate(records)
+        samples, report = exp.evaluate(batch)
         exp.write_report(samples, report)
         return report
 

@@ -25,12 +25,7 @@ from .errors import (
     PoolBuildFailedError,
 )
 from .sampler import sample_batch
-from .schedule import (
-    NoiseSchedule,
-    splitmix64,
-    trajectory_from_bytes,
-    trajectory_to_bytes,
-)
+from .schedule import NoiseSchedule, splitmix64, trajectories_from_bytes, trajectory_dtype
 
 POOL_MAGIC = b"FMPL"
 POOL_VERSION = 1
@@ -43,60 +38,52 @@ _SELECT_SALT = 0xF7A319E5D2C40B61
 
 
 class FailurePool:
-    """Immutable set of failure trajectories plus provenance fingerprints."""
+    """Immutable set of failure trajectories plus provenance fingerprints.
+
+    records is a `trajectory_dtype` array with outputs, sorted ascending by
+    score (per class, classes ascending, in per-class mode).
+    """
 
     def __init__(self, records, mode, schedule_hash, source_hash):
         if mode not in POOL_MODES:
             raise InvalidArgumentError(f"unknown pool mode {mode!r}")
-        records = tuple(records)
-        if not records:
+        records = np.array(records)
+        if records.ndim != 1 or len(records) == 0:
             raise InvalidArgumentError("pool needs at least one record")
-        T, d = records[0].T, records[0].dim
-        for r in records:
-            if (r.T, r.dim) != (T, d):
-                raise InvalidArgumentError("pool records disagree on schedule length or dimension")
-            if r.denoiser_outputs is None:
-                raise InvalidArgumentError("pool records must carry cached denoiser outputs")
+        if "outputs" not in (records.dtype.names or ()):
+            raise InvalidArgumentError("pool records must carry cached denoiser outputs")
+        if records.dtype != trajectory_dtype(*records.dtype["outputs"].shape):
+            raise InvalidArgumentError("pool records must be packed trajectory records")
+        cls, score = records["class_id"], records["score"]
+        same_group = np.ones(len(records) - 1, dtype=bool)
         if mode == "per-class":
-            if any(r.class_id is None for r in records):
+            if (cls < 0).any():
                 raise InvalidArgumentError("per-class pool records must be conditional")
-            cls = [r.class_id for r in records]
-            groups = [cls[0]]
-            for c in cls[1:]:
-                if c != groups[-1]:
-                    groups.append(c)
-            if sorted(set(cls)) != groups:
+            if (cls[1:] < cls[:-1]).any():
                 raise InvalidArgumentError("per-class pool records must be grouped by ascending class")
-            for c in set(cls):
-                scores = [r.quality_score for r in records if r.class_id == c]
-                if any(a > b for a, b in zip(scores, scores[1:])):
-                    raise InvalidArgumentError("pool records must be sorted ascending by score")
-        else:
-            scores = [r.quality_score for r in records]
-            if any(a > b for a, b in zip(scores, scores[1:])):
-                raise InvalidArgumentError("pool records must be sorted ascending by score")
+            same_group = cls[1:] == cls[:-1]
+        if (same_group & (score[1:] < score[:-1])).any():
+            raise InvalidArgumentError("pool records must be sorted ascending by score")
 
+        records.flags.writeable = False
         self.records = records
         self.mode = mode
         self.schedule_hash = int(schedule_hash)
         self.source_hash = int(source_hash)
-        self._outputs = np.stack([r.denoiser_outputs for r in records]).astype(np.float64)
-        self._buckets = {}
+        self._outputs = records["outputs"].astype(np.float64)
         if mode == "per-class":
-            for i, r in enumerate(records):
-                self._buckets.setdefault(r.class_id, []).append(i)
-            self._buckets = {c: np.array(v) for c, v in self._buckets.items()}
+            self._buckets = {int(c): np.flatnonzero(cls == c) for c in np.unique(cls)}
 
     def __len__(self) -> int:
         return len(self.records)
 
     @property
     def T(self) -> int:
-        return self.records[0].T
+        return self.records.dtype["outputs"].shape[0]
 
     @property
     def dim(self) -> int:
-        return self.records[0].dim
+        return self.records.dtype["outputs"].shape[1]
 
     def check_compatible(self, schedule: NoiseSchedule, dim: int, source_hash: int) -> None:
         if self.T != schedule.T or self.schedule_hash != schedule.fingerprint():
@@ -122,7 +109,7 @@ class FailurePool:
         seeds = np.asarray(seeds, dtype=np.uint64)
         mix = np.array([splitmix64(int(s) ^ _SELECT_SALT) for s in seeds], dtype=np.uint64)
         if self.mode == "global":
-            return (mix % np.uint64(len(self.records))).astype(np.int64)
+            return (mix % np.uint64(len(self))).astype(np.int64)
         if class_ids is None:
             raise NotFoundError("per-class pool needs class ids to select from")
         out = np.empty(len(seeds), dtype=np.int64)
@@ -144,8 +131,8 @@ class FailurePool:
             self.mode == other.mode
             and self.schedule_hash == other.schedule_hash
             and self.source_hash == other.source_hash
-            and len(self.records) == len(other.records)
-            and all(a == b for a, b in zip(self.records, other.records))
+            and self.records.dtype == other.records.dtype
+            and self.records.tobytes() == other.records.tobytes()
         )
 
 
@@ -191,35 +178,32 @@ def build_pool(source, sampler_cfg, scorer, build_cfg: PoolBuildConfig, class_id
             f"per-class n_f={build_cfg.n_f} exceeds {n_cand} candidates per class"
         )
 
-    records = sample_batch(source, sampler_cfg, build_cfg.seed, class_ids, n_cand, workers=workers)
-    scored = []
+    batch = sample_batch(source, sampler_cfg, build_cfg.seed, class_ids, n_cand, workers=workers)
     for b, c in enumerate(class_ids):
-        block = records[b * n_cand : (b + 1) * n_cand]
-        finals = np.stack([r.final_sample for r in block]).astype(np.float64)
-        scores = np.asarray(scorer(finals, c), dtype=np.float64)
-        scored.extend(r.with_score(s) for r, s in zip(block, scores))
+        block = batch[b * n_cand : (b + 1) * n_cand]
+        finals = block["states"][:, -1].astype(np.float64)
+        block["score"] = np.asarray(scorer(finals, c), dtype=np.float64)
 
-    def bottom(group, k):
-        vals = np.array([r.quality_score for r in group])
+    def bottom(lo, hi, k):
+        """Batch rows of the k lowest finite scores among rows lo:hi."""
+        vals = batch["score"][lo:hi]
         order = np.argsort(vals, kind="stable")  # NaNs sort last
         order = order[np.isfinite(vals[order])]
         if len(order) < k:
             raise PoolBuildFailedError(
                 f"only {len(order)} finite-scored candidates for {k} pool slots"
             )
-        return [group[i] for i in order[:k]]
+        return lo + order[:k]
 
     if build_cfg.mode == "global":
-        kept = bottom(scored, build_cfg.n_f)
-        kept.sort(key=lambda r: r.quality_score)
+        kept = bottom(0, len(batch), build_cfg.n_f)
     else:
-        kept = []
         blocks = sorted(range(len(class_ids)), key=lambda b: class_ids[b])
-        for b in blocks:
-            group = scored[b * n_cand : (b + 1) * n_cand]
-            kept.extend(bottom(group, build_cfg.n_f))
+        kept = np.concatenate(
+            [bottom(b * n_cand, (b + 1) * n_cand, build_cfg.n_f) for b in blocks]
+        )
     return FailurePool(
-        kept,
+        batch[kept],
         build_cfg.mode,
         schedule_hash=sampler_cfg.schedule.fingerprint(),
         source_hash=source.fingerprint(),
@@ -227,6 +211,7 @@ def build_pool(source, sampler_cfg, scorer, build_cfg: PoolBuildConfig, class_id
 
 
 def save_pool(pool: FailurePool, path) -> None:
+    """Write the pool header, then the records exactly as a .traj file holds them."""
     mode_byte = POOL_MODES.index(pool.mode)
     with open(path, "wb") as fh:
         fh.write(
@@ -234,15 +219,14 @@ def save_pool(pool: FailurePool, path) -> None:
                 POOL_MAGIC,
                 POOL_VERSION,
                 mode_byte,
-                len(pool.records),
+                len(pool),
                 pool.T,
                 pool.dim,
                 pool.schedule_hash,
                 pool.source_hash,
             )
         )
-        for r in pool.records:
-            fh.write(trajectory_to_bytes(r))
+        fh.write(pool.records.tobytes())
 
 
 def load_pool(path) -> FailurePool:
@@ -257,27 +241,20 @@ def load_pool(path) -> FailurePool:
         raise MalformedPoolError(f"unsupported pool version {version}", offset=4)
     if mode_byte >= len(POOL_MODES):
         raise MalformedPoolError(f"unknown pool mode byte {mode_byte}", offset=6)
-    if n < 1:
-        raise MalformedPoolError("pool declares zero records", offset=7)
-    records = []
-    off = _POOL_HEADER.size
     try:
-        for _ in range(n):
-            rec, off = trajectory_from_bytes(buf, off)
-            if (rec.T, rec.dim) != (T, d):
-                raise MalformedPoolError(
-                    f"record shape ({rec.T}, {rec.dim}) != pool header ({T}, {d})", offset=off
-                )
-            records.append(rec)
-    except MalformedPoolError:
-        raise
+        records = trajectories_from_bytes(buf, _POOL_HEADER.size)
     except MalformedFileError as exc:
         # record-level offsets are already absolute within the file buffer
         err = MalformedPoolError(str(exc))
         err.offset = exc.offset
         raise err from exc
-    if off != len(buf):
-        raise MalformedPoolError("trailing bytes after pool records", offset=off)
+    if len(records) != n:
+        raise MalformedPoolError(f"pool header declares {n} records, file holds {len(records)}", offset=7)
+    if records.dtype["outputs"].shape != (T, d):
+        raise MalformedPoolError(
+            f"record shape {records.dtype['outputs'].shape} != pool header ({T}, {d})",
+            offset=_POOL_HEADER.size,
+        )
     try:
         return FailurePool(records, POOL_MODES[mode_byte], shash, srchash)
     except InvalidArgumentError as exc:

@@ -37,7 +37,7 @@ from .denoiser import MlpDenoiser, _denoise
 from .errors import DegeneratePointError, DivergedError, InvalidArgumentError, NotFoundError
 from .gmm import GmmSpec, check_points
 from .guidance import StepContext
-from .schedule import NoiseSchedule, Rng, TrajectoryRecord, derive_seed
+from .schedule import NoiseSchedule, Rng, derive_seed, new_trajectories
 
 SAMPLER_METHODS = ("euler", "heun")
 
@@ -278,22 +278,6 @@ def _integrate_chunk(source, cfg, seeds, class_ids, labels, record_outputs):
     return states, outputs
 
 
-def sample_one(source, cfg: SamplerConfig, rng: Rng, class_id=None) -> TrajectoryRecord:
-    """Integrate a single trajectory from the given stream's seed."""
-    class_arr = None if class_id is None else np.array([class_id], dtype=np.int64)
-    states, outputs = _integrate_chunk(
-        source,
-        cfg,
-        [rng.seed],
-        class_arr,
-        [(class_id, 0)],
-        cfg.record_outputs,
-    )
-    return TrajectoryRecord.create(
-        rng.seed, class_id, states[0], outputs[0] if outputs is not None else None
-    )
-
-
 def sample_batch(
     source,
     cfg: SamplerConfig,
@@ -301,13 +285,16 @@ def sample_batch(
     class_ids,
     n_per_class: int,
     workers: int | None = None,
-) -> list:
+) -> np.ndarray:
     """Sample n_per_class trajectories for each class (None = unconditional).
 
-    Each trajectory's stream seed is derive_seed(base_seed, class, index)
-    with the unconditional class folded in as -1, so any (base_seed, class,
-    index) triple reproduces identically whatever else is in the batch and
-    however many workers run.
+    Returns one `trajectory_dtype` record array in job order, class by class,
+    with scores NaN and, unless cfg.record_outputs is off, the conditional
+    denoiser outputs.  Each chunk's float64 result is rounded into its rows
+    as soon as it is done.  Each trajectory's stream seed is
+    derive_seed(base_seed, class, index) with the unconditional class folded
+    in as -1, so any (base_seed, class, index) triple reproduces identically
+    whatever else is in the batch and however many workers run.
     """
     if n_per_class < 1:
         raise InvalidArgumentError("n_per_class must be >= 1")
@@ -315,37 +302,33 @@ def sample_batch(
         class_ids = [None]
     if any(c is None for c in class_ids) and not all(c is None for c in class_ids):
         raise InvalidArgumentError("cannot mix conditional and unconditional trajectories")
-    jobs = []
-    for c in class_ids:
-        key = -1 if c is None else int(c)
-        for i in range(n_per_class):
-            jobs.append((derive_seed(base_seed, key, i), c, i))
+    if any(c is not None and not 0 <= int(c) < 2**31 for c in class_ids):
+        raise InvalidArgumentError("class ids must be None or in [0, 2**31): records store them as i4")
+    labels = [(c, i) for c in class_ids for i in range(n_per_class)]
+    keys = [-1 if c is None else int(c) for c, _ in labels]
+    n = len(labels)
+    batch = new_trajectories(n, cfg.schedule.T, source.dim, cfg.record_outputs)
+    batch["class_id"] = keys
+    batch["seed"] = np.array(
+        [derive_seed(base_seed, k, i) for k, (_, i) in zip(keys, labels)], dtype=np.uint64
+    )
+    conditional = any(c is not None for c in class_ids)
 
-    chunks = [jobs[i : i + CHUNK] for i in range(0, len(jobs), CHUNK)]
-
-    def run(chunk):
-        seeds = [j[0] for j in chunk]
-        cls = [j[1] for j in chunk]
-        class_arr = (
-            None
-            if all(c is None for c in cls)
-            else np.array([(-1 if c is None else c) for c in cls], dtype=np.int64)
+    def run(lo):
+        rows = batch[lo : lo + CHUNK]
+        cls = rows["class_id"].astype(np.int64) if conditional else None
+        states, outputs = _integrate_chunk(
+            source, cfg, rows["seed"], cls, labels[lo : lo + CHUNK], cfg.record_outputs
         )
-        labels = [(j[1], j[2]) for j in chunk]
-        return _integrate_chunk(source, cfg, seeds, class_arr, labels, cfg.record_outputs)
+        rows["states"] = states
+        if outputs is not None:
+            rows["outputs"] = outputs
 
-    if workers is not None and workers > 1 and len(chunks) > 1:
+    starts = range(0, n, CHUNK)
+    if workers is not None and workers > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, chunks))
+            list(pool.map(run, starts))
     else:
-        results = [run(chunk) for chunk in chunks]
-
-    records = []
-    for chunk, (states, outputs) in zip(chunks, results):
-        for row, (seed, c, _i) in enumerate(chunk):
-            records.append(
-                TrajectoryRecord.create(
-                    seed, c, states[row], outputs[row] if outputs is not None else None
-                )
-            )
-    return records
+        for lo in starts:
+            run(lo)
+    return batch

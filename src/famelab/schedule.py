@@ -4,13 +4,20 @@ A schedule is a strictly decreasing array of T+1 noise levels ending exactly at
 zero.  Every sampled trajectory owns a 64-bit seed derived from
 (base_seed, class_id, index) so results are reproducible regardless of batch
 layout or worker count.
+
+Trajectories live in one numpy structured array whose packed, little-endian
+record (`trajectory_dtype`) is also the file format: a 30-byte header (magic
+b"FAME", version u2, T u4, d u4, class_id i4 with -1 unconditional, seed u8,
+score f4), then float32 states (T+1, d) and denoiser outputs (T, d).  A .traj
+file is such records back to back, `records.tobytes()`; a pool file is its
+own header followed by the same.  Arrays sampled without outputs lack the
+outputs field and are never written.
 """
 
 from __future__ import annotations
 
 import hashlib
-import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,8 +30,19 @@ _MASK64 = (1 << 64) - 1
 
 TRAJECTORY_MAGIC = b"FAME"
 TRAJECTORY_VERSION = 1
-# magic, version, T, d, class_id (-1 = unconditional), seed, quality_score
-_TRAJ_HEADER = struct.Struct("<4sHIIiQf")
+# the head of every trajectory record; class_id -1 is unconditional, and the
+# quality score is NaN until a scorer has run
+_HEADER = np.dtype(
+    [
+        ("magic", "S4"),
+        ("version", "<u2"),
+        ("T", "<u4"),
+        ("d", "<u4"),
+        ("class_id", "<i4"),
+        ("seed", "<u8"),
+        ("score", "<f4"),
+    ]
+)
 
 
 def splitmix64(z: int) -> int:
@@ -155,135 +173,69 @@ def make_schedule(kind: str, T: int, sigma_min: float, sigma_max: float) -> Nois
     return NoiseSchedule(sig, kind=kind)
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """One finished trajectory: seed, class, every visited state, and the
-    denoiser output consumed at each step.
+def trajectory_dtype(T: int, d: int, outputs: bool = True) -> np.dtype:
+    """The packed record of one trajectory with T steps in d dimensions: the
+    header, the float32 states (T+1, d) and, when recorded, the float32
+    conditional denoiser outputs (T, d) consumed at each step."""
+    fields = _HEADER.descr + [("states", "<f4", (T + 1, d))]
+    if outputs:
+        fields.append(("outputs", "<f4", (T, d)))
+    return np.dtype(fields)
 
-    Arrays are stored as float32 so file round trips are byte-exact;
-    quality_score is float32-rounded for the same reason and is NaN until a
-    scorer has run.
+
+def new_trajectories(n: int, T: int, d: int, outputs: bool = True) -> np.ndarray:
+    """n zeroed records with magic, version, T and d set and scores NaN."""
+    if T < 1 or d < 1:
+        raise InvalidArgumentError(f"trajectories need T >= 1 and d >= 1, got T={T}, d={d}")
+    records = np.zeros(n, trajectory_dtype(T, d, outputs))
+    records["magic"] = TRAJECTORY_MAGIC
+    records["version"] = TRAJECTORY_VERSION
+    records["T"] = T
+    records["d"] = d
+    records["score"] = np.nan
+    return records
+
+
+def trajectories_from_bytes(buf: bytes, offset: int = 0) -> np.ndarray:
+    """Parse the records that fill buf from offset to its end.
+
+    The first header fixes T and d; the rest must be a whole number of
+    records, each with the first one's magic, version, T and d.  Any other
+    content raises MalformedFileError at an offset into buf.
     """
-
-    seed: int
-    class_id: int | None
-    states: np.ndarray  # (T+1, d) float32
-    denoiser_outputs: np.ndarray | None  # (T, d) float32
-    quality_score: float = float("nan")
-
-    @property
-    def final_sample(self) -> np.ndarray:
-        return self.states[-1]
-
-    @property
-    def T(self) -> int:
-        return self.states.shape[0] - 1
-
-    @property
-    def dim(self) -> int:
-        return self.states.shape[1]
-
-    @staticmethod
-    def create(seed, class_id, states, denoiser_outputs, quality_score=float("nan")):
-        states = np.ascontiguousarray(states, dtype=np.float32)
-        if states.ndim != 2 or states.shape[0] < 2:
-            raise InvalidArgumentError("states must be (T+1, d) with T >= 1")
-        if denoiser_outputs is not None:
-            denoiser_outputs = np.ascontiguousarray(denoiser_outputs, dtype=np.float32)
-            if denoiser_outputs.shape != (states.shape[0] - 1, states.shape[1]):
-                raise InvalidArgumentError("denoiser_outputs must be (T, d)")
-        if class_id is not None and int(class_id) < 0:
-            raise InvalidArgumentError("class_id must be None or >= 0")
-        return TrajectoryRecord(
-            seed=int(seed) & _MASK64,
-            class_id=None if class_id is None else int(class_id),
-            states=states,
-            denoiser_outputs=denoiser_outputs,
-            quality_score=float(np.float32(quality_score)),
-        )
-
-    def with_score(self, score: float) -> "TrajectoryRecord":
-        return replace(self, quality_score=float(np.float32(score)))
-
-    def __eq__(self, other):
-        if not isinstance(other, TrajectoryRecord):
-            return NotImplemented
-        score_eq = (
-            self.quality_score == other.quality_score
-            or (np.isnan(self.quality_score) and np.isnan(other.quality_score))
-        )
-        outputs_eq = (
-            (self.denoiser_outputs is None) == (other.denoiser_outputs is None)
-            and (
-                self.denoiser_outputs is None
-                or np.array_equal(self.denoiser_outputs, other.denoiser_outputs)
-            )
-        )
-        return (
-            self.seed == other.seed
-            and self.class_id == other.class_id
-            and score_eq
-            and outputs_eq
-            and np.array_equal(self.states, other.states)
-        )
-
-
-def trajectory_to_bytes(record: TrajectoryRecord) -> bytes:
-    """Serialize a record; requires denoiser outputs to be present."""
-    if record.denoiser_outputs is None:
-        raise InvalidArgumentError("cannot serialize a record without denoiser outputs")
-    header = _TRAJ_HEADER.pack(
-        TRAJECTORY_MAGIC,
-        TRAJECTORY_VERSION,
-        record.T,
-        record.dim,
-        -1 if record.class_id is None else record.class_id,
-        record.seed,
-        record.quality_score,
-    )
-    return header + record.states.tobytes() + record.denoiser_outputs.tobytes()
-
-
-def trajectory_from_bytes(buf: bytes, offset: int = 0) -> tuple[TrajectoryRecord, int]:
-    """Parse one record starting at offset; returns (record, next offset)."""
-    if len(buf) - offset < _TRAJ_HEADER.size:
+    if len(buf) - offset < _HEADER.itemsize:
         raise MalformedFileError("truncated trajectory header", offset=len(buf))
-    magic, version, T, d, class_id, seed, score = _TRAJ_HEADER.unpack_from(buf, offset)
-    if magic != TRAJECTORY_MAGIC:
-        raise MalformedFileError(f"bad trajectory magic {magic!r}", offset=offset)
-    if version != TRAJECTORY_VERSION:
-        raise MalformedFileError(f"unsupported trajectory version {version}", offset=offset)
+    head = np.frombuffer(buf, _HEADER, count=1, offset=offset)[0]
+    if head["magic"] != TRAJECTORY_MAGIC:
+        raise MalformedFileError(f"bad trajectory magic {bytes(head['magic'])!r}", offset=offset)
+    if head["version"] != TRAJECTORY_VERSION:
+        raise MalformedFileError(f"unsupported trajectory version {head['version']}", offset=offset)
+    T, d = int(head["T"]), int(head["d"])
     if T < 1 or d < 1:
         raise MalformedFileError(f"invalid trajectory dims T={T}, d={d}", offset=offset)
-    body = offset + _TRAJ_HEADER.size
-    n_states = (T + 1) * d
-    n_out = T * d
-    end = body + 4 * (n_states + n_out)
-    if len(buf) < end:
+    # the record size, worked out before a dtype is built from damaged T and d
+    size = _HEADER.itemsize + 4 * (2 * T + 1) * d
+    n, rest = divmod(len(buf) - offset, size)
+    if n == 0:
         raise MalformedFileError("truncated trajectory body", offset=len(buf))
-    states = np.frombuffer(buf, dtype="<f4", count=n_states, offset=body).reshape(T + 1, d)
-    outputs = np.frombuffer(
-        buf, dtype="<f4", count=n_out, offset=body + 4 * n_states
-    ).reshape(T, d)
-    record = TrajectoryRecord(
-        seed=seed,
-        class_id=None if class_id < 0 else class_id,
-        states=states.copy(),
-        denoiser_outputs=outputs.copy(),
-        quality_score=score,
+    if rest:
+        raise MalformedFileError("partial trajectory record at the end", offset=offset + n * size)
+    records = np.frombuffer(buf, trajectory_dtype(T, d), offset=offset)
+    bad = (
+        (records["magic"] != TRAJECTORY_MAGIC)
+        | (records["version"] != TRAJECTORY_VERSION)
+        | (records["T"] != T)
+        | (records["d"] != d)
     )
-    return record, end
+    if bad.any():
+        i = int(bad.argmax())
+        raise MalformedFileError(
+            f"record {i} header differs from the first record's", offset=offset + i * size
+        )
+    return records.copy()
 
 
-def save_trajectory(record: TrajectoryRecord, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(trajectory_to_bytes(record))
-
-
-def load_trajectory(path) -> TrajectoryRecord:
+def load_trajectories(path) -> np.ndarray:
+    """Read a .traj file: one or more records, as written by `famelab sample`."""
     with open(path, "rb") as fh:
-        buf = fh.read()
-    record, end = trajectory_from_bytes(buf)
-    if end != len(buf):
-        raise MalformedFileError("trailing bytes after trajectory", offset=end)
-    return record
+        return trajectories_from_bytes(fh.read())

@@ -30,21 +30,21 @@ from famelab.gmm import (
     ideal_denoiser,
     noised_log_density,
     preset,
-    projected_density_1d,
 )
 from famelab.guidance import GuidanceConfig, guided_source
 from famelab.metrics import (
     ComponentTagScorer,
     LogDensityScorer,
     frechet_distance,
-    histogram_kl,
     mode_stats,
     precision_recall,
 )
 from famelab.pool import PoolBuildConfig, build_pool, load_pool, save_pool
 from famelab.sampler import AnalyticSource, NeuralSource, SamplerConfig, sample_batch
 from famelab.schedule import Rng, derive_seed, make_schedule
+from tests.test_gmm import projected_density_1d
 from tests.test_guidance import fame_score_identity_check
+from tests.test_metrics import histogram_kl
 
 N_PER_CLASS = 300
 PAIRED_SEEDS = tuple(derive_seed(7, 200, i) for i in range(5))
@@ -101,19 +101,15 @@ class NeuralFrame:
         key = (guidance.w, guidance.f, guidance.tau, seed)
         if key not in self._runs:
             pool = self.pool if guidance.f > 0 else None
-            records = sample_batch(
+            batch = sample_batch(
                 guided_source(self.base, pool, guidance),
                 self.sampler_cfg,
                 seed,
                 self.classes,
                 N_PER_CLASS,
             )
-            out = {}
-            for c in self.classes:
-                out[c] = np.stack(
-                    [r.final_sample for r in records if r.class_id == c]
-                ).astype(np.float64)
-            self._runs[key] = out
+            finals = batch["states"][:, -1].astype(np.float64)
+            self._runs[key] = {c: finals[batch["class_id"] == c] for c in self.classes}
         return self._runs[key]
 
     def reference(self, seed: int) -> dict:
@@ -232,17 +228,11 @@ def test_integrator_convergence_orders(capsys):
         for T in (40, 80):
             sched = make_schedule("karras-like", T, 1e-3, 10.0)
             cfg = SamplerConfig(schedule=sched, method=method, record_outputs=False)
-            records = sample_batch(source, cfg, 77, None, 64)
+            states = sample_batch(source, cfg, 77, None, 64)["states"].astype(np.float64)
             sigma0 = sched.sigmas[0]
             shrink = np.sqrt(var / (var + sigma0 * sigma0))
-            per_traj = []
-            for r in records:
-                x0 = r.states[0].astype(np.float64)
-                exact = mu + (x0 - mu) * shrink
-                per_traj.append(
-                    np.linalg.norm(r.final_sample.astype(np.float64) - exact)
-                )
-            errs.append(float(np.mean(per_traj)))
+            exact = mu + (states[:, 0] - mu) * shrink
+            errs.append(float(np.mean(np.linalg.norm(states[:, -1] - exact, axis=1))))
         ratios[method] = errs[0] / errs[1]
     elapsed = time.perf_counter() - t0
     ok = (
@@ -274,15 +264,15 @@ def test_sampling_fidelity_against_ground_truth(capsys):
     # far inside both tolerances here and in the balanced2d half below
     sched = make_schedule("karras-like", 128, 0.02, 20.0)
     cfg = SamplerConfig(schedule=sched, method="heun", record_outputs=False)
-    records = sample_batch(AnalyticSource(two_mode), cfg, 5, None, 100000)
-    draws = np.array([r.final_sample[0] for r in records], dtype=np.float64)
+    batch = sample_batch(AnalyticSource(two_mode), cfg, 5, None, 100000)
+    draws = batch["states"][:, -1, 0].astype(np.float64)
     kl = histogram_kl(draws, projected_density_1d(two_mode, np.array([1.0])))
 
     balanced = preset("balanced2d")
     worst = 0.0
     for c in balanced.class_ids:
-        records = sample_batch(AnalyticSource(balanced), cfg, derive_seed(5, c), [c], 10000)
-        gen = np.stack([r.final_sample for r in records]).astype(np.float64)
+        batch = sample_batch(AnalyticSource(balanced), cfg, derive_seed(5, c), [c], 10000)
+        gen = batch["states"][:, -1].astype(np.float64)
         ref = exact_sampler(balanced, Rng(derive_seed(99, c)), class_id=c, n=10000)
         worst = max(worst, frechet_distance(gen, ref))
 
@@ -313,8 +303,7 @@ def test_replay_escapes_failure_modes_without_degrading_fit(frame, capsys):
     assert len(frame.pool) == 8
     # premise: the retained bottom-of-200-per-class candidates are genuine
     # failure-mode trajectories
-    for record in frame.pool.records:
-        assert record.quality_score <= BAD_TAG + 1e-6
+    assert (frame.pool.records["score"].astype(np.float64) <= BAD_TAG + 1e-6).all()
 
     rows = []
     for seed in PAIRED_SEEDS:
@@ -366,7 +355,7 @@ def test_degenerate_guidance_is_bit_identical(frame, capsys):
 
     def states(source, schedule, classes, n):
         cfg = SamplerConfig(schedule=schedule, method="heun", record_outputs=False)
-        return [r.states for r in sample_batch(source, cfg, 31, classes, n)]
+        return sample_batch(source, cfg, 31, classes, n)["states"]
 
     ok = True
     for base, schedule in (

@@ -10,9 +10,12 @@ import subprocess
 
 import pytest
 
+from famelab import pipeline
 from famelab.cli import _resolve_config, build_parser, main
-from famelab.config import ExperimentConfig, save_config
+from famelab.config import ExperimentConfig
 from famelab.guidance import GuidanceConfig
+from famelab.schedule import load_trajectories
+from tests.test_config import save_config
 
 
 def write_config(tmp_path, **overrides):
@@ -171,14 +174,27 @@ class TestStdout:
         assert "scores  :" in out
         assert (tmp_path / "out" / "run" / "pool.fmpl").exists()
 
-    def test_sample_writes_trajectories(self, tmp_path, capsys):
+    def test_sample_writes_trajectories(self, tmp_path, capsys, monkeypatch):
+        # keep the batch the run sampled, to check the files against it
+        batches = []
+        sample_batch = pipeline.sample_batch
+
+        def keep(*args, **kwargs):
+            batches.append(sample_batch(*args, **kwargs))
+            return batches[-1]
+
+        monkeypatch.setattr(pipeline, "sample_batch", keep)
         path = write_config(tmp_path)
         assert main(["sample", "--config", path]) == 0
         out = capsys.readouterr().out
         assert "sampled : 50 trajectories (25 x 2 classes)" in out
         traj_dir = tmp_path / "out" / "run" / "trajectories"
-        assert (traj_dir / "class_1.traj").exists()
-        assert (traj_dir / "class_2.traj").exists()
+        (batch,) = batches
+        for c in (1, 2):
+            back = load_trajectories(traj_dir / f"class_{c}.traj")
+            assert len(back) == 25
+            assert (back["class_id"] == c).all()
+            assert back.tobytes() == batch[batch["class_id"] == c].tobytes()
 
     def test_sweep_prints_csv_and_row_count(self, tmp_path, capsys):
         path = write_config(tmp_path)

@@ -13,11 +13,16 @@ from famelab.config import (
     config_from_dict,
     config_to_dict,
     load_config,
-    save_config,
 )
 from famelab.denoiser import TrainConfig
 from famelab.errors import InvalidArgumentError
 from famelab.guidance import GuidanceConfig
+
+
+def save_config(cfg: ExperimentConfig, path) -> None:
+    with open(path, "w") as fh:
+        json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 class TestRoundTrip:

@@ -1,5 +1,7 @@
 """Loader fuzzing: damaged `.mlpd`, `.fmpl` and `.traj` files must either load
-or raise MalformedFileError, never any other exception.
+or raise MalformedFileError, never any other exception.  The pool and the
+trajectory file hold three records each, so damage can also make one record
+disagree with the others.
 
 Each file is damaged one way per example: some bits flipped, a run of bytes
 overwritten, or the tail cut off.  Positions are drawn half the time from the
@@ -15,13 +17,7 @@ from hypothesis import strategies as st
 from famelab.denoiser import _CKPT_HEADER, MlpDenoiser, load_checkpoint, save_checkpoint
 from famelab.errors import MalformedFileError
 from famelab.pool import _POOL_HEADER, FailurePool, load_pool, save_pool
-from famelab.schedule import (
-    _TRAJ_HEADER,
-    Rng,
-    TrajectoryRecord,
-    load_trajectory,
-    save_trajectory,
-)
+from famelab.schedule import _HEADER, Rng, load_trajectories, new_trajectories
 
 FUZZ = settings(
     max_examples=200,
@@ -32,14 +28,12 @@ FUZZ = settings(
 )
 
 
-def _record(rng, seed, class_id, score, T=3, d=2):
-    return TrajectoryRecord.create(
-        seed,
-        class_id,
-        rng.standard_normal((T + 1, d)),
-        rng.standard_normal((T, d)),
-        score,
-    )
+def _records(rng, seeds, class_ids, scores, T=3, d=2):
+    r = new_trajectories(len(seeds), T, d)
+    r["seed"], r["class_id"], r["score"] = seeds, class_ids, scores
+    r["states"] = rng.standard_normal((len(seeds), T + 1, d))
+    r["outputs"] = rng.standard_normal((len(seeds), T, d))
+    return r
 
 
 @st.composite
@@ -74,20 +68,20 @@ def blobs(tmp_path_factory):
     d = tmp_path_factory.mktemp("fuzz")
     rng = Rng(0)
     save_checkpoint(MlpDenoiser(2, 2, seed=0), d / "m.mlpd")
-    records = [
-        _record(rng, 10 + i, c, score)
-        for i, (c, score) in enumerate([(1, 0.1), (1, 0.5), (2, 0.2)])
-    ]
+    records = _records(rng, [10, 11, 12], [1, 1, 2], [0.1, 0.5, 0.2])
     save_pool(FailurePool(records, "per-class", 123, 456), d / "p.fmpl")
-    save_trajectory(_record(rng, 7, None, 0.3), d / "t.traj")
+    unconditional = _records(rng, [7, 8, 9], [-1] * 3, [0.3, float("nan"), 0.1])
+    (d / "t.traj").write_bytes(unconditional.tobytes())
     return {name: (d / name).read_bytes() for name in ("m.mlpd", "p.fmpl", "t.traj")}
 
 
 def test_blobs_load_undamaged(blobs, tmp_path):
-    loaders = {"m.mlpd": load_checkpoint, "p.fmpl": load_pool, "t.traj": load_trajectory}
+    loaders = {"m.mlpd": load_checkpoint, "p.fmpl": load_pool, "t.traj": load_trajectories}
     for name, load in loaders.items():
         (tmp_path / name).write_bytes(blobs[name])
-        load(tmp_path / name)
+        loaded = load(tmp_path / name)
+        if name != "m.mlpd":
+            assert len(loaded) == 3
 
 
 @FUZZ
@@ -100,12 +94,12 @@ def test_damaged_checkpoint(blobs, tmp_path, data):
 @FUZZ
 @given(data=st.data())
 def test_damaged_pool(blobs, tmp_path, data):
-    buf = data.draw(damaged(blobs["p.fmpl"], _POOL_HEADER.size + _TRAJ_HEADER.size))
+    buf = data.draw(damaged(blobs["p.fmpl"], _POOL_HEADER.size + _HEADER.itemsize))
     loads_or_malformed(load_pool, tmp_path / "x.fmpl", buf)
 
 
 @FUZZ
 @given(data=st.data())
 def test_damaged_trajectory(blobs, tmp_path, data):
-    buf = data.draw(damaged(blobs["t.traj"], _TRAJ_HEADER.size))
-    loads_or_malformed(load_trajectory, tmp_path / "x.traj", buf)
+    buf = data.draw(damaged(blobs["t.traj"], _HEADER.itemsize))
+    loads_or_malformed(load_trajectories, tmp_path / "x.traj", buf)

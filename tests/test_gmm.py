@@ -27,12 +27,33 @@ from famelab.gmm import (
     mahalanobis_sq,
     noised_log_density,
     preset,
-    projected_density_1d,
     responsibilities,
     sample_clean_batch,
     save_spec,
 )
 from famelab.schedule import Rng
+
+
+def projected_density_1d(spec: GmmSpec, u, class_id=None):
+    """Exact 1-D density of the projection u . x under the clean mixture."""
+    u = np.asarray(u, dtype=np.float64)
+    if u.shape != (spec.dim,):
+        raise InvalidArgumentError(f"projection must have shape ({spec.dim},)")
+    p = spec.pack(class_id)
+    m = p.means @ u
+    qu = np.einsum("kab,a->kb", p.qmats, u)
+    v = np.einsum("kb,kb->k", p.lams * qu, qu)
+    w = p.weights / p.weights.sum()
+
+    def density(t):
+        t = np.asarray(t, dtype=np.float64)
+        scalar = t.ndim == 0
+        tt = np.atleast_1d(t)
+        comp = np.exp(-0.5 * (tt[:, None] - m) ** 2 / v) / np.sqrt(2.0 * np.pi * v)
+        out = comp @ w
+        return float(out[0]) if scalar else out
+
+    return density
 
 
 def two_mode_1d():

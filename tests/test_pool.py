@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from famelab.cli import main
-from famelab.config import ExperimentConfig, save_config
+from famelab.config import ExperimentConfig
 from famelab.errors import (
     IncompatiblePoolError,
     InvalidArgumentError,
@@ -26,6 +26,7 @@ from famelab.pool import (
 )
 from famelab.sampler import AnalyticSource, SamplerConfig, sample_batch
 from famelab.schedule import derive_seed, make_schedule
+from tests.test_config import save_config
 
 
 def preset_scorer(values):
@@ -62,9 +63,9 @@ class TestBottomK:
             PoolBuildConfig(n_candidates_per_class=4, n_f=2, seed=7),
             [1],
         )
-        np.testing.assert_allclose([r.quality_score for r in pool.records], [0.1, 0.3], rtol=1e-6)
+        np.testing.assert_allclose(pool.records["score"], [0.1, 0.3], rtol=1e-6)
         # candidate indices 1 and 3 of the deterministic build batch
-        assert [r.seed for r in pool.records] == [derive_seed(7, 1, 1), derive_seed(7, 1, 3)]
+        assert pool.records["seed"].tolist() == [derive_seed(7, 1, 1), derive_seed(7, 1, 3)]
 
     def test_ties_break_by_candidate_order(self, cfg_source, analytic_cfg):
         pool = build_pool(
@@ -74,7 +75,7 @@ class TestBottomK:
             PoolBuildConfig(n_candidates_per_class=4, n_f=2, seed=7),
             [1],
         )
-        assert [r.seed for r in pool.records] == [derive_seed(7, 1, 1), derive_seed(7, 1, 2)]
+        assert pool.records["seed"].tolist() == [derive_seed(7, 1, 1), derive_seed(7, 1, 2)]
 
     def test_nan_scores_excluded(self, cfg_source, analytic_cfg):
         pool = build_pool(
@@ -84,7 +85,7 @@ class TestBottomK:
             PoolBuildConfig(n_candidates_per_class=4, n_f=2, seed=7),
             [1],
         )
-        np.testing.assert_allclose([r.quality_score for r in pool.records], [0.1, 0.2], rtol=1e-6)
+        np.testing.assert_allclose(pool.records["score"], [0.1, 0.2], rtol=1e-6)
 
     def test_too_few_finite_candidates_fails(self, cfg_source, analytic_cfg):
         with pytest.raises(PoolBuildFailedError):
@@ -125,7 +126,7 @@ class TestBottomK:
             [1],
         )
         np.testing.assert_allclose(
-            [r.quality_score for r in pool.records], [0.2, 0.3, 0.4], rtol=1e-6
+            pool.records["score"], [0.2, 0.3, 0.4], rtol=1e-6
         )
 
     def test_requires_recorded_outputs(self, cfg_source, sched):
@@ -154,9 +155,10 @@ class TestBottomK:
             [2, 1],
         )
         assert len(pool) == 4
-        assert [r.class_id for r in pool.records] == [1, 1, 2, 2]
+        cls = pool.records["class_id"]
+        assert cls.tolist() == [1, 1, 2, 2]
         for c in (1, 2):
-            scores = [r.quality_score for r in pool.records if r.class_id == c]
+            scores = pool.records["score"][cls == c].tolist()
             assert scores == sorted(scores)
         assert sorted(calls) == [1, 2]
 
@@ -171,11 +173,11 @@ class TestPoolInvariantOnPreset:
             PoolBuildConfig(n_candidates_per_class=200, n_f=8, seed=11),
             [1, 2],
         )
-        finals = np.stack([r.final_sample for r in pool.records]).astype(np.float64)
+        finals = pool.records["states"][:, -1].astype(np.float64)
         bad = 0
-        for x, rec in zip(finals, pool.records):
-            resp = responsibilities(spec, x[None], rec.class_id)[0]
-            comp_tags = [c.quality_tag for c in spec.classes[rec.class_id]]
+        for x, c in zip(finals, pool.records["class_id"].tolist()):
+            resp = responsibilities(spec, x[None], c)[0]
+            comp_tags = [k.quality_tag for k in spec.classes[c]]
             bad += comp_tags[int(np.argmax(resp))] == BAD_TAG
         assert bad / len(pool) >= 0.9
 
@@ -229,8 +231,7 @@ class TestSelection:
         seeds = np.array([derive_seed(9, i) for i in range(50)], dtype=np.uint64)
         cls = np.array([1, 2] * 25)
         idx = pool.select_indices(seeds, cls)
-        for i, c in zip(idx, cls):
-            assert pool.records[i].class_id == c
+        np.testing.assert_array_equal(pool.records["class_id"][idx], cls)
 
     def test_per_class_needs_classes(self, cfg_source, analytic_cfg):
         pool = build_pool(
@@ -252,7 +253,7 @@ class TestSelection:
         for step in (0, 7, 15):
             v = selection_pool.replay_outputs(idx, step)[0]
             np.testing.assert_array_equal(
-                v, selection_pool.records[int(idx[0])].denoiser_outputs[step].astype(np.float64)
+                v, selection_pool.records["outputs"][int(idx[0]), step].astype(np.float64)
             )
 
     def test_replay_returns_float64(self, selection_pool):
@@ -270,7 +271,7 @@ class TestConstructorValidation:
             PoolBuildConfig(n_candidates_per_class=len(scores), n_f=len(scores), seed=1),
             [1],
         )
-        return list(pool.records)
+        return pool.records
 
     def test_unsorted_rejected(self, cfg_source, analytic_cfg):
         recs = self.make_records(cfg_source, analytic_cfg, [0.1, 0.2, 0.3])
@@ -296,8 +297,9 @@ class TestConstructorValidation:
             [1],
             1,
         )
+        bare["score"] = 0.0
         with pytest.raises(InvalidArgumentError):
-            FailurePool([bare[0].with_score(0.0)], "global", 0, 0)
+            FailurePool(bare, "global", 0, 0)
 
     def test_per_class_requires_grouping(self, cfg_source, analytic_cfg):
         pool = build_pool(
@@ -307,7 +309,7 @@ class TestConstructorValidation:
             PoolBuildConfig(n_candidates_per_class=4, n_f=2, mode="per-class", seed=1),
             [1, 2],
         )
-        interleaved = [pool.records[i] for i in (0, 2, 1, 3)]
+        interleaved = pool.records[[0, 2, 1, 3]]
         with pytest.raises(InvalidArgumentError):
             FailurePool(interleaved, "per-class", 0, 0)
 

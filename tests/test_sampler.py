@@ -10,6 +10,7 @@ from famelab.gmm import GmmComponent, GmmSpec, exact_sampler, ideal_denoiser, pr
 from famelab.guidance import GuidanceConfig, StepContext, guided_source
 from famelab.metrics import ComponentTagScorer, frechet_distance
 from famelab.pool import PoolBuildConfig, build_pool
+from famelab import sampler
 from famelab.sampler import (
     AnalyticSource,
     NeuralSource,
@@ -17,9 +18,8 @@ from famelab.sampler import (
     ScoreSource,
     _integrate_chunk,
     sample_batch,
-    sample_one,
 )
-from famelab.schedule import NoiseSchedule, Rng, derive_seed, make_schedule
+from famelab.schedule import NoiseSchedule, Rng, derive_seed, make_schedule, trajectory_dtype
 
 
 def single_gaussian(mean, std):
@@ -35,6 +35,15 @@ def closed_form_endpoint(x0, mean, std, sigma_max):
     return mean + (x0 - mean) * shrink
 
 
+def alone(source, cfg, seed, class_id):
+    """Float64 states and outputs (or None) of one trajectory integrated by
+    itself from the stream `seed`."""
+    states, outputs = _integrate_chunk(
+        source, cfg, [seed], np.array([class_id]), [(class_id, 0)], cfg.record_outputs
+    )
+    return states[0], None if outputs is None else outputs[0]
+
+
 class TestHandSteps:
     """One and two Euler steps on a standard Gaussian, checked against values
     worked out by hand: D(x, sigma) = x * s^2/(s^2 + sigma^2) for N(0, 1)."""
@@ -43,23 +52,22 @@ class TestHandSteps:
         spec = single_gaussian([0.0], 1.0)
         sched = NoiseSchedule(np.array([1.0, 0.9, 0.0]), "custom")
         cfg = SamplerConfig(schedule=sched, method="euler")
-        rec = sample_one(AnalyticSource(spec), cfg, Rng(5), class_id=1)
+        states, _ = alone(AnalyticSource(spec), cfg, 5, 1)
 
         x0 = float(Rng(5).standard_normal(1)[0]) * 1.0
         # step 1: D = x/2, rhs = (x - D)/1 = x/2, h = -0.1
         x1 = x0 - 0.1 * (x0 / 2.0)
         # step 2 lands exactly on the denoised point: x - sigma * (x - D)/sigma = D
         x2 = x1 * (1.0 / 1.81)
-        np.testing.assert_allclose(rec.states[:, 0], [x0, x1, x2], rtol=1e-6)
+        np.testing.assert_allclose(states[:, 0], [x0, x1, x2], rtol=1e-6)
 
     def test_final_euler_step_lands_on_denoiser_output(self):
         spec = single_gaussian([1.5, -0.5], 0.7)
         sched = NoiseSchedule(np.array([2.0, 0.8, 0.0]), "custom")
         cfg = SamplerConfig(schedule=sched, method="euler")
-        rec = sample_one(AnalyticSource(spec), cfg, Rng(11), class_id=1)
-        x1 = rec.states[1].astype(np.float64)
-        expected = ideal_denoiser(spec, x1, 0.8, 1)
-        np.testing.assert_allclose(rec.states[2], expected, rtol=1e-6)
+        states, _ = alone(AnalyticSource(spec), cfg, 11, 1)
+        expected = ideal_denoiser(spec, states[1], 0.8, 1)
+        np.testing.assert_allclose(states[2], expected, rtol=1e-6)
 
 
 class TestClosedFormFlow:
@@ -74,13 +82,13 @@ class TestClosedFormFlow:
         spec = single_gaussian(self.MEAN, self.STD)
         sched = make_schedule("karras-like", T, 1e-3, self.SIGMA_MAX)
         cfg = SamplerConfig(schedule=sched, method=method, record_outputs=False)
-        recs = sample_batch(AnalyticSource(spec), cfg, 99, [1], n)
+        finals = sample_batch(AnalyticSource(spec), cfg, 99, [1], n)["states"][:, -1]
         errs = []
-        for i, rec in enumerate(recs):
+        for i, final in enumerate(finals):
             seed = derive_seed(99, 1, i)
             x0 = Rng(seed).standard_normal(2) * self.SIGMA_MAX
             truth = closed_form_endpoint(x0, self.MEAN, self.STD, self.SIGMA_MAX)
-            errs.append(np.abs(rec.final_sample - truth).max())
+            errs.append(np.abs(final - truth).max())
         return np.array(errs)
 
     def test_heun_matches_closed_form(self):
@@ -106,8 +114,7 @@ class TestClosedFormFlow:
         spec = single_gaussian([3.0, 4.0], 1e-6)
         sched = make_schedule("karras-like", 64, 0.01, 10.0)
         cfg = SamplerConfig(schedule=sched, record_outputs=False)
-        recs = sample_batch(AnalyticSource(spec), cfg, 1, [1], 8)
-        finals = np.stack([r.final_sample for r in recs])
+        finals = sample_batch(AnalyticSource(spec), cfg, 1, [1], 8)["states"][:, -1]
         np.testing.assert_allclose(finals, np.broadcast_to([3.0, 4.0], (8, 2)), atol=1e-4)
 
 
@@ -118,34 +125,42 @@ class TestRecords:
 
     def test_shapes_and_dtypes(self):
         cfg = SamplerConfig(schedule=self.sched)
-        rec = sample_one(AnalyticSource(self.spec), cfg, Rng(3), class_id=2)
-        assert rec.states.shape == (13, 2)
-        assert rec.denoiser_outputs.shape == (12, 2)
-        assert rec.states.dtype == np.float32
-        assert rec.class_id == 2
-        assert np.isnan(rec.quality_score)
-        np.testing.assert_array_equal(rec.final_sample, rec.states[-1])
+        source = AnalyticSource(self.spec)
+        batch = sample_batch(source, cfg, 3, [2], 2)
+        assert batch.dtype == trajectory_dtype(12, 2)
+        assert batch["states"].shape == (2, 13, 2)
+        assert batch["outputs"].shape == (2, 12, 2)
+        rec = batch[1]
+        assert (rec["magic"], rec["version"], rec["T"], rec["d"]) == (b"FAME", 1, 12, 2)
+        assert rec["class_id"] == 2
+        assert rec["seed"] == derive_seed(3, 2, 1)
+        assert np.isnan(rec["score"])
+        states, outputs = alone(source, cfg, derive_seed(3, 2, 1), 2)
+        np.testing.assert_array_equal(rec["states"], states.astype(np.float32))
+        np.testing.assert_array_equal(rec["outputs"], outputs.astype(np.float32))
 
     def test_outputs_omitted_when_disabled(self):
         cfg = SamplerConfig(schedule=self.sched, record_outputs=False)
-        rec = sample_one(AnalyticSource(self.spec), cfg, Rng(3), class_id=2)
-        assert rec.denoiser_outputs is None
+        batch = sample_batch(AnalyticSource(self.spec), cfg, 3, [2], 1)
+        assert batch.dtype == trajectory_dtype(12, 2, outputs=False)
+        assert "outputs" not in batch.dtype.names
 
     def test_recorded_outputs_are_denoiser_at_recorded_states(self):
         # states are stored float32, so recomputing at the rounded state can
         # only match to float32 precision, not bitwise
         cfg = SamplerConfig(schedule=self.sched, method="heun")
-        rec = sample_one(AnalyticSource(self.spec), cfg, Rng(9), class_id=1)
+        rec = sample_batch(AnalyticSource(self.spec), cfg, 9, [1], 1)[0]
         for k in [0, 5, 11]:
-            x = rec.states[k].astype(np.float64)
+            x = rec["states"][k].astype(np.float64)
             d = ideal_denoiser(self.spec, x, float(self.sched.sigmas[k]), 1)
-            np.testing.assert_allclose(rec.denoiser_outputs[k], d, rtol=1e-5, atol=1e-6)
+            np.testing.assert_allclose(rec["outputs"][k], d, rtol=1e-5, atol=1e-6)
 
     def test_unconditional_batch(self):
         cfg = SamplerConfig(schedule=self.sched, record_outputs=False)
-        recs = sample_batch(AnalyticSource(self.spec), cfg, 4, None, 6)
-        assert len(recs) == 6
-        assert all(r.class_id is None for r in recs)
+        batch = sample_batch(AnalyticSource(self.spec), cfg, 4, None, 6)
+        assert len(batch) == 6
+        assert (batch["class_id"] == -1).all()
+        assert batch["seed"].tolist() == [derive_seed(4, -1, i) for i in range(6)]
 
 
 class TestDeterminism:
@@ -158,7 +173,7 @@ class TestDeterminism:
     def test_repeat_call_is_identical(self):
         a = sample_batch(self.source, self.cfg, 17, [1, 2], 5)
         b = sample_batch(self.source, self.cfg, 17, [1, 2], 5)
-        assert all(x == y for x, y in zip(a, b))
+        assert a.tobytes() == b.tobytes()
 
     def test_worker_count_does_not_matter(self):
         # >1024 jobs so the pool actually splits chunks
@@ -166,19 +181,18 @@ class TestDeterminism:
                             method="euler", record_outputs=False)
         a = sample_batch(self.source, cfg, 23, [1, 2], 700)
         b = sample_batch(self.source, cfg, 23, [1, 2], 700, workers=4)
-        assert all(x == y for x, y in zip(a, b))
+        assert a.tobytes() == b.tobytes()
 
     def test_subset_of_larger_batch_is_bitwise_stable(self):
         big = sample_batch(self.source, self.cfg, 31, [1, 2], 40)
         small = sample_batch(self.source, self.cfg, 31, [1, 2], 25)
-        by_key = {(r.class_id, i % 40): r for i, r in enumerate(big)}
-        for i, r in enumerate(small):
-            assert r == by_key[(r.class_id, i % 25)]
+        assert small.tobytes() == big[np.r_[0:25, 40:65]].tobytes()
 
     def test_single_equals_batch_row(self):
         rec = sample_batch(self.source, self.cfg, 7, [2], 3)[0]
-        alone = sample_one(self.source, self.cfg, Rng(derive_seed(7, 2, 0)), class_id=2)
-        assert rec == alone
+        states, outputs = alone(self.source, self.cfg, derive_seed(7, 2, 0), 2)
+        np.testing.assert_array_equal(rec["states"], states.astype(np.float32))
+        np.testing.assert_array_equal(rec["outputs"], outputs.astype(np.float32))
 
 
 @pytest.fixture(scope="module")
@@ -194,7 +208,7 @@ class TestNeuralDeterminism:
         src = NeuralSource(model)
         big = sample_batch(src, cfg, 13, [1], 7)
         small = sample_batch(src, cfg, 13, [1], 3)
-        assert all(x == y for x, y in zip(big[:3], small))
+        assert big[:3].tobytes() == small.tobytes()
 
     def test_single_row_padding_matches_batch(self, model):
         # n = 1 takes the padded two-row path; it must agree bitwise with the
@@ -202,9 +216,9 @@ class TestNeuralDeterminism:
         sched = make_schedule("karras-like", 8, 0.05, 8.0)
         cfg = SamplerConfig(schedule=sched, record_outputs=False)
         src = NeuralSource(model)
-        batch = sample_batch(src, cfg, 50, [1], 5)[0]
-        alone = sample_one(src, cfg, Rng(derive_seed(50, 1, 0)), class_id=1)
-        assert batch == alone
+        rec = sample_batch(src, cfg, 50, [1], 5)[0]
+        states, _ = alone(src, cfg, derive_seed(50, 1, 0), 1)
+        np.testing.assert_array_equal(rec["states"], states.astype(np.float32))
 
 
 class _BlowupSource:
@@ -260,6 +274,13 @@ class TestFailurePaths:
         with pytest.raises(InvalidArgumentError):
             sample_batch(src, self.cfg, 0, [1, None], 2)
 
+    def test_class_ids_must_fit_the_record(self):
+        # -1 marks an unconditional record, and class_id is stored as i4
+        src = AnalyticSource(preset("balanced2d"))
+        for c in (-1, -3, 2**31, 2**70):
+            with pytest.raises(InvalidArgumentError):
+                sample_batch(src, self.cfg, 0, [c], 2)
+
     def test_n_per_class_validated(self):
         src = AnalyticSource(preset("balanced2d"))
         with pytest.raises(InvalidArgumentError):
@@ -275,8 +296,7 @@ class TestSampleQuality:
         spec = preset("balanced2d")
         sched = make_schedule("karras-like", 32, 0.01, 10.0)
         cfg = SamplerConfig(schedule=sched, record_outputs=False)
-        recs = sample_batch(AnalyticSource(spec), cfg, 2, [3], 2000)
-        gen = np.stack([r.final_sample for r in recs]).astype(np.float64)
+        gen = sample_batch(AnalyticSource(spec), cfg, 2, [3], 2000)["states"][:, -1].astype(np.float64)
         ref = exact_sampler(spec, Rng(77), class_id=3, n=4000)
         assert frechet_distance(gen, ref) < 0.05
 
@@ -443,4 +463,41 @@ class TestSharedPassSampling:
 
         ra = sample_batch(shared, cfg, 8, [1, 2, 3], 15)
         rb = sample_batch(plain, cfg, 8, [1, 2, 3], 15)
-        assert ra == rb
+        assert ra.tobytes() == rb.tobytes()
+
+
+class TestChunkAndWorkerInvariance:
+    """Replay at f > 0 and w = 1.5: neither the lockstep width nor the
+    worker count changes the float64 integration or the record array
+    sample_batch assembles from its chunks."""
+
+    def run(self, monkeypatch, pool, chunk, workers=None):
+        """(batch, float64 states, float64 outputs) in job order."""
+        spec = preset("imbalanced2d")
+        cfg = SamplerConfig(schedule=make_schedule("karras-like", 16, 0.02, 8.0))
+        source = guided_source(AnalyticSource(spec), pool, GuidanceConfig(w=1.5, f=0.05, tau=0.5))
+        chunks = []
+
+        def integrate(source, cfg, seeds, *rest):
+            states, outputs = _integrate_chunk(source, cfg, seeds, *rest)
+            chunks.append((np.array(seeds), states, outputs))
+            return states, outputs
+
+        monkeypatch.setattr(sampler, "CHUNK", chunk)
+        monkeypatch.setattr(sampler, "_integrate_chunk", integrate)
+        batch = sample_batch(source, cfg, 12, [1, 2, 3], 115, workers=workers)
+        row = {s: i for i, s in enumerate(batch["seed"].tolist())}
+        states, outputs = np.empty((345, 17, 2)), np.empty((345, 16, 2))
+        for seeds, s, o in chunks:
+            rows = [row[x] for x in seeds.tolist()]
+            states[rows], outputs[rows] = s, o
+        assert sum(len(c[0]) for c in chunks) == 345
+        return batch, states, outputs
+
+    def test_chunk_width_and_workers_do_not_matter(self, monkeypatch, replay_pool):
+        batch, states, outputs = self.run(monkeypatch, replay_pool, 345)
+        for chunk, workers in ((1, None), (333, None), (1024, None), (333, 2)):
+            got, got_states, got_outputs = self.run(monkeypatch, replay_pool, chunk, workers)
+            assert got.tobytes() == batch.tobytes(), (chunk, workers)
+            np.testing.assert_array_equal(got_states, states)
+            np.testing.assert_array_equal(got_outputs, outputs)

@@ -7,14 +7,13 @@ from famelab.errors import InvalidArgumentError, MalformedFileError
 from famelab.schedule import (
     NoiseSchedule,
     Rng,
-    TrajectoryRecord,
     derive_seed,
-    load_trajectory,
+    load_trajectories,
     make_schedule,
-    save_trajectory,
+    new_trajectories,
     splitmix64,
-    trajectory_from_bytes,
-    trajectory_to_bytes,
+    trajectories_from_bytes,
+    trajectory_dtype,
 )
 
 
@@ -107,84 +106,92 @@ class TestSeeds:
         assert not np.array_equal(a, c)
 
 
-def _record(T=5, d=2, seed=99, class_id=3, score=float("nan")):
+def _records(n=1, T=5, d=2, seed=99, class_id=3, score=float("nan")):
     rng = Rng(seed)
-    states = rng.standard_normal((T + 1, d))
-    outputs = rng.standard_normal((T, d))
-    return TrajectoryRecord.create(seed, class_id, states, outputs, score)
+    r = new_trajectories(n, T, d)
+    r["seed"] = [seed + i for i in range(n)]
+    r["class_id"] = class_id
+    r["score"] = score
+    r["states"] = rng.standard_normal((n, T + 1, d))
+    r["outputs"] = rng.standard_normal((n, T, d))
+    return r
+
+
+def _record_size(T, d):
+    return 30 + 4 * ((T + 1) * d + T * d)
 
 
 class TestTrajectoryRecord:
     def test_create_casts_to_float32(self):
-        r = _record()
-        assert r.states.dtype == np.float32
-        assert r.denoiser_outputs.dtype == np.float32
-        assert r.T == 5 and r.dim == 2
-        np.testing.assert_array_equal(r.final_sample, r.states[-1])
+        r = _records()
+        assert r["states"].dtype == np.float32
+        assert r["outputs"].dtype == np.float32
+        assert r.dtype["states"].shape == (6, 2)
+        assert r.dtype["outputs"].shape == (5, 2)
+        head = r[0]
+        assert (head["magic"], head["version"], head["T"], head["d"]) == (b"FAME", 1, 5, 2)
 
     def test_score_rounded_to_float32(self):
-        r = _record(score=0.1)
-        assert r.quality_score == np.float32(0.1)
-
-    def test_with_score(self):
-        r = _record().with_score(1.25)
-        assert r.quality_score == 1.25
-
-    def test_equality(self):
-        assert _record() == _record()
-        assert _record() != _record(seed=100)
-        assert _record(score=1.0) != _record(score=2.0)
-        assert _record(score=float("nan")) == _record(score=float("nan"))
+        r = _records(score=0.1)
+        assert r["score"][0] == np.float32(0.1)
+        assert np.isnan(_records()["score"][0])
 
     def test_shape_validation(self):
         with pytest.raises(InvalidArgumentError):
-            TrajectoryRecord.create(1, 1, np.zeros((6, 2)), np.zeros((4, 2)))
+            new_trajectories(1, 0, 2)
         with pytest.raises(InvalidArgumentError):
-            TrajectoryRecord.create(1, 1, np.zeros((1, 2)), None)
+            new_trajectories(1, 3, 0)
+        assert "outputs" not in new_trajectories(1, 3, 2, outputs=False).dtype.names
 
 
 class TestTrajectoryIO:
     def test_byte_length(self):
         """Header is 30 bytes; payload is 4 bytes per float32 entry."""
-        r = _record(T=5, d=2)
-        blob = trajectory_to_bytes(r)
-        assert len(blob) == 30 + 4 * (6 * 2 + 5 * 2)
+        assert trajectory_dtype(5, 2).itemsize == 30 + 4 * (6 * 2 + 5 * 2)
+        assert trajectory_dtype(5, 2).fields["states"][1] == 30
+        assert len(_records(n=3).tobytes()) == 3 * _record_size(5, 2)
 
     def test_round_trip_bytes_exact(self):
-        r = _record(T=9, d=3, seed=2**63 + 17, class_id=7, score=2.25)
-        back, end = trajectory_from_bytes(trajectory_to_bytes(r))
-        assert end == len(trajectory_to_bytes(r))
-        assert back == r
-        assert trajectory_to_bytes(back) == trajectory_to_bytes(r)
+        r = _records(n=4, T=9, d=3, seed=2**63 + 17, class_id=7, score=2.25)
+        back = trajectories_from_bytes(r.tobytes())
+        assert back.dtype == r.dtype
+        assert back.tobytes() == r.tobytes()
+        assert back["seed"].tolist() == [2**63 + 17 + i for i in range(4)]
 
     def test_unconditional_round_trip(self):
-        r = _record(class_id=None)
-        back, _ = trajectory_from_bytes(trajectory_to_bytes(r))
-        assert back.class_id is None
+        back = trajectories_from_bytes(_records(class_id=-1).tobytes())
+        assert back["class_id"].tolist() == [-1]
 
     def test_file_round_trip(self, tmp_path):
-        r = _record(score=1.5)
+        r = _records(n=3, score=1.5)
         p = tmp_path / "t.traj"
-        save_trajectory(r, p)
-        assert load_trajectory(p) == r
-
-    def test_requires_outputs(self):
-        r = TrajectoryRecord.create(1, 1, np.zeros((3, 2)), None)
-        with pytest.raises(InvalidArgumentError):
-            trajectory_to_bytes(r)
+        p.write_bytes(r.tobytes())
+        assert load_trajectories(p).tobytes() == r.tobytes()
 
     def test_malformed(self, tmp_path):
-        blob = trajectory_to_bytes(_record())
+        blob = _records(n=3).tobytes()
+        size = _record_size(5, 2)
         with pytest.raises(MalformedFileError):
-            trajectory_from_bytes(b"XXXX" + blob[4:])
+            trajectories_from_bytes(b"XXXX" + blob[4:])
         with pytest.raises(MalformedFileError):
-            trajectory_from_bytes(blob[:10])
+            trajectories_from_bytes(blob[:10])
         with pytest.raises(MalformedFileError):
-            trajectory_from_bytes(blob[:-8])
+            trajectories_from_bytes(blob[: size - 8])
+        with pytest.raises(MalformedFileError) as ei:
+            trajectories_from_bytes(blob[:-8])
+        assert ei.value.offset == 2 * size
         bad_version = blob[:4] + b"\xff\xff" + blob[6:]
         with pytest.raises(MalformedFileError):
-            trajectory_from_bytes(bad_version)
+            trajectories_from_bytes(bad_version)
+        # a later record whose magic, version, T or d disagrees with the first one's
+        changes = ((0, b"XXXX"), (4, b"\x02\x00"), (6, b"\x04\x00\x00\x00"), (10, b"\x01\x00\x00\x00"))
+        for field_at, value in changes:
+            bad = bytearray(blob)
+            bad[2 * size + field_at : 2 * size + field_at + len(value)] = value
+            with pytest.raises(MalformedFileError) as ei:
+                trajectories_from_bytes(bytes(bad))
+            assert ei.value.offset == 2 * size
         p = tmp_path / "t.traj"
         p.write_bytes(blob + b"\x00")
         with pytest.raises(MalformedFileError):
-            load_trajectory(p)
+            load_trajectories(p)
