@@ -30,9 +30,7 @@ from .schedule import (
 from .gmm import (
     GmmComponent,
     GmmSpec,
-    analytic_score,
     exact_sampler,
-    ideal_denoiser,
     load_spec,
     noised_log_density,
     preset,

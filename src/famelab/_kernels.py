@@ -11,19 +11,16 @@ The evaluation comes in two parts.  `gmm_terms` computes what each component
 contributes independently of the mixture weights (log determinant, quadratic
 form, posterior mean); `gmm_reduce` takes any selection of those columns with
 their log weights and does the log-sum-exp and the responsibility-weighted
-mean.  A source that needs several mixtures over shared components (a class
-and the marginal) evaluates each distinct component once and reduces once per
-mixture.  The score costs a third rotation and is computed only by
-`gmm_score`, on request; `gmm_eval` composes all three for the public `gmm`
-functions.  Every product and reduction is the same whichever entry point
-computes it, so the parts give the bits `gmm_eval` gives.
+mean.  `gmm.GmmSpec.evaluate` is their one caller: it evaluates each distinct
+component a set of mixtures needs once and reduces once per mixture.  Every
+column depends on its own component alone, so a mixture reduced from a
+shared pass carries the bits of that mixture evaluated on its own.
 
 Array contracts (all float64, C-contiguous):
   X      (n, d)    evaluation points
   means  (K, d)    component means
   qmats  (K, d, d) eigenvector matrices Q with Sigma = Q diag(lams) Q^T
   lams   (K, d)    eigenvalues, all > 0
-  logw   (K,)      log mixture weights (may include class priors)
   sig2   float     squared noise level, >= 0
 """
 
@@ -51,14 +48,12 @@ def _rotate(planes, qmats):
 def gmm_terms(X, means, qmats, lams, sig2):
     """The weight-free part of the mixture evaluation at sigma = sqrt(sig2).
 
-    Returns (logdet, quad, sd, pm): logdet (K,) the log determinant of each
+    Returns (logdet, quad, pm): logdet (K,) the log determinant of each
     noised covariance Sigma + sig2 I, quad (n, K) the squared Mahalanobis
-    distance of each point under it, sd the d (n, K) planes of
-    (Sigma + sig2 I)^-1 (x - mu) in each component's eigenbasis (what the
-    score needs), and pm (n, K, d) each component's posterior mean
-    E[x0 | x, k].  Every column depends on its own component alone, so a
-    caller may evaluate a table of components once and hand any selection
-    of its columns to `gmm_reduce`.
+    distance of each point under it (at sig2 = 0, under Sigma itself), and
+    pm (n, K, d) each component's posterior mean E[x0 | x, k].  Every column
+    depends on its own component alone, so a caller may evaluate a table of
+    components once and hand any selection of its columns to `gmm_reduce`.
     """
     d = X.shape[1]
     den = lams + sig2
@@ -74,7 +69,7 @@ def gmm_terms(X, means, qmats, lams, sig2):
     # posterior mean_k = mu + Q (sd * lam)
     shrunk = _rotate([sd[b] * lams[:, b] for b in range(d)], qmats)
     pm = np.stack([means[:, a] + shrunk[a] for a in range(d)], axis=-1)
-    return logdet, quad, sd, pm
+    return logdet, quad, pm
 
 
 def gmm_reduce(const, quad, pm):
@@ -100,28 +95,6 @@ def gmm_reduce(const, quad, pm):
     resp = e / np.maximum(s, 1e-300)[:, None]
     denoise = np.einsum("nk,nka->na", resp, pm)
     return logp, resp, denoise
-
-
-def gmm_score(resp, sd, qmats):
-    """Gradient of logp in x from `gmm_reduce`'s responsibilities and
-    `gmm_terms`' sd planes: the responsibility-weighted -Q sd."""
-    qsd = np.stack(_rotate(sd, qmats), axis=-1)
-    return -np.einsum("nk,nka->na", resp, qsd)
-
-
-def gmm_eval(X, means, qmats, lams, logw, sig2):
-    """Fused mixture evaluation at noise level sigma = sqrt(sig2).
-
-    Returns (logp, resp, score, denoise) where logp is the log density of the
-    mixture convolved with N(0, sig2 I), resp the per-component posterior
-    responsibilities, score the gradient of logp in x, and denoise the
-    posterior mean E[x0 | x] under the same convolution.
-    """
-    d = X.shape[1]
-    logdet, quad, sd, pm = gmm_terms(X, means, qmats, lams, sig2)
-    const = logw[None, :] - 0.5 * (d * LOG_2PI + logdet)[None, :]
-    logp, resp, denoise = gmm_reduce(const, quad, pm)
-    return logp, resp, gmm_score(resp, sd, qmats), denoise
 
 
 def pairwise_sqdist(a, b):

@@ -175,9 +175,16 @@ class SweepSpec:
     values: tuple
 
     def __post_init__(self):
+        check_str("sweep axis", self.axis)
         if self.axis not in SWEEP_AXES:
             raise InvalidArgumentError(f"sweep axis must be one of {SWEEP_AXES}")
-        vals = tuple(float(v) for v in self.values)
+        try:
+            vals = tuple(self.values)
+        except TypeError:
+            raise InvalidArgumentError(f"sweep values must be a sequence, got {self.values!r}") from None
+        for v in vals:
+            check_real("sweep value", v)
+        vals = tuple(float(v) for v in vals)
         if not vals:
             raise InvalidArgumentError("sweep needs at least one value")
         if not all(np.isfinite(v) for v in vals):

@@ -60,6 +60,22 @@ _CKPT_HEADER = struct.Struct("<4sHIIIII")
 _PARAM_KEYS = ("emb", "w0", "b0", "w1", "b1", "w2", "b2", "w3", "b3")
 
 
+def _param_shapes(dim, n_classes):
+    """Each parameter's shape, in `_PARAM_KEYS` order."""
+    in_dim = dim + 2 * N_FREQ + EMBED_DIM
+    return {
+        "emb": (n_classes + 1, EMBED_DIM),
+        "w0": (in_dim, HIDDEN),
+        "b0": (HIDDEN,),
+        "w1": (HIDDEN, HIDDEN),
+        "b1": (HIDDEN,),
+        "w2": (HIDDEN, HIDDEN),
+        "b2": (HIDDEN,),
+        "w3": (HIDDEN, dim),
+        "b3": (dim,),
+    }
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     steps: int = 5000
@@ -149,18 +165,7 @@ class MlpDenoiser:
         self.params = params
 
     def _check_shapes(self, params):
-        in_dim = self.dim + 2 * N_FREQ + EMBED_DIM
-        want = {
-            "emb": (self.n_classes + 1, EMBED_DIM),
-            "w0": (in_dim, HIDDEN),
-            "b0": (HIDDEN,),
-            "w1": (HIDDEN, HIDDEN),
-            "b1": (HIDDEN,),
-            "w2": (HIDDEN, HIDDEN),
-            "b2": (HIDDEN,),
-            "w3": (HIDDEN, self.dim),
-            "b3": (self.dim,),
-        }
+        want = _param_shapes(self.dim, self.n_classes)
         if set(params) != set(want):
             raise InvalidArgumentError(f"parameter keys {sorted(params)} != {sorted(want)}")
         for k, shape in want.items():
@@ -385,18 +390,7 @@ def load_checkpoint(path) -> MlpDenoiser:
         raise MalformedFileError(
             f"checkpoint architecture ({hidden}, {embed}, {nfreq}) does not match this build"
         )
-    in_dim = dim + 2 * N_FREQ + EMBED_DIM
-    shapes = {
-        "emb": (n_classes + 1, EMBED_DIM),
-        "w0": (in_dim, HIDDEN),
-        "b0": (HIDDEN,),
-        "w1": (HIDDEN, HIDDEN),
-        "b1": (HIDDEN,),
-        "w2": (HIDDEN, HIDDEN),
-        "b2": (HIDDEN,),
-        "w3": (HIDDEN, dim),
-        "b3": (dim,),
-    }
+    shapes = _param_shapes(dim, n_classes)
     params = {}
     off = _CKPT_HEADER.size
     for k in _PARAM_KEYS:

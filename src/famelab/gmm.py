@@ -6,6 +6,9 @@ posterior mean E[x0 | x] (the ideal denoiser) are all available in closed
 form.  Each component's covariance is eigendecomposed once at construction;
 every noise level then reuses the same rotation with shifted eigenvalues.
 
+Only this module knows how mixtures lay out over the component table:
+`GmmSpec.evaluate` is the one mixture evaluation every caller uses.
+
 Class ids are positive integers; id 0 is reserved for the unconditional
 (null) token used by trainable denoisers.
 """
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import DegeneratePointError, InvalidArgumentError, NotFoundError
+from .errors import InvalidArgumentError, NotFoundError
 from .schedule import Rng
 
 PRESET_NAMES = ("balanced2d", "imbalanced2d")
@@ -96,19 +99,17 @@ class _Table:
 
 
 class _Pack:
-    """Components of one mixture flattened into kernel-ready arrays: its
-    columns `cols` of the spec's component table and their log weights."""
+    """One mixture of a spec: its row of the spec's mixture tables, its
+    columns `cols` of the component table and their log weights, and its
+    components' weights and quality tags."""
 
-    __slots__ = ("cols", "means", "qmats", "lams", "logw", "tags", "weights")
+    __slots__ = ("row", "cols", "logw", "tags", "weights")
 
-    def __init__(self, table, cols, components, log_prior_per_comp):
+    def __init__(self, row, cols, logw, components):
+        self.row = row
         self.cols = cols
-        self.means = table.means[cols]
-        self.qmats = table.qmats[cols]
-        self.lams = table.lams[cols]
-        w = np.array([c.weight for c in components])
-        self.logw = np.log(w) + np.asarray(log_prior_per_comp)
-        self.weights = np.exp(self.logw)
+        self.logw = logw
+        self.weights = np.exp(logw)
         self.tags = np.array([c.quality_tag for c in components])
 
 
@@ -126,7 +127,7 @@ class GmmSpec:
     marginal's adds the log class prior.  Duplicates stay separate columns
     of the marginal (imbalanced2d: 16 columns over 9 entries), so its
     reduction sums the same terms in the same order whether or not they
-    share an entry.
+    share an entry.  `evaluate` is the only reduction over these columns.
     """
 
     def __init__(self, classes: dict, class_priors: dict):
@@ -169,25 +170,102 @@ class GmmSpec:
                 marg_comps.append(c)
                 marg_logp.append(lp)
         self.table = _Table(marg_comps)
-        # the marginal lists every class's components in class order, so each
-        # class owns a contiguous run of the marginal's table columns
+        # one row per mixture, each class in id order and then the marginal:
+        # its table columns and log weights.  The marginal lists every
+        # class's components in class order, so a class's columns are a run
+        # of the marginal's.  Entries past a mixture's width repeat its first
+        # column and are never reduced over.
+        ends = np.cumsum([len(self.classes[cid]) for cid in ids])
+        mixtures = [(cid, slice(end - len(self.classes[cid]), end)) for cid, end in zip(ids, ends)]
+        mixtures.append((None, slice(0, len(marg_comps))))
+        self._ids = np.array(ids, dtype=np.int64)
+        self._width = np.array([s.stop - s.start for _, s in mixtures])
+        self._cols = np.empty((len(mixtures), len(marg_comps)), dtype=np.intp)
+        self._logw = np.full(self._cols.shape, -np.inf)
         self._packs = {}
-        start = 0
-        for cid in ids:
-            comps = self.classes[cid]
-            cols = self.table.cols[start : start + len(comps)]
-            self._packs[cid] = _Pack(self.table, cols, comps, np.zeros(len(comps)))
-            start += len(comps)
-        self._marginal = _Pack(self.table, self.table.cols, marg_comps, np.array(marg_logp))
+        for row, (cid, s) in enumerate(mixtures):
+            comps = marg_comps[s]
+            log_prior = np.array(marg_logp[s]) if cid is None else np.zeros(len(comps))
+            cols, logw = self._cols[row, : len(comps)], self._logw[row, : len(comps)]
+            self._cols[row] = self.table.cols[s.start]
+            cols[:] = self.table.cols[s]
+            logw[:] = np.log(np.array([c.weight for c in comps])) + log_prior
+            self._packs[cid] = _Pack(row, cols, logw, comps)
 
     def pack(self, class_id):
-        """Kernel arrays for one class, or the marginal mixture for None."""
-        if class_id is None:
-            return self._marginal
+        """One class's mixture, or the marginal mixture for None."""
         try:
             return self._packs[class_id]
         except KeyError:
             raise NotFoundError(f"unknown class id {class_id!r}") from None
+
+    def _rows(self, mixture, n):
+        """The mixture-table row of a class id or None, or for an (n,) array
+        of class ids, each point's row."""
+        if np.ndim(mixture) == 0:
+            return self.pack(mixture).row
+        ids = np.asarray(mixture)
+        if ids.shape != (n,):
+            raise InvalidArgumentError(f"class_ids must have shape ({n},), got {ids.shape}")
+        rows = np.minimum(np.searchsorted(self._ids, ids), len(self._ids) - 1)
+        unknown = self._ids[rows] != ids
+        if unknown.any():
+            raise NotFoundError(f"unknown class id {ids[unknown][0]!r}")
+        return rows
+
+    def evaluate(self, X, sigma, mixtures):
+        """Several mixtures at the points X, a `check_points` batch, convolved
+        with N(0, sigma^2 I), from one `gmm_terms` pass.
+
+        Each item of mixtures is a class id, None for the marginal, or an
+        (n,) array of class ids, one per point.  The pass covers the distinct
+        table entries the items need.  Each point is then reduced over its
+        own mixture's columns, duplicates gathered, not merged, so its sums
+        run over the same terms in the same order as that mixture evaluated
+        alone.  The points of a per-point item are reduced together per
+        component count, never padded: zero terms past width 8 would change
+        the grouping of numpy's pairwise sum.
+
+        Returns one (logp, resp, denoise, quad) per item: the log density
+        (-inf where it underflows), the posterior responsibilities, the
+        posterior mean E[x0 | x] and the squared Mahalanobis distances under
+        the noised components.  resp and quad are (n, K) over one mixture's
+        columns, and None for a per-point item, whose points may differ in K.
+        """
+        n, d = X.shape
+        rows = [self._rows(m, n) for m in mixtures]
+        need = np.zeros(len(self._width), dtype=bool)
+        for r in rows:
+            need[r] = True
+        cols = np.unique(self._cols[need])
+        t = self.table
+        logdet, quad, pm = _kernels.gmm_terms(
+            X, t.means[cols], t.qmats[cols], t.lams[cols], float(sigma) ** 2
+        )
+        # every mixture's columns in this pass, and their constant terms
+        pos = np.zeros(len(t.means), dtype=np.intp)
+        pos[cols] = np.arange(len(cols))
+        mcols = pos[self._cols]
+        const = self._logw - 0.5 * (d * _kernels.LOG_2PI + logdet[mcols])
+        out = []
+        for r in rows:
+            if np.ndim(r) == 0:
+                c = mcols[r, : self._width[r]]
+                q = np.take(quad, c, axis=1)
+                got = _kernels.gmm_reduce(const[r, None, : len(c)], q, np.take(pm, c, axis=1))
+                out.append((*got, q))
+                continue
+            widths = self._width[r]
+            logp, denoise = np.empty(n), np.empty((n, d))
+            for k in np.flatnonzero(np.bincount(widths)):
+                # flat indices of each point's own columns in the pass
+                pts = np.flatnonzero(widths == k)
+                flat = mcols[r[pts], :k] + pts[:, None] * len(cols)
+                logp[pts], _, denoise[pts] = _kernels.gmm_reduce(
+                    const[r[pts], :k], quad.ravel().take(flat), pm.reshape(-1, d).take(flat, axis=0)
+                )
+            out.append((logp, None, denoise, None))
+        return out
 
     def components(self, class_id):
         if class_id not in self.classes:
@@ -223,12 +301,13 @@ def check_points(spec, x, sigma):
 
 
 def _eval(spec, x, sigma, class_id):
+    """One mixture at x: whether x was a single vector, and `evaluate`'s
+    (logp, resp, denoise, quad)."""
+    if np.ndim(class_id):
+        raise InvalidArgumentError(f"class_id must be one class id or None, got {class_id!r}")
     single, X = check_points(spec, x, sigma)
-    p = spec.pack(class_id)
-    logp, resp, score, denoise = _kernels.gmm_eval(
-        X, p.means, p.qmats, p.lams, p.logw, float(sigma) ** 2
-    )
-    return single, logp, resp, score, denoise
+    [got] = spec.evaluate(X, sigma, [class_id])
+    return single, got
 
 
 def noised_log_density(spec: GmmSpec, x, sigma: float, class_id=None):
@@ -237,46 +316,14 @@ def noised_log_density(spec: GmmSpec, x, sigma: float, class_id=None):
     Accepts a single vector or an (n, d) batch; underflow far from all
     components returns -inf rather than raising.
     """
-    single, logp, *_ = _eval(spec, x, sigma, class_id)
+    single, (logp, *_) = _eval(spec, x, sigma, class_id)
     return float(logp[0]) if single else logp
-
-
-def analytic_score(spec: GmmSpec, x, sigma: float, class_id=None):
-    """Gradient of noised_log_density in x, same shape as x."""
-    single, logp, _, score, _ = _eval(spec, x, sigma, class_id)
-    if not np.all(np.isfinite(logp)):
-        raise DegeneratePointError("density underflowed to zero; score undefined here")
-    return score[0] if single else score
-
-
-def ideal_denoiser(spec: GmmSpec, x, sigma: float, class_id=None):
-    """Posterior mean E[x0 | x] at noise level sigma, computed from the
-    responsibility-weighted per-component posterior means (not via the
-    score identity, which tests check independently)."""
-    if not (sigma > 0):
-        raise InvalidArgumentError(f"denoiser needs sigma > 0, got {sigma}")
-    single, logp, _, _, denoise = _eval(spec, x, sigma, class_id)
-    if not np.all(np.isfinite(logp)):
-        raise DegeneratePointError("density underflowed to zero; denoiser undefined here")
-    return denoise[0] if single else denoise
 
 
 def responsibilities(spec: GmmSpec, x, class_id=None, sigma: float = 0.0):
     """Posterior component membership probabilities, shape (n, K)."""
-    single, _, resp, _, _ = _eval(spec, x, sigma, class_id)
+    single, (_, resp, *_) = _eval(spec, x, sigma, class_id)
     return resp[0] if single else resp
-
-
-def mahalanobis_sq(spec: GmmSpec, x, class_id=None):
-    """Squared Mahalanobis distance of each point to each component, (n, K)."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    X = np.atleast_2d(x)
-    p = spec.pack(class_id)
-    diff = X[:, None, :] - p.means[None, :, :]
-    w = np.einsum("nkb,kba->nka", diff, p.qmats)
-    m2 = np.einsum("nka,nka->nk", w / p.lams[None, :, :], w)
-    return m2[0] if single else m2
 
 
 def exact_sampler(spec: GmmSpec, rng: Rng, class_id=None, n: int = 1) -> np.ndarray:
@@ -289,13 +336,15 @@ def exact_sampler(spec: GmmSpec, rng: Rng, class_id=None, n: int = 1) -> np.ndar
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidArgumentError(f"n must be a positive integer, got {n!r}")
     p = spec.pack(class_id)
+    t = spec.table
     idx = rng.choice(len(p.weights), size=n, p=p.weights / p.weights.sum())
     z = rng.standard_normal((n, spec.dim))
     out = np.empty((n, spec.dim))
     for k in np.unique(idx):
         rows = idx == k
-        scaled = z[rows] * np.sqrt(p.lams[k])[None, :]
-        out[rows] = p.means[k][None, :] + scaled @ p.qmats[k].T
+        e = p.cols[k]
+        scaled = z[rows] * np.sqrt(t.lams[e])[None, :]
+        out[rows] = t.means[e][None, :] + scaled @ t.qmats[e].T
     return out
 
 

@@ -75,10 +75,6 @@ class StepContext:
     neg_indices: np.ndarray | None = None
     conditional_output: np.ndarray | None = None
 
-    def t_norm(self, k: int) -> float:
-        """Normalized time of evaluation index k: 0 at sigma_max, 1 at 0."""
-        return k / self.schedule.T
-
 
 def cfg_combine(d1, d0, w: float):
     """Classifier-free blend w*d1 + (1-w)*d0.

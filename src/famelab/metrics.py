@@ -16,7 +16,7 @@ import numpy as np
 
 from ._kernels import pairwise_sqdist
 from .errors import InvalidArgumentError, ScorerFailedError
-from .gmm import GmmSpec, mahalanobis_sq, noised_log_density, responsibilities
+from .gmm import GmmSpec, _eval, noised_log_density, responsibilities
 
 # Quality tiers: class means below T_LOW are reported "low", above T_HIGH
 # "top", anything between lands in the inconsistent middle band.
@@ -233,10 +233,10 @@ class ModeStats:
 
 def assign_modes(spec, samples, class_id=None, max_mahalanobis=OUTLIER_MAHALANOBIS):
     """Hard component assignment: argmax responsibility under the clean
-    mixture, or -1 when no component is within max_mahalanobis deviations."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    r = responsibilities(spec, samples, class_id, sigma=0.0)
-    m2 = mahalanobis_sq(spec, samples, class_id)
+    mixture, or -1 when no component is within max_mahalanobis deviations.
+    One evaluation at sigma = 0 gives both: there the quadratic form is the
+    squared Mahalanobis distance."""
+    _, (_, r, _, m2) = _eval(spec, samples, 0.0, class_id)
     idx = r.argmax(axis=1)
     return np.where(m2.min(axis=1) > max_mahalanobis**2, -1, idx)
 

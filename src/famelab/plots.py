@@ -74,6 +74,15 @@ class _Canvas:
         return "\n".join(self.parts + ["</svg>"]) + "\n"
 
 
+def _mode_dots(cv, spec, pts, class_id):
+    """Draw pts colored by hard mode assignment; returns the assignment."""
+    assign = assign_modes(spec, pts, class_id)
+    for comp in sorted(set(assign.tolist())):
+        color = OUTLIER_COLOR if comp < 0 else PALETTE[comp % len(PALETTE)]
+        cv.dots(pts[assign == comp], color)
+    return assign
+
+
 def mode_scatter_svg(spec, reference, generated, class_id=None, size=480, title="") -> str:
     """Reference set in light gray under the generated set colored by hard
     mode assignment; outliers (assigned to no component) in dark gray."""
@@ -84,10 +93,7 @@ def mode_scatter_svg(spec, reference, generated, class_id=None, size=480, title=
     lo, hi = _bounds([reference, generated])
     cv = _Canvas(size, lo, hi, title)
     cv.dots(reference, REFERENCE_COLOR, r=1.5, opacity=0.6)
-    assign = assign_modes(spec, generated, class_id)
-    for comp in sorted(set(assign.tolist())):
-        color = OUTLIER_COLOR if comp < 0 else PALETTE[comp % len(PALETTE)]
-        cv.dots(generated[assign == comp], color)
+    assign = _mode_dots(cv, spec, generated, class_id)
     n_out = int((assign < 0).sum())
     cv.text(8, size - 8, f"n={len(generated)} outliers={n_out}")
     return cv.render()
@@ -103,14 +109,11 @@ def side_by_side_svg(spec, gen_a, gen_b, class_id=None, labels=("a", "b"), size=
     panels = []
     for pts, label in zip((gen_a, gen_b), labels):
         cv = _Canvas(size, lo, hi, label)
-        assign = assign_modes(spec, pts, class_id)
-        for comp in sorted(set(assign.tolist())):
-            color = OUTLIER_COLOR if comp < 0 else PALETTE[comp % len(PALETTE)]
-            cv.dots(pts[assign == comp], color)
+        _mode_dots(cv, spec, pts, class_id)
         panels.append(cv)
     body = []
     for i, cv in enumerate(panels):
-        inner = "\n".join(cv.parts[1:] + [])  # strip the outer svg tag
+        inner = "\n".join(cv.parts[1:])  # strip the outer svg tag
         body.append(f'<g transform="translate({i * (size + 10)},0)">\n{inner}\n</g>')
     w = 2 * size + 10
     return (

@@ -12,17 +12,17 @@ results are independent of worker count.  Chunk results are bit-reproducible
 because every kernel computes row i from row i's data alone: the mixture
 kernel uses elementwise broadcasts and reductions along each row only (never
 batched matmul, and never a sum over the rows of a (K, n) array, whose order
-numpy changes when n = 1).  The analytic source evaluates every component it
-needs once for the whole chunk, then gathers for each row its own class's
-columns (and the marginal's) into C-ordered (n, K) arrays, one reduction per
-component count, so each row's sums run over the same terms in the same
-order as a per-class evaluation of that row.  The MLP's BLAS matmul
-accumulates each row alike for n >= 2, so the neural source pads single-row
-evaluations to two rows to stay off the differently-accumulated matvec
-path.  The neural source calls the MLP's inference forward
-(`denoiser._denoise`), which keeps no activations and reuses two
-hidden-layer buffers; it gives the same bits as the training forward that
-backpropagation uses.  The test suite asserts cross-layout equality.
+numpy changes when n = 1).  The analytic source hands the whole chunk to
+`GmmSpec.evaluate`, which evaluates every component it needs once and
+reduces each row over its own mixture's columns, so each row's sums run
+over the same terms in the same order as a per-class evaluation of that
+row.  The MLP's BLAS matmul accumulates each row alike for n >= 2, so the
+neural source pads single-row evaluations to two rows to stay off the
+differently-accumulated matvec path.  The neural source calls the MLP's
+inference forward (`denoiser._denoise`), which keeps no activations and
+reuses two hidden-layer buffers; it gives the same bits as the training
+forward that backpropagation uses.  The test suite asserts cross-layout
+equality.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import LOG_2PI, gmm_reduce, gmm_terms
 from .denoiser import MlpDenoiser, _denoise
-from .errors import DegeneratePointError, DivergedError, InvalidArgumentError, NotFoundError
+from .errors import DegeneratePointError, DivergedError, InvalidArgumentError
 from .gmm import GmmSpec, check_points
 from .guidance import StepContext
 from .schedule import NoiseSchedule, Rng, derive_seed, new_trajectories
@@ -94,106 +93,41 @@ class ScoreSource:
 class AnalyticSource(ScoreSource):
     """Ideal denoiser of a known mixture (the oracle the MLP approximates).
 
-    One evaluation makes one `gmm_terms` pass over the distinct components it
-    needs (those of the classes present in the batch, plus the marginal's
-    for the unconditional branch), then reduces it per mixture: each row over
-    its own class's columns, and every row over the marginal's columns, with
-    duplicates gathered, not merged.  Each output therefore carries the same
-    bits as `ideal_denoiser` on that row's class (or on None).  Rows are
-    reduced together per component count, never padded: zero terms past
-    width 8 would change the grouping of numpy's pairwise sum.
+    Each call is one `GmmSpec.evaluate`: the conditional branch reduces each
+    row over its own class's mixture, and the unconditional branch every
+    row over the marginal, from one pass over the distinct components both
+    need.  Each output carries the bits of that row's mixture evaluated
+    alone.
     """
 
     def __init__(self, spec: GmmSpec):
         self.spec = spec
         self.dim = spec.dim
-        self._ids = np.array(spec.class_ids, dtype=np.int64)
-        packs = [spec.pack(c) for c in spec.class_ids]
-        self._width = np.array([len(p.cols) for p in packs])
-        # one row per class; entries past a class's width repeat its first
-        # column and are never reduced over
-        self._cols = np.empty((len(packs), self._width.max()), dtype=np.intp)
-        self._logw = np.full(self._cols.shape, -np.inf)
-        for i, p in enumerate(packs):
-            self._cols[i] = p.cols[0]
-            self._cols[i, : len(p.cols)] = p.cols
-            self._logw[i, : len(p.cols)] = p.logw
-        self._marginal = spec.pack(None)
 
     def evaluate(self, x, sigma_index, class_ids, ctx):
-        d1, d0 = self._denoise(x, ctx.schedule.sigmas[sigma_index], class_ids, class_ids is None)
-        return d0 if class_ids is None else d1
+        [d] = self._denoise(x, ctx.schedule.sigmas[sigma_index], [class_ids])
+        return d
 
     def evaluate_pair(self, x, sigma_index, class_ids, ctx):
-        d1, d0 = self._denoise(x, ctx.schedule.sigmas[sigma_index], class_ids, True)
-        return (d0, d0) if class_ids is None else (d1, d0)
+        if class_ids is None:
+            [d0] = self._denoise(x, ctx.schedule.sigmas[sigma_index], [None])
+            return d0, d0
+        d1, d0 = self._denoise(x, ctx.schedule.sigmas[sigma_index], [class_ids, None])
+        return d1, d0
 
-    def _class_index(self, class_ids, n):
-        ids = np.asarray(class_ids)
-        if ids.shape != (n,):
-            raise InvalidArgumentError(f"class_ids must have shape ({n},), got {ids.shape}")
-        idx = np.minimum(np.searchsorted(self._ids, ids), len(self._ids) - 1)
-        unknown = self._ids[idx] != ids
-        if unknown.any():
-            raise NotFoundError(f"unknown class id {ids[unknown][0]!r}")
-        return idx
-
-    def _denoise(self, x, sigma, class_ids, marginal):
-        """(d1, d0): the class-conditional output (None without class_ids)
-        and, when marginal is set, the unconditional one (else None)."""
+    def _denoise(self, x, sigma, mixtures):
+        """The posterior mean under each of `GmmSpec.evaluate`'s mixtures."""
         sigma = float(sigma)
         if not sigma > 0:
             raise InvalidArgumentError(f"denoiser needs sigma > 0, got {sigma}")
         _, X = check_points(self.spec, x, sigma)
-        n, d = X.shape
-        need = [self._marginal.cols] if marginal else []
-        if class_ids is not None:
-            idx = self._class_index(class_ids, n)
-            present = np.flatnonzero(np.bincount(idx, minlength=len(self._ids)))
-            need.append(self._cols[present].ravel())
-        cols = np.unique(np.concatenate(need))
-        table = self.spec.table
-        logdet, quad, _, pm = gmm_terms(
-            X, table.means[cols], table.qmats[cols], table.lams[cols], sigma**2
-        )
-        # pos maps a table entry to its column in this pass
-        pos = np.zeros(len(table.means), dtype=np.intp)
-        pos[cols] = np.arange(len(cols))
-        d1 = d0 = None
-        if class_ids is not None:
-            widths = np.unique(self._width[present])
-            if len(widths) > 1:
-                d1, logp = np.empty((n, d)), np.empty(n)
-            for k in widths:
-                rows = np.arange(n) if len(widths) == 1 else np.flatnonzero(self._width[idx] == k)
-                # per class: its columns in this pass and its constant terms;
-                # then per row, its class's, as flat indices into the pass
-                ccols = pos[self._cols[:, :k]]
-                cconst = self._logw[:, :k] - 0.5 * (d * LOG_2PI + logdet[ccols])
-                cls = idx[rows]
-                flat = ccols[cls] + rows[:, None] * len(cols)
-                got = gmm_reduce(
-                    cconst[cls], quad.ravel().take(flat), pm.reshape(-1, d).take(flat, axis=0)
-                )
-                if len(widths) == 1:
-                    logp, _, d1 = got
-                else:
-                    logp[rows], _, d1[rows] = got
-            _check_density(logp)
-        if marginal:
-            mc = pos[self._marginal.cols]
-            const = self._marginal.logw[None, :] - 0.5 * (d * LOG_2PI + logdet[mc])[None, :]
-            logp, _, d0 = gmm_reduce(const, np.take(quad, mc, axis=1), np.take(pm, mc, axis=1))
-            _check_density(logp)
-        return d1, d0
+        got = self.spec.evaluate(X, sigma, mixtures)
+        if not all(np.isfinite(logp).all() for logp, *_ in got):
+            raise DegeneratePointError("density underflowed to zero; denoiser undefined here")
+        return [denoise for _, _, denoise, _ in got]
 
     def fingerprint(self) -> int:
         return self.spec.fingerprint()
-
-
-def _check_density(logp):
-    if not np.all(np.isfinite(logp)):
-        raise DegeneratePointError("density underflowed to zero; denoiser undefined here")
 
 
 class NeuralSource(ScoreSource):

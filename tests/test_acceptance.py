@@ -25,9 +25,7 @@ from famelab.gmm import (
     BAD_TAG,
     GmmComponent,
     GmmSpec,
-    analytic_score,
     exact_sampler,
-    ideal_denoiser,
     noised_log_density,
     preset,
 )
@@ -45,6 +43,7 @@ from famelab.schedule import Rng, derive_seed, make_schedule
 from tests.test_gmm import projected_density_1d
 from tests.test_guidance import fame_score_identity_check
 from tests.test_metrics import histogram_kl
+from tests.oracles import analytic_score, ideal_denoiser
 
 N_PER_CLASS = 300
 PAIRED_SEEDS = tuple(derive_seed(7, 200, i) for i in range(5))

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -157,10 +158,13 @@ class TestSweepSpec:
     def test_valid(self):
         s = SweepSpec("f", (0, 0.02, 0.05))
         assert s.values == (0.0, 0.02, 0.05)
+        assert SweepSpec("tau", (np.float64(0.5), np.int64(2))).values == (0.5, 2.0)
+        assert SweepSpec("w", np.array([1.0, 2.0])).values == (1.0, 2.0)
 
     def test_bad_axis(self):
-        with pytest.raises(InvalidArgumentError):
-            SweepSpec("sigma", (1.0,))
+        for axis in ("sigma", None, 1, ["f"]):
+            with pytest.raises(InvalidArgumentError):
+                SweepSpec(axis, (1.0,))
 
     def test_empty_values(self):
         with pytest.raises(InvalidArgumentError):
@@ -169,6 +173,11 @@ class TestSweepSpec:
     def test_non_finite_values(self):
         with pytest.raises(InvalidArgumentError):
             SweepSpec("w", (1.0, float("nan")))
+
+    @pytest.mark.parametrize("values", [("a",), (None,), ([1],), (True,), (1.0, False), None, 1.0])
+    def test_non_real_values(self, values):
+        with pytest.raises(InvalidArgumentError):
+            SweepSpec("w", values)
 
 
 # JSON-like values: scalars of every JSON type (NaN and infinities included,

@@ -29,8 +29,9 @@ from famelab.errors import (
     NotFoundError,
     TrainingDivergedError,
 )
-from famelab.gmm import GmmComponent, GmmSpec, ideal_denoiser, sample_clean_batch
+from famelab.gmm import GmmComponent, GmmSpec, sample_clean_batch
 from famelab.schedule import Rng, derive_seed, make_schedule
+from tests.oracles import ideal_denoiser
 from tests.test_gmm import two_mode_1d
 
 

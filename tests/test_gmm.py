@@ -3,7 +3,9 @@
 The noised density is checked against direct convolution quadrature, the
 score against central finite differences of the log density, and the
 posterior-mean denoiser against both explicit quadrature and the score
-identity D(x) = x + sigma^2 * score(x).
+identity D(x) = x + sigma^2 * score(x).  The score and the denoiser are the
+oracles in `tests.oracles`, the mixture kernels applied to one mixture's own
+components, which the package's sources must match bit for bit.
 """
 
 import math
@@ -20,11 +22,9 @@ from famelab.errors import (
 from famelab.gmm import (
     GmmComponent,
     GmmSpec,
-    analytic_score,
+    check_points,
     exact_sampler,
-    ideal_denoiser,
     load_spec,
-    mahalanobis_sq,
     noised_log_density,
     preset,
     responsibilities,
@@ -32,6 +32,7 @@ from famelab.gmm import (
     save_spec,
 )
 from famelab.schedule import Rng
+from tests.oracles import analytic_score, ideal_denoiser, pack_arrays
 
 
 def projected_density_1d(spec: GmmSpec, u, class_id=None):
@@ -39,11 +40,12 @@ def projected_density_1d(spec: GmmSpec, u, class_id=None):
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (spec.dim,):
         raise InvalidArgumentError(f"projection must have shape ({spec.dim},)")
-    p = spec.pack(class_id)
-    m = p.means @ u
-    qu = np.einsum("kab,a->kb", p.qmats, u)
-    v = np.einsum("kb,kb->k", p.lams * qu, qu)
-    w = p.weights / p.weights.sum()
+    means, qmats, lams, _ = pack_arrays(spec, class_id)
+    m = means @ u
+    qu = np.einsum("kab,a->kb", qmats, u)
+    v = np.einsum("kb,kb->k", lams * qu, qu)
+    weights = spec.pack(class_id).weights
+    w = weights / weights.sum()
 
     def density(t):
         t = np.asarray(t, dtype=np.float64)
@@ -232,9 +234,12 @@ class TestResponsibilities:
         assert r.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_mahalanobis(self):
+        """At sigma = 0 the quadratic form `GmmSpec.evaluate` returns is the
+        squared Mahalanobis distance to each component."""
         spec = two_mode_1d()
-        m2 = mahalanobis_sq(spec, np.array([-1.0]), 1)
-        np.testing.assert_allclose(m2, [(1.0**2) / 0.25, 4.0**2 / 1.0], rtol=1e-12)
+        _, X = check_points(spec, np.array([-1.0]), 0.0)
+        [(_, _, _, m2)] = spec.evaluate(X, 0.0, [1])
+        np.testing.assert_allclose(m2[0], [(1.0**2) / 0.25, 4.0**2 / 1.0], rtol=1e-12)
 
 
 class TestExactSampler:
@@ -366,6 +371,19 @@ class TestComponentTable:
         # the same bytes (the tag aside) share an entry; one ulp apart does not
         assert [int(spec.pack(c).cols[0]) for c in spec.class_ids] == [0, 1, 0, 2]
 
+    def test_evaluate_checks_its_mixtures(self):
+        spec = preset("imbalanced2d")
+        X = np.zeros((3, 2))
+        with pytest.raises(NotFoundError):
+            spec.evaluate(X, 1.0, [9])
+        with pytest.raises(NotFoundError):
+            spec.evaluate(X, 1.0, [None, np.array([1, 9, 2])])
+        with pytest.raises(InvalidArgumentError):
+            spec.evaluate(X, 1.0, [np.array([1, 2])])
+        # the one-mixture functions take one class id, not one per point
+        with pytest.raises(InvalidArgumentError):
+            responsibilities(spec, X, np.array([1, 1, 1]))
+
     def test_packs_hold_each_components_own_arrays(self):
         for spec in (preset("imbalanced2d"), skewed_2d()):
             mixtures = [(cid, [(c, 1.0) for c in spec.components(cid)]) for cid in spec.class_ids]
@@ -373,12 +391,13 @@ class TestComponentTable:
             mixtures.append((None, marginal))
             for cid, comps in mixtures:
                 p = spec.pack(cid)
+                means, qmats, lams, _ = pack_arrays(spec, cid)
                 assert len(p.cols) == len(comps)
                 for i, (c, prior) in enumerate(comps):
                     lam, q = np.linalg.eigh(c.cov)
-                    np.testing.assert_array_equal(p.means[i], c.mean)
-                    np.testing.assert_array_equal(p.lams[i], lam)
-                    np.testing.assert_array_equal(p.qmats[i], q)
+                    np.testing.assert_array_equal(means[i], c.mean)
+                    np.testing.assert_array_equal(lams[i], lam)
+                    np.testing.assert_array_equal(qmats[i], q)
                     assert p.weights[i] == pytest.approx(c.weight * prior, rel=1e-12)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from famelab.errors import IncompatiblePoolError, InvalidArgumentError
-from famelab.gmm import analytic_score, ideal_denoiser, preset
+from famelab.gmm import preset
 from famelab.guidance import (
     FAME_DEFAULTS,
     GuidanceConfig,
@@ -18,6 +18,7 @@ from famelab.metrics import ComponentTagScorer
 from famelab.pool import FailurePool, PoolBuildConfig, build_pool
 from famelab.sampler import AnalyticSource, SamplerConfig, sample_batch
 from famelab.schedule import Rng, make_schedule
+from tests.oracles import analytic_score, ideal_denoiser
 
 
 def fame_score_identity_check(spec, x, sigma: float, class_id, w: float, f: float, x_neg) -> float:

@@ -2,19 +2,23 @@
 
 The oracles below are the kernels' earlier implementations: three-operand
 einsum contractions for the mixture evaluation and a broadcast difference for
-the distances.  Random mixtures must agree to rounding; the packs the
-reference run evaluates must agree exactly, which is what keeps sampled
-trajectories and pools byte-stable across kernel rewrites.
+the distances.  The mixture kernel is checked as `gmm_terms` then
+`gmm_reduce` on one mixture's own components (`tests.oracles.gmm_eval`).
+Random mixtures must agree to rounding; the packs the reference run
+evaluates must agree exactly, which is what keeps sampled trajectories and
+pools byte-stable across kernel rewrites.  `GmmSpec.evaluate`, the package's
+one caller of the two, must give the bits of that per-mixture composition.
 """
 
 import math
 
 import numpy as np
 
-from famelab._kernels import gmm_eval, gmm_reduce, gmm_score, gmm_terms, pairwise_sqdist
+from famelab._kernels import gmm_reduce, gmm_terms, pairwise_sqdist
 from famelab.config import ExperimentConfig
 from famelab.gmm import preset
 from famelab.schedule import make_schedule
+from tests.oracles import gmm_eval, pack_arrays
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -112,18 +116,16 @@ class TestGmmEval:
         for sigma in reference_sigmas():
             X = rng.standard_normal((64, 2)) * (2.0 + sigma)
             for class_id in [None, *sorted(spec.classes)]:
-                p = spec.pack(class_id)
-                args = (X, p.means, p.qmats, p.lams, p.logw, sigma**2)
+                args = (X, *pack_arrays(spec, class_id), sigma**2)
                 for r, g in zip(gmm_eval_oracle(*args), gmm_eval(*args)):
                     np.testing.assert_array_equal(g, r)
 
     def test_rows_independent_of_batch(self):
         """Each output row equals that row's one-row evaluation, bit for bit."""
-        p = preset("imbalanced2d").pack(None)
         rng = np.random.default_rng(12)
         X3, *mix3 = random_mixture(rng, n=9, d=3, K=5)
         cases = [
-            (rng.standard_normal((40, 2)) * 3.0, p.means, p.qmats, p.lams, p.logw),
+            (rng.standard_normal((40, 2)) * 3.0, *pack_arrays(preset("imbalanced2d"))),
             (X3, *mix3),
         ]
         for X, *mix in cases:
@@ -135,31 +137,41 @@ class TestGmmEval:
 
 
 class TestSplitKernel:
-    """`gmm_terms` over a component table, then `gmm_reduce` over a mixture's
-    columns of it: the bits `gmm_eval` gives on that mixture's own pack."""
+    """`GmmSpec.evaluate` runs `gmm_terms` once over the table entries its
+    mixtures need, then `gmm_reduce` over each mixture's columns: the bits
+    the two kernels give on that mixture's own components."""
 
     def test_table_columns_reduce_to_pack_results(self):
         spec = preset("imbalanced2d")
         t = spec.table
+        ids = np.array(spec.class_ids)
         rng = np.random.default_rng(13)
         for sigma in reference_sigmas()[::7]:
             X = rng.standard_normal((300, 2)) * (2.0 + sigma)
-            logdet, quad, sd, pm = gmm_terms(X, t.means, t.qmats, t.lams, sigma**2)
-            for class_id in [None, *spec.class_ids]:
+            cls = rng.choice(ids, size=len(X))
+            logdet, quad, pm = gmm_terms(X, t.means, t.qmats, t.lams, sigma**2)
+            mixtures = [None, *spec.class_ids]
+            got = spec.evaluate(X, sigma, [*mixtures, cls])
+            for class_id, (logp, resp, denoise, q) in zip(mixtures, got):
                 p = spec.pack(class_id)
-                const = p.logw[None, :] - 0.5 * (2 * LOG_2PI + logdet[p.cols])[None, :]
-                q, m = np.take(quad, p.cols, axis=1), np.take(pm, p.cols, axis=1)
-                logp, resp, denoise = gmm_reduce(const, q, m)
+                want = gmm_eval(X, *pack_arrays(spec, class_id), sigma**2)
+                for g, ref in zip((logp, resp, denoise), (want[0], want[1], want[3])):
+                    np.testing.assert_array_equal(g, ref)
+                np.testing.assert_array_equal(q, gmm_terms(X, *pack_arrays(spec, class_id)[:3], sigma**2)[1])
                 # quad[:, cols] is column-major; the sums must not follow it
                 assert not quad[:, p.cols].flags.c_contiguous or len(p.cols) == 1
+                const = p.logw[None, :] - 0.5 * (2 * LOG_2PI + logdet[p.cols])[None, :]
                 alt = gmm_reduce(const, quad[:, p.cols], pm[:, p.cols])
-                want = gmm_eval(X, p.means, p.qmats, p.lams, p.logw, sigma**2)
-                for got, ref in zip((logp, resp, denoise), (want[0], want[1], want[3])):
-                    np.testing.assert_array_equal(got, ref)
-                for got, ref in zip(alt, (want[0], want[1], want[3])):
-                    np.testing.assert_array_equal(got, ref)
-                score = gmm_score(resp, [s[:, p.cols] for s in sd], p.qmats)
-                np.testing.assert_array_equal(score, want[2])
+                for g, ref in zip(alt, (want[0], want[1], want[3])):
+                    np.testing.assert_array_equal(g, ref)
+            # one mixture per row: each row's own class's bits
+            logp, resp, denoise, q = got[-1]
+            assert resp is None and q is None
+            for c in spec.class_ids:
+                rows = cls == c
+                want = gmm_eval(X[rows], *pack_arrays(spec, c), sigma**2)
+                np.testing.assert_array_equal(logp[rows], want[0])
+                np.testing.assert_array_equal(denoise[rows], want[3])
 
 
 class TestPairwiseSqdist:

@@ -30,6 +30,7 @@ from famelab.metrics import (
     tier_for,
 )
 from famelab.schedule import Rng
+from tests.oracles import assign_modes_two_pass
 from tests.test_gmm import projected_density_1d, two_mode_1d
 
 
@@ -325,6 +326,29 @@ class TestModeAssignment:
         )
         x = np.array([[3.9, 0.0], [4.1, 0.0]])
         np.testing.assert_array_equal(assign_modes(spec, x, 1), [0, -1])
+
+    @pytest.mark.parametrize("name", ["balanced2d", "imbalanced2d"])
+    def test_one_pass_matches_two_pass(self, name):
+        """The single sigma = 0 evaluation assigns exactly as responsibilities
+        plus a separate einsum Mahalanobis pass did, for every class and the
+        marginal, on points scattered widely and on points within a few ulps
+        of 4 deviations from each component."""
+        spec = preset(name)
+        t = spec.table
+        rng = np.random.default_rng(31)
+        near = []
+        for e in range(len(t.means)):
+            ang = rng.uniform(0.0, 2.0 * np.pi, 400)
+            u = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+            r = 4.0 * (1.0 + rng.integers(-4, 5, size=(400, 1)) * np.finfo(float).eps)
+            near.append(t.means[e] + (u * r * np.sqrt(t.lams[e])) @ t.qmats[e].T)
+        near = np.concatenate(near)
+        x = np.concatenate([rng.standard_normal((5000, 2)) * 4.0, near])
+        for class_id in [None, *spec.class_ids]:
+            got = assign_modes(spec, x, class_id)
+            np.testing.assert_array_equal(got, assign_modes_two_pass(spec, x, class_id))
+            at_cutoff = got[len(x) - len(near) :]
+            assert (at_cutoff == -1).any() and (at_cutoff >= 0).any()
 
     def test_mode_stats_fractions(self):
         spec = preset("imbalanced2d")

@@ -6,7 +6,7 @@ import pytest
 from famelab.config import ExperimentConfig
 from famelab.denoiser import TrainConfig, train
 from famelab.errors import DegeneratePointError, DivergedError, InvalidArgumentError, NotFoundError
-from famelab.gmm import GmmComponent, GmmSpec, exact_sampler, ideal_denoiser, preset
+from famelab.gmm import GmmComponent, GmmSpec, exact_sampler, preset
 from famelab.guidance import GuidanceConfig, StepContext, guided_source
 from famelab.metrics import ComponentTagScorer, frechet_distance
 from famelab.pool import PoolBuildConfig, build_pool
@@ -20,6 +20,7 @@ from famelab.sampler import (
     sample_batch,
 )
 from famelab.schedule import NoiseSchedule, Rng, derive_seed, make_schedule, trajectory_dtype
+from tests.oracles import ideal_denoiser
 
 
 def single_gaussian(mean, std):
@@ -303,7 +304,8 @@ class TestSampleQuality:
 
 class _PerClassSource(ScoreSource):
     """The analytic oracle evaluated the plain way: one `ideal_denoiser`
-    call per class present, on that class's rows, and one on the marginal.
+    call per class present, on that class's rows, and one on the marginal,
+    each from that mixture's own components (`tests.oracles`).
     It defines only evaluate, so guidance reaches it through the default
     evaluate_pair (two evaluate calls)."""
 
