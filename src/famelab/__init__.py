@@ -21,7 +21,6 @@ from .errors import (
 )
 from .schedule import (
     NoiseSchedule,
-    Rng,
     derive_seed,
     load_trajectories,
     make_schedule,

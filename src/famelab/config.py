@@ -108,6 +108,8 @@ class ExperimentConfig:
                 )
             for c in self.classes:
                 check_int("each class id", c)
+            if len(set(self.classes)) != len(self.classes):
+                raise InvalidArgumentError(f"classes must not repeat, got {list(self.classes)}")
             object.__setattr__(self, "classes", tuple(int(c) for c in self.classes))
         if self.workers is not None and self.workers < 1:
             raise InvalidArgumentError("workers must be >= 1")

@@ -45,7 +45,7 @@ from .errors import (
     check_real,
 )
 from .gmm import GmmSpec, sample_clean_batch
-from .schedule import Rng, derive_seed
+from .schedule import derive_seed
 
 HIDDEN = 128
 N_HIDDEN = 3
@@ -152,7 +152,7 @@ class MlpDenoiser:
         self.n_classes = n_classes
         in_dim = dim + 2 * N_FREQ + EMBED_DIM
         if params is None:
-            rng = Rng(seed)
+            rng = np.random.default_rng(seed)
             params = {"emb": 0.5 * rng.standard_normal((n_classes + 1, EMBED_DIM))}
             fan = in_dim
             for i in range(N_HIDDEN):
@@ -312,7 +312,7 @@ def train(spec: GmmSpec, cfg: TrainConfig) -> MlpDenoiser:
     [sigma_lo, sigma_hi].  Fully deterministic given cfg.seed.
     """
     model = MlpDenoiser(spec.dim, max(spec.class_ids), seed=derive_seed(cfg.seed, 1))
-    rng = Rng(derive_seed(cfg.seed, 2))
+    rng = np.random.default_rng(derive_seed(cfg.seed, 2))
     class_ids = np.array(spec.class_ids)
     priors = np.array([spec.class_priors[c] for c in spec.class_ids])
     priors = priors / priors.sum()

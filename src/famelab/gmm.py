@@ -23,7 +23,6 @@ import numpy as np
 
 from . import _kernels
 from .errors import InvalidArgumentError, NotFoundError
-from .schedule import Rng
 
 PRESET_NAMES = ("balanced2d", "imbalanced2d")
 
@@ -326,7 +325,7 @@ def responsibilities(spec: GmmSpec, x, class_id=None, sigma: float = 0.0):
     return resp[0] if single else resp
 
 
-def exact_sampler(spec: GmmSpec, rng: Rng, class_id=None, n: int = 1) -> np.ndarray:
+def exact_sampler(spec: GmmSpec, rng: np.random.Generator, class_id=None, n: int = 1) -> np.ndarray:
     """Draw exact clean samples, shape (n, d).
 
     class_id None samples the marginal mixture (class by prior, then
@@ -348,7 +347,7 @@ def exact_sampler(spec: GmmSpec, rng: Rng, class_id=None, n: int = 1) -> np.ndar
     return out
 
 
-def sample_clean_batch(spec: GmmSpec, rng: Rng, class_ids: np.ndarray) -> np.ndarray:
+def sample_clean_batch(spec: GmmSpec, rng: np.random.Generator, class_ids: np.ndarray) -> np.ndarray:
     """Clean samples for a vector of class ids (training batches).
 
     Classes are processed in sorted order with per-class draws, so the result

@@ -1,4 +1,4 @@
-"""Denoiser-space guidance combiners.
+"""Denoiser-space guidance combiners and the guided source the sampler steps.
 
 Classifier-free guidance blends conditional and unconditional denoiser
 outputs, w*d1 + (1-w)*d0.  The failure-escape extension adds a third term
@@ -7,6 +7,11 @@ trajectory, (w+f)*d1 + (1-w)*d0 - f*d_neg, pushing mass away from the failure
 modes those trajectories ended in.  The replay term is gated to the last tau
 fraction of normalized denoising time; tau = 1 applies it from the very first
 step, tau = 0 disables it entirely.
+
+`GuidedSource.step` is that blend as one pure call: it asks the base source
+for d1 (and d0 when w != 1) in one `denoise` call, reads d_neg from the pool
+records `bind` chose, and returns the guided output with d1, which the
+sampler records as the trajectory's conditional output.
 """
 
 from __future__ import annotations
@@ -57,25 +62,6 @@ class GuidanceConfig:
 FAME_DEFAULTS = GuidanceConfig(w=1.5, f=0.02, tau=0.3)
 
 
-@dataclass
-class StepContext:
-    """Mutable per-chunk integration state shared between the sampler and
-    score sources.
-
-    seeds are the per-trajectory streams (one uint64 each); neg_indices is the
-    pool record bound to each trajectory for its whole lifetime; sources set
-    conditional_output so the sampler can record the plain conditional
-    denoiser output even when guidance rewrites the combined one.
-    """
-
-    schedule: NoiseSchedule
-    seeds: np.ndarray
-    class_ids: np.ndarray | None = None
-    step: int = 0
-    neg_indices: np.ndarray | None = None
-    conditional_output: np.ndarray | None = None
-
-
 def cfg_combine(d1, d0, w: float):
     """Classifier-free blend w*d1 + (1-w)*d0.
 
@@ -119,14 +105,15 @@ def effective_w(cfg: GuidanceConfig, k: int, T: int) -> float:
 
 
 class GuidedSource:
-    """Wrap a base score source with CFG and optional failure replay.
+    """Wrap a base source with CFG and optional failure replay.
 
-    Implements the same evaluate/bind interface as the base sources.  The
-    unconditional branch is only evaluated when the effective w differs from
-    1, and then together with the conditional one through the base's
-    evaluate_pair; the pool is only consulted inside the activation window,
-    so plain conditional sampling and plain CFG pay nothing for the
-    machinery.
+    The sampler's one source: `bind` ties each trajectory of a chunk to a
+    pool record, and `step` gives the guided output at one level together
+    with the conditional output it was built from.  The base is asked for
+    the unconditional output only when the effective w differs from 1, and
+    then for both in one `denoise` call; the pool is only consulted inside
+    the activation window, so plain conditional sampling and plain CFG pay
+    nothing for the machinery.
     """
 
     def __init__(self, base, pool, cfg: GuidanceConfig):
@@ -143,25 +130,26 @@ class GuidedSource:
     def fingerprint(self) -> int:
         return self.base.fingerprint()
 
-    def bind(self, ctx: StepContext) -> None:
-        self.base.bind(ctx)
-        if self.pool is not None:
-            self.pool.check_compatible(ctx.schedule, self.dim, self.base.fingerprint())
-            ctx.neg_indices = self.pool.select_indices(ctx.seeds, ctx.class_ids)
+    def bind(self, schedule: NoiseSchedule, seeds, class_ids):
+        """The pool record bound to each trajectory, or None without replay."""
+        if self.pool is None:
+            return None
+        self.pool.check_compatible(schedule, self.dim, self.base.fingerprint())
+        return self.pool.select_indices(seeds, class_ids)
 
-    def evaluate(self, x, sigma_index, class_ids, ctx: StepContext):
-        T = ctx.schedule.T
-        w = effective_w(self.cfg, sigma_index, T)
+    def step(self, x, k, schedule: NoiseSchedule, class_ids, neg):
+        """(guided output, conditional output) at level k of the schedule;
+        neg is what `bind` returned for these trajectories."""
+        T = schedule.T
+        w = effective_w(self.cfg, k, T)
+        sigma = schedule.sigmas[k]
         if w != 1.0:
-            d1, d0 = self.base.evaluate_pair(x, sigma_index, class_ids, ctx)
+            d1, d0 = self.base.denoise(x, sigma, [class_ids, None])
         else:
-            d1, d0 = self.base.evaluate(x, sigma_index, class_ids, ctx), None
-        ctx.conditional_output = d1
-        active = self.pool is not None and replay_active(self.cfg, sigma_index, T)
-        if active:
-            d_neg = self.pool.replay_outputs(ctx.neg_indices, sigma_index)
-            return fame_combine(d1, d0, d_neg, w, self.cfg.f)
-        return cfg_combine(d1, d0, w)
+            [d1], d0 = self.base.denoise(x, sigma, [class_ids]), None
+        if self.pool is not None and replay_active(self.cfg, k, T):
+            return fame_combine(d1, d0, self.pool.replay_outputs(neg, k), w, self.cfg.f), d1
+        return cfg_combine(d1, d0, w), d1
 
 
 def guided_source(base, pool, cfg: GuidanceConfig) -> GuidedSource:

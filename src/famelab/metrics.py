@@ -25,6 +25,10 @@ T_HIGH = 2.5
 
 OUTLIER_MAHALANOBIS = 4.0
 
+# k of the k-NN precision/recall, and the points per side evaluate thins to
+KNN_K = 3
+KNN_MAX = 2048
+
 
 class ComponentTagScorer:
     """Ground-truth quality: responsibility-weighted component tags.
@@ -190,7 +194,7 @@ def frechet_distance(a, b) -> float:
     return frechet_with_flag(a, b)[0]
 
 
-def precision_recall(gen, real, k: int = 3) -> tuple[float, float]:
+def precision_recall(gen, real, k: int = KNN_K) -> tuple[float, float]:
     """k-NN manifold precision and recall.
 
     A real point's manifold ball has radius equal to the distance to its k-th
@@ -231,27 +235,24 @@ class ModeStats:
     outlier_fraction: float
 
 
-def assign_modes(spec, samples, class_id=None, max_mahalanobis=OUTLIER_MAHALANOBIS):
+def assign_modes(spec, samples, class_id=None):
     """Hard component assignment: argmax responsibility under the clean
-    mixture, or -1 when no component is within max_mahalanobis deviations.
+    mixture, or -1 when no component is within OUTLIER_MAHALANOBIS
+    deviations.
     One evaluation at sigma = 0 gives both: there the quadratic form is the
     squared Mahalanobis distance."""
     _, (_, r, _, m2) = _eval(spec, samples, 0.0, class_id)
     idx = r.argmax(axis=1)
-    return np.where(m2.min(axis=1) > max_mahalanobis**2, -1, idx)
+    return np.where(m2.min(axis=1) > OUTLIER_MAHALANOBIS**2, -1, idx)
 
 
-def mode_stats(
-    spec,
-    samples,
-    class_id=None,
-    tag_threshold=T_LOW,
-    max_mahalanobis=OUTLIER_MAHALANOBIS,
-) -> ModeStats:
-    assign = assign_modes(spec, samples, class_id, max_mahalanobis)
+def mode_stats(spec, samples, class_id=None) -> ModeStats:
+    """Fractions of samples in a component tagged below T_LOW and outside
+    every component."""
+    assign = assign_modes(spec, samples, class_id)
     tags = spec.pack(class_id).tags
     in_mode = assign >= 0
-    bad = in_mode & (tags[np.where(in_mode, assign, 0)] < tag_threshold)
+    bad = in_mode & (tags[np.where(in_mode, assign, 0)] < T_LOW)
     return ModeStats(
         n=len(assign),
         bad_fraction=float(bad.mean()),
@@ -300,10 +301,10 @@ class EvalReport:
         }
 
 
-def tier_for(mean_score: float, t_low: float = T_LOW, t_high: float = T_HIGH) -> str:
-    if mean_score < t_low:
+def tier_for(mean_score: float) -> str:
+    if mean_score < T_LOW:
         return "low"
-    if mean_score > t_high:
+    if mean_score > T_HIGH:
         return "top"
     return "middle"
 
@@ -315,21 +316,11 @@ def _thin(x, cap):
     return x[idx]
 
 
-def evaluate(
-    samples_by_class: dict,
-    reference_by_class: dict,
-    scorer,
-    spec=None,
-    knn_k: int = 3,
-    t_low: float = T_LOW,
-    t_high: float = T_HIGH,
-    max_mahalanobis: float = OUTLIER_MAHALANOBIS,
-    knn_max: int = 2048,
-) -> EvalReport:
+def evaluate(samples_by_class: dict, reference_by_class: dict, scorer, spec=None) -> EvalReport:
     """Score and compare per-class sample sets against references.
 
     Keys of the two dicts must match.  Precision/recall pools the classes and
-    thins deterministically to knn_max points per side to bound the O(n^2)
+    thins deterministically to KNN_MAX points per side to bound the O(n^2)
     distance matrices; when a mixture is supplied, mode statistics are pooled
     over classes as well.
     """
@@ -358,12 +349,12 @@ def evaluate(
                 p10=float(np.percentile(scores, 10)),
                 p50=float(np.percentile(scores, 50)),
                 p90=float(np.percentile(scores, 90)),
-                tier=tier_for(mean, t_low, t_high),
+                tier=tier_for(mean),
             )
         )
         per_class_frechet[cid] = frechet_distance(x, ref)
         if spec is not None:
-            ms = mode_stats(spec, x, cid, tag_threshold=t_low, max_mahalanobis=max_mahalanobis)
+            ms = mode_stats(spec, x, cid)
             bad_n += ms.bad_fraction * ms.n
             out_n += ms.outlier_fraction * ms.n
             total += ms.n
@@ -371,9 +362,7 @@ def evaluate(
     pooled = np.concatenate([np.atleast_2d(samples_by_class[c]) for c in sorted(samples_by_class)])
     pooled_ref = np.concatenate([np.atleast_2d(reference_by_class[c]) for c in sorted(reference_by_class)])
     frechet, reg = frechet_with_flag(pooled, pooled_ref)
-    precision, recall = precision_recall(
-        _thin(pooled, knn_max), _thin(pooled_ref, knn_max), k=knn_k
-    )
+    precision, recall = precision_recall(_thin(pooled, KNN_MAX), _thin(pooled_ref, KNN_MAX))
     scores = np.concatenate(all_scores)
     return EvalReport(
         mean_score=float(scores.mean()),

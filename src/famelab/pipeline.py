@@ -37,7 +37,7 @@ from .metrics import (
 from .plots import mode_scatter_svg, side_by_side_svg
 from .pool import PoolBuildConfig, build_pool, load_pool, save_pool
 from .sampler import AnalyticSource, NeuralSource, SamplerConfig, sample_batch
-from .schedule import Rng, derive_seed, make_schedule
+from .schedule import derive_seed, make_schedule
 
 # stage stream keys; distinct constants keep the seed chains disjoint
 _POOL_KEY = 101
@@ -127,6 +127,11 @@ class Experiment:
             raise InvalidArgumentError(
                 f"checkpoint dimension {model.dim} != dataset dimension {self.spec.dim}"
             )
+        if model.n_classes < max(self.classes):
+            raise InvalidArgumentError(
+                f"checkpoint has class tokens up to {model.n_classes}, "
+                f"the run samples class {max(self.classes)}"
+            )
         return NeuralSource(model)
 
     @_staged("evaluate-setup")
@@ -139,7 +144,7 @@ class Experiment:
         return {
             c: exact_sampler(
                 self.spec,
-                Rng(derive_seed(self.cfg.seed, _REF_KEY, c)),
+                np.random.default_rng(derive_seed(self.cfg.seed, _REF_KEY, c)),
                 class_id=c,
                 n=self.cfg.n_per_class,
             )
@@ -273,16 +278,17 @@ def run_sweep(cfg: ExperimentConfig, sweep: SweepSpec) -> list:
     """One sampled+evaluated row per axis value, sharing the dataset, source,
     pool, and per-trajectory seeds; returns [(value, EvalReport | None), ...]
     and writes the table CSV.  A failed row is recorded and skipped; a failed
-    stage of the shared setup ends the sweep."""
+    stage of the shared setup ends the sweep.  Every row's guidance is
+    checked before anything is written."""
+    guidances = [replace(cfg.guidance, **{sweep.axis: value}) for value in sweep.values]
     exp = Experiment(cfg)
     # the shared pool is built at the config's own w, also on a w sweep; an f
     # sweep from f=0 builds it in its first replaying row, at that same w
     exp.pool(cfg.guidance)
     rows = []
     results = []
-    for value in sweep.values:
+    for value, guidance in zip(sweep.values, guidances):
         try:
-            guidance = replace(cfg.guidance, **{sweep.axis: value})
             _, report = exp.evaluate(exp.sample(guidance))
             rows.append(
                 f"{value:g},{report.frechet:.9g},{report.precision:.9g},"

@@ -156,8 +156,8 @@ class PoolBuildConfig:
 
 
 def build_pool(source, sampler_cfg, scorer, build_cfg: PoolBuildConfig, class_ids, workers=None) -> FailurePool:
-    """Sample candidates per class through the given (typically CFG-guided)
-    source, score their endpoints, and keep the worst.
+    """Sample candidates per class through the given guided source (typically
+    plain CFG), score their endpoints, and keep the worst.
 
     Ranking uses the float32-rounded stored scores with ties broken by
     candidate order, so rebuilding from the same seed gives the same pool

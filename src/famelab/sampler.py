@@ -1,9 +1,19 @@
-"""Probability-flow ODE integration over pluggable denoiser sources.
+"""Probability-flow ODE integration of guided denoiser outputs.
 
 The generative dynamics dx/dsigma = -sigma * score(x; sigma) are integrated
 from sigma_max down to 0.  The integrator consumes denoiser outputs, never raw
 scores: with score = (D - x)/sigma^2 the right-hand side is (x - D)/sigma, so
 guided composites (which are denoiser-space combinations) plug in uniformly.
+
+The sampler talks to one guided source (`guidance.GuidedSource`) through two
+calls: `bind(schedule, seeds, class_ids)` once per chunk, which returns the
+pool record bound to each trajectory (or None), and `step(x, k, schedule,
+class_ids, neg)` per evaluation, which returns the guided output the
+integrator consumes and the conditional output it records.  The guided source
+in turn asks its base source for `denoise(x, sigma, mixtures)`, one output
+per mixture (an (n,) array of class ids, or None for the unconditional one).
+All three calls are pure and only read their source, so threaded workers
+share one.
 
 Trajectories are processed in lockstep chunks of fixed width.  Per-trajectory
 seeds derive from (base_seed, class, index), initial noise is drawn from each
@@ -35,8 +45,7 @@ import numpy as np
 from .denoiser import MlpDenoiser, _denoise
 from .errors import DegeneratePointError, DivergedError, InvalidArgumentError
 from .gmm import GmmSpec, check_points
-from .guidance import StepContext
-from .schedule import NoiseSchedule, Rng, derive_seed, new_trajectories
+from .schedule import NoiseSchedule, derive_seed, new_trajectories
 
 SAMPLER_METHODS = ("euler", "heun")
 
@@ -58,64 +67,20 @@ class SamplerConfig:
             )
 
 
-class ScoreSource:
-    """Interface mapping a batch of states to denoiser outputs.
-
-    evaluate(x, sigma_index, class_ids, ctx) returns D(x; sigma_k, c) with
-    x of shape (n, d), sigma_index k indexing ctx.schedule.sigmas (always a
-    nonzero level), class_ids either None (unconditional) or an (n,) int
-    array.  evaluate_pair returns the conditional and the unconditional
-    output at the same x and level, (evaluate(.., class_ids, ..),
-    evaluate(.., None, ..)); the default makes those two calls, and a source
-    that shares work between the branches overrides it with the same bits.
-    Implementations must be pure given the context and safe for concurrent
-    read-only use; bind(ctx) runs once per chunk before stepping.
-    """
-
-    dim: int
-
-    def evaluate(self, x, sigma_index, class_ids, ctx):
-        raise NotImplementedError
-
-    def evaluate_pair(self, x, sigma_index, class_ids, ctx):
-        return (
-            self.evaluate(x, sigma_index, class_ids, ctx),
-            self.evaluate(x, sigma_index, None, ctx),
-        )
-
-    def bind(self, ctx) -> None:
-        pass
-
-    def fingerprint(self) -> int:
-        raise NotImplementedError
-
-
-class AnalyticSource(ScoreSource):
+class AnalyticSource:
     """Ideal denoiser of a known mixture (the oracle the MLP approximates).
 
-    Each call is one `GmmSpec.evaluate`: the conditional branch reduces each
-    row over its own class's mixture, and the unconditional branch every
-    row over the marginal, from one pass over the distinct components both
-    need.  Each output carries the bits of that row's mixture evaluated
-    alone.
+    Each call is one `GmmSpec.evaluate`: every requested mixture (an (n,)
+    array of class ids, or None for the marginal) is reduced from one pass
+    over the distinct components they need, and each output carries the
+    bits of that row's mixture evaluated alone.
     """
 
     def __init__(self, spec: GmmSpec):
         self.spec = spec
         self.dim = spec.dim
 
-    def evaluate(self, x, sigma_index, class_ids, ctx):
-        [d] = self._denoise(x, ctx.schedule.sigmas[sigma_index], [class_ids])
-        return d
-
-    def evaluate_pair(self, x, sigma_index, class_ids, ctx):
-        if class_ids is None:
-            [d0] = self._denoise(x, ctx.schedule.sigmas[sigma_index], [None])
-            return d0, d0
-        d1, d0 = self._denoise(x, ctx.schedule.sigmas[sigma_index], [class_ids, None])
-        return d1, d0
-
-    def _denoise(self, x, sigma, mixtures):
+    def denoise(self, x, sigma, mixtures):
         """The posterior mean under each of `GmmSpec.evaluate`'s mixtures."""
         sigma = float(sigma)
         if not sigma > 0:
@@ -130,50 +95,50 @@ class AnalyticSource(ScoreSource):
         return self.spec.fingerprint()
 
 
-class NeuralSource(ScoreSource):
-    """Trained MLP denoiser as a score source."""
+class NeuralSource:
+    """Trained MLP denoiser as a score source: one forward pass per mixture."""
 
     def __init__(self, model: MlpDenoiser):
         self.model = model
         self.dim = model.dim
 
-    def evaluate(self, x, sigma_index, class_ids, ctx):
-        sigma = float(ctx.schedule.sigmas[sigma_index])
+    def denoise(self, x, sigma, mixtures):
+        """D(x; sigma, c) for each mixture, an (n,) array of class tokens or
+        None for the null token."""
         n = len(x)
-        tokens = (
-            np.zeros(n, dtype=np.int64)
-            if class_ids is None
-            else np.asarray(class_ids, dtype=np.int64)
-        )
-        if n == 1:
-            # duplicate the row: single-row matmuls take a different BLAS
-            # path with different accumulation order
-            x2 = np.concatenate([x, x])
-            D = _denoise(self.model.params, x2, np.full(2, sigma), np.concatenate([tokens, tokens]))
-            return D[:1]
-        return _denoise(self.model.params, x, np.full(n, sigma), tokens)
+        # a single row is duplicated: single-row matmuls take a different
+        # BLAS path with different accumulation order
+        reps = 2 if n == 1 else 1
+        X = np.concatenate([x] * reps)
+        sig = np.full(n * reps, float(sigma))
+        out = []
+        for m in mixtures:
+            tokens = np.zeros(n, dtype=np.int64) if m is None else np.asarray(m, dtype=np.int64)
+            out.append(_denoise(self.model.params, X, sig, np.concatenate([tokens] * reps))[:n])
+        return out
 
     def fingerprint(self) -> int:
         return self.model.fingerprint()
 
 
 def _integrate_chunk(source, cfg, seeds, class_ids, labels, record_outputs):
-    """Lockstep-integrate one chunk; returns (states, outputs or None).
+    """Lockstep-integrate one chunk through a guided source; returns
+    (states, outputs or None), outputs being the conditional denoiser
+    outputs `source.step` hands back with each guided one.
 
     labels carries (class_id, index) per trajectory purely for error
     reporting when a trajectory diverges.
     """
-    sig = cfg.schedule.sigmas
-    T = cfg.schedule.T
+    sched = cfg.schedule
+    sig = sched.sigmas
+    T = sched.T
     d = source.dim
     m = len(seeds)
-    x = np.stack([Rng(s).standard_normal(d) for s in seeds]) * sig[0]
+    x = np.stack([np.random.default_rng(s).standard_normal(d) for s in seeds]) * sig[0]
     states = np.empty((m, T + 1, d))
     states[:, 0] = x
     outputs = np.empty((m, T, d)) if record_outputs else None
-
-    ctx = StepContext(schedule=cfg.schedule, seeds=np.asarray(seeds, dtype=np.uint64), class_ids=class_ids)
-    source.bind(ctx)
+    neg = source.bind(sched, np.asarray(seeds, dtype=np.uint64), class_ids)
 
     def fail(arr, step):
         # first non-finite row, or the farthest-flung row if the denoiser
@@ -183,26 +148,22 @@ def _integrate_chunk(source, cfg, seeds, class_ids, labels, record_outputs):
         cid, idx = labels[bad]
         raise DivergedError(cid, idx, step)
 
-    for k in range(T):
-        ctx.step = k
-        ctx.conditional_output = None
+    def guided(x, j, k):
+        # evaluated at level j; a failure is reported at step k
         try:
-            dk = source.evaluate(x, k, class_ids, ctx)
+            return source.step(x, j, sched, class_ids, neg)
         except DegeneratePointError:
             fail(x, k)
+
+    for k in range(T):
+        dk, d1 = guided(x, k, k)
         if record_outputs:
-            rec = ctx.conditional_output if ctx.conditional_output is not None else dk
-            outputs[:, k] = rec
+            outputs[:, k] = d1
         h = sig[k + 1] - sig[k]
         rhs = (x - dk) / sig[k]
         x_next = x + h * rhs
         if cfg.method == "heun" and sig[k + 1] > 0:
-            ctx.step = k + 1
-            ctx.conditional_output = None
-            try:
-                d2 = source.evaluate(x_next, k + 1, class_ids, ctx)
-            except DegeneratePointError:
-                fail(x_next, k)
+            d2, _ = guided(x_next, k + 1, k)
             rhs2 = (x_next - d2) / sig[k + 1]
             x_next = x + h * 0.5 * (rhs + rhs2)
         states[:, k + 1] = x_next
@@ -220,7 +181,8 @@ def sample_batch(
     n_per_class: int,
     workers: int | None = None,
 ) -> np.ndarray:
-    """Sample n_per_class trajectories for each class (None = unconditional).
+    """Sample n_per_class trajectories for each class (None = unconditional)
+    through a guided source (`guidance.guided_source`).
 
     Returns one `trajectory_dtype` record array in job order, class by class,
     with scores NaN and, unless cfg.record_outputs is off, the conditional

@@ -2,8 +2,9 @@
 
 A schedule is a strictly decreasing array of T+1 noise levels ending exactly at
 zero.  Every sampled trajectory owns a 64-bit seed derived from
-(base_seed, class_id, index) so results are reproducible regardless of batch
-layout or worker count.
+(base_seed, class_id, index), and numpy's default_rng(seed) stream draws its
+initial noise, so results are reproducible regardless of batch layout or
+worker count.
 
 Trajectories live in one numpy structured array whose packed, little-endian
 record (`trajectory_dtype`) is also the file format: a 30-byte header (magic
@@ -64,35 +65,6 @@ def derive_seed(base_seed: int, *keys: int) -> int:
     for k in keys:
         h = splitmix64(h ^ (int(k) & _MASK64))
     return h
-
-
-class Rng:
-    """Deterministic random stream with a recorded seed.
-
-    Thin wrapper over numpy's PCG64 generator; the seed is kept so trajectory
-    records can be replayed bit-for-bit later.
-    """
-
-    __slots__ = ("seed", "generator")
-
-    def __init__(self, seed: int):
-        self.seed = int(seed) & _MASK64
-        self.generator = np.random.Generator(np.random.PCG64(self.seed))
-
-    def standard_normal(self, shape):
-        return self.generator.standard_normal(shape)
-
-    def uniform(self, lo, hi, shape=None):
-        return self.generator.uniform(lo, hi, shape)
-
-    def random(self, shape=None):
-        return self.generator.random(shape)
-
-    def integers(self, lo, hi, shape=None):
-        return self.generator.integers(lo, hi, shape)
-
-    def choice(self, n, size, p=None):
-        return self.generator.choice(n, size=size, p=p)
 
 
 @dataclass(frozen=True)

@@ -39,9 +39,9 @@ from famelab.metrics import (
 )
 from famelab.pool import PoolBuildConfig, build_pool, load_pool, save_pool
 from famelab.sampler import AnalyticSource, NeuralSource, SamplerConfig, sample_batch
-from famelab.schedule import Rng, derive_seed, make_schedule
+from famelab.schedule import derive_seed, make_schedule
 from tests.test_gmm import projected_density_1d
-from tests.test_guidance import fame_score_identity_check
+from tests.test_guidance import SpyBase, fame_score_identity_check
 from tests.test_metrics import histogram_kl
 from tests.oracles import analytic_score, ideal_denoiser
 
@@ -115,7 +115,7 @@ class NeuralFrame:
         if seed not in self._refs:
             self._refs[seed] = {
                 c: exact_sampler(
-                    self.spec, Rng(derive_seed(seed, 103, c)), class_id=c, n=N_PER_CLASS
+                    self.spec, np.random.default_rng(derive_seed(seed, 103, c)), class_id=c, n=N_PER_CLASS
                 )
                 for c in self.classes
             }
@@ -147,7 +147,7 @@ def test_analytic_score_matches_finite_differences(capsys):
     """Central differences of the noised log density reproduce the analytic
     score to 1e-5 relative on over 1000 probe points, in under 10 seconds."""
     spec = preset("imbalanced2d")
-    rng = Rng(11)
+    rng = np.random.default_rng(11)
     t0 = time.perf_counter()
     worst, probes = 0.0, 0
     for sigma in (0.05, 0.2, 1.0, 3.0, 10.0):
@@ -180,7 +180,7 @@ def test_denoiser_identity_and_replay_score_identity(capsys):
     score-space and denoiser-space forms of the replay-guided update agree
     to 1e-9 on over 1000 probes."""
     spec = preset("imbalanced2d")
-    rng = Rng(12)
+    rng = np.random.default_rng(12)
     worst_den, n_den = 0.0, 0
     for sigma in (0.05, 0.5, 2.0, 8.0):
         for cid in (None, 2, 7):
@@ -219,7 +219,7 @@ def test_integrator_convergence_orders(capsys):
     spec = GmmSpec(
         {1: [GmmComponent(mu, var * np.eye(2), 1.0, 2.6)]}, {1: 1.0}
     )
-    source = AnalyticSource(spec)
+    source = guided_source(AnalyticSource(spec), None, GuidanceConfig())
     t0 = time.perf_counter()
     ratios = {}
     for method in ("heun", "euler"):
@@ -263,16 +263,18 @@ def test_sampling_fidelity_against_ground_truth(capsys):
     # far inside both tolerances here and in the balanced2d half below
     sched = make_schedule("karras-like", 128, 0.02, 20.0)
     cfg = SamplerConfig(schedule=sched, method="heun", record_outputs=False)
-    batch = sample_batch(AnalyticSource(two_mode), cfg, 5, None, 100000)
+    plain = GuidanceConfig()
+    batch = sample_batch(guided_source(AnalyticSource(two_mode), None, plain), cfg, 5, None, 100000)
     draws = batch["states"][:, -1, 0].astype(np.float64)
     kl = histogram_kl(draws, projected_density_1d(two_mode, np.array([1.0])))
 
     balanced = preset("balanced2d")
     worst = 0.0
     for c in balanced.class_ids:
-        batch = sample_batch(AnalyticSource(balanced), cfg, derive_seed(5, c), [c], 10000)
+        source = guided_source(AnalyticSource(balanced), None, plain)
+        batch = sample_batch(source, cfg, derive_seed(5, c), [c], 10000)
         gen = batch["states"][:, -1].astype(np.float64)
-        ref = exact_sampler(balanced, Rng(derive_seed(99, c)), class_id=c, n=10000)
+        ref = exact_sampler(balanced, np.random.default_rng(derive_seed(99, c)), class_id=c, n=10000)
         worst = max(worst, frechet_distance(gen, ref))
 
     ok = kl < 0.02 and worst < 0.02
@@ -346,9 +348,9 @@ def test_replay_strength_and_window_tradeoff(frame, capsys):
 
 
 def test_degenerate_guidance_is_bit_identical(frame, capsys):
-    """f=0 with a pool attached reproduces plain CFG bit for bit, and w=1,
-    f=0 reproduces conditional-only sampling bit for bit, for both the
-    analytic and the trained source."""
+    """f=0 with a pool attached reproduces plain CFG bit for bit, and at w=1,
+    f=0 each guided step is the base's conditional output itself, from one
+    conditional evaluation, for both the analytic and the trained source."""
     spec = preset("imbalanced2d")
     sched = make_schedule("karras-like", 16, 0.02, 8.0)
 
@@ -366,9 +368,15 @@ def test_degenerate_guidance_is_bit_identical(frame, capsys):
         for a, b in zip(states(with_pool, schedule, (3, 6), 25), states(plain_cfg, schedule, (3, 6), 25)):
             ok = ok and bool(np.array_equal(a, b))
 
-        neutral = guided_source(base, None, GuidanceConfig(w=1.0, f=0.0))
-        for a, b in zip(states(neutral, schedule, (3, 6), 25), states(base, schedule, (3, 6), 25)):
-            ok = ok and bool(np.array_equal(a, b))
+        spy = SpyBase(base)
+        neutral = guided_source(spy, None, GuidanceConfig(w=1.0, f=0.0))
+        x = np.random.default_rng(8).standard_normal((50, 2)) * 2.0
+        cls = np.repeat([3, 6], 25)
+        for k in range(0, schedule.T, 5):
+            guided, d1 = neutral.step(x, k, schedule, cls, None)
+            [want] = base.denoise(x, schedule.sigmas[k], [cls])
+            ok = ok and guided is d1 and bool(np.array_equal(d1, want))
+        ok = ok and set(spy.asked) == {1}
 
     _verdict(capsys, 8, "degenerate guidance settings are bit-identical", ok)
     assert ok
@@ -378,7 +386,7 @@ def test_metric_reference_implementations(frame, capsys, tmp_path):
     """precision_recall equals an O(n^2) brute force exactly, Fréchet equals
     the 1-D closed form on the fitted moments, and pool/checkpoint files
     round-trip byte for byte."""
-    rng = Rng(21)
+    rng = np.random.default_rng(21)
     gen = rng.standard_normal((300, 2)) * 1.4 + 0.3
     real = np.concatenate(
         [rng.standard_normal((150, 2)), rng.standard_normal((107, 2)) + 2.0]
@@ -437,8 +445,8 @@ def test_mlp_gradients_match_finite_differences(capsys):
     model = MlpDenoiser(dim=2, n_classes=4, seed=7)
     # the output layer starts at zero; give it signal so every tensor gets
     # a nonzero gradient path
-    model.params["w3"] = Rng(8).standard_normal((128, 2)) * 0.1
-    rng = Rng(9)
+    model.params["w3"] = np.random.default_rng(8).standard_normal((128, 2)) * 0.1
+    rng = np.random.default_rng(9)
     B = 8
     x0 = rng.standard_normal((B, 2))
     sigma = np.exp(rng.uniform(np.log(0.1), np.log(3.0), B))

@@ -62,6 +62,7 @@ BAD_CONFIG_VALUES = (
     {"classes": 5},
     {"classes": ["a"]},
     {"classes": [1.7]},
+    {"classes": [2, 1, 2]},
     {"guidance": {"cfg_interval": 5}},
     {"guidance": {"cfg_interval": [1]}},
     {"seed": "abc"},
@@ -136,10 +137,15 @@ class TestExitCodes:
             assert "stage: dataset" in marker, command
             assert "error:" in capsys.readouterr().err
 
-    def test_bad_sweep_values_is_one(self, tmp_path):
+    def test_bad_sweep_values_is_one(self, tmp_path, capsys):
+        # a value that is no number, or one the guidance rejects, fails
+        # before the run directory or the pool is written
         path = write_config(tmp_path)
-        rc = main(["sweep", "--config", path, "--axis", "f", "--values", "0,abc"])
-        assert rc == 1
+        for axis, values in (("f", "0,abc"), ("tau", "0.3,2"), ("w", "-1")):
+            rc = main(["sweep", "--config", path, "--axis", axis, "--values", values, "--f", "0.02"])
+            assert rc == 1, (axis, values)
+            assert "error:" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists(), (axis, values)
 
     def test_compare_without_b_side_is_one(self, tmp_path):
         path = write_config(tmp_path)

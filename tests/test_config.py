@@ -122,6 +122,9 @@ class TestValidation:
             {"classes": ["a"]},
             {"classes": [1.7]},
             {"classes": [True]},
+            # a repeated class would be sampled twice from the same seeds
+            # and counted twice in every report
+            {"classes": [1, 1, 2]},
             {"guidance": {"cfg_interval": 5}},
             {"guidance": {"cfg_interval": [1]}},
             {"guidance": {"w": "2"}},

@@ -30,7 +30,7 @@ from famelab.errors import (
     TrainingDivergedError,
 )
 from famelab.gmm import GmmComponent, GmmSpec, sample_clean_batch
-from famelab.schedule import Rng, derive_seed, make_schedule
+from famelab.schedule import derive_seed, make_schedule
 from tests.oracles import ideal_denoiser
 from tests.test_gmm import two_mode_1d
 
@@ -57,7 +57,7 @@ class TestForward:
 
     def test_single_matches_batch(self):
         model = train(small_spec(), TrainConfig(steps=30, batch_size=32, seed=1))
-        x = Rng(0).standard_normal((5, 2))
+        x = np.random.default_rng(0).standard_normal((5, 2))
         batch = model.forward(x, 0.7, 2)
         # matmul accumulation order varies with batch shape, so agreement is
         # to rounding, not bitwise (the sampler pads to fixed shapes instead)
@@ -75,7 +75,7 @@ class TestForward:
 
     def test_per_sample_sigma_and_tokens(self):
         model = MlpDenoiser(dim=2, n_classes=3, seed=3)
-        x = Rng(1).standard_normal((4, 2))
+        x = np.random.default_rng(1).standard_normal((4, 2))
         sig = np.array([0.1, 0.5, 1.0, 2.0])
         tokens = np.array([0, 1, 2, 3])
         out = model.forward(x, sig, tokens)
@@ -103,8 +103,8 @@ class TestGradients:
         tensors; relative error under 1e-4."""
         model = MlpDenoiser(dim=2, n_classes=3, seed=7)
         # give the zero output layer something to backprop through
-        model.params["w3"] = Rng(8).standard_normal((128, 2)) * 0.1
-        rng = Rng(9)
+        model.params["w3"] = np.random.default_rng(8).standard_normal((128, 2)) * 0.1
+        rng = np.random.default_rng(9)
         B = 8
         x0 = rng.standard_normal((B, 2))
         sigma = np.exp(rng.uniform(np.log(0.1), np.log(3.0), B))
@@ -134,8 +134,8 @@ class TestGradients:
 
     def test_embedding_rows_untouched_by_batch_have_zero_grad(self):
         model = MlpDenoiser(dim=2, n_classes=3, seed=1)
-        model.params["w3"] = Rng(2).standard_normal((128, 2)) * 0.1
-        rng = Rng(3)
+        model.params["w3"] = np.random.default_rng(2).standard_normal((128, 2)) * 0.1
+        rng = np.random.default_rng(3)
         x0 = rng.standard_normal((6, 2))
         tokens = np.array([1, 1, 3, 3, 1, 3])
         _, grads = loss_and_grad(model, x0, np.full(6, 0.5), tokens, rng.standard_normal((6, 2)))
@@ -158,7 +158,7 @@ class TestTraining:
         spec = small_spec()
         model = train(spec, TrainConfig(steps=800, batch_size=128, seed=4))
         init = MlpDenoiser(2, 2, seed=999)
-        rng = Rng(5)
+        rng = np.random.default_rng(5)
         x = rng.standard_normal((64, 2)) * 2.0
         for sigma in (0.3, 1.0):
             want = ideal_denoiser(spec, x, sigma, 1)
@@ -215,7 +215,7 @@ class TestCheckpoint:
         p = tmp_path / "m.ckpt"
         save_checkpoint(model, p)
         back = load_checkpoint(p)
-        x = Rng(7).standard_normal((8, 2))
+        x = np.random.default_rng(7).standard_normal((8, 2))
         np.testing.assert_allclose(
             back.forward(x, 0.8, 1), model.forward(x, 0.8, 1), atol=1e-4
         )
@@ -317,7 +317,7 @@ def oracle_loss_and_grad(model, x0, sigma, tokens, eps):
 
 def oracle_train(spec, cfg):
     model = MlpDenoiser(spec.dim, max(spec.class_ids), seed=derive_seed(cfg.seed, 1))
-    rng = Rng(derive_seed(cfg.seed, 2))
+    rng = np.random.default_rng(derive_seed(cfg.seed, 2))
     class_ids = np.array(spec.class_ids)
     priors = np.array([spec.class_priors[c] for c in spec.class_ids])
     priors = priors / priors.sum()
@@ -344,7 +344,7 @@ def perturbed_params(dim, n_classes, seed):
     """Random weights everywhere, including the zero-initialized output layer
     and the biases, so every term of the forward pass matters."""
     params = MlpDenoiser(dim, n_classes, seed=seed).params
-    rng = Rng(seed + 1)
+    rng = np.random.default_rng(seed + 1)
     return {k: v + 0.3 * rng.standard_normal(v.shape) for k, v in params.items()}
 
 
@@ -352,7 +352,7 @@ class TestInferenceForward:
     def test_equals_training_forward_exactly(self):
         params = perturbed_params(2, 8, seed=20)
         sigmas = make_schedule("karras-like", 64, 0.01, 10.0).sigmas
-        rng = Rng(21)
+        rng = np.random.default_rng(21)
         for n in (2, 3, 1000, 1024):
             X = 3.0 * rng.standard_normal((n, 2))
             tokens = rng.integers(0, 9, n)
@@ -370,7 +370,7 @@ class TestInferenceForward:
     def test_matches_oracle_when_exp_overflows_without_warning(self):
         params = perturbed_params(2, 3, seed=22)
         params["w0"] = params["w0"] * 2000.0
-        rng = Rng(23)
+        rng = np.random.default_rng(23)
         X = 4.0 * rng.standard_normal((64, 2))
         sig = np.full(64, 0.05)
         tokens = rng.integers(0, 4, 64)
@@ -385,7 +385,7 @@ class TestInferenceForward:
         np.testing.assert_array_equal(got_train, want)
 
     def test_silu_and_grad_match_oracle_formulas(self):
-        a = np.concatenate([Rng(24).standard_normal((50, 7)).ravel() * 30.0, [0.0, -800.0, 800.0]])
+        a = np.concatenate([np.random.default_rng(24).standard_normal((50, 7)).ravel() * 30.0, [0.0, -800.0, 800.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             h, s = _silu(a)
@@ -397,7 +397,7 @@ class TestInferenceForward:
     def test_peak_allocation_is_about_two_hidden_buffers(self):
         n = 1024
         params = perturbed_params(2, 8, seed=25)
-        rng = Rng(26)
+        rng = np.random.default_rng(26)
         X = rng.standard_normal((n, 2))
         sig = np.full(n, 0.5)
         tokens = rng.integers(0, 9, n)
@@ -415,7 +415,7 @@ class TestInPlaceTraining:
     def test_gradients_match_oracle_exactly(self):
         model = MlpDenoiser(dim=2, n_classes=3, seed=27)
         model.params = perturbed_params(2, 3, seed=27)
-        rng = Rng(28)
+        rng = np.random.default_rng(28)
         B = 64
         x0 = rng.standard_normal((B, 2))
         sigma = np.exp(rng.uniform(np.log(0.02), np.log(12.0), B))

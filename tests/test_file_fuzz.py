@@ -10,6 +10,7 @@ time from the whole file.  The examples are derandomized, so every run
 checks the same cases.
 """
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from famelab.denoiser import _CKPT_HEADER, MlpDenoiser, load_checkpoint, save_checkpoint
 from famelab.errors import MalformedFileError
 from famelab.pool import _POOL_HEADER, FailurePool, load_pool, save_pool
-from famelab.schedule import _HEADER, Rng, load_trajectories, new_trajectories
+from famelab.schedule import _HEADER, load_trajectories, new_trajectories
 
 FUZZ = settings(
     max_examples=200,
@@ -66,7 +67,7 @@ def loads_or_malformed(load, path, buf):
 @pytest.fixture(scope="module")
 def blobs(tmp_path_factory):
     d = tmp_path_factory.mktemp("fuzz")
-    rng = Rng(0)
+    rng = np.random.default_rng(0)
     save_checkpoint(MlpDenoiser(2, 2, seed=0), d / "m.mlpd")
     records = _records(rng, [10, 11, 12], [1, 1, 2], [0.1, 0.5, 0.2])
     save_pool(FailurePool(records, "per-class", 123, 456), d / "p.fmpl")

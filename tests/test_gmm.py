@@ -31,7 +31,6 @@ from famelab.gmm import (
     sample_clean_batch,
     save_spec,
 )
-from famelab.schedule import Rng
 from tests.oracles import analytic_score, ideal_denoiser, pack_arrays
 
 
@@ -245,7 +244,7 @@ class TestResponsibilities:
 class TestExactSampler:
     def test_moments(self):
         spec = skewed_2d()
-        x = exact_sampler(spec, Rng(0), class_id=1, n=200_000)
+        x = exact_sampler(spec, np.random.default_rng(0), class_id=1, n=200_000)
         comp = spec.components(1)[0]
         np.testing.assert_allclose(x.mean(axis=0), comp.mean, atol=0.02)
         np.testing.assert_allclose(np.cov(x.T), comp.cov, atol=0.02)
@@ -254,34 +253,34 @@ class TestExactSampler:
         """A 0.9/0.1 mixture must produce component fractions within 0.01 at
         n = 100000."""
         spec = preset("imbalanced2d")
-        x = exact_sampler(spec, Rng(12), class_id=1, n=100_000)
+        x = exact_sampler(spec, np.random.default_rng(12), class_id=1, n=100_000)
         r = responsibilities(spec, x, 1, sigma=0.0)
         frac_bad = (r.argmax(axis=1) == 1).mean()
         assert frac_bad == pytest.approx(0.1, abs=0.01)
 
     def test_marginal_uses_priors(self):
         spec = skewed_2d()
-        x = exact_sampler(spec, Rng(5), class_id=None, n=50_000)
+        x = exact_sampler(spec, np.random.default_rng(5), class_id=None, n=50_000)
         near_class1 = (np.linalg.norm(x - np.array([1.0, -1.0]), axis=1) < 2.5).mean()
         assert near_class1 == pytest.approx(0.25, abs=0.02)
 
     def test_deterministic(self):
         spec = skewed_2d()
-        a = exact_sampler(spec, Rng(9), class_id=2, n=64)
-        b = exact_sampler(spec, Rng(9), class_id=2, n=64)
+        a = exact_sampler(spec, np.random.default_rng(9), class_id=2, n=64)
+        b = exact_sampler(spec, np.random.default_rng(9), class_id=2, n=64)
         np.testing.assert_array_equal(a, b)
 
     def test_clean_batch_by_class_vector(self):
         spec = skewed_2d()
         ids = np.array([1, 2, 2, 1, 2])
-        a = sample_clean_batch(spec, Rng(4), ids)
-        b = sample_clean_batch(spec, Rng(4), ids)
+        a = sample_clean_batch(spec, np.random.default_rng(4), ids)
+        b = sample_clean_batch(spec, np.random.default_rng(4), ids)
         np.testing.assert_array_equal(a, b)
         assert a.shape == (5, 2)
 
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
-            exact_sampler(two_mode_1d(), Rng(0), 1, 0)
+            exact_sampler(two_mode_1d(), np.random.default_rng(0), 1, 0)
 
 
 class TestProjectedDensity:
@@ -305,7 +304,7 @@ class TestProjectedDensity:
         spec = skewed_2d()
         u = np.array([0.6, 0.8])
         f = projected_density_1d(spec, u, 2)
-        x = exact_sampler(spec, Rng(2), 2, 100_000) @ u
+        x = exact_sampler(spec, np.random.default_rng(2), 2, 100_000) @ u
         mean, _ = integrate.quad(lambda t: t * f(t), -30, 30, limit=200)
         assert x.mean() == pytest.approx(mean, abs=0.02)
 

@@ -17,7 +17,7 @@ from famelab.guidance import (
 from famelab.metrics import ComponentTagScorer
 from famelab.pool import FailurePool, PoolBuildConfig, build_pool
 from famelab.sampler import AnalyticSource, SamplerConfig, sample_batch
-from famelab.schedule import Rng, make_schedule
+from famelab.schedule import make_schedule
 from tests.oracles import analytic_score, ideal_denoiser
 
 
@@ -81,7 +81,7 @@ class TestCombiners:
 
     def test_fame_self_negative_cancels(self):
         # d_neg = d1 collapses to plain CFG up to floating-point regrouping
-        rng = Rng(0)
+        rng = np.random.default_rng(0)
         d1, d0 = rng.standard_normal(4), rng.standard_normal(4)
         np.testing.assert_allclose(
             fame_combine(d1, d0, d1, 1.5, 0.3), cfg_combine(d1, d0, 1.5), rtol=1e-12
@@ -94,7 +94,7 @@ class TestScoreIdentity:
 
     def test_cfg_identity(self):
         # (w*d1 + (1-w)*d0 - x)/sigma^2 == w*s1 + (1-w)*s0
-        rng = Rng(3)
+        rng = np.random.default_rng(3)
         for _ in range(100):
             x = rng.standard_normal(2) * 4
             sigma = float(rng.uniform(0.05, 3.0))
@@ -108,7 +108,7 @@ class TestScoreIdentity:
             np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
     def test_fame_identity_residual(self):
-        rng = Rng(17)
+        rng = np.random.default_rng(17)
         worst = 0.0
         for _ in range(1000):
             x = rng.standard_normal(2) * 4
@@ -215,6 +215,22 @@ class _SpyPool:
         return np.zeros((len(indices), self.d))
 
 
+class SpyBase:
+    """Base source that records how many mixtures each denoise call asks for."""
+
+    def __init__(self, base):
+        self.base = base
+        self.dim = base.dim
+        self.asked = []
+
+    def fingerprint(self):
+        return self.base.fingerprint()
+
+    def denoise(self, x, sigma, mixtures):
+        self.asked.append(len(mixtures))
+        return self.base.denoise(x, sigma, mixtures)
+
+
 @pytest.fixture(scope="module")
 def small_pool():
     spec = preset("imbalanced2d")
@@ -283,15 +299,19 @@ class TestGuidedSource:
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_w1_f0_bitwise_matches_base(self):
-        a = sample_batch(self.base, self.cfg, 9, [1, 2], 4)
-        b = sample_batch(
-            guided_source(self.base, None, GuidanceConfig(w=1.0, f=0.0)),
-            self.cfg,
-            9,
-            [1, 2],
-            4,
-        )
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        # the guided output is the base's conditional output itself, and the
+        # base is asked for that one mixture only
+        spy = SpyBase(self.base)
+        src = guided_source(spy, None, GuidanceConfig(w=1.0, f=0.0))
+        x = np.random.default_rng(4).standard_normal((6, 2)) * 3.0
+        cls = np.array([1, 2, 1, 2, 2, 1])
+        assert src.bind(self.sched, np.arange(6, dtype=np.uint64), cls) is None
+        for k in (0, 7, 15):
+            guided, d1 = src.step(x, k, self.sched, cls, None)
+            [want] = self.base.denoise(x, self.sched.sigmas[k], [cls])
+            assert guided is d1
+            np.testing.assert_array_equal(d1, want)
+        assert spy.asked == [1, 1, 1]
 
     def test_recorded_outputs_are_conditional_not_combined(self, small_pool):
         # the cache must hold D1 at the trajectory's states even though the

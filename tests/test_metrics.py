@@ -29,7 +29,6 @@ from famelab.metrics import (
     render_report,
     tier_for,
 )
-from famelab.schedule import Rng
 from tests.oracles import assign_modes_two_pass
 from tests.test_gmm import projected_density_1d, two_mode_1d
 
@@ -222,7 +221,7 @@ class TestHistogramKl:
         """Samples drawn from the density itself should have tiny divergence."""
         spec = two_mode_1d()
         density = projected_density_1d(spec, np.array([1.0]), 1)
-        x = exact_sampler(spec, Rng(0), 1, 50_000)[:, 0]
+        x = exact_sampler(spec, np.random.default_rng(0), 1, 50_000)[:, 0]
         kl = histogram_kl(x, density, bins=64, range_=(-6.0, 8.0))
         assert 0 <= kl < 0.01
 
@@ -241,7 +240,7 @@ class TestHistogramKl:
     def test_projected_path(self):
         spec = preset("balanced2d")
         u = np.array([1.0, 0.0])
-        x = exact_sampler(spec, Rng(1), None, 40_000)
+        x = exact_sampler(spec, np.random.default_rng(1), None, 40_000)
         kl = histogram_kl(
             x, projected_density_1d(spec, u, None), bins=64, range_=(-7.0, 7.0), projection=u
         )
@@ -363,8 +362,8 @@ class TestModeAssignment:
 class TestEvaluate:
     def make_sets(self, n=256):
         spec = preset("imbalanced2d")
-        samples = {c: exact_sampler(spec, Rng(c), c, n) for c in spec.class_ids}
-        reference = {c: exact_sampler(spec, Rng(100 + c), c, n) for c in spec.class_ids}
+        samples = {c: exact_sampler(spec, np.random.default_rng(c), c, n) for c in spec.class_ids}
+        reference = {c: exact_sampler(spec, np.random.default_rng(100 + c), c, n) for c in spec.class_ids}
         return spec, samples, reference
 
     def test_full_report_on_matched_sets(self):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from famelab.config import ExperimentConfig, SweepSpec
+from famelab.denoiser import MlpDenoiser, save_checkpoint
 from famelab.errors import InvalidArgumentError, PipelineStageError
 from famelab.guidance import GuidanceConfig
-from famelab.pipeline import compare_paired, run_pipeline, run_sweep
+from famelab.pipeline import Experiment, compare_paired, run_pipeline, run_sweep
 from famelab.pool import load_pool
 
 
@@ -122,6 +123,22 @@ class TestRunPipeline:
             run_pipeline(cfg)
         assert ei.value.stage == "dataset"
 
+    def test_checkpoint_short_of_class_tokens_fails_train_stage(self, tmp_path):
+        # a 2-class checkpoint on imbalanced2d (classes 1..8) is refused
+        # before sampling, with the cause named
+        ckpt = tmp_path / "two.mlpd"
+        save_checkpoint(MlpDenoiser(2, 2, seed=0), ckpt)
+        cfg = base_config(tmp_path, source="neural", checkpoint=str(ckpt), classes=None)
+        with pytest.raises(PipelineStageError) as ei:
+            run_pipeline(cfg)
+        assert ei.value.stage == "train"
+        assert isinstance(ei.value.__cause__, InvalidArgumentError)
+        assert "stage: train" in (tmp_path / "out" / "run" / "FAILED").read_text()
+        assert not (tmp_path / "out" / "run" / "trajectories" / "class_1.traj").exists()
+        # the classes it has tokens for are fine
+        ok = Experiment(base_config(tmp_path, name="ok", source="neural", checkpoint=str(ckpt)))
+        assert ok.base.model.n_classes == 2
+
     def test_pool_loaded_from_path(self, tmp_path):
         cfg = base_config(tmp_path)
         run_pipeline(cfg)
@@ -167,15 +184,16 @@ class TestRunSweep:
         assert results[0.0].frechet == direct.frechet
 
     def test_failed_row_continues(self, tmp_path):
-        # tau axis accepts only [0, 1]; 2.0 fails at GuidanceConfig while the
-        # other rows still complete
+        # w = 1e300 is a valid setting whose trajectories diverge; that row
+        # is recorded as failed while the other rows still complete
         cfg = base_config(tmp_path, n_per_class=30)
-        results = run_sweep(cfg, SweepSpec("tau", (0.3, 2.0, 0.5)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            results = run_sweep(cfg, SweepSpec("w", (1.5, 1e300, 2.0)))
         assert results[0][1] is not None
         assert results[1][1] is None
         assert results[2][1] is not None
-        csv = (tmp_path / "out" / "run" / "reports" / "sweep_tau.csv").read_text()
-        assert "failed" in csv.split("\n")[2]
+        csv = (tmp_path / "out" / "run" / "reports" / "sweep_w.csv").read_text()
+        assert csv.split("\n")[2].endswith("failed: DivergedError")
 
 
 class TestComparePaired:

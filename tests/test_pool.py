@@ -291,7 +291,7 @@ class TestConstructorValidation:
         recs = self.make_records(cfg_source, analytic_cfg, [0.1])
         sched = make_schedule("karras-like", 16, 0.02, 8.0)
         bare = sample_batch(
-            AnalyticSource(preset("imbalanced2d")),
+            cfg_source,
             SamplerConfig(schedule=sched, record_outputs=False),
             1,
             [1],

@@ -7,7 +7,7 @@ from famelab.config import ExperimentConfig
 from famelab.denoiser import TrainConfig, train
 from famelab.errors import DegeneratePointError, DivergedError, InvalidArgumentError, NotFoundError
 from famelab.gmm import GmmComponent, GmmSpec, exact_sampler, preset
-from famelab.guidance import GuidanceConfig, StepContext, guided_source
+from famelab.guidance import GuidanceConfig, guided_source
 from famelab.metrics import ComponentTagScorer, frechet_distance
 from famelab.pool import PoolBuildConfig, build_pool
 from famelab import sampler
@@ -15,11 +15,10 @@ from famelab.sampler import (
     AnalyticSource,
     NeuralSource,
     SamplerConfig,
-    ScoreSource,
     _integrate_chunk,
     sample_batch,
 )
-from famelab.schedule import NoiseSchedule, Rng, derive_seed, make_schedule, trajectory_dtype
+from famelab.schedule import NoiseSchedule, derive_seed, make_schedule, trajectory_dtype
 from tests.oracles import ideal_denoiser
 
 
@@ -36,11 +35,16 @@ def closed_form_endpoint(x0, mean, std, sigma_max):
     return mean + (x0 - mean) * shrink
 
 
+def plain(base):
+    """The base source unguided: conditional sampling, w = 1, f = 0."""
+    return guided_source(base, None, GuidanceConfig())
+
+
 def alone(source, cfg, seed, class_id):
     """Float64 states and outputs (or None) of one trajectory integrated by
     itself from the stream `seed`."""
     states, outputs = _integrate_chunk(
-        source, cfg, [seed], np.array([class_id]), [(class_id, 0)], cfg.record_outputs
+        plain(source), cfg, [seed], np.array([class_id]), [(class_id, 0)], cfg.record_outputs
     )
     return states[0], None if outputs is None else outputs[0]
 
@@ -55,7 +59,7 @@ class TestHandSteps:
         cfg = SamplerConfig(schedule=sched, method="euler")
         states, _ = alone(AnalyticSource(spec), cfg, 5, 1)
 
-        x0 = float(Rng(5).standard_normal(1)[0]) * 1.0
+        x0 = float(np.random.default_rng(5).standard_normal(1)[0]) * 1.0
         # step 1: D = x/2, rhs = (x - D)/1 = x/2, h = -0.1
         x1 = x0 - 0.1 * (x0 / 2.0)
         # step 2 lands exactly on the denoised point: x - sigma * (x - D)/sigma = D
@@ -83,11 +87,11 @@ class TestClosedFormFlow:
         spec = single_gaussian(self.MEAN, self.STD)
         sched = make_schedule("karras-like", T, 1e-3, self.SIGMA_MAX)
         cfg = SamplerConfig(schedule=sched, method=method, record_outputs=False)
-        finals = sample_batch(AnalyticSource(spec), cfg, 99, [1], n)["states"][:, -1]
+        finals = sample_batch(plain(AnalyticSource(spec)), cfg, 99, [1], n)["states"][:, -1]
         errs = []
         for i, final in enumerate(finals):
             seed = derive_seed(99, 1, i)
-            x0 = Rng(seed).standard_normal(2) * self.SIGMA_MAX
+            x0 = np.random.default_rng(seed).standard_normal(2) * self.SIGMA_MAX
             truth = closed_form_endpoint(x0, self.MEAN, self.STD, self.SIGMA_MAX)
             errs.append(np.abs(final - truth).max())
         return np.array(errs)
@@ -115,7 +119,7 @@ class TestClosedFormFlow:
         spec = single_gaussian([3.0, 4.0], 1e-6)
         sched = make_schedule("karras-like", 64, 0.01, 10.0)
         cfg = SamplerConfig(schedule=sched, record_outputs=False)
-        finals = sample_batch(AnalyticSource(spec), cfg, 1, [1], 8)["states"][:, -1]
+        finals = sample_batch(plain(AnalyticSource(spec)), cfg, 1, [1], 8)["states"][:, -1]
         np.testing.assert_allclose(finals, np.broadcast_to([3.0, 4.0], (8, 2)), atol=1e-4)
 
 
@@ -127,7 +131,7 @@ class TestRecords:
     def test_shapes_and_dtypes(self):
         cfg = SamplerConfig(schedule=self.sched)
         source = AnalyticSource(self.spec)
-        batch = sample_batch(source, cfg, 3, [2], 2)
+        batch = sample_batch(plain(source), cfg, 3, [2], 2)
         assert batch.dtype == trajectory_dtype(12, 2)
         assert batch["states"].shape == (2, 13, 2)
         assert batch["outputs"].shape == (2, 12, 2)
@@ -142,7 +146,7 @@ class TestRecords:
 
     def test_outputs_omitted_when_disabled(self):
         cfg = SamplerConfig(schedule=self.sched, record_outputs=False)
-        batch = sample_batch(AnalyticSource(self.spec), cfg, 3, [2], 1)
+        batch = sample_batch(plain(AnalyticSource(self.spec)), cfg, 3, [2], 1)
         assert batch.dtype == trajectory_dtype(12, 2, outputs=False)
         assert "outputs" not in batch.dtype.names
 
@@ -150,7 +154,7 @@ class TestRecords:
         # states are stored float32, so recomputing at the rounded state can
         # only match to float32 precision, not bitwise
         cfg = SamplerConfig(schedule=self.sched, method="heun")
-        rec = sample_batch(AnalyticSource(self.spec), cfg, 9, [1], 1)[0]
+        rec = sample_batch(plain(AnalyticSource(self.spec)), cfg, 9, [1], 1)[0]
         for k in [0, 5, 11]:
             x = rec["states"][k].astype(np.float64)
             d = ideal_denoiser(self.spec, x, float(self.sched.sigmas[k]), 1)
@@ -158,7 +162,7 @@ class TestRecords:
 
     def test_unconditional_batch(self):
         cfg = SamplerConfig(schedule=self.sched, record_outputs=False)
-        batch = sample_batch(AnalyticSource(self.spec), cfg, 4, None, 6)
+        batch = sample_batch(plain(AnalyticSource(self.spec)), cfg, 4, None, 6)
         assert len(batch) == 6
         assert (batch["class_id"] == -1).all()
         assert batch["seed"].tolist() == [derive_seed(4, -1, i) for i in range(6)]
@@ -169,7 +173,8 @@ class TestDeterminism:
         self.spec = preset("imbalanced2d")
         self.sched = make_schedule("karras-like", 10, 0.05, 8.0)
         self.cfg = SamplerConfig(schedule=self.sched)
-        self.source = AnalyticSource(self.spec)
+        self.base = AnalyticSource(self.spec)
+        self.source = plain(self.base)
 
     def test_repeat_call_is_identical(self):
         a = sample_batch(self.source, self.cfg, 17, [1, 2], 5)
@@ -191,7 +196,7 @@ class TestDeterminism:
 
     def test_single_equals_batch_row(self):
         rec = sample_batch(self.source, self.cfg, 7, [2], 3)[0]
-        states, outputs = alone(self.source, self.cfg, derive_seed(7, 2, 0), 2)
+        states, outputs = alone(self.base, self.cfg, derive_seed(7, 2, 0), 2)
         np.testing.assert_array_equal(rec["states"], states.astype(np.float32))
         np.testing.assert_array_equal(rec["outputs"], outputs.astype(np.float32))
 
@@ -206,7 +211,7 @@ class TestNeuralDeterminism:
     def test_subset_bitwise_stable(self, model):
         sched = make_schedule("karras-like", 8, 0.05, 8.0)
         cfg = SamplerConfig(schedule=sched, record_outputs=False)
-        src = NeuralSource(model)
+        src = plain(NeuralSource(model))
         big = sample_batch(src, cfg, 13, [1], 7)
         small = sample_batch(src, cfg, 13, [1], 3)
         assert big[:3].tobytes() == small.tobytes()
@@ -217,40 +222,38 @@ class TestNeuralDeterminism:
         sched = make_schedule("karras-like", 8, 0.05, 8.0)
         cfg = SamplerConfig(schedule=sched, record_outputs=False)
         src = NeuralSource(model)
-        rec = sample_batch(src, cfg, 50, [1], 5)[0]
+        rec = sample_batch(plain(src), cfg, 50, [1], 5)[0]
         states, _ = alone(src, cfg, derive_seed(50, 1, 0), 1)
         np.testing.assert_array_equal(rec["states"], states.astype(np.float32))
 
 
 class _BlowupSource:
-    """Poisons one chosen row after a few steps.  A huge finite output would
-    not do: the update x + h*(x - D)/sigma moves toward D without passing it,
-    so only a non-finite output actually breaks the state."""
+    """Poisons one chosen row once sigma falls to a given level.  A huge
+    finite output would not do: the update x + h*(x - D)/sigma moves toward
+    D without passing it, so only a non-finite output actually breaks the
+    state."""
 
     dim = 2
 
-    def __init__(self, bad_row, from_step):
+    def __init__(self, bad_row, below):
         self.bad_row = bad_row
-        self.from_step = from_step
-
-    def bind(self, ctx):
-        pass
+        self.below = below
 
     def fingerprint(self):
         return 0
 
-    def evaluate(self, x, sigma_index, class_ids, ctx):
+    def denoise(self, x, sigma, mixtures):
         out = np.array(x)
-        if ctx.step >= self.from_step:
+        if sigma <= self.below:
             out[self.bad_row] = np.inf
-        return out
+        return [out for _ in mixtures]
 
 
 class _UnderflowSource(_BlowupSource):
-    def evaluate(self, x, sigma_index, class_ids, ctx):
-        if ctx.step >= self.from_step:
+    def denoise(self, x, sigma, mixtures):
+        if sigma <= self.below:
             raise DegeneratePointError("vanished")
-        return np.array(x)
+        return [np.array(x) for _ in mixtures]
 
 
 class TestFailurePaths:
@@ -259,31 +262,33 @@ class TestFailurePaths:
         self.cfg = SamplerConfig(schedule=self.sched, method="euler", record_outputs=False)
 
     def test_divergence_reports_class_index_step(self):
+        source = plain(_BlowupSource(bad_row=4, below=self.sched.sigmas[3]))
         with pytest.raises(DivergedError) as ei:
-            sample_batch(_BlowupSource(bad_row=4, from_step=3), self.cfg, 0, [7], 6)
+            sample_batch(source, self.cfg, 0, [7], 6)
         assert ei.value.class_id == 7
         assert ei.value.index == 4
         assert ei.value.step == 3
 
     def test_density_underflow_becomes_divergence(self):
+        source = plain(_UnderflowSource(bad_row=0, below=self.sched.sigmas[2]))
         with pytest.raises(DivergedError) as ei:
-            sample_batch(_UnderflowSource(bad_row=0, from_step=2), self.cfg, 0, [1], 3)
+            sample_batch(source, self.cfg, 0, [1], 3)
         assert ei.value.step == 2
 
     def test_mixed_class_kinds_rejected(self):
-        src = AnalyticSource(preset("balanced2d"))
+        src = plain(AnalyticSource(preset("balanced2d")))
         with pytest.raises(InvalidArgumentError):
             sample_batch(src, self.cfg, 0, [1, None], 2)
 
     def test_class_ids_must_fit_the_record(self):
         # -1 marks an unconditional record, and class_id is stored as i4
-        src = AnalyticSource(preset("balanced2d"))
+        src = plain(AnalyticSource(preset("balanced2d")))
         for c in (-1, -3, 2**31, 2**70):
             with pytest.raises(InvalidArgumentError):
                 sample_batch(src, self.cfg, 0, [c], 2)
 
     def test_n_per_class_validated(self):
-        src = AnalyticSource(preset("balanced2d"))
+        src = plain(AnalyticSource(preset("balanced2d")))
         with pytest.raises(InvalidArgumentError):
             sample_batch(src, self.cfg, 0, [1], 0)
 
@@ -297,24 +302,25 @@ class TestSampleQuality:
         spec = preset("balanced2d")
         sched = make_schedule("karras-like", 32, 0.01, 10.0)
         cfg = SamplerConfig(schedule=sched, record_outputs=False)
-        gen = sample_batch(AnalyticSource(spec), cfg, 2, [3], 2000)["states"][:, -1].astype(np.float64)
-        ref = exact_sampler(spec, Rng(77), class_id=3, n=4000)
+        gen = sample_batch(plain(AnalyticSource(spec)), cfg, 2, [3], 2000)["states"][:, -1].astype(np.float64)
+        ref = exact_sampler(spec, np.random.default_rng(77), class_id=3, n=4000)
         assert frechet_distance(gen, ref) < 0.05
 
 
-class _PerClassSource(ScoreSource):
-    """The analytic oracle evaluated the plain way: one `ideal_denoiser`
-    call per class present, on that class's rows, and one on the marginal,
-    each from that mixture's own components (`tests.oracles`).
-    It defines only evaluate, so guidance reaches it through the default
-    evaluate_pair (two evaluate calls)."""
+class _PerClassSource:
+    """The analytic oracle evaluated the plain way: for each mixture asked
+    for, one `ideal_denoiser` call per class present, on that class's rows,
+    or one on the marginal, each from that mixture's own components
+    (`tests.oracles`)."""
 
     def __init__(self, spec):
         self.spec = spec
         self.dim = spec.dim
 
-    def evaluate(self, x, sigma_index, class_ids, ctx):
-        sigma = float(ctx.schedule.sigmas[sigma_index])
+    def denoise(self, x, sigma, mixtures):
+        return [self.one(x, float(sigma), m) for m in mixtures]
+
+    def one(self, x, sigma, class_ids):
         if class_ids is None:
             return ideal_denoiser(self.spec, x, sigma, None)
         out = np.empty_like(x)
@@ -371,57 +377,54 @@ class TestSharedComponentOracle:
     )
     def test_matches_per_class_denoiser(self, spec, every):
         sched = reference_schedule()
-        ctx = StepContext(schedule=sched, seeds=np.zeros(1, dtype=np.uint64))
         src, ref = AnalyticSource(spec), _PerClassSource(spec)
         ids = np.array(spec.class_ids)
         rng = np.random.default_rng(21)
         for n in (1, 2, 3, 1024):
             for k in range(0, sched.T, every):
-                x = rng.standard_normal((n, 2)) * (2.0 + sched.sigmas[k])
+                sigma = sched.sigmas[k]
+                x = rng.standard_normal((n, 2)) * (2.0 + sigma)
                 cls = rng.choice(ids, size=n)
-                d1, d0 = src.evaluate_pair(x, k, cls, ctx)
-                want1, want0 = ref.evaluate(x, k, cls, ctx), ref.evaluate(x, k, None, ctx)
+                d1, d0 = src.denoise(x, sigma, [cls, None])
+                want1, want0 = ref.denoise(x, sigma, [cls, None])
                 np.testing.assert_array_equal(d1, want1)
                 np.testing.assert_array_equal(d0, want0)
-                np.testing.assert_array_equal(src.evaluate(x, k, cls, ctx), want1)
-                np.testing.assert_array_equal(src.evaluate(x, k, None, ctx), want0)
+                np.testing.assert_array_equal(src.denoise(x, sigma, [cls])[0], want1)
+                np.testing.assert_array_equal(src.denoise(x, sigma, [None])[0], want0)
 
     def test_unconditional_pair_is_marginal_twice(self):
+        # unconditional CFG asks for the marginal as both branches
         spec = preset("imbalanced2d")
-        sched = reference_schedule()
-        ctx = StepContext(schedule=sched, seeds=np.zeros(1, dtype=np.uint64))
+        sigma = reference_schedule().sigmas[10]
         x = np.random.default_rng(3).standard_normal((5, 2))
-        d1, d0 = AnalyticSource(spec).evaluate_pair(x, 10, None, ctx)
-        want = ideal_denoiser(spec, x, float(sched.sigmas[10]), None)
+        d1, d0 = AnalyticSource(spec).denoise(x, sigma, [None, None])
+        want = ideal_denoiser(spec, x, float(sigma), None)
         np.testing.assert_array_equal(d1, want)
         np.testing.assert_array_equal(d0, want)
 
     def test_underflow_raises_on_both_branches(self):
         src = AnalyticSource(preset("imbalanced2d"))
-        ctx = StepContext(schedule=reference_schedule(), seeds=np.zeros(2, dtype=np.uint64))
+        sigma = reference_schedule().sigmas[5]
         x = np.array([[0.0, 0.0], [1e200, -1e200]])
         cls = np.array([1, 2])
-        with pytest.raises(DegeneratePointError):
-            src.evaluate(x, 5, cls, ctx)
-        with pytest.raises(DegeneratePointError):
-            src.evaluate(x, 5, None, ctx)
-        with pytest.raises(DegeneratePointError):
-            src.evaluate_pair(x, 5, cls, ctx)
-        with pytest.raises(DegeneratePointError):
-            src.evaluate_pair(x, 5, None, ctx)
+        for mixtures in ([cls], [None], [cls, None], [None, None]):
+            with pytest.raises(DegeneratePointError):
+                src.denoise(x, sigma, mixtures)
 
     def test_inputs_validated(self):
         src = AnalyticSource(preset("imbalanced2d"))
-        ctx = StepContext(schedule=reference_schedule(), seeds=np.zeros(2, dtype=np.uint64))
+        sigma = reference_schedule().sigmas[0]
         x = np.zeros((2, 2))
         with pytest.raises(NotFoundError):
-            src.evaluate_pair(x, 0, np.array([1, 9]), ctx)
+            src.denoise(x, sigma, [np.array([1, 9]), None])
         with pytest.raises(InvalidArgumentError):
-            src.evaluate_pair(np.zeros((2, 3)), 0, np.array([1, 2]), ctx)
+            src.denoise(np.zeros((2, 3)), sigma, [np.array([1, 2]), None])
         with pytest.raises(InvalidArgumentError):
-            src.evaluate(np.array([[0.0, np.nan], [0.0, 0.0]]), 0, None, ctx)
+            src.denoise(np.array([[0.0, np.nan], [0.0, 0.0]]), sigma, [None])
         with pytest.raises(InvalidArgumentError):
-            src.evaluate(x, 0, np.array([1]), ctx)
+            src.denoise(x, sigma, [np.array([1])])
+        with pytest.raises(InvalidArgumentError):
+            src.denoise(x, 0.0, [None])
 
 
 @pytest.fixture(scope="module")

@@ -1,12 +1,14 @@
-"""Schedules, seed derivation, rng streams, and trajectory records."""
+"""Schedules, seed derivation, per-trajectory streams, and trajectory records."""
 
 import numpy as np
 import pytest
 
 from famelab.errors import InvalidArgumentError, MalformedFileError
+from famelab.gmm import preset
+from famelab.guidance import GuidanceConfig, guided_source
+from famelab.sampler import AnalyticSource, SamplerConfig, sample_batch
 from famelab.schedule import (
     NoiseSchedule,
-    Rng,
     derive_seed,
     load_trajectories,
     make_schedule,
@@ -99,15 +101,20 @@ class TestSeeds:
         assert 0 <= s < 2**64
 
     def test_rng_reproducible(self):
-        a = Rng(42).standard_normal(16)
-        b = Rng(42).standard_normal(16)
-        c = Rng(43).standard_normal(16)
-        np.testing.assert_array_equal(a, b)
-        assert not np.array_equal(a, c)
+        # a record's seed alone replays its stream: the initial state is
+        # numpy's default_rng(seed) noise scaled to sigma_max
+        sched = make_schedule("karras-like", 4, 0.05, 8.0)
+        source = guided_source(AnalyticSource(preset("balanced2d")), None, GuidanceConfig())
+        cfg = SamplerConfig(schedule=sched, record_outputs=False)
+        batch = sample_batch(source, cfg, 42, [1, 2], 3)
+        assert len(set(batch["seed"].tolist())) == 6
+        for rec in batch:
+            x0 = np.random.default_rng(rec["seed"]).standard_normal(2) * sched.sigmas[0]
+            np.testing.assert_array_equal(rec["states"][0], x0.astype(np.float32))
 
 
 def _records(n=1, T=5, d=2, seed=99, class_id=3, score=float("nan")):
-    rng = Rng(seed)
+    rng = np.random.default_rng(seed)
     r = new_trajectories(n, T, d)
     r["seed"] = [seed + i for i in range(n)]
     r["class_id"] = class_id
