@@ -121,20 +121,9 @@ def cmd_sweep(cfg, args):
 
 def cmd_compare(cfg, args):
     if args.config_b:
-        cfg_b = _resolve_config(
-            argparse.Namespace(
-                config=args.config_b,
-                name=None,
-                seed=args.seed,
-                out=args.out,
-                workers=args.workers,
-                w=None,
-                f=None,
-                tau=None,
-                pool=None,
-                n_per_class=args.n_per_class,
-            )
-        )
+        # side b takes every common flag but the name and guidance of side a
+        side_b = dict(vars(args), config=args.config_b, name=None, w=None, f=None, tau=None)
+        cfg_b = _resolve_config(argparse.Namespace(**side_b))
     else:
         g = {}
         for axis in ("w", "f", "tau"):

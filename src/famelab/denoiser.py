@@ -13,7 +13,7 @@ token.  Training is plain denoising score matching with label dropout, so one
 network answers both conditional and unconditional queries.
 
 There are two forward passes over the same arithmetic.  `_denoise` is the
-inference pass (sampling, `MlpDenoiser.forward`): it keeps no activations and
+inference pass (`sampler.NeuralSource.denoise`): it keeps no activations and
 runs the hidden layers through two (n, HIDDEN) buffers that swap roles from
 layer to layer, with the SiLU gate, bias adds and matmuls written into them.
 `_apply` is the training pass: it keeps every pre-activation and gate for the
@@ -39,7 +39,6 @@ import numpy as np
 from .errors import (
     InvalidArgumentError,
     MalformedFileError,
-    NotFoundError,
     TrainingDivergedError,
     check_int,
     check_real,
@@ -171,38 +170,6 @@ class MlpDenoiser:
         for k, shape in want.items():
             if params[k].shape != shape:
                 raise InvalidArgumentError(f"param {k} has shape {params[k].shape}, want {shape}")
-
-    def _tokens(self, class_id, n):
-        if class_id is None:
-            return np.zeros(n, dtype=np.int64)
-        if np.isscalar(class_id):
-            class_id = np.full(n, class_id, dtype=np.int64)
-        tokens = np.asarray(class_id, dtype=np.int64)
-        if tokens.shape != (n,):
-            raise InvalidArgumentError("class ids must be scalar or one per sample")
-        if tokens.min() < 0 or tokens.max() > self.n_classes:
-            raise NotFoundError(
-                f"class token out of range [0, {self.n_classes}]: {tokens.min()}..{tokens.max()}"
-            )
-        return tokens
-
-    def forward(self, x, sigma, class_id=None) -> np.ndarray:
-        """Denoise x at noise level sigma; class_id None means unconditional.
-
-        Accepts a single vector or an (n, d) batch; sigma may be scalar or
-        per-sample, class_id None, scalar, or per-sample tokens (0 = null).
-        """
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        X = np.atleast_2d(x)
-        if X.shape[1] != self.dim:
-            raise InvalidArgumentError(f"input dim {X.shape[1]} != model dim {self.dim}")
-        sig = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (len(X),))
-        if np.any(sig <= 0) or not np.all(np.isfinite(sig)):
-            raise InvalidArgumentError("sigma must be positive finite")
-        tokens = self._tokens(class_id, len(X))
-        D = _denoise(self.params, X, sig, tokens)
-        return D[0] if single else D
 
     def flat_params(self) -> np.ndarray:
         return np.concatenate([self.params[k].ravel() for k in _PARAM_KEYS])

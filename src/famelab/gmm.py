@@ -7,7 +7,10 @@ form.  Each component's covariance is eigendecomposed once at construction;
 every noise level then reuses the same rotation with shifted eigenvalues.
 
 Only this module knows how mixtures lay out over the component table:
-`GmmSpec.evaluate` is the one mixture evaluation every caller uses.
+`GmmSpec.evaluate` is the one mixture evaluation every caller uses.  It runs
+the kernel in two parts: `gmm_terms` computes the weight-free terms of each
+component it needs once, and `gmm_reduce` does the weighted log-sum-exp and
+posterior mean over one mixture's columns of them.
 
 Class ids are positive integers; id 0 is reserved for the unconditional
 (null) token used by trainable denoisers.
@@ -15,16 +18,91 @@ Class ids are positive integers; id 0 is reserved for the unconditional
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import InvalidArgumentError, NotFoundError
 
 PRESET_NAMES = ("balanced2d", "imbalanced2d")
+
+# ---------------------------------------------------------------------------
+# The mixture kernel, on float64 C-contiguous arrays: X (n, d) points, means
+# (K, d), qmats (K, d, d) eigenvectors Q and lams (K, d) eigenvalues with
+# Sigma = Q diag(lams) Q^T, sig2 the squared noise level.  Row i of every
+# result is computed from row i of X alone (broadcast multiply-adds and
+# row-wise reductions, never a batched matmul), so it has the same bits
+# whatever the batch size.
+
+LOG_2PI = math.log(2.0 * math.pi)
+
+
+def _rotate(planes, qmats):
+    """Q v per component, for v given as d (n, K) planes: plane a of the
+    result is sum_b Q[:, a, b] * v_b."""
+    d = len(planes)
+    out = []
+    for a in range(d):
+        acc = planes[0] * qmats[:, a, 0]
+        for b in range(1, d):
+            acc = acc + planes[b] * qmats[:, a, b]
+        out.append(acc)
+    return out
+
+
+def gmm_terms(X, means, qmats, lams, sig2):
+    """The weight-free part of the mixture evaluation at sigma = sqrt(sig2).
+
+    Returns (logdet, quad, pm): logdet (K,) the log determinant of each
+    noised covariance Sigma + sig2 I, quad (n, K) the squared Mahalanobis
+    distance of each point under it (at sig2 = 0, under Sigma itself), and
+    pm (n, K, d) each component's posterior mean E[x0 | x, k].  Every column
+    depends on its own component alone, so a caller may evaluate a table of
+    components once and hand any selection of its columns to `gmm_reduce`.
+    """
+    d = X.shape[1]
+    den = lams + sig2
+    # w = Q^T (x - mu) per component; sd = w / den is Sigma_sigma^-1 (x - mu)
+    # in the eigenbasis
+    w = _rotate([X[:, b, None] - means[:, b] for b in range(d)], qmats.transpose(0, 2, 1))
+    sd = [w[a] / den[:, a] for a in range(d)]
+    with np.errstate(over="ignore"):  # quad = inf far from every component
+        quad = sd[0] * w[0]
+        for a in range(1, d):
+            quad = quad + sd[a] * w[a]
+    logdet = np.log(den).sum(axis=1)
+    # posterior mean_k = mu + Q (sd * lam)
+    shrunk = _rotate([sd[b] * lams[:, b] for b in range(d)], qmats)
+    pm = np.stack([means[:, a] + shrunk[a] for a in range(d)], axis=-1)
+    return logdet, quad, pm
+
+
+def gmm_reduce(const, quad, pm):
+    """The weighted reduction over the components of one mixture.
+
+    const holds logw - 0.5 * (d log 2pi + logdet) per component, either one
+    (1, K) row for every point or an (n, K) row per point; quad (n, K) and
+    pm (n, K, d) are `gmm_terms` columns in the same component order.
+    Returns (logp, resp, denoise): the log density, the posterior
+    responsibilities and the posterior mean E[x0 | x].
+
+    The row sums run over C-ordered (n, K) arrays, where numpy adds K >= 8
+    terms pairwise; over a column-major array (what `quad[:, cols]` returns)
+    it adds them one by one, so logcomp is made C-ordered first.
+    """
+    logcomp = np.ascontiguousarray(const - 0.5 * quad)
+    m = logcomp.max(axis=1)
+    safe = np.where(np.isfinite(m), m, 0.0)
+    e = np.exp(logcomp - safe[:, None])
+    s = e.sum(axis=1)
+    with np.errstate(divide="ignore"):
+        logp = safe + np.log(s)
+    resp = e / np.maximum(s, 1e-300)[:, None]
+    denoise = np.einsum("nk,nka->na", resp, pm)
+    return logp, resp, denoise
 
 
 @dataclass(frozen=True)
@@ -238,20 +316,20 @@ class GmmSpec:
             need[r] = True
         cols = np.unique(self._cols[need])
         t = self.table
-        logdet, quad, pm = _kernels.gmm_terms(
+        logdet, quad, pm = gmm_terms(
             X, t.means[cols], t.qmats[cols], t.lams[cols], float(sigma) ** 2
         )
         # every mixture's columns in this pass, and their constant terms
         pos = np.zeros(len(t.means), dtype=np.intp)
         pos[cols] = np.arange(len(cols))
         mcols = pos[self._cols]
-        const = self._logw - 0.5 * (d * _kernels.LOG_2PI + logdet[mcols])
+        const = self._logw - 0.5 * (d * LOG_2PI + logdet[mcols])
         out = []
         for r in rows:
             if np.ndim(r) == 0:
                 c = mcols[r, : self._width[r]]
                 q = np.take(quad, c, axis=1)
-                got = _kernels.gmm_reduce(const[r, None, : len(c)], q, np.take(pm, c, axis=1))
+                got = gmm_reduce(const[r, None, : len(c)], q, np.take(pm, c, axis=1))
                 out.append((*got, q))
                 continue
             widths = self._width[r]
@@ -260,28 +338,16 @@ class GmmSpec:
                 # flat indices of each point's own columns in the pass
                 pts = np.flatnonzero(widths == k)
                 flat = mcols[r[pts], :k] + pts[:, None] * len(cols)
-                logp[pts], _, denoise[pts] = _kernels.gmm_reduce(
+                logp[pts], _, denoise[pts] = gmm_reduce(
                     const[r[pts], :k], quad.ravel().take(flat), pm.reshape(-1, d).take(flat, axis=0)
                 )
             out.append((logp, None, denoise, None))
         return out
 
-    def components(self, class_id):
-        if class_id not in self.classes:
-            raise NotFoundError(f"unknown class id {class_id!r}")
-        return self.classes[class_id]
-
     def fingerprint(self) -> int:
-        import hashlib
-
         blob = json.dumps(_spec_to_dict(self), sort_keys=True).encode()
         h = hashlib.blake2b(blob, digest_size=8)
         return int.from_bytes(h.digest(), "little")
-
-    def __eq__(self, other):
-        if not isinstance(other, GmmSpec):
-            return NotImplemented
-        return _spec_to_dict(self) == _spec_to_dict(other)
 
 
 def check_points(spec, x, sigma):

@@ -9,9 +9,10 @@ fraction of normalized denoising time; tau = 1 applies it from the very first
 step, tau = 0 disables it entirely.
 
 `GuidedSource.step` is that blend as one pure call: it asks the base source
-for d1 (and d0 when w != 1) in one `denoise` call, reads d_neg from the pool
-records `bind` chose, and returns the guided output with d1, which the
-sampler records as the trajectory's conditional output.
+for d1 (and d0 when a conditional step has w != 1) in one `denoise` call,
+reads d_neg from the pool records `bind` chose, and returns the guided
+output with d1, which the sampler records as the trajectory's conditional
+output.
 """
 
 from __future__ import annotations
@@ -110,10 +111,10 @@ class GuidedSource:
     The sampler's one source: `bind` ties each trajectory of a chunk to a
     pool record, and `step` gives the guided output at one level together
     with the conditional output it was built from.  The base is asked for
-    the unconditional output only when the effective w differs from 1, and
-    then for both in one `denoise` call; the pool is only consulted inside
-    the activation window, so plain conditional sampling and plain CFG pay
-    nothing for the machinery.
+    the unconditional output only when the effective w differs from 1 on
+    conditional trajectories, and then for both in one `denoise` call; the
+    pool is only consulted inside the activation window, so plain
+    conditional sampling and plain CFG pay nothing for the machinery.
     """
 
     def __init__(self, base, pool, cfg: GuidanceConfig):
@@ -141,7 +142,8 @@ class GuidedSource:
         """(guided output, conditional output) at level k of the schedule;
         neg is what `bind` returned for these trajectories."""
         T = schedule.T
-        w = effective_w(self.cfg, k, T)
+        # unconditionally d1 is d0, and w*d0 + (1-w)*d0 is d0 up to rounding
+        w = 1.0 if class_ids is None else effective_w(self.cfg, k, T)
         sigma = schedule.sigmas[k]
         if w != 1.0:
             d1, d0 = self.base.denoise(x, sigma, [class_ids, None])

@@ -2,8 +2,10 @@
 
 Scorers map final samples to scalar quality; distribution fidelity is
 measured by Frechet distance between gaussian moment fits and k-NN manifold
-precision/recall.  Mixture-aware helpers assign samples to
-components so runs can report how much mass landed in low-quality modes.
+precision/recall over scipy's squared distances (`pairwise_sqdist`).
+Mixture-aware helpers assign samples to components through
+`GmmSpec.evaluate` so runs can report how much mass landed in low-quality
+modes.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ import subprocess
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
-from ._kernels import pairwise_sqdist
 from .errors import InvalidArgumentError, ScorerFailedError
 from .gmm import GmmSpec, _eval, noised_log_density, responsibilities
 
@@ -135,6 +137,21 @@ def make_scorer(spec, ident: str):
 # Distribution distances
 
 
+def check_sample_size(n_per_class, n_classes, dim) -> None:
+    """Raise InvalidArgumentError unless `evaluate` can measure n_per_class
+    samples of dimension dim in each of n_classes classes: each class's
+    Frechet fit needs dim + 1 of them, the pooled k-NN metrics KNN_K + 1."""
+    if n_per_class < dim + 1:
+        raise InvalidArgumentError(
+            f"evaluation needs n_per_class >= d+1 = {dim + 1}, got {n_per_class}"
+        )
+    if n_per_class * n_classes < KNN_K + 1:
+        raise InvalidArgumentError(
+            f"evaluation needs at least k+1 = {KNN_K + 1} samples over all classes, "
+            f"got {n_per_class * n_classes}"
+        )
+
+
 def _moments(x):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -192,6 +209,11 @@ def frechet_with_flag(a, b) -> tuple[float, bool]:
 def frechet_distance(a, b) -> float:
     """Frechet distance between gaussian fits of two sample sets."""
     return frechet_with_flag(a, b)[0]
+
+
+def pairwise_sqdist(a, b):
+    """Squared euclidean distances, shape (len(a), len(b))."""
+    return cdist(a, b, "sqeuclidean")
 
 
 def precision_recall(gen, real, k: int = KNN_K) -> tuple[float, float]:

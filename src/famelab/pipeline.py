@@ -29,6 +29,7 @@ from .gmm import GmmSpec, PRESET_NAMES, exact_sampler, load_spec, preset, save_s
 from .guidance import GuidanceConfig, guided_source
 from .metrics import (
     EvalReport,
+    check_sample_size,
     class_report_csv,
     evaluate,
     make_scorer,
@@ -259,6 +260,7 @@ class Experiment:
 
 def run_pipeline(cfg: ExperimentConfig) -> EvalReport:
     exp = Experiment(cfg)
+    check_sample_size(cfg.n_per_class, len(exp.classes), exp.spec.dim)
     (exp.run_dir / "config.echo").write_text(_dumps(config_to_dict(cfg)))
     exp.write_dataset()
     batch = exp.stage("sample", lambda: exp.sample(cfg.guidance, cfg.save_trajectories))
@@ -279,9 +281,11 @@ def run_sweep(cfg: ExperimentConfig, sweep: SweepSpec) -> list:
     pool, and per-trajectory seeds; returns [(value, EvalReport | None), ...]
     and writes the table CSV.  A failed row is recorded and skipped; a failed
     stage of the shared setup ends the sweep.  Every row's guidance is
-    checked before anything is written."""
+    checked before anything is written, and the sample size before anything
+    is sampled."""
     guidances = [replace(cfg.guidance, **{sweep.axis: value}) for value in sweep.values]
     exp = Experiment(cfg)
+    check_sample_size(cfg.n_per_class, len(exp.classes), exp.spec.dim)
     # the shared pool is built at the config's own w, also on a w sweep; an f
     # sweep from f=0 builds it in its first replaying row, at that same w
     exp.pool(cfg.guidance)
@@ -328,6 +332,7 @@ def compare_paired(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig) -> PairedCo
     if not _comparable(cfg_a, cfg_b):
         raise InvalidArgumentError("compared configs may differ only in guidance")
     exp = Experiment(replace(cfg_a, name=f"{cfg_a.name}_vs_{cfg_b.name}"))
+    check_sample_size(cfg_a.n_per_class, len(exp.classes), exp.spec.dim)
     # the pool both sides share is built at b's w when b replays
     exp.pool(cfg_b.guidance)
     samples_a, report_a = exp.stage("sample", lambda: exp.evaluate(exp.sample(cfg_a.guidance)))

@@ -124,17 +124,6 @@ class FailurePool:
         """Cached denoiser outputs of the bound records at one step."""
         return self._outputs[np.asarray(indices), step]
 
-    def __eq__(self, other):
-        if not isinstance(other, FailurePool):
-            return NotImplemented
-        return (
-            self.mode == other.mode
-            and self.schedule_hash == other.schedule_hash
-            and self.source_hash == other.source_hash
-            and self.records.dtype == other.records.dtype
-            and self.records.tobytes() == other.records.tobytes()
-        )
-
 
 @dataclass(frozen=True)
 class PoolBuildConfig:

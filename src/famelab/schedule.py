@@ -67,12 +67,11 @@ def derive_seed(base_seed: int, *keys: int) -> int:
     return h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseSchedule:
     """Strictly decreasing noise levels sigma_0 > ... > sigma_T = 0."""
 
     sigmas: np.ndarray
-    kind: str = "custom"
 
     def __post_init__(self):
         sig = np.asarray(self.sigmas, dtype=np.float64)
@@ -92,26 +91,9 @@ class NoiseSchedule:
     def T(self) -> int:
         return len(self.sigmas) - 1
 
-    @property
-    def sigma_max(self) -> float:
-        return float(self.sigmas[0])
-
-    @property
-    def sigma_min(self) -> float:
-        """Smallest nonzero level."""
-        return float(self.sigmas[-2])
-
     def fingerprint(self) -> int:
         h = hashlib.blake2b(self.sigmas.tobytes(), digest_size=8)
         return int.from_bytes(h.digest(), "little")
-
-    def __eq__(self, other):
-        if not isinstance(other, NoiseSchedule):
-            return NotImplemented
-        return np.array_equal(self.sigmas, other.sigmas)
-
-    def __hash__(self):
-        return hash(self.sigmas.tobytes())
 
 
 def make_schedule(kind: str, T: int, sigma_min: float, sigma_max: float) -> NoiseSchedule:
@@ -142,7 +124,7 @@ def make_schedule(kind: str, T: int, sigma_min: float, sigma_max: float) -> Nois
                 sigma_max**inv_rho + ramp * (sigma_min**inv_rho - sigma_max**inv_rho)
             ) ** KARRAS_RHO
             sig = np.concatenate([body, [0.0]])
-    return NoiseSchedule(sig, kind=kind)
+    return NoiseSchedule(sig)
 
 
 def trajectory_dtype(T: int, d: int, outputs: bool = True) -> np.dtype:

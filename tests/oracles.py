@@ -16,9 +16,8 @@ import math
 
 import numpy as np
 
-from famelab._kernels import gmm_reduce, gmm_terms
 from famelab.errors import DegeneratePointError, InvalidArgumentError
-from famelab.gmm import check_points
+from famelab.gmm import check_points, gmm_reduce, gmm_terms
 
 LOG_2PI = math.log(2.0 * math.pi)
 

@@ -151,6 +151,28 @@ class TestExitCodes:
         path = write_config(tmp_path)
         assert main(["compare", "--config", path]) == 1
 
+    def test_evaluation_too_small_is_one_before_sampling(self, tmp_path, capsys):
+        # each class's Frechet fit needs d+1 = 3 samples and the pooled k-NN
+        # metrics k+1 = 4: a run that could not measure its samples fails
+        # before any file (a pool, a trajectory) is written
+        path = write_config(tmp_path)
+        one_class = write_config(tmp_path, name="one", classes=(1,))
+        cases = (
+            (path, ["evaluate", "--n-per-class", "2"]),
+            (path, ["sweep", "--n-per-class", "1", "--axis", "f", "--values", "0,0.02"]),
+            (path, ["compare", "--n-per-class", "2", "--f-b", "0.05"]),
+            (one_class, ["evaluate", "--n-per-class", "3"]),
+        )
+        for config, (command, *flags) in cases:
+            assert main([command, "--config", config, *flags]) == 1, (command, flags)
+            assert "error:" in capsys.readouterr().err
+            assert not [p for p in (tmp_path / "out").rglob("*") if p.is_file()], (command, flags)
+
+    def test_sample_and_build_pool_take_one_per_class(self, tmp_path):
+        path = write_config(tmp_path)
+        assert main(["sample", "--config", path, "--n-per-class", "1"]) == 0
+        assert main(["build-pool", "--config", path, "--n-per-class", "1"]) == 0
+
 
 class TestStdout:
     def test_dataset_lists_classes_and_tags(self, tmp_path, capsys):
@@ -217,6 +239,18 @@ class TestStdout:
         out = capsys.readouterr().out
         assert "pairs             : 50" in out
         assert "frechet a / b" in out
+
+    def test_compare_config_b_takes_the_common_flags(self, tmp_path, capsys):
+        # side b gets every common flag but --name and the guidance flags, so
+        # a pool given with --pool serves both sides
+        path_a = write_config(tmp_path, name="a")
+        path_b = write_config(tmp_path, name="b", guidance=GuidanceConfig(w=1.5, f=0.05, tau=0.3))
+        assert main(["build-pool", "--config", path_b]) == 0
+        pool = str(tmp_path / "out" / "b" / "pool.fmpl")
+        argv = ["compare", "--config", path_a, "--config-b", path_b, "--pool", pool, "--n-per-class", "10"]
+        assert main(argv) == 0
+        assert "pairs             : 20" in capsys.readouterr().out
+        assert not (tmp_path / "out" / "a_vs_b" / "pool.fmpl").exists()
 
     def test_train_reports_parameter_count(self, tmp_path, capsys):
         from famelab.denoiser import TrainConfig

@@ -16,8 +16,8 @@ from famelab.guidance import (
 )
 from famelab.metrics import ComponentTagScorer
 from famelab.pool import FailurePool, PoolBuildConfig, build_pool
-from famelab.sampler import AnalyticSource, SamplerConfig, sample_batch
-from famelab.schedule import make_schedule
+from famelab.sampler import AnalyticSource, SamplerConfig, _integrate_chunk, sample_batch
+from famelab.schedule import derive_seed, make_schedule
 from tests.oracles import analytic_score, ideal_denoiser
 
 
@@ -312,6 +312,20 @@ class TestGuidedSource:
             assert guided is d1
             np.testing.assert_array_equal(d1, want)
         assert spy.asked == [1, 1, 1]
+
+    @pytest.mark.parametrize("f", [0.0, 0.05])
+    def test_unconditional_asks_for_the_marginal_once(self, small_pool, f):
+        # unconditionally d1 is d0, so w != 1 is run as w = 1: each call asks
+        # the base for one mixture, and the float64 states are a w = 1 run's
+        seeds = [derive_seed(3, -1, i) for i in range(5)]
+        labels = [(None, i) for i in range(5)]
+        states = {}
+        for w in (1.5, 1.0):
+            spy = SpyBase(self.base)
+            src = guided_source(spy, small_pool if f else None, GuidanceConfig(w=w, f=f, tau=0.5))
+            states[w], _ = _integrate_chunk(src, self.cfg, seeds, None, labels, False)
+            assert spy.asked and set(spy.asked) == {1}
+        np.testing.assert_array_equal(states[1.5], states[1.0])
 
     def test_recorded_outputs_are_conditional_not_combined(self, small_pool):
         # the cache must hold D1 at the trajectory's states even though the

@@ -14,9 +14,9 @@ import math
 
 import numpy as np
 
-from famelab._kernels import gmm_reduce, gmm_terms, pairwise_sqdist
 from famelab.config import ExperimentConfig
-from famelab.gmm import preset
+from famelab.gmm import gmm_reduce, gmm_terms, preset
+from famelab.metrics import pairwise_sqdist
 from famelab.schedule import make_schedule
 from tests.oracles import gmm_eval, pack_arrays
 

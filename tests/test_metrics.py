@@ -255,7 +255,7 @@ class TestScorers:
     def test_component_tag_at_mode_centers(self):
         spec = preset("imbalanced2d")
         scorer = ComponentTagScorer(spec)
-        good_center = spec.components(1)[0].mean
+        good_center = spec.classes[1][0].mean
         np.testing.assert_allclose(scorer(good_center[None], 1), [2.6], atol=1e-6)
         np.testing.assert_allclose(scorer(np.zeros((1, 2)), 1), [1.4], atol=1e-3)
 
@@ -312,7 +312,7 @@ class TestScorers:
 class TestModeAssignment:
     def test_centers_assigned_to_own_component(self):
         spec = preset("imbalanced2d")
-        good = spec.components(3)[0].mean
+        good = spec.classes[3][0].mean
         x = np.vstack([good, np.zeros(2)])
         np.testing.assert_array_equal(assign_modes(spec, x, 3), [0, 1])
 
@@ -351,7 +351,7 @@ class TestModeAssignment:
 
     def test_mode_stats_fractions(self):
         spec = preset("imbalanced2d")
-        good = spec.components(2)[0].mean
+        good = spec.classes[2][0].mean
         x = np.vstack([np.tile(good, (6, 1)), np.zeros((3, 2)), [[40.0, 40.0]]])
         ms = mode_stats(spec, x, 2)
         assert ms.n == 10

@@ -423,7 +423,8 @@ class TestPoolIO:
         p = tmp_path / "pool.fmpl"
         save_pool(io_pool, p)
         loaded = load_pool(p)
-        assert loaded == io_pool
+        assert loaded.records.dtype == io_pool.records.dtype
+        assert loaded.records.tobytes() == io_pool.records.tobytes()
         assert loaded.mode == io_pool.mode
         assert loaded.schedule_hash == io_pool.schedule_hash
         assert loaded.source_hash == io_pool.source_hash

@@ -55,7 +55,7 @@ class TestHandSteps:
 
     def test_two_euler_steps(self):
         spec = single_gaussian([0.0], 1.0)
-        sched = NoiseSchedule(np.array([1.0, 0.9, 0.0]), "custom")
+        sched = NoiseSchedule(np.array([1.0, 0.9, 0.0]))
         cfg = SamplerConfig(schedule=sched, method="euler")
         states, _ = alone(AnalyticSource(spec), cfg, 5, 1)
 
@@ -68,7 +68,7 @@ class TestHandSteps:
 
     def test_final_euler_step_lands_on_denoiser_output(self):
         spec = single_gaussian([1.5, -0.5], 0.7)
-        sched = NoiseSchedule(np.array([2.0, 0.8, 0.0]), "custom")
+        sched = NoiseSchedule(np.array([2.0, 0.8, 0.0]))
         cfg = SamplerConfig(schedule=sched, method="euler")
         states, _ = alone(AnalyticSource(spec), cfg, 11, 1)
         expected = ideal_denoiser(spec, states[1], 0.8, 1)
