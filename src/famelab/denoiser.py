@@ -16,16 +16,19 @@ There are two forward passes over the same arithmetic.  `_denoise` is the
 inference pass (`sampler.NeuralSource.denoise`): it keeps no activations and
 runs the hidden layers through two (n, HIDDEN) buffers that swap roles from
 layer to layer, with the SiLU gate, bias adds and matmuls written into them.
-`_apply` is the training pass: it keeps every pre-activation and gate for the
-backward pass, but still adds biases and forms gates in place.  Buffer reuse
-matters because a fresh (n, HIDDEN) float64 temporary of a megabyte or so is
-handed back to the operating system when freed, so the next one is faulted
-in page by page again; at n=1000 that page faulting, not the arithmetic,
-used to be most of a forward pass.  Every operation keeps its operands and
-order, so both passes give the same bits as the plain expressions.
+`_apply` is the training pass: it keeps each layer's input, pre-activation
+and gate for the backward pass, but still adds biases and forms gates in
+place.  Buffer reuse matters because a fresh (n, HIDDEN) float64 temporary
+of a megabyte or so is handed back to the operating system when freed, so
+the next one is faulted in page by page again; at n=1000 that page faulting,
+not the arithmetic, used to be most of a forward pass.  Every operation
+keeps its operands and order, so both passes give the same bits as the plain
+expressions.
 
-Gradients are handwritten reverse accumulation over the fixed architecture;
-the optimizer is Adam, updated in place.
+`_param_shapes` defines the layer stack (the class embedding, then each of
+the N_HIDDEN + 1 layers' weight and bias) and the order that `flat_params`
+and checkpoints use.  Gradients are handwritten reverse accumulation, one
+loop from the output layer down; the optimizer is Adam, updated in place.
 """
 
 from __future__ import annotations
@@ -56,23 +59,17 @@ CHECKPOINT_MAGIC = b"MLPD"
 CHECKPOINT_VERSION = 1
 _CKPT_HEADER = struct.Struct("<4sHIIIII")
 
-_PARAM_KEYS = ("emb", "w0", "b0", "w1", "b1", "w2", "b2", "w3", "b3")
-
 
 def _param_shapes(dim, n_classes):
-    """Each parameter's shape, in `_PARAM_KEYS` order."""
-    in_dim = dim + 2 * N_FREQ + EMBED_DIM
-    return {
-        "emb": (n_classes + 1, EMBED_DIM),
-        "w0": (in_dim, HIDDEN),
-        "b0": (HIDDEN,),
-        "w1": (HIDDEN, HIDDEN),
-        "b1": (HIDDEN,),
-        "w2": (HIDDEN, HIDDEN),
-        "b2": (HIDDEN,),
-        "w3": (HIDDEN, dim),
-        "b3": (dim,),
-    }
+    """Each parameter's shape, in checkpoint order: the class embedding, then
+    w{i}, b{i} of each of the N_HIDDEN + 1 layers, layer i taking fans[i]
+    features to fans[i + 1]."""
+    fans = [dim + 2 * N_FREQ + EMBED_DIM] + [HIDDEN] * N_HIDDEN + [dim]
+    shapes = {"emb": (n_classes + 1, EMBED_DIM)}
+    for i in range(N_HIDDEN + 1):
+        shapes[f"w{i}"] = (fans[i], fans[i + 1])
+        shapes[f"b{i}"] = (fans[i + 1],)
+    return shapes
 
 
 @dataclass(frozen=True)
@@ -111,11 +108,6 @@ def _gate(a, out):
     return out
 
 
-def _silu(a):
-    s = _gate(a, np.empty_like(a))
-    return a * s, s
-
-
 def _silu_grad(a, s):
     # s * (1 + a * (1 - s)) with one temporary
     t = 1.0 - s
@@ -141,25 +133,21 @@ def _fourier(sigma):
 
 
 class MlpDenoiser:
-    """3-hidden-layer SiLU MLP over (preconditioned x, sigma features,
-    class embedding)."""
+    """SiLU MLP with N_HIDDEN hidden layers over (c_in x, sigma features, class embedding)."""
 
     def __init__(self, dim: int, n_classes: int, params: dict | None = None, seed: int = 0):
         if dim < 1 or n_classes < 1:
             raise InvalidArgumentError("dim and n_classes must be positive")
         self.dim = dim
         self.n_classes = n_classes
-        in_dim = dim + 2 * N_FREQ + EMBED_DIM
         if params is None:
             rng = np.random.default_rng(seed)
-            params = {"emb": 0.5 * rng.standard_normal((n_classes + 1, EMBED_DIM))}
-            fan = in_dim
+            shapes = _param_shapes(dim, n_classes)
+            params = {k: np.zeros(shape) for k, shape in shapes.items()}
+            params["emb"] = 0.5 * rng.standard_normal(shapes["emb"])
             for i in range(N_HIDDEN):
-                params[f"w{i}"] = rng.standard_normal((fan, HIDDEN)) / np.sqrt(fan)
-                params[f"b{i}"] = np.zeros(HIDDEN)
-                fan = HIDDEN
-            params["w3"] = np.zeros((HIDDEN, dim))
-            params["b3"] = np.zeros(dim)
+                shape = shapes[f"w{i}"]
+                params[f"w{i}"] = rng.standard_normal(shape) / np.sqrt(shape[0])
         self._check_shapes(params)
         self.params = params
 
@@ -172,7 +160,9 @@ class MlpDenoiser:
                 raise InvalidArgumentError(f"param {k} has shape {params[k].shape}, want {shape}")
 
     def flat_params(self) -> np.ndarray:
-        return np.concatenate([self.params[k].ravel() for k in _PARAM_KEYS])
+        return np.concatenate(
+            [self.params[k].ravel() for k in _param_shapes(self.dim, self.n_classes)]
+        )
 
     def fingerprint(self) -> int:
         h = hashlib.blake2b(digest_size=8)
@@ -210,23 +200,23 @@ def _denoise(params, X, sig, tokens):
         _layer(a, params[f"w{i}"], params[f"b{i}"], out=g)
         a, g = g, a
     a *= _gate(a, g)
-    out = _layer(a, params["w3"], params["b3"])
+    out = _layer(a, params[f"w{N_HIDDEN}"], params[f"b{N_HIDDEN}"])
     return c_skip[:, None] * X + c_out[:, None] * out
 
 
 def _apply(params, X, sig, tokens):
-    """Training forward pass: D and the cache `loss_and_grad` backpropagates."""
+    """Training forward pass: D and the cache `loss_and_grad` backpropagates:
+    c_out, each hidden layer's (input, pre-activation, gate), the last input."""
     c_skip, c_out, h = _features(params, X, sig, tokens)
-    a0 = _layer(h, params["w0"], params["b0"])
-    h1, s0 = _silu(a0)
-    a1 = _layer(h1, params["w1"], params["b1"])
-    h2, s1 = _silu(a1)
-    a2 = _layer(h2, params["w2"], params["b2"])
-    h3, s2 = _silu(a2)
-    out = _layer(h3, params["w3"], params["b3"])
+    hidden = []
+    for i in range(N_HIDDEN):
+        a = _layer(h, params[f"w{i}"], params[f"b{i}"])
+        s = _gate(a, np.empty_like(a))
+        hidden.append((h, a, s))
+        h = a * s
+    out = _layer(h, params[f"w{N_HIDDEN}"], params[f"b{N_HIDDEN}"])
     D = c_skip[:, None] * X + c_out[:, None] * out
-    cache = (c_out, h, a0, s0, h1, a1, s1, h2, a2, s2, h3, tokens)
-    return D, cache
+    return D, (c_out, hidden, h)
 
 
 def loss_and_grad(model: MlpDenoiser, x0, sigma, tokens, eps):
@@ -241,8 +231,7 @@ def loss_and_grad(model: MlpDenoiser, x0, sigma, tokens, eps):
     tokens = np.asarray(tokens, dtype=np.int64)
     B = len(x0)
     xn = x0 + sigma[:, None] * eps
-    D, cache = _apply(model.params, xn, sigma, tokens)
-    c_out, h, a0, s0, h1, a1, s1, h2, a2, s2, h3, _ = cache
+    D, (c_out, hidden, h) = _apply(model.params, xn, sigma, tokens)
     r = D - x0
     with np.errstate(over="ignore", invalid="ignore"):
         loss = float((r * r).sum() / B)
@@ -250,23 +239,17 @@ def loss_and_grad(model: MlpDenoiser, x0, sigma, tokens, eps):
         raise TrainingDivergedError(step=None, message="non-finite loss")
 
     p = model.params
-    g_out = (2.0 / B) * r * c_out[:, None]
-    grads = {"w3": h3.T @ g_out, "b3": g_out.sum(axis=0)}
-    g = g_out @ p["w3"].T
-    g *= _silu_grad(a2, s2)
-    grads["w2"] = h2.T @ g
-    grads["b2"] = g.sum(axis=0)
-    g = g @ p["w2"].T
-    g *= _silu_grad(a1, s1)
-    grads["w1"] = h1.T @ g
-    grads["b1"] = g.sum(axis=0)
-    g = g @ p["w1"].T
-    g *= _silu_grad(a0, s0)
-    grads["w0"] = h.T @ g
-    grads["b0"] = g.sum(axis=0)
-    g_h = g @ p["w0"].T
+    g = (2.0 / B) * r * c_out[:, None]
+    grads = {}
+    for i in range(N_HIDDEN, -1, -1):
+        grads[f"w{i}"] = h.T @ g
+        grads[f"b{i}"] = g.sum(axis=0)
+        g = g @ p[f"w{i}"].T
+        if i:
+            h, a, s = hidden[i - 1]
+            g *= _silu_grad(a, s)
     g_emb = np.zeros_like(p["emb"])
-    np.add.at(g_emb, tokens, g_h[:, model.dim + 2 * N_FREQ :])
+    np.add.at(g_emb, tokens, g[:, model.dim + 2 * N_FREQ :])
     grads["emb"] = g_emb
     return loss, grads
 
@@ -335,7 +318,7 @@ def save_checkpoint(model: MlpDenoiser, path) -> None:
                 N_FREQ,
             )
         )
-        for k in _PARAM_KEYS:
+        for k in _param_shapes(model.dim, model.n_classes):
             fh.write(model.params[k].astype("<f4").tobytes())
 
 
@@ -357,18 +340,17 @@ def load_checkpoint(path) -> MlpDenoiser:
         raise MalformedFileError(
             f"checkpoint architecture ({hidden}, {embed}, {nfreq}) does not match this build"
         )
-    shapes = _param_shapes(dim, n_classes)
     params = {}
     off = _CKPT_HEADER.size
-    for k in _PARAM_KEYS:
-        count = int(np.prod(shapes[k]))
+    for k, shape in _param_shapes(dim, n_classes).items():
+        count = int(np.prod(shape))
         end = off + 4 * count
         if len(buf) < end:
             raise MalformedFileError("truncated checkpoint body", offset=len(buf))
         params[k] = (
             np.frombuffer(buf, dtype="<f4", count=count, offset=off)
             .astype(np.float64)
-            .reshape(shapes[k])
+            .reshape(shape)
         )
         off = end
     if off != len(buf):

@@ -306,8 +306,8 @@ class EvalReport:
     precision: float
     recall: float
     class_reports: tuple
-    bad_mode_fraction: float | None
-    outlier_fraction: float | None
+    bad_mode_fraction: float
+    outlier_fraction: float
 
     def to_dict(self) -> dict:
         return {
@@ -338,13 +338,13 @@ def _thin(x, cap):
     return x[idx]
 
 
-def evaluate(samples_by_class: dict, reference_by_class: dict, scorer, spec=None) -> EvalReport:
+def evaluate(samples_by_class: dict, reference_by_class: dict, scorer, spec: GmmSpec) -> EvalReport:
     """Score and compare per-class sample sets against references.
 
     Keys of the two dicts must match.  Precision/recall pools the classes and
     thins deterministically to KNN_MAX points per side to bound the O(n^2)
-    distance matrices; when a mixture is supplied, mode statistics are pooled
-    over classes as well.
+    distance matrices; mode statistics under `spec` are pooled over classes
+    as well.
     """
     if set(samples_by_class) != set(reference_by_class):
         raise InvalidArgumentError("sample and reference class sets differ")
@@ -375,11 +375,10 @@ def evaluate(samples_by_class: dict, reference_by_class: dict, scorer, spec=None
             )
         )
         per_class_frechet[cid] = frechet_distance(x, ref)
-        if spec is not None:
-            ms = mode_stats(spec, x, cid)
-            bad_n += ms.bad_fraction * ms.n
-            out_n += ms.outlier_fraction * ms.n
-            total += ms.n
+        ms = mode_stats(spec, x, cid)
+        bad_n += ms.bad_fraction * ms.n
+        out_n += ms.outlier_fraction * ms.n
+        total += ms.n
 
     pooled = np.concatenate([np.atleast_2d(samples_by_class[c]) for c in sorted(samples_by_class)])
     pooled_ref = np.concatenate([np.atleast_2d(reference_by_class[c]) for c in sorted(reference_by_class)])
@@ -394,8 +393,8 @@ def evaluate(samples_by_class: dict, reference_by_class: dict, scorer, spec=None
         precision=precision,
         recall=recall,
         class_reports=tuple(class_reports),
-        bad_mode_fraction=(bad_n / total) if spec is not None else None,
-        outlier_fraction=(out_n / total) if spec is not None else None,
+        bad_mode_fraction=bad_n / total,
+        outlier_fraction=out_n / total,
     )
 
 
@@ -420,10 +419,9 @@ def render_report(report: EvalReport) -> str:
         f"frechet (pooled)   : {report.frechet:.6f}"
         + ("  [regularized]" if report.frechet_regularized else ""),
         f"precision / recall : {report.precision:.3f} / {report.recall:.3f}",
+        f"bad-mode fraction  : {report.bad_mode_fraction:.4f}",
+        f"outlier fraction   : {report.outlier_fraction:.4f}",
     ]
-    if report.bad_mode_fraction is not None:
-        out.append(f"bad-mode fraction  : {report.bad_mode_fraction:.4f}")
-        out.append(f"outlier fraction   : {report.outlier_fraction:.4f}")
     for c in report.class_reports:
         out.append(
             f"  class {c.class_id}: n={c.n} mean={c.mean_score:.3f} "

@@ -18,21 +18,21 @@ share one.
 Trajectories are processed in lockstep chunks of fixed width.  Per-trajectory
 seeds derive from (base_seed, class, index), initial noise is drawn from each
 trajectory's own stream, and chunk boundaries depend only on position, so
-results are independent of worker count.  Chunk results are bit-reproducible
-because every kernel computes row i from row i's data alone: the mixture
-kernel uses elementwise broadcasts and reductions along each row only (never
-batched matmul, and never a sum over the rows of a (K, n) array, whose order
-numpy changes when n = 1).  The analytic source hands the whole chunk to
-`GmmSpec.evaluate`, which evaluates every component it needs once and
-reduces each row over its own mixture's columns, so each row's sums run
-over the same terms in the same order as a per-class evaluation of that
-row.  The MLP's BLAS matmul accumulates each row alike for n >= 2, so the
-neural source pads single-row evaluations to two rows to stay off the
-differently-accumulated matvec path.  The neural source calls the MLP's
-inference forward (`denoiser._denoise`), which keeps no activations and
-reuses two hidden-layer buffers; it gives the same bits as the training
-forward that backpropagation uses.  The test suite asserts cross-layout
-equality.
+results are independent of worker count.  With the analytic source a row's
+bits do not depend on its chunk either, because every kernel computes row i
+from row i's data alone: the mixture kernel uses elementwise broadcasts and
+reductions along each row only (never batched matmul, and never a sum over
+the rows of a (K, n) array, whose order numpy changes when n = 1).  The
+analytic source hands the whole chunk to `GmmSpec.evaluate`, which evaluates
+every component it needs once and reduces each row over its own mixture's
+columns, so each row's sums run over the same terms in the same order as a
+per-class evaluation of that row.  The MLP is not row-independent: BLAS may
+accumulate a row's matmul differently with the number of rows beside it, so
+a neural row's float64 bits depend on its chunk.  The neural source calls
+the MLP's inference forward (`denoiser._denoise`), which keeps no
+activations and reuses two hidden-layer buffers; it gives the same bits as
+the training forward that backpropagation uses.  The test suite asserts
+cross-layout equality.
 """
 
 from __future__ import annotations
@@ -106,15 +106,11 @@ class NeuralSource:
         """D(x; sigma, c) for each mixture, an (n,) array of class tokens or
         None for the null token."""
         n = len(x)
-        # a single row is duplicated: single-row matmuls take a different
-        # BLAS path with different accumulation order
-        reps = 2 if n == 1 else 1
-        X = np.concatenate([x] * reps)
-        sig = np.full(n * reps, float(sigma))
+        sig = np.full(n, float(sigma))
         out = []
         for m in mixtures:
             tokens = np.zeros(n, dtype=np.int64) if m is None else np.asarray(m, dtype=np.int64)
-            out.append(_denoise(self.model.params, X, sig, np.concatenate([tokens] * reps))[:n])
+            out.append(_denoise(self.model.params, x, sig, tokens))
         return out
 
     def fingerprint(self) -> int:
@@ -198,8 +194,10 @@ def sample_batch(
         class_ids = [None]
     if any(c is None for c in class_ids) and not all(c is None for c in class_ids):
         raise InvalidArgumentError("cannot mix conditional and unconditional trajectories")
-    if any(c is not None and not 0 <= int(c) < 2**31 for c in class_ids):
-        raise InvalidArgumentError("class ids must be None or in [0, 2**31): records store them as i4")
+    if any(c is not None and not 1 <= int(c) < 2**31 for c in class_ids):
+        raise InvalidArgumentError(
+            "class ids must be None or in [1, 2**31): 0 is the null token and records store them as i4"
+        )
     labels = [(c, i) for c in class_ids for i in range(n_per_class)]
     keys = [-1 if c is None else int(c) for c, _ in labels]
     n = len(labels)

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from famelab import denoiser
 from famelab.denoiser import (
     _CKPT_HEADER,
     HIDDEN,
@@ -15,8 +16,8 @@ from famelab.denoiser import (
     _apply,
     _denoise,
     _fourier,
+    _gate,
     _precondition,
-    _silu,
     _silu_grad,
     load_checkpoint,
     loss_and_grad,
@@ -64,8 +65,9 @@ class TestForward:
         model = train(small_spec(), TrainConfig(steps=30, batch_size=32, seed=1))
         x = np.random.default_rng(0).standard_normal((5, 2))
         batch = forward(model, x, 0.7, 2)
-        # matmul accumulation order varies with batch shape, so agreement is
-        # to rounding, not bitwise, even with the source's two-row padding
+        # BLAS accumulates a row differently inside a 5-row batch than alone
+        # (a one-row matmul is a matrix-vector product), so agreement is to
+        # rounding, not bitwise
         for i in range(5):
             np.testing.assert_allclose(batch[i], forward(model, x[i : i + 1], 0.7, 2)[0], rtol=1e-12)
 
@@ -80,14 +82,17 @@ class TestForward:
 
     def test_per_sample_sigma_and_tokens(self):
         # per-sample levels and tokens in one batch, as training feeds them,
-        # against each row evaluated alone through the source
-        model = MlpDenoiser(dim=2, n_classes=3, seed=3)
+        # against each row evaluated alone through the source; random output
+        # weights so the hidden layers reach D
+        model = MlpDenoiser(dim=2, n_classes=3, params=perturbed_params(2, 3, seed=3))
         x = np.random.default_rng(1).standard_normal((4, 2))
         sig = np.array([0.1, 0.5, 1.0, 2.0])
         tokens = np.array([0, 1, 2, 3])
         out = _denoise(model.params, x, sig, tokens)
         for i in range(4):
-            np.testing.assert_array_equal(out[i], forward(model, x[i : i + 1], sig[i], tokens[i])[0])
+            np.testing.assert_allclose(
+                out[i], forward(model, x[i : i + 1], sig[i], tokens[i])[0], rtol=1e-12
+            )
 
 
 class TestGradients:
@@ -379,9 +384,9 @@ class TestInferenceForward:
         a = np.concatenate([np.random.default_rng(24).standard_normal((50, 7)).ravel() * 30.0, [0.0, -800.0, 800.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            h, s = _silu(a)
+            s = _gate(a, np.empty_like(a))
         want_h, want_s = oracle_silu(a)
-        np.testing.assert_array_equal(h, want_h)
+        np.testing.assert_array_equal(a * s, want_h)
         np.testing.assert_array_equal(s, want_s)
         np.testing.assert_array_equal(_silu_grad(a, s), oracle_silu_grad(a, want_s))
 
@@ -424,3 +429,43 @@ class TestInPlaceTraining:
         want = oracle_train(small_spec(), cfg)
         for k in want.params:
             np.testing.assert_array_equal(got.params[k], want.params[k], err_msg=k)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 4])
+def test_n_hidden_sets_the_depth(monkeypatch, tmp_path, depth):
+    """Shapes, init, both forward passes, the gradients and the checkpoint
+    all follow N_HIDDEN."""
+    monkeypatch.setattr(denoiser, "N_HIDDEN", depth)
+    params = perturbed_params(2, 3, seed=30)
+    assert len(params) == 2 * (depth + 1) + 1
+    model = MlpDenoiser(2, 3, params=params)
+    rng = np.random.default_rng(31)
+    B = 8
+    x0 = rng.standard_normal((B, 2))
+    sigma = np.exp(rng.uniform(np.log(0.1), np.log(3.0), B))
+    tokens = rng.integers(0, 4, B)
+    eps = rng.standard_normal((B, 2))
+    np.testing.assert_array_equal(
+        _denoise(params, x0, sigma, tokens), _apply(params, x0, sigma, tokens)[0]
+    )
+
+    _, grads = loss_and_grad(model, x0, sigma, tokens, eps)
+    assert grads.keys() == params.keys()
+    pick = np.random.default_rng(32)
+    for key, value in params.items():
+        flat = value.ravel()
+        i = pick.integers(flat.size)
+        h = 1e-5 * max(1.0, abs(flat[i]))
+        orig = flat[i]
+        flat[i] = orig + h
+        lp, _ = loss_and_grad(model, x0, sigma, tokens, eps)
+        flat[i] = orig - h
+        lm, _ = loss_and_grad(model, x0, sigma, tokens, eps)
+        flat[i] = orig
+        fd = (lp - lm) / (2 * h)
+        g = grads[key].ravel()[i]
+        assert abs(fd - g) / max(1e-8, abs(fd) + abs(g)) < 1e-4, (key, i, fd, g)
+
+    path = tmp_path / "m.mlpd"
+    save_checkpoint(model, path)
+    assert load_checkpoint(path).fingerprint() == model.fingerprint()

@@ -392,7 +392,7 @@ class TestEvaluate:
         spec, samples, reference = self.make_sets(64)
         del reference[3]
         with pytest.raises(InvalidArgumentError):
-            evaluate(samples, reference, ComponentTagScorer(spec))
+            evaluate(samples, reference, ComponentTagScorer(spec), spec=spec)
 
     def test_tier_bands(self):
         assert tier_for(1.99) == "low"

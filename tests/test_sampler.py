@@ -217,8 +217,8 @@ class TestNeuralDeterminism:
         assert big[:3].tobytes() == small.tobytes()
 
     def test_single_row_padding_matches_batch(self, model):
-        # n = 1 takes the padded two-row path; it must agree bitwise with the
-        # same trajectory evaluated inside a larger chunk
+        # n = 1 runs the MLP on a single row; its float32 record must agree
+        # with the same trajectory evaluated inside a larger chunk
         sched = make_schedule("karras-like", 8, 0.05, 8.0)
         cfg = SamplerConfig(schedule=sched, record_outputs=False)
         src = NeuralSource(model)
@@ -280,12 +280,17 @@ class TestFailurePaths:
         with pytest.raises(InvalidArgumentError):
             sample_batch(src, self.cfg, 0, [1, None], 2)
 
-    def test_class_ids_must_fit_the_record(self):
-        # -1 marks an unconditional record, and class_id is stored as i4
+    def test_class_ids_must_fit_the_record(self, model):
+        # -1 marks an unconditional record, 0 is the null token, and class_id
+        # is stored as i4
         src = plain(AnalyticSource(preset("balanced2d")))
-        for c in (-1, -3, 2**31, 2**70):
+        for c in (-1, -3, 0, 2**31, 2**70):
             with pytest.raises(InvalidArgumentError):
                 sample_batch(src, self.cfg, 0, [c], 2)
+        # the MLP would answer token 0 with unconditional samples
+        neural = guided_source(NeuralSource(model), None, GuidanceConfig(w=1.5))
+        with pytest.raises(InvalidArgumentError):
+            sample_batch(neural, self.cfg, 0, [0], 3)
 
     def test_n_per_class_validated(self):
         src = plain(AnalyticSource(preset("balanced2d")))
