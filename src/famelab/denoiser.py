@@ -56,8 +56,10 @@ N_FREQ = 8  # sin/cos pairs -> 2 * N_FREQ features
 SIGMA_DATA = 1.0
 
 CHECKPOINT_MAGIC = b"MLPD"
-CHECKPOINT_VERSION = 1
-_CKPT_HEADER = struct.Struct("<4sHIIIII")
+CHECKPOINT_VERSION = 2
+_CKPT_HEADER = struct.Struct("<4sHIIIIII")
+# version 1 lacks the depth field; its models have 3 hidden layers
+_CKPT_HEADER_V1 = struct.Struct("<4sHIIIII")
 
 
 def _param_shapes(dim, n_classes):
@@ -305,7 +307,8 @@ def train(spec: GmmSpec, cfg: TrainConfig) -> MlpDenoiser:
 
 
 def save_checkpoint(model: MlpDenoiser, path) -> None:
-    """Write parameters as float32 with a fixed key order."""
+    """Write the architecture header, then the parameters as float32 in
+    `_param_shapes` order."""
     with open(path, "wb") as fh:
         fh.write(
             _CKPT_HEADER.pack(
@@ -316,6 +319,7 @@ def save_checkpoint(model: MlpDenoiser, path) -> None:
                 HIDDEN,
                 EMBED_DIM,
                 N_FREQ,
+                N_HIDDEN,
             )
         )
         for k in _param_shapes(model.dim, model.n_classes):
@@ -325,23 +329,26 @@ def save_checkpoint(model: MlpDenoiser, path) -> None:
 def load_checkpoint(path) -> MlpDenoiser:
     with open(path, "rb") as fh:
         buf = fh.read()
-    if len(buf) < _CKPT_HEADER.size:
+    header = _CKPT_HEADER_V1 if buf[4:6] == b"\x01\x00" else _CKPT_HEADER
+    if len(buf) < header.size:
         raise MalformedFileError("truncated checkpoint header", offset=len(buf))
-    magic, version, dim, n_classes, hidden, embed, nfreq = _CKPT_HEADER.unpack_from(buf)
+    magic, version, dim, n_classes, hidden, embed, nfreq, *depth = header.unpack_from(buf)
+    n_hidden = depth[0] if depth else 3
     if magic != CHECKPOINT_MAGIC:
         raise MalformedFileError(f"bad checkpoint magic {magic!r}", offset=0)
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise MalformedFileError(f"unsupported checkpoint version {version}", offset=4)
     if dim < 1:
         raise MalformedFileError("checkpoint declares dim 0", offset=6)
     if n_classes < 1:
         raise MalformedFileError("checkpoint declares zero classes", offset=10)
-    if (hidden, embed, nfreq) != (HIDDEN, EMBED_DIM, N_FREQ):
+    if (hidden, embed, nfreq, n_hidden) != (HIDDEN, EMBED_DIM, N_FREQ, N_HIDDEN):
         raise MalformedFileError(
-            f"checkpoint architecture ({hidden}, {embed}, {nfreq}) does not match this build"
+            f"checkpoint architecture ({hidden}, {embed}, {nfreq}, {n_hidden}) "
+            "does not match this build"
         )
     params = {}
-    off = _CKPT_HEADER.size
+    off = header.size
     for k, shape in _param_shapes(dim, n_classes).items():
         count = int(np.prod(shape))
         end = off + 4 * count

@@ -2,10 +2,10 @@
 
 Scorers map final samples to scalar quality; distribution fidelity is
 measured by Frechet distance between gaussian moment fits and k-NN manifold
-precision/recall over scipy's squared distances (`pairwise_sqdist`).
-Mixture-aware helpers assign samples to components through
-`GmmSpec.evaluate` so runs can report how much mass landed in low-quality
-modes.
+precision/recall, whose KD-tree candidates are rechecked on exact squared
+distances so that results equal the all-pairs computation.  Mixture-aware
+helpers assign samples to components through `GmmSpec.evaluate` so runs can
+report how much mass landed in low-quality modes.
 """
 
 from __future__ import annotations
@@ -13,9 +13,10 @@ from __future__ import annotations
 import shlex
 import subprocess
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial import cKDTree
 
 from .errors import InvalidArgumentError, ScorerFailedError
 from .gmm import GmmSpec, _eval, noised_log_density, responsibilities
@@ -30,6 +31,8 @@ OUTLIER_MAHALANOBIS = 4.0
 # k of the k-NN precision/recall, and the points per side evaluate thins to
 KNN_K = 3
 KNN_MAX = 2048
+# KD-tree radii are widened by far more than the tree's rounding of a distance
+_WIDEN = 1 + 1e-9
 
 
 class ComponentTagScorer:
@@ -211,9 +214,39 @@ def frechet_distance(a, b) -> float:
     return frechet_with_flag(a, b)[0]
 
 
-def pairwise_sqdist(a, b):
-    """Squared euclidean distances, shape (len(a), len(b))."""
-    return cdist(a, b, "sqeuclidean")
+def _sqdist(a, b):
+    """Squared distances between broadcast rows of a and b, summed one
+    dimension at a time: cdist's order, not numpy's pairwise row sum."""
+    return sum((a[..., t] - b[..., t]) ** 2 for t in range(a.shape[-1]))
+
+
+def _ball_pairs(centres, radii, tree, points):
+    """(centre, point, exact squared distance) of every pair within, or just
+    outside, each centre's own squared radius; `tree` indexes `points`."""
+    hits = tree.query_ball_point(centres, np.sqrt(radii) * _WIDEN, return_sorted=False)
+    counts = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
+    idx = np.fromiter(chain.from_iterable(hits), dtype=np.intp, count=counts.sum())
+    owner = np.repeat(np.arange(len(centres)), counts)
+    return owner, idx, _sqdist(centres[owner], points[idx])
+
+
+def _knn_radii(pts, tree, k):
+    """Exact squared distance from each point to its k-th nearest in its own
+    set, self the 0th: the k-th of its tree's k + 3 nearest, or of its whole
+    ball where the farthest of those may not lie beyond it (near-ties)."""
+    dist, idx = tree.query(pts, min(k + 3, len(pts)))
+    radii = np.partition(_sqdist(pts[:, None], pts[idx]), k, axis=1)[:, k]
+    loose = np.flatnonzero(dist[:, -1] <= np.sqrt(radii) * _WIDEN)
+    owner, _, sq = _ball_pairs(pts[loose], radii[loose], tree, pts)
+    first = np.searchsorted(owner, np.arange(len(loose)))
+    radii[loose] = sq[np.lexsort((sq, owner))][first + k]
+    return radii
+
+
+def _coverage(centres, radii, tree, points):
+    """Fraction of `points` inside some centre's ball."""
+    owner, idx, sq = _ball_pairs(centres, radii, tree, points)
+    return float((np.bincount(idx[sq <= radii[owner]], minlength=len(points)) > 0).mean())
 
 
 def precision_recall(gen, real, k: int = KNN_K) -> tuple[float, float]:
@@ -223,6 +256,8 @@ def precision_recall(gen, real, k: int = KNN_K) -> tuple[float, float]:
     nearest other real point; precision is the fraction of generated points
     inside some real ball, recall the same with roles swapped.  Squared
     distances throughout, self excluded via the (k+1)-th order statistic.
+    KD-trees find the candidates and exact squared distances, summed in
+    cdist's order, decide: the all-pairs result without its (n, m) matrices.
     """
     gen = np.ascontiguousarray(np.atleast_2d(gen), dtype=np.float64)
     real = np.ascontiguousarray(np.atleast_2d(real), dtype=np.float64)
@@ -234,14 +269,11 @@ def precision_recall(gen, real, k: int = KNN_K) -> tuple[float, float]:
         raise InvalidArgumentError(
             f"k={k} needs both sets larger than k (got {len(gen)}, {len(real)})"
         )
-    d_rr = pairwise_sqdist(real, real)
-    radii_real = np.partition(d_rr, k, axis=1)[:, k]
-    d_gg = pairwise_sqdist(gen, gen)
-    radii_gen = np.partition(d_gg, k, axis=1)[:, k]
-    d_gr = pairwise_sqdist(gen, real)
-    precision = float((d_gr <= radii_real[None, :]).any(axis=1).mean())
-    recall = float((d_gr <= radii_gen[:, None]).any(axis=0).mean())
-    return precision, recall
+    if not (np.isfinite(gen).all() and np.isfinite(real).all()):
+        raise InvalidArgumentError("sample sets must be finite")
+    tree_gen, tree_real = cKDTree(gen), cKDTree(real)
+    precision = _coverage(real, _knn_radii(real, tree_real, k), tree_gen, gen)
+    return precision, _coverage(gen, _knn_radii(gen, tree_gen, k), tree_real, real)
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +374,9 @@ def evaluate(samples_by_class: dict, reference_by_class: dict, scorer, spec: Gmm
     """Score and compare per-class sample sets against references.
 
     Keys of the two dicts must match.  Precision/recall pools the classes and
-    thins deterministically to KNN_MAX points per side to bound the O(n^2)
-    distance matrices; mode statistics under `spec` are pooled over classes
-    as well.
+    thins deterministically to KNN_MAX points per side, which keeps its
+    numbers comparable with earlier runs (the k-NN radii shrink as sets
+    grow); mode statistics under `spec` are pooled over classes as well.
     """
     if set(samples_by_class) != set(reference_by_class):
         raise InvalidArgumentError("sample and reference class sets differ")

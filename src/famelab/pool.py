@@ -107,7 +107,7 @@ class FailurePool:
         identical no matter how trajectories are batched.
         """
         seeds = np.asarray(seeds, dtype=np.uint64)
-        mix = np.array([splitmix64(int(s) ^ _SELECT_SALT) for s in seeds], dtype=np.uint64)
+        mix = splitmix64(seeds ^ _SELECT_SALT)
         if self.mode == "global":
             return (mix % np.uint64(len(self))).astype(np.int64)
         if class_ids is None:

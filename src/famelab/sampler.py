@@ -199,13 +199,11 @@ def sample_batch(
             "class ids must be None or in [1, 2**31): 0 is the null token and records store them as i4"
         )
     labels = [(c, i) for c in class_ids for i in range(n_per_class)]
-    keys = [-1 if c is None else int(c) for c, _ in labels]
     n = len(labels)
     batch = new_trajectories(n, cfg.schedule.T, source.dim, cfg.record_outputs)
-    batch["class_id"] = keys
-    batch["seed"] = np.array(
-        [derive_seed(base_seed, k, i) for k, (_, i) in zip(keys, labels)], dtype=np.uint64
-    )
+    batch["class_id"] = np.repeat([-1 if c is None else int(c) for c in class_ids], n_per_class)
+    index = np.tile(np.arange(n_per_class), len(class_ids))
+    batch["seed"] = derive_seed(base_seed, batch["class_id"], index)
     conditional = any(c is not None for c in class_ids)
 
     def run(lo):

@@ -46,24 +46,26 @@ _HEADER = np.dtype(
 )
 
 
-def splitmix64(z: int) -> int:
-    """One splitmix64 output step; used to derive independent seeds."""
+def splitmix64(z):
+    """One splitmix64 step of an int, or of each element of a uint64 array."""
     z = (z + 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
 
 
-def derive_seed(base_seed: int, *keys: int) -> int:
+def derive_seed(base_seed, *keys):
     """Mix a base seed with integer keys into a new 64-bit seed.
 
     Sensitive to key order and to every bit of every key, so
     derive_seed(s, class_id, index) gives each trajectory its own stream.
     Negative keys (the unconditional class id -1) are folded into 64 bits.
+    Integer array arguments give the uint64 array of element-wise seeds.
     """
-    h = splitmix64(int(base_seed) & _MASK64)
-    for k in keys:
-        h = splitmix64(h ^ (int(k) & _MASK64))
+    h = None
+    for v in (base_seed, *keys):
+        v = v.astype(np.uint64) if isinstance(v, np.ndarray) else int(v) & _MASK64
+        h = splitmix64(v if h is None else h ^ v)
     return h
 
 

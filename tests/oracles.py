@@ -9,12 +9,15 @@ component repeated) straight to `gmm_terms` and `gmm_reduce`, and never call
 score, which the package no longer computes, is the responsibility-weighted
 -Sigma_sigma^-1 (x - mu) of each component.  `assign_modes_two_pass` is the
 earlier mode assignment: the responsibilities, then a second pass for the
-einsum Mahalanobis distance.
+einsum Mahalanobis distance.  `precision_recall_dense` is the earlier k-NN
+precision/recall on full `cdist` matrices, which the package's KD-tree search
+must match exactly.
 """
 
 import math
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from famelab.errors import DegeneratePointError, InvalidArgumentError
 from famelab.gmm import check_points, gmm_reduce, gmm_terms
@@ -76,3 +79,15 @@ def assign_modes_two_pass(spec, samples, class_id=None, max_mahalanobis=4.0):
     X = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     idx = gmm_eval(X, *pack_arrays(spec, class_id), 0.0)[1].argmax(axis=1)
     return np.where(mahalanobis_sq(spec, X, class_id).min(axis=1) > max_mahalanobis**2, -1, idx)
+
+
+def precision_recall_dense(gen, real, k):
+    """k-NN precision and recall from the three all-pairs squared-distance
+    matrices: radii by the k-th order statistic of each row, self included."""
+    gen, real = np.asarray(gen, dtype=np.float64), np.asarray(real, dtype=np.float64)
+    radii_real = np.partition(cdist(real, real, "sqeuclidean"), k, axis=1)[:, k]
+    radii_gen = np.partition(cdist(gen, gen, "sqeuclidean"), k, axis=1)[:, k]
+    d_gr = cdist(gen, real, "sqeuclidean")
+    precision = float((d_gr <= radii_real[None, :]).any(axis=1).mean())
+    recall = float((d_gr <= radii_gen[:, None]).any(axis=0).mean())
+    return precision, recall

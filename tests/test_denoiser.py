@@ -468,4 +468,11 @@ def test_n_hidden_sets_the_depth(monkeypatch, tmp_path, depth):
 
     path = tmp_path / "m.mlpd"
     save_checkpoint(model, path)
-    assert load_checkpoint(path).fingerprint() == model.fingerprint()
+    back = load_checkpoint(path)
+    assert back.fingerprint() == model.fingerprint()
+    save_checkpoint(back, tmp_path / "again.mlpd")
+    assert (tmp_path / "again.mlpd").read_bytes() == path.read_bytes()
+    # the header records the depth, so another build rejects it by name
+    monkeypatch.setattr(denoiser, "N_HIDDEN", 3)
+    with pytest.raises(MalformedFileError, match="does not match this build"):
+        load_checkpoint(path)

@@ -1,9 +1,8 @@
 """The numeric kernels against their direct einsum formulas.
 
-The oracles below are the kernels' earlier implementations: three-operand
-einsum contractions for the mixture evaluation and a broadcast difference for
-the distances.  The mixture kernel is checked as `gmm_terms` then
-`gmm_reduce` on one mixture's own components (`tests.oracles.gmm_eval`).
+The oracle below is the mixture kernel's earlier implementation, three-operand
+einsum contractions.  The kernel is checked as `gmm_terms` then `gmm_reduce`
+on one mixture's own components (`tests.oracles.gmm_eval`).
 Random mixtures must agree to rounding; the packs the reference run
 evaluates must agree exactly, which is what keeps sampled trajectories and
 pools byte-stable across kernel rewrites.  `GmmSpec.evaluate`, the package's
@@ -16,7 +15,6 @@ import numpy as np
 
 from famelab.config import ExperimentConfig
 from famelab.gmm import gmm_reduce, gmm_terms, preset
-from famelab.metrics import pairwise_sqdist
 from famelab.schedule import make_schedule
 from tests.oracles import gmm_eval, pack_arrays
 
@@ -45,11 +43,6 @@ def gmm_eval_oracle(X, means, qmats, lams, logw, sig2):
     pm = means[None, :, :] + np.einsum("kab,nkb->nka", qmats, sd * lams[None, :, :])
     denoise = np.einsum("nk,nka->na", resp, pm)
     return logp, resp, score, denoise
-
-
-def pairwise_sqdist_oracle(a, b):
-    d = a[:, None, :] - b[None, :, :]
-    return np.einsum("ijk,ijk->ij", d, d)
 
 
 def random_mixture(rng, n, d, K):
@@ -172,22 +165,3 @@ class TestSplitKernel:
                 want = gmm_eval(X[rows], *pack_arrays(spec, c), sigma**2)
                 np.testing.assert_array_equal(logp[rows], want[0])
                 np.testing.assert_array_equal(denoise[rows], want[3])
-
-
-class TestPairwiseSqdist:
-    def test_matches_oracle(self):
-        for trial in range(10):
-            rng = np.random.default_rng(500 + trial)
-            for d in (2, 3):
-                a = rng.standard_normal((int(rng.integers(1, 50)), d))
-                b = rng.standard_normal((int(rng.integers(1, 50)), d))
-                got, ref = pairwise_sqdist(a, b), pairwise_sqdist_oracle(a, b)
-                if d == 2:
-                    np.testing.assert_array_equal(got, ref)
-                else:
-                    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
-
-    def test_self_distance_is_exactly_zero(self):
-        rng = np.random.default_rng(8)
-        a = rng.standard_normal((16, 2))
-        np.testing.assert_array_equal(np.diag(pairwise_sqdist(a, a)), 0.0)

@@ -15,6 +15,8 @@ from scipy import integrate, linalg
 from famelab.errors import InvalidArgumentError, ScorerFailedError
 from famelab.gmm import exact_sampler, preset
 from famelab.metrics import (
+    KNN_K,
+    KNN_MAX,
     ComponentTagScorer,
     ExternalScorer,
     LogDensityScorer,
@@ -29,7 +31,7 @@ from famelab.metrics import (
     render_report,
     tier_for,
 )
-from tests.oracles import assign_modes_two_pass
+from tests.oracles import assign_modes_two_pass, precision_recall_dense
 from tests.test_gmm import projected_density_1d, two_mode_1d
 
 
@@ -159,6 +161,100 @@ class TestPrecisionRecall:
             precision_recall(x, x, k=10)
         with pytest.raises(InvalidArgumentError):
             precision_recall(x, np.zeros((10, 3)), k=2)
+        bad = np.ones((10, 2))
+        bad[3, 1] = np.nan
+        with pytest.raises(InvalidArgumentError):
+            precision_recall(bad, x, k=2)
+        bad[3, 1] = np.inf
+        with pytest.raises(InvalidArgumentError):
+            precision_recall(x, bad, k=2)
+
+
+class TestPrecisionRecallMatchesDense:
+    """The KD-tree search against the all-pairs matrices, compared with ==:
+    the sets `evaluate` measures, ties, radii of zero and of everything, and
+    dimensions on both sides of numpy's pairwise-summation block."""
+
+    def test_pooled_mixture_samples_at_knn_max(self):
+        spec = preset("imbalanced2d")
+        gen = exact_sampler(spec, np.random.default_rng(20), n=KNN_MAX)
+        real = exact_sampler(spec, np.random.default_rng(21), n=KNN_MAX)
+        assert precision_recall(gen, real) == precision_recall_dense(gen, real, KNN_K)
+
+    def test_duplicates_give_zero_radii(self):
+        rng = np.random.default_rng(15)
+        base = rng.normal(size=(40, 2))
+        gen = np.repeat(base[:30], 5, axis=0)
+        real = np.vstack([np.repeat(base[10:], 4, axis=0), rng.normal(size=(20, 2))])
+        got = precision_recall(gen, real, k=3)
+        assert got == precision_recall_dense(gen, real, 3)
+        # every generated ball is a point: only the 20 shared points' copies count
+        assert got[1] == 80 / 140
+
+    def test_point_exactly_on_a_radius_is_inside(self):
+        # the origin's ball has squared radius 25 and decides alone for the
+        # first three generated points; the other two real balls are small
+        real = np.array([[0.0, 0.0], [-5.0, 0.0], [0.0, -5.0]])
+        gen = np.array([[3.0, 4.0], [3.0, np.nextafter(4.0, 5.0)], [4.0, 3.0], [-4.0, 3.0]])
+        got = precision_recall(gen, real, k=1)
+        assert got == precision_recall_dense(gen, real, 1)
+        assert got[0] == 0.75
+
+    def test_outlier_radius_covers_the_other_set(self):
+        rng = np.random.default_rng(16)
+        cluster = rng.normal(size=(60, 2)) * 0.1
+        real = np.vstack([[[0.0, 0.0]], cluster[:30] + 100.0, cluster[30:] - 100.0])
+        gen = rng.normal(size=(200, 2))
+        got = precision_recall(gen, real, k=3)
+        assert got == precision_recall_dense(gen, real, 3)
+        assert got[0] == 1.0
+
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    def test_random_sets(self, d):
+        rng = np.random.default_rng(30 + d)
+        gen = rng.normal(size=(400, d))
+        real = rng.normal(size=(300, d)) * 1.2 + 0.2
+        for k in (1, 3, 7):
+            assert precision_recall(gen, real, k=k) == precision_recall_dense(gen, real, k)
+
+    def test_d8_near_ties_among_permutations(self):
+        """Permutations of one vector lie at the origin's distance up to
+        rounding, which the tree, cdist and numpy's row sum each round their
+        own way: the radii and the coverage both turn on last bits."""
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            q = rng.standard_normal(8)
+            perms = np.array([q[rng.permutation(8)] for _ in range(60)])
+            real = np.vstack([np.zeros(8), perms[:20]])
+            gen = np.vstack([np.zeros(8), perms[20:]])
+            for k in (1, 3):
+                assert precision_recall(gen, real, k=k) == precision_recall_dense(gen, real, k)
+
+    def test_d8_boundary_decided_by_sequential_sum(self):
+        """A generated point whose coordinates permute the origin's nearest
+        neighbour's: summed in cdist's order it lies outside the origin's
+        ball, summed pairwise (numpy's row sum from d = 8) inside."""
+
+        def seq(v):
+            s = 0.0
+            for t in v:
+                s += t * t
+            return s
+
+        rng = np.random.default_rng(3)
+        while True:
+            q = rng.standard_normal(8)
+            g = q[rng.permutation(8)]
+            if (seq(g) <= seq(q)) != (float((g * g).sum()) <= float((q * q).sum())) and (
+                seq(g - q) > 1.5 * seq(q)
+            ):
+                break
+        far = rng.normal(size=(4, 8)) * 0.01 + 50.0
+        real = np.vstack([np.zeros(8), q, far])
+        gen = np.vstack([g, far[:2] + 0.5])
+        got = precision_recall(gen, real, k=1)
+        assert got == precision_recall_dense(gen, real, 1)
+        assert got[0] == (0.5 if seq(g) <= seq(q) else 0.0)
 
 
 def histogram_kl(

@@ -95,6 +95,21 @@ class TestSeeds:
         s = derive_seed(2**80 + 5, -1, 3)
         assert 0 <= s < 2**64
 
+    def test_array_keys_match_scalar_calls(self):
+        """Each element of an array derivation is the scalar derivation of
+        its own keys, negative keys folded through int64 -> uint64."""
+        keys = np.array([-1, 0, 1, 2**31 - 1])
+        index = np.array([0, 7, 2**40, 2**63 - 1])
+        for base in (0, 2**63, 2**64 - 1):
+            for k in keys:
+                got = derive_seed(base, np.full(4, k), index)
+                assert got.dtype == np.uint64
+                assert got.tolist() == [derive_seed(base, int(k), int(i)) for i in index]
+            got = derive_seed(base, keys.astype(np.int32))
+            assert got.tolist() == [derive_seed(base, int(k)) for k in keys]
+        z = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
+        assert splitmix64(z).tolist() == [splitmix64(int(v)) for v in z]
+
     def test_rng_reproducible(self):
         # a record's seed alone replays its stream: the initial state is
         # numpy's default_rng(seed) noise scaled to sigma_max
