@@ -22,6 +22,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -32,77 +33,94 @@ PRESET_NAMES = ("balanced2d", "imbalanced2d")
 # ---------------------------------------------------------------------------
 # The mixture kernel, on float64 C-contiguous arrays: X (n, d) points, means
 # (K, d), qmats (K, d, d) eigenvectors Q and lams (K, d) eigenvalues with
-# Sigma = Q diag(lams) Q^T, sig2 the squared noise level.  Row i of every
-# result is computed from row i of X alone (broadcast multiply-adds and
-# row-wise reductions, never a batched matmul), so it has the same bits
-# whatever the batch size.
+# Sigma = Q diag(lams) Q^T, sig2 the squared noise level.  Per-point terms are
+# component-major (K, n) and every step runs elementwise across points, so row
+# i of every result comes from point i alone, the same bits at any batch size.
+# Only max reduces along an axis.  Sums over components are explicit sequences
+# in numpy's row-sum and einsum orders, never `.sum(axis=0)` (pairwise at n=1).
 
 LOG_2PI = math.log(2.0 * math.pi)
 
 
 def _rotate(planes, qmats):
-    """Q v per component, for v given as d (n, K) planes: plane a of the
+    """Q v per component, for v given as d (K, n) planes: plane a of the
     result is sum_b Q[:, a, b] * v_b."""
     d = len(planes)
     out = []
     for a in range(d):
-        acc = planes[0] * qmats[:, a, 0]
+        acc = planes[0] * qmats[:, a, 0, None]
         for b in range(1, d):
-            acc = acc + planes[b] * qmats[:, a, b]
+            acc = acc + planes[b] * qmats[:, a, b, None]
         out.append(acc)
     return out
+
+
+def _sum_components(e):
+    """The sum over the K rows of e in numpy's order for one C-ordered (n, K)
+    row: from 0.0 one by one for K < 8, else eight running sums combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the tail; past 128 terms, the
+    sum of two halves split at a multiple of 8."""
+    K = len(e)
+    if K < 8:
+        return reduce(np.add, e, 0.0)
+    if K > 128:
+        half = K // 2 - K // 2 % 8
+        return _sum_components(e[:half]) + _sum_components(e[half:])
+    r = e[:8] + 0.0
+    for i in range(8, K - K % 8, 8):
+        r += e[i : i + 8]
+    r = r[0::2] + r[1::2]
+    return reduce(np.add, e[K - K % 8 :], (r[0] + r[1]) + (r[2] + r[3]))
 
 
 def gmm_terms(X, means, qmats, lams, sig2):
     """The weight-free part of the mixture evaluation at sigma = sqrt(sig2).
 
     Returns (logdet, quad, pm): logdet (K,) the log determinant of each
-    noised covariance Sigma + sig2 I, quad (n, K) the squared Mahalanobis
+    noised covariance Sigma + sig2 I, quad (K, n) the squared Mahalanobis
     distance of each point under it (at sig2 = 0, under Sigma itself), and
-    pm (n, K, d) each component's posterior mean E[x0 | x, k].  Every column
-    depends on its own component alone, so a caller may evaluate a table of
-    components once and hand any selection of its columns to `gmm_reduce`.
+    pm (d, K, n) each component's posterior mean E[x0 | x, k].  Component k
+    is quad[k] and pm[:, k] alone, so a caller may evaluate a table of
+    components once and hand any selection of them to `gmm_reduce`.
     """
     d = X.shape[1]
     den = lams + sig2
     # w = Q^T (x - mu) per component; sd = w / den is Sigma_sigma^-1 (x - mu)
     # in the eigenbasis
-    w = _rotate([X[:, b, None] - means[:, b] for b in range(d)], qmats.transpose(0, 2, 1))
-    sd = [w[a] / den[:, a] for a in range(d)]
+    w = _rotate([X[:, b] - means[:, b, None] for b in range(d)], qmats.transpose(0, 2, 1))
+    sd = [w[a] / den[:, a, None] for a in range(d)]
     with np.errstate(over="ignore"):  # quad = inf far from every component
         quad = sd[0] * w[0]
         for a in range(1, d):
             quad = quad + sd[a] * w[a]
     logdet = np.log(den).sum(axis=1)
     # posterior mean_k = mu + Q (sd * lam)
-    shrunk = _rotate([sd[b] * lams[:, b] for b in range(d)], qmats)
-    pm = np.stack([means[:, a] + shrunk[a] for a in range(d)], axis=-1)
+    shrunk = _rotate([sd[b] * lams[:, b, None] for b in range(d)], qmats)
+    pm = np.stack([means[:, a, None] + shrunk[a] for a in range(d)])
     return logdet, quad, pm
 
 
 def gmm_reduce(const, quad, pm):
     """The weighted reduction over the components of one mixture.
 
-    const holds logw - 0.5 * (d log 2pi + logdet) per component, either one
-    (1, K) row for every point or an (n, K) row per point; quad (n, K) and
-    pm (n, K, d) are `gmm_terms` columns in the same component order.
-    Returns (logp, resp, denoise): the log density, the posterior
-    responsibilities and the posterior mean E[x0 | x].
-
-    The row sums run over C-ordered (n, K) arrays, where numpy adds K >= 8
-    terms pairwise; over a column-major array (what `quad[:, cols]` returns)
-    it adds them one by one, so logcomp is made C-ordered first.
+    const holds logw - 0.5 * (d log 2pi + logdet) per component, either a
+    (K, 1) column for every point or (K, n); quad (K, n) and pm (d, K, n)
+    are `gmm_terms` rows in the same component order.  Returns (logp, resp,
+    denoise): the log density (n,), the posterior responsibilities (K, n)
+    and the posterior mean E[x0 | x] (n, d).  The normaliser adds up in
+    numpy's row-sum order and the mean one component at a time, einsum's
+    order for d >= 2, so the bits are those of an (n, K) row-major kernel.
     """
-    logcomp = np.ascontiguousarray(const - 0.5 * quad)
-    m = logcomp.max(axis=1)
+    logcomp = const - 0.5 * quad
+    m = logcomp.max(axis=0)
     safe = np.where(np.isfinite(m), m, 0.0)
-    e = np.exp(logcomp - safe[:, None])
-    s = e.sum(axis=1)
+    e = np.exp(logcomp - safe)
+    s = _sum_components(e)
     with np.errstate(divide="ignore"):
         logp = safe + np.log(s)
-    resp = e / np.maximum(s, 1e-300)[:, None]
-    denoise = np.einsum("nk,nka->na", resp, pm)
-    return logp, resp, denoise
+    resp = e / np.maximum(s, 1e-300)
+    mean = reduce(np.add, (resp * pm).swapaxes(0, 1), 0.0)
+    return logp, resp, mean.T.copy()
 
 
 @dataclass(frozen=True)
@@ -296,18 +314,18 @@ class GmmSpec:
 
         Each item of mixtures is a class id, None for the marginal, or an
         (n,) array of class ids, one per point.  The pass covers the distinct
-        table entries the items need.  Each point is then reduced over its
-        own mixture's columns, duplicates gathered, not merged, so its sums
-        run over the same terms in the same order as that mixture evaluated
-        alone.  The points of a per-point item are reduced together per
-        component count, never padded: zero terms past width 8 would change
-        the grouping of numpy's pairwise sum.
+        table entries the items need, component-major.  Each point is then
+        reduced over its own mixture's rows of it, `quad[c]` and `pm[:, c]`,
+        duplicates gathered, not merged, so its sums run over the same terms
+        in the same order as that mixture evaluated alone.  The points of a
+        per-point item (flat takes) are reduced together per component
+        count, never padded: zero terms past width 8 regroup the pairwise sum.
 
         Returns one (logp, resp, denoise, quad) per item: the log density
         (-inf where it underflows), the posterior responsibilities, the
-        posterior mean E[x0 | x] and the squared Mahalanobis distances under
-        the noised components.  resp and quad are (n, K) over one mixture's
-        columns, and None for a per-point item, whose points may differ in K.
+        posterior mean E[x0 | x] (n, d) and the squared Mahalanobis distances
+        under the noised components.  resp and quad are C-ordered (n, K) over
+        one mixture's columns, and None for a per-point item.
         """
         n, d = X.shape
         rows = [self._rows(m, n) for m in mixtures]
@@ -328,19 +346,18 @@ class GmmSpec:
         for r in rows:
             if np.ndim(r) == 0:
                 c = mcols[r, : self._width[r]]
-                q = np.take(quad, c, axis=1)
-                got = gmm_reduce(const[r, None, : len(c)], q, np.take(pm, c, axis=1))
-                out.append((*got, q))
+                q = quad[c]
+                logp, resp, denoise = gmm_reduce(const[r, : len(c), None], q, pm[:, c])
+                out.append((logp, resp.T.copy(), denoise, q.T.copy()))
                 continue
             widths = self._width[r]
             logp, denoise = np.empty(n), np.empty((n, d))
             for k in np.flatnonzero(np.bincount(widths)):
-                # flat indices of each point's own columns in the pass
+                # flat indices of each point's own rows in the pass, (k, points)
                 pts = np.flatnonzero(widths == k)
-                flat = mcols[r[pts], :k] + pts[:, None] * len(cols)
-                logp[pts], _, denoise[pts] = gmm_reduce(
-                    const[r[pts], :k], quad.ravel().take(flat), pm.reshape(-1, d).take(flat, axis=0)
-                )
+                flat = mcols[r[pts], :k].T * n + pts
+                got = gmm_reduce(const[r[pts], :k].T, quad.take(flat), pm.reshape(d, -1).take(flat, axis=1))
+                logp[pts], denoise[pts] = got[0], got[2]
             out.append((logp, None, denoise, None))
         return out
 

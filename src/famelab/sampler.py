@@ -19,20 +19,18 @@ Trajectories are processed in lockstep chunks of fixed width.  Per-trajectory
 seeds derive from (base_seed, class, index), initial noise is drawn from each
 trajectory's own stream, and chunk boundaries depend only on position, so
 results are independent of worker count.  With the analytic source a row's
-bits do not depend on its chunk either, because every kernel computes row i
-from row i's data alone: the mixture kernel uses elementwise broadcasts and
-reductions along each row only (never batched matmul, and never a sum over
-the rows of a (K, n) array, whose order numpy changes when n = 1).  The
-analytic source hands the whole chunk to `GmmSpec.evaluate`, which evaluates
-every component it needs once and reduces each row over its own mixture's
-columns, so each row's sums run over the same terms in the same order as a
-per-class evaluation of that row.  The MLP is not row-independent: BLAS may
-accumulate a row's matmul differently with the number of rows beside it, so
-a neural row's float64 bits depend on its chunk.  The neural source calls
-the MLP's inference forward (`denoiser._denoise`), which keeps no
-activations and reuses two hidden-layer buffers; it gives the same bits as
-the training forward that backpropagation uses.  The test suite asserts
-cross-layout equality.
+bits do not depend on its chunk either: the mixture kernel holds its terms
+component-major, (K, n), and runs every step elementwise across points, with
+sums over components as explicit sequences and only max reduced along an
+axis.  The analytic source hands the whole chunk to `GmmSpec.evaluate`, which
+evaluates every component it needs once and reduces each row over its own
+mixture's, in the same order as a per-class evaluation of that row.  The MLP
+is not row-independent: BLAS may accumulate a row's matmul differently with
+the number of rows beside it, so a neural row's float64 bits depend on its
+chunk.  The neural source calls the MLP's inference forward
+(`denoiser._denoise`), which keeps no activations and reuses two hidden-layer
+buffers; it gives the same bits as the training forward that backpropagation
+uses.  The test suite asserts cross-layout equality.
 """
 
 from __future__ import annotations

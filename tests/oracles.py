@@ -2,16 +2,21 @@
 
 The package evaluates mixtures in one place, `GmmSpec.evaluate`, which runs
 the kernel once over the distinct components several mixtures share and
-gathers each mixture's columns.  The oracles here take the other route: they
+gathers each mixture's rows.  The oracles here take the other route: they
 hand one mixture's components (`spec.table.*[pack.cols]`, a shared
-component repeated) straight to `gmm_terms` and `gmm_reduce`, and never call
-`GmmSpec.evaluate`, so a test comparing the two compares two paths.  The
-score, which the package no longer computes, is the responsibility-weighted
--Sigma_sigma^-1 (x - mu) of each component.  `assign_modes_two_pass` is the
-earlier mode assignment: the responsibilities, then a second pass for the
-einsum Mahalanobis distance.  `precision_recall_dense` is the earlier k-NN
-precision/recall on full `cdist` matrices, which the package's KD-tree search
-must match exactly.
+component repeated) straight to a kernel of their own, and never call
+`GmmSpec.evaluate`, so a test comparing the two compares two paths.  That
+kernel, `_gmm_terms_rows` then `_gmm_reduce_rows`, is the package's earlier
+row-major one, kept verbatim: (n, K) arrays, numpy's own row sums and an
+einsum for the posterior mean.  The package's component-major kernel must
+give its bits, so the comparison pins the layout change too; only at d = 1,
+where that einsum takes a vectorised dot-product path, do the posterior
+means agree to rounding instead.  The score, which the package no longer computes, is
+the responsibility-weighted -Sigma_sigma^-1 (x - mu) of each component.
+`assign_modes_two_pass` is the earlier mode assignment: the
+responsibilities, then a second pass for the einsum Mahalanobis distance.
+`precision_recall_dense` is the earlier k-NN precision/recall on full
+`cdist` matrices, which the package's KD-tree search must match exactly.
 """
 
 import math
@@ -20,17 +25,82 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from famelab.errors import DegeneratePointError, InvalidArgumentError
-from famelab.gmm import check_points, gmm_reduce, gmm_terms
+from famelab.gmm import check_points
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+
+def _rotate_rows(planes, qmats):
+    """Q v per component, for v given as d (n, K) planes: plane a of the
+    result is sum_b Q[:, a, b] * v_b."""
+    d = len(planes)
+    out = []
+    for a in range(d):
+        acc = planes[0] * qmats[:, a, 0]
+        for b in range(1, d):
+            acc = acc + planes[b] * qmats[:, a, b]
+        out.append(acc)
+    return out
+
+
+def _gmm_terms_rows(X, means, qmats, lams, sig2):
+    """The weight-free part of the mixture evaluation at sigma = sqrt(sig2).
+
+    Returns (logdet, quad, pm): logdet (K,) the log determinant of each
+    noised covariance Sigma + sig2 I, quad (n, K) the squared Mahalanobis
+    distance of each point under it (at sig2 = 0, under Sigma itself), and
+    pm (n, K, d) each component's posterior mean E[x0 | x, k].  Every column
+    depends on its own component alone, so a caller may evaluate a table of
+    components once and hand any selection of its columns to `_gmm_reduce_rows`.
+    """
+    d = X.shape[1]
+    den = lams + sig2
+    # w = Q^T (x - mu) per component; sd = w / den is Sigma_sigma^-1 (x - mu)
+    # in the eigenbasis
+    w = _rotate_rows([X[:, b, None] - means[:, b] for b in range(d)], qmats.transpose(0, 2, 1))
+    sd = [w[a] / den[:, a] for a in range(d)]
+    with np.errstate(over="ignore"):  # quad = inf far from every component
+        quad = sd[0] * w[0]
+        for a in range(1, d):
+            quad = quad + sd[a] * w[a]
+    logdet = np.log(den).sum(axis=1)
+    # posterior mean_k = mu + Q (sd * lam)
+    shrunk = _rotate_rows([sd[b] * lams[:, b] for b in range(d)], qmats)
+    pm = np.stack([means[:, a] + shrunk[a] for a in range(d)], axis=-1)
+    return logdet, quad, pm
+
+
+def _gmm_reduce_rows(const, quad, pm):
+    """The weighted reduction over the components of one mixture.
+
+    const holds logw - 0.5 * (d log 2pi + logdet) per component, either one
+    (1, K) row for every point or an (n, K) row per point; quad (n, K) and
+    pm (n, K, d) are `_gmm_terms_rows` columns in the same component order.
+    Returns (logp, resp, denoise): the log density, the posterior
+    responsibilities and the posterior mean E[x0 | x].
+
+    The row sums run over C-ordered (n, K) arrays, where numpy adds K >= 8
+    terms pairwise; over a column-major array (what `quad[:, cols]` returns)
+    it adds them one by one, so logcomp is made C-ordered first.
+    """
+    logcomp = np.ascontiguousarray(const - 0.5 * quad)
+    m = logcomp.max(axis=1)
+    safe = np.where(np.isfinite(m), m, 0.0)
+    e = np.exp(logcomp - safe[:, None])
+    s = e.sum(axis=1)
+    with np.errstate(divide="ignore"):
+        logp = safe + np.log(s)
+    resp = e / np.maximum(s, 1e-300)[:, None]
+    denoise = np.einsum("nk,nka->na", resp, pm)
+    return logp, resp, denoise
 
 
 def gmm_eval(X, means, qmats, lams, logw, sig2):
     """(logp, resp, score, denoise) of one mixture at sigma = sqrt(sig2)."""
     d = X.shape[1]
-    logdet, quad, pm = gmm_terms(X, means, qmats, lams, sig2)
+    logdet, quad, pm = _gmm_terms_rows(X, means, qmats, lams, sig2)
     const = logw[None, :] - 0.5 * (d * LOG_2PI + logdet)[None, :]
-    logp, resp, denoise = gmm_reduce(const, quad, pm)
+    logp, resp, denoise = _gmm_reduce_rows(const, quad, pm)
     w = np.einsum("nkb,kba->nka", X[:, None, :] - means[None, :, :], qmats)
     score = -np.einsum("nk,kab,nkb->na", resp, qmats, w / (lams[None, :, :] + sig2))
     return logp, resp, score, denoise

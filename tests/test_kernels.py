@@ -1,12 +1,20 @@
 """The numeric kernels against their direct einsum formulas.
 
-The oracle below is the mixture kernel's earlier implementation, three-operand
-einsum contractions.  The kernel is checked as `gmm_terms` then `gmm_reduce`
-on one mixture's own components (`tests.oracles.gmm_eval`).
+The oracle below is the mixture kernel's earliest implementation,
+three-operand einsum contractions; `tests.oracles.gmm_eval` is its row-major
+rewrite, (n, K) arrays reduced along rows, which the package kernel replaced.
 Random mixtures must agree to rounding; the packs the reference run
 evaluates must agree exactly, which is what keeps sampled trajectories and
-pools byte-stable across kernel rewrites.  `GmmSpec.evaluate`, the package's
-one caller of the two, must give the bits of that per-mixture composition.
+pools byte-stable across kernel rewrites.
+
+The package kernel is component-major: `gmm_terms` gives quad (K, n) and pm
+(d, K, n), and every reduction over components is an explicit elementwise
+sequence, in the order numpy sums an (n, K) row (`_sum_components`) and
+einsum forms the posterior mean (at d >= 2); only max uses an axis reduce.  Those orders
+are pinned here against numpy itself, so a numpy that changes them fails by
+name.  `GmmSpec.evaluate`, the package's one caller of the kernel, must give
+the bits of the row-major kernel on that mixture's own components, and hand
+its scalar items' resp and quad back C-ordered (n, K).
 """
 
 import math
@@ -14,9 +22,10 @@ import math
 import numpy as np
 
 from famelab.config import ExperimentConfig
-from famelab.gmm import gmm_reduce, gmm_terms, preset
+from famelab.gmm import _sum_components, gmm_reduce, gmm_terms, preset, responsibilities
+from famelab.metrics import ComponentTagScorer
 from famelab.schedule import make_schedule
-from tests.oracles import gmm_eval, pack_arrays
+from tests.oracles import _gmm_terms_rows, gmm_eval, pack_arrays
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -128,11 +137,34 @@ class TestGmmEval:
                 for b, s in zip(batch, single):
                     np.testing.assert_array_equal(b[i], s[0])
 
+    def test_package_rows_independent_of_batch(self):
+        """The same for `GmmSpec.evaluate` and for the kernel at K >= 8,
+        where a one-point (K, 1) sum over axis 0 would be added pairwise."""
+        rng = np.random.default_rng(19)
+        spec = preset("imbalanced2d")
+        X = rng.standard_normal((40, 2)) * 3.0
+        cls = rng.choice(np.array(spec.class_ids), size=len(X))
+        batch = spec.evaluate(X, 0.7, [None, 1, cls])
+        X12, means, qmats, lams, logw = random_mixture(rng, n=30, d=3, K=12)
+        logdet, quad, pm = gmm_terms(X12, means, qmats, lams, 0.49)
+        const = (logw - 0.5 * (3 * LOG_2PI + logdet))[:, None]
+        kernel = gmm_reduce(const, quad, pm)
+        for i in range(len(X)):
+            single = spec.evaluate(X[i : i + 1], 0.7, [None, 1, cls[i : i + 1]])
+            for b, s in zip(batch, single):
+                np.testing.assert_array_equal(b[0][i], s[0][0])
+                np.testing.assert_array_equal(b[2][i], s[2][0])
+        for i in range(len(X12)):
+            logp, resp, denoise = gmm_reduce(const, quad[:, i : i + 1], pm[:, :, i : i + 1])
+            np.testing.assert_array_equal(kernel[0][i], logp[0])
+            np.testing.assert_array_equal(kernel[1][:, i], resp[:, 0])
+            np.testing.assert_array_equal(kernel[2][i], denoise[0])
+
 
 class TestSplitKernel:
     """`GmmSpec.evaluate` runs `gmm_terms` once over the table entries its
-    mixtures need, then `gmm_reduce` over each mixture's columns: the bits
-    the two kernels give on that mixture's own components."""
+    mixtures need, then `gmm_reduce` over each mixture's rows of them: the
+    bits the row-major kernel gives on that mixture's own components."""
 
     def test_table_columns_reduce_to_pack_results(self):
         spec = preset("imbalanced2d")
@@ -148,14 +180,15 @@ class TestSplitKernel:
             for class_id, (logp, resp, denoise, q) in zip(mixtures, got):
                 p = spec.pack(class_id)
                 want = gmm_eval(X, *pack_arrays(spec, class_id), sigma**2)
-                for g, ref in zip((logp, resp, denoise), (want[0], want[1], want[3])):
+                want_q = _gmm_terms_rows(X, *pack_arrays(spec, class_id)[:3], sigma**2)[1]
+                for g, ref in zip((logp, resp, denoise, q), (want[0], want[1], want[3], want_q)):
                     np.testing.assert_array_equal(g, ref)
-                np.testing.assert_array_equal(q, gmm_terms(X, *pack_arrays(spec, class_id)[:3], sigma**2)[1])
-                # quad[:, cols] is column-major; the sums must not follow it
-                assert not quad[:, p.cols].flags.c_contiguous or len(p.cols) == 1
-                const = p.logw[None, :] - 0.5 * (2 * LOG_2PI + logdet[p.cols])[None, :]
-                alt = gmm_reduce(const, quad[:, p.cols], pm[:, p.cols])
-                for g, ref in zip(alt, (want[0], want[1], want[3])):
+                # quad[cols] is component-major: one C-ordered row per component
+                assert quad[p.cols].shape == (len(p.cols), len(X))
+                assert quad[p.cols].flags.c_contiguous
+                const = (p.logw - 0.5 * (2 * LOG_2PI + logdet[p.cols]))[:, None]
+                alt = gmm_reduce(const, quad[p.cols], pm[:, p.cols])
+                for g, ref in zip(alt, (want[0], want[1].T, want[3])):
                     np.testing.assert_array_equal(g, ref)
             # one mixture per row: each row's own class's bits
             logp, resp, denoise, q = got[-1]
@@ -165,3 +198,85 @@ class TestSplitKernel:
                 want = gmm_eval(X[rows], *pack_arrays(spec, c), sigma**2)
                 np.testing.assert_array_equal(logp[rows], want[0])
                 np.testing.assert_array_equal(denoise[rows], want[3])
+
+
+def _bits(a):
+    """The float64 bit patterns of a, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestNumpyOrder:
+    """The kernel's reductions over components repeat numpy's own orders
+    elementwise across points.  These pin both orders against numpy."""
+
+    def test_component_sum_is_numpy_row_sum(self):
+        """`_sum_components` over (K, n) equals (n, K).sum(axis=1) bit for
+        bit, zeros, subnormals and inf included."""
+        rng = np.random.default_rng(14)
+        tiny = np.finfo(np.float64).smallest_subnormal
+        for K in range(1, 34):
+            for n in (1, 5, 1024):
+                e = rng.random((n, K)) * 2.0 ** rng.integers(-4, 5, size=(n, K))
+                pick = rng.random((n, K))
+                e[pick < 0.05] = 0.0
+                e[(pick >= 0.05) & (pick < 0.1)] = -0.0
+                e[(pick >= 0.1) & (pick < 0.15)] = tiny * rng.integers(1, 2**20)
+                e[pick > 0.99] = np.inf
+                e[0] = tiny * np.arange(1, K + 1)
+                e[-1, :] = -0.0
+                got = _sum_components(np.ascontiguousarray(e.T))
+                np.testing.assert_array_equal(_bits(got), _bits(e.sum(axis=1)), err_msg=f"K={K} n={n}")
+
+    def test_component_sum_past_pairwise_block(self):
+        """Past 128 terms numpy splits the row sum in halves."""
+        rng = np.random.default_rng(15)
+        for K in (128, 129, 136, 300):
+            e = rng.random((7, K)) * 2.0 ** rng.integers(-4, 5, size=(7, K))
+            np.testing.assert_array_equal(_bits(_sum_components(e.T.copy())), _bits(e.sum(axis=1)))
+
+    def test_posterior_mean_is_einsum(self):
+        """`gmm_reduce` forms the posterior mean one component at a time,
+        which is einsum's order for d >= 2.  At d = 1 einsum contracts the
+        components in a vectorised dot product whose order no elementwise
+        sequence repeats; there the two agree to rounding."""
+        rng = np.random.default_rng(16)
+        for d in (1, 2, 3, 5):
+            for K in range(1, 34):
+                for n in (1, 5, 1024):
+                    const = rng.standard_normal((K, 1))
+                    quad = rng.random((K, n)) * 4.0
+                    pm = rng.standard_normal((d, K, n))
+                    # an underflowed point: zero responsibilities, -0.0 terms
+                    quad[:, -1], pm[:, :, -1] = np.inf, -1.0
+                    _, resp, denoise = gmm_reduce(const, quad, pm)
+                    want = np.einsum("nk,nka->na", resp.T.copy(), pm.transpose(2, 1, 0).copy())
+                    if d == 1:
+                        np.testing.assert_allclose(denoise, want, rtol=1e-14, atol=1e-15)
+                    else:
+                        np.testing.assert_array_equal(_bits(denoise), _bits(want), err_msg=f"d={d} K={K} n={n}")
+
+
+class TestLayoutContract:
+    """Scalar items hand resp and quad back C-ordered (n, K).  An F-ordered
+    view (resp.T of the component-major array) has the same values, but BLAS
+    reads it differently: `ComponentTagScorer`'s `r @ tags` then changes in
+    the last bit."""
+
+    def test_scalar_items_are_c_ordered(self):
+        spec = preset("imbalanced2d")
+        X = np.random.default_rng(17).standard_normal((50, 2)) * 3.0
+        for class_id in (None, 1):
+            K = len(spec.pack(class_id).cols)
+            r = responsibilities(spec, X, class_id)
+            assert r.shape == (50, K) and r.flags.c_contiguous
+            [(_, resp, _, quad)] = spec.evaluate(X, 0.5, [class_id])
+            for a in (resp, quad):
+                assert a.shape == (50, K) and a.flags.c_contiguous
+
+    def test_tag_scorer_matches_row_major_oracle(self):
+        spec = preset("imbalanced2d")
+        scorer = ComponentTagScorer(spec)
+        X = np.random.default_rng(18).standard_normal((1000, 2)) * 4.0
+        for class_id in (None, *spec.class_ids):
+            want = gmm_eval(X, *pack_arrays(spec, class_id), 0.0)[1] @ spec.pack(class_id).tags
+            np.testing.assert_array_equal(scorer(X, class_id), want)
