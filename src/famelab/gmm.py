@@ -324,8 +324,8 @@ class GmmSpec:
         Returns one (logp, resp, denoise, quad) per item: the log density
         (-inf where it underflows), the posterior responsibilities, the
         posterior mean E[x0 | x] (n, d) and the squared Mahalanobis distances
-        under the noised components.  resp and quad are C-ordered (n, K) over
-        one mixture's columns, and None for a per-point item.
+        under the noised components.  resp and quad are component-major (K, n)
+        over one mixture's columns, and None for a per-point item.
         """
         n, d = X.shape
         rows = [self._rows(m, n) for m in mixtures]
@@ -348,7 +348,7 @@ class GmmSpec:
                 c = mcols[r, : self._width[r]]
                 q = quad[c]
                 logp, resp, denoise = gmm_reduce(const[r, : len(c), None], q, pm[:, c])
-                out.append((logp, resp.T.copy(), denoise, q.T.copy()))
+                out.append((logp, resp, denoise, q))
                 continue
             widths = self._width[r]
             logp, denoise = np.empty(n), np.empty((n, d))
@@ -384,12 +384,12 @@ def check_points(spec, x, sigma):
 
 def _eval(spec, x, sigma, class_id):
     """One mixture at x: whether x was a single vector, and `evaluate`'s
-    (logp, resp, denoise, quad)."""
+    (logp, resp, denoise, quad), resp and quad as C-ordered (n, K) copies."""
     if np.ndim(class_id):
         raise InvalidArgumentError(f"class_id must be one class id or None, got {class_id!r}")
     single, X = check_points(spec, x, sigma)
-    [got] = spec.evaluate(X, sigma, [class_id])
-    return single, got
+    [(logp, resp, denoise, quad)] = spec.evaluate(X, sigma, [class_id])
+    return single, (logp, resp.T.copy(), denoise, quad.T.copy())
 
 
 def noised_log_density(spec: GmmSpec, x, sigma: float, class_id=None):

@@ -16,21 +16,22 @@ All three calls are pure and only read their source, so threaded workers
 share one.
 
 Trajectories are processed in lockstep chunks of fixed width.  Per-trajectory
-seeds derive from (base_seed, class, index), initial noise is drawn from each
-trajectory's own stream, and chunk boundaries depend only on position, so
-results are independent of worker count.  With the analytic source a row's
-bits do not depend on its chunk either: the mixture kernel holds its terms
-component-major, (K, n), and runs every step elementwise across points, with
-sums over components as explicit sequences and only max reduced along an
-axis.  The analytic source hands the whole chunk to `GmmSpec.evaluate`, which
-evaluates every component it needs once and reduces each row over its own
-mixture's, in the same order as a per-class evaluation of that row.  The MLP
-is not row-independent: BLAS may accumulate a row's matmul differently with
-the number of rows beside it, so a neural row's float64 bits depend on its
-chunk.  The neural source calls the MLP's inference forward
-(`denoiser._denoise`), which keeps no activations and reuses two hidden-layer
-buffers; it gives the same bits as the training forward that backpropagation
-uses.  The test suite asserts cross-layout equality.
+seeds derive from (base_seed, class, index), initial noise is each
+trajectory's own default_rng(seed) stream (`schedule.initial_noise` computes
+the seed words for the whole chunk at once), and chunk boundaries depend only
+on position, so results are independent of worker count.  With the analytic
+source a row's bits do not depend on its chunk either: the mixture kernel
+holds its terms component-major, (K, n), and runs every step elementwise
+across points, with sums over components as explicit sequences and only max
+reduced along an axis.  The analytic source hands the whole chunk to
+`GmmSpec.evaluate`, which evaluates every component it needs once and reduces
+each row over its own mixture's, in the same order as a per-class evaluation
+of that row.  The MLP is not row-independent: BLAS may accumulate a row's
+matmul differently with the number of rows beside it, so a neural row's
+float64 bits depend on its chunk.  The neural source calls the MLP's inference
+forward (`denoiser._denoise`), which keeps no activations and reuses two
+hidden-layer buffers; it gives the same bits as the training forward that
+backpropagation uses.  The test suite asserts cross-layout equality.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 from .denoiser import MlpDenoiser, _denoise
 from .errors import DegeneratePointError, DivergedError, InvalidArgumentError
 from .gmm import GmmSpec, check_points
-from .schedule import NoiseSchedule, derive_seed, new_trajectories
+from .schedule import NoiseSchedule, derive_seed, initial_noise, new_trajectories
 
 SAMPLER_METHODS = ("euler", "heun")
 
@@ -127,11 +128,10 @@ def _integrate_chunk(source, cfg, seeds, class_ids, labels, record_outputs):
     sig = sched.sigmas
     T = sched.T
     d = source.dim
-    m = len(seeds)
-    x = np.stack([np.random.default_rng(s).standard_normal(d) for s in seeds]) * sig[0]
-    states = np.empty((m, T + 1, d))
+    x = initial_noise(seeds, d) * sig[0]
+    states = np.empty((len(x), T + 1, d))
     states[:, 0] = x
-    outputs = np.empty((m, T, d)) if record_outputs else None
+    outputs = np.empty((len(x), T, d)) if record_outputs else None
     neg = source.bind(sched, np.asarray(seeds, dtype=np.uint64), class_ids)
 
     def fail(arr, step):

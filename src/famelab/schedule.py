@@ -2,9 +2,9 @@
 
 A schedule is a strictly decreasing array of T+1 noise levels ending exactly at
 zero.  Every sampled trajectory owns a 64-bit seed derived from
-(base_seed, class_id, index), and numpy's default_rng(seed) stream draws its
-initial noise, so results are reproducible regardless of batch layout or
-worker count.
+(base_seed, class_id, index); its initial noise is numpy's default_rng(seed)
+stream, bit for bit, with the seed words computed for a whole chunk at once
+(`initial_noise`), so results are reproducible regardless of batch layout.
 
 Trajectories live in one numpy structured array whose packed, little-endian
 record (`trajectory_dtype`) is also the file format: a 30-byte header (magic
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
@@ -67,6 +68,53 @@ def derive_seed(base_seed, *keys):
         v = v.astype(np.uint64) if isinstance(v, np.ndarray) else int(v) & _MASK64
         h = splitmix64(v if h is None else h ^ v)
     return h
+
+
+# numpy's SeedSequence constants
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R, _XSHIFT = 0xCA01F9DD, 0x4973F715, 16
+
+
+def _hash(v, i, init=_INIT_A, mult=_MULT_A):
+    """Step i of a SeedSequence hash chain on a uint32 array: xor with the
+    chain's constant init * mult**i, multiply by the next one, xor-shift."""
+    h = init * pow(mult, i, 1 << 32)
+    v = (v ^ (h & 0xFFFFFFFF)) * (h * mult & 0xFFFFFFFF)
+    return v ^ (v >> _XSHIFT)
+
+
+def _seed_words(seeds):
+    """`SeedSequence(s).generate_state(4, np.uint64)` of each uint64 seed, (m, 4).
+    A seed below 2**32 has one entropy word; hashing the missing one as 0
+    gives the same pool, so the two-word form covers every seed."""
+    s = np.asarray(seeds, dtype=np.uint64)
+    words = [(s & 0xFFFFFFFF).astype(np.uint32), (s >> 32).astype(np.uint32)]
+    pool = [_hash(w, i) for i, w in enumerate(words + [np.zeros_like(words[0])] * 2)]
+    # mix every pool word into every other, the hash chain running on
+    for i, (src, dst) in enumerate(permutations(range(4), 2), len(pool)):
+        v = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * _hash(pool[src], i)
+        pool[dst] = v ^ (v >> _XSHIFT)
+    state = [_hash(pool[i % 4], i, _INIT_B, _MULT_B) for i in range(8)]
+    return np.stack(state, axis=-1).astype("<u4").view("<u8")
+
+
+class _Words(np.random.bit_generator.ISeedSequence):
+    """Hands each bit generator seeded from it the next row of state words."""
+
+    def __init__(self, words):
+        self.rows = iter(words)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return next(self.rows)
+
+
+def initial_noise(seeds, d):
+    """The (m, d) standard normals `np.random.default_rng(s).standard_normal(d)`
+    draws for each of m seeds, bit for bit, the seed words computed at once."""
+    words, out = _Words(_seed_words(seeds)), np.empty((len(seeds), d))
+    for row in out:
+        np.random.Generator(np.random.PCG64(words)).standard_normal(out=row)
+    return out
 
 
 @dataclass(frozen=True, eq=False)

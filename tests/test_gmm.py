@@ -238,7 +238,7 @@ class TestResponsibilities:
         spec = two_mode_1d()
         _, X = check_points(spec, np.array([-1.0]), 0.0)
         [(_, _, _, m2)] = spec.evaluate(X, 0.0, [1])
-        np.testing.assert_allclose(m2[0], [(1.0**2) / 0.25, 4.0**2 / 1.0], rtol=1e-12)
+        np.testing.assert_allclose(m2[:, 0], [(1.0**2) / 0.25, 4.0**2 / 1.0], rtol=1e-12)
 
 
 class TestExactSampler:

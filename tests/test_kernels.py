@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from famelab.config import ExperimentConfig
-from famelab.gmm import _sum_components, gmm_reduce, gmm_terms, preset, responsibilities
+from famelab.gmm import _eval, _sum_components, gmm_reduce, gmm_terms, preset, responsibilities
 from famelab.metrics import ComponentTagScorer
 from famelab.schedule import make_schedule
 from tests.oracles import _gmm_terms_rows, gmm_eval, pack_arrays
@@ -181,7 +181,7 @@ class TestSplitKernel:
                 p = spec.pack(class_id)
                 want = gmm_eval(X, *pack_arrays(spec, class_id), sigma**2)
                 want_q = _gmm_terms_rows(X, *pack_arrays(spec, class_id)[:3], sigma**2)[1]
-                for g, ref in zip((logp, resp, denoise, q), (want[0], want[1], want[3], want_q)):
+                for g, ref in zip((logp, resp.T, denoise, q.T), (want[0], want[1], want[3], want_q)):
                     np.testing.assert_array_equal(g, ref)
                 # quad[cols] is component-major: one C-ordered row per component
                 assert quad[p.cols].shape == (len(p.cols), len(X))
@@ -257,10 +257,12 @@ class TestNumpyOrder:
 
 
 class TestLayoutContract:
-    """Scalar items hand resp and quad back C-ordered (n, K).  An F-ordered
-    view (resp.T of the component-major array) has the same values, but BLAS
-    reads it differently: `ComponentTagScorer`'s `r @ tags` then changes in
-    the last bit."""
+    """`evaluate` hands scalar items' resp and quad back component-major
+    (K, n), as the kernel makes them; `_eval`, which `responsibilities`,
+    `noised_log_density` and the metrics read, makes C-ordered (n, K)
+    copies.  An F-ordered view (resp.T of the component-major array) has the
+    same values, but BLAS reads it differently: `ComponentTagScorer`'s
+    `r @ tags` then changes in the last bit."""
 
     def test_scalar_items_are_c_ordered(self):
         spec = preset("imbalanced2d")
@@ -269,9 +271,13 @@ class TestLayoutContract:
             K = len(spec.pack(class_id).cols)
             r = responsibilities(spec, X, class_id)
             assert r.shape == (50, K) and r.flags.c_contiguous
-            [(_, resp, _, quad)] = spec.evaluate(X, 0.5, [class_id])
+            _, (_, resp, _, quad) = _eval(spec, X, 0.5, class_id)
             for a in (resp, quad):
                 assert a.shape == (50, K) and a.flags.c_contiguous
+            [(_, resp_km, _, quad_km)] = spec.evaluate(X, 0.5, [class_id])
+            for a, b in ((resp_km, resp), (quad_km, quad)):
+                assert a.shape == (K, 50) and a.flags.c_contiguous
+                np.testing.assert_array_equal(a.T, b)
 
     def test_tag_scorer_matches_row_major_oracle(self):
         spec = preset("imbalanced2d")

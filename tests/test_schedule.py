@@ -9,7 +9,9 @@ from famelab.guidance import GuidanceConfig, guided_source
 from famelab.sampler import AnalyticSource, SamplerConfig, sample_batch
 from famelab.schedule import (
     NoiseSchedule,
+    _seed_words,
     derive_seed,
+    initial_noise,
     load_trajectories,
     make_schedule,
     new_trajectories,
@@ -121,6 +123,45 @@ class TestSeeds:
         for rec in batch:
             x0 = np.random.default_rng(rec["seed"]).standard_normal(2) * sched.sigmas[0]
             np.testing.assert_array_equal(rec["states"][0], x0.astype(np.float32))
+
+
+# seeds at the word and sign edges, then random uint64 seeds: with 10,000
+# of them every constant and shift of the word arithmetic is exercised
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+def _test_seeds():
+    rng = np.random.default_rng(2024)
+    drawn = rng.integers(0, 2**64 - 1, size=10_000, dtype=np.uint64, endpoint=True)
+    return np.concatenate([np.array(EDGE_SEEDS, dtype=np.uint64), drawn])
+
+
+class TestInitialNoise:
+    """`initial_noise` is `default_rng(s).standard_normal(d)` per seed, bit
+    for bit, from seed words computed for the whole array at once."""
+
+    def test_seed_words_match_seed_sequence(self):
+        seeds = _test_seeds()
+        want = np.stack([np.random.SeedSequence(int(s)).generate_state(4, np.uint64) for s in seeds])
+        got = _seed_words(seeds)
+        assert got.dtype == np.uint64 and got.shape == (len(seeds), 4)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_matches_default_rng(self, d):
+        seeds = _test_seeds()
+        want = np.stack([np.random.default_rng(int(s)).standard_normal(d) for s in seeds])
+        got = initial_noise(seeds, d)
+        assert got.shape == (len(seeds), d) and got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    def test_any_seed_container_and_empty(self):
+        want = np.stack([np.random.default_rng(s).standard_normal(3) for s in EDGE_SEEDS])
+        assert initial_noise(EDGE_SEEDS, 3).tobytes() == want.tobytes()
+        strided = np.zeros(len(EDGE_SEEDS), [("pad", "u1"), ("seed", "<u8")])
+        strided["seed"] = EDGE_SEEDS
+        assert initial_noise(strided["seed"], 3).tobytes() == want.tobytes()
+        assert initial_noise(np.array([], dtype=np.uint64), 3).shape == (0, 3)
 
 
 def _records(n=1, T=5, d=2, seed=99, class_id=3, score=float("nan")):
