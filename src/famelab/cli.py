@@ -23,7 +23,6 @@ def _add_common(p):
     p.add_argument("--name", help="experiment name (output subdirectory)")
     p.add_argument("--seed", type=int, help="base seed override")
     p.add_argument("--out", help="output directory override")
-    p.add_argument("--workers", type=int, help="sampling worker threads")
     p.add_argument("--w", type=float, help="guidance scale override")
     p.add_argument("--f", type=float, help="replay scale override")
     p.add_argument("--tau", type=float, help="replay window fraction override")
@@ -38,7 +37,6 @@ def _resolve_config(args) -> ExperimentConfig:
         ("name", "name"),
         ("seed", "seed"),
         ("out", "out_dir"),
-        ("workers", "workers"),
         ("pool", "pool_path"),
         ("n_per_class", "n_per_class"),
     ):
@@ -153,8 +151,16 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad argument exits 1, as a bad config does, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="famelab",
         description="Guided diffusion sampling experiments on tractable mixtures.",
     )

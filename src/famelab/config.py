@@ -31,7 +31,7 @@ SWEEP_AXES = ("w", "f", "tau")
 # may be None
 _FIELD_TYPES = {
     **dict.fromkeys(
-        ("n_steps", "pool_candidates", "pool_n_f", "seed", "n_per_class", "workers"), check_int
+        ("n_steps", "pool_candidates", "pool_n_f", "seed", "n_per_class"), check_int
     ),
     **dict.fromkeys(("sigma_min", "sigma_max", "pool_build_w"), check_real),
     **dict.fromkeys(
@@ -40,7 +40,7 @@ _FIELD_TYPES = {
         check_str,
     ),
 }
-_OPTIONAL = {"checkpoint", "pool_path", "pool_build_w", "workers"}
+_OPTIONAL = {"checkpoint", "pool_path", "pool_build_w"}
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,8 @@ class ExperimentConfig:
     classes: tuple | None = None
     train: TrainConfig = field(default_factory=TrainConfig)
     out_dir: str = "out"
-    workers: int | None = None
     save_trajectories: bool = True
+    workers = None  # not a field; perfbench/worker.py reads it until ROADMAP item 1 deletes it
 
     def __post_init__(self):
         for name, check in _FIELD_TYPES.items():
@@ -108,11 +108,11 @@ class ExperimentConfig:
                 )
             for c in self.classes:
                 check_int("each class id", c)
+                if not 1 <= c < 2**31:
+                    raise InvalidArgumentError(f"class id {c} is outside [1, 2**31); 0 is the null token")
             if len(set(self.classes)) != len(self.classes):
                 raise InvalidArgumentError(f"classes must not repeat, got {list(self.classes)}")
             object.__setattr__(self, "classes", tuple(int(c) for c in self.classes))
-        if self.workers is not None and self.workers < 1:
-            raise InvalidArgumentError("workers must be >= 1")
 
 
 # keys that hold nested configs in the JSON form

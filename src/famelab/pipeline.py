@@ -204,7 +204,6 @@ class Experiment:
                     seed=derive_seed(cfg.seed, _POOL_KEY),
                 ),
                 self.classes,
-                workers=cfg.workers,
             )
             save_pool(pool, self.run_dir / "pool.fmpl")
             return pool
@@ -225,7 +224,6 @@ class Experiment:
             derive_seed(cfg.seed, _SAMPLE_KEY),
             self.classes,
             cfg.n_per_class,
-            workers=cfg.workers,
         )
         if save_trajectories:
             for c, block in self._by_class(batch):

@@ -144,7 +144,7 @@ class PoolBuildConfig:
             raise InvalidArgumentError(f"unknown pool mode {self.mode!r}")
 
 
-def build_pool(source, sampler_cfg, scorer, build_cfg: PoolBuildConfig, class_ids, workers=None) -> FailurePool:
+def build_pool(source, sampler_cfg, scorer, build_cfg: PoolBuildConfig, class_ids) -> FailurePool:
     """Sample candidates per class through the given guided source (typically
     plain CFG), score their endpoints, and keep the worst.
 
@@ -167,7 +167,7 @@ def build_pool(source, sampler_cfg, scorer, build_cfg: PoolBuildConfig, class_id
             f"per-class n_f={build_cfg.n_f} exceeds {n_cand} candidates per class"
         )
 
-    batch = sample_batch(source, sampler_cfg, build_cfg.seed, class_ids, n_cand, workers=workers)
+    batch = sample_batch(source, sampler_cfg, build_cfg.seed, class_ids, n_cand)
     for b, c in enumerate(class_ids):
         block = batch[b * n_cand : (b + 1) * n_cand]
         finals = block["states"][:, -1].astype(np.float64)

@@ -12,14 +12,13 @@ class_ids, neg)` per evaluation, which returns the guided output the
 integrator consumes and the conditional output it records.  The guided source
 in turn asks its base source for `denoise(x, sigma, mixtures)`, one output
 per mixture (an (n,) array of class ids, or None for the unconditional one).
-All three calls are pure and only read their source, so threaded workers
-share one.
 
-Trajectories are processed in lockstep chunks of fixed width.  Per-trajectory
-seeds derive from (base_seed, class, index), initial noise is each
-trajectory's own default_rng(seed) stream (`schedule.initial_noise` computes
-the seed words for the whole chunk at once), and chunk boundaries depend only
-on position, so results are independent of worker count.  With the analytic
+Trajectories are processed in lockstep chunks of fixed width, one chunk after
+another.  Per-trajectory seeds derive from (base_seed, class, index), initial
+noise is each trajectory's own default_rng(seed) stream
+(`schedule.initial_noise` computes the seed words for the whole chunk at
+once), and chunk boundaries depend only on position, so a rerun splits a
+batch the same way.  With the analytic
 source a row's bits do not depend on its chunk either: the mixture kernel
 holds its terms component-major, (K, n), and runs every step elementwise
 across points, with sums over components as explicit sequences and only max
@@ -36,7 +35,6 @@ backpropagation uses.  The test suite asserts cross-layout equality.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +47,7 @@ from .schedule import NoiseSchedule, derive_seed, initial_noise, new_trajectorie
 SAMPLER_METHODS = ("euler", "heun")
 
 # lockstep width: large enough to keep kernels efficient, small enough that
-# state arrays stay cheap; must not depend on batch size or worker count
+# state arrays stay cheap; must not depend on batch size
 CHUNK = 1024
 
 
@@ -173,7 +171,6 @@ def sample_batch(
     base_seed: int,
     class_ids,
     n_per_class: int,
-    workers: int | None = None,
 ) -> np.ndarray:
     """Sample n_per_class trajectories for each class (None = unconditional)
     through a guided source (`guidance.guided_source`).
@@ -184,7 +181,7 @@ def sample_batch(
     as soon as it is done.  Each trajectory's stream seed is
     derive_seed(base_seed, class, index) with the unconditional class folded
     in as -1, so any (base_seed, class, index) triple reproduces identically
-    whatever else is in the batch and however many workers run.
+    whatever else is in the batch.
     """
     if n_per_class < 1:
         raise InvalidArgumentError("n_per_class must be >= 1")
@@ -204,7 +201,7 @@ def sample_batch(
     batch["seed"] = derive_seed(base_seed, batch["class_id"], index)
     conditional = any(c is not None for c in class_ids)
 
-    def run(lo):
+    for lo in range(0, n, CHUNK):
         rows = batch[lo : lo + CHUNK]
         cls = rows["class_id"].astype(np.int64) if conditional else None
         states, outputs = _integrate_chunk(
@@ -213,12 +210,6 @@ def sample_batch(
         rows["states"] = states
         if outputs is not None:
             rows["outputs"] = outputs
-
-    starts = range(0, n, CHUNK)
-    if workers is not None and workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, starts))
-    else:
-        for lo in starts:
-            run(lo)
+        # free this chunk's float64 arrays before the next chunk allocates its own
+        del states, outputs
     return batch

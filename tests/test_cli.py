@@ -63,11 +63,14 @@ BAD_CONFIG_VALUES = (
     {"classes": ["a"]},
     {"classes": [1.7]},
     {"classes": [2, 1, 2]},
+    {"classes": [0]},
+    {"classes": [-1]},
     {"guidance": {"cfg_interval": 5}},
     {"guidance": {"cfg_interval": [1]}},
     {"seed": "abc"},
     {"n_per_class": 2.5},
     {"workers": 1.5},
+    {"workers": 2},
     {"pool_candidates": 1.5},
     {"dataset": 5},
 )
@@ -125,6 +128,29 @@ class TestExitCodes:
                 assert rc == 1, (command, config, flags)
                 assert "error:" in capsys.readouterr().err
                 assert not (tmp_path / "out" / "run").exists(), (command, config, flags)
+
+    def test_bad_arguments_are_one(self, tmp_path, capsys):
+        # argparse's own errors exit 1 like a bad config, not 2, which is
+        # kept for a stage that started and failed
+        path = write_config(tmp_path)
+        cases = [
+            ["evaluate", "--seed", "abc"],
+            ["evaluate", "--bogus"],
+            ["sweep", "--axis", "x", "--values", "1"],
+        ]
+        cases += [[command, "--workers", "2", *extra] for command, extra in COMMAND_ARGS.items()]
+        for argv in cases:
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--config", path])
+            assert exc.value.code == 1, argv
+            err = capsys.readouterr().err
+            assert "error:" in err, argv
+            if "--workers" in argv:
+                assert "workers" in err, argv
+            assert not (tmp_path / "out").exists(), argv
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--help"])
+        assert exc.value.code == 0
 
     def test_missing_config_is_one(self, tmp_path):
         assert main(["evaluate", "--config", str(tmp_path / "nope.json")]) == 1

@@ -56,7 +56,6 @@ class TestRoundTrip:
             classes=(1, 3, 5),
             train=TrainConfig(steps=100, batch_size=32, seed=9),
             out_dir="/tmp/elsewhere",
-            workers=2,
             save_trajectories=False,
         )
         p = tmp_path / "cfg.json"
@@ -101,8 +100,9 @@ class TestValidation:
             ExperimentConfig(classes=())
         with pytest.raises(InvalidArgumentError):
             ExperimentConfig(name="a/b")
-        with pytest.raises(InvalidArgumentError):
-            ExperimentConfig(workers=0)
+        # the worker-thread option is gone: a config that sets it names it
+        with pytest.raises(InvalidArgumentError, match="workers"):
+            config_from_dict({"workers": 2})
         with pytest.raises(InvalidArgumentError):
             ExperimentConfig(pool_mode="nope")
         with pytest.raises(InvalidArgumentError):

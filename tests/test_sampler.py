@@ -181,14 +181,6 @@ class TestDeterminism:
         b = sample_batch(self.source, self.cfg, 17, [1, 2], 5)
         assert a.tobytes() == b.tobytes()
 
-    def test_worker_count_does_not_matter(self):
-        # >1024 jobs so the pool actually splits chunks
-        cfg = SamplerConfig(schedule=make_schedule("karras-like", 4, 0.05, 8.0),
-                            method="euler", record_outputs=False)
-        a = sample_batch(self.source, cfg, 23, [1, 2], 700)
-        b = sample_batch(self.source, cfg, 23, [1, 2], 700, workers=4)
-        assert a.tobytes() == b.tobytes()
-
     def test_subset_of_larger_batch_is_bitwise_stable(self):
         big = sample_batch(self.source, self.cfg, 31, [1, 2], 40)
         small = sample_batch(self.source, self.cfg, 31, [1, 2], 25)
@@ -500,12 +492,12 @@ class TestSharedPassSampling:
         assert ra.tobytes() == rb.tobytes()
 
 
-class TestChunkAndWorkerInvariance:
-    """Replay at f > 0 and w = 1.5: neither the lockstep width nor the
-    worker count changes the float64 integration or the record array
-    sample_batch assembles from its chunks."""
+class TestChunkInvariance:
+    """Replay at f > 0 and w = 1.5: the lockstep width changes neither the
+    float64 integration nor the record array sample_batch assembles from its
+    chunks."""
 
-    def run(self, monkeypatch, pool, chunk, workers=None):
+    def run(self, monkeypatch, pool, chunk):
         """(batch, float64 states, float64 outputs) in job order."""
         spec = preset("imbalanced2d")
         cfg = SamplerConfig(schedule=make_schedule("karras-like", 16, 0.02, 8.0))
@@ -519,7 +511,7 @@ class TestChunkAndWorkerInvariance:
 
         monkeypatch.setattr(sampler, "CHUNK", chunk)
         monkeypatch.setattr(sampler, "_integrate_chunk", integrate)
-        batch = sample_batch(source, cfg, 12, [1, 2, 3], 115, workers=workers)
+        batch = sample_batch(source, cfg, 12, [1, 2, 3], 115)
         row = {s: i for i, s in enumerate(batch["seed"].tolist())}
         states, outputs = np.empty((345, 17, 2)), np.empty((345, 16, 2))
         for seeds, s, o in chunks:
@@ -528,10 +520,10 @@ class TestChunkAndWorkerInvariance:
         assert sum(len(c[0]) for c in chunks) == 345
         return batch, states, outputs
 
-    def test_chunk_width_and_workers_do_not_matter(self, monkeypatch, replay_pool):
+    def test_chunk_width_does_not_matter(self, monkeypatch, replay_pool):
         batch, states, outputs = self.run(monkeypatch, replay_pool, 345)
-        for chunk, workers in ((1, None), (333, None), (1024, None), (333, 2)):
-            got, got_states, got_outputs = self.run(monkeypatch, replay_pool, chunk, workers)
-            assert got.tobytes() == batch.tobytes(), (chunk, workers)
+        for chunk in (1, 333, 1024):
+            got, got_states, got_outputs = self.run(monkeypatch, replay_pool, chunk)
+            assert got.tobytes() == batch.tobytes(), chunk
             np.testing.assert_array_equal(got_states, states)
             np.testing.assert_array_equal(got_outputs, outputs)
