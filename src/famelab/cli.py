@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ExperimentConfig, SweepSpec, load_config
+from .config import SWEEP_AXES, ExperimentConfig, SweepSpec, load_config
 from .errors import FamelabError, InvalidArgumentError, PipelineStageError
 from .metrics import render_report
 from .pipeline import Experiment, compare_paired, run_pipeline, run_sweep
@@ -30,6 +30,11 @@ def _add_common(p):
     p.add_argument("--n-per-class", type=int, dest="n_per_class")
 
 
+def _guidance_flags(args, suffix="") -> dict:
+    """The guidance axes set by the --<axis><suffix> flags."""
+    return {a: v for a in SWEEP_AXES if (v := getattr(args, a + suffix, None)) is not None}
+
+
 def _resolve_config(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     over = {}
@@ -43,11 +48,7 @@ def _resolve_config(args) -> ExperimentConfig:
         v = getattr(args, flag, None)
         if v is not None:
             over[field] = v
-    g = {}
-    for axis in ("w", "f", "tau"):
-        v = getattr(args, axis, None)
-        if v is not None:
-            g[axis] = v
+    g = _guidance_flags(args)
     if g:
         over["guidance"] = replace(cfg.guidance, **g)
     return replace(cfg, **over) if over else cfg
@@ -120,16 +121,13 @@ def cmd_sweep(cfg, args):
 def cmd_compare(cfg, args):
     if args.config_b:
         # side b takes every common flag but the name and guidance of side a
-        side_b = dict(vars(args), config=args.config_b, name=None, w=None, f=None, tau=None)
+        side_b = dict(vars(args), config=args.config_b, name=None, **dict.fromkeys(SWEEP_AXES))
         cfg_b = _resolve_config(argparse.Namespace(**side_b))
     else:
-        g = {}
-        for axis in ("w", "f", "tau"):
-            v = getattr(args, f"{axis}_b")
-            if v is not None:
-                g[axis] = v
+        g = _guidance_flags(args, "_b")
         if not g:
-            raise InvalidArgumentError("compare needs --config-b or at least one of --w-b/--f-b/--tau-b")
+            flags = "/".join(f"--{axis}-b" for axis in SWEEP_AXES)
+            raise InvalidArgumentError(f"compare needs --config-b or at least one of {flags}")
         cfg_b = replace(cfg, guidance=replace(cfg.guidance, **g), name=cfg.name + "-b")
     result = compare_paired(cfg, cfg_b)
     print(f"pairs             : {result.n_pairs}")
@@ -169,13 +167,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         _add_common(p)
         if name == "sweep":
-            p.add_argument("--axis", required=True, choices=("w", "f", "tau"))
+            p.add_argument("--axis", required=True, choices=SWEEP_AXES)
             p.add_argument("--values", required=True, help="comma-separated axis values")
         if name == "compare":
             p.add_argument("--config-b", dest="config_b", help="config for the second side")
-            p.add_argument("--w-b", dest="w_b", type=float)
-            p.add_argument("--f-b", dest="f_b", type=float)
-            p.add_argument("--tau-b", dest="tau_b", type=float)
+            for axis in SWEEP_AXES:
+                p.add_argument(f"--{axis}-b", dest=f"{axis}_b", type=float)
     return parser
 
 

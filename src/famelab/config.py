@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .denoiser import TrainConfig
-from .errors import InvalidArgumentError, check_int, check_real, check_str
+from .errors import InvalidArgumentError, check_class_id, check_int, check_real, check_str
 from .guidance import GuidanceConfig
 from .metrics import check_scorer_id
 from .pool import POOL_MODES
@@ -33,14 +33,14 @@ _FIELD_TYPES = {
     **dict.fromkeys(
         ("n_steps", "pool_candidates", "pool_n_f", "seed", "n_per_class"), check_int
     ),
-    **dict.fromkeys(("sigma_min", "sigma_max", "pool_build_w"), check_real),
+    **dict.fromkeys(("sigma_min", "sigma_max"), check_real),
     **dict.fromkeys(
         ("name", "dataset", "source", "checkpoint", "schedule_kind", "method",
          "pool_path", "pool_mode", "scorer", "out_dir"),
         check_str,
     ),
 }
-_OPTIONAL = {"checkpoint", "pool_path", "pool_build_w"}
+_OPTIONAL = {"checkpoint", "pool_path"}
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,6 @@ class ExperimentConfig:
     pool_candidates: int = 200
     pool_n_f: int = 8
     pool_mode: str = "global"
-    pool_build_w: float | None = None
     scorer: str = "component-tag"
     seed: int = 0
     n_per_class: int = 1000
@@ -96,10 +95,6 @@ class ExperimentConfig:
             raise InvalidArgumentError("pool_candidates and pool_n_f must be >= 1")
         if self.pool_mode not in POOL_MODES:
             raise InvalidArgumentError(f"pool_mode must be one of {POOL_MODES}")
-        if self.pool_build_w is not None and not (
-            np.isfinite(self.pool_build_w) and self.pool_build_w >= 0
-        ):
-            raise InvalidArgumentError("pool_build_w must be finite and >= 0")
         check_scorer_id(self.scorer)
         if self.classes is not None:
             if not isinstance(self.classes, (list, tuple)) or len(self.classes) == 0:
@@ -107,57 +102,44 @@ class ExperimentConfig:
                     f"classes, when given, must be a nonempty list, got {self.classes!r}"
                 )
             for c in self.classes:
-                check_int("each class id", c)
-                if not 1 <= c < 2**31:
-                    raise InvalidArgumentError(f"class id {c} is outside [1, 2**31); 0 is the null token")
+                check_class_id(c)
             if len(set(self.classes)) != len(self.classes):
                 raise InvalidArgumentError(f"classes must not repeat, got {list(self.classes)}")
             object.__setattr__(self, "classes", tuple(int(c) for c in self.classes))
 
 
-# keys that hold nested configs in the JSON form
+# keys that hold nested config sections in the JSON form
 _NESTED = {"guidance": GuidanceConfig, "train": TrainConfig}
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    out = {}
-    for f in dataclasses.fields(cfg):
-        v = getattr(cfg, f.name)
-        if f.name in _NESTED:
-            v = dict(vars(v))
-            if f.name == "guidance" and v["cfg_interval"] is not None:
-                v["cfg_interval"] = list(v["cfg_interval"])
-        elif isinstance(v, tuple):
-            v = list(v)
-        out[f.name] = v
-    return out
+    """The JSON form of a config: sections become dicts, tuples lists."""
+
+    def plain(v):
+        if dataclasses.is_dataclass(v):
+            return {f.name: plain(getattr(v, f.name)) for f in dataclasses.fields(v)}
+        return list(v) if isinstance(v, tuple) else v
+
+    return plain(cfg)
+
+
+def _section(cls, d, name):
+    """Build config section `name` of type cls from its JSON object, with
+    its own nested sections built the same way."""
+    if not isinstance(d, dict):
+        raise InvalidArgumentError(f"{name} must be a JSON object")
+    unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise InvalidArgumentError(f"unknown {name} keys: {sorted(unknown)}")
+    kwargs = {k: _section(_NESTED[k], v, k) if k in _NESTED else v for k, v in d.items()}
+    try:
+        return cls(**kwargs)
+    except TypeError as exc:
+        raise InvalidArgumentError(f"bad {name}: {exc}") from exc
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    if not isinstance(d, dict):
-        raise InvalidArgumentError("config must be a JSON object")
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(d) - known
-    if unknown:
-        raise InvalidArgumentError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = dict(d)
-    for key, cls in _NESTED.items():
-        if key in kwargs:
-            sub = kwargs[key]
-            if not isinstance(sub, dict):
-                raise InvalidArgumentError(f"config key {key!r} must be an object")
-            sub_known = {f.name for f in dataclasses.fields(cls)}
-            sub_unknown = set(sub) - sub_known
-            if sub_unknown:
-                raise InvalidArgumentError(f"unknown {key} keys: {sorted(sub_unknown)}")
-            try:
-                kwargs[key] = cls(**sub)
-            except TypeError as exc:
-                raise InvalidArgumentError(f"bad {key} section: {exc}") from exc
-    try:
-        return ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise InvalidArgumentError(f"bad config: {exc}") from exc
+    return _section(ExperimentConfig, d, "config")
 
 
 def load_config(path) -> ExperimentConfig:

@@ -92,6 +92,16 @@ def check_real(name, value) -> None:
         raise InvalidArgumentError(f"{name} must be a number, got {value!r}")
 
 
+def check_class_id(value) -> None:
+    """Raise InvalidArgumentError unless value is a class id: an integer in
+    [1, 2**31), since 0 is the null token and records store ids as i4."""
+    check_int("class id", value)
+    if not 1 <= value < 2**31:
+        raise InvalidArgumentError(
+            f"class id {value} is outside [1, 2**31): 0 is the null token and records store ids as i4"
+        )
+
+
 def check_str(name, value) -> None:
     """Raise InvalidArgumentError unless value is a string."""
     if not isinstance(value, str):

@@ -26,7 +26,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NotFoundError
+from .errors import InvalidArgumentError, NotFoundError, check_class_id
 
 PRESET_NAMES = ("balanced2d", "imbalanced2d")
 
@@ -232,10 +232,7 @@ class GmmSpec:
             raise InvalidArgumentError("classes and class_priors must share keys")
         ids = sorted(classes)
         for cid in ids:
-            if not isinstance(cid, int) or cid < 1:
-                raise InvalidArgumentError(
-                    f"class ids must be integers >= 1 (0 is the null token), got {cid!r}"
-                )
+            check_class_id(cid)
             comps = classes[cid]
             if not comps:
                 raise InvalidArgumentError(f"class {cid} has no components")

@@ -25,7 +25,7 @@ from .errors import (
     NotFoundError,
     PipelineStageError,
 )
-from .gmm import GmmSpec, PRESET_NAMES, exact_sampler, load_spec, preset, save_spec
+from .gmm import PRESET_NAMES, exact_sampler, load_spec, preset, save_spec
 from .guidance import GuidanceConfig, guided_source
 from .metrics import (
     EvalReport,
@@ -67,10 +67,13 @@ def _dumps(obj) -> str:
 class Experiment:
     """The setup one config resolves to, shared by every stage and subcommand.
 
-    Owns the run directory out_dir/name and the stage runner.  spec, classes,
-    schedule, base, scorer and references are resolved on first use, each
-    inside the stage that names its failures, so a subcommand pays only for
-    what it touches.  The failure pool is built or loaded at most once.
+    Owns the run directory out_dir/name and the stage runner.  The dataset
+    stage (spec and schedule) is resolved on construction, and a configured
+    class the dataset lacks is then an InvalidArgumentError, raised before
+    any file is written.  base, scorer and references are resolved on first
+    use, each inside the stage that names its failures, so a subcommand pays
+    only for what it touches.  The failure pool is built or loaded at most
+    once.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -80,6 +83,11 @@ class Experiment:
         (self.run_dir / "plots").mkdir(exist_ok=True)
         (self.run_dir / "trajectories").mkdir(exist_ok=True)
         (self.run_dir / "FAILED").unlink(missing_ok=True)
+        self.spec, self.schedule = self.stage("dataset", self._dataset)
+        self.classes = sorted(self.spec.classes) if cfg.classes is None else list(cfg.classes)
+        missing = [c for c in self.classes if c not in self.spec.classes]
+        if missing:
+            raise InvalidArgumentError(f"class {missing[0]} not in dataset {cfg.dataset!r}")
         self._pool = None
 
     def stage(self, name, fn):
@@ -94,27 +102,15 @@ class Experiment:
             (self.run_dir / "FAILED").write_text(f"stage: {name}\ncause: {exc!r}\n")
             raise PipelineStageError(name, exc) from exc
 
-    @_staged("dataset")
-    def spec(self) -> GmmSpec:
-        if self.cfg.dataset in PRESET_NAMES:
-            return preset(self.cfg.dataset)
-        if os.path.exists(self.cfg.dataset):
-            return load_spec(self.cfg.dataset)
-        raise NotFoundError(f"dataset {self.cfg.dataset!r} is neither a preset nor a file")
-
-    @_staged("dataset")
-    def classes(self) -> list:
-        if self.cfg.classes is None:
-            return sorted(self.spec.classes)
-        for c in self.cfg.classes:
-            if c not in self.spec.classes:
-                raise NotFoundError(f"class {c} not in dataset")
-        return list(self.cfg.classes)
-
-    @_staged("dataset")
-    def schedule(self):
+    def _dataset(self):
         cfg = self.cfg
-        return make_schedule(cfg.schedule_kind, cfg.n_steps, cfg.sigma_min, cfg.sigma_max)
+        if cfg.dataset in PRESET_NAMES:
+            spec = preset(cfg.dataset)
+        elif os.path.exists(cfg.dataset):
+            spec = load_spec(cfg.dataset)
+        else:
+            raise NotFoundError(f"dataset {cfg.dataset!r} is neither a preset nor a file")
+        return spec, make_schedule(cfg.schedule_kind, cfg.n_steps, cfg.sigma_min, cfg.sigma_max)
 
     @_staged("train")
     def base(self):
@@ -153,10 +149,9 @@ class Experiment:
         }
 
     def write_dataset(self) -> Path:
-        """Resolve the dataset stage (spec, classes, schedule) and write the
-        spec to dataset.json."""
+        """Write the spec to dataset.json."""
         path = self.run_dir / "dataset.json"
-        self.stage("dataset", lambda: (self.classes, self.schedule, save_spec(self.spec, path)))
+        self.stage("dataset", lambda: save_spec(self.spec, path))
         return path
 
     def train_model(self):
@@ -187,14 +182,14 @@ class Experiment:
         return pool
 
     def build_pool(self, guidance: GuidanceConfig):
-        """Build a pool from CFG candidates at pool_build_w (guidance.w when
-        unset) on the pool stream and write it to pool.fmpl."""
+        """Build a pool from CFG candidates at guidance.w on the pool stream
+        and write it to pool.fmpl.  A pool built at another w is made with
+        `famelab build-pool --w` and loaded through pool_path."""
         cfg = self.cfg
-        build_w = cfg.pool_build_w if cfg.pool_build_w is not None else guidance.w
 
         def build():
             pool = build_pool(
-                guided_source(self.base, None, GuidanceConfig(w=build_w)),
+                guided_source(self.base, None, GuidanceConfig(w=guidance.w)),
                 SamplerConfig(schedule=self.schedule, method=cfg.method, record_outputs=True),
                 self.scorer,
                 PoolBuildConfig(
@@ -284,8 +279,9 @@ def run_sweep(cfg: ExperimentConfig, sweep: SweepSpec) -> list:
     guidances = [replace(cfg.guidance, **{sweep.axis: value}) for value in sweep.values]
     exp = Experiment(cfg)
     check_sample_size(cfg.n_per_class, len(exp.classes), exp.spec.dim)
-    # the shared pool is built at the config's own w, also on a w sweep; an f
-    # sweep from f=0 builds it in its first replaying row, at that same w
+    # the shared pool is built at the config's own w, also on a w sweep (a
+    # pool at another w comes from pool_path); an f sweep from f=0 builds it
+    # in its first replaying row, at that same w
     exp.pool(cfg.guidance)
     rows = []
     results = []

@@ -71,8 +71,6 @@ class FailurePool:
         self.schedule_hash = int(schedule_hash)
         self.source_hash = int(source_hash)
         self._outputs = records["outputs"].astype(np.float64)
-        if mode == "per-class":
-            self._buckets = {int(c): np.flatnonzero(cls == c) for c in np.unique(cls)}
 
     def __len__(self) -> int:
         return len(self.records)
@@ -101,24 +99,26 @@ class FailurePool:
     def select_indices(self, seeds, class_ids=None) -> np.ndarray:
         """Bind one record to each trajectory by hashing its seed.
 
-        Global mode ignores classes; per-class mode draws uniformly within
-        the trajectory's own class bucket.  Pure function of (seed, class),
-        so the binding is constant for the trajectory's lifetime and
-        identical no matter how trajectories are batched.
+        Each trajectory draws from a group of records lo:hi, record
+        lo + mix % (hi - lo) with mix the seed's salted splitmix64 hash.  In
+        global mode the group is the whole pool and classes are ignored; in
+        per-class mode it is the run of the trajectory's own class in the
+        class-sorted records.  Pure function of (seed, class), so the
+        binding is constant for the trajectory's lifetime and identical no
+        matter how trajectories are batched.
         """
-        seeds = np.asarray(seeds, dtype=np.uint64)
-        mix = splitmix64(seeds ^ _SELECT_SALT)
+        mix = splitmix64(np.asarray(seeds, dtype=np.uint64) ^ _SELECT_SALT)
         if self.mode == "global":
-            return (mix % np.uint64(len(self))).astype(np.int64)
-        if class_ids is None:
-            raise NotFoundError("per-class pool needs class ids to select from")
-        out = np.empty(len(seeds), dtype=np.int64)
-        for i, c in enumerate(np.asarray(class_ids)):
-            bucket = self._buckets.get(int(c))
-            if bucket is None:
-                raise NotFoundError(f"pool has no records for class {int(c)}")
-            out[i] = bucket[int(mix[i] % np.uint64(len(bucket)))]
-        return out
+            lo, hi = 0, len(self)
+        else:
+            if class_ids is None:
+                raise NotFoundError("per-class pool needs class ids to select from")
+            class_ids = np.asarray(class_ids)
+            lo = np.searchsorted(self.records["class_id"], class_ids, "left")
+            hi = np.searchsorted(self.records["class_id"], class_ids, "right")
+            if (lo == hi).any():
+                raise NotFoundError(f"pool has no records for class {int(class_ids[lo == hi][0])}")
+        return lo + (mix % np.asarray(hi - lo, dtype=np.uint64)).astype(np.int64)
 
     def replay_outputs(self, indices, step: int) -> np.ndarray:
         """Cached denoiser outputs of the bound records at one step."""

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoiser import MlpDenoiser, _denoise
-from .errors import DegeneratePointError, DivergedError, InvalidArgumentError
+from .errors import DegeneratePointError, DivergedError, InvalidArgumentError, check_class_id
 from .gmm import GmmSpec, check_points
 from .schedule import NoiseSchedule, derive_seed, initial_noise, new_trajectories
 
@@ -189,10 +189,9 @@ def sample_batch(
         class_ids = [None]
     if any(c is None for c in class_ids) and not all(c is None for c in class_ids):
         raise InvalidArgumentError("cannot mix conditional and unconditional trajectories")
-    if any(c is not None and not 1 <= int(c) < 2**31 for c in class_ids):
-        raise InvalidArgumentError(
-            "class ids must be None or in [1, 2**31): 0 is the null token and records store them as i4"
-        )
+    for c in class_ids:
+        if c is not None:
+            check_class_id(c)
     labels = [(c, i) for c in class_ids for i in range(n_per_class)]
     n = len(labels)
     batch = new_trajectories(n, cfg.schedule.T, source.dim, cfg.record_outputs)

@@ -17,6 +17,9 @@ the responsibility-weighted -Sigma_sigma^-1 (x - mu) of each component.
 responsibilities, then a second pass for the einsum Mahalanobis distance.
 `precision_recall_dense` is the earlier k-NN precision/recall on full
 `cdist` matrices, which the package's KD-tree search must match exactly.
+`select_indices_buckets` is the earlier failure-pool binding, one index
+array per class and a loop over trajectories, which the package's run
+bounds found by binary search must match index for index.
 """
 
 import math
@@ -26,6 +29,8 @@ from scipy.spatial.distance import cdist
 
 from famelab.errors import DegeneratePointError, InvalidArgumentError
 from famelab.gmm import check_points
+from famelab.pool import _SELECT_SALT
+from famelab.schedule import splitmix64
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -161,3 +166,19 @@ def precision_recall_dense(gen, real, k):
     precision = float((d_gr <= radii_real[None, :]).any(axis=1).mean())
     recall = float((d_gr <= radii_gen[:, None]).any(axis=0).mean())
     return precision, recall
+
+
+def select_indices_buckets(pool, seeds, class_ids=None):
+    """Each trajectory's bound pool record: in global mode the seed hash
+    modulo the pool size, in per-class mode the hash modulo the size of the
+    class's bucket, the array of that class's record indices."""
+    mix = splitmix64(np.asarray(seeds, dtype=np.uint64) ^ _SELECT_SALT)
+    if pool.mode == "global":
+        return (mix % np.uint64(len(pool))).astype(np.int64)
+    cls = pool.records["class_id"]
+    buckets = {int(c): np.flatnonzero(cls == c) for c in np.unique(cls)}
+    out = np.empty(len(mix), dtype=np.int64)
+    for i, c in enumerate(np.asarray(class_ids)):
+        bucket = buckets[int(c)]
+        out[i] = bucket[int(mix[i] % np.uint64(len(bucket)))]
+    return out

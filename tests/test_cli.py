@@ -71,6 +71,7 @@ BAD_CONFIG_VALUES = (
     {"n_per_class": 2.5},
     {"workers": 1.5},
     {"workers": 2},
+    {"pool_build_w": 1.2},
     {"pool_candidates": 1.5},
     {"dataset": 5},
 )
@@ -162,6 +163,16 @@ class TestExitCodes:
             marker = (tmp_path / "out" / command / "FAILED").read_text()
             assert "stage: dataset" in marker, command
             assert "error:" in capsys.readouterr().err
+
+    def test_unknown_class_is_one_before_any_file(self, tmp_path, capsys):
+        # a class the dataset lacks is known once the dataset resolves, and
+        # is a bad config like any other
+        path = write_config(tmp_path, classes=(1, 99))
+        for command, extra in COMMAND_ARGS.items():
+            assert main([command, "--config", path, *extra]) == 1, command
+            err = capsys.readouterr().err
+            assert "error:" in err and "class 99" in err, command
+            assert not [p for p in (tmp_path / "out").rglob("*") if p.is_file()], command
 
     def test_bad_sweep_values_is_one(self, tmp_path, capsys):
         # a value that is no number, or one the guidance rejects, fails

@@ -49,7 +49,6 @@ class TestRoundTrip:
             pool_candidates=64,
             pool_n_f=4,
             pool_mode="per-class",
-            pool_build_w=1.2,
             scorer="log-density",
             seed=1234,
             n_per_class=50,

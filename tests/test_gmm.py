@@ -445,6 +445,21 @@ class TestSpecValidation:
         with pytest.raises(InvalidArgumentError):
             GmmSpec({0: [comp]}, {0: 1.0})
 
+    def test_class_id_must_fit_the_record(self, tmp_path):
+        # records store class ids as i4, and a bool is no class id
+        comp = GmmComponent(np.zeros(1), np.eye(1), 1.0, 2.0)
+        for cid in (2**31, True):
+            with pytest.raises(InvalidArgumentError):
+                GmmSpec({cid: [comp]}, {cid: 1.0})
+        # so a dataset file naming class 2**31 fails as it loads
+        p = tmp_path / "big.json"
+        p.write_text(
+            '{"classes": {"2147483648": [{"mean": [0.0], "cov": [[1.0]], "weight": 1.0,'
+            ' "quality_tag": 2.0}]}, "class_priors": {"2147483648": 1.0}}'
+        )
+        with pytest.raises(InvalidArgumentError, match="2147483648"):
+            load_spec(p)
+
     def test_priors_must_sum_to_one(self):
         comp = GmmComponent(np.zeros(1), np.eye(1), 1.0, 2.0)
         with pytest.raises(InvalidArgumentError):

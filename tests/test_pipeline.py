@@ -116,11 +116,11 @@ class TestRunPipeline:
         run_pipeline(base_config(tmp_path))
         assert not (tmp_path / "out" / "run" / "FAILED").exists()
 
-    def test_unknown_class_fails_dataset_stage(self, tmp_path):
+    def test_unknown_class_is_invalid_before_any_file(self, tmp_path):
         cfg = base_config(tmp_path, classes=(1, 99))
-        with pytest.raises(PipelineStageError) as ei:
+        with pytest.raises(InvalidArgumentError, match="class 99"):
             run_pipeline(cfg)
-        assert ei.value.stage == "dataset"
+        assert not [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
 
     def test_checkpoint_short_of_class_tokens_fails_train_stage(self, tmp_path):
         # a 2-class checkpoint on imbalanced2d (classes 1..8) is refused

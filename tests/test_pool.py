@@ -18,6 +18,7 @@ from famelab.gmm import BAD_TAG, preset, responsibilities
 from famelab.guidance import GuidanceConfig, guided_source
 from famelab.metrics import ComponentTagScorer
 from famelab.pool import (
+    POOL_MODES,
     FailurePool,
     PoolBuildConfig,
     build_pool,
@@ -25,7 +26,8 @@ from famelab.pool import (
     save_pool,
 )
 from famelab.sampler import AnalyticSource, SamplerConfig, sample_batch
-from famelab.schedule import derive_seed, make_schedule
+from famelab.schedule import derive_seed, make_schedule, new_trajectories
+from tests.oracles import select_indices_buckets
 from tests.test_config import save_config
 
 
@@ -232,6 +234,27 @@ class TestSelection:
         cls = np.array([1, 2] * 25)
         idx = pool.select_indices(seeds, cls)
         np.testing.assert_array_equal(pool.records["class_id"][idx], cls)
+
+    def test_binding_matches_bucket_oracle(self):
+        # random pools in both modes, with sparse small class ids or large
+        # ones up to the i4 limit
+        rng = np.random.default_rng(0)
+        for trial in range(300):
+            high = 2**31 if trial % 2 else 40
+            ids = np.unique(rng.integers(1, high, size=rng.integers(1, 6)))
+            if trial % 4 == 1:
+                ids[-1] = 2**31 - 1
+            sizes = rng.integers(1, 9, size=len(ids))
+            records = new_trajectories(sizes.sum(), 1, 1)
+            records["class_id"] = np.repeat(ids, sizes)
+            records["score"] = np.sort(rng.random(sizes.sum()))
+            seeds = rng.integers(0, 2**64, size=500, dtype=np.uint64)
+            cls = rng.choice(ids, size=500)
+            for mode in POOL_MODES:
+                pool = FailurePool(records, mode, 0, 0)
+                idx = pool.select_indices(seeds, cls)
+                assert idx.dtype == np.int64
+                np.testing.assert_array_equal(idx, select_indices_buckets(pool, seeds, cls))
 
     def test_per_class_needs_classes(self, cfg_source, analytic_cfg):
         pool = build_pool(
