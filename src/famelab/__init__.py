@@ -45,10 +45,7 @@ from .sampler import (
 from .guidance import (
     FAME_DEFAULTS,
     GuidanceConfig,
-    cfg_combine,
-    fame_combine,
     guided_source,
-    replay_active,
 )
 from .pool import (
     FailurePool,

@@ -1,4 +1,4 @@
-"""Denoiser-space guidance combiners and the guided source the sampler steps.
+"""Denoiser-space guidance: per-step weights, one blend, and the guided source.
 
 Classifier-free guidance blends conditional and unconditional denoiser
 outputs, w*d1 + (1-w)*d0.  The failure-escape extension adds a third term
@@ -8,11 +8,11 @@ modes those trajectories ended in.  The replay term is gated to the last tau
 fraction of normalized denoising time; tau = 1 applies it from the very first
 step, tau = 0 disables it entirely.
 
-`GuidedSource.step` is that blend as one pure call: it asks the base source
-for d1 (and d0 when a conditional step has w != 1) in one `denoise` call,
-reads d_neg from the pool records `bind` chose, and returns the guided
-output with d1, which the sampler records as the trajectory's conditional
-output.
+`weights` gives the three terms' weights at step k and `blend` sums them.
+`GuidedSource.step` asks for the terms of nonzero weight only (d1 and d0 in
+one `denoise` call, d_neg from the pool records `bind` chose) and returns
+the blend with d1, which the sampler records as the trajectory's
+conditional output.
 """
 
 from __future__ import annotations
@@ -63,46 +63,30 @@ class GuidanceConfig:
 FAME_DEFAULTS = GuidanceConfig(w=1.5, f=0.02, tau=0.3)
 
 
-def cfg_combine(d1, d0, w: float):
-    """Classifier-free blend w*d1 + (1-w)*d0.
-
-    w=1 returns d1 itself, bit-identical to conditional-only sampling; d0 may
-    be None in that case.
-    """
-    if w == 1.0:
-        return d1
-    return w * d1 + (1.0 - w) * d0
-
-
-def fame_combine(d1, d0, d_neg, w: float, f: float):
-    """Three-term blend (w+f)*d1 + (1-w)*d0 - f*d_neg.
-
-    f=0 delegates to cfg_combine, making plain CFG a bit-identical special
-    case; at w=1 the unconditional term drops out and d0 may be None.
-    """
-    if f == 0.0:
-        return cfg_combine(d1, d0, w)
-    if w == 1.0:
-        return (1.0 + f) * d1 - f * d_neg
-    return (w + f) * d1 + (1.0 - w) * d0 - f * d_neg
-
-
-def replay_active(cfg: GuidanceConfig, k: int, T: int) -> bool:
-    """Whether the replay term applies at evaluation index k of T.
-
-    Pure function of the index: the window is the last tau fraction of
-    normalized time, t = k/T >= 1 - tau.
-    """
-    return cfg.f > 0.0 and k / T >= 1.0 - cfg.tau
-
-
-def effective_w(cfg: GuidanceConfig, k: int, T: int) -> float:
-    """CFG scale at evaluation index k; outside cfg_interval w collapses to 1."""
-    if cfg.cfg_interval is None:
-        return cfg.w
-    lo, hi = cfg.cfg_interval
+def weights(cfg: GuidanceConfig, k: int, T: int, conditional: bool = True) -> tuple:
+    """Weights (a1, a0, an) of d1, d0 and d_neg at evaluation index k of T,
+    (w+f, 1-w, f): w is cfg.w on conditional rows inside cfg_interval and 1
+    elsewhere (unconditionally d1 is d0); f is cfg.f in the last tau fraction
+    of normalized time, t = k/T >= 1 - tau, and 0 before it."""
     t = k / T
-    return cfg.w if lo <= t <= hi else 1.0
+    lo, hi = cfg.cfg_interval or (-np.inf, np.inf)
+    w = cfg.w if conditional and lo <= t <= hi else 1.0
+    f = cfg.f if t >= 1.0 - cfg.tau else 0.0
+    return w + f, 1.0 - w, f
+
+
+def blend(a1, a0, an, d1, d0=None, d_neg=None):
+    """(a1*d1 + a0*d0) - an*d_neg in that order, skipping a d0 or d_neg term
+    of weight 0 (it may then be None).  Weights (1, 0, 0) return d1 itself, so
+    f=0 is bit-identical to CFG and w=1, f=0 to conditional-only sampling."""
+    if a1 == 1.0 and a0 == 0.0 and an == 0.0:
+        return d1
+    out = a1 * d1
+    if a0 != 0.0:
+        out = out + a0 * d0
+    if an != 0.0:
+        out = out - an * d_neg
+    return out
 
 
 class GuidedSource:
@@ -110,11 +94,10 @@ class GuidedSource:
 
     The sampler's one source: `bind` ties each trajectory of a chunk to a
     pool record, and `step` gives the guided output at one level together
-    with the conditional output it was built from.  The base is asked for
-    the unconditional output only when the effective w differs from 1 on
-    conditional trajectories, and then for both in one `denoise` call; the
-    pool is only consulted inside the activation window, so plain
-    conditional sampling and plain CFG pay nothing for the machinery.
+    with the conditional output it was built from.  `step` asks only for the
+    terms `weights` gives a nonzero weight: the base for d0 with d1, in one
+    `denoise` call, and the pool for d_neg; so plain conditional sampling and
+    plain CFG pay nothing for the machinery.
     """
 
     def __init__(self, base, pool, cfg: GuidanceConfig):
@@ -141,17 +124,14 @@ class GuidedSource:
     def step(self, x, k, schedule: NoiseSchedule, class_ids, neg):
         """(guided output, conditional output) at level k of the schedule;
         neg is what `bind` returned for these trajectories."""
-        T = schedule.T
-        # unconditionally d1 is d0, and w*d0 + (1-w)*d0 is d0 up to rounding
-        w = 1.0 if class_ids is None else effective_w(self.cfg, k, T)
+        a1, a0, an = weights(self.cfg, k, schedule.T, class_ids is not None)
         sigma = schedule.sigmas[k]
-        if w != 1.0:
+        if a0 != 0.0:
             d1, d0 = self.base.denoise(x, sigma, [class_ids, None])
         else:
             [d1], d0 = self.base.denoise(x, sigma, [class_ids]), None
-        if self.pool is not None and replay_active(self.cfg, k, T):
-            return fame_combine(d1, d0, self.pool.replay_outputs(neg, k), w, self.cfg.f), d1
-        return cfg_combine(d1, d0, w), d1
+        d_neg = self.pool.replay_outputs(neg, k) if an != 0.0 else None
+        return blend(a1, a0, an, d1, d0, d_neg), d1
 
 
 def guided_source(base, pool, cfg: GuidanceConfig) -> GuidedSource:

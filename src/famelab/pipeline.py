@@ -67,10 +67,11 @@ def _dumps(obj) -> str:
 class Experiment:
     """The setup one config resolves to, shared by every stage and subcommand.
 
-    Owns the run directory out_dir/name and the stage runner.  The dataset
-    stage (spec and schedule) is resolved on construction, and a configured
-    class the dataset lacks is then an InvalidArgumentError, raised before
-    any file is written.  base, scorer and references are resolved on first
+    Owns the run directory out_dir/name and the stage runner; a directory
+    is created only when a file is written into it.  The dataset stage (spec
+    and schedule) is resolved on construction, and a configured class the
+    dataset lacks is then an InvalidArgumentError, raised before any file or
+    directory is written.  base, scorer and references are resolved on first
     use, each inside the stage that names its failures, so a subcommand pays
     only for what it touches.  The failure pool is built or loaded at most
     once.
@@ -79,9 +80,6 @@ class Experiment:
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self.run_dir = Path(cfg.out_dir) / cfg.name
-        (self.run_dir / "reports").mkdir(parents=True, exist_ok=True)
-        (self.run_dir / "plots").mkdir(exist_ok=True)
-        (self.run_dir / "trajectories").mkdir(exist_ok=True)
         (self.run_dir / "FAILED").unlink(missing_ok=True)
         self.spec, self.schedule = self.stage("dataset", self._dataset)
         self.classes = sorted(self.spec.classes) if cfg.classes is None else list(cfg.classes)
@@ -99,8 +97,14 @@ class Experiment:
         except PipelineStageError:
             raise
         except Exception as exc:
-            (self.run_dir / "FAILED").write_text(f"stage: {name}\ncause: {exc!r}\n")
+            self._path("FAILED").write_text(f"stage: {name}\ncause: {exc!r}\n")
             raise PipelineStageError(name, exc) from exc
+
+    def _path(self, *parts) -> Path:
+        """run_dir/parts, with the directory it goes into created."""
+        path = self.run_dir.joinpath(*parts)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return path
 
     def _dataset(self):
         cfg = self.cfg
@@ -150,14 +154,14 @@ class Experiment:
 
     def write_dataset(self) -> Path:
         """Write the spec to dataset.json."""
-        path = self.run_dir / "dataset.json"
+        path = self._path("dataset.json")
         self.stage("dataset", lambda: save_spec(self.spec, path))
         return path
 
     def train_model(self):
         """Train the MLP denoiser on the dataset and write checkpoint.mlpd."""
         model = train(self.spec, self.cfg.train)
-        save_checkpoint(model, self.run_dir / "checkpoint.mlpd")
+        save_checkpoint(model, self._path("checkpoint.mlpd"))
         return model
 
     def pool(self, guidance: GuidanceConfig):
@@ -200,7 +204,7 @@ class Experiment:
                 ),
                 self.classes,
             )
-            save_pool(pool, self.run_dir / "pool.fmpl")
+            save_pool(pool, self._path("pool.fmpl"))
             return pool
 
         return self.stage("pool", build)
@@ -222,7 +226,7 @@ class Experiment:
         )
         if save_trajectories:
             for c, block in self._by_class(batch):
-                (self.run_dir / "trajectories" / f"class_{c}.traj").write_bytes(block.tobytes())
+                self._path("trajectories", f"class_{c}.traj").write_bytes(block.tobytes())
         return batch
 
     def _by_class(self, batch):
@@ -238,23 +242,22 @@ class Experiment:
     def write_report(self, samples, report: EvalReport) -> None:
         """Write class_quality.csv, summary.json and report.txt, and in 2-D
         the scatter of samples over references."""
-        reports = self.run_dir / "reports"
-        (reports / "class_quality.csv").write_text(class_report_csv(report))
+        self._path("reports", "class_quality.csv").write_text(class_report_csv(report))
         summary = {"config": config_to_dict(self.cfg), "report": report.to_dict()}
-        (reports / "summary.json").write_text(_dumps(summary))
-        (reports / "report.txt").write_text(render_report(report))
+        self._path("reports", "summary.json").write_text(_dumps(summary))
+        self._path("reports", "report.txt").write_text(render_report(report))
         if self.spec.dim == 2:
             pooled = np.concatenate([samples[c] for c in sorted(samples)])
             refs = self.references
             pooled_ref = np.concatenate([refs[c] for c in sorted(refs)])
             svg = mode_scatter_svg(self.spec, pooled_ref, pooled, title=self.cfg.name)
-            (self.run_dir / "plots" / "modes.svg").write_text(svg)
+            self._path("plots", "modes.svg").write_text(svg)
 
 
 def run_pipeline(cfg: ExperimentConfig) -> EvalReport:
     exp = Experiment(cfg)
     check_sample_size(cfg.n_per_class, len(exp.classes), exp.spec.dim)
-    (exp.run_dir / "config.echo").write_text(_dumps(config_to_dict(cfg)))
+    exp._path("config.echo").write_text(_dumps(config_to_dict(cfg)))
     exp.write_dataset()
     batch = exp.stage("sample", lambda: exp.sample(cfg.guidance, cfg.save_trajectories))
 
@@ -300,7 +303,7 @@ def run_sweep(cfg: ExperimentConfig, sweep: SweepSpec) -> list:
             rows.append(f"{value:g},,,,,,failed: {type(exc).__name__}")
             results.append((value, None))
     csv = "\n".join([_SWEEP_COLUMNS] + rows) + "\n"
-    (exp.run_dir / "reports" / f"sweep_{sweep.axis}.csv").write_text(csv)
+    exp._path("reports", f"sweep_{sweep.axis}.csv").write_text(csv)
     return results
 
 
@@ -342,12 +345,12 @@ def compare_paired(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig) -> PairedCo
                 lines.append(f"{c},{i},{x:.9g},{y:.9g},{y - x:.9g}")
             deltas.append(sb - sa)
         deltas = np.concatenate(deltas)
-        (exp.run_dir / "reports" / "pairs.csv").write_text("\n".join(lines) + "\n")
+        exp._path("reports", "pairs.csv").write_text("\n".join(lines) + "\n")
         if exp.spec.dim == 2:
             pa = np.concatenate([samples_a[c] for c in exp.classes])
             pb = np.concatenate([samples_b[c] for c in exp.classes])
             svg = side_by_side_svg(exp.spec, pa, pb, labels=(cfg_a.name, cfg_b.name))
-            (exp.run_dir / "plots" / "compare.svg").write_text(svg)
+            exp._path("plots", "compare.svg").write_text(svg)
         return PairedCompareReport(
             n_pairs=len(deltas),
             mean_delta=float(deltas.mean()),

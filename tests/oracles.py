@@ -20,6 +20,9 @@ responsibilities, then a second pass for the einsum Mahalanobis distance.
 `select_indices_buckets` is the earlier failure-pool binding, one index
 array per class and a loop over trajectories, which the package's run
 bounds found by binary search must match index for index.
+`guided_combination` is the earlier guidance rule, four functions and the
+branches of the earlier `GuidedSource.step`, which `guidance.blend` over
+`guidance.weights` must match bit for bit, returning d1 itself where it did.
 """
 
 import math
@@ -29,6 +32,7 @@ from scipy.spatial.distance import cdist
 
 from famelab.errors import DegeneratePointError, InvalidArgumentError
 from famelab.gmm import check_points
+from famelab.guidance import GuidanceConfig
 from famelab.pool import _SELECT_SALT
 from famelab.schedule import splitmix64
 
@@ -182,3 +186,54 @@ def select_indices_buckets(pool, seeds, class_ids=None):
         bucket = buckets[int(c)]
         out[i] = bucket[int(mix[i] % np.uint64(len(bucket)))]
     return out
+
+
+def cfg_combine(d1, d0, w: float):
+    """Classifier-free blend w*d1 + (1-w)*d0.
+
+    w=1 returns d1 itself, bit-identical to conditional-only sampling; d0 may
+    be None in that case.
+    """
+    if w == 1.0:
+        return d1
+    return w * d1 + (1.0 - w) * d0
+
+
+def fame_combine(d1, d0, d_neg, w: float, f: float):
+    """Three-term blend (w+f)*d1 + (1-w)*d0 - f*d_neg.
+
+    f=0 delegates to cfg_combine, making plain CFG a bit-identical special
+    case; at w=1 the unconditional term drops out and d0 may be None.
+    """
+    if f == 0.0:
+        return cfg_combine(d1, d0, w)
+    if w == 1.0:
+        return (1.0 + f) * d1 - f * d_neg
+    return (w + f) * d1 + (1.0 - w) * d0 - f * d_neg
+
+
+def replay_active(cfg: GuidanceConfig, k: int, T: int) -> bool:
+    """Whether the replay term applies at evaluation index k of T.
+
+    Pure function of the index: the window is the last tau fraction of
+    normalized time, t = k/T >= 1 - tau.
+    """
+    return cfg.f > 0.0 and k / T >= 1.0 - cfg.tau
+
+
+def effective_w(cfg: GuidanceConfig, k: int, T: int) -> float:
+    """CFG scale at evaluation index k; outside cfg_interval w collapses to 1."""
+    if cfg.cfg_interval is None:
+        return cfg.w
+    lo, hi = cfg.cfg_interval
+    t = k / T
+    return cfg.w if lo <= t <= hi else 1.0
+
+
+def guided_combination(cfg: GuidanceConfig, k: int, T: int, conditional, d1, d0, d_neg):
+    """The guided output at evaluation index k of T, as the earlier
+    `GuidedSource.step` combined it (a pool is present whenever f > 0)."""
+    w = effective_w(cfg, k, T) if conditional else 1.0
+    if replay_active(cfg, k, T):
+        return fame_combine(d1, d0, d_neg, w, cfg.f)
+    return cfg_combine(d1, d0, w)

@@ -174,6 +174,19 @@ class TestExitCodes:
             assert "error:" in err and "class 99" in err, command
             assert not [p for p in (tmp_path / "out").rglob("*") if p.is_file()], command
 
+    def test_late_config_error_leaves_no_directory(self, tmp_path, capsys):
+        # a class the dataset lacks, or a sample too small to evaluate, is
+        # found once the dataset resolves and still exits 1 before any
+        # directory is made
+        unknown = write_config(tmp_path, classes=(1, 99))
+        small = write_config(tmp_path, name="small", n_per_class=1)
+        cases = [(unknown, command, extra) for command, extra in COMMAND_ARGS.items()]
+        cases += [(small, command, COMMAND_ARGS[command]) for command in ("evaluate", "sweep", "compare")]
+        for config, command, extra in cases:
+            assert main([command, "--config", config, *extra]) == 1, (command, config)
+            assert "error:" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists(), (command, config)
+
     def test_bad_sweep_values_is_one(self, tmp_path, capsys):
         # a value that is no number, or one the guidance rejects, fails
         # before the run directory or the pool is written

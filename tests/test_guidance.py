@@ -1,24 +1,23 @@
-"""Guidance combiner arithmetic, the score-space identity, and gating."""
+"""Guidance weights and blend, the score-space identity, and gating."""
+
+import itertools
 
 import numpy as np
 import pytest
 
 from famelab.errors import IncompatiblePoolError, InvalidArgumentError
 from famelab.gmm import preset
-from famelab.guidance import (
-    FAME_DEFAULTS,
-    GuidanceConfig,
-    cfg_combine,
-    effective_w,
-    fame_combine,
-    guided_source,
-    replay_active,
-)
+from famelab.guidance import FAME_DEFAULTS, GuidanceConfig, blend, guided_source, weights
 from famelab.metrics import ComponentTagScorer
-from famelab.pool import FailurePool, PoolBuildConfig, build_pool
+from famelab.pool import PoolBuildConfig, build_pool
 from famelab.sampler import AnalyticSource, SamplerConfig, _integrate_chunk, sample_batch
 from famelab.schedule import derive_seed, make_schedule
-from tests.oracles import analytic_score, ideal_denoiser
+from tests.oracles import analytic_score, guided_combination, ideal_denoiser
+
+
+def combine(d1, d0, d_neg=None, w=1.0, f=0.0):
+    """The blend at a step where both w and the replay term apply."""
+    return blend(*weights(GuidanceConfig(w=w, f=f, tau=1.0), 0, 1), d1, d0, d_neg)
 
 
 def fame_score_identity_check(spec, x, sigma: float, class_id, w: float, f: float, x_neg) -> float:
@@ -26,7 +25,7 @@ def fame_score_identity_check(spec, x, sigma: float, class_id, w: float, f: floa
     the guided update at one probe point.
 
     Score form:    (w+f) * s1(x) + (1-w) * s0(x) - f * s_neg
-    Denoiser form: (fame_combine(d1, d0, d_neg, w, f) - x) / sigma^2
+    Denoiser form: (blend(*weights(...), d1, d0, d_neg) - x) / sigma^2
 
     The negative direction comes from a denoiser output produced at the
     replayed point x_neg but consumed as if it were the denoiser value for the
@@ -40,7 +39,7 @@ def fame_score_identity_check(spec, x, sigma: float, class_id, w: float, f: floa
     d1 = ideal_denoiser(spec, x, sigma, class_id)
     d0 = ideal_denoiser(spec, x, sigma, None)
     d_neg = ideal_denoiser(spec, x_neg, sigma, class_id)
-    denoiser_form = (fame_combine(d1, d0, d_neg, w, f) - x) / sigma**2
+    denoiser_form = (combine(d1, d0, d_neg, w=w, f=f) - x) / sigma**2
 
     s1 = analytic_score(spec, x, sigma, class_id)
     s0 = analytic_score(spec, x, sigma, None)
@@ -51,32 +50,36 @@ def fame_score_identity_check(spec, x, sigma: float, class_id, w: float, f: floa
 
 class TestCombiners:
     def test_cfg_hand_values(self):
-        assert cfg_combine(2.0, 1.0, 1.5) == 2.5
-        assert cfg_combine(2.0, 1.0, 3.0) == 4.0
+        assert combine(2.0, 1.0, w=1.5) == 2.5
+        assert combine(2.0, 1.0, w=3.0) == 4.0
         np.testing.assert_array_equal(
-            cfg_combine(np.array([1.0, 0.0]), np.array([0.0, 2.0]), 2.0), [2.0, -2.0]
+            combine(np.array([1.0, 0.0]), np.array([0.0, 2.0]), w=2.0), [2.0, -2.0]
         )
 
     def test_cfg_w1_returns_conditional_object(self):
         d1 = np.array([1.0, 2.0])
-        assert cfg_combine(d1, None, 1.0) is d1
+        assert weights(GuidanceConfig(w=1.0), 0, 10) == (1.0, 0.0, 0.0)
+        assert blend(1.0, 0.0, 0.0, d1) is d1
+        assert combine(d1, None, w=1.0) is d1
 
     def test_fame_hand_values(self):
         # (w+f)*d1 + (1-w)*d0 - f*d_neg with w=1.5, f=0.5:
         # 2*2 + (-0.5)*1 - 0.5*4 = 1.5
-        assert fame_combine(2.0, 1.0, 4.0, 1.5, 0.5) == 1.5
-        assert fame_combine(1.0, 0.0, 1.0, 1.5, 0.25) == 1.5
+        assert weights(GuidanceConfig(w=1.5, f=0.5, tau=1.0), 0, 10) == (2.0, -0.5, 0.5)
+        assert combine(2.0, 1.0, 4.0, w=1.5, f=0.5) == 1.5
+        assert combine(1.0, 0.0, 1.0, w=1.5, f=0.25) == 1.5
 
     def test_fame_f0_delegates_to_cfg(self):
+        # f=0 gives d_neg weight 0: the term is skipped, so d_neg may be None
         d1, d0 = np.array([3.0, 1.0]), np.array([1.0, -1.0])
-        np.testing.assert_array_equal(
-            fame_combine(d1, d0, None, 2.0, 0.0), cfg_combine(d1, d0, 2.0)
-        )
+        assert weights(GuidanceConfig(w=2.0, f=0.0, tau=1.0), 0, 10) == (2.0, -1.0, 0.0)
+        np.testing.assert_array_equal(combine(d1, d0, None, w=2.0, f=0.0), [5.0, 3.0])
 
     def test_fame_w1_drops_unconditional(self):
         d1, d_neg = np.array([2.0, 0.0]), np.array([1.0, 1.0])
+        assert weights(GuidanceConfig(w=1.0, f=0.1, tau=1.0), 0, 10) == (1.1, 0.0, 0.1)
         np.testing.assert_allclose(
-            fame_combine(d1, None, d_neg, 1.0, 0.1), 1.1 * d1 - 0.1 * d_neg
+            combine(d1, None, d_neg, w=1.0, f=0.1), 1.1 * d1 - 0.1 * d_neg
         )
 
     def test_fame_self_negative_cancels(self):
@@ -84,8 +87,32 @@ class TestCombiners:
         rng = np.random.default_rng(0)
         d1, d0 = rng.standard_normal(4), rng.standard_normal(4)
         np.testing.assert_allclose(
-            fame_combine(d1, d0, d1, 1.5, 0.3), cfg_combine(d1, d0, 1.5), rtol=1e-12
+            combine(d1, d0, d1, w=1.5, f=0.3), combine(d1, d0, w=1.5), rtol=1e-12
         )
+
+
+class TestBlendMatchesOracle:
+    def test_every_step_of_the_grid(self):
+        # the earlier four-function rule, bit for bit, and d1 itself where it
+        # returned d1; a zero-weight term reaches blend as None, as in step
+        T = 64
+        d1, d0, d_neg = np.random.default_rng(5).standard_normal((3, 300, 2))
+        grid = itertools.product(
+            (0.0, 0.5, 1.0, 1.5, 3.0),
+            (0.0, 0.02, 0.5),
+            (0.0, 0.3, 1.0),
+            (None, (0.2, 0.8)),
+            (True, False),
+        )
+        for w, f, tau, interval, cond in grid:
+            cfg = GuidanceConfig(w=w, f=f, tau=tau, cfg_interval=interval)
+            for k in range(T + 1):
+                want = guided_combination(cfg, k, T, cond, d1, d0, d_neg)
+                a1, a0, an = weights(cfg, k, T, cond)
+                got = blend(a1, a0, an, d1, d0 if a0 else None, d_neg if an else None)
+                case = (w, f, tau, interval, cond, k)
+                assert np.array_equal(got, want), case
+                assert (got is d1) == (want is d1), case
 
 
 class TestScoreIdentity:
@@ -101,7 +128,7 @@ class TestScoreIdentity:
             w = float(rng.uniform(0.0, 3.0))
             d1 = ideal_denoiser(self.spec, x, sigma, 2)
             d0 = ideal_denoiser(self.spec, x, sigma, None)
-            lhs = (cfg_combine(d1, d0, w) - x) / sigma**2
+            lhs = (combine(d1, d0, w=w) - x) / sigma**2
             rhs = w * analytic_score(self.spec, x, sigma, 2) + (1 - w) * analytic_score(
                 self.spec, x, sigma, None
             )
@@ -130,43 +157,45 @@ class TestScoreIdentity:
 
 
 class TestGating:
+    # the replay term applies where its weight, an, is nonzero
     def test_tau_one_active_from_first_step(self):
         cfg = GuidanceConfig(w=1.5, f=0.1, tau=1.0)
-        assert replay_active(cfg, 0, 128)
-        assert replay_active(cfg, 127, 128)
+        assert weights(cfg, 0, 128)[2] == 0.1
+        assert weights(cfg, 127, 128)[2] == 0.1
 
     def test_tau_zero_never_active(self):
         cfg = GuidanceConfig(w=1.5, f=0.1, tau=0.0)
-        assert not any(replay_active(cfg, k, 128) for k in range(128))
+        assert all(weights(cfg, k, 128)[2] == 0.0 for k in range(128))
 
     def test_tau_is_trailing_fraction(self):
         cfg = GuidanceConfig(w=1.5, f=0.1, tau=0.3)
         # k/128 >= 0.7 first holds at k = 90
-        assert not replay_active(cfg, 89, 128)
-        assert replay_active(cfg, 90, 128)
+        assert weights(cfg, 89, 128) == (1.5, -0.5, 0.0)
+        assert weights(cfg, 90, 128) == (1.5 + 0.1, -0.5, 0.1)
 
     def test_f_zero_never_active(self):
         cfg = GuidanceConfig(w=1.5, f=0.0, tau=1.0)
-        assert not replay_active(cfg, 100, 128)
+        assert weights(cfg, 100, 128) == (1.5, -0.5, 0.0)
 
     def test_active_count_matches_fraction(self):
         cfg = GuidanceConfig(w=1.5, f=0.1, tau=0.25)
-        active = sum(replay_active(cfg, k, 64) for k in range(64))
+        active = sum(weights(cfg, k, 64)[2] != 0.0 for k in range(64))
         assert active == 16
 
 
 class TestEffectiveW:
+    # w is a1 - an, and 1 - a0
     def test_no_interval_is_constant(self):
         cfg = GuidanceConfig(w=2.5)
-        assert effective_w(cfg, 0, 10) == 2.5
-        assert effective_w(cfg, 9, 10) == 2.5
+        assert weights(cfg, 0, 10) == (2.5, -1.5, 0.0)
+        assert weights(cfg, 9, 10) == (2.5, -1.5, 0.0)
 
     def test_interval_bounds_inclusive(self):
         cfg = GuidanceConfig(w=2.5, cfg_interval=(0.2, 0.8))
-        assert effective_w(cfg, 0, 10) == 1.0
-        assert effective_w(cfg, 2, 10) == 2.5
-        assert effective_w(cfg, 8, 10) == 2.5
-        assert effective_w(cfg, 9, 10) == 1.0
+        assert weights(cfg, 0, 10) == (1.0, 0.0, 0.0)
+        assert weights(cfg, 2, 10) == (2.5, -1.5, 0.0)
+        assert weights(cfg, 8, 10) == (2.5, -1.5, 0.0)
+        assert weights(cfg, 9, 10) == (1.0, 0.0, 0.0)
 
 
 class TestConfigValidation:
@@ -312,6 +341,25 @@ class TestGuidedSource:
             assert guided is d1
             np.testing.assert_array_equal(d1, want)
         assert spy.asked == [1, 1, 1]
+
+    def test_step_asks_only_for_nonzero_terms(self):
+        # T=16: cfg_interval (0.2, 0.8) holds at k = 4..12, where the base is
+        # asked for d1 and d0 and elsewhere for d1 alone; the pool is read
+        # exactly where the replay weight is nonzero, k/16 >= 0.5
+        cfg = GuidanceConfig(w=1.5, f=0.05, tau=0.5, cfg_interval=(0.2, 0.8))
+        spy, pool = SpyBase(self.base), _SpyPool(4, 2)
+        src = guided_source(spy, pool, cfg)
+        x = np.random.default_rng(4).standard_normal((6, 2)) * 3.0
+        cls = np.array([1, 2, 1, 2, 2, 1])
+        neg = src.bind(self.sched, np.arange(6, dtype=np.uint64), cls)
+        for k in range(16):
+            guided, d1 = src.step(x, k, self.sched, cls, neg)
+            d0 = self.base.denoise(x, self.sched.sigmas[k], [None])[0]
+            want = guided_combination(cfg, k, 16, True, d1, d0, np.zeros((6, 2)))
+            assert np.array_equal(guided, want), k
+        assert spy.asked == [2 if 4 <= k <= 12 else 1 for k in range(16)]
+        assert pool.replayed_steps == [k for k in range(16) if weights(cfg, k, 16)[2] != 0.0]
+        assert pool.replayed_steps == list(range(8, 16))
 
     @pytest.mark.parametrize("f", [0.0, 0.05])
     def test_unconditional_asks_for_the_marginal_once(self, small_pool, f):
