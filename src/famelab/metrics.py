@@ -2,7 +2,7 @@
 
 Scorers map final samples to scalar quality; distribution fidelity is
 measured by Frechet distance between gaussian moment fits and k-NN manifold
-precision/recall, whose KD-tree candidates are rechecked on exact squared
+precision/recall, whose grid candidates are rechecked on exact squared
 distances so that results equal the all-pairs computation.  Mixture-aware
 helpers assign samples to components through `GmmSpec.evaluate` so runs can
 report how much mass landed in low-quality modes.
@@ -13,10 +13,8 @@ from __future__ import annotations
 import shlex
 import subprocess
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import InvalidArgumentError, ScorerFailedError
 from .gmm import GmmSpec, _eval, noised_log_density, responsibilities
@@ -31,8 +29,6 @@ OUTLIER_MAHALANOBIS = 4.0
 # k of the k-NN precision/recall, and the points per side evaluate thins to
 KNN_K = 3
 KNN_MAX = 2048
-# KD-tree radii are widened by far more than the tree's rounding of a distance
-_WIDEN = 1 + 1e-9
 
 
 class ComponentTagScorer:
@@ -99,7 +95,7 @@ class ExternalScorer:
             raise ScorerFailedError(
                 f"scorer exited with {proc.returncode}: {proc.stderr.strip()[-500:]}"
             )
-        lines = proc.stdout.split()
+        lines = proc.stdout.rstrip().splitlines()
         if len(lines) != len(samples):
             raise ScorerFailedError(
                 f"scorer returned {len(lines)} values for {len(samples)} samples"
@@ -215,38 +211,72 @@ def frechet_distance(a, b) -> float:
 
 
 def _sqdist(a, b):
-    """Squared distances between broadcast rows of a and b, summed one
-    dimension at a time: cdist's order, not numpy's pairwise row sum."""
-    return sum((a[..., t] - b[..., t]) ** 2 for t in range(a.shape[-1]))
+    """Squared distances of points given as coordinate arrays, in cdist's order."""
+    return sum((x - y) ** 2 for x, y in zip(a, b))
 
 
-def _ball_pairs(centres, radii, tree, points):
-    """(centre, point, exact squared distance) of every pair within, or just
-    outside, each centre's own squared radius; `tree` indexes `points`."""
-    hits = tree.query_ball_point(centres, np.sqrt(radii) * _WIDEN, return_sorted=False)
-    counts = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
-    idx = np.fromiter(chain.from_iterable(hits), dtype=np.intp, count=counts.sum())
-    owner = np.repeat(np.arange(len(centres)), counts)
-    return owner, idx, _sqdist(centres[owner], points[idx])
+class _Grids:
+    """A point set bucketed by cell over its first m = min(d, 2) coordinates,
+    at levels j of cell side h0 * 2**j / 2, each level built on first use."""
+
+    def __init__(self, points):
+        self.points, self.levels, self.lo = points, {}, points[:, :2].min(axis=0)
+        h0 = max(np.ptp(c) for c in points.T) / (2 * np.sqrt(len(points)))
+        self.h0 = h0 if 1e-150 < h0 < 1e140 else np.inf  # else squares could over/underflow
+        # level j pairs a centre with every point within squared radius reach * 4**j:
+        # two cells, less a margin far above the rounding of a cell coordinate
+        self.reach = (self.h0 * (1 - 1e-9)) ** 2
+
+    def pairs(self, j, centres, within):
+        """(owner, position in the order by cell `levels[j][0]`, exact squared
+        distance) of the points of the 5^m cells around each centre `within` it."""
+        if j not in self.levels:
+            h = np.ldexp(self.h0, j - 1)
+            cells = ((self.points[:, :2] - self.lo) / h).astype(np.intp)
+            shape = tuple(c.max() + 5 for c in cells.T)  # two margin cells on each side
+            key = np.ravel_multi_index(tuple(cells.T + 2), shape)
+            order, starts = np.argsort(key), np.zeros(np.prod(shape) + 1, dtype=np.intp)
+            np.cumsum(np.bincount(key, minlength=len(starts) - 1), out=starts[1:])
+            self.levels[j] = order, h, shape, starts, self.points[order].T.copy()
+        _, h, shape, starts, cols = self.levels[j]
+        # clipped before the cast: a centre beyond the grid sees its edge cells
+        cells = np.clip((centres[:, : len(shape)] - self.lo) / h, 0, np.subtract(shape, 5))
+        key = np.ravel_multi_index(tuple(cells.T.astype(np.intp) + 2), shape)
+        # each row of 5 cells along the last axis is one run of sorted points
+        rows = key[:, None] + (np.arange(-2, 3) * shape[1] if len(shape) == 2 else 0)
+        first, lens = starts[rows - 2], starts[rows + 3] - starts[rows - 2]
+        counts, lens = lens.sum(axis=1), lens.ravel()
+        pos = np.repeat(first.ravel() - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+        sq = _sqdist([np.repeat(c, counts) for c in centres.T], [c[pos] for c in cols])
+        keep = sq <= (np.repeat(within, counts) if np.ndim(within) else within)
+        return np.repeat(np.arange(len(centres)), counts)[keep], pos[keep], sq[keep]
 
 
-def _knn_radii(pts, tree, k):
+def _knn_radii(grids, k):
     """Exact squared distance from each point to its k-th nearest in its own
-    set, self the 0th: the k-th of its tree's k + 3 nearest, or of its whole
-    ball where the farthest of those may not lie beyond it (near-ties)."""
-    dist, idx = tree.query(pts, min(k + 3, len(pts)))
-    radii = np.partition(_sqdist(pts[:, None], pts[idx]), k, axis=1)[:, k]
-    loose = np.flatnonzero(dist[:, -1] <= np.sqrt(radii) * _WIDEN)
-    owner, _, sq = _ball_pairs(pts[loose], radii[loose], tree, pts)
-    first = np.searchsorted(owner, np.arange(len(loose)))
-    radii[loose] = sq[np.lexsort((sq, owner))][first + k]
+    set, self the 0th: at the first level where more than k candidates lie
+    within reach, every point that near is one, so the k-th of a row of them."""
+    radii, todo, j = np.empty(len(grids.points)), np.arange(len(grids.points)), 0
+    while len(todo):
+        owner, _, sq = grids.pairs(j, grids.points[todo], np.ldexp(grids.reach, 2 * j))
+        counts = np.bincount(owner, minlength=len(todo))
+        table = np.full((len(todo), max(counts.max(), k + 1)), np.inf)
+        table[owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]] = sq
+        radii[todo] = np.partition(table, k, axis=1)[:, k]
+        todo, j = todo[counts <= k], j + 1
     return radii
 
 
-def _coverage(centres, radii, tree, points):
-    """Fraction of `points` inside some centre's ball."""
-    owner, idx, sq = _ball_pairs(centres, radii, tree, points)
-    return float((np.bincount(idx[sq <= radii[owner]], minlength=len(points)) > 0).mean())
+def _coverage(centres, radii, grids):
+    """Fraction of the points of `grids` inside some centre's ball, pairing
+    each centre at the first level whose reach its radius is within."""
+    covered, todo, j = np.zeros(len(grids.points), dtype=bool), np.arange(len(centres)), 0
+    while len(todo):
+        here = todo[radii[todo] <= np.ldexp(grids.reach, 2 * j)]
+        _, pos, _ = grids.pairs(j, centres[here], radii[here])
+        covered[grids.levels[j][0][pos]] = True
+        todo, j = todo[radii[todo] > np.ldexp(grids.reach, 2 * j)], j + 1
+    return float(covered.mean())
 
 
 def precision_recall(gen, real, k: int = KNN_K) -> tuple[float, float]:
@@ -256,8 +286,8 @@ def precision_recall(gen, real, k: int = KNN_K) -> tuple[float, float]:
     nearest other real point; precision is the fraction of generated points
     inside some real ball, recall the same with roles swapped.  Squared
     distances throughout, self excluded via the (k+1)-th order statistic.
-    KD-trees find the candidates and exact squared distances, summed in
-    cdist's order, decide: the all-pairs result without its (n, m) matrices.
+    Grids of doubling cells find the candidates and exact squared distances,
+    summed in cdist's order, decide: the all-pairs result, with no matrices.
     """
     gen = np.ascontiguousarray(np.atleast_2d(gen), dtype=np.float64)
     real = np.ascontiguousarray(np.atleast_2d(real), dtype=np.float64)
@@ -271,9 +301,9 @@ def precision_recall(gen, real, k: int = KNN_K) -> tuple[float, float]:
         )
     if not (np.isfinite(gen).all() and np.isfinite(real).all()):
         raise InvalidArgumentError("sample sets must be finite")
-    tree_gen, tree_real = cKDTree(gen), cKDTree(real)
-    precision = _coverage(real, _knn_radii(real, tree_real, k), tree_gen, gen)
-    return precision, _coverage(gen, _knn_radii(gen, tree_gen, k), tree_real, real)
+    grids_gen, grids_real = _Grids(gen), _Grids(real)
+    precision = _coverage(real, _knn_radii(grids_real, k), grids_gen)
+    return precision, _coverage(gen, _knn_radii(grids_gen, k), grids_real)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ the responsibility-weighted -Sigma_sigma^-1 (x - mu) of each component.
 `assign_modes_two_pass` is the earlier mode assignment: the
 responsibilities, then a second pass for the einsum Mahalanobis distance.
 `precision_recall_dense` is the earlier k-NN precision/recall on full
-`cdist` matrices, which the package's KD-tree search must match exactly.
+`cdist` matrices, which the package's grid search must match exactly.
 `select_indices_buckets` is the earlier failure-pool binding, one index
 array per class and a loop over trajectories, which the package's run
 bounds found by binary search must match index for index.

@@ -1,15 +1,20 @@
 """Command-line harness tests.
 
 Most cases drive main() in-process so exit codes and stdout are cheap to
-assert; one subprocess case exercises the installed console script.
+assert; subprocess cases exercise the installed console script and a run
+with scipy unimportable.
 """
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import famelab
 from famelab import pipeline
 from famelab.cli import _resolve_config, build_parser, main
 from famelab.config import ExperimentConfig
@@ -360,3 +365,41 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0, proc.stderr
         assert "dataset : imbalanced2d" in proc.stdout
+
+
+# runs its arguments through main() with every scipy import refused
+_WITHOUT_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is not available")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+from famelab.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _python(*args):
+    src = str(Path(famelab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+class TestNumpyOnly:
+    def test_import_loads_no_scipy(self):
+        proc = _python(
+            "-c",
+            "import sys, famelab; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_evaluate_runs_without_scipy(self, tmp_path):
+        path = write_config(tmp_path, n_per_class=20, n_steps=4, pool_candidates=6)
+        proc = _python("-c", _WITHOUT_SCIPY, "evaluate", "--config", path)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out" / "run" / "reports" / "summary.json").exists()

@@ -10,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, linalg
 
 from famelab.errors import InvalidArgumentError, ScorerFailedError
@@ -171,7 +173,7 @@ class TestPrecisionRecall:
 
 
 class TestPrecisionRecallMatchesDense:
-    """The KD-tree search against the all-pairs matrices, compared with ==:
+    """The grid search against the all-pairs matrices, compared with ==:
     the sets `evaluate` measures, ties, radii of zero and of everything, and
     dimensions on both sides of numpy's pairwise-summation block."""
 
@@ -255,6 +257,80 @@ class TestPrecisionRecallMatchesDense:
         got = precision_recall(gen, real, k=1)
         assert got == precision_recall_dense(gen, real, 1)
         assert got[0] == (0.5 if seq(g) <= seq(q) else 0.0)
+
+    def test_points_on_cell_boundaries(self):
+        """Each set's first-level reach is 1 (extent / (2 sqrt(n)): 8 / 8 and
+        10 / 10), so every coordinate lies on a cell edge and the lattice
+        distances 1, 2, 4 and 8 fall just outside the reach of a level."""
+        real = np.array([(i, j) for i in (0, 1, 2, 8) for j in (0, 1, 2, 8)], dtype=float)
+        gen = np.array([(i, j) for i in (0, 1, 2, 3, 10) for j in (0, 1, 2, 3, 10)], dtype=float)
+        for k in (1, 2, 3, 5):
+            assert precision_recall(gen, real, k=k) == precision_recall_dense(gen, real, k)
+            assert precision_recall(real[:, :1], gen[:, :1], k=k) == precision_recall_dense(
+                real[:, :1], gen[:, :1], k
+            )
+
+    def test_nearest_two_cells_away_just_beyond_the_reach(self):
+        """The real set's first-level reach is again 1.  The point c at
+        x = 3 - 1e-7 has its nearest neighbour p at 1 + 2e-7, beyond the cells
+        the first level pairs c with, and the next, q, at 1 + 1e-4 within them:
+        neither lies within that reach, so c's radius waits for the next
+        level, where p is paired.  The generated point above c lies between
+        the two radii."""
+        c, p, q = 3.0 - 1e-7, 4.0 + 1e-7, 1.9999
+        xs = [0.0, 8.0, c, p, q, *np.linspace(6.5, 7.5, 11)]
+        real = np.array([(x, 0.0) for x in xs])
+        gen = np.array([(c, 1.00005), (20.0, 20.0), (21.0, 20.0), (20.0, 21.0)])
+        got = precision_recall(gen, real, k=1)
+        assert got == precision_recall_dense(gen, real, 1)
+        assert got[0] == 0.0
+
+
+def _edge_set(kind, rng, n, d):
+    """A point set of one of the shapes at the grid's edges."""
+    x = rng.normal(size=(n, d))
+    if kind == "duplicates":
+        x = x[rng.integers(0, max(1, n // 4), n)]
+    elif kind == "identical":
+        x = np.repeat(x[:1], n, axis=0)
+    elif kind == "constant-coordinate":
+        x[:, rng.integers(0, d)] = 0.75
+    elif kind == "tiny":
+        x *= 1e-8
+    elif kind == "huge":
+        x *= 1e8
+    elif kind == "minute":
+        x *= 1e-170
+    elif kind == "vast":
+        x *= 1e160
+    elif kind == "offset":
+        x = 1e6 + 1e-3 * x
+    elif kind == "outliers":
+        x[rng.integers(0, n, 3)] = rng.normal(size=(3, d)) * 1e6
+    return x
+
+
+_EDGE_KINDS = (
+    "normal", "duplicates", "identical", "constant-coordinate", "tiny", "huge", "minute",
+    "vast", "offset", "outliers",
+)
+
+
+class TestPrecisionRecallGridEdges:
+    # squared distances within the 1e160 sets overflow to inf, as cdist's do
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @given(
+        d=st.sampled_from([1, 2, 3, 8]),
+        k=st.sampled_from([1, 2, 3, 5]),
+        kinds=st.tuples(st.sampled_from(_EDGE_KINDS), st.sampled_from(_EDGE_KINDS)),
+        sizes=st.tuples(st.integers(6, 60), st.integers(6, 60)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_dense(self, d, k, kinds, sizes, seed):
+        rng = np.random.default_rng(seed)
+        gen, real = (_edge_set(kind, rng, n, d) for kind, n in zip(kinds, sizes))
+        assert precision_recall(gen, real, k=k) == precision_recall_dense(gen, real, k)
 
 
 def histogram_kl(
@@ -394,6 +470,9 @@ class TestScorers:
             )(x)
         with pytest.raises(ScorerFailedError):
             ExternalScorer(["/nonexistent/binary"])(x)
+        # three scores on one line are one line, not three
+        with pytest.raises(ScorerFailedError, match="1 values for 3 samples"):
+            ExternalScorer([sys.executable, "-c", "print('1.0 1.0 1.0')"])(x)
 
     def test_make_scorer(self):
         spec = two_mode_1d()
