@@ -2,10 +2,10 @@
 
 A config resolves to: a dataset (preset name or mixture-spec path), a score
 source, a noise schedule, guidance knobs, pool knobs, a scorer, seeds and
-counts, and an output directory.  Loading validates every numeric range up
-front, and every field's type before that (integers must be ints, not
-bools or floats), so a bad config fails with InvalidArgumentError before any
-artifact is written.
+counts, and an output directory.  Loading checks each field's type, from
+its annotation, then each range, stated by the part the field configures,
+so a bad config fails with InvalidArgumentError before any artifact is
+written; rules that need the dataset are checked once `Experiment` has it.
 """
 
 from __future__ import annotations
@@ -17,30 +17,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .denoiser import TrainConfig
-from .errors import InvalidArgumentError, check_class_id, check_int, check_real, check_str
+from .errors import InvalidArgumentError, check_class_id, check_fields, check_real, check_str
 from .guidance import GuidanceConfig
 from .metrics import check_scorer_id
-from .pool import POOL_MODES
+from .pool import PoolBuildConfig
 from .sampler import SAMPLER_METHODS
-from .schedule import SCHEDULE_KINDS
+from .schedule import check_schedule
 
 SOURCE_KINDS = ("analytic", "neural")
 SWEEP_AXES = ("w", "f", "tau")
-
-# each scalar field's type, checked before any range; only _OPTIONAL fields
-# may be None
-_FIELD_TYPES = {
-    **dict.fromkeys(
-        ("n_steps", "pool_candidates", "pool_n_f", "seed", "n_per_class"), check_int
-    ),
-    **dict.fromkeys(("sigma_min", "sigma_max"), check_real),
-    **dict.fromkeys(
-        ("name", "dataset", "source", "checkpoint", "schedule_kind", "method",
-         "pool_path", "pool_mode", "scorer", "out_dir"),
-        check_str,
-    ),
-}
-_OPTIONAL = {"checkpoint", "pool_path"}
 
 
 @dataclass(frozen=True)
@@ -69,32 +54,17 @@ class ExperimentConfig:
     workers = None  # not a field; perfbench/worker.py reads it until ROADMAP item 1 deletes it
 
     def __post_init__(self):
-        for name, check in _FIELD_TYPES.items():
-            value = getattr(self, name)
-            if not (value is None and name in _OPTIONAL):
-                check(name, value)
-        if not isinstance(self.save_trajectories, bool):
-            raise InvalidArgumentError(
-                f"save_trajectories must be true or false, got {self.save_trajectories!r}"
-            )
+        check_fields(self)
         if not self.name or "/" in self.name or self.name in (".", ".."):
             raise InvalidArgumentError(f"experiment name {self.name!r} is not a valid directory name")
         if self.source not in SOURCE_KINDS:
             raise InvalidArgumentError(f"source must be one of {SOURCE_KINDS}, got {self.source!r}")
         if self.method not in SAMPLER_METHODS:
             raise InvalidArgumentError(f"method must be one of {SAMPLER_METHODS}")
-        if self.schedule_kind not in SCHEDULE_KINDS:
-            raise InvalidArgumentError(f"schedule_kind must be one of {SCHEDULE_KINDS}")
-        if self.n_steps < 1:
-            raise InvalidArgumentError("n_steps must be >= 1")
-        if not (0.0 < self.sigma_min < self.sigma_max and np.isfinite(self.sigma_max)):
-            raise InvalidArgumentError("need 0 < sigma_min < sigma_max < inf")
+        check_schedule(self.schedule_kind, self.n_steps, self.sigma_min, self.sigma_max)
         if self.n_per_class < 1:
             raise InvalidArgumentError("n_per_class must be >= 1")
-        if self.pool_candidates < 1 or self.pool_n_f < 1:
-            raise InvalidArgumentError("pool_candidates and pool_n_f must be >= 1")
-        if self.pool_mode not in POOL_MODES:
-            raise InvalidArgumentError(f"pool_mode must be one of {POOL_MODES}")
+        PoolBuildConfig(self.pool_candidates, self.pool_n_f, self.pool_mode)
         check_scorer_id(self.scorer)
         if self.classes is not None:
             if not isinstance(self.classes, (list, tuple)) or len(self.classes) == 0:

@@ -43,8 +43,7 @@ from .errors import (
     InvalidArgumentError,
     MalformedFileError,
     TrainingDivergedError,
-    check_int,
-    check_real,
+    check_fields,
 )
 from .gmm import GmmSpec, sample_clean_batch
 from .schedule import derive_seed
@@ -85,10 +84,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("steps", "batch_size", "seed"):
-            check_int(name, getattr(self, name))
-        for name in ("lr", "sigma_lo", "sigma_hi", "label_dropout"):
-            check_real(name, getattr(self, name))
+        check_fields(self)
         if self.steps < 1 or self.batch_size < 1:
             raise InvalidArgumentError("steps and batch_size must be positive")
         if not (self.lr > 0 and np.isfinite(self.lr)):

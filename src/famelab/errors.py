@@ -5,6 +5,7 @@ Every error raised on a documented failure path derives from FamelabError so
 callers can catch the whole family at the CLI boundary.
 """
 
+import dataclasses
 import numbers
 
 
@@ -106,3 +107,24 @@ def check_str(name, value) -> None:
     """Raise InvalidArgumentError unless value is a string."""
     if not isinstance(value, str):
         raise InvalidArgumentError(f"{name} must be a string, got {value!r}")
+
+
+def check_bool(name, value) -> None:
+    """Raise InvalidArgumentError unless value is True or False."""
+    if not isinstance(value, bool):
+        raise InvalidArgumentError(f"{name} must be true or false, got {value!r}")
+
+
+_CHECKS = {"int": check_int, "float": check_real, "str": check_str, "bool": check_bool}
+
+
+def check_fields(obj) -> None:
+    """Check each field of dataclass obj against its annotation, which its
+    module leaves a string (`from __future__ import annotations`): an int,
+    float, str or bool field gets that type's check, and `X | None` also
+    admits None.  Fields of any other type keep their own checks."""
+    for f in dataclasses.fields(obj):
+        kind, _, optional = f.type.partition(" | ")
+        value = getattr(obj, f.name)
+        if kind in _CHECKS and not (value is None and optional == "None"):
+            _CHECKS[kind](f.name, value)

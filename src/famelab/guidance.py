@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, check_real
+from .errors import InvalidArgumentError, check_fields, check_real
 from .schedule import NoiseSchedule
 
 
@@ -36,8 +36,7 @@ class GuidanceConfig:
     cfg_interval: tuple | None = None
 
     def __post_init__(self):
-        for name in ("w", "f", "tau"):
-            check_real(name, getattr(self, name))
+        check_fields(self)
         if not (np.isfinite(self.w) and self.w >= 0):
             raise InvalidArgumentError(f"w must be finite and >= 0, got {self.w}")
         if not (np.isfinite(self.f) and self.f >= 0):

@@ -69,12 +69,13 @@ class Experiment:
 
     Owns the run directory out_dir/name and the stage runner; a directory
     is created only when a file is written into it.  The dataset stage (spec
-    and schedule) is resolved on construction, and a configured class the
-    dataset lacks is then an InvalidArgumentError, raised before any file or
-    directory is written.  base, scorer and references are resolved on first
-    use, each inside the stage that names its failures, so a subcommand pays
-    only for what it touches.  The failure pool is built or loaded at most
-    once.
+    and schedule) is resolved on construction; a configured class the
+    dataset lacks, or a pool_n_f its classes' candidates cannot fill (even
+    if this run builds no pool), is then an InvalidArgumentError, raised
+    before any file or directory is written.  base, scorer and references
+    are resolved on first use, each inside the stage that names its
+    failures, so a subcommand pays only for what it touches.  The failure
+    pool is built (from pool_cfg) or loaded at most once.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -86,6 +87,10 @@ class Experiment:
         missing = [c for c in self.classes if c not in self.spec.classes]
         if missing:
             raise InvalidArgumentError(f"class {missing[0]} not in dataset {cfg.dataset!r}")
+        self.pool_cfg = PoolBuildConfig(
+            cfg.pool_candidates, cfg.pool_n_f, cfg.pool_mode, derive_seed(cfg.seed, _POOL_KEY)
+        )
+        self.pool_cfg.check_classes(len(self.classes))
         self._pool = None
 
     def stage(self, name, fn):
@@ -189,19 +194,13 @@ class Experiment:
         """Build a pool from CFG candidates at guidance.w on the pool stream
         and write it to pool.fmpl.  A pool built at another w is made with
         `famelab build-pool --w` and loaded through pool_path."""
-        cfg = self.cfg
 
         def build():
             pool = build_pool(
                 guided_source(self.base, None, GuidanceConfig(w=guidance.w)),
-                SamplerConfig(schedule=self.schedule, method=cfg.method, record_outputs=True),
+                SamplerConfig(schedule=self.schedule, method=self.cfg.method, record_outputs=True),
                 self.scorer,
-                PoolBuildConfig(
-                    n_candidates_per_class=cfg.pool_candidates,
-                    n_f=cfg.pool_n_f,
-                    mode=cfg.pool_mode,
-                    seed=derive_seed(cfg.seed, _POOL_KEY),
-                ),
+                self.pool_cfg,
                 self.classes,
             )
             save_pool(pool, self._path("pool.fmpl"))

@@ -25,6 +25,8 @@ PALETTE = (
     "#17becf",
 )
 REFERENCE_COLOR = "#c8c8c8"
+# XML text escapes, as xml.sax.saxutils.escape (whose import costs MiBs of RSS)
+_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def _bounds(sets):
@@ -47,7 +49,8 @@ class _Canvas:
         ]
         if title:
             self.parts.append(
-                f'<text x="8" y="16" font-family="monospace" font-size="12">{title}</text>'
+                '<text x="8" y="16" font-family="monospace" font-size="12">'
+                f"{title.translate(_ESCAPES)}</text>"
             )
 
     def xy(self, p):
@@ -67,7 +70,7 @@ class _Canvas:
     def text(self, x, y, s, color="#000000"):
         self.parts.append(
             f'<text x="{x}" y="{y}" font-family="monospace" font-size="11" '
-            f'fill="{color}">{s}</text>'
+            f'fill="{color}">{s.translate(_ESCAPES)}</text>'
         )
 
     def render(self):

@@ -23,6 +23,7 @@ from .errors import (
     MalformedPoolError,
     NotFoundError,
     PoolBuildFailedError,
+    check_fields,
 )
 from .sampler import sample_batch
 from .schedule import NoiseSchedule, splitmix64, trajectories_from_bytes, trajectory_dtype
@@ -136,12 +137,20 @@ class PoolBuildConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if self.n_candidates_per_class < 1:
             raise InvalidArgumentError("n_candidates_per_class must be >= 1")
         if self.n_f < 1:
             raise InvalidArgumentError("n_f must be >= 1")
         if self.mode not in POOL_MODES:
             raise InvalidArgumentError(f"unknown pool mode {self.mode!r}")
+
+    def check_classes(self, n_classes: int) -> None:
+        """Raise InvalidArgumentError unless n_classes classes of candidates
+        fill the n_f slots: in all in global mode, per class in per-class mode."""
+        n_cand = self.n_candidates_per_class * (n_classes if self.mode == "global" else 1)
+        if self.n_f > n_cand:
+            raise InvalidArgumentError(f"pool n_f={self.n_f} exceeds {n_cand} {self.mode} candidates")
 
 
 def build_pool(source, sampler_cfg, scorer, build_cfg: PoolBuildConfig, class_ids) -> FailurePool:
@@ -158,14 +167,8 @@ def build_pool(source, sampler_cfg, scorer, build_cfg: PoolBuildConfig, class_id
     class_ids = [int(c) for c in class_ids]
     if not class_ids:
         raise InvalidArgumentError("need at least one class to build a pool")
+    build_cfg.check_classes(len(class_ids))
     n_cand = build_cfg.n_candidates_per_class
-    total = n_cand * len(class_ids)
-    if build_cfg.mode == "global" and build_cfg.n_f > total:
-        raise InvalidArgumentError(f"n_f={build_cfg.n_f} exceeds {total} candidates")
-    if build_cfg.mode == "per-class" and build_cfg.n_f > n_cand:
-        raise InvalidArgumentError(
-            f"per-class n_f={build_cfg.n_f} exceeds {n_cand} candidates per class"
-        )
 
     batch = sample_batch(source, sampler_cfg, build_cfg.seed, class_ids, n_cand)
     for b, c in enumerate(class_ids):

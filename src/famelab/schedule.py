@@ -146,13 +146,9 @@ class NoiseSchedule:
         return int.from_bytes(h.digest(), "little")
 
 
-def make_schedule(kind: str, T: int, sigma_min: float, sigma_max: float) -> NoiseSchedule:
-    """Build a named schedule with T integration steps (T+1 levels).
-
-    "linear-sigma" spaces levels evenly from sigma_max to sigma_min and snaps
-    the final level to zero.  "karras-like" applies the rho=7 power-law ramp
-    between the same endpoints and appends the zero level.
-    """
+def check_schedule(kind: str, T: int, sigma_min: float, sigma_max: float) -> None:
+    """Raise InvalidArgumentError unless make_schedule accepts these
+    arguments; builds no array, so a config can be checked without one."""
     if kind not in SCHEDULE_KINDS:
         raise InvalidArgumentError(f"unknown schedule kind {kind!r}; expected one of {SCHEDULE_KINDS}")
     if not isinstance(T, (int, np.integer)) or T < 1:
@@ -161,6 +157,16 @@ def make_schedule(kind: str, T: int, sigma_min: float, sigma_max: float) -> Nois
         raise InvalidArgumentError(
             f"need 0 < sigma_min < sigma_max finite, got ({sigma_min}, {sigma_max})"
         )
+
+
+def make_schedule(kind: str, T: int, sigma_min: float, sigma_max: float) -> NoiseSchedule:
+    """Build a named schedule with T integration steps (T+1 levels).
+
+    "linear-sigma" spaces levels evenly from sigma_max to sigma_min and snaps
+    the final level to zero.  "karras-like" applies the rho=7 power-law ramp
+    between the same endpoints and appends the zero level.
+    """
+    check_schedule(kind, T, sigma_min, sigma_max)
     if kind == "linear-sigma":
         sig = np.linspace(sigma_max, sigma_min, T + 1)
         sig[-1] = 0.0

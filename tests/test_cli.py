@@ -5,6 +5,7 @@ assert; subprocess cases exercise the installed console script and a run
 with scipy unimportable.
 """
 
+import importlib
 import json
 import os
 import shutil
@@ -178,6 +179,20 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert "error:" in err and "class 99" in err, command
             assert not [p for p in (tmp_path / "out").rglob("*") if p.is_file()], command
+
+    @pytest.mark.parametrize("command", COMMAND_ARGS)
+    def test_pool_too_large_is_one_before_any_file(self, tmp_path, capsys, command):
+        # the pool-size rule needs the class count, so like an unknown class
+        # it is checked once the dataset resolves, by every subcommand
+        # whether or not it builds a pool
+        too_large = (
+            write_config(tmp_path, name="global", pool_candidates=2, pool_n_f=50, classes=None),
+            write_config(tmp_path, name="per", pool_candidates=2, pool_n_f=3, pool_mode="per-class"),
+        )
+        for path in too_large:
+            assert main([command, "--config", path, *COMMAND_ARGS[command]]) == 1, path
+            assert "n_f" in capsys.readouterr().err, path
+            assert not (tmp_path / "out").exists(), path
 
     def test_late_config_error_leaves_no_directory(self, tmp_path, capsys):
         # a class the dataset lacks, or a sample too small to evaluate, is
@@ -365,6 +380,19 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0, proc.stderr
         assert "dataset : imbalanced2d" in proc.stdout
+
+    def test_entry_point_target_runs(self, tmp_path, capsys):
+        # the [project.scripts] target resolved as an installer would, so a
+        # renamed or moved main fails without an install
+        tomllib = pytest.importorskip("tomllib", reason="tomllib needs Python 3.11")
+        pyproject = Path(famelab.__file__).resolve().parents[2] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["famelab"]
+        module, _, attr = target.partition(":")
+        entry = importlib.import_module(module)
+        for name in attr.split("."):
+            entry = getattr(entry, name)
+        assert entry(["dataset", "--config", write_config(tmp_path)]) == 0
+        assert "dataset : imbalanced2d" in capsys.readouterr().out
 
 
 # runs its arguments through main() with every scipy import refused

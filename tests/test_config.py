@@ -18,6 +18,7 @@ from famelab.config import (
 from famelab.denoiser import TrainConfig
 from famelab.errors import InvalidArgumentError
 from famelab.guidance import GuidanceConfig
+from famelab.pool import PoolBuildConfig
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
@@ -154,6 +155,42 @@ class TestValidation:
     def test_non_object_rejected(self):
         with pytest.raises(InvalidArgumentError):
             config_from_dict([1, 2, 3])
+
+
+# each config class with the arguments a valid instance needs, and a value
+# of the wrong type for each scalar annotation
+_REQUIRED = {
+    ExperimentConfig: {},
+    GuidanceConfig: {},
+    TrainConfig: {},
+    PoolBuildConfig: {"n_candidates_per_class": 4},
+}
+_WRONG_TYPE = {"int": True, "float": "x", "str": 1, "bool": 1}
+_FIELDS = [(cls, f) for cls in _REQUIRED for f in dataclasses.fields(cls)]
+
+
+class TestFieldTypes:
+    @pytest.mark.parametrize("cls, f", _FIELDS, ids=[f"{c.__name__}.{f.name}" for c, f in _FIELDS])
+    def test_type_comes_from_the_annotation(self, cls, f):
+        # check_fields reads annotations as strings; a module that loses
+        # `from __future__ import annotations` would silently check nothing
+        assert isinstance(f.type, str), f.type
+        kind, _, optional = f.type.partition(" | ")
+
+        def make(value):
+            return cls(**{**_REQUIRED[cls], f.name: value})
+
+        if kind in _WRONG_TYPE:
+            with pytest.raises(InvalidArgumentError):
+                make(_WRONG_TYPE[kind])
+        if optional == "None":
+            make(None)
+        elif kind in _WRONG_TYPE:
+            with pytest.raises(InvalidArgumentError):
+                make(None)
+
+    def test_every_scalar_kind_occurs(self):
+        assert set(_WRONG_TYPE) <= {str(f.type).partition(" | ")[0] for _, f in _FIELDS}
 
 
 class TestSweepSpec:

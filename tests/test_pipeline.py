@@ -1,6 +1,7 @@
 """End-to-end pipeline stages, artifact layout, determinism, sweeps, pairs."""
 
 import json
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from famelab.config import ExperimentConfig, SweepSpec
 from famelab.denoiser import MlpDenoiser, save_checkpoint
 from famelab.errors import InvalidArgumentError, PipelineStageError
 from famelab.guidance import GuidanceConfig
+from famelab import pipeline
 from famelab.pipeline import Experiment, compare_paired, run_pipeline, run_sweep
 
 
@@ -122,6 +124,36 @@ class TestRunPipeline:
             run_pipeline(cfg)
         assert not [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
 
+    @pytest.mark.parametrize("mode, limit", [("global", 6), ("per-class", 2)])
+    def test_pool_size_checked_at_its_boundary(self, tmp_path, mode, limit):
+        # 2 candidates in each of 3 classes: a global pool keeps up to all
+        # 6, a per-class pool up to the 2 of its class
+        def config(n_f):
+            return base_config(
+                tmp_path, pool_candidates=2, pool_n_f=n_f, pool_mode=mode, classes=(1, 2, 3)
+            )
+
+        assert Experiment(config(limit)).pool_cfg.n_f == limit
+        with pytest.raises(InvalidArgumentError, match="n_f"):
+            Experiment(config(limit + 1))
+        assert not (tmp_path / "out").exists()
+
+    def test_pool_built_from_the_experiments_build_config(self, tmp_path, monkeypatch):
+        # more slots than one class's candidates is fine in global mode: 10
+        # of 2 per class over all 8 classes; the build reuses pool_cfg
+        cfg = base_config(tmp_path, n_steps=4, pool_candidates=2, pool_n_f=10, classes=None)
+        exp = Experiment(cfg)
+        seen = []
+
+        def build_pool(source, sampler_cfg, scorer, build_cfg, class_ids):
+            seen.append(build_cfg)
+            return real(source, sampler_cfg, scorer, build_cfg, class_ids)
+
+        real = pipeline.build_pool
+        monkeypatch.setattr(pipeline, "build_pool", build_pool)
+        assert len(exp.build_pool(cfg.guidance)) == 10
+        assert len(seen) == 1 and seen[0] is exp.pool_cfg
+
     def test_checkpoint_short_of_class_tokens_fails_train_stage(self, tmp_path):
         # a 2-class checkpoint on imbalanced2d (classes 1..8) is refused
         # before sampling, with the cause named
@@ -215,6 +247,21 @@ class TestComparePaired:
         assert pairs[0] == "class,index,score_a,score_b,delta"
         assert len(pairs) == 61
         assert (root / "plots" / "compare.svg").exists()
+
+    def test_svg_text_is_escaped(self, tmp_path):
+        # names become SVG text: markup characters in them must not break
+        # the XML of either plot
+        a = base_config(tmp_path, name="a&b<c>", guidance=GuidanceConfig(w=1.5), n_per_class=20)
+        b = base_config(tmp_path, name="d<e>&f", guidance=GuidanceConfig(w=2.0), n_per_class=20)
+        run_pipeline(a)
+        compare_paired(a, b)
+        plots = (
+            (tmp_path / "out" / a.name / "plots" / "modes.svg", [a.name]),
+            (tmp_path / "out" / f"{a.name}_vs_{b.name}" / "plots" / "compare.svg", [a.name, b.name]),
+        )
+        for path, names in plots:
+            texts = [t.firstChild.data for t in minidom.parse(str(path)).getElementsByTagName("text")]
+            assert all(name in texts for name in names), path
 
     def test_differing_non_guidance_fields_rejected(self, tmp_path):
         a = base_config(tmp_path, n_per_class=30)

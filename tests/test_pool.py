@@ -345,6 +345,8 @@ class TestBuildConfigValidation:
             PoolBuildConfig(n_candidates_per_class=4, n_f=0)
         with pytest.raises(InvalidArgumentError):
             PoolBuildConfig(n_candidates_per_class=4, mode="bogus")
+        with pytest.raises(InvalidArgumentError):
+            PoolBuildConfig(n_candidates_per_class=4, n_f=2.5)
 
 
 class TestCompatibility:
