@@ -55,8 +55,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_fields(self)
-        if not self.name or "/" in self.name or self.name in (".", ".."):
-            raise InvalidArgumentError(f"experiment name {self.name!r} is not a valid directory name")
+        # a name is also SVG text, and XML 1.0 cannot hold control characters
+        if not self.name or "/" in self.name or self.name in (".", "..") or not self.name.isprintable():
+            raise InvalidArgumentError(f"experiment name {self.name!r} is not a printable directory name")
         if self.source not in SOURCE_KINDS:
             raise InvalidArgumentError(f"source must be one of {SOURCE_KINDS}, got {self.source!r}")
         if self.method not in SAMPLER_METHODS:

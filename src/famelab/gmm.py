@@ -6,7 +6,9 @@ posterior mean E[x0 | x] (the ideal denoiser) are all available in closed
 form.  Each component's covariance is eigendecomposed once at construction;
 every noise level then reuses the same rotation with shifted eigenvalues.
 
-Only this module knows how mixtures lay out over the component table:
+`GmmSpec` holds its distinct components as arrays, `means`, `qmats` and
+`lams`, and each mixture as one row of columns into them, log weights and
+quality tags; only this module reads the rows beyond `GmmSpec.mixture`.
 `GmmSpec.evaluate` is the one mixture evaluation every caller uses.  It runs
 the kernel in two parts: `gmm_terms` computes the weight-free terms of each
 component it needs once, and `gmm_reduce` does the weighted log-sum-exp and
@@ -163,51 +165,6 @@ class GmmComponent:
         return self.mean.size
 
 
-class _Table:
-    """The distinct components of a spec as kernel-ready arrays.
-
-    Two components are the same table entry only when their mean and cov
-    bytes are equal; each entry's covariance is eigendecomposed once.
-    """
-
-    __slots__ = ("means", "qmats", "lams", "cols")
-
-    def __init__(self, components):
-        index = {}
-        distinct = []
-        cols = []
-        for c in components:
-            key = (c.mean.tobytes(), c.cov.tobytes())
-            if key not in index:
-                index[key] = len(distinct)
-                distinct.append(c)
-            cols.append(index[key])
-        # cols[i] is the entry of components[i]
-        self.cols = np.array(cols, dtype=np.intp)
-        self.means = np.ascontiguousarray([c.mean for c in distinct])
-        self.qmats = np.empty((len(distinct), distinct[0].dim, distinct[0].dim))
-        self.lams = np.empty((len(distinct), distinct[0].dim))
-        for i, c in enumerate(distinct):
-            lam, q = np.linalg.eigh(c.cov)
-            self.lams[i] = lam
-            self.qmats[i] = q
-
-
-class _Pack:
-    """One mixture of a spec: its row of the spec's mixture tables, its
-    columns `cols` of the component table and their log weights, and its
-    components' weights and quality tags."""
-
-    __slots__ = ("row", "cols", "logw", "tags", "weights")
-
-    def __init__(self, row, cols, logw, components):
-        self.row = row
-        self.cols = cols
-        self.logw = logw
-        self.weights = np.exp(logw)
-        self.tags = np.array([c.quality_tag for c in components])
-
-
 class GmmSpec:
     """A set of class-conditional mixtures plus class priors.
 
@@ -215,14 +172,17 @@ class GmmSpec:
     class_priors maps the same ids to marginal probabilities summing to 1.
     The unconditional mixture is the prior-weighted union of all classes.
 
-    `table` holds every distinct component once (a component shared by
-    several classes, like imbalanced2d's bad mode, is one entry); each class
-    and the marginal is a list of table columns plus its own log weights,
-    `pack(class_id).cols` and `.logw`.  A class's logw is log(weight); the
-    marginal's adds the log class prior.  Duplicates stay separate columns
-    of the marginal (imbalanced2d: 16 columns over 9 entries), so its
-    reduction sums the same terms in the same order whether or not they
-    share an entry.  `evaluate` is the only reduction over these columns.
+    `means`, `qmats` and `lams` are the component table: every distinct
+    component once (a component shared by several classes, like
+    imbalanced2d's bad mode, is one entry; two components are one entry only
+    when their mean and cov bytes are equal), its covariance eigendecomposed
+    once.  Each mixture, each class in id order and then the marginal, is one
+    row of table columns, log weights and quality tags, `mixture(class_id)`.
+    A class's logw is log(weight); the marginal's adds the log class prior.
+    Duplicates stay separate columns of the marginal (imbalanced2d: 16
+    columns over 9 entries), so its reduction sums the same terms in the same
+    order whether or not they share an entry.  `evaluate` is the only
+    reduction over these columns.
     """
 
     def __init__(self, classes: dict, class_priors: dict):
@@ -254,48 +214,59 @@ class GmmSpec:
         self.dim = dims.pop()
         self.classes = {cid: tuple(classes[cid]) for cid in ids}
         self.class_priors = {cid: float(class_priors[cid]) for cid in ids}
-        marg_comps = []
-        marg_logp = []
-        for cid in ids:
-            lp = math.log(self.class_priors[cid])
-            for c in self.classes[cid]:
-                marg_comps.append(c)
-                marg_logp.append(lp)
-        self.table = _Table(marg_comps)
+        # the component table, in order of first use by the marginal, which
+        # lists every class's components in class order
+        comps = [c for cid in ids for c in self.classes[cid]]
+        keys = [(c.mean.tobytes(), c.cov.tobytes()) for c in comps]
+        entry = {key: e for e, key in enumerate(dict.fromkeys(keys))}
+        cols = np.array([entry[key] for key in keys])
+        distinct = [comps[keys.index(key)] for key in entry]
+        eigs = [np.linalg.eigh(c.cov) for c in distinct]
+        self.means = np.array([c.mean for c in distinct])
+        self.lams = np.array([lam for lam, _ in eigs])
+        self.qmats = np.array([q for _, q in eigs])
         # one row per mixture, each class in id order and then the marginal:
-        # its table columns and log weights.  The marginal lists every
-        # class's components in class order, so a class's columns are a run
-        # of the marginal's.  Entries past a mixture's width repeat its first
-        # column and are never reduced over.
+        # a class's columns are a run of the marginal's.  Entries past a
+        # mixture's width repeat its first column and are never reduced over.
         ends = np.cumsum([len(self.classes[cid]) for cid in ids])
-        mixtures = [(cid, slice(end - len(self.classes[cid]), end)) for cid, end in zip(ids, ends)]
-        mixtures.append((None, slice(0, len(marg_comps))))
+        spans = [slice(end - len(self.classes[cid]), end) for cid, end in zip(ids, ends)]
+        spans.append(slice(0, len(comps)))
+        logw = np.log(np.array([c.weight for c in comps]))
+        tags = np.array([c.quality_tag for c in comps])
         self._ids = np.array(ids, dtype=np.int64)
-        self._width = np.array([s.stop - s.start for _, s in mixtures])
-        self._cols = np.empty((len(mixtures), len(marg_comps)), dtype=np.intp)
+        self._row_of = {cid: row for row, cid in enumerate([*ids, None])}
+        self._width = np.array([s.stop - s.start for s in spans])
+        self._cols = np.empty((len(spans), len(comps)), dtype=np.intp)
         self._logw = np.full(self._cols.shape, -np.inf)
-        self._packs = {}
-        for row, (cid, s) in enumerate(mixtures):
-            comps = marg_comps[s]
-            log_prior = np.array(marg_logp[s]) if cid is None else np.zeros(len(comps))
-            cols, logw = self._cols[row, : len(comps)], self._logw[row, : len(comps)]
-            self._cols[row] = self.table.cols[s.start]
-            cols[:] = self.table.cols[s]
-            logw[:] = np.log(np.array([c.weight for c in comps])) + log_prior
-            self._packs[cid] = _Pack(row, cols, logw, comps)
+        self._tags = np.zeros(self._cols.shape)
+        for row, s in enumerate(spans):
+            k = s.stop - s.start
+            self._cols[row] = cols[s.start]
+            self._cols[row, :k], self._logw[row, :k], self._tags[row, :k] = cols[s], logw[s], tags[s]
+        self._logw[-1] += [math.log(self.class_priors[cid]) for cid in ids for _ in self.classes[cid]]
+        # exact_sampler's draw weights, exp(logw), 0 past each width
+        self._weights = np.exp(self._logw)
 
-    def pack(self, class_id):
-        """One class's mixture, or the marginal mixture for None."""
+    def _row(self, class_id):
+        """The mixture-table row of one class id, or of the marginal for None."""
         try:
-            return self._packs[class_id]
-        except KeyError:
+            return self._row_of[class_id]
+        except (KeyError, TypeError):
             raise NotFoundError(f"unknown class id {class_id!r}") from None
+
+    def mixture(self, class_id):
+        """(cols, logw, tags) of one class's mixture, or of the marginal for
+        None: its columns of the component table and their log weights and
+        quality tags, views of its row."""
+        r = self._row(class_id)
+        k = self._width[r]
+        return self._cols[r, :k], self._logw[r, :k], self._tags[r, :k]
 
     def _rows(self, mixture, n):
         """The mixture-table row of a class id or None, or for an (n,) array
         of class ids, each point's row."""
         if np.ndim(mixture) == 0:
-            return self.pack(mixture).row
+            return self._row(mixture)
         ids = np.asarray(mixture)
         if ids.shape != (n,):
             raise InvalidArgumentError(f"class_ids must have shape ({n},), got {ids.shape}")
@@ -330,12 +301,11 @@ class GmmSpec:
         for r in rows:
             need[r] = True
         cols = np.unique(self._cols[need])
-        t = self.table
         logdet, quad, pm = gmm_terms(
-            X, t.means[cols], t.qmats[cols], t.lams[cols], float(sigma) ** 2
+            X, self.means[cols], self.qmats[cols], self.lams[cols], float(sigma) ** 2
         )
         # every mixture's columns in this pass, and their constant terms
-        pos = np.zeros(len(t.means), dtype=np.intp)
+        pos = np.zeros(len(self.means), dtype=np.intp)
         pos[cols] = np.arange(len(cols))
         mcols = pos[self._cols]
         const = self._logw - 0.5 * (d * LOG_2PI + logdet[mcols])
@@ -414,16 +384,16 @@ def exact_sampler(spec: GmmSpec, rng: np.random.Generator, class_id=None, n: int
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidArgumentError(f"n must be a positive integer, got {n!r}")
-    p = spec.pack(class_id)
-    t = spec.table
-    idx = rng.choice(len(p.weights), size=n, p=p.weights / p.weights.sum())
+    r = spec._row(class_id)
+    weights = spec._weights[r, : spec._width[r]]
+    idx = rng.choice(len(weights), size=n, p=weights / weights.sum())
     z = rng.standard_normal((n, spec.dim))
     out = np.empty((n, spec.dim))
     for k in np.unique(idx):
         rows = idx == k
-        e = p.cols[k]
-        scaled = z[rows] * np.sqrt(t.lams[e])[None, :]
-        out[rows] = t.means[e][None, :] + scaled @ t.qmats[e].T
+        e = spec._cols[r, k]
+        scaled = z[rows] * np.sqrt(spec.lams[e])[None, :]
+        out[rows] = spec.means[e][None, :] + scaled @ spec.qmats[e].T
     return out
 
 

@@ -47,7 +47,7 @@ class ComponentTagScorer:
     def __call__(self, samples, class_id=None) -> np.ndarray:
         samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
         r = responsibilities(self.spec, samples, class_id, sigma=0.0)
-        return r @ self.spec.pack(class_id).tags
+        return r @ self.spec.mixture(class_id)[2]
 
 
 class LogDensityScorer:
@@ -334,7 +334,7 @@ def mode_stats(spec, samples, class_id=None) -> ModeStats:
     """Fractions of samples in a component tagged below T_LOW and outside
     every component."""
     assign = assign_modes(spec, samples, class_id)
-    tags = spec.pack(class_id).tags
+    tags = spec.mixture(class_id)[2]
     in_mode = assign >= 0
     bad = in_mode & (tags[np.where(in_mode, assign, 0)] < T_LOW)
     return ModeStats(
@@ -400,16 +400,19 @@ def _thin(x, cap):
     return x[idx]
 
 
-def evaluate(samples_by_class: dict, reference_by_class: dict, scorer, spec: GmmSpec) -> EvalReport:
-    """Score and compare per-class sample sets against references.
+def evaluate(
+    samples_by_class: dict, reference_by_class: dict, scores_by_class: dict, spec: GmmSpec
+) -> EvalReport:
+    """Report on per-class sample sets, their scores and references.
 
-    Keys of the two dicts must match.  Precision/recall pools the classes and
+    Keys of the three dicts must match, and each class's scores hold one
+    value per sample, shape (n,).  Precision/recall pools the classes and
     thins deterministically to KNN_MAX points per side, which keeps its
     numbers comparable with earlier runs (the k-NN radii shrink as sets
     grow); mode statistics under `spec` are pooled over classes as well.
     """
-    if set(samples_by_class) != set(reference_by_class):
-        raise InvalidArgumentError("sample and reference class sets differ")
+    if not set(samples_by_class) == set(reference_by_class) == set(scores_by_class):
+        raise InvalidArgumentError("sample, reference and score class sets differ")
     if not samples_by_class:
         raise InvalidArgumentError("no classes to evaluate")
 
@@ -422,7 +425,11 @@ def evaluate(samples_by_class: dict, reference_by_class: dict, scorer, spec: Gmm
     for cid in sorted(samples_by_class):
         x = np.atleast_2d(np.asarray(samples_by_class[cid], dtype=np.float64))
         ref = np.atleast_2d(np.asarray(reference_by_class[cid], dtype=np.float64))
-        scores = np.asarray(scorer(x, cid), dtype=np.float64)
+        scores = np.asarray(scores_by_class[cid], dtype=np.float64)
+        if scores.shape != (len(x),):
+            raise InvalidArgumentError(
+                f"class {cid} scores must have shape ({len(x)},), got {scores.shape}"
+            )
         all_scores.append(scores)
         mean = float(scores.mean())
         class_reports.append(

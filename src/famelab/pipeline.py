@@ -233,10 +233,11 @@ class Experiment:
         return [(c, batch[b * n : (b + 1) * n]) for b, c in enumerate(self.classes)]
 
     def evaluate(self, batch):
-        """Final samples grouped by class, and their report against the
-        reference sets."""
+        """Final samples grouped by class, their scores (one scorer call per
+        class), and their report against the reference sets."""
         samples = {c: block["states"][:, -1].astype(np.float64) for c, block in self._by_class(batch)}
-        return samples, evaluate(samples, self.references, self.scorer, spec=self.spec)
+        scores = {c: np.asarray(self.scorer(x, c), dtype=np.float64) for c, x in samples.items()}
+        return samples, scores, evaluate(samples, self.references, scores, spec=self.spec)
 
     def write_report(self, samples, report: EvalReport) -> None:
         """Write class_quality.csv, summary.json and report.txt, and in 2-D
@@ -261,7 +262,7 @@ def run_pipeline(cfg: ExperimentConfig) -> EvalReport:
     batch = exp.stage("sample", lambda: exp.sample(cfg.guidance, cfg.save_trajectories))
 
     def evaluate_stage():
-        samples, report = exp.evaluate(batch)
+        samples, _, report = exp.evaluate(batch)
         exp.write_report(samples, report)
         return report
 
@@ -289,7 +290,7 @@ def run_sweep(cfg: ExperimentConfig, sweep: SweepSpec) -> list:
     results = []
     for value, guidance in zip(sweep.values, guidances):
         try:
-            _, report = exp.evaluate(exp.sample(guidance))
+            *_, report = exp.evaluate(exp.sample(guidance))
             rows.append(
                 f"{value:g},{report.frechet:.9g},{report.precision:.9g},"
                 f"{report.recall:.9g},{report.mean_score:.9g},"
@@ -331,18 +332,19 @@ def compare_paired(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig) -> PairedCo
     check_sample_size(cfg_a.n_per_class, len(exp.classes), exp.spec.dim)
     # the pool both sides share is built at b's w when b replays
     exp.pool(cfg_b.guidance)
-    samples_a, report_a = exp.stage("sample", lambda: exp.evaluate(exp.sample(cfg_a.guidance)))
-    samples_b, report_b = exp.stage("sample", lambda: exp.evaluate(exp.sample(cfg_b.guidance)))
+    sides = []
+    for guidance in (cfg_a.guidance, cfg_b.guidance):
+        batch = exp.stage("sample", lambda: exp.sample(guidance))
+        sides.append(exp.stage("evaluate", lambda: exp.evaluate(batch)))
+    (samples_a, scores_a, report_a), (samples_b, scores_b, report_b) = sides
 
     def pair_stage():
         lines = ["class,index,score_a,score_b,delta"]
         deltas = []
         for c in exp.classes:
-            sa = np.asarray(exp.scorer(samples_a[c], c), dtype=np.float64)
-            sb = np.asarray(exp.scorer(samples_b[c], c), dtype=np.float64)
-            for i, (x, y) in enumerate(zip(sa, sb)):
+            for i, (x, y) in enumerate(zip(scores_a[c], scores_b[c])):
                 lines.append(f"{c},{i},{x:.9g},{y:.9g},{y - x:.9g}")
-            deltas.append(sb - sa)
+            deltas.append(scores_b[c] - scores_a[c])
         deltas = np.concatenate(deltas)
         exp._path("reports", "pairs.csv").write_text("\n".join(lines) + "\n")
         if exp.spec.dim == 2:

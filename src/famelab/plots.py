@@ -53,15 +53,9 @@ class _Canvas:
                 f"{title.translate(_ESCAPES)}</text>"
             )
 
-    def xy(self, p):
-        span = self.hi - self.lo
-        u = (p[0] - self.lo[0]) / span[0]
-        v = (p[1] - self.lo[1]) / span[1]
-        return u * self.size, (1.0 - v) * self.size
-
     def dots(self, pts, color, r=2.0, opacity=1.0):
-        for p in np.atleast_2d(pts):
-            x, y = self.xy(p)
+        u, v = ((np.atleast_2d(pts) - self.lo) / (self.hi - self.lo)).T
+        for x, y in zip(u * self.size, (1.0 - v) * self.size):
             self.parts.append(
                 f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{r}" fill="{color}" '
                 f'fill-opacity="{opacity:g}"/>'

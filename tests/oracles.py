@@ -3,9 +3,10 @@
 The package evaluates mixtures in one place, `GmmSpec.evaluate`, which runs
 the kernel once over the distinct components several mixtures share and
 gathers each mixture's rows.  The oracles here take the other route: they
-hand one mixture's components (`spec.table.*[pack.cols]`, a shared
-component repeated) straight to a kernel of their own, and never call
-`GmmSpec.evaluate`, so a test comparing the two compares two paths.  That
+hand one mixture's components (`spec.means[cols]` and the like for the
+`cols` of `spec.mixture`, a shared component repeated) straight to a
+kernel of their own, and never call `GmmSpec.evaluate`, so a test
+comparing the two compares two paths.  That
 kernel, `_gmm_terms_rows` then `_gmm_reduce_rows`, is the package's earlier
 row-major one, kept verbatim: (n, K) arrays, numpy's own row sums and an
 einsum for the posterior mean.  The package's component-major kernel must
@@ -115,16 +116,15 @@ def gmm_eval(X, means, qmats, lams, logw, sig2):
     return logp, resp, score, denoise
 
 
-def pack_arrays(spec, class_id=None):
+def mixture_arrays(spec, class_id=None):
     """(means, qmats, lams, logw) of one class's mixture, or the marginal's."""
-    p = spec.pack(class_id)
-    t = spec.table
-    return t.means[p.cols], t.qmats[p.cols], t.lams[p.cols], p.logw
+    cols, logw, _ = spec.mixture(class_id)
+    return spec.means[cols], spec.qmats[cols], spec.lams[cols], logw
 
 
 def _eval(spec, x, sigma, class_id):
     single, X = check_points(spec, x, sigma)
-    logp, _, score, denoise = gmm_eval(X, *pack_arrays(spec, class_id), float(sigma) ** 2)
+    logp, _, score, denoise = gmm_eval(X, *mixture_arrays(spec, class_id), float(sigma) ** 2)
     if not np.all(np.isfinite(logp)):
         raise DegeneratePointError("density underflowed to zero; undefined here")
     return single, score, denoise
@@ -148,7 +148,7 @@ def ideal_denoiser(spec, x, sigma, class_id=None):
 
 def mahalanobis_sq(spec, X, class_id=None):
     """Squared Mahalanobis distance of each point to each component, (n, K)."""
-    means, qmats, lams, _ = pack_arrays(spec, class_id)
+    means, qmats, lams, _ = mixture_arrays(spec, class_id)
     w = np.einsum("nkb,kba->nka", X[:, None, :] - means[None, :, :], qmats)
     return np.einsum("nka,nka->nk", w / lams[None, :, :], w)
 
@@ -156,7 +156,7 @@ def mahalanobis_sq(spec, X, class_id=None):
 def assign_modes_two_pass(spec, samples, class_id=None, max_mahalanobis=4.0):
     """Argmax responsibility, or -1 past max_mahalanobis of every component."""
     X = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    idx = gmm_eval(X, *pack_arrays(spec, class_id), 0.0)[1].argmax(axis=1)
+    idx = gmm_eval(X, *mixture_arrays(spec, class_id), 0.0)[1].argmax(axis=1)
     return np.where(mahalanobis_sq(spec, X, class_id).min(axis=1) > max_mahalanobis**2, -1, idx)
 
 

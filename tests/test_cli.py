@@ -136,6 +136,13 @@ class TestExitCodes:
                 assert "error:" in capsys.readouterr().err
                 assert not (tmp_path / "out" / "run").exists(), (command, config, flags)
 
+    def test_unprintable_name_is_one_before_any_file(self, tmp_path, capsys):
+        # the name is the title of modes.svg, and XML 1.0 cannot hold U+0001
+        path = write_config(tmp_path)
+        assert main(["evaluate", "--config", path, "--name", "a\x01b"]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_arguments_are_one(self, tmp_path, capsys):
         # argparse's own errors exit 1 like a bad config, not 2, which is
         # kept for a stage that started and failed

@@ -31,7 +31,7 @@ from famelab.gmm import (
     sample_clean_batch,
     save_spec,
 )
-from tests.oracles import analytic_score, ideal_denoiser, pack_arrays
+from tests.oracles import analytic_score, ideal_denoiser, mixture_arrays
 
 
 def projected_density_1d(spec: GmmSpec, u, class_id=None):
@@ -39,12 +39,11 @@ def projected_density_1d(spec: GmmSpec, u, class_id=None):
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (spec.dim,):
         raise InvalidArgumentError(f"projection must have shape ({spec.dim},)")
-    means, qmats, lams, _ = pack_arrays(spec, class_id)
+    means, qmats, lams, logw = mixture_arrays(spec, class_id)
     m = means @ u
     qu = np.einsum("kab,a->kb", qmats, u)
     v = np.einsum("kb,kb->k", lams * qu, qu)
-    weights = spec.pack(class_id).weights
-    w = weights / weights.sum()
+    w = np.exp(logw) / np.exp(logw).sum()
 
     def density(t):
         t = np.asarray(t, dtype=np.float64)
@@ -347,12 +346,12 @@ class TestPresets:
 class TestComponentTable:
     def test_shared_mode_is_one_entry(self):
         spec = preset("imbalanced2d")
-        assert len(spec.table.means) == 9
-        bad = spec.pack(1).cols[1]
-        assert all(spec.pack(c).cols[1] == bad for c in spec.class_ids)
-        marginal = spec.pack(None).cols
+        assert len(spec.means) == len(spec.qmats) == len(spec.lams) == 9
+        bad = spec.mixture(1)[0][1]
+        assert all(spec.mixture(c)[0][1] == bad for c in spec.class_ids)
+        marginal = spec.mixture(None)[0]
         assert len(marginal) == 16 and len(set(marginal.tolist())) == 9
-        assert len(preset("balanced2d").table.means) == 8
+        assert len(preset("balanced2d").means) == 8
 
     def test_near_equal_components_stay_apart(self):
         mean = np.array([0.5, -0.25])
@@ -368,7 +367,7 @@ class TestComponentTable:
             {1: 0.25, 2: 0.25, 3: 0.25, 4: 0.25},
         )
         # the same bytes (the tag aside) share an entry; one ulp apart does not
-        assert [int(spec.pack(c).cols[0]) for c in spec.class_ids] == [0, 1, 0, 2]
+        assert [int(spec.mixture(c)[0][0]) for c in spec.class_ids] == [0, 1, 0, 2]
 
     def test_evaluate_checks_its_mixtures(self):
         spec = preset("imbalanced2d")
@@ -389,15 +388,23 @@ class TestComponentTable:
             marginal = [(c, spec.class_priors[k]) for k in spec.class_ids for c in spec.classes[k]]
             mixtures.append((None, marginal))
             for cid, comps in mixtures:
-                p = spec.pack(cid)
-                means, qmats, lams, _ = pack_arrays(spec, cid)
-                assert len(p.cols) == len(comps)
+                cols, logw, tags = spec.mixture(cid)
+                means, qmats, lams, _ = mixture_arrays(spec, cid)
+                assert len(cols) == len(logw) == len(tags) == len(comps)
                 for i, (c, prior) in enumerate(comps):
                     lam, q = np.linalg.eigh(c.cov)
                     np.testing.assert_array_equal(means[i], c.mean)
                     np.testing.assert_array_equal(lams[i], lam)
                     np.testing.assert_array_equal(qmats[i], q)
-                    assert p.weights[i] == pytest.approx(c.weight * prior, rel=1e-12)
+                    assert np.exp(logw[i]) == pytest.approx(c.weight * prior, rel=1e-12)
+                    assert tags[i] == c.quality_tag
+
+    @pytest.mark.parametrize("bad", [0, 9, -1, "1", [1], (1,), np.array(1), np.array([1]), np.array([1, 2])])
+    def test_mixture_unknown_id_is_not_found(self, bad):
+        # an id given as an array or a list is no class id: NotFoundError,
+        # never the TypeError of an unhashable key
+        with pytest.raises(NotFoundError):
+            preset("imbalanced2d").mixture(bad)
 
 
 class TestSpecFiles:

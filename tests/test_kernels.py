@@ -3,7 +3,7 @@
 The oracle below is the mixture kernel's earliest implementation,
 three-operand einsum contractions; `tests.oracles.gmm_eval` is its row-major
 rewrite, (n, K) arrays reduced along rows, which the package kernel replaced.
-Random mixtures must agree to rounding; the packs the reference run
+Random mixtures must agree to rounding; the mixtures the reference run
 evaluates must agree exactly, which is what keeps sampled trajectories and
 pools byte-stable across kernel rewrites.
 
@@ -25,7 +25,7 @@ from famelab.config import ExperimentConfig
 from famelab.gmm import _eval, _sum_components, gmm_reduce, gmm_terms, preset, responsibilities
 from famelab.metrics import ComponentTagScorer
 from famelab.schedule import make_schedule
-from tests.oracles import _gmm_terms_rows, gmm_eval, pack_arrays
+from tests.oracles import _gmm_terms_rows, gmm_eval, mixture_arrays
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -111,14 +111,14 @@ class TestGmmEval:
         np.testing.assert_array_equal(denoise, 0.0)
 
     def test_exact_on_reference_packs(self):
-        """Every pack of imbalanced2d (K=2 per class, K=16 marginal) at every
+        """Every mixture of imbalanced2d (K=2 per class, K=16 marginal) at every
         noise level of the reference schedule: identical to the oracle."""
         spec = preset("imbalanced2d")
         rng = np.random.default_rng(11)
         for sigma in reference_sigmas():
             X = rng.standard_normal((64, 2)) * (2.0 + sigma)
             for class_id in [None, *sorted(spec.classes)]:
-                args = (X, *pack_arrays(spec, class_id), sigma**2)
+                args = (X, *mixture_arrays(spec, class_id), sigma**2)
                 for r, g in zip(gmm_eval_oracle(*args), gmm_eval(*args)):
                     np.testing.assert_array_equal(g, r)
 
@@ -127,7 +127,7 @@ class TestGmmEval:
         rng = np.random.default_rng(12)
         X3, *mix3 = random_mixture(rng, n=9, d=3, K=5)
         cases = [
-            (rng.standard_normal((40, 2)) * 3.0, *pack_arrays(preset("imbalanced2d"))),
+            (rng.standard_normal((40, 2)) * 3.0, *mixture_arrays(preset("imbalanced2d"))),
             (X3, *mix3),
         ]
         for X, *mix in cases:
@@ -168,26 +168,25 @@ class TestSplitKernel:
 
     def test_table_columns_reduce_to_pack_results(self):
         spec = preset("imbalanced2d")
-        t = spec.table
         ids = np.array(spec.class_ids)
         rng = np.random.default_rng(13)
         for sigma in reference_sigmas()[::7]:
             X = rng.standard_normal((300, 2)) * (2.0 + sigma)
             cls = rng.choice(ids, size=len(X))
-            logdet, quad, pm = gmm_terms(X, t.means, t.qmats, t.lams, sigma**2)
+            logdet, quad, pm = gmm_terms(X, spec.means, spec.qmats, spec.lams, sigma**2)
             mixtures = [None, *spec.class_ids]
             got = spec.evaluate(X, sigma, [*mixtures, cls])
             for class_id, (logp, resp, denoise, q) in zip(mixtures, got):
-                p = spec.pack(class_id)
-                want = gmm_eval(X, *pack_arrays(spec, class_id), sigma**2)
-                want_q = _gmm_terms_rows(X, *pack_arrays(spec, class_id)[:3], sigma**2)[1]
+                cols, logw, _ = spec.mixture(class_id)
+                want = gmm_eval(X, *mixture_arrays(spec, class_id), sigma**2)
+                want_q = _gmm_terms_rows(X, *mixture_arrays(spec, class_id)[:3], sigma**2)[1]
                 for g, ref in zip((logp, resp.T, denoise, q.T), (want[0], want[1], want[3], want_q)):
                     np.testing.assert_array_equal(g, ref)
                 # quad[cols] is component-major: one C-ordered row per component
-                assert quad[p.cols].shape == (len(p.cols), len(X))
-                assert quad[p.cols].flags.c_contiguous
-                const = (p.logw - 0.5 * (2 * LOG_2PI + logdet[p.cols]))[:, None]
-                alt = gmm_reduce(const, quad[p.cols], pm[:, p.cols])
+                assert quad[cols].shape == (len(cols), len(X))
+                assert quad[cols].flags.c_contiguous
+                const = (logw - 0.5 * (2 * LOG_2PI + logdet[cols]))[:, None]
+                alt = gmm_reduce(const, quad[cols], pm[:, cols])
                 for g, ref in zip(alt, (want[0], want[1].T, want[3])):
                     np.testing.assert_array_equal(g, ref)
             # one mixture per row: each row's own class's bits
@@ -195,7 +194,7 @@ class TestSplitKernel:
             assert resp is None and q is None
             for c in spec.class_ids:
                 rows = cls == c
-                want = gmm_eval(X[rows], *pack_arrays(spec, c), sigma**2)
+                want = gmm_eval(X[rows], *mixture_arrays(spec, c), sigma**2)
                 np.testing.assert_array_equal(logp[rows], want[0])
                 np.testing.assert_array_equal(denoise[rows], want[3])
 
@@ -268,7 +267,7 @@ class TestLayoutContract:
         spec = preset("imbalanced2d")
         X = np.random.default_rng(17).standard_normal((50, 2)) * 3.0
         for class_id in (None, 1):
-            K = len(spec.pack(class_id).cols)
+            K = len(spec.mixture(class_id)[0])
             r = responsibilities(spec, X, class_id)
             assert r.shape == (50, K) and r.flags.c_contiguous
             _, (_, resp, _, quad) = _eval(spec, X, 0.5, class_id)
@@ -284,5 +283,5 @@ class TestLayoutContract:
         scorer = ComponentTagScorer(spec)
         X = np.random.default_rng(18).standard_normal((1000, 2)) * 4.0
         for class_id in (None, *spec.class_ids):
-            want = gmm_eval(X, *pack_arrays(spec, class_id), 0.0)[1] @ spec.pack(class_id).tags
+            want = gmm_eval(X, *mixture_arrays(spec, class_id), 0.0)[1] @ spec.mixture(class_id)[2]
             np.testing.assert_array_equal(scorer(X, class_id), want)

@@ -508,14 +508,13 @@ class TestModeAssignment:
         marginal, on points scattered widely and on points within a few ulps
         of 4 deviations from each component."""
         spec = preset(name)
-        t = spec.table
         rng = np.random.default_rng(31)
         near = []
-        for e in range(len(t.means)):
+        for e in range(len(spec.means)):
             ang = rng.uniform(0.0, 2.0 * np.pi, 400)
             u = np.stack([np.cos(ang), np.sin(ang)], axis=1)
             r = 4.0 * (1.0 + rng.integers(-4, 5, size=(400, 1)) * np.finfo(float).eps)
-            near.append(t.means[e] + (u * r * np.sqrt(t.lams[e])) @ t.qmats[e].T)
+            near.append(spec.means[e] + (u * r * np.sqrt(spec.lams[e])) @ spec.qmats[e].T)
         near = np.concatenate(near)
         x = np.concatenate([rng.standard_normal((5000, 2)) * 4.0, near])
         for class_id in [None, *spec.class_ids]:
@@ -539,11 +538,12 @@ class TestEvaluate:
         spec = preset("imbalanced2d")
         samples = {c: exact_sampler(spec, np.random.default_rng(c), c, n) for c in spec.class_ids}
         reference = {c: exact_sampler(spec, np.random.default_rng(100 + c), c, n) for c in spec.class_ids}
-        return spec, samples, reference
+        scorer = ComponentTagScorer(spec)
+        return spec, samples, reference, {c: scorer(x, c) for c, x in samples.items()}
 
     def test_full_report_on_matched_sets(self):
-        spec, samples, reference = self.make_sets()
-        report = evaluate(samples, reference, ComponentTagScorer(spec), spec=spec)
+        spec, samples, reference, scores = self.make_sets()
+        report = evaluate(samples, reference, scores, spec=spec)
         assert report.frechet < 0.05
         assert not report.frechet_regularized
         assert report.precision > 0.85 and report.recall > 0.85
@@ -558,16 +558,28 @@ class TestEvaluate:
         assert set(report.per_class_frechet) == set(spec.class_ids)
 
     def test_deterministic(self):
-        spec, samples, reference = self.make_sets(128)
-        a = evaluate(samples, reference, ComponentTagScorer(spec), spec=spec)
-        b = evaluate(samples, reference, ComponentTagScorer(spec), spec=spec)
+        spec, samples, reference, scores = self.make_sets(128)
+        a = evaluate(samples, reference, scores, spec=spec)
+        b = evaluate(samples, reference, scores, spec=spec)
         assert a == b
 
     def test_key_mismatch_rejected(self):
-        spec, samples, reference = self.make_sets(64)
+        spec, samples, reference, scores = self.make_sets(64)
         del reference[3]
         with pytest.raises(InvalidArgumentError):
-            evaluate(samples, reference, ComponentTagScorer(spec), spec=spec)
+            evaluate(samples, reference, scores, spec=spec)
+
+    def test_scores_must_match_classes_and_samples(self):
+        spec, samples, reference, scores = self.make_sets(64)
+        bad_scores = (
+            {c: v for c, v in scores.items() if c != 3},
+            {**scores, 3: scores[3][:-1]},
+            {**scores, 3: scores[3][:, None]},
+            {**scores, 3: float(scores[3][0])},
+        )
+        for bad in bad_scores:
+            with pytest.raises(InvalidArgumentError, match="score"):
+                evaluate(samples, reference, bad, spec=spec)
 
     def test_tier_bands(self):
         assert tier_for(1.99) == "low"
@@ -577,8 +589,8 @@ class TestEvaluate:
         assert tier_for(2.51) == "top"
 
     def test_csv_layout(self):
-        spec, samples, reference = self.make_sets(64)
-        report = evaluate(samples, reference, ComponentTagScorer(spec), spec=spec)
+        spec, samples, reference, scores = self.make_sets(64)
+        report = evaluate(samples, reference, scores, spec=spec)
         csv = class_report_csv(report)
         lines = csv.strip().split("\n")
         assert lines[0] == "class,n,mean_score,p10,p50,p90,tier"
@@ -590,8 +602,8 @@ class TestEvaluate:
         assert class_report_csv(report) == csv
 
     def test_render_report_mentions_key_numbers(self):
-        spec, samples, reference = self.make_sets(64)
-        report = evaluate(samples, reference, ComponentTagScorer(spec), spec=spec)
+        spec, samples, reference, scores = self.make_sets(64)
+        report = evaluate(samples, reference, scores, spec=spec)
         text = render_report(report)
         assert "mean quality score" in text
         assert "bad-mode fraction" in text
@@ -599,7 +611,7 @@ class TestEvaluate:
     def test_report_to_dict_round_trips_through_json(self):
         import json
 
-        spec, samples, reference = self.make_sets(64)
-        report = evaluate(samples, reference, ComponentTagScorer(spec), spec=spec)
+        spec, samples, reference, scores = self.make_sets(64)
+        report = evaluate(samples, reference, scores, spec=spec)
         blob = json.dumps(report.to_dict())
         assert json.loads(blob)["mean_score"] == report.mean_score

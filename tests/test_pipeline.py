@@ -1,6 +1,8 @@
 """End-to-end pipeline stages, artifact layout, determinism, sweeps, pairs."""
 
 import json
+import shlex
+import sys
 from xml.dom import minidom
 
 import numpy as np
@@ -10,6 +12,7 @@ from famelab.config import ExperimentConfig, SweepSpec
 from famelab.denoiser import MlpDenoiser, save_checkpoint
 from famelab.errors import InvalidArgumentError, PipelineStageError
 from famelab.guidance import GuidanceConfig
+from famelab.metrics import ComponentTagScorer
 from famelab import pipeline
 from famelab.pipeline import Experiment, compare_paired, run_pipeline, run_sweep
 
@@ -262,6 +265,35 @@ class TestComparePaired:
         for path, names in plots:
             texts = [t.firstChild.data for t in minidom.parse(str(path)).getElementsByTagName("text")]
             assert all(name in texts for name in names), path
+
+    def test_scores_each_sample_once(self, tmp_path, monkeypatch):
+        # each side's samples are scored once per class, and pairs.csv and
+        # the deltas reuse those scores
+        calls = []
+        score = ComponentTagScorer.__call__
+
+        def counted(self, samples, class_id=None):
+            calls.append(class_id)
+            return score(self, samples, class_id)
+
+        monkeypatch.setattr(ComponentTagScorer, "__call__", counted)
+        a = base_config(tmp_path, name="a", n_steps=4, n_per_class=20, guidance=GuidanceConfig(w=1.5))
+        b = base_config(tmp_path, name="b", n_steps=4, n_per_class=20, guidance=GuidanceConfig(w=2.0))
+        compare_paired(a, b)
+        assert sorted(calls) == [1, 1, 2, 2]
+
+    def test_failing_scorer_fails_stage_evaluate(self, tmp_path):
+        # a scorer that fails on the samples fails stage evaluate, in
+        # compare_paired as in run_pipeline
+        failing = f"external:{shlex.quote(sys.executable)} -c 'raise SystemExit(3)'"
+        over = dict(n_steps=4, n_per_class=20, scorer=failing)
+        a = base_config(tmp_path, name="a", guidance=GuidanceConfig(w=1.5), **over)
+        b = base_config(tmp_path, name="b", guidance=GuidanceConfig(w=2.0), **over)
+        for run, run_dir in ((lambda: run_pipeline(a), "a"), (lambda: compare_paired(a, b), "a_vs_b")):
+            with pytest.raises(PipelineStageError) as ei:
+                run()
+            assert ei.value.stage == "evaluate"
+            assert "stage: evaluate" in (tmp_path / "out" / run_dir / "FAILED").read_text()
 
     def test_differing_non_guidance_fields_rejected(self, tmp_path):
         a = base_config(tmp_path, n_per_class=30)
