@@ -1,8 +1,9 @@
 """Command-line harness.
 
 Every subcommand reads the same config file; flags override config fields.
-Exit codes: 0 success, 1 validation error (bad config or arguments), 2
-pipeline failure (a stage started and then failed).
+Exit codes: 0 success, 1 validation error (bad config or arguments, or a
+path that cannot be read or written), 2 pipeline failure (a stage started
+and then failed).
 """
 
 from __future__ import annotations
@@ -13,20 +14,24 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import SWEEP_AXES, ExperimentConfig, SweepSpec, load_config
-from .errors import FamelabError, InvalidArgumentError, PipelineStageError
+from .errors import FamelabError, InvalidArgumentError
 from .metrics import render_report
 from .pipeline import Experiment, compare_paired, run_pipeline, run_sweep
+
+
+# the config fields the common flags override; each flag's dest is its field
+_FIELDS = ("name", "seed", "out_dir", "pool_path", "n_per_class")
 
 
 def _add_common(p):
     p.add_argument("--config", help="experiment config JSON file")
     p.add_argument("--name", help="experiment name (output subdirectory)")
     p.add_argument("--seed", type=int, help="base seed override")
-    p.add_argument("--out", help="output directory override")
+    p.add_argument("--out", dest="out_dir", help="output directory override")
     p.add_argument("--w", type=float, help="guidance scale override")
     p.add_argument("--f", type=float, help="replay scale override")
     p.add_argument("--tau", type=float, help="replay window fraction override")
-    p.add_argument("--pool", help="path to an existing failure pool")
+    p.add_argument("--pool", dest="pool_path", help="path to an existing failure pool")
     p.add_argument("--n-per-class", type=int, dest="n_per_class")
 
 
@@ -37,17 +42,7 @@ def _guidance_flags(args, suffix="") -> dict:
 
 def _resolve_config(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    over = {}
-    for flag, field in (
-        ("name", "name"),
-        ("seed", "seed"),
-        ("out", "out_dir"),
-        ("pool", "pool_path"),
-        ("n_per_class", "n_per_class"),
-    ):
-        v = getattr(args, flag, None)
-        if v is not None:
-            over[field] = v
+    over = {f: v for f in _FIELDS if (v := getattr(args, f, None)) is not None}
     g = _guidance_flags(args)
     if g:
         over["guidance"] = replace(cfg.guidance, **g)
@@ -120,8 +115,11 @@ def cmd_sweep(cfg, args):
 
 def cmd_compare(cfg, args):
     if args.config_b:
-        # side b takes every common flag but the name and guidance of side a
-        side_b = dict(vars(args), config=args.config_b, name=None, **dict.fromkeys(SWEEP_AXES))
+        # side b takes every common flag but the name and guidance of side a,
+        # and its own guidance flags over its config
+        side_b = dict(
+            vars(args), config=args.config_b, name=None, **{a: getattr(args, a + "_b") for a in SWEEP_AXES}
+        )
         cfg_b = _resolve_config(argparse.Namespace(**side_b))
     else:
         g = _guidance_flags(args, "_b")
@@ -181,10 +179,7 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         return _COMMANDS[args.command](cfg, args)
-    except PipelineStageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InvalidArgumentError, FileNotFoundError) as exc:
+    except (InvalidArgumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FamelabError as exc:

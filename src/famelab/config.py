@@ -115,8 +115,10 @@ def config_from_dict(d: dict) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidArgumentError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidArgumentError(f"config {path} is not valid JSON: {exc}") from exc
     return config_from_dict(data)

@@ -57,8 +57,6 @@ SIGMA_DATA = 1.0
 CHECKPOINT_MAGIC = b"MLPD"
 CHECKPOINT_VERSION = 2
 _CKPT_HEADER = struct.Struct("<4sHIIIIII")
-# version 1 lacks the depth field; its models have 3 hidden layers
-_CKPT_HEADER_V1 = struct.Struct("<4sHIIIII")
 
 
 def _param_shapes(dim, n_classes):
@@ -325,14 +323,12 @@ def save_checkpoint(model: MlpDenoiser, path) -> None:
 def load_checkpoint(path) -> MlpDenoiser:
     with open(path, "rb") as fh:
         buf = fh.read()
-    header = _CKPT_HEADER_V1 if buf[4:6] == b"\x01\x00" else _CKPT_HEADER
-    if len(buf) < header.size:
+    if len(buf) < _CKPT_HEADER.size:
         raise MalformedFileError("truncated checkpoint header", offset=len(buf))
-    magic, version, dim, n_classes, hidden, embed, nfreq, *depth = header.unpack_from(buf)
-    n_hidden = depth[0] if depth else 3
+    magic, version, dim, n_classes, hidden, embed, nfreq, n_hidden = _CKPT_HEADER.unpack_from(buf)
     if magic != CHECKPOINT_MAGIC:
         raise MalformedFileError(f"bad checkpoint magic {magic!r}", offset=0)
-    if version not in (1, CHECKPOINT_VERSION):
+    if version != CHECKPOINT_VERSION:
         raise MalformedFileError(f"unsupported checkpoint version {version}", offset=4)
     if dim < 1:
         raise MalformedFileError("checkpoint declares dim 0", offset=6)
@@ -344,7 +340,7 @@ def load_checkpoint(path) -> MlpDenoiser:
             "does not match this build"
         )
     params = {}
-    off = header.size
+    off = _CKPT_HEADER.size
     for k, shape in _param_shapes(dim, n_classes).items():
         count = int(np.prod(shape))
         end = off + 4 * count

@@ -62,14 +62,14 @@ class GuidanceConfig:
 FAME_DEFAULTS = GuidanceConfig(w=1.5, f=0.02, tau=0.3)
 
 
-def weights(cfg: GuidanceConfig, k: int, T: int, conditional: bool = True) -> tuple:
+def weights(cfg: GuidanceConfig, k: int, T: int) -> tuple:
     """Weights (a1, a0, an) of d1, d0 and d_neg at evaluation index k of T,
-    (w+f, 1-w, f): w is cfg.w on conditional rows inside cfg_interval and 1
-    elsewhere (unconditionally d1 is d0); f is cfg.f in the last tau fraction
-    of normalized time, t = k/T >= 1 - tau, and 0 before it."""
+    (w+f, 1-w, f): w is cfg.w inside cfg_interval and 1 outside it; f is
+    cfg.f in the last tau fraction of normalized time, t = k/T >= 1 - tau,
+    and 0 before it."""
     t = k / T
     lo, hi = cfg.cfg_interval or (-np.inf, np.inf)
-    w = cfg.w if conditional and lo <= t <= hi else 1.0
+    w = cfg.w if lo <= t <= hi else 1.0
     f = cfg.f if t >= 1.0 - cfg.tau else 0.0
     return w + f, 1.0 - w, f
 
@@ -123,7 +123,7 @@ class GuidedSource:
     def step(self, x, k, schedule: NoiseSchedule, class_ids, neg):
         """(guided output, conditional output) at level k of the schedule;
         neg is what `bind` returned for these trajectories."""
-        a1, a0, an = weights(self.cfg, k, schedule.T, class_ids is not None)
+        a1, a0, an = weights(self.cfg, k, schedule.T)
         sigma = schedule.sigmas[k]
         if a0 != 0.0:
             d1, d0 = self.base.denoise(x, sigma, [class_ids, None])

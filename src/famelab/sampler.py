@@ -11,7 +11,8 @@ pool record bound to each trajectory (or None), and `step(x, k, schedule,
 class_ids, neg)` per evaluation, which returns the guided output the
 integrator consumes and the conditional output it records.  The guided source
 in turn asks its base source for `denoise(x, sigma, mixtures)`, one output
-per mixture (an (n,) array of class ids, or None for the unconditional one).
+per mixture (an (n,) array of class ids, or None for the unconditional one,
+which enters only as CFG's d0 term: every trajectory is sampled for a class).
 
 Trajectories are processed in lockstep chunks of fixed width, one chunk after
 another.  Per-trajectory seeds derive from (base_seed, class, index), initial
@@ -114,13 +115,13 @@ class NeuralSource:
         return self.model.fingerprint()
 
 
-def _integrate_chunk(source, cfg, seeds, class_ids, labels, record_outputs):
+def _integrate_chunk(source, cfg, seeds, class_ids, index):
     """Lockstep-integrate one chunk through a guided source; returns
     (states, outputs or None), outputs being the conditional denoiser
     outputs `source.step` hands back with each guided one.
 
-    labels carries (class_id, index) per trajectory purely for error
-    reporting when a trajectory diverges.
+    index gives each trajectory's index within its class, which a
+    DivergedError reports with its class id.
     """
     sched = cfg.schedule
     sig = sched.sigmas
@@ -129,7 +130,7 @@ def _integrate_chunk(source, cfg, seeds, class_ids, labels, record_outputs):
     x = initial_noise(seeds, d) * sig[0]
     states = np.empty((len(x), T + 1, d))
     states[:, 0] = x
-    outputs = np.empty((len(x), T, d)) if record_outputs else None
+    outputs = np.empty((len(x), T, d)) if cfg.record_outputs else None
     neg = source.bind(sched, np.asarray(seeds, dtype=np.uint64), class_ids)
 
     def fail(arr, step):
@@ -137,8 +138,7 @@ def _integrate_chunk(source, cfg, seeds, class_ids, labels, record_outputs):
         # gave out (density underflow) before the state itself overflowed
         finite = np.isfinite(arr).all(axis=1)
         bad = int(np.argmin(finite)) if not finite.all() else int(np.abs(arr).max(axis=1).argmax())
-        cid, idx = labels[bad]
-        raise DivergedError(cid, idx, step)
+        raise DivergedError(int(class_ids[bad]), int(index[bad]), step)
 
     def guided(x, j, k):
         # evaluated at level j; a failure is reported at step k
@@ -149,7 +149,7 @@ def _integrate_chunk(source, cfg, seeds, class_ids, labels, record_outputs):
 
     for k in range(T):
         dk, d1 = guided(x, k, k)
-        if record_outputs:
+        if outputs is not None:
             outputs[:, k] = d1
         h = sig[k + 1] - sig[k]
         rhs = (x - dk) / sig[k]
@@ -172,39 +172,31 @@ def sample_batch(
     class_ids,
     n_per_class: int,
 ) -> np.ndarray:
-    """Sample n_per_class trajectories for each class (None = unconditional)
-    through a guided source (`guidance.guided_source`).
+    """Sample n_per_class trajectories for each class in class_ids (a
+    sequence of class ids) through a guided source (`guidance.guided_source`).
 
     Returns one `trajectory_dtype` record array in job order, class by class,
     with scores NaN and, unless cfg.record_outputs is off, the conditional
     denoiser outputs.  Each chunk's float64 result is rounded into its rows
     as soon as it is done.  Each trajectory's stream seed is
-    derive_seed(base_seed, class, index) with the unconditional class folded
-    in as -1, so any (base_seed, class, index) triple reproduces identically
-    whatever else is in the batch.
+    derive_seed(base_seed, class, index), so any (base_seed, class, index)
+    triple reproduces identically whatever else is in the batch.
     """
     if n_per_class < 1:
         raise InvalidArgumentError("n_per_class must be >= 1")
-    if class_ids is None:
-        class_ids = [None]
-    if any(c is None for c in class_ids) and not all(c is None for c in class_ids):
-        raise InvalidArgumentError("cannot mix conditional and unconditional trajectories")
+    if np.ndim(class_ids) != 1:
+        raise InvalidArgumentError(f"sample_batch needs a sequence of class ids, got {class_ids!r}")
     for c in class_ids:
-        if c is not None:
-            check_class_id(c)
-    labels = [(c, i) for c in class_ids for i in range(n_per_class)]
-    n = len(labels)
-    batch = new_trajectories(n, cfg.schedule.T, source.dim, cfg.record_outputs)
-    batch["class_id"] = np.repeat([-1 if c is None else int(c) for c in class_ids], n_per_class)
+        check_class_id(c)
+    batch = new_trajectories(len(class_ids) * n_per_class, cfg.schedule.T, source.dim, cfg.record_outputs)
+    batch["class_id"] = np.repeat([int(c) for c in class_ids], n_per_class)
     index = np.tile(np.arange(n_per_class), len(class_ids))
     batch["seed"] = derive_seed(base_seed, batch["class_id"], index)
-    conditional = any(c is not None for c in class_ids)
 
-    for lo in range(0, n, CHUNK):
+    for lo in range(0, len(batch), CHUNK):
         rows = batch[lo : lo + CHUNK]
-        cls = rows["class_id"].astype(np.int64) if conditional else None
         states, outputs = _integrate_chunk(
-            source, cfg, rows["seed"], cls, labels[lo : lo + CHUNK], cfg.record_outputs
+            source, cfg, rows["seed"], rows["class_id"].astype(np.int64), index[lo : lo + CHUNK]
         )
         rows["states"] = states
         if outputs is not None:

@@ -8,11 +8,11 @@ stream, bit for bit, with the seed words computed for a whole chunk at once
 
 Trajectories live in one numpy structured array whose packed, little-endian
 record (`trajectory_dtype`) is also the file format: a 30-byte header (magic
-b"FAME", version u2, T u4, d u4, class_id i4 with -1 unconditional, seed u8,
-score f4), then float32 states (T+1, d) and denoiser outputs (T, d).  A .traj
-file is such records back to back, `records.tobytes()`; a pool file is its
-own header followed by the same.  Arrays sampled without outputs lack the
-outputs field and are never written.
+b"FAME", version u2, T u4, d u4, class_id i4, seed u8, score f4), then
+float32 states (T+1, d) and denoiser outputs (T, d).  A .traj file is such
+records back to back, `records.tobytes()`; a pool file is its own header
+followed by the same.  Arrays sampled without outputs lack the outputs
+field and are never written.
 """
 
 from __future__ import annotations
@@ -32,8 +32,9 @@ _MASK64 = (1 << 64) - 1
 
 TRAJECTORY_MAGIC = b"FAME"
 TRAJECTORY_VERSION = 1
-# the head of every trajectory record; class_id -1 is unconditional, and the
-# quality score is NaN until a scorer has run
+# the head of every trajectory record; the quality score is NaN until a scorer
+# has run.  The sampler writes class ids >= 1; the readers also accept the -1
+# that older files hold for an unconditional trajectory
 _HEADER = np.dtype(
     [
         ("magic", "S4"),
@@ -60,7 +61,7 @@ def derive_seed(base_seed, *keys):
 
     Sensitive to key order and to every bit of every key, so
     derive_seed(s, class_id, index) gives each trajectory its own stream.
-    Negative keys (the unconditional class id -1) are folded into 64 bits.
+    Negative keys (a config seed may be negative) are folded into 64 bits.
     Integer array arguments give the uint64 array of element-wise seeds.
     """
     h = None

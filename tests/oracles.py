@@ -230,10 +230,10 @@ def effective_w(cfg: GuidanceConfig, k: int, T: int) -> float:
     return cfg.w if lo <= t <= hi else 1.0
 
 
-def guided_combination(cfg: GuidanceConfig, k: int, T: int, conditional, d1, d0, d_neg):
+def guided_combination(cfg: GuidanceConfig, k: int, T: int, d1, d0, d_neg):
     """The guided output at evaluation index k of T, as the earlier
     `GuidedSource.step` combined it (a pool is present whenever f > 0)."""
-    w = effective_w(cfg, k, T) if conditional else 1.0
+    w = effective_w(cfg, k, T)
     if replay_active(cfg, k, T):
         return fame_combine(d1, d0, d_neg, w, cfg.f)
     return cfg_combine(d1, d0, w)

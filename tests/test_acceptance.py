@@ -227,7 +227,7 @@ def test_integrator_convergence_orders(capsys):
         for T in (40, 80):
             sched = make_schedule("karras-like", T, 1e-3, 10.0)
             cfg = SamplerConfig(schedule=sched, method=method, record_outputs=False)
-            states = sample_batch(source, cfg, 77, None, 64)["states"].astype(np.float64)
+            states = sample_batch(source, cfg, 77, [1], 64)["states"].astype(np.float64)
             sigma0 = sched.sigmas[0]
             shrink = np.sqrt(var / (var + sigma0 * sigma0))
             exact = mu + (states[:, 0] - mu) * shrink
@@ -264,7 +264,7 @@ def test_sampling_fidelity_against_ground_truth(capsys):
     sched = make_schedule("karras-like", 128, 0.02, 20.0)
     cfg = SamplerConfig(schedule=sched, method="heun", record_outputs=False)
     plain = GuidanceConfig()
-    batch = sample_batch(guided_source(AnalyticSource(two_mode), None, plain), cfg, 5, None, 100000)
+    batch = sample_batch(guided_source(AnalyticSource(two_mode), None, plain), cfg, 5, [1], 100000)
     draws = batch["states"][:, -1, 0].astype(np.float64)
     kl = histogram_kl(draws, projected_density_1d(two_mode, np.array([1.0])))
 

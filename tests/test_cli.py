@@ -16,8 +16,9 @@ from pathlib import Path
 import pytest
 
 import famelab
-from famelab import pipeline
+from famelab import cli, pipeline
 from famelab.cli import _resolve_config, build_parser, main
+from famelab.pipeline import compare_paired
 from famelab.config import ExperimentConfig
 from famelab.guidance import GuidanceConfig
 from famelab.schedule import load_trajectories
@@ -87,12 +88,14 @@ class TestResolveConfig:
     def test_flags_override_config_fields(self, tmp_path):
         path = write_config(tmp_path)
         args = build_parser().parse_args(
-            ["evaluate", "--config", path, "--w", "2.0", "--seed", "12", "--n-per-class", "7"]
+            ["evaluate", "--config", path, "--w", "2.0", "--seed", "12", "--n-per-class", "7",
+             "--name", "other", "--out", "elsewhere", "--pool", "p.fmpl"]
         )
         cfg = _resolve_config(args)
         assert cfg.guidance.w == 2.0
         assert cfg.seed == 12
         assert cfg.n_per_class == 7
+        assert (cfg.name, cfg.out_dir, cfg.pool_path) == ("other", "elsewhere", "p.fmpl")
         # untouched fields come from the file
         assert cfg.guidance.f == 0.02
         assert cfg.dataset == "imbalanced2d"
@@ -168,6 +171,29 @@ class TestExitCodes:
 
     def test_missing_config_is_one(self, tmp_path):
         assert main(["evaluate", "--config", str(tmp_path / "nope.json")]) == 1
+
+    def unreadable_is_one(self, tmp_path, capsys, monkeypatch, argv):
+        # run from tmp_path, so a default out_dir would show up there too
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        for command, extra in COMMAND_ARGS.items():
+            assert main([command, *argv, *extra]) == 1, command
+            assert "error:" in capsys.readouterr().err, command
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_config_that_is_a_directory_is_one(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "exp.json").mkdir()
+        self.unreadable_is_one(tmp_path, capsys, monkeypatch, ["--config", "exp.json"])
+
+    def test_config_that_is_not_utf8_is_one(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "exp.json").write_bytes(b'{"name": "caf\xe9"}')
+        self.unreadable_is_one(tmp_path, capsys, monkeypatch, ["--config", "exp.json"])
+
+    def test_out_that_is_a_file_is_one(self, tmp_path, capsys, monkeypatch):
+        path = write_config(tmp_path)
+        (tmp_path / "taken").write_text("not a directory\n")
+        self.unreadable_is_one(tmp_path, capsys, monkeypatch, ["--config", path, "--out", "taken"])
+        assert (tmp_path / "taken").read_text() == "not a directory\n"
 
     def test_unknown_dataset_is_two_with_marker(self, tmp_path, capsys):
         path = write_config(tmp_path, dataset="nosuchset")
@@ -328,6 +354,28 @@ class TestStdout:
         assert main(argv) == 0
         assert "pairs             : 20" in capsys.readouterr().out
         assert not (tmp_path / "out" / "a_vs_b" / "pool.fmpl").exists()
+
+    def test_compare_config_b_takes_its_own_guidance_flags(self, tmp_path, capsys, monkeypatch):
+        # --w-b, --f-b and --tau-b set side b's guidance over its config;
+        # --w sets side a's only
+        sides = []
+
+        def spy(cfg_a, cfg_b):
+            sides.append((cfg_a.guidance, cfg_b.guidance))
+            return compare_paired(cfg_a, cfg_b)
+
+        monkeypatch.setattr(cli, "compare_paired", spy)
+        path_a = write_config(tmp_path, name="a")
+        path_b = write_config(tmp_path, name="b", guidance=GuidanceConfig(w=1.5, f=0.05, tau=0.3))
+        argv = ["compare", "--config", path_a, "--config-b", path_b, "--n-per-class", "10", "--w", "2"]
+        assert main([*argv, "--w-b", "3", "--f-b", "0.1", "--tau-b", "0.5"]) == 0
+        assert main(argv) == 0
+        assert sides == [
+            (GuidanceConfig(w=2.0, f=0.02, tau=0.3), GuidanceConfig(w=3.0, f=0.1, tau=0.5)),
+            (GuidanceConfig(w=2.0, f=0.02, tau=0.3), GuidanceConfig(w=1.5, f=0.05, tau=0.3)),
+        ]
+        first, second = capsys.readouterr().out.split("pairs")[1:]
+        assert first.split("frechet a / b")[1] != second.split("frechet a / b")[1]
 
     def test_train_reports_parameter_count(self, tmp_path, capsys):
         from famelab.denoiser import TrainConfig

@@ -1,9 +1,9 @@
 """Loader fuzzing: damaged `.mlpd`, `.fmpl` and `.traj` files must either load
 or raise MalformedFileError, never any other exception.  The pool and the
 trajectory file hold three records each, so damage can also make one record
-disagree with the others.  Undamaged checkpoints of another depth, and
-version-1 ones (which have no depth field), must fail by name on their
-architecture when the build's depth differs.
+disagree with the others.  Undamaged checkpoints of another depth must
+fail by name on their architecture, and version-1 ones (which have no
+depth field) by name on their version.
 
 Each file is damaged one way per example: some bits flipped, a run of bytes
 overwritten, or the tail cut off.  Positions are drawn half the time from the
@@ -18,16 +18,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from famelab import denoiser
-from famelab.denoiser import (
-    _CKPT_HEADER,
-    _CKPT_HEADER_V1,
-    MlpDenoiser,
-    load_checkpoint,
-    save_checkpoint,
-)
+from famelab.denoiser import _CKPT_HEADER, MlpDenoiser, load_checkpoint, save_checkpoint
 from famelab.errors import MalformedFileError
 from famelab.pool import _POOL_HEADER, FailurePool, load_pool, save_pool
 from famelab.schedule import _HEADER, load_trajectories, new_trajectories
+
+V1_HEADER_SIZE = _CKPT_HEADER.size - 4
 
 FUZZ = settings(
     max_examples=200,
@@ -81,11 +77,10 @@ def blobs(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(denoiser, "N_HIDDEN", 4)
         save_checkpoint(MlpDenoiser(2, 2, seed=0), d / "deep.mlpd")
-    # the same model in the version-1 layout, which had no depth field
+    # the same model in the version-1 layout, whose header ended before the
+    # final u4, the depth field
     m = (d / "m.mlpd").read_bytes()
-    (d / "v1.mlpd").write_bytes(
-        m[:4] + b"\x01\x00" + m[6 : _CKPT_HEADER_V1.size] + m[_CKPT_HEADER.size :]
-    )
+    (d / "v1.mlpd").write_bytes(m[:4] + b"\x01\x00" + m[6 : V1_HEADER_SIZE] + m[_CKPT_HEADER.size :])
     records = _records(rng, [10, 11, 12], [1, 1, 2], [0.1, 0.5, 0.2])
     save_pool(FailurePool(records, "per-class", 123, 456), d / "p.fmpl")
     unconditional = _records(rng, [7, 8, 9], [-1] * 3, [0.3, float("nan"), 0.1])
@@ -105,19 +100,20 @@ def test_blobs_load_undamaged(blobs, tmp_path):
 
 def test_checkpoint_depth_mismatch_names_the_architecture(blobs, tmp_path, monkeypatch):
     """A checkpoint of another depth fails on its architecture, not on its
-    body length; a version-1 file loads at depth 3 only."""
+    body length; a version-1 file fails on its version, even at the depth
+    of 3 its models had."""
     path = tmp_path / "x.mlpd"
-    path.write_bytes(blobs["v1.mlpd"])
-    assert load_checkpoint(path).fingerprint() == MlpDenoiser(2, 2, seed=0).fingerprint()
     path.write_bytes(blobs["deep.mlpd"])
     with pytest.raises(MalformedFileError, match="does not match this build"):
         load_checkpoint(path)
+    path.write_bytes(blobs["v1.mlpd"])
+    with pytest.raises(MalformedFileError, match="unsupported checkpoint version 1"):
+        load_checkpoint(path)
     for depth in (2, 4):
         monkeypatch.setattr(denoiser, "N_HIDDEN", depth)
-        for name in ("m.mlpd", "v1.mlpd"):
-            path.write_bytes(blobs[name])
-            with pytest.raises(MalformedFileError, match="does not match this build"):
-                load_checkpoint(path)
+        path.write_bytes(blobs["m.mlpd"])
+        with pytest.raises(MalformedFileError, match="does not match this build"):
+            load_checkpoint(path)
 
 
 @FUZZ
@@ -130,7 +126,7 @@ def test_damaged_checkpoint(blobs, tmp_path, data):
 @FUZZ
 @given(data=st.data())
 def test_damaged_v1_checkpoint(blobs, tmp_path, data):
-    buf = data.draw(damaged(blobs["v1.mlpd"], _CKPT_HEADER_V1.size))
+    buf = data.draw(damaged(blobs["v1.mlpd"], V1_HEADER_SIZE))
     loads_or_malformed(load_checkpoint, tmp_path / "x.mlpd", buf)
 
 

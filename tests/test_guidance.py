@@ -10,8 +10,8 @@ from famelab.gmm import preset
 from famelab.guidance import FAME_DEFAULTS, GuidanceConfig, blend, guided_source, weights
 from famelab.metrics import ComponentTagScorer
 from famelab.pool import PoolBuildConfig, build_pool
-from famelab.sampler import AnalyticSource, SamplerConfig, _integrate_chunk, sample_batch
-from famelab.schedule import derive_seed, make_schedule
+from famelab.sampler import AnalyticSource, SamplerConfig, sample_batch
+from famelab.schedule import make_schedule
 from tests.oracles import analytic_score, guided_combination, ideal_denoiser
 
 
@@ -102,15 +102,14 @@ class TestBlendMatchesOracle:
             (0.0, 0.02, 0.5),
             (0.0, 0.3, 1.0),
             (None, (0.2, 0.8)),
-            (True, False),
         )
-        for w, f, tau, interval, cond in grid:
+        for w, f, tau, interval in grid:
             cfg = GuidanceConfig(w=w, f=f, tau=tau, cfg_interval=interval)
             for k in range(T + 1):
-                want = guided_combination(cfg, k, T, cond, d1, d0, d_neg)
-                a1, a0, an = weights(cfg, k, T, cond)
+                want = guided_combination(cfg, k, T, d1, d0, d_neg)
+                a1, a0, an = weights(cfg, k, T)
                 got = blend(a1, a0, an, d1, d0 if a0 else None, d_neg if an else None)
-                case = (w, f, tau, interval, cond, k)
+                case = (w, f, tau, interval, k)
                 assert np.array_equal(got, want), case
                 assert (got is d1) == (want is d1), case
 
@@ -355,25 +354,11 @@ class TestGuidedSource:
         for k in range(16):
             guided, d1 = src.step(x, k, self.sched, cls, neg)
             d0 = self.base.denoise(x, self.sched.sigmas[k], [None])[0]
-            want = guided_combination(cfg, k, 16, True, d1, d0, np.zeros((6, 2)))
+            want = guided_combination(cfg, k, 16, d1, d0, np.zeros((6, 2)))
             assert np.array_equal(guided, want), k
         assert spy.asked == [2 if 4 <= k <= 12 else 1 for k in range(16)]
         assert pool.replayed_steps == [k for k in range(16) if weights(cfg, k, 16)[2] != 0.0]
         assert pool.replayed_steps == list(range(8, 16))
-
-    @pytest.mark.parametrize("f", [0.0, 0.05])
-    def test_unconditional_asks_for_the_marginal_once(self, small_pool, f):
-        # unconditionally d1 is d0, so w != 1 is run as w = 1: each call asks
-        # the base for one mixture, and the float64 states are a w = 1 run's
-        seeds = [derive_seed(3, -1, i) for i in range(5)]
-        labels = [(None, i) for i in range(5)]
-        states = {}
-        for w in (1.5, 1.0):
-            spy = SpyBase(self.base)
-            src = guided_source(spy, small_pool if f else None, GuidanceConfig(w=w, f=f, tau=0.5))
-            states[w], _ = _integrate_chunk(src, self.cfg, seeds, None, labels, False)
-            assert spy.asked and set(spy.asked) == {1}
-        np.testing.assert_array_equal(states[1.5], states[1.0])
 
     def test_recorded_outputs_are_conditional_not_combined(self, small_pool):
         # the cache must hold D1 at the trajectory's states even though the

@@ -43,9 +43,7 @@ def plain(base):
 def alone(source, cfg, seed, class_id):
     """Float64 states and outputs (or None) of one trajectory integrated by
     itself from the stream `seed`."""
-    states, outputs = _integrate_chunk(
-        plain(source), cfg, [seed], np.array([class_id]), [(class_id, 0)], cfg.record_outputs
-    )
+    states, outputs = _integrate_chunk(plain(source), cfg, [seed], np.array([class_id]), [0])
     return states[0], None if outputs is None else outputs[0]
 
 
@@ -160,13 +158,6 @@ class TestRecords:
             d = ideal_denoiser(self.spec, x, float(self.sched.sigmas[k]), 1)
             np.testing.assert_allclose(rec["outputs"][k], d, rtol=1e-5, atol=1e-6)
 
-    def test_unconditional_batch(self):
-        cfg = SamplerConfig(schedule=self.sched, record_outputs=False)
-        batch = sample_batch(plain(AnalyticSource(self.spec)), cfg, 4, None, 6)
-        assert len(batch) == 6
-        assert (batch["class_id"] == -1).all()
-        assert batch["seed"].tolist() == [derive_seed(4, -1, i) for i in range(6)]
-
 
 class TestDeterminism:
     def setup_method(self):
@@ -202,7 +193,7 @@ class TestInitialNoise:
         "spec, class_ids",
         [
             (preset("imbalanced2d"), [1, 2, 3, 4]),
-            (preset("imbalanced2d"), None),
+            (preset("balanced2d"), [6, 3]),
             (single_gaussian([0.5], 1.0), [1]),
             (single_gaussian([0.0, 1.0, -1.0, 2.0, 0.5], 0.7), [1]),
         ],
@@ -272,6 +263,21 @@ class _UnderflowSource(_BlowupSource):
         return [np.array(x) for _ in mixtures]
 
 
+class _ClassBlowupSource(_BlowupSource):
+    """Poisons the last row of one class in each chunk that holds it."""
+
+    def __init__(self, class_id, below):
+        self.class_id = class_id
+        self.below = below
+
+    def denoise(self, x, sigma, mixtures):
+        out = np.array(x)
+        rows = np.flatnonzero(mixtures[0] == self.class_id)
+        if sigma <= self.below and len(rows):
+            out[rows[-1]] = np.inf
+        return [out for _ in mixtures]
+
+
 class TestFailurePaths:
     def setup_method(self):
         self.sched = make_schedule("karras-like", 10, 0.05, 8.0)
@@ -291,14 +297,30 @@ class TestFailurePaths:
             sample_batch(source, self.cfg, 0, [1], 3)
         assert ei.value.step == 2
 
+    def test_divergence_past_the_first_chunk_names_its_row(self, monkeypatch):
+        # chunks of 4 over classes 3 and 7, 6 each: the second chunk holds
+        # rows 4..7, and its last row, class 7 index 1, is the one poisoned
+        monkeypatch.setattr(sampler, "CHUNK", 4)
+        source = plain(_ClassBlowupSource(7, below=self.sched.sigmas[3]))
+        with pytest.raises(DivergedError) as ei:
+            sample_batch(source, self.cfg, 0, [3, 7], 6)
+        assert (ei.value.class_id, ei.value.index, ei.value.step) == (7, 1, 3)
+
+    # [1, None] is test_mixed_class_kinds_rejected's case
+    @pytest.mark.parametrize("class_ids", [None, [None], 1], ids=["none", "none-item", "int"])
+    def test_every_trajectory_needs_a_class(self, class_ids):
+        src = plain(AnalyticSource(preset("balanced2d")))
+        with pytest.raises(InvalidArgumentError):
+            sample_batch(src, self.cfg, 0, class_ids, 2)
+
     def test_mixed_class_kinds_rejected(self):
         src = plain(AnalyticSource(preset("balanced2d")))
         with pytest.raises(InvalidArgumentError):
             sample_batch(src, self.cfg, 0, [1, None], 2)
 
     def test_class_ids_must_fit_the_record(self, model):
-        # -1 marks an unconditional record, 0 is the null token, and class_id
-        # is stored as i4
+        # -1 marks an unconditional record in older files, 0 is the null
+        # token, and class_id is stored as i4
         src = plain(AnalyticSource(preset("balanced2d")))
         for c in (-1, -3, 0, 2**31, 2**70):
             with pytest.raises(InvalidArgumentError):
@@ -414,7 +436,7 @@ class TestSharedComponentOracle:
                 np.testing.assert_array_equal(src.denoise(x, sigma, [None])[0], want0)
 
     def test_unconditional_pair_is_marginal_twice(self):
-        # unconditional CFG asks for the marginal as both branches
+        # a mixture list may name the marginal more than once
         spec = preset("imbalanced2d")
         sigma = reference_schedule().sigmas[10]
         x = np.random.default_rng(3).standard_normal((5, 2))
@@ -481,9 +503,8 @@ class TestSharedPassSampling:
 
         seeds = [derive_seed(4, i) for i in range(60)]
         cls = np.repeat(np.array([1, 2, 3]), 20)
-        labels = [(int(c), i) for i, c in enumerate(cls)]
-        a = _integrate_chunk(shared, cfg, seeds, cls, labels, True)
-        b = _integrate_chunk(plain, cfg, seeds, cls, labels, True)
+        a = _integrate_chunk(shared, cfg, seeds, cls, np.arange(60))
+        b = _integrate_chunk(plain, cfg, seeds, cls, np.arange(60))
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
