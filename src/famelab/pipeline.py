@@ -37,7 +37,7 @@ from .metrics import (
 )
 from .plots import mode_scatter_svg, side_by_side_svg
 from .pool import PoolBuildConfig, build_pool, load_pool, save_pool
-from .sampler import AnalyticSource, NeuralSource, SamplerConfig, sample_batch
+from .sampler import AnalyticSource, NeuralSource, SamplerConfig, sample_batch, sample_batches
 from .schedule import derive_seed, make_schedule
 
 # stage stream keys; distinct constants keep the seed chains disjoint
@@ -208,25 +208,32 @@ class Experiment:
 
         return self.stage("pool", build)
 
-    def sample(self, guidance: GuidanceConfig, save_trajectories: bool = False):
-        """n_per_class trajectories per class under `guidance`, on the sample
-        stream, so every guidance setting sees the same initial noise, as one
-        record array.  With save_trajectories the per-step denoiser outputs
-        are recorded and each class's rows are written to
-        trajectories/class_<c>.traj."""
+    def _sampling(self, record_outputs: bool):
+        """The sampler arguments after the source that every guidance setting
+        shares: the sample stream's seed, so every setting sees the same
+        initial noise, and n_per_class trajectories per class."""
         cfg = self.cfg
+        sampler_cfg = SamplerConfig(schedule=self.schedule, method=cfg.method, record_outputs=record_outputs)
+        return sampler_cfg, derive_seed(cfg.seed, _SAMPLE_KEY), self.classes, cfg.n_per_class
+
+    def sample(self, guidance: GuidanceConfig, save_trajectories: bool = False):
+        """The trajectories sampled under `guidance`, as one record array.
+        With save_trajectories the per-step denoiser outputs are recorded
+        and each class's rows are written to trajectories/class_<c>.traj."""
         source = guided_source(self.base, self.pool(guidance), guidance)
-        batch = sample_batch(
-            source,
-            SamplerConfig(schedule=self.schedule, method=cfg.method, record_outputs=save_trajectories),
-            derive_seed(cfg.seed, _SAMPLE_KEY),
-            self.classes,
-            cfg.n_per_class,
-        )
+        batch = sample_batch(source, *self._sampling(save_trajectories))
         if save_trajectories:
             for c, block in self._by_class(batch):
                 self._path("trajectories", f"class_{c}.traj").write_bytes(block.tobytes())
         return batch
+
+    def sample_each(self, guidances):
+        """Yield, for each guidance setting in turn, what sample(guidance)
+        returns, or the FamelabError it raises; the steps before the
+        settings' guidance first differs are integrated once
+        (`sampler.sample_batches`)."""
+        sources = [guided_source(self.base, self.pool(g), g) for g in guidances]
+        yield from sample_batches(sources, *self._sampling(False))
 
     def _by_class(self, batch):
         n = self.cfg.n_per_class
@@ -275,24 +282,32 @@ _SWEEP_COLUMNS = "value,frechet,precision,recall,mean_score,bad_mode_fraction,st
 def run_sweep(cfg: ExperimentConfig, sweep: SweepSpec) -> list:
     """One sampled+evaluated row per axis value, sharing the dataset, source,
     pool, and per-trajectory seeds; returns [(value, EvalReport | None), ...]
-    and writes the table CSV.  A failed row is recorded and skipped; a failed
-    stage of the shared setup ends the sweep.  Every row's guidance is
-    checked before anything is written, and the sample size before anything
-    is sampled."""
+    and writes the table CSV.  The rows are sampled together
+    (`Experiment.sample_each`): the steps before their guidance first
+    differs are integrated once, and each row is evaluated as it arrives.
+    A failed row is recorded and skipped; a failed stage of the shared setup
+    ends the sweep.  Every row's guidance is checked before anything is
+    written, and the sample size before anything is sampled."""
     guidances = [replace(cfg.guidance, **{sweep.axis: value}) for value in sweep.values]
     exp = Experiment(cfg)
     check_sample_size(cfg.n_per_class, len(exp.classes), exp.spec.dim)
     # the shared pool is built at the config's own w, also on a w sweep (a
     # pool at another w comes from pool_path); an f sweep from f=0 builds it
-    # in its first replaying row, at that same w
+    # for its first replaying row, at that same w
     exp.pool(cfg.guidance)
     rows = []
     results = []
-    for value, guidance in zip(sweep.values, guidances):
+    batches = exp.sample_each(guidances)
+    # next() rather than zip, whose reused result tuple would keep the last
+    # row's batch alive while the next one is sampled
+    for value in sweep.values:
+        batch = next(batches)
         try:
-            *_, report = exp.evaluate(exp.sample(guidance))
+            if isinstance(batch, FamelabError):
+                raise batch
+            *_, report = exp.evaluate(batch)
             rows.append(
-                f"{value:g},{report.frechet:.9g},{report.precision:.9g},"
+                f"{value:.9g},{report.frechet:.9g},{report.precision:.9g},"
                 f"{report.recall:.9g},{report.mean_score:.9g},"
                 f"{report.bad_mode_fraction:.9g},ok"
             )
@@ -300,8 +315,10 @@ def run_sweep(cfg: ExperimentConfig, sweep: SweepSpec) -> list:
         except PipelineStageError:
             raise
         except FamelabError as exc:
-            rows.append(f"{value:g},,,,,,failed: {type(exc).__name__}")
+            rows.append(f"{value:.9g},,,,,,failed: {type(exc).__name__}")
             results.append((value, None))
+        # drop this row's batch before the next one is sampled
+        del batch
     csv = "\n".join([_SWEEP_COLUMNS] + rows) + "\n"
     exp._path("reports", f"sweep_{sweep.axis}.csv").write_text(csv)
     return results
@@ -325,16 +342,26 @@ def _comparable(a: ExperimentConfig, b: ExperimentConfig) -> bool:
 
 def compare_paired(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig) -> PairedCompareReport:
     """Run two guidance settings over identical per-trajectory seeds (hence
-    identical initial noise) and report per-pair score deltas, b minus a."""
+    identical initial noise) and report per-pair score deltas, b minus a.
+    The sides are sampled together (`Experiment.sample_each`), so the steps
+    before their guidance first differs are integrated once."""
     if not _comparable(cfg_a, cfg_b):
         raise InvalidArgumentError("compared configs may differ only in guidance")
     exp = Experiment(replace(cfg_a, name=f"{cfg_a.name}_vs_{cfg_b.name}"))
     check_sample_size(cfg_a.n_per_class, len(exp.classes), exp.spec.dim)
     # the pool both sides share is built at b's w when b replays
     exp.pool(cfg_b.guidance)
+    batches = exp.sample_each([cfg_a.guidance, cfg_b.guidance])
+
+    def sample():
+        batch = next(batches)
+        if isinstance(batch, FamelabError):
+            raise batch
+        return batch
+
     sides = []
-    for guidance in (cfg_a.guidance, cfg_b.guidance):
-        batch = exp.stage("sample", lambda: exp.sample(guidance))
+    for _ in range(2):
+        batch = exp.stage("sample", sample)
         sides.append(exp.stage("evaluate", lambda: exp.evaluate(batch)))
     (samples_a, scores_a, report_a), (samples_b, scores_b, report_b) = sides
 

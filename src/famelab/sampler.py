@@ -5,14 +5,27 @@ from sigma_max down to 0.  The integrator consumes denoiser outputs, never raw
 scores: with score = (D - x)/sigma^2 the right-hand side is (x - D)/sigma, so
 guided composites (which are denoiser-space combinations) plug in uniformly.
 
-The sampler talks to one guided source (`guidance.GuidedSource`) through two
+The sampler talks to a guided source (`guidance.GuidedSource`) through three
 calls: `bind(schedule, seeds, class_ids)` once per chunk, which returns the
-pool record bound to each trajectory (or None), and `step(x, k, schedule,
+pool record bound to each trajectory (or None), `step(x, k, schedule,
 class_ids, neg)` per evaluation, which returns the guided output the
-integrator consumes and the conditional output it records.  The guided source
-in turn asks its base source for `denoise(x, sigma, mixtures)`, one output
-per mixture (an (n,) array of class ids, or None for the unconditional one,
-which enters only as CFG's d0 term: every trajectory is sampled for a class).
+integrator consumes and the conditional output it records, and
+`evaluation(k, T)`, which says what `step` combines at level k.  The guided
+source in turn asks its base source for `denoise(x, sigma, mixtures)`, one
+output per mixture (an (n,) array of class ids, or None for the unconditional
+one, which enters only as CFG's d0 term: every trajectory is sampled for a
+class).
+
+`sample_batches` samples the same trajectories through several guided
+sources over one base, as the rows of a sweep or the sides of a paired
+compare do.  Their evaluations agree, and so do their states, up to the fork:
+the first step at which one of them weighs its terms differently or replays
+another pool.  Replay is 0 before the last tau of normalised time, so an f
+sweep shares every step before the replay window.  Those steps are
+integrated once per chunk, through the first source; each source then
+resumes from the float64 state at the fork, and its batch is handed over
+before the next one is made.  `sample_batch` is the one-source case, whose
+fork is T.
 
 Trajectories are processed in lockstep chunks of fixed width, one chunk after
 another.  Per-trajectory seeds derive from (base_seed, class, index), initial
@@ -41,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoiser import MlpDenoiser, _denoise
-from .errors import DegeneratePointError, DivergedError, InvalidArgumentError, check_class_id
+from .errors import DegeneratePointError, DivergedError, FamelabError, InvalidArgumentError, check_class_id
 from .gmm import GmmSpec, check_points
 from .schedule import NoiseSchedule, derive_seed, initial_noise, new_trajectories
 
@@ -115,23 +128,23 @@ class NeuralSource:
         return self.model.fingerprint()
 
 
-def _integrate_chunk(source, cfg, seeds, class_ids, index):
-    """Lockstep-integrate one chunk through a guided source; returns
-    (states, outputs or None), outputs being the conditional denoiser
-    outputs `source.step` hands back with each guided one.
+def _integrate_chunk(source, cfg, x, neg, class_ids, index, start, stop):
+    """Lockstep-integrate steps start..stop-1 of one chunk through a guided
+    source, from the float64 states x at level start; neg is what
+    `source.bind` returned for these trajectories.  Returns (states, outputs
+    or None): the states at levels start..stop, x first, and the conditional
+    denoiser outputs `source.step` hands back with each guided one at steps
+    start..stop-1.
 
     index gives each trajectory's index within its class, which a
     DivergedError reports with its class id.
     """
     sched = cfg.schedule
     sig = sched.sigmas
-    T = sched.T
-    d = source.dim
-    x = initial_noise(seeds, d) * sig[0]
-    states = np.empty((len(x), T + 1, d))
+    n, d = x.shape
+    states = np.empty((n, stop - start + 1, d))
     states[:, 0] = x
-    outputs = np.empty((len(x), T, d)) if cfg.record_outputs else None
-    neg = source.bind(sched, np.asarray(seeds, dtype=np.uint64), class_ids)
+    outputs = np.empty((n, stop - start, d)) if cfg.record_outputs else None
 
     def fail(arr, step):
         # first non-finite row, or the farthest-flung row if the denoiser
@@ -147,22 +160,155 @@ def _integrate_chunk(source, cfg, seeds, class_ids, index):
         except DegeneratePointError:
             fail(x, k)
 
-    for k in range(T):
+    for k in range(start, stop):
         dk, d1 = guided(x, k, k)
         if outputs is not None:
-            outputs[:, k] = d1
+            outputs[:, k - start] = d1
         h = sig[k + 1] - sig[k]
         rhs = (x - dk) / sig[k]
         x_next = x + h * rhs
-        if cfg.method == "heun" and sig[k + 1] > 0:
+        if len(_levels(cfg, k)) == 2:
             d2, _ = guided(x_next, k + 1, k)
             rhs2 = (x_next - d2) / sig[k + 1]
             x_next = x + h * 0.5 * (rhs + rhs2)
-        states[:, k + 1] = x_next
+        states[:, k + 1 - start] = x_next
         if not np.all(np.isfinite(x_next)):
             fail(x_next, k)
         x = x_next
     return states, outputs
+
+
+def _levels(cfg, k):
+    """The levels step k evaluates: k, and with Heun also k + 1 unless sigma
+    is 0 there."""
+    if cfg.method == "heun" and cfg.schedule.sigmas[k + 1] > 0:
+        return (k, k + 1)
+    return (k,)
+
+
+def _shared_steps(sources, cfg):
+    """(fork, replays): the first step at which two sources' evaluations
+    differ (T if none does), and whether any step before it replays pool
+    records.  Two evaluations are equal when their weights are, and, where
+    they replay, when they replay the same pool."""
+    T = cfg.schedule.T
+    first, *rest = sources
+    replays = False
+    for k in range(T):
+        for j in _levels(cfg, k):
+            weights, pool = first.evaluation(j, T)
+            if any(w != weights or p is not pool for w, p in (s.evaluation(j, T) for s in rest)):
+                return k, replays
+            replays = replays or pool is not None
+    return T, replays
+
+
+def sample_batches(sources, cfg: SamplerConfig, base_seed: int, class_ids, n_per_class: int):
+    """Sample the same trajectories through each of several guided sources
+    over one base; yields, source by source, the batch `sample_batch` would
+    return for it, or the FamelabError it would raise.
+
+    The steps before the fork, the first step at which two sources'
+    evaluations differ, are the same for every source: they are integrated
+    once per chunk, through the first source.  Only their float32 rows and
+    each chunk's float64 state at the fork are kept; each source's batch is
+    then resumed from the fork, one batch at a time, so a sweep holds one
+    batch and the shared rows at once.  With one source the fork is T and
+    its batch is integrated in place.  Arguments are checked on the call,
+    the sampling runs as batches are taken.
+    """
+    sources = list(sources)
+    if not sources:
+        raise InvalidArgumentError("sample_batches needs at least one source")
+    if any(s.base is not sources[0].base for s in sources):
+        raise InvalidArgumentError("sources sampled together must share one base")
+    if n_per_class < 1:
+        raise InvalidArgumentError("n_per_class must be >= 1")
+    if np.ndim(class_ids) != 1:
+        raise InvalidArgumentError(f"class_ids must be a sequence of class ids, got {class_ids!r}")
+    for c in class_ids:
+        check_class_id(c)
+    if len(set(class_ids)) != len(class_ids):
+        raise InvalidArgumentError(f"class ids must not repeat, got {list(class_ids)!r}")
+    classes = np.repeat(np.array(class_ids, dtype=np.int64), n_per_class)
+    index = np.tile(np.arange(n_per_class), len(class_ids))
+    seeds = derive_seed(base_seed, classes, index)
+    return _sample_rows(sources, cfg, seeds, classes, index, *_shared_steps(sources, cfg))
+
+
+def _sample_rows(sources, cfg, seeds, classes, index, fork, replays):
+    """sample_batches' generator, given the jobs and the shared steps."""
+    sched = cfg.schedule
+    T, d, n = sched.T, sources[0].dim, len(seeds)
+    chunks = [slice(lo, lo + CHUNK) for lo in range(0, n, CHUNK)]
+
+    def new_batch():
+        batch = new_trajectories(n, T, d, cfg.record_outputs)
+        batch["class_id"] = classes
+        batch["seed"] = seeds
+        return batch
+
+    # where the shared steps are rounded to: a lone source's own batch, else
+    # levels 0..fork and steps 0..fork-1 kept for every source to copy
+    if len(sources) == 1:
+        batch = new_batch()
+        head_states = batch["states"]
+        head_outputs = batch["outputs"] if cfg.record_outputs else None
+    else:
+        head_states = np.empty((n, fork + 1, d), np.float32)
+        head_outputs = np.empty((n, fork, d), np.float32) if cfg.record_outputs else None
+
+    # per chunk, the float64 state at the fork and the pool records the
+    # shared steps bound; a failure in them ends them at its chunk
+    forks, failure = [], None
+    for rows in chunks:
+        try:
+            neg = sources[0].bind(sched, seeds[rows], classes[rows]) if replays else None
+            x = initial_noise(seeds[rows], d) * sched.sigmas[0]
+            states, outputs = _integrate_chunk(sources[0], cfg, x, neg, classes[rows], index[rows], 0, fork)
+        except FamelabError as exc:
+            failure = exc
+            break
+        head_states[rows] = states
+        if outputs is not None:
+            head_outputs[rows] = outputs
+        forks.append((states[:, -1].copy(), neg))
+        # free this chunk's float64 arrays before the next chunk allocates its own
+        del states, outputs
+
+    def resume(source):
+        """The source's batch integrated from the fork to the end, or the
+        first FamelabError sampling it alone raises: each chunk binds the
+        source's own pool records first, unless the shared steps bound them
+        (every source then replays that one pool), and a chunk whose shared
+        steps failed raises their failure."""
+        if len(sources) == 1:
+            out = batch
+        else:
+            out = new_batch()
+            out["states"][:, : fork + 1] = head_states
+            if head_outputs is not None:
+                out["outputs"][:, :fork] = head_outputs
+        try:
+            for c, rows in enumerate(chunks):
+                own = None if replays else source.bind(sched, seeds[rows], classes[rows])
+                if c == len(forks):
+                    raise failure
+                x, shared = forks[c]
+                if fork == T:
+                    continue
+                neg = shared if replays else own
+                states, outputs = _integrate_chunk(source, cfg, x, neg, classes[rows], index[rows], fork, T)
+                out["states"][rows, fork:] = states
+                if outputs is not None:
+                    out["outputs"][rows, fork:] = outputs
+                del states, outputs
+        except FamelabError as exc:
+            return exc
+        return out
+
+    for source in sources:
+        yield resume(source)
 
 
 def sample_batch(
@@ -173,7 +319,8 @@ def sample_batch(
     n_per_class: int,
 ) -> np.ndarray:
     """Sample n_per_class trajectories for each class in class_ids (a
-    sequence of class ids) through a guided source (`guidance.guided_source`).
+    sequence of distinct class ids) through a guided source
+    (`guidance.guided_source`).
 
     Returns one `trajectory_dtype` record array in job order, class by class,
     with scores NaN and, unless cfg.record_outputs is off, the conditional
@@ -182,25 +329,7 @@ def sample_batch(
     derive_seed(base_seed, class, index), so any (base_seed, class, index)
     triple reproduces identically whatever else is in the batch.
     """
-    if n_per_class < 1:
-        raise InvalidArgumentError("n_per_class must be >= 1")
-    if np.ndim(class_ids) != 1:
-        raise InvalidArgumentError(f"sample_batch needs a sequence of class ids, got {class_ids!r}")
-    for c in class_ids:
-        check_class_id(c)
-    batch = new_trajectories(len(class_ids) * n_per_class, cfg.schedule.T, source.dim, cfg.record_outputs)
-    batch["class_id"] = np.repeat([int(c) for c in class_ids], n_per_class)
-    index = np.tile(np.arange(n_per_class), len(class_ids))
-    batch["seed"] = derive_seed(base_seed, batch["class_id"], index)
-
-    for lo in range(0, len(batch), CHUNK):
-        rows = batch[lo : lo + CHUNK]
-        states, outputs = _integrate_chunk(
-            source, cfg, rows["seed"], rows["class_id"].astype(np.int64), index[lo : lo + CHUNK]
-        )
-        rows["states"] = states
-        if outputs is not None:
-            rows["outputs"] = outputs
-        # free this chunk's float64 arrays before the next chunk allocates its own
-        del states, outputs
+    [batch] = sample_batches([source], cfg, base_seed, class_ids, n_per_class)
+    if isinstance(batch, FamelabError):
+        raise batch
     return batch

@@ -232,6 +232,14 @@ class TestRunSweep:
         assert csv.split("\n")[2].endswith("failed: DivergedError")
 
 
+    def test_value_column_keeps_nine_digits(self, tmp_path):
+        # values that agree to six significant digits still get their own labels
+        cfg = base_config(tmp_path, n_per_class=30)
+        run_sweep(cfg, SweepSpec("f", (0.01234561, 0.01234562)))
+        csv = (tmp_path / "out" / "run" / "reports" / "sweep_f.csv").read_text()
+        assert [line.split(",")[0] for line in csv.strip().split("\n")[1:]] == ["0.01234561", "0.01234562"]
+
+
 class TestComparePaired:
     def test_identical_configs_zero_deltas(self, tmp_path):
         cfg = base_config(tmp_path, n_per_class=30)
@@ -294,6 +302,25 @@ class TestComparePaired:
                 run()
             assert ei.value.stage == "evaluate"
             assert "stage: evaluate" in (tmp_path / "out" / run_dir / "FAILED").read_text()
+
+    def test_sides_match_their_pipeline_runs(self, tmp_path):
+        # FaME against CFG shares the steps before replay begins; each side
+        # must still report what its own run reports
+        a = base_config(tmp_path, name="a", guidance=GuidanceConfig(w=1.5), n_per_class=30)
+        b = base_config(tmp_path, name="b", n_per_class=30)
+        result = compare_paired(a, b)
+        assert result.report_a.to_dict() == run_pipeline(a).to_dict()
+        assert result.report_b.to_dict() == run_pipeline(b).to_dict()
+
+    def test_failing_side_fails_stage_sample(self, tmp_path):
+        a = base_config(tmp_path, name="a", guidance=GuidanceConfig(w=1.5), n_per_class=20)
+        b = base_config(tmp_path, name="b", guidance=GuidanceConfig(w=1e300), n_per_class=20)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(PipelineStageError) as ei:
+            compare_paired(a, b)
+        assert ei.value.stage == "sample"
+        failed = (tmp_path / "out" / "a_vs_b" / "FAILED").read_text()
+        assert failed == f"stage: sample\ncause: {ei.value.cause!r}\n"
+        assert failed.startswith("stage: sample\ncause: DivergedError(")
 
     def test_differing_non_guidance_fields_rejected(self, tmp_path):
         a = base_config(tmp_path, n_per_class=30)

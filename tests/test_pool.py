@@ -119,6 +119,18 @@ class TestBottomK:
                 [1],
             )
 
+    def test_repeated_class_ids_rejected(self, cfg_source, analytic_cfg):
+        # a repeated class would sample the same candidates twice and could
+        # keep one candidate in two pool records
+        with pytest.raises(InvalidArgumentError):
+            build_pool(
+                cfg_source,
+                analytic_cfg,
+                preset_scorer([0.4, 0.2]),
+                PoolBuildConfig(n_candidates_per_class=2, n_f=2, seed=7),
+                [1, 1],
+            )
+
     def test_keeping_everything_is_allowed(self, cfg_source, analytic_cfg):
         pool = build_pool(
             cfg_source,

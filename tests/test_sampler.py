@@ -5,11 +5,18 @@ import pytest
 
 from famelab.config import ExperimentConfig
 from famelab.denoiser import TrainConfig, train
-from famelab.errors import DegeneratePointError, DivergedError, InvalidArgumentError, NotFoundError
+from famelab.errors import (
+    DegeneratePointError,
+    DivergedError,
+    FamelabError,
+    IncompatiblePoolError,
+    InvalidArgumentError,
+    NotFoundError,
+)
 from famelab.gmm import GmmComponent, GmmSpec, exact_sampler, preset
-from famelab.guidance import GuidanceConfig, guided_source
+from famelab.guidance import GuidanceConfig, GuidedSource, guided_source
 from famelab.metrics import ComponentTagScorer, frechet_distance
-from famelab.pool import PoolBuildConfig, build_pool
+from famelab.pool import FailurePool, PoolBuildConfig, build_pool
 from famelab import sampler
 from famelab.sampler import (
     AnalyticSource,
@@ -17,8 +24,16 @@ from famelab.sampler import (
     SamplerConfig,
     _integrate_chunk,
     sample_batch,
+    sample_batches,
 )
-from famelab.schedule import NoiseSchedule, derive_seed, make_schedule, trajectory_dtype
+from famelab.schedule import (
+    NoiseSchedule,
+    derive_seed,
+    initial_noise,
+    make_schedule,
+    new_trajectories,
+    trajectory_dtype,
+)
 from tests.oracles import ideal_denoiser
 
 
@@ -40,10 +55,19 @@ def plain(base):
     return guided_source(base, None, GuidanceConfig())
 
 
+def integrate(source, cfg, seeds, class_ids):
+    """Float64 (states, outputs or None) of trajectories integrated as one
+    chunk through a guided source, from their streams' initial noise."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    x = initial_noise(seeds, source.dim) * cfg.schedule.sigmas[0]
+    neg = source.bind(cfg.schedule, seeds, class_ids)
+    return _integrate_chunk(source, cfg, x, neg, class_ids, np.arange(len(seeds)), 0, cfg.schedule.T)
+
+
 def alone(source, cfg, seed, class_id):
     """Float64 states and outputs (or None) of one trajectory integrated by
     itself from the stream `seed`."""
-    states, outputs = _integrate_chunk(plain(source), cfg, [seed], np.array([class_id]), [0])
+    states, outputs = integrate(plain(source), cfg, [seed], np.array([class_id]))
     return states[0], None if outputs is None else outputs[0]
 
 
@@ -330,6 +354,12 @@ class TestFailurePaths:
         with pytest.raises(InvalidArgumentError):
             sample_batch(neural, self.cfg, 0, [0], 3)
 
+    def test_repeated_class_ids_rejected(self):
+        # a repeated class would give byte-identical duplicate records
+        src = plain(AnalyticSource(preset("balanced2d")))
+        with pytest.raises(InvalidArgumentError):
+            sample_batch(src, self.cfg, 0, [1, 1], 2)
+
     def test_n_per_class_validated(self):
         src = plain(AnalyticSource(preset("balanced2d")))
         with pytest.raises(InvalidArgumentError):
@@ -503,8 +533,8 @@ class TestSharedPassSampling:
 
         seeds = [derive_seed(4, i) for i in range(60)]
         cls = np.repeat(np.array([1, 2, 3]), 20)
-        a = _integrate_chunk(shared, cfg, seeds, cls, np.arange(60))
-        b = _integrate_chunk(plain, cfg, seeds, cls, np.arange(60))
+        a = integrate(shared, cfg, seeds, cls)
+        b = integrate(plain, cfg, seeds, cls)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
@@ -525,18 +555,17 @@ class TestChunkInvariance:
         source = guided_source(AnalyticSource(spec), pool, GuidanceConfig(w=1.5, f=0.05, tau=0.5))
         chunks = []
 
-        def integrate(source, cfg, seeds, *rest):
-            states, outputs = _integrate_chunk(source, cfg, seeds, *rest)
-            chunks.append((np.array(seeds), states, outputs))
+        def integrate(source, cfg, x, neg, class_ids, index, start, stop):
+            states, outputs = _integrate_chunk(source, cfg, x, neg, class_ids, index, start, stop)
+            chunks.append(((class_ids - 1) * 115 + index, start, stop, states, outputs))
             return states, outputs
 
         monkeypatch.setattr(sampler, "CHUNK", chunk)
         monkeypatch.setattr(sampler, "_integrate_chunk", integrate)
         batch = sample_batch(source, cfg, 12, [1, 2, 3], 115)
-        row = {s: i for i, s in enumerate(batch["seed"].tolist())}
         states, outputs = np.empty((345, 17, 2)), np.empty((345, 16, 2))
-        for seeds, s, o in chunks:
-            rows = [row[x] for x in seeds.tolist()]
+        for rows, start, stop, s, o in chunks:
+            assert (start, stop) == (0, 16)
             states[rows], outputs[rows] = s, o
         assert sum(len(c[0]) for c in chunks) == 345
         return batch, states, outputs
@@ -548,3 +577,195 @@ class TestChunkInvariance:
             assert got.tobytes() == batch.tobytes(), chunk
             np.testing.assert_array_equal(got_states, states)
             np.testing.assert_array_equal(got_outputs, outputs)
+
+
+def record_chunks(monkeypatch, n_per_class):
+    """Record every `_integrate_chunk` call as (source, rows in job order of
+    a batch over classes 1, 2, ..., start, stop, states, outputs)."""
+    calls = []
+
+    def integrate(source, cfg, x, neg, class_ids, index, start, stop):
+        states, outputs = _integrate_chunk(source, cfg, x, neg, class_ids, index, start, stop)
+        calls.append((source, (class_ids - 1) * n_per_class + index, start, stop, states, outputs))
+        return states, outputs
+
+    monkeypatch.setattr(sampler, "_integrate_chunk", integrate)
+    return calls
+
+
+def float64_rows(calls, n, T):
+    """The float64 states and outputs the recorded calls integrated, each
+    written over its rows and levels in call order."""
+    states, outputs = np.full((n, T + 1, 2), np.nan), np.full((n, T, 2), np.nan)
+    for _, rows, start, stop, s, o in calls:
+        states[rows, start : stop + 1] = s
+        outputs[rows, start:stop] = o
+    return states, outputs
+
+
+ANALYTIC_SWEEPS = {
+    "f": [GuidanceConfig(w=1.5, f=f, tau=0.5) for f in (0.0, 0.02, 0.05, 0.1)],
+    "tau": [GuidanceConfig(w=1.5, f=0.05, tau=tau) for tau in (0.2, 0.5, 0.8, 0.0)],
+    "w": [GuidanceConfig(w=w, f=0.05, tau=0.5) for w in (1.0, 1.5, 2.0)],
+    "interval": [
+        GuidanceConfig(w=2.0, cfg_interval=(0.0, 0.5)),
+        GuidanceConfig(w=2.0, cfg_interval=(0.0, 0.75)),
+        GuidanceConfig(w=2.0, f=0.05, tau=0.3, cfg_interval=(0.0, 0.5)),
+        GuidanceConfig(w=2.0, cfg_interval=(0.0, 0.5)),
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def neural_pool(model):
+    cfg = SamplerConfig(schedule=make_schedule("karras-like", 8, 0.05, 8.0))
+    return build_pool(
+        guided_source(NeuralSource(model), None, GuidanceConfig(w=1.5)),
+        cfg,
+        ComponentTagScorer(single_gaussian([0.5, -0.5], 1.0)),
+        PoolBuildConfig(n_candidates_per_class=12, n_f=3, mode="global", seed=3),
+        [1],
+    )
+
+
+class TestSampleBatches:
+    """Rows sampled together, sharing the steps before their guidance
+    first differs, against each row sampled alone: the same records and
+    the same float64 states and outputs."""
+
+    def check_rows_match_alone(self, monkeypatch, sources, cfg, class_ids, n_per_class=5):
+        monkeypatch.setattr(sampler, "CHUNK", 7)
+        calls = record_chunks(monkeypatch, n_per_class)
+        n, T = n_per_class * len(class_ids), cfg.schedule.T
+        together = list(sample_batches(sources, cfg, 8, class_ids, n_per_class))
+        n_chunks = -(-n // 7)
+        shared, rest = calls[:n_chunks], calls[n_chunks:]
+        assert all(c[0] is sources[0] and c[2] == 0 for c in shared)
+        for source, batch in zip(sources, together):
+            want = float64_rows(shared + [c for c in rest if c[0] is source], n, T)
+            del calls[:]
+            alone = sample_batch(source, cfg, 8, class_ids, n_per_class)
+            assert batch.tobytes() == alone.tobytes()
+            got = float64_rows(calls, n, T)
+            np.testing.assert_array_equal(want[0], got[0])
+            np.testing.assert_array_equal(want[1], got[1])
+
+    @pytest.mark.parametrize("method", ["euler", "heun"])
+    @pytest.mark.parametrize("sweep", sorted(ANALYTIC_SWEEPS))
+    def test_analytic_rows_match_alone(self, monkeypatch, replay_pool, sweep, method):
+        cfg = SamplerConfig(schedule=make_schedule("karras-like", 16, 0.02, 8.0), method=method)
+        base = AnalyticSource(preset("imbalanced2d"))
+        sources = [guided_source(base, replay_pool, g) for g in ANALYTIC_SWEEPS[sweep]]
+        self.check_rows_match_alone(monkeypatch, sources, cfg, [1, 2, 3])
+
+    def test_rows_replaying_other_pools_match_alone(self, monkeypatch, replay_pool):
+        # equal weights, but each row replays its own pool from the first
+        # replaying step on
+        cfg = SamplerConfig(schedule=make_schedule("karras-like", 16, 0.02, 8.0))
+        base = AnalyticSource(preset("imbalanced2d"))
+        fewer = FailurePool(replay_pool.records[1:], "global", replay_pool.schedule_hash, replay_pool.source_hash)
+        guidance = GuidanceConfig(w=1.5, f=0.05, tau=0.5)
+        sources = [guided_source(base, pool, guidance) for pool in (replay_pool, fewer)]
+        self.check_rows_match_alone(monkeypatch, sources, cfg, [1, 2, 3])
+
+    @pytest.mark.parametrize("method", ["euler", "heun"])
+    def test_neural_rows_match_alone(self, monkeypatch, model, neural_pool, method):
+        # an MLP row's bits depend on its chunk, which sampling together keeps
+        cfg = SamplerConfig(schedule=make_schedule("karras-like", 8, 0.05, 8.0), method=method)
+        base = NeuralSource(model)
+        sources = [
+            guided_source(base, neural_pool, GuidanceConfig(w=1.5, f=f, tau=0.5)) for f in (0.0, 0.05, 0.1)
+        ]
+        self.check_rows_match_alone(monkeypatch, sources, cfg, [1], n_per_class=15)
+
+    def test_diverging_row_fails_alone(self, monkeypatch, replay_pool):
+        # f = 1e300 diverges once replay begins, after the shared steps
+        cfg = SamplerConfig(schedule=make_schedule("karras-like", 16, 0.02, 8.0))
+        base = AnalyticSource(preset("imbalanced2d"))
+        sources = [guided_source(base, replay_pool, GuidanceConfig(w=1.5, f=f, tau=0.5)) for f in (0.05, 1e300, 0.1)]
+        monkeypatch.setattr(sampler, "CHUNK", 7)
+        with np.errstate(over="ignore", invalid="ignore"):
+            a, err, b = sample_batches(sources, cfg, 8, [1, 2, 3], 5)
+            with pytest.raises(DivergedError) as alone:
+                sample_batch(sources[1], cfg, 8, [1, 2, 3], 5)
+        assert isinstance(err, DivergedError)
+        assert (err.class_id, err.index, err.step) == (alone.value.class_id, alone.value.index, alone.value.step)
+        assert err.step >= 7
+        assert a.tobytes() == sample_batch(sources[0], cfg, 8, [1, 2, 3], 5).tobytes()
+        assert b.tobytes() == sample_batch(sources[2], cfg, 8, [1, 2, 3], 5).tobytes()
+
+    def test_divergence_in_shared_steps_fails_every_row(self, replay_pool):
+        # w = 1e300 diverges before replay begins; a row whose pool cannot
+        # bind still fails on its pool first, as it does alone
+        cfg = SamplerConfig(schedule=make_schedule("karras-like", 16, 0.02, 8.0))
+        base = AnalyticSource(preset("imbalanced2d"))
+        stale = FailurePool(replay_pool.records, "global", 0, replay_pool.source_hash)
+        sources = [
+            guided_source(base, pool, GuidanceConfig(w=1e300, f=f, tau=0.5))
+            for pool, f in ((None, 0.0), (replay_pool, 0.05), (stale, 0.05))
+        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            errors = list(sample_batches(sources, cfg, 8, [1, 2], 4))
+            for source, err in zip(sources, errors):
+                with pytest.raises(FamelabError) as alone:
+                    sample_batch(source, cfg, 8, [1, 2], 4)
+                assert (type(err), str(err)) == (type(alone.value), str(alone.value))
+        assert [type(e) for e in errors] == [DivergedError, DivergedError, IncompatiblePoolError]
+
+    def test_unbindable_pool_fails_its_row_alone(self, replay_pool):
+        cfg = SamplerConfig(schedule=make_schedule("karras-like", 16, 0.02, 8.0))
+        base = AnalyticSource(preset("imbalanced2d"))
+        stale = FailurePool(replay_pool.records, "global", 0, replay_pool.source_hash)
+        guidance = GuidanceConfig(w=1.5, f=0.05, tau=0.5)
+        sources = [guided_source(base, pool, guidance) for pool in (stale, replay_pool)]
+        sources.insert(1, guided_source(base, None, GuidanceConfig(w=1.5)))
+        bad, a, b = sample_batches(sources, cfg, 8, [1, 2], 4)
+        assert isinstance(bad, IncompatiblePoolError)
+        with pytest.raises(IncompatiblePoolError):
+            sample_batch(sources[0], cfg, 8, [1, 2], 4)
+        assert a.tobytes() == sample_batch(sources[1], cfg, 8, [1, 2], 4).tobytes()
+        assert b.tobytes() == sample_batch(sources[2], cfg, 8, [1, 2], 4).tobytes()
+
+    def test_sources_must_share_a_base(self):
+        cfg = SamplerConfig(schedule=make_schedule("karras-like", 16, 0.02, 8.0))
+        spec = preset("imbalanced2d")
+        sources = [plain(AnalyticSource(spec)), plain(AnalyticSource(spec))]
+        with pytest.raises(InvalidArgumentError):
+            sample_batches(sources, cfg, 8, [1], 2)
+
+
+class TestSharedStepCount:
+    """Guided evaluations of a four-row sweep at the reference operating
+    schedule (T=64 Heun, tau=0.3): an f sweep shares steps 0-43, 2 x 44 = 88
+    evaluations, and each row adds 39 (20 steps, the last without a
+    corrector), 88 + 4 x 39 = 244 per chunk; a w sweep differs from step 0
+    and costs 4 x 127 = 508."""
+
+    @pytest.mark.parametrize(
+        "guidances, per_chunk",
+        [
+            ([GuidanceConfig(w=1.0, f=f, tau=0.3) for f in (0.0, 0.02, 0.05, 0.1)], 244),
+            ([GuidanceConfig(w=w, tau=0.3) for w in (1.0, 1.5, 2.0, 3.0)], 508),
+        ],
+        ids=["f", "w"],
+    )
+    def test_step_calls_per_chunk(self, monkeypatch, guidances, per_chunk):
+        spec = preset("imbalanced2d")
+        cfg = SamplerConfig(schedule=reference_schedule(), record_outputs=False)
+        base = AnalyticSource(spec)
+        records = new_trajectories(2, 64, 2)
+        records["class_id"], records["score"], records["outputs"] = 1, 0.0, 0.0
+        pool = FailurePool(records, "global", cfg.schedule.fingerprint(), base.fingerprint())
+        calls = []
+        step = GuidedSource.step
+
+        def counted(self, *args):
+            calls.append(self)
+            return step(self, *args)
+
+        monkeypatch.setattr(GuidedSource, "step", counted)
+        monkeypatch.setattr(sampler, "CHUNK", 4)
+        sources = [guided_source(base, pool, g) for g in guidances]
+        batches = list(sample_batches(sources, cfg, 3, [1], 8))
+        assert all(isinstance(b, np.ndarray) for b in batches)
+        assert len(calls) == 2 * per_chunk
