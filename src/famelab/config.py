@@ -21,7 +21,7 @@ from .errors import InvalidArgumentError, check_class_id, check_fields, check_re
 from .guidance import GuidanceConfig
 from .metrics import check_scorer_id
 from .pool import PoolBuildConfig
-from .sampler import SAMPLER_METHODS
+from .sampler import check_method
 from .schedule import check_schedule
 
 SOURCE_KINDS = ("analytic", "neural")
@@ -60,8 +60,7 @@ class ExperimentConfig:
             raise InvalidArgumentError(f"experiment name {self.name!r} is not a printable directory name")
         if self.source not in SOURCE_KINDS:
             raise InvalidArgumentError(f"source must be one of {SOURCE_KINDS}, got {self.source!r}")
-        if self.method not in SAMPLER_METHODS:
-            raise InvalidArgumentError(f"method must be one of {SAMPLER_METHODS}")
+        check_method(self.method)
         check_schedule(self.schedule_kind, self.n_steps, self.sigma_min, self.sigma_max)
         if self.n_per_class < 1:
             raise InvalidArgumentError("n_per_class must be >= 1")

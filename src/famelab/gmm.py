@@ -28,7 +28,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NotFoundError, check_class_id
+from .errors import InvalidArgumentError, NotFoundError, check_class_id, check_int
 
 PRESET_NAMES = ("balanced2d", "imbalanced2d")
 
@@ -382,7 +382,8 @@ def exact_sampler(spec: GmmSpec, rng: np.random.Generator, class_id=None, n: int
     component).  Draw order is fixed: component indices first, then one
     batch of unit normals, so results depend only on the rng seed.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    check_int("n", n)
+    if n < 1:
         raise InvalidArgumentError(f"n must be a positive integer, got {n!r}")
     r = spec._row(class_id)
     weights = spec._weights[r, : spec._width[r]]

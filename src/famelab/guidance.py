@@ -120,14 +120,6 @@ class GuidedSource:
         self.pool.check_compatible(schedule, self.dim, self.base.fingerprint())
         return self.pool.select_indices(seeds, class_ids)
 
-    def evaluation(self, k: int, T: int):
-        """What `step` at level k of T computes beyond x and the bound
-        records: the weights (a1, a0, an), and the pool it replays, None
-        where an = 0.  Sources over one base with equal evaluations give
-        equal outputs."""
-        a = weights(self.cfg, k, T)
-        return a, self.pool if a[2] != 0.0 else None
-
     def step(self, x, k, schedule: NoiseSchedule, class_ids, neg):
         """(guided output, conditional output) at level k of the schedule;
         neg is what `bind` returned for these trajectories."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ScorerFailedError
+from .errors import InvalidArgumentError, ScorerFailedError, check_int
 from .gmm import GmmSpec, _eval, noised_log_density, responsibilities
 
 # Quality tiers: class means below T_LOW are reported "low", above T_HIGH
@@ -293,7 +293,8 @@ def precision_recall(gen, real, k: int = KNN_K) -> tuple[float, float]:
     real = np.ascontiguousarray(np.atleast_2d(real), dtype=np.float64)
     if gen.shape[1] != real.shape[1]:
         raise InvalidArgumentError("sample sets have different dimensions")
-    if not isinstance(k, (int, np.integer)) or k < 1:
+    check_int("k", k)
+    if k < 1:
         raise InvalidArgumentError(f"k must be a positive integer, got {k!r}")
     if k >= len(gen) or k >= len(real):
         raise InvalidArgumentError(

@@ -228,23 +228,30 @@ class Experiment:
         return batch
 
     def sample_each(self, guidances):
-        """Yield, for each guidance setting in turn, what sample(guidance)
-        returns, or the FamelabError it raises; the steps before the
-        settings' guidance first differs are integrated once
-        (`sampler.sample_batches`)."""
+        """Yield, for each guidance setting in turn, the final states of
+        what sample(guidance) returns, or the FamelabError it raises; the
+        steps before the settings' guidance first differs or any of them
+        replays are integrated once (`sampler.sample_batches`).  Each batch
+        is dropped before its final states are handed over."""
         sources = [guided_source(self.base, self.pool(g), g) for g in guidances]
-        yield from sample_batches(sources, *self._sampling(False))
+        for out in sample_batches(sources, *self._sampling(False)):
+            if not isinstance(out, FamelabError):
+                out = self.final_states(out)
+            yield out
 
     def _by_class(self, batch):
         n = self.cfg.n_per_class
         return [(c, batch[b * n : (b + 1) * n]) for b, c in enumerate(self.classes)]
 
-    def evaluate(self, batch):
-        """Final samples grouped by class, their scores (one scorer call per
-        class), and their report against the reference sets."""
-        samples = {c: block["states"][:, -1].astype(np.float64) for c, block in self._by_class(batch)}
+    def final_states(self, batch) -> dict:
+        """The batch's final states as float64, grouped by class."""
+        return {c: block["states"][:, -1].astype(np.float64) for c, block in self._by_class(batch)}
+
+    def evaluate(self, samples):
+        """Scores of the final samples of each class (one scorer call per
+        class) and their report against the reference sets."""
         scores = {c: np.asarray(self.scorer(x, c), dtype=np.float64) for c, x in samples.items()}
-        return samples, scores, evaluate(samples, self.references, scores, spec=self.spec)
+        return scores, evaluate(samples, self.references, scores, spec=self.spec)
 
     def write_report(self, samples, report: EvalReport) -> None:
         """Write class_quality.csv, summary.json and report.txt, and in 2-D
@@ -266,10 +273,10 @@ def run_pipeline(cfg: ExperimentConfig) -> EvalReport:
     check_sample_size(cfg.n_per_class, len(exp.classes), exp.spec.dim)
     exp._path("config.echo").write_text(_dumps(config_to_dict(cfg)))
     exp.write_dataset()
-    batch = exp.stage("sample", lambda: exp.sample(cfg.guidance, cfg.save_trajectories))
+    samples = exp.stage("sample", lambda: exp.final_states(exp.sample(cfg.guidance, cfg.save_trajectories)))
 
     def evaluate_stage():
-        samples, _, report = exp.evaluate(batch)
+        _, report = exp.evaluate(samples)
         exp.write_report(samples, report)
         return report
 
@@ -284,7 +291,8 @@ def run_sweep(cfg: ExperimentConfig, sweep: SweepSpec) -> list:
     pool, and per-trajectory seeds; returns [(value, EvalReport | None), ...]
     and writes the table CSV.  The rows are sampled together
     (`Experiment.sample_each`): the steps before their guidance first
-    differs are integrated once, and each row is evaluated as it arrives.
+    differs or any row replays are integrated once, and each row is
+    evaluated as it arrives, from its final states alone.
     A failed row is recorded and skipped; a failed stage of the shared setup
     ends the sweep.  Every row's guidance is checked before anything is
     written, and the sample size before anything is sampled."""
@@ -297,15 +305,11 @@ def run_sweep(cfg: ExperimentConfig, sweep: SweepSpec) -> list:
     exp.pool(cfg.guidance)
     rows = []
     results = []
-    batches = exp.sample_each(guidances)
-    # next() rather than zip, whose reused result tuple would keep the last
-    # row's batch alive while the next one is sampled
-    for value in sweep.values:
-        batch = next(batches)
+    for value, samples in zip(sweep.values, exp.sample_each(guidances)):
         try:
-            if isinstance(batch, FamelabError):
-                raise batch
-            *_, report = exp.evaluate(batch)
+            if isinstance(samples, FamelabError):
+                raise samples
+            _, report = exp.evaluate(samples)
             rows.append(
                 f"{value:.9g},{report.frechet:.9g},{report.precision:.9g},"
                 f"{report.recall:.9g},{report.mean_score:.9g},"
@@ -317,8 +321,6 @@ def run_sweep(cfg: ExperimentConfig, sweep: SweepSpec) -> list:
         except FamelabError as exc:
             rows.append(f"{value:.9g},,,,,,failed: {type(exc).__name__}")
             results.append((value, None))
-        # drop this row's batch before the next one is sampled
-        del batch
     csv = "\n".join([_SWEEP_COLUMNS] + rows) + "\n"
     exp._path("reports", f"sweep_{sweep.axis}.csv").write_text(csv)
     return results
@@ -344,25 +346,27 @@ def compare_paired(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig) -> PairedCo
     """Run two guidance settings over identical per-trajectory seeds (hence
     identical initial noise) and report per-pair score deltas, b minus a.
     The sides are sampled together (`Experiment.sample_each`), so the steps
-    before their guidance first differs are integrated once."""
+    before their guidance first differs or either side replays are
+    integrated once."""
     if not _comparable(cfg_a, cfg_b):
         raise InvalidArgumentError("compared configs may differ only in guidance")
     exp = Experiment(replace(cfg_a, name=f"{cfg_a.name}_vs_{cfg_b.name}"))
     check_sample_size(cfg_a.n_per_class, len(exp.classes), exp.spec.dim)
     # the pool both sides share is built at b's w when b replays
     exp.pool(cfg_b.guidance)
-    batches = exp.sample_each([cfg_a.guidance, cfg_b.guidance])
+    finals = exp.sample_each([cfg_a.guidance, cfg_b.guidance])
 
     def sample():
-        batch = next(batches)
-        if isinstance(batch, FamelabError):
-            raise batch
-        return batch
+        samples = next(finals)
+        if isinstance(samples, FamelabError):
+            raise samples
+        return samples
 
     sides = []
     for _ in range(2):
-        batch = exp.stage("sample", sample)
-        sides.append(exp.stage("evaluate", lambda: exp.evaluate(batch)))
+        samples = exp.stage("sample", sample)
+        scores, report = exp.stage("evaluate", lambda: exp.evaluate(samples))
+        sides.append((samples, scores, report))
     (samples_a, scores_a, report_a), (samples_b, scores_b, report_b) = sides
 
     def pair_stage():

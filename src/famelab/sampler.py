@@ -5,12 +5,11 @@ from sigma_max down to 0.  The integrator consumes denoiser outputs, never raw
 scores: with score = (D - x)/sigma^2 the right-hand side is (x - D)/sigma, so
 guided composites (which are denoiser-space combinations) plug in uniformly.
 
-The sampler talks to a guided source (`guidance.GuidedSource`) through three
+The sampler talks to a guided source (`guidance.GuidedSource`) through two
 calls: `bind(schedule, seeds, class_ids)` once per chunk, which returns the
-pool record bound to each trajectory (or None), `step(x, k, schedule,
+pool record bound to each trajectory (or None), and `step(x, k, schedule,
 class_ids, neg)` per evaluation, which returns the guided output the
-integrator consumes and the conditional output it records, and
-`evaluation(k, T)`, which says what `step` combines at level k.  The guided
+integrator consumes and the conditional output it records.  The guided
 source in turn asks its base source for `denoise(x, sigma, mixtures)`, one
 output per mixture (an (n,) array of class ids, or None for the unconditional
 one, which enters only as CFG's d0 term: every trajectory is sampled for a
@@ -18,14 +17,15 @@ class).
 
 `sample_batches` samples the same trajectories through several guided
 sources over one base, as the rows of a sweep or the sides of a paired
-compare do.  Their evaluations agree, and so do their states, up to the fork:
-the first step at which one of them weighs its terms differently or replays
-another pool.  Replay is 0 before the last tau of normalised time, so an f
-sweep shares every step before the replay window.  Those steps are
-integrated once per chunk, through the first source; each source then
-resumes from the float64 state at the fork, and its batch is handed over
-before the next one is made.  `sample_batch` is the one-source case, whose
-fork is T.
+compare do.  Their states agree up to the fork: the first step at which
+`guidance.weights` weighs two sources' terms differently or any row
+replays.  Replay is 0 before the last tau of normalised time, so an f sweep
+shares every step before the replay window.  Those steps are integrated
+once per chunk, through the first source and with no pool bound; each
+source then binds its own pool records and resumes from the float64 state
+at the fork, and its batch is handed over before the next one is made.
+`sample_batch` is the one-source case: a lone source that replays runs
+each chunk to its fork and then on from there.
 
 Trajectories are processed in lockstep chunks of fixed width, one chunk after
 another.  Per-trajectory seeds derive from (base_seed, class, index), initial
@@ -54,8 +54,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoiser import MlpDenoiser, _denoise
-from .errors import DegeneratePointError, DivergedError, FamelabError, InvalidArgumentError, check_class_id
+from .errors import (
+    DegeneratePointError, DivergedError, FamelabError, InvalidArgumentError, check_class_id, check_int
+)
 from .gmm import GmmSpec, check_points
+from .guidance import weights
 from .schedule import NoiseSchedule, derive_seed, initial_noise, new_trajectories
 
 SAMPLER_METHODS = ("euler", "heun")
@@ -65,6 +68,12 @@ SAMPLER_METHODS = ("euler", "heun")
 CHUNK = 1024
 
 
+def check_method(method) -> None:
+    """Raise InvalidArgumentError unless method is one of SAMPLER_METHODS."""
+    if method not in SAMPLER_METHODS:
+        raise InvalidArgumentError(f"unknown method {method!r}; expected one of {SAMPLER_METHODS}")
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     schedule: NoiseSchedule
@@ -72,10 +81,7 @@ class SamplerConfig:
     record_outputs: bool = True
 
     def __post_init__(self):
-        if self.method not in SAMPLER_METHODS:
-            raise InvalidArgumentError(
-                f"unknown method {self.method!r}; expected one of {SAMPLER_METHODS}"
-            )
+        check_method(self.method)
 
 
 class AnalyticSource:
@@ -186,21 +192,17 @@ def _levels(cfg, k):
     return (k,)
 
 
-def _shared_steps(sources, cfg):
-    """(fork, replays): the first step at which two sources' evaluations
-    differ (T if none does), and whether any step before it replays pool
-    records.  Two evaluations are equal when their weights are, and, where
-    they replay, when they replay the same pool."""
+def _fork(sources, cfg):
+    """The first step at which a level it evaluates gives two sources
+    different weights, or any source a replay weight (T if none does): the
+    steps before it are the same for every source and replay nothing."""
     T = cfg.schedule.T
-    first, *rest = sources
-    replays = False
     for k in range(T):
         for j in _levels(cfg, k):
-            weights, pool = first.evaluation(j, T)
-            if any(w != weights or p is not pool for w, p in (s.evaluation(j, T) for s in rest)):
-                return k, replays
-            replays = replays or pool is not None
-    return T, replays
+            first, *rest = (weights(s.cfg, j, T) for s in sources)
+            if first[2] != 0.0 or any(a != first for a in rest):
+                return k
+    return T
 
 
 def sample_batches(sources, cfg: SamplerConfig, base_seed: int, class_ids, n_per_class: int):
@@ -208,20 +210,22 @@ def sample_batches(sources, cfg: SamplerConfig, base_seed: int, class_ids, n_per
     over one base; yields, source by source, the batch `sample_batch` would
     return for it, or the FamelabError it would raise.
 
-    The steps before the fork, the first step at which two sources'
-    evaluations differ, are the same for every source: they are integrated
-    once per chunk, through the first source.  Only their float32 rows and
-    each chunk's float64 state at the fork are kept; each source's batch is
-    then resumed from the fork, one batch at a time, so a sweep holds one
-    batch and the shared rows at once.  With one source the fork is T and
-    its batch is integrated in place.  Arguments are checked on the call,
-    the sampling runs as batches are taken.
+    The steps before the fork (`_fork`) are the same for every source and
+    replay nothing: they are integrated once per chunk, through the first
+    source, without binding a pool.  Only their float32 rows and each
+    chunk's float64 state at the fork are kept; each source then binds its
+    own pool records and resumes from the fork, one batch at a time, so a
+    sweep holds one batch and the shared rows at once.  A lone source's
+    shared steps go straight into its own batch.  Arguments are checked on
+    the call, the sampling runs as batches are taken.
     """
     sources = list(sources)
     if not sources:
         raise InvalidArgumentError("sample_batches needs at least one source")
     if any(s.base is not sources[0].base for s in sources):
         raise InvalidArgumentError("sources sampled together must share one base")
+    check_int("base_seed", base_seed)
+    check_int("n_per_class", n_per_class)
     if n_per_class < 1:
         raise InvalidArgumentError("n_per_class must be >= 1")
     if np.ndim(class_ids) != 1:
@@ -233,11 +237,11 @@ def sample_batches(sources, cfg: SamplerConfig, base_seed: int, class_ids, n_per
     classes = np.repeat(np.array(class_ids, dtype=np.int64), n_per_class)
     index = np.tile(np.arange(n_per_class), len(class_ids))
     seeds = derive_seed(base_seed, classes, index)
-    return _sample_rows(sources, cfg, seeds, classes, index, *_shared_steps(sources, cfg))
+    return _sample_rows(sources, cfg, seeds, classes, index, _fork(sources, cfg))
 
 
-def _sample_rows(sources, cfg, seeds, classes, index, fork, replays):
-    """sample_batches' generator, given the jobs and the shared steps."""
+def _sample_rows(sources, cfg, seeds, classes, index, fork):
+    """sample_batches' generator, given the jobs and the fork."""
     sched = cfg.schedule
     T, d, n = sched.T, sources[0].dim, len(seeds)
     chunks = [slice(lo, lo + CHUNK) for lo in range(0, n, CHUNK)]
@@ -252,36 +256,34 @@ def _sample_rows(sources, cfg, seeds, classes, index, fork, replays):
     # levels 0..fork and steps 0..fork-1 kept for every source to copy
     if len(sources) == 1:
         batch = new_batch()
-        head_states = batch["states"]
-        head_outputs = batch["outputs"] if cfg.record_outputs else None
+        head_states = batch["states"][:, : fork + 1]
+        head_outputs = batch["outputs"][:, :fork] if cfg.record_outputs else None
     else:
         head_states = np.empty((n, fork + 1, d), np.float32)
         head_outputs = np.empty((n, fork, d), np.float32) if cfg.record_outputs else None
 
-    # per chunk, the float64 state at the fork and the pool records the
-    # shared steps bound; a failure in them ends them at its chunk
-    forks, failure = [], None
+    # per chunk, the float64 state at the fork; a failure in the shared steps
+    # takes its chunk's place and ends them
+    forks = []
     for rows in chunks:
         try:
-            neg = sources[0].bind(sched, seeds[rows], classes[rows]) if replays else None
             x = initial_noise(seeds[rows], d) * sched.sigmas[0]
-            states, outputs = _integrate_chunk(sources[0], cfg, x, neg, classes[rows], index[rows], 0, fork)
+            states, outputs = _integrate_chunk(sources[0], cfg, x, None, classes[rows], index[rows], 0, fork)
         except FamelabError as exc:
-            failure = exc
+            forks.append(exc)
             break
         head_states[rows] = states
         if outputs is not None:
             head_outputs[rows] = outputs
-        forks.append((states[:, -1].copy(), neg))
+        forks.append(states[:, -1].copy())
         # free this chunk's float64 arrays before the next chunk allocates its own
         del states, outputs
 
     def resume(source):
         """The source's batch integrated from the fork to the end, or the
         first FamelabError sampling it alone raises: each chunk binds the
-        source's own pool records first, unless the shared steps bound them
-        (every source then replays that one pool), and a chunk whose shared
-        steps failed raises their failure."""
+        source's pool records first, and a chunk whose shared steps failed
+        then raises their failure."""
         if len(sources) == 1:
             out = batch
         else:
@@ -290,14 +292,10 @@ def _sample_rows(sources, cfg, seeds, classes, index, fork, replays):
             if head_outputs is not None:
                 out["outputs"][:, :fork] = head_outputs
         try:
-            for c, rows in enumerate(chunks):
-                own = None if replays else source.bind(sched, seeds[rows], classes[rows])
-                if c == len(forks):
-                    raise failure
-                x, shared = forks[c]
-                if fork == T:
-                    continue
-                neg = shared if replays else own
+            for rows, x in zip(chunks, forks):
+                neg = source.bind(sched, seeds[rows], classes[rows])
+                if isinstance(x, FamelabError):
+                    raise x
                 states, outputs = _integrate_chunk(source, cfg, x, neg, classes[rows], index[rows], fork, T)
                 out["states"][rows, fork:] = states
                 if outputs is not None:

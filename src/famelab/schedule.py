@@ -23,7 +23,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import InvalidArgumentError, MalformedFileError
+from .errors import InvalidArgumentError, MalformedFileError, check_int
 
 SCHEDULE_KINDS = ("linear-sigma", "karras-like")
 KARRAS_RHO = 7.0
@@ -152,7 +152,8 @@ def check_schedule(kind: str, T: int, sigma_min: float, sigma_max: float) -> Non
     arguments; builds no array, so a config can be checked without one."""
     if kind not in SCHEDULE_KINDS:
         raise InvalidArgumentError(f"unknown schedule kind {kind!r}; expected one of {SCHEDULE_KINDS}")
-    if not isinstance(T, (int, np.integer)) or T < 1:
+    check_int("T", T)
+    if T < 1:
         raise InvalidArgumentError(f"T must be a positive integer, got {T!r}")
     if not (0.0 < sigma_min < sigma_max) or not np.isfinite(sigma_max):
         raise InvalidArgumentError(

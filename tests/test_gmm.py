@@ -278,8 +278,9 @@ class TestExactSampler:
         assert a.shape == (5, 2)
 
     def test_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            exact_sampler(two_mode_1d(), np.random.default_rng(0), 1, 0)
+        for n in (0, True, 2.5):
+            with pytest.raises(InvalidArgumentError):
+                exact_sampler(two_mode_1d(), np.random.default_rng(0), 1, n)
 
 
 class TestProjectedDensity:

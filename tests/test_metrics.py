@@ -157,8 +157,9 @@ class TestPrecisionRecall:
 
     def test_validation(self):
         x = np.zeros((10, 2))
-        with pytest.raises(InvalidArgumentError):
-            precision_recall(x, x, k=0)
+        for k in (0, True, 2.0):
+            with pytest.raises(InvalidArgumentError):
+                precision_recall(x, x, k=k)
         with pytest.raises(InvalidArgumentError):
             precision_recall(x, x, k=10)
         with pytest.raises(InvalidArgumentError):

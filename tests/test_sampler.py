@@ -14,7 +14,7 @@ from famelab.errors import (
     NotFoundError,
 )
 from famelab.gmm import GmmComponent, GmmSpec, exact_sampler, preset
-from famelab.guidance import GuidanceConfig, GuidedSource, guided_source
+from famelab.guidance import FAME_DEFAULTS, GuidanceConfig, GuidedSource, guided_source
 from famelab.metrics import ComponentTagScorer, frechet_distance
 from famelab.pool import FailurePool, PoolBuildConfig, build_pool
 from famelab import sampler
@@ -361,9 +361,14 @@ class TestFailurePaths:
             sample_batch(src, self.cfg, 0, [1, 1], 2)
 
     def test_n_per_class_validated(self):
+        # and base_seed: a float seed would be truncated to another stream
         src = plain(AnalyticSource(preset("balanced2d")))
-        with pytest.raises(InvalidArgumentError):
-            sample_batch(src, self.cfg, 0, [1], 0)
+        for n in (0, True, 2.5, "3"):
+            with pytest.raises(InvalidArgumentError):
+                sample_batch(src, self.cfg, 0, [1], n)
+        for seed in (2.5, True, "2"):
+            with pytest.raises(InvalidArgumentError):
+                sample_batch(src, self.cfg, seed, [1], 2)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -549,25 +554,17 @@ class TestChunkInvariance:
     chunks."""
 
     def run(self, monkeypatch, pool, chunk):
-        """(batch, float64 states, float64 outputs) in job order."""
+        """(batch, float64 states, float64 outputs) in job order, each
+        chunk's rows assembled across its calls: up to the fork and on from
+        there."""
         spec = preset("imbalanced2d")
         cfg = SamplerConfig(schedule=make_schedule("karras-like", 16, 0.02, 8.0))
         source = guided_source(AnalyticSource(spec), pool, GuidanceConfig(w=1.5, f=0.05, tau=0.5))
-        chunks = []
-
-        def integrate(source, cfg, x, neg, class_ids, index, start, stop):
-            states, outputs = _integrate_chunk(source, cfg, x, neg, class_ids, index, start, stop)
-            chunks.append(((class_ids - 1) * 115 + index, start, stop, states, outputs))
-            return states, outputs
-
         monkeypatch.setattr(sampler, "CHUNK", chunk)
-        monkeypatch.setattr(sampler, "_integrate_chunk", integrate)
+        calls = record_chunks(monkeypatch, 115)
         batch = sample_batch(source, cfg, 12, [1, 2, 3], 115)
-        states, outputs = np.empty((345, 17, 2)), np.empty((345, 16, 2))
-        for rows, start, stop, s, o in chunks:
-            assert (start, stop) == (0, 16)
-            states[rows], outputs[rows] = s, o
-        assert sum(len(c[0]) for c in chunks) == 345
+        states, outputs = float64_rows(calls, 345, 16)
+        assert not np.isnan(states).any() and not np.isnan(outputs).any()
         return batch, states, outputs
 
     def test_chunk_width_does_not_matter(self, monkeypatch, replay_pool):
@@ -613,6 +610,10 @@ ANALYTIC_SWEEPS = {
         GuidanceConfig(w=2.0, f=0.05, tau=0.3, cfg_interval=(0.0, 0.5)),
         GuidanceConfig(w=2.0, cfg_interval=(0.0, 0.5)),
     ],
+    # equal weights throughout: the rows part where replay starts
+    "duplicate": [GuidanceConfig(w=1.5, f=0.05, tau=0.5)] * 2,
+    # CFG opens after replay starts, so the rows part at replay, not at CFG
+    "w-interval": [GuidanceConfig(w=w, f=0.05, tau=0.7, cfg_interval=(0.6, 1.0)) for w in (1.0, 1.5, 2.0)],
 }
 
 
@@ -739,15 +740,17 @@ class TestSharedStepCount:
     schedule (T=64 Heun, tau=0.3): an f sweep shares steps 0-43, 2 x 44 = 88
     evaluations, and each row adds 39 (20 steps, the last without a
     corrector), 88 + 4 x 39 = 244 per chunk; a w sweep differs from step 0
-    and costs 4 x 127 = 508."""
+    and costs 4 x 127 = 508; a lone FaME source runs to its fork and on from
+    there, 88 + 39 = 127, as in one pass."""
 
     @pytest.mark.parametrize(
         "guidances, per_chunk",
         [
             ([GuidanceConfig(w=1.0, f=f, tau=0.3) for f in (0.0, 0.02, 0.05, 0.1)], 244),
             ([GuidanceConfig(w=w, tau=0.3) for w in (1.0, 1.5, 2.0, 3.0)], 508),
+            ([FAME_DEFAULTS], 127),
         ],
-        ids=["f", "w"],
+        ids=["f", "w", "lone"],
     )
     def test_step_calls_per_chunk(self, monkeypatch, guidances, per_chunk):
         spec = preset("imbalanced2d")

@@ -54,8 +54,9 @@ class TestMakeSchedule:
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
             make_schedule("cosine", 10, 0.01, 1.0)
-        with pytest.raises(InvalidArgumentError):
-            make_schedule("linear-sigma", 0, 0.01, 1.0)
+        for T in (0, True, 10.0):
+            with pytest.raises(InvalidArgumentError):
+                make_schedule("linear-sigma", T, 0.01, 1.0)
         with pytest.raises(InvalidArgumentError):
             make_schedule("linear-sigma", 10, 1.0, 0.01)
         with pytest.raises(InvalidArgumentError):
