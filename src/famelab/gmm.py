@@ -244,8 +244,9 @@ class GmmSpec:
             self._cols[row] = cols[s.start]
             self._cols[row, :k], self._logw[row, :k], self._tags[row, :k] = cols[s], logw[s], tags[s]
         self._logw[-1] += [math.log(self.class_priors[cid]) for cid in ids for _ in self.classes[cid]]
-        # exact_sampler's draw weights, exp(logw), 0 past each width
-        self._weights = np.exp(self._logw)
+        # exact_sampler's component CDF of each row, from weights exp(logw)
+        weights = np.exp(self._logw)
+        self._cdfs = [choice_cdf(w[:k] / w[:k].sum()) for w, k in zip(weights, self._width)]
 
     def _row(self, class_id):
         """The mixture-table row of one class id, or of the marginal for None."""
@@ -375,6 +376,16 @@ def responsibilities(spec: GmmSpec, x, class_id=None, sigma: float = 0.0):
     return resp[0] if single else resp
 
 
+def choice_cdf(p):
+    """The CDF `Generator.choice(len(p), size=n, p=p)` draws from: p.cumsum()
+    divided by its last entry.  cdf.searchsorted(rng.random(n), side="right")
+    takes the same indices, and the same draws from rng, as that call, without
+    checking p again on each one."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def exact_sampler(spec: GmmSpec, rng: np.random.Generator, class_id=None, n: int = 1) -> np.ndarray:
     """Draw exact clean samples, shape (n, d).
 
@@ -386,8 +397,7 @@ def exact_sampler(spec: GmmSpec, rng: np.random.Generator, class_id=None, n: int
     if n < 1:
         raise InvalidArgumentError(f"n must be a positive integer, got {n!r}")
     r = spec._row(class_id)
-    weights = spec._weights[r, : spec._width[r]]
-    idx = rng.choice(len(weights), size=n, p=weights / weights.sum())
+    idx = spec._cdfs[r].searchsorted(rng.random(n), side="right")
     z = rng.standard_normal((n, spec.dim))
     out = np.empty((n, spec.dim))
     for k in np.unique(idx):

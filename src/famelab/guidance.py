@@ -120,15 +120,17 @@ class GuidedSource:
         self.pool.check_compatible(schedule, self.dim, self.base.fingerprint())
         return self.pool.select_indices(seeds, class_ids)
 
-    def step(self, x, k, schedule: NoiseSchedule, class_ids, neg):
+    def step(self, x, k, schedule: NoiseSchedule, class_ids, neg, scratch=None):
         """(guided output, conditional output) at level k of the schedule;
-        neg is what `bind` returned for these trajectories."""
+        neg is what `bind` returned for these trajectories, and scratch,
+        the sampler's work dict for this chunk segment, goes to the base's
+        `denoise`."""
         a1, a0, an = weights(self.cfg, k, schedule.T)
         sigma = schedule.sigmas[k]
         if a0 != 0.0:
-            d1, d0 = self.base.denoise(x, sigma, [class_ids, None])
+            d1, d0 = self.base.denoise(x, sigma, [class_ids, None], scratch=scratch)
         else:
-            [d1], d0 = self.base.denoise(x, sigma, [class_ids]), None
+            [d1], d0 = self.base.denoise(x, sigma, [class_ids], scratch=scratch), None
         d_neg = self.pool.replay_outputs(neg, k) if an != 0.0 else None
         return blend(a1, a0, an, d1, d0, d_neg), d1
 

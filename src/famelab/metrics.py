@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, ScorerFailedError, check_int
-from .gmm import GmmSpec, _eval, noised_log_density, responsibilities
+from .gmm import GmmSpec, _eval, check_points, noised_log_density, responsibilities
 
 # Quality tiers: class means below T_LOW are reported "low", above T_HIGH
 # "top", anything between lands in the inconsistent middle band.
@@ -25,6 +25,8 @@ T_LOW = 2.0
 T_HIGH = 2.5
 
 OUTLIER_MAHALANOBIS = 4.0
+# rows per mode-assignment pass, whatever the number of samples
+MODE_BLOCK = 1024
 
 # k of the k-NN precision/recall, and the points per side evaluate thins to
 KNN_K = 3
@@ -325,10 +327,17 @@ def assign_modes(spec, samples, class_id=None):
     mixture, or -1 when no component is within OUTLIER_MAHALANOBIS
     deviations.
     One evaluation at sigma = 0 gives both: there the quadratic form is the
-    squared Mahalanobis distance."""
-    _, (_, r, _, m2) = _eval(spec, samples, 0.0, class_id)
-    idx = r.argmax(axis=1)
-    return np.where(m2.min(axis=1) > OUTLIER_MAHALANOBIS**2, -1, idx)
+    squared Mahalanobis distance.  The samples are evaluated MODE_BLOCK rows
+    at a time, so the scratch does not grow with their number; the kernel is
+    row-independent, so each block gives the bits of the whole set."""
+    _, X = check_points(spec, samples, 0.0)
+    assign = np.empty(len(X), dtype=np.intp)
+    # an empty set is one empty block, so its class id is still checked
+    for lo in range(0, max(len(X), 1), MODE_BLOCK):
+        _, (_, r, _, m2) = _eval(spec, X[lo : lo + MODE_BLOCK], 0.0, class_id)
+        idx = r.argmax(axis=1)
+        assign[lo : lo + len(idx)] = np.where(m2.min(axis=1) > OUTLIER_MAHALANOBIS**2, -1, idx)
+    return assign
 
 
 def mode_stats(spec, samples, class_id=None) -> ModeStats:

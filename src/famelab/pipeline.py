@@ -224,7 +224,7 @@ class Experiment:
         batch = sample_batch(source, *self._sampling(save_trajectories))
         if save_trajectories:
             for c, block in self._by_class(batch):
-                self._path("trajectories", f"class_{c}.traj").write_bytes(block.tobytes())
+                self._path("trajectories", f"class_{c}.traj").write_bytes(block)
         return batch
 
     def sample_each(self, guidances):

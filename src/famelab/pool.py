@@ -218,7 +218,7 @@ def save_pool(pool: FailurePool, path) -> None:
                 pool.source_hash,
             )
         )
-        fh.write(pool.records.tobytes())
+        fh.write(pool.records)
 
 
 def load_pool(path) -> FailurePool:

@@ -8,12 +8,16 @@ guided composites (which are denoiser-space combinations) plug in uniformly.
 The sampler talks to a guided source (`guidance.GuidedSource`) through two
 calls: `bind(schedule, seeds, class_ids)` once per chunk, which returns the
 pool record bound to each trajectory (or None), and `step(x, k, schedule,
-class_ids, neg)` per evaluation, which returns the guided output the
-integrator consumes and the conditional output it records.  The guided
-source in turn asks its base source for `denoise(x, sigma, mixtures)`, one
-output per mixture (an (n,) array of class ids, or None for the unconditional
-one, which enters only as CFG's d0 term: every trajectory is sampled for a
-class).
+class_ids, neg, scratch)` per evaluation, which returns the guided output
+the integrator consumes and the conditional output it records.  The guided
+source in turn asks its base source for `denoise(x, sigma, mixtures,
+scratch=None)`, one output per mixture (an (n,) array of class ids, or None
+for the unconditional one, which enters only as CFG's d0 term: every
+trajectory is sampled for a class).  scratch is a dict `_integrate_chunk`
+makes for one chunk segment and passes to every step of it: a base source
+may keep work buffers there across the segment's calls (the neural source
+keeps its two hidden-layer buffers), and they are freed with the segment,
+not kept by the source.  The analytic source ignores it.
 
 `sample_batches` samples the same trajectories through several guided
 sources over one base, as the rows of a sweep or the sides of a paired
@@ -42,9 +46,10 @@ each row over its own mixture's, in the same order as a per-class evaluation
 of that row.  The MLP is not row-independent: BLAS may accumulate a row's
 matmul differently with the number of rows beside it, so a neural row's
 float64 bits depend on its chunk.  The neural source calls the MLP's inference
-forward (`denoiser._denoise`), which keeps no activations and reuses two
-hidden-layer buffers; it gives the same bits as the training forward that
-backpropagation uses.  The test suite asserts cross-layout equality.
+forward (`denoiser._denoise`), which keeps no activations and runs its
+hidden layers in the segment's two scratch buffers; it gives the same bits
+as the training forward that backpropagation uses.  The test suite asserts
+cross-layout equality.
 """
 
 from __future__ import annotations
@@ -97,8 +102,9 @@ class AnalyticSource:
         self.spec = spec
         self.dim = spec.dim
 
-    def denoise(self, x, sigma, mixtures):
-        """The posterior mean under each of `GmmSpec.evaluate`'s mixtures."""
+    def denoise(self, x, sigma, mixtures, scratch=None):
+        """The posterior mean under each of `GmmSpec.evaluate`'s mixtures;
+        scratch is not used."""
         sigma = float(sigma)
         if not sigma > 0:
             raise InvalidArgumentError(f"denoiser needs sigma > 0, got {sigma}")
@@ -119,15 +125,16 @@ class NeuralSource:
         self.model = model
         self.dim = model.dim
 
-    def denoise(self, x, sigma, mixtures):
+    def denoise(self, x, sigma, mixtures, scratch=None):
         """D(x; sigma, c) for each mixture, an (n,) array of class tokens or
-        None for the null token."""
+        None for the null token; every pass runs its hidden layers in the
+        buffers of scratch (a dict), made there on first use."""
         n = len(x)
         sig = np.full(n, float(sigma))
         out = []
         for m in mixtures:
             tokens = np.zeros(n, dtype=np.int64) if m is None else np.asarray(m, dtype=np.int64)
-            out.append(_denoise(self.model.params, x, sig, tokens))
+            out.append(_denoise(self.model.params, x, sig, tokens, scratch))
         return out
 
     def fingerprint(self) -> int:
@@ -140,7 +147,8 @@ def _integrate_chunk(source, cfg, x, neg, class_ids, index, start, stop):
     `source.bind` returned for these trajectories.  Returns (states, outputs
     or None): the states at levels start..stop, x first, and the conditional
     denoiser outputs `source.step` hands back with each guided one at steps
-    start..stop-1.
+    start..stop-1.  Every step gets the same new scratch dict, which is
+    dropped on return.
 
     index gives each trajectory's index within its class, which a
     DivergedError reports with its class id.
@@ -151,6 +159,7 @@ def _integrate_chunk(source, cfg, x, neg, class_ids, index, start, stop):
     states = np.empty((n, stop - start + 1, d))
     states[:, 0] = x
     outputs = np.empty((n, stop - start, d)) if cfg.record_outputs else None
+    scratch = {}
 
     def fail(arr, step):
         # first non-finite row, or the farthest-flung row if the denoiser
@@ -162,7 +171,7 @@ def _integrate_chunk(source, cfg, x, neg, class_ids, index, start, stop):
     def guided(x, j, k):
         # evaluated at level j; a failure is reported at step k
         try:
-            return source.step(x, j, sched, class_ids, neg)
+            return source.step(x, j, sched, class_ids, neg, scratch)
         except DegeneratePointError:
             fail(x, k)
 
@@ -241,7 +250,9 @@ def sample_batches(sources, cfg: SamplerConfig, base_seed: int, class_ids, n_per
 
 
 def _sample_rows(sources, cfg, seeds, classes, index, fork):
-    """sample_batches' generator, given the jobs and the fork."""
+    """sample_batches' generator, given the jobs and the fork.  Each batch
+    is made and handed over inside one call, so no local of the suspended
+    generator holds it while the caller uses it."""
     sched = cfg.schedule
     T, d, n = sched.T, sources[0].dim, len(seeds)
     chunks = [slice(lo, lo + CHUNK) for lo in range(0, n, CHUNK)]
@@ -252,45 +263,34 @@ def _sample_rows(sources, cfg, seeds, classes, index, fork):
         batch["seed"] = seeds
         return batch
 
-    # where the shared steps are rounded to: a lone source's own batch, else
-    # levels 0..fork and steps 0..fork-1 kept for every source to copy
-    if len(sources) == 1:
-        batch = new_batch()
-        head_states = batch["states"][:, : fork + 1]
-        head_outputs = batch["outputs"][:, :fork] if cfg.record_outputs else None
-    else:
-        head_states = np.empty((n, fork + 1, d), np.float32)
-        head_outputs = np.empty((n, fork, d), np.float32) if cfg.record_outputs else None
+    def shared(into_states, into_outputs):
+        """Integrate each chunk's shared steps through the first source,
+        rounding levels 0..fork into into_states and steps 0..fork-1 into
+        into_outputs (None when not recorded).  Returns per chunk the float64
+        state at the fork; a failure takes its chunk's place and ends them."""
+        forks = []
+        for rows in chunks:
+            try:
+                x = initial_noise(seeds[rows], d) * sched.sigmas[0]
+                states, outputs = _integrate_chunk(
+                    sources[0], cfg, x, None, classes[rows], index[rows], 0, fork
+                )
+            except FamelabError as exc:
+                forks.append(exc)
+                break
+            into_states[rows] = states
+            if outputs is not None:
+                into_outputs[rows] = outputs
+            forks.append(states[:, -1].copy())
+            # free this chunk's float64 arrays before the next chunk allocates its own
+            del states, outputs
+        return forks
 
-    # per chunk, the float64 state at the fork; a failure in the shared steps
-    # takes its chunk's place and ends them
-    forks = []
-    for rows in chunks:
-        try:
-            x = initial_noise(seeds[rows], d) * sched.sigmas[0]
-            states, outputs = _integrate_chunk(sources[0], cfg, x, None, classes[rows], index[rows], 0, fork)
-        except FamelabError as exc:
-            forks.append(exc)
-            break
-        head_states[rows] = states
-        if outputs is not None:
-            head_outputs[rows] = outputs
-        forks.append(states[:, -1].copy())
-        # free this chunk's float64 arrays before the next chunk allocates its own
-        del states, outputs
-
-    def resume(source):
-        """The source's batch integrated from the fork to the end, or the
-        first FamelabError sampling it alone raises: each chunk binds the
-        source's pool records first, and a chunk whose shared steps failed
-        then raises their failure."""
-        if len(sources) == 1:
-            out = batch
-        else:
-            out = new_batch()
-            out["states"][:, : fork + 1] = head_states
-            if head_outputs is not None:
-                out["outputs"][:, :fork] = head_outputs
+    def resume(source, out, forks):
+        """out, which holds the shared steps, integrated through the source
+        from the fork to the end, or the first FamelabError sampling it alone
+        raises: each chunk binds the source's pool records first, and a chunk
+        whose shared steps failed then raises their failure."""
         try:
             for rows, x in zip(chunks, forks):
                 neg = source.bind(sched, seeds[rows], classes[rows])
@@ -305,8 +305,30 @@ def _sample_rows(sources, cfg, seeds, classes, index, fork):
             return exc
         return out
 
+    def alone(source):
+        # a lone source's shared steps go straight into its own batch
+        out = new_batch()
+        head_outputs = out["outputs"][:, :fork] if cfg.record_outputs else None
+        return resume(source, out, shared(out["states"][:, : fork + 1], head_outputs))
+
+    if len(sources) == 1:
+        yield alone(sources[0])
+        return
+
+    # levels 0..fork and steps 0..fork-1, kept for every source to copy
+    head_states = np.empty((n, fork + 1, d), np.float32)
+    head_outputs = np.empty((n, fork, d), np.float32) if cfg.record_outputs else None
+    forks = shared(head_states, head_outputs)
+
+    def with_head():
+        out = new_batch()
+        out["states"][:, : fork + 1] = head_states
+        if head_outputs is not None:
+            out["outputs"][:, :fork] = head_outputs
+        return out
+
     for source in sources:
-        yield resume(source)
+        yield resume(source, with_head(), forks)
 
 
 def sample_batch(

@@ -16,6 +16,9 @@ means agree to rounding instead.  The score, which the package no longer compute
 the responsibility-weighted -Sigma_sigma^-1 (x - mu) of each component.
 `assign_modes_two_pass` is the earlier mode assignment: the
 responsibilities, then a second pass for the einsum Mahalanobis distance.
+`exact_sampler_choice` is the earlier exact sampler, which drew component
+indices with `Generator.choice` over the row's weights; the package's draw
+from a cached CDF must give its bits and leave the generator as it did.
 `precision_recall_dense` is the earlier k-NN precision/recall on full
 `cdist` matrices, which the package's grid search must match exactly.
 `select_indices_buckets` is the earlier failure-pool binding, one index
@@ -158,6 +161,22 @@ def assign_modes_two_pass(spec, samples, class_id=None, max_mahalanobis=4.0):
     X = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     idx = gmm_eval(X, *mixture_arrays(spec, class_id), 0.0)[1].argmax(axis=1)
     return np.where(mahalanobis_sq(spec, X, class_id).min(axis=1) > max_mahalanobis**2, -1, idx)
+
+
+def exact_sampler_choice(spec, rng, class_id, n):
+    """Exact clean samples, component indices by `rng.choice` with the
+    weights exp(logw) of the mixture's row, then one batch of unit normals."""
+    r = spec._row(class_id)
+    weights = np.exp(spec._logw)[r, : spec._width[r]]
+    idx = rng.choice(len(weights), size=n, p=weights / weights.sum())
+    z = rng.standard_normal((n, spec.dim))
+    out = np.empty((n, spec.dim))
+    for k in np.unique(idx):
+        rows = idx == k
+        e = spec._cols[r, k]
+        scaled = z[rows] * np.sqrt(spec.lams[e])[None, :]
+        out[rows] = spec.means[e][None, :] + scaled @ spec.qmats[e].T
+    return out
 
 
 def precision_recall_dense(gen, real, k):

@@ -390,6 +390,24 @@ class TestInferenceForward:
         np.testing.assert_array_equal(s, want_s)
         np.testing.assert_array_equal(_silu_grad(a, s), oracle_silu_grad(a, want_s))
 
+    def test_scratch_gives_the_same_bits(self):
+        """Buffers kept in a scratch dict, fresh, reused at the same n or
+        remade at another, give the bits of a call without scratch, and the
+        output never lives in them."""
+        params = perturbed_params(2, 8, seed=33)
+        rng = np.random.default_rng(34)
+        scratch = {}
+        for n in (3, 1024, 1024, 7):
+            X = 3.0 * rng.standard_normal((n, 2))
+            sig = np.exp(rng.uniform(np.log(0.01), np.log(10.0), n))
+            tokens = rng.integers(0, 9, n)
+            before = scratch.get("hidden")
+            got = _denoise(params, X, sig, tokens, scratch)
+            np.testing.assert_array_equal(got, _denoise(params, X, sig, tokens))
+            assert [b.shape for b in scratch["hidden"]] == [(n, HIDDEN)] * 2
+            assert (scratch["hidden"] is before) == (before is not None and len(before[0]) == n)
+            assert not any(np.shares_memory(got, b) for b in scratch["hidden"])
+
     def test_peak_allocation_is_about_two_hidden_buffers(self):
         n = 1024
         params = perturbed_params(2, 8, seed=25)

@@ -23,6 +23,7 @@ from famelab.gmm import (
     GmmComponent,
     GmmSpec,
     check_points,
+    choice_cdf,
     exact_sampler,
     load_spec,
     noised_log_density,
@@ -31,7 +32,7 @@ from famelab.gmm import (
     sample_clean_batch,
     save_spec,
 )
-from tests.oracles import analytic_score, ideal_denoiser, mixture_arrays
+from tests.oracles import analytic_score, exact_sampler_choice, ideal_denoiser, mixture_arrays
 
 
 def projected_density_1d(spec: GmmSpec, u, class_id=None):
@@ -240,6 +241,17 @@ class TestResponsibilities:
         np.testing.assert_allclose(m2[:, 0], [(1.0**2) / 0.25, 4.0**2 / 1.0], rtol=1e-12)
 
 
+def assert_draws_like_choice(cdf, weights):
+    """cdf.searchsorted over rng.random(n) equals rng.choice with the
+    normalised weights, indices and generator state, over many seeds and n."""
+    for seed in range(40):
+        for n in (1, 3, 256):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = a.choice(len(weights), size=n, p=weights / weights.sum())
+            np.testing.assert_array_equal(cdf.searchsorted(b.random(n), side="right"), want)
+            assert a.bit_generator.state == b.bit_generator.state
+
+
 class TestExactSampler:
     def test_moments(self):
         spec = skewed_2d()
@@ -281,6 +293,25 @@ class TestExactSampler:
         for n in (0, True, 2.5):
             with pytest.raises(InvalidArgumentError):
                 exact_sampler(two_mode_1d(), np.random.default_rng(0), 1, n)
+
+    @pytest.mark.parametrize("name", ["balanced2d", "imbalanced2d", "skewed"])
+    def test_draws_match_generator_choice(self, name):
+        """Every mixture row's cached CDF takes the indices `Generator.choice`
+        takes with the row's weights and leaves the generator in the same
+        state, so exact_sampler gives the choice-based sampler's bits; the
+        class priors `train` draws from do the same through `choice_cdf`."""
+        spec = skewed_2d() if name == "skewed" else preset(name)
+        for class_id in [*spec.class_ids, None]:
+            r = spec._row(class_id)
+            assert_draws_like_choice(spec._cdfs[r], np.exp(spec._logw)[r, : spec._width[r]])
+            for seed in range(40):
+                for n in (1, 3, 256):
+                    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                    want = exact_sampler_choice(spec, a, class_id, n)
+                    assert exact_sampler(spec, b, class_id, n).tobytes() == want.tobytes()
+                    assert a.bit_generator.state == b.bit_generator.state
+        priors = np.array([spec.class_priors[c] for c in spec.class_ids])
+        assert_draws_like_choice(choice_cdf(priors / priors.sum()), priors)
 
 
 class TestProjectedDensity:

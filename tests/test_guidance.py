@@ -254,9 +254,9 @@ class SpyBase:
     def fingerprint(self):
         return self.base.fingerprint()
 
-    def denoise(self, x, sigma, mixtures):
+    def denoise(self, x, sigma, mixtures, scratch=None):
         self.asked.append(len(mixtures))
-        return self.base.denoise(x, sigma, mixtures)
+        return self.base.denoise(x, sigma, mixtures, scratch)
 
 
 @pytest.fixture(scope="module")

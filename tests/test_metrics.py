@@ -7,6 +7,7 @@ constructions with known divergence.
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,11 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, linalg
 
-from famelab.errors import InvalidArgumentError, ScorerFailedError
-from famelab.gmm import exact_sampler, preset
+from famelab.errors import InvalidArgumentError, NotFoundError, ScorerFailedError
+from famelab.gmm import _eval, exact_sampler, preset
 from famelab.metrics import (
     KNN_K,
     KNN_MAX,
+    OUTLIER_MAHALANOBIS,
     ComponentTagScorer,
     ExternalScorer,
     LogDensityScorer,
@@ -523,6 +525,32 @@ class TestModeAssignment:
             np.testing.assert_array_equal(got, assign_modes_two_pass(spec, x, class_id))
             at_cutoff = got[len(x) - len(near) :]
             assert (at_cutoff == -1).any() and (at_cutoff >= 0).any()
+
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 8000])
+    def test_blocks_match_whole_set(self, n):
+        """Blocks of MODE_BLOCK rows assign exactly as one `_eval` over the
+        whole set, for every class and the marginal, an empty set included."""
+        spec = preset("imbalanced2d")
+        x = np.random.default_rng(32).standard_normal((n, 2)) * 4.0
+        for class_id in [None, *spec.class_ids]:
+            _, (_, r, _, m2) = _eval(spec, x, 0.0, class_id)
+            want = np.where(m2.min(axis=1) > OUTLIER_MAHALANOBIS**2, -1, r.argmax(axis=1))
+            got = assign_modes(spec, x, class_id)
+            assert got.dtype == want.dtype and got.shape == (n,)
+            np.testing.assert_array_equal(got, want)
+        with pytest.raises(NotFoundError):
+            assign_modes(spec, x, 99)
+
+    def test_peak_memory_does_not_grow_with_the_set(self):
+        spec = preset("imbalanced2d")
+        x = exact_sampler(spec, np.random.default_rng(33), class_id=None, n=8000)
+        tracemalloc.start()
+        try:
+            assign_modes(spec, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20, peak
 
     def test_mode_stats_fractions(self):
         spec = preset("imbalanced2d")

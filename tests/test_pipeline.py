@@ -1,8 +1,10 @@
 """End-to-end pipeline stages, artifact layout, determinism, sweeps, pairs."""
 
+import gc
 import json
 import shlex
 import sys
+import weakref
 from xml.dom import minidom
 
 import numpy as np
@@ -13,7 +15,7 @@ from famelab.denoiser import MlpDenoiser, save_checkpoint
 from famelab.errors import InvalidArgumentError, PipelineStageError
 from famelab.guidance import GuidanceConfig
 from famelab.metrics import ComponentTagScorer
-from famelab import pipeline
+from famelab import pipeline, sampler
 from famelab.pipeline import Experiment, compare_paired, run_pipeline, run_sweep
 
 
@@ -206,6 +208,31 @@ class TestRunSweep:
         assert swept.mean_score == direct.mean_score
         assert swept.frechet == direct.frechet
         assert swept.bad_mode_fraction == direct.bad_mode_fraction
+
+    @pytest.mark.parametrize("values", [(0.02,), (0.0, 0.02)])
+    def test_no_batch_alive_while_rows_are_evaluated(self, tmp_path, monkeypatch, values):
+        """A row is evaluated from its final states alone: no trajectory
+        batch the sampler made, the pool's candidates or any row's, is still
+        alive then, also when the sweep has one row."""
+        made, alive = [], []
+        new_trajectories = sampler.new_trajectories
+        evaluate = Experiment.evaluate
+
+        def tracked(*args):
+            batch = new_trajectories(*args)
+            made.append(weakref.ref(batch))
+            return batch
+
+        def counted(self, samples):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in made))
+            return evaluate(self, samples)
+
+        monkeypatch.setattr(sampler, "new_trajectories", tracked)
+        monkeypatch.setattr(Experiment, "evaluate", counted)
+        run_sweep(base_config(tmp_path), SweepSpec("f", values))
+        assert len(made) == 1 + len(values)
+        assert alive == [0] * len(values)
 
     def test_rows_share_pool_and_seeds(self, tmp_path):
         # f=0 row must be identical to a plain CFG pipeline run: same seeds,

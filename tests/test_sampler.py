@@ -17,7 +17,7 @@ from famelab.gmm import GmmComponent, GmmSpec, exact_sampler, preset
 from famelab.guidance import FAME_DEFAULTS, GuidanceConfig, GuidedSource, guided_source
 from famelab.metrics import ComponentTagScorer, frechet_distance
 from famelab.pool import FailurePool, PoolBuildConfig, build_pool
-from famelab import sampler
+from famelab import denoiser, sampler
 from famelab.sampler import (
     AnalyticSource,
     NeuralSource,
@@ -258,6 +258,40 @@ class TestNeuralDeterminism:
         np.testing.assert_array_equal(rec["states"], states.astype(np.float32))
 
 
+class _ScratchSpy(GuidedSource):
+    """A guided source that keeps every scratch dict its steps are given."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.scratches = []
+
+    def step(self, x, k, schedule, class_ids, neg, scratch=None):
+        self.scratches.append(scratch)
+        return super().step(x, k, schedule, class_ids, neg, scratch)
+
+
+class TestScratch:
+    def test_one_scratch_per_integrate_call(self, model):
+        """Every step of one `_integrate_chunk` call gets the same dict, in
+        which the MLP keeps its hidden buffers, and the next call a new one."""
+        sched = make_schedule("karras-like", 8, 0.05, 8.0)
+        cfg = SamplerConfig(schedule=sched, method="heun")
+        spy = _ScratchSpy(NeuralSource(model), None, GuidanceConfig(w=1.5))
+        seeds = derive_seed(3, 1, np.arange(5))
+        x = initial_noise(seeds, 2) * sched.sigmas[0]
+        calls = []
+        for _ in range(2):
+            spy.scratches = []
+            _integrate_chunk(spy, cfg, x, None, np.ones(5, np.int64), np.arange(5), 0, sched.T)
+            calls.append(spy.scratches)
+        first, second = calls
+        assert len(first) == len(second) == 2 * sched.T - 1
+        for seen in calls:
+            assert isinstance(seen[0], dict) and all(s is seen[0] for s in seen)
+            assert [b.shape for b in seen[0]["hidden"]] == [(5, denoiser.HIDDEN)] * 2
+        assert second[0] is not first[0]
+
+
 class _BlowupSource:
     """Poisons one chosen row once sigma falls to a given level.  A huge
     finite output would not do: the update x + h*(x - D)/sigma moves toward
@@ -273,7 +307,7 @@ class _BlowupSource:
     def fingerprint(self):
         return 0
 
-    def denoise(self, x, sigma, mixtures):
+    def denoise(self, x, sigma, mixtures, scratch=None):
         out = np.array(x)
         if sigma <= self.below:
             out[self.bad_row] = np.inf
@@ -281,7 +315,7 @@ class _BlowupSource:
 
 
 class _UnderflowSource(_BlowupSource):
-    def denoise(self, x, sigma, mixtures):
+    def denoise(self, x, sigma, mixtures, scratch=None):
         if sigma <= self.below:
             raise DegeneratePointError("vanished")
         return [np.array(x) for _ in mixtures]
@@ -294,7 +328,7 @@ class _ClassBlowupSource(_BlowupSource):
         self.class_id = class_id
         self.below = below
 
-    def denoise(self, x, sigma, mixtures):
+    def denoise(self, x, sigma, mixtures, scratch=None):
         out = np.array(x)
         rows = np.flatnonzero(mixtures[0] == self.class_id)
         if sigma <= self.below and len(rows):
@@ -395,7 +429,7 @@ class _PerClassSource:
         self.spec = spec
         self.dim = spec.dim
 
-    def denoise(self, x, sigma, mixtures):
+    def denoise(self, x, sigma, mixtures, scratch=None):
         return [self.one(x, float(sigma), m) for m in mixtures]
 
     def one(self, x, sigma, class_ids):
