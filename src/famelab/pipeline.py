@@ -37,7 +37,7 @@ from .metrics import (
 )
 from .plots import mode_scatter_svg, side_by_side_svg
 from .pool import PoolBuildConfig, build_pool, load_pool, save_pool
-from .sampler import AnalyticSource, NeuralSource, SamplerConfig, sample_batch, sample_batches
+from .sampler import AnalyticSource, NeuralSource, SamplerConfig, sample_batch, sample_finals
 from .schedule import derive_seed, make_schedule
 
 # stage stream keys; distinct constants keep the seed chains disjoint
@@ -227,17 +227,14 @@ class Experiment:
                 self._path("trajectories", f"class_{c}.traj").write_bytes(block)
         return batch
 
-    def sample_each(self, guidances):
-        """Yield, for each guidance setting in turn, the final states of
-        what sample(guidance) returns, or the FamelabError it raises; the
-        steps before the settings' guidance first differs or any of them
-        replays are integrated once (`sampler.sample_batches`).  Each batch
-        is dropped before its final states are handed over."""
+    def sample_each(self, guidances) -> list:
+        """For each guidance setting, the final states of what
+        sample(guidance) returns, grouped by class, or the FamelabError it
+        raises; the steps before the settings' guidance first differs or
+        any of them replays are integrated once (`sampler.sample_finals`)."""
         sources = [guided_source(self.base, self.pool(g), g) for g in guidances]
-        for out in sample_batches(sources, *self._sampling(False)):
-            if not isinstance(out, FamelabError):
-                out = self.final_states(out)
-            yield out
+        finals = sample_finals(sources, *self._sampling(False))
+        return [out if isinstance(out, FamelabError) else dict(self._by_class(out)) for out in finals]
 
     def _by_class(self, batch):
         n = self.cfg.n_per_class
@@ -292,7 +289,7 @@ def run_sweep(cfg: ExperimentConfig, sweep: SweepSpec) -> list:
     and writes the table CSV.  The rows are sampled together
     (`Experiment.sample_each`): the steps before their guidance first
     differs or any row replays are integrated once, and each row is
-    evaluated as it arrives, from its final states alone.
+    evaluated from its final states alone.
     A failed row is recorded and skipped; a failed stage of the shared setup
     ends the sweep.  Every row's guidance is checked before anything is
     written, and the sample size before anything is sampled."""
@@ -305,7 +302,7 @@ def run_sweep(cfg: ExperimentConfig, sweep: SweepSpec) -> list:
     exp.pool(cfg.guidance)
     rows = []
     results = []
-    for value, samples in zip(sweep.values, exp.sample_each(guidances)):
+    for value, samples in zip(sweep.values, exp.stage("sample", lambda: exp.sample_each(guidances))):
         try:
             if isinstance(samples, FamelabError):
                 raise samples
@@ -354,17 +351,16 @@ def compare_paired(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig) -> PairedCo
     check_sample_size(cfg_a.n_per_class, len(exp.classes), exp.spec.dim)
     # the pool both sides share is built at b's w when b replays
     exp.pool(cfg_b.guidance)
-    finals = exp.sample_each([cfg_a.guidance, cfg_b.guidance])
 
     def sample():
-        samples = next(finals)
-        if isinstance(samples, FamelabError):
-            raise samples
-        return samples
+        finals = exp.sample_each([cfg_a.guidance, cfg_b.guidance])
+        for samples in finals:
+            if isinstance(samples, FamelabError):
+                raise samples
+        return finals
 
     sides = []
-    for _ in range(2):
-        samples = exp.stage("sample", sample)
+    for samples in exp.stage("sample", sample):
         scores, report = exp.stage("evaluate", lambda: exp.evaluate(samples))
         sides.append((samples, scores, report))
     (samples_a, scores_a, report_a), (samples_b, scores_b, report_b) = sides

@@ -19,17 +19,17 @@ may keep work buffers there across the segment's calls (the neural source
 keeps its two hidden-layer buffers), and they are freed with the segment,
 not kept by the source.  The analytic source ignores it.
 
-`sample_batches` samples the same trajectories through several guided
+`sample_finals` samples the same trajectories through several guided
 sources over one base, as the rows of a sweep or the sides of a paired
-compare do.  Their states agree up to the fork: the first step at which
-`guidance.weights` weighs two sources' terms differently or any row
-replays.  Replay is 0 before the last tau of normalised time, so an f sweep
-shares every step before the replay window.  Those steps are integrated
-once per chunk, through the first source and with no pool bound; each
-source then binds its own pool records and resumes from the float64 state
-at the fork, and its batch is handed over before the next one is made.
-`sample_batch` is the one-source case: a lone source that replays runs
-each chunk to its fork and then on from there.
+compare do, and keeps only each source's final states.  Their states agree
+up to the fork: the first step at which `guidance.weights` weighs two
+sources' terms differently or any row replays.  Replay is 0 before the
+last tau of normalised time, so an f sweep shares every step before the
+replay window.  `sample_batch` is the one-source case and keeps every
+level.  Both run one chunk loop: a chunk's shared steps are integrated
+once, through the first source and with no pool bound, and each source
+then binds its own pool records and resumes from the float64 state at the
+fork.
 
 Trajectories are processed in lockstep chunks of fixed width, one chunk after
 another.  Per-trajectory seeds derive from (base_seed, class, index), initial
@@ -214,23 +214,11 @@ def _fork(sources, cfg):
     return T
 
 
-def sample_batches(sources, cfg: SamplerConfig, base_seed: int, class_ids, n_per_class: int):
-    """Sample the same trajectories through each of several guided sources
-    over one base; yields, source by source, the batch `sample_batch` would
-    return for it, or the FamelabError it would raise.
-
-    The steps before the fork (`_fork`) are the same for every source and
-    replay nothing: they are integrated once per chunk, through the first
-    source, without binding a pool.  Only their float32 rows and each
-    chunk's float64 state at the fork are kept; each source then binds its
-    own pool records and resumes from the fork, one batch at a time, so a
-    sweep holds one batch and the shared rows at once.  A lone source's
-    shared steps go straight into its own batch.  Arguments are checked on
-    the call, the sampling runs as batches are taken.
-    """
-    sources = list(sources)
+def _jobs(sources, base_seed, class_ids, n_per_class):
+    """Check a sampling call's arguments; returns its trajectories' (seeds,
+    class ids, index within class) in job order, class by class."""
     if not sources:
-        raise InvalidArgumentError("sample_batches needs at least one source")
+        raise InvalidArgumentError("sampling needs at least one source")
     if any(s.base is not sources[0].base for s in sources):
         raise InvalidArgumentError("sources sampled together must share one base")
     check_int("base_seed", base_seed)
@@ -245,90 +233,46 @@ def sample_batches(sources, cfg: SamplerConfig, base_seed: int, class_ids, n_per
         raise InvalidArgumentError(f"class ids must not repeat, got {list(class_ids)!r}")
     classes = np.repeat(np.array(class_ids, dtype=np.int64), n_per_class)
     index = np.tile(np.arange(n_per_class), len(class_ids))
-    seeds = derive_seed(base_seed, classes, index)
-    return _sample_rows(sources, cfg, seeds, classes, index, _fork(sources, cfg))
+    return derive_seed(base_seed, classes, index), classes, index
 
 
-def _sample_rows(sources, cfg, seeds, classes, index, fork):
-    """sample_batches' generator, given the jobs and the fork.  Each batch
-    is made and handed over inside one call, so no local of the suspended
-    generator holds it while the caller uses it."""
+def _sample(sources, cfg, seeds, classes, index, keep):
+    """Integrate the trajectories through each guided source, chunk by
+    chunk.  A chunk's steps before the fork (`_fork`) are integrated once,
+    through the first source with no pool bound, and handed to
+    keep(None, rows, 0, states, outputs); each live source then binds its
+    pool records and resumes from a copy of the float64 state at the fork,
+    and its steps go to keep(i, rows, fork, states, outputs).  The shared
+    arrays are freed before any source resumes.  Returns, for each source,
+    None or the first FamelabError it would raise if sampled alone: a
+    chunk binds the source's pool first, and a chunk whose shared steps
+    failed then raises their failure."""
     sched = cfg.schedule
-    T, d, n = sched.T, sources[0].dim, len(seeds)
-    chunks = [slice(lo, lo + CHUNK) for lo in range(0, n, CHUNK)]
-
-    def new_batch():
-        batch = new_trajectories(n, T, d, cfg.record_outputs)
-        batch["class_id"] = classes
-        batch["seed"] = seeds
-        return batch
-
-    def shared(into_states, into_outputs):
-        """Integrate each chunk's shared steps through the first source,
-        rounding levels 0..fork into into_states and steps 0..fork-1 into
-        into_outputs (None when not recorded).  Returns per chunk the float64
-        state at the fork; a failure takes its chunk's place and ends them."""
-        forks = []
-        for rows in chunks:
-            try:
-                x = initial_noise(seeds[rows], d) * sched.sigmas[0]
-                states, outputs = _integrate_chunk(
-                    sources[0], cfg, x, None, classes[rows], index[rows], 0, fork
-                )
-            except FamelabError as exc:
-                forks.append(exc)
-                break
-            into_states[rows] = states
-            if outputs is not None:
-                into_outputs[rows] = outputs
-            forks.append(states[:, -1].copy())
-            # free this chunk's float64 arrays before the next chunk allocates its own
-            del states, outputs
-        return forks
-
-    def resume(source, out, forks):
-        """out, which holds the shared steps, integrated through the source
-        from the fork to the end, or the first FamelabError sampling it alone
-        raises: each chunk binds the source's pool records first, and a chunk
-        whose shared steps failed then raises their failure."""
+    fork = _fork(sources, cfg)
+    errors = [None] * len(sources)
+    for lo in range(0, len(seeds), CHUNK):
+        live = [i for i, err in enumerate(errors) if err is None]
+        if not live:
+            break
+        rows = slice(lo, lo + CHUNK)
+        job = classes[rows], index[rows]
         try:
-            for rows, x in zip(chunks, forks):
-                neg = source.bind(sched, seeds[rows], classes[rows])
+            x = initial_noise(seeds[rows], sources[0].dim) * sched.sigmas[0]
+            shared = _integrate_chunk(sources[0], cfg, x, None, *job, 0, fork)
+            keep(None, rows, 0, *shared)
+            x = shared[0][:, -1].copy()
+            del shared
+        except FamelabError as exc:
+            x = exc
+        for i in live:
+            try:
+                neg = sources[i].bind(sched, seeds[rows], classes[rows])
                 if isinstance(x, FamelabError):
                     raise x
-                states, outputs = _integrate_chunk(source, cfg, x, neg, classes[rows], index[rows], fork, T)
-                out["states"][rows, fork:] = states
-                if outputs is not None:
-                    out["outputs"][rows, fork:] = outputs
-                del states, outputs
-        except FamelabError as exc:
-            return exc
-        return out
-
-    def alone(source):
-        # a lone source's shared steps go straight into its own batch
-        out = new_batch()
-        head_outputs = out["outputs"][:, :fork] if cfg.record_outputs else None
-        return resume(source, out, shared(out["states"][:, : fork + 1], head_outputs))
-
-    if len(sources) == 1:
-        yield alone(sources[0])
-        return
-
-    # levels 0..fork and steps 0..fork-1, kept for every source to copy
-    head_states = np.empty((n, fork + 1, d), np.float32)
-    head_outputs = np.empty((n, fork, d), np.float32) if cfg.record_outputs else None
-    forks = shared(head_states, head_outputs)
-
-    def with_head():
-        out = new_batch()
-        out["states"][:, : fork + 1] = head_states
-        if head_outputs is not None:
-            out["outputs"][:, :fork] = head_outputs
-        return out
-
-    for source in sources:
-        yield resume(source, with_head(), forks)
+                keep(i, rows, fork, *_integrate_chunk(sources[i], cfg, x, neg, *job, fork, sched.T))
+            except FamelabError as exc:
+                errors[i] = exc
+    return errors
 
 
 def sample_batch(
@@ -349,7 +293,36 @@ def sample_batch(
     derive_seed(base_seed, class, index), so any (base_seed, class, index)
     triple reproduces identically whatever else is in the batch.
     """
-    [batch] = sample_batches([source], cfg, base_seed, class_ids, n_per_class)
-    if isinstance(batch, FamelabError):
-        raise batch
+    seeds, classes, index = _jobs([source], base_seed, class_ids, n_per_class)
+    batch = new_trajectories(len(seeds), cfg.schedule.T, source.dim, cfg.record_outputs)
+    batch["class_id"] = classes
+    batch["seed"] = seeds
+
+    def keep(_, rows, start, states, outputs):
+        batch["states"][rows, start : start + states.shape[1]] = states
+        if outputs is not None:
+            batch["outputs"][rows, start : start + outputs.shape[1]] = outputs
+
+    [error] = _sample([source], cfg, seeds, classes, index, keep)
+    if error is not None:
+        raise error
     return batch
+
+
+def sample_finals(sources, cfg: SamplerConfig, base_seed: int, class_ids, n_per_class: int) -> list:
+    """Sample the same trajectories through each of several guided sources
+    over one base, as the rows of a sweep or the sides of a paired compare
+    are.  Returns, for each source, the float32-rounded final states of the
+    batch `sample_batch` would return for it, as an (n, d) float64 array in
+    job order, or the FamelabError it would raise; no trajectory batch is
+    made."""
+    sources = list(sources)
+    seeds, classes, index = _jobs(sources, base_seed, class_ids, n_per_class)
+    finals = [np.empty((len(seeds), sources[0].dim)) for _ in sources]
+
+    def keep(i, rows, start, states, outputs):
+        if i is not None:
+            finals[i][rows] = states[:, -1].astype(np.float32)
+
+    errors = _sample(sources, cfg, seeds, classes, index, keep)
+    return [err if err is not None else out for out, err in zip(finals, errors)]

@@ -188,6 +188,28 @@ class TestRunPipeline:
         assert reports[0].read_bytes() == reports[1].read_bytes()
 
 
+def track_batches(monkeypatch):
+    """(made, alive): a weak reference to every trajectory batch the sampler
+    makes, and how many of them are alive at each `Experiment.evaluate`."""
+    made, alive = [], []
+    new_trajectories = sampler.new_trajectories
+    evaluate = Experiment.evaluate
+
+    def tracked(*args):
+        batch = new_trajectories(*args)
+        made.append(weakref.ref(batch))
+        return batch
+
+    def counted(self, samples):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in made))
+        return evaluate(self, samples)
+
+    monkeypatch.setattr(sampler, "new_trajectories", tracked)
+    monkeypatch.setattr(Experiment, "evaluate", counted)
+    return made, alive
+
+
 class TestRunSweep:
     def test_sweep_csv_shape(self, tmp_path):
         cfg = base_config(tmp_path, n_per_class=40)
@@ -211,28 +233,31 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("values", [(0.02,), (0.0, 0.02)])
     def test_no_batch_alive_while_rows_are_evaluated(self, tmp_path, monkeypatch, values):
-        """A row is evaluated from its final states alone: no trajectory
-        batch the sampler made, the pool's candidates or any row's, is still
-        alive then, also when the sweep has one row."""
-        made, alive = [], []
-        new_trajectories = sampler.new_trajectories
-        evaluate = Experiment.evaluate
-
-        def tracked(*args):
-            batch = new_trajectories(*args)
-            made.append(weakref.ref(batch))
-            return batch
-
-        def counted(self, samples):
-            gc.collect()
-            alive.append(sum(ref() is not None for ref in made))
-            return evaluate(self, samples)
-
-        monkeypatch.setattr(sampler, "new_trajectories", tracked)
-        monkeypatch.setattr(Experiment, "evaluate", counted)
+        """A row is evaluated from its final states alone: the rows make no
+        trajectory batch, and the pool's candidates, the one batch made, are
+        no longer alive then, also when the sweep has one row."""
+        made, alive = track_batches(monkeypatch)
         run_sweep(base_config(tmp_path), SweepSpec("f", values))
-        assert len(made) == 1 + len(values)
+        assert len(made) == 1
         assert alive == [0] * len(values)
+
+    def test_sampling_failure_fails_stage_sample(self, tmp_path, monkeypatch):
+        """An error sampling raises that is not a FamelabError fails stage
+        sample, in run_sweep as in compare_paired."""
+
+        def broken(*args):
+            raise RuntimeError("integrator broke")
+
+        monkeypatch.setattr(sampler, "_integrate_chunk", broken)
+        a = base_config(tmp_path, name="a", guidance=GuidanceConfig(w=1.5))
+        b = base_config(tmp_path, name="b", guidance=GuidanceConfig(w=2.0))
+        sweep = SweepSpec("w", (1.5, 2.0))
+        for run, run_dir in ((lambda: run_sweep(a, sweep), "a"), (lambda: compare_paired(a, b), "a_vs_b")):
+            with pytest.raises(PipelineStageError) as ei:
+                run()
+            assert ei.value.stage == "sample"
+            assert isinstance(ei.value.__cause__, RuntimeError)
+            assert (tmp_path / "out" / run_dir / "FAILED").read_text().startswith("stage: sample\n")
 
     def test_rows_share_pool_and_seeds(self, tmp_path):
         # f=0 row must be identical to a plain CFG pipeline run: same seeds,
@@ -300,6 +325,15 @@ class TestComparePaired:
         for path, names in plots:
             texts = [t.firstChild.data for t in minidom.parse(str(path)).getElementsByTagName("text")]
             assert all(name in texts for name in names), path
+
+    def test_no_batch_alive_while_sides_are_evaluated(self, tmp_path, monkeypatch):
+        # the sides make no trajectory batch, and the pool's candidates are
+        # no longer alive when either side is evaluated
+        made, alive = track_batches(monkeypatch)
+        a = base_config(tmp_path, name="a", guidance=GuidanceConfig(w=1.5))
+        compare_paired(a, base_config(tmp_path, name="b"))
+        assert len(made) == 1
+        assert alive == [0, 0]
 
     def test_scores_each_sample_once(self, tmp_path, monkeypatch):
         # each side's samples are scored once per class, and pairs.csv and

@@ -24,7 +24,7 @@ from famelab.sampler import (
     SamplerConfig,
     _integrate_chunk,
     sample_batch,
-    sample_batches,
+    sample_finals,
 )
 from famelab.schedule import (
     NoiseSchedule,
@@ -648,6 +648,9 @@ ANALYTIC_SWEEPS = {
     "duplicate": [GuidanceConfig(w=1.5, f=0.05, tau=0.5)] * 2,
     # CFG opens after replay starts, so the rows part at replay, not at CFG
     "w-interval": [GuidanceConfig(w=w, f=0.05, tau=0.7, cfg_interval=(0.6, 1.0)) for w in (1.0, 1.5, 2.0)],
+    # equal weights and no replay: the rows never part, and each resumes
+    # from the last level for zero steps
+    "identical": [GuidanceConfig(w=1.5)] * 3,
 }
 
 
@@ -663,24 +666,35 @@ def neural_pool(model):
     )
 
 
+def finals_of(batch):
+    """The final states a batch holds, as sample_finals returns them."""
+    return batch["states"][:, -1].astype(np.float64)
+
+
 class TestSampleBatches:
-    """Rows sampled together, sharing the steps before their guidance
-    first differs, against each row sampled alone: the same records and
-    the same float64 states and outputs."""
+    """Rows sampled together by sample_finals, sharing the steps before
+    their guidance first differs, against each row sampled alone: the same
+    final states and the same float64 states and outputs."""
 
     def check_rows_match_alone(self, monkeypatch, sources, cfg, class_ids, n_per_class=5):
         monkeypatch.setattr(sampler, "CHUNK", 7)
         calls = record_chunks(monkeypatch, n_per_class)
         n, T = n_per_class * len(class_ids), cfg.schedule.T
-        together = list(sample_batches(sources, cfg, 8, class_ids, n_per_class))
-        n_chunks = -(-n // 7)
-        shared, rest = calls[:n_chunks], calls[n_chunks:]
-        assert all(c[0] is sources[0] and c[2] == 0 for c in shared)
-        for source, batch in zip(sources, together):
-            want = float64_rows(shared + [c for c in rest if c[0] is source], n, T)
+        together = sample_finals(sources, cfg, 8, class_ids, n_per_class)
+        # each chunk makes one shared call through the first source, from
+        # level 0 to the fork, then one call per source from the fork to T
+        per_chunk = len(sources) + 1
+        chunks = [calls[lo : lo + per_chunk] for lo in range(0, len(calls), per_chunk)]
+        assert len(chunks) == -(-n // 7)
+        for shared, *rest in chunks:
+            assert shared[0] is sources[0] and shared[2] == 0
+            assert [c[0] for c in rest] == sources
+            assert all((c[2], c[3]) == (shared[3], T) for c in rest)
+        for i, (source, finals) in enumerate(zip(sources, together)):
+            want = float64_rows([c for chunk in chunks for c in (chunk[0], chunk[1 + i])], n, T)
             del calls[:]
             alone = sample_batch(source, cfg, 8, class_ids, n_per_class)
-            assert batch.tobytes() == alone.tobytes()
+            assert finals.tobytes() == finals_of(alone).tobytes()
             got = float64_rows(calls, n, T)
             np.testing.assert_array_equal(want[0], got[0])
             np.testing.assert_array_equal(want[1], got[1])
@@ -720,14 +734,14 @@ class TestSampleBatches:
         sources = [guided_source(base, replay_pool, GuidanceConfig(w=1.5, f=f, tau=0.5)) for f in (0.05, 1e300, 0.1)]
         monkeypatch.setattr(sampler, "CHUNK", 7)
         with np.errstate(over="ignore", invalid="ignore"):
-            a, err, b = sample_batches(sources, cfg, 8, [1, 2, 3], 5)
+            a, err, b = sample_finals(sources, cfg, 8, [1, 2, 3], 5)
             with pytest.raises(DivergedError) as alone:
                 sample_batch(sources[1], cfg, 8, [1, 2, 3], 5)
         assert isinstance(err, DivergedError)
         assert (err.class_id, err.index, err.step) == (alone.value.class_id, alone.value.index, alone.value.step)
         assert err.step >= 7
-        assert a.tobytes() == sample_batch(sources[0], cfg, 8, [1, 2, 3], 5).tobytes()
-        assert b.tobytes() == sample_batch(sources[2], cfg, 8, [1, 2, 3], 5).tobytes()
+        assert a.tobytes() == finals_of(sample_batch(sources[0], cfg, 8, [1, 2, 3], 5)).tobytes()
+        assert b.tobytes() == finals_of(sample_batch(sources[2], cfg, 8, [1, 2, 3], 5)).tobytes()
 
     def test_divergence_in_shared_steps_fails_every_row(self, replay_pool):
         # w = 1e300 diverges before replay begins; a row whose pool cannot
@@ -740,7 +754,7 @@ class TestSampleBatches:
             for pool, f in ((None, 0.0), (replay_pool, 0.05), (stale, 0.05))
         ]
         with np.errstate(over="ignore", invalid="ignore"):
-            errors = list(sample_batches(sources, cfg, 8, [1, 2], 4))
+            errors = sample_finals(sources, cfg, 8, [1, 2], 4)
             for source, err in zip(sources, errors):
                 with pytest.raises(FamelabError) as alone:
                     sample_batch(source, cfg, 8, [1, 2], 4)
@@ -754,19 +768,19 @@ class TestSampleBatches:
         guidance = GuidanceConfig(w=1.5, f=0.05, tau=0.5)
         sources = [guided_source(base, pool, guidance) for pool in (stale, replay_pool)]
         sources.insert(1, guided_source(base, None, GuidanceConfig(w=1.5)))
-        bad, a, b = sample_batches(sources, cfg, 8, [1, 2], 4)
+        bad, a, b = sample_finals(sources, cfg, 8, [1, 2], 4)
         assert isinstance(bad, IncompatiblePoolError)
         with pytest.raises(IncompatiblePoolError):
             sample_batch(sources[0], cfg, 8, [1, 2], 4)
-        assert a.tobytes() == sample_batch(sources[1], cfg, 8, [1, 2], 4).tobytes()
-        assert b.tobytes() == sample_batch(sources[2], cfg, 8, [1, 2], 4).tobytes()
+        assert a.tobytes() == finals_of(sample_batch(sources[1], cfg, 8, [1, 2], 4)).tobytes()
+        assert b.tobytes() == finals_of(sample_batch(sources[2], cfg, 8, [1, 2], 4)).tobytes()
 
     def test_sources_must_share_a_base(self):
         cfg = SamplerConfig(schedule=make_schedule("karras-like", 16, 0.02, 8.0))
         spec = preset("imbalanced2d")
         sources = [plain(AnalyticSource(spec)), plain(AnalyticSource(spec))]
         with pytest.raises(InvalidArgumentError):
-            sample_batches(sources, cfg, 8, [1], 2)
+            sample_finals(sources, cfg, 8, [1], 2)
 
 
 class TestSharedStepCount:
@@ -803,6 +817,6 @@ class TestSharedStepCount:
         monkeypatch.setattr(GuidedSource, "step", counted)
         monkeypatch.setattr(sampler, "CHUNK", 4)
         sources = [guided_source(base, pool, g) for g in guidances]
-        batches = list(sample_batches(sources, cfg, 3, [1], 8))
-        assert all(isinstance(b, np.ndarray) for b in batches)
+        finals = sample_finals(sources, cfg, 3, [1], 8)
+        assert all(isinstance(x, np.ndarray) for x in finals)
         assert len(calls) == 2 * per_chunk
