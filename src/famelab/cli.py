@@ -86,8 +86,9 @@ def cmd_build_pool(cfg, args):
 
 def cmd_sample(cfg, args):
     exp = Experiment(cfg)
-    batch = exp.stage("sample", lambda: exp.sample(cfg.guidance, save_trajectories=True))
-    print(f"sampled : {len(batch)} trajectories ({cfg.n_per_class} x {len(exp.classes)} classes)")
+    samples = exp.stage("sample", lambda: exp.sample(cfg.guidance, save_trajectories=True))
+    n = sum(map(len, samples.values()))
+    print(f"sampled : {n} trajectories ({cfg.n_per_class} x {len(exp.classes)} classes)")
     print(f"written : {exp.run_dir / 'trajectories'}")
     return 0
 

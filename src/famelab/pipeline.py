@@ -198,7 +198,7 @@ class Experiment:
         def build():
             pool = build_pool(
                 guided_source(self.base, None, GuidanceConfig(w=guidance.w)),
-                SamplerConfig(schedule=self.schedule, method=self.cfg.method, record_outputs=True),
+                SamplerConfig(schedule=self.schedule, method=self.cfg.method),
                 self.scorer,
                 self.pool_cfg,
                 self.classes,
@@ -208,41 +208,43 @@ class Experiment:
 
         return self.stage("pool", build)
 
-    def _sampling(self, record_outputs: bool):
+    def _sampling(self):
         """The sampler arguments after the source that every guidance setting
         shares: the sample stream's seed, so every setting sees the same
         initial noise, and n_per_class trajectories per class."""
         cfg = self.cfg
-        sampler_cfg = SamplerConfig(schedule=self.schedule, method=cfg.method, record_outputs=record_outputs)
+        sampler_cfg = SamplerConfig(schedule=self.schedule, method=cfg.method)
         return sampler_cfg, derive_seed(cfg.seed, _SAMPLE_KEY), self.classes, cfg.n_per_class
 
-    def sample(self, guidance: GuidanceConfig, save_trajectories: bool = False):
-        """The trajectories sampled under `guidance`, as one record array.
-        With save_trajectories the per-step denoiser outputs are recorded
-        and each class's rows are written to trajectories/class_<c>.traj."""
+    def sample(self, guidance: GuidanceConfig, save_trajectories: bool = False) -> dict:
+        """The final states sampled under `guidance` as float64, grouped by
+        class like an item of `sample_each`.  With save_trajectories whole
+        records, outputs included, are sampled (`sampler.sample_batch`) and
+        each class's are written to trajectories/class_<c>.traj."""
+        if not save_trajectories:
+            [samples] = self.sample_each([guidance])
+            if isinstance(samples, FamelabError):
+                raise samples
+            return samples
         source = guided_source(self.base, self.pool(guidance), guidance)
-        batch = sample_batch(source, *self._sampling(save_trajectories))
-        if save_trajectories:
-            for c, block in self._by_class(batch):
-                self._path("trajectories", f"class_{c}.traj").write_bytes(block)
-        return batch
+        samples = {}
+        for c, block in self._by_class(sample_batch(source, *self._sampling())):
+            self._path("trajectories", f"class_{c}.traj").write_bytes(block)
+            samples[c] = block["states"][:, -1].astype(np.float64)
+        return samples
 
     def sample_each(self, guidances) -> list:
-        """For each guidance setting, the final states of what
-        sample(guidance) returns, grouped by class, or the FamelabError it
-        raises; the steps before the settings' guidance first differs or
-        any of them replays are integrated once (`sampler.sample_finals`)."""
+        """For each guidance setting, what sample(guidance) returns or the
+        FamelabError it raises; the steps before the settings' guidance
+        first differs or any of them replays are integrated once
+        (`sampler.sample_finals`)."""
         sources = [guided_source(self.base, self.pool(g), g) for g in guidances]
-        finals = sample_finals(sources, *self._sampling(False))
+        finals = sample_finals(sources, *self._sampling())
         return [out if isinstance(out, FamelabError) else dict(self._by_class(out)) for out in finals]
 
-    def _by_class(self, batch):
+    def _by_class(self, rows):
         n = self.cfg.n_per_class
-        return [(c, batch[b * n : (b + 1) * n]) for b, c in enumerate(self.classes)]
-
-    def final_states(self, batch) -> dict:
-        """The batch's final states as float64, grouped by class."""
-        return {c: block["states"][:, -1].astype(np.float64) for c, block in self._by_class(batch)}
+        return [(c, rows[b * n : (b + 1) * n]) for b, c in enumerate(self.classes)]
 
     def evaluate(self, samples):
         """Scores of the final samples of each class (one scorer call per
@@ -270,7 +272,7 @@ def run_pipeline(cfg: ExperimentConfig) -> EvalReport:
     check_sample_size(cfg.n_per_class, len(exp.classes), exp.spec.dim)
     exp._path("config.echo").write_text(_dumps(config_to_dict(cfg)))
     exp.write_dataset()
-    samples = exp.stage("sample", lambda: exp.final_states(exp.sample(cfg.guidance, cfg.save_trajectories)))
+    samples = exp.stage("sample", lambda: exp.sample(cfg.guidance, cfg.save_trajectories))
 
     def evaluate_stage():
         _, report = exp.evaluate(samples)
@@ -290,9 +292,10 @@ def run_sweep(cfg: ExperimentConfig, sweep: SweepSpec) -> list:
     (`Experiment.sample_each`): the steps before their guidance first
     differs or any row replays are integrated once, and each row is
     evaluated from its final states alone.
-    A failed row is recorded and skipped; a failed stage of the shared setup
-    ends the sweep.  Every row's guidance is checked before anything is
-    written, and the sample size before anything is sampled."""
+    A row that fails with a FamelabError is recorded and skipped; any other
+    error evaluating a row fails stage evaluate, and a failed stage of the
+    shared setup ends the sweep.  Every row's guidance is checked before
+    anything is written, and the sample size before anything is sampled."""
     guidances = [replace(cfg.guidance, **{sweep.axis: value}) for value in sweep.values]
     exp = Experiment(cfg)
     check_sample_size(cfg.n_per_class, len(exp.classes), exp.spec.dim)
@@ -300,27 +303,26 @@ def run_sweep(cfg: ExperimentConfig, sweep: SweepSpec) -> list:
     # pool at another w comes from pool_path); an f sweep from f=0 builds it
     # for its first replaying row, at that same w
     exp.pool(cfg.guidance)
-    rows = []
-    results = []
-    for value, samples in zip(sweep.values, exp.stage("sample", lambda: exp.sample_each(guidances))):
+
+    def evaluate_row(value, samples):
+        """The row's CSV line and report; a FamelabError fails this row
+        alone (report None), any other error the stage."""
         try:
             if isinstance(samples, FamelabError):
                 raise samples
-            _, report = exp.evaluate(samples)
-            rows.append(
-                f"{value:.9g},{report.frechet:.9g},{report.precision:.9g},"
-                f"{report.recall:.9g},{report.mean_score:.9g},"
-                f"{report.bad_mode_fraction:.9g},ok"
-            )
-            results.append((value, report))
+            report = exp.evaluate(samples)[1]
         except PipelineStageError:
             raise
         except FamelabError as exc:
-            rows.append(f"{value:.9g},,,,,,failed: {type(exc).__name__}")
-            results.append((value, None))
-    csv = "\n".join([_SWEEP_COLUMNS] + rows) + "\n"
+            return f"{value:.9g},,,,,,failed: {type(exc).__name__}", None
+        stats = (report.frechet, report.precision, report.recall, report.mean_score, report.bad_mode_fraction)
+        return ",".join(f"{v:.9g}" for v in (value, *stats)) + ",ok", report
+
+    sampled = exp.stage("sample", lambda: exp.sample_each(guidances))
+    rows = [exp.stage("evaluate", lambda: evaluate_row(v, s)) for v, s in zip(sweep.values, sampled)]
+    csv = "\n".join([_SWEEP_COLUMNS] + [line for line, _ in rows]) + "\n"
     exp._path("reports", f"sweep_{sweep.axis}.csv").write_text(csv)
-    return results
+    return [(value, report) for value, (_, report) in zip(sweep.values, rows)]
 
 
 @dataclass(frozen=True)

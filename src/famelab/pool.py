@@ -41,8 +41,8 @@ _SELECT_SALT = 0xF7A319E5D2C40B61
 class FailurePool:
     """Immutable set of failure trajectories plus provenance fingerprints.
 
-    records is a `trajectory_dtype` array with outputs, sorted ascending by
-    score (per class, classes ascending, in per-class mode).
+    records is a `trajectory_dtype` array, cached outputs included, sorted
+    ascending by score (per class, classes ascending, in per-class mode).
     """
 
     def __init__(self, records, mode, schedule_hash, source_hash):
@@ -162,8 +162,6 @@ def build_pool(source, sampler_cfg, scorer, build_cfg: PoolBuildConfig, class_id
     byte for byte.  Candidates with non-finite scores are excluded; if fewer
     finite candidates remain than requested, the build fails.
     """
-    if not sampler_cfg.record_outputs:
-        raise InvalidArgumentError("pool building needs record_outputs enabled")
     class_ids = [int(c) for c in class_ids]
     if not class_ids:
         raise InvalidArgumentError("need at least one class to build a pool")

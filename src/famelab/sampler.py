@@ -26,7 +26,8 @@ up to the fork: the first step at which `guidance.weights` weighs two
 sources' terms differently or any row replays.  Replay is 0 before the
 last tau of normalised time, so an f sweep shares every step before the
 replay window.  `sample_batch` is the one-source case and keeps every
-level.  Both run one chunk loop: a chunk's shared steps are integrated
+level with the conditional output recorded there, the record a pool
+replays.  Both run one chunk loop: a chunk's shared steps are integrated
 once, through the first source and with no pool bound, and each source
 then binds its own pool records and resumes from the float64 state at the
 fork.
@@ -83,10 +84,13 @@ def check_method(method) -> None:
 class SamplerConfig:
     schedule: NoiseSchedule
     method: str = "heun"
+    # only True: every record carries outputs; perfbench/worker.py passes it (ROADMAP item 1)
     record_outputs: bool = True
 
     def __post_init__(self):
         check_method(self.method)
+        if self.record_outputs is not True:
+            raise InvalidArgumentError("record_outputs accepts only True")
 
 
 class AnalyticSource:
@@ -144,8 +148,8 @@ class NeuralSource:
 def _integrate_chunk(source, cfg, x, neg, class_ids, index, start, stop):
     """Lockstep-integrate steps start..stop-1 of one chunk through a guided
     source, from the float64 states x at level start; neg is what
-    `source.bind` returned for these trajectories.  Returns (states, outputs
-    or None): the states at levels start..stop, x first, and the conditional
+    `source.bind` returned for these trajectories.  Returns (states,
+    outputs): the states at levels start..stop, x first, and the conditional
     denoiser outputs `source.step` hands back with each guided one at steps
     start..stop-1.  Every step gets the same new scratch dict, which is
     dropped on return.
@@ -158,7 +162,7 @@ def _integrate_chunk(source, cfg, x, neg, class_ids, index, start, stop):
     n, d = x.shape
     states = np.empty((n, stop - start + 1, d))
     states[:, 0] = x
-    outputs = np.empty((n, stop - start, d)) if cfg.record_outputs else None
+    outputs = np.empty((n, stop - start, d))
     scratch = {}
 
     def fail(arr, step):
@@ -176,9 +180,7 @@ def _integrate_chunk(source, cfg, x, neg, class_ids, index, start, stop):
             fail(x, k)
 
     for k in range(start, stop):
-        dk, d1 = guided(x, k, k)
-        if outputs is not None:
-            outputs[:, k - start] = d1
+        dk, outputs[:, k - start] = guided(x, k, k)
         h = sig[k + 1] - sig[k]
         rhs = (x - dk) / sig[k]
         x_next = x + h * rhs
@@ -286,22 +288,21 @@ def sample_batch(
     sequence of distinct class ids) through a guided source
     (`guidance.guided_source`).
 
-    Returns one `trajectory_dtype` record array in job order, class by class,
-    with scores NaN and, unless cfg.record_outputs is off, the conditional
-    denoiser outputs.  Each chunk's float64 result is rounded into its rows
-    as soon as it is done.  Each trajectory's stream seed is
+    Returns one `trajectory_dtype` record array in job order, class by class:
+    every level's state and every step's conditional denoiser output, with
+    scores NaN.  Each chunk's float64 result is rounded into its rows as
+    soon as it is done.  Each trajectory's stream seed is
     derive_seed(base_seed, class, index), so any (base_seed, class, index)
     triple reproduces identically whatever else is in the batch.
     """
     seeds, classes, index = _jobs([source], base_seed, class_ids, n_per_class)
-    batch = new_trajectories(len(seeds), cfg.schedule.T, source.dim, cfg.record_outputs)
+    batch = new_trajectories(len(seeds), cfg.schedule.T, source.dim)
     batch["class_id"] = classes
     batch["seed"] = seeds
 
     def keep(_, rows, start, states, outputs):
         batch["states"][rows, start : start + states.shape[1]] = states
-        if outputs is not None:
-            batch["outputs"][rows, start : start + outputs.shape[1]] = outputs
+        batch["outputs"][rows, start : start + outputs.shape[1]] = outputs
 
     [error] = _sample([source], cfg, seeds, classes, index, keep)
     if error is not None:

@@ -11,8 +11,7 @@ record (`trajectory_dtype`) is also the file format: a 30-byte header (magic
 b"FAME", version u2, T u4, d u4, class_id i4, seed u8, score f4), then
 float32 states (T+1, d) and denoiser outputs (T, d).  A .traj file is such
 records back to back, `records.tobytes()`; a pool file is its own header
-followed by the same.  Arrays sampled without outputs lack the outputs
-field and are never written.
+followed by the same.
 """
 
 from __future__ import annotations
@@ -185,21 +184,18 @@ def make_schedule(kind: str, T: int, sigma_min: float, sigma_max: float) -> Nois
     return NoiseSchedule(sig)
 
 
-def trajectory_dtype(T: int, d: int, outputs: bool = True) -> np.dtype:
+def trajectory_dtype(T: int, d: int) -> np.dtype:
     """The packed record of one trajectory with T steps in d dimensions: the
-    header, the float32 states (T+1, d) and, when recorded, the float32
-    conditional denoiser outputs (T, d) consumed at each step."""
-    fields = _HEADER.descr + [("states", "<f4", (T + 1, d))]
-    if outputs:
-        fields.append(("outputs", "<f4", (T, d)))
-    return np.dtype(fields)
+    header, the float32 states (T+1, d) and the float32 conditional denoiser
+    outputs (T, d) consumed at each step."""
+    return np.dtype(_HEADER.descr + [("states", "<f4", (T + 1, d)), ("outputs", "<f4", (T, d))])
 
 
-def new_trajectories(n: int, T: int, d: int, outputs: bool = True) -> np.ndarray:
+def new_trajectories(n: int, T: int, d: int) -> np.ndarray:
     """n zeroed records with magic, version, T and d set and scores NaN."""
     if T < 1 or d < 1:
         raise InvalidArgumentError(f"trajectories need T >= 1 and d >= 1, got T={T}, d={d}")
-    records = np.zeros(n, trajectory_dtype(T, d, outputs))
+    records = np.zeros(n, trajectory_dtype(T, d))
     records["magic"] = TRAJECTORY_MAGIC
     records["version"] = TRAJECTORY_VERSION
     records["T"] = T

@@ -7,7 +7,6 @@ failure pool, and memoized sampling runs through the session-scoped frame.
 """
 
 import time
-from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -38,7 +37,7 @@ from famelab.metrics import (
     precision_recall,
 )
 from famelab.pool import PoolBuildConfig, build_pool, load_pool, save_pool
-from famelab.sampler import AnalyticSource, NeuralSource, SamplerConfig, sample_batch
+from famelab.sampler import AnalyticSource, NeuralSource, SamplerConfig, sample_batch, sample_finals
 from famelab.schedule import derive_seed, make_schedule
 from tests.test_gmm import projected_density_1d
 from tests.test_guidance import SpyBase, fame_score_identity_check
@@ -81,12 +80,10 @@ class NeuralFrame:
         self.model = train(self.spec, TrainConfig(steps=650))
         self.schedule = make_schedule("linear-sigma", 32, 0.35, 10.0)
         self.base = NeuralSource(self.model)
-        self.sampler_cfg = SamplerConfig(
-            schedule=self.schedule, method="heun", record_outputs=False
-        )
+        self.sampler_cfg = SamplerConfig(schedule=self.schedule, method="heun")
         self.pool = build_pool(
             guided_source(self.base, None, CFG_BASELINE),
-            replace(self.sampler_cfg, record_outputs=True),
+            self.sampler_cfg,
             self.scorer,
             PoolBuildConfig(
                 n_candidates_per_class=200, n_f=8, mode="global", seed=derive_seed(0, 101)
@@ -226,7 +223,7 @@ def test_integrator_convergence_orders(capsys):
         errs = []
         for T in (40, 80):
             sched = make_schedule("karras-like", T, 1e-3, 10.0)
-            cfg = SamplerConfig(schedule=sched, method=method, record_outputs=False)
+            cfg = SamplerConfig(schedule=sched, method=method)
             states = sample_batch(source, cfg, 77, [1], 64)["states"].astype(np.float64)
             sigma0 = sched.sigmas[0]
             shrink = np.sqrt(var / (var + sigma0 * sigma0))
@@ -262,18 +259,18 @@ def test_sampling_fidelity_against_ground_truth(capsys):
     # endpoint means by about |mu| * s / sigma_max; sigma_max = 20 keeps that
     # far inside both tolerances here and in the balanced2d half below
     sched = make_schedule("karras-like", 128, 0.02, 20.0)
-    cfg = SamplerConfig(schedule=sched, method="heun", record_outputs=False)
+    cfg = SamplerConfig(schedule=sched, method="heun")
     plain = GuidanceConfig()
-    batch = sample_batch(guided_source(AnalyticSource(two_mode), None, plain), cfg, 5, [1], 100000)
-    draws = batch["states"][:, -1, 0].astype(np.float64)
+    # final states only: 1e5 whole records at T=128 would take about 100 MB
+    [finals] = sample_finals([guided_source(AnalyticSource(two_mode), None, plain)], cfg, 5, [1], 100000)
+    draws = finals[:, 0]
     kl = histogram_kl(draws, projected_density_1d(two_mode, np.array([1.0])))
 
     balanced = preset("balanced2d")
     worst = 0.0
     for c in balanced.class_ids:
         source = guided_source(AnalyticSource(balanced), None, plain)
-        batch = sample_batch(source, cfg, derive_seed(5, c), [c], 10000)
-        gen = batch["states"][:, -1].astype(np.float64)
+        [gen] = sample_finals([source], cfg, derive_seed(5, c), [c], 10000)
         ref = exact_sampler(balanced, np.random.default_rng(derive_seed(99, c)), class_id=c, n=10000)
         worst = max(worst, frechet_distance(gen, ref))
 
@@ -355,7 +352,7 @@ def test_degenerate_guidance_is_bit_identical(frame, capsys):
     sched = make_schedule("karras-like", 16, 0.02, 8.0)
 
     def states(source, schedule, classes, n):
-        cfg = SamplerConfig(schedule=schedule, method="heun", record_outputs=False)
+        cfg = SamplerConfig(schedule=schedule, method="heun")
         return sample_batch(source, cfg, 31, classes, n)["states"]
 
     ok = True

@@ -3,6 +3,7 @@
 import gc
 import json
 import shlex
+import shutil
 import sys
 import weakref
 from xml.dom import minidom
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from famelab.config import ExperimentConfig, SweepSpec
-from famelab.denoiser import MlpDenoiser, save_checkpoint
+from famelab.denoiser import MlpDenoiser, TrainConfig, save_checkpoint
 from famelab.errors import InvalidArgumentError, PipelineStageError
 from famelab.guidance import GuidanceConfig
 from famelab.metrics import ComponentTagScorer
@@ -38,6 +39,10 @@ def base_config(tmp_path, **over):
     )
     defaults.update(over)
     return ExperimentConfig(**defaults)
+
+
+# enough training for a neural run to sample and score, fast enough for a test
+TINY_TRAIN = TrainConfig(steps=20, batch_size=32)
 
 
 class TestRunPipeline:
@@ -188,6 +193,37 @@ class TestRunPipeline:
         assert reports[0].read_bytes() == reports[1].read_bytes()
 
 
+    @pytest.mark.parametrize("source", ["analytic", "neural"])
+    def test_saving_trajectories_changes_no_other_file(self, tmp_path, source):
+        """A run that saves no trajectories samples final states only
+        (`sampler.sample_finals`) and writes the same bytes as one that
+        samples whole trajectories and saves them; the configs differ only
+        in save_trajectories, which summary.json echoes."""
+        files = ("reports/summary.json", "reports/class_quality.csv", "reports/report.txt")
+        files += ("plots/modes.svg", "pool.fmpl")
+        root = tmp_path / "out" / "run"
+        written = {}
+        for save in (True, False):
+            shutil.rmtree(root, ignore_errors=True)
+            run_pipeline(base_config(tmp_path, source=source, train=TINY_TRAIN, save_trajectories=save))
+            assert (root / "trajectories").is_dir() == save
+            written[save] = {rel: (root / rel).read_bytes() for rel in files}
+        echo = b'"save_trajectories": true'
+        assert echo in written[True]["reports/summary.json"]
+        written[True]["reports/summary.json"] = written[True]["reports/summary.json"].replace(
+            echo, b'"save_trajectories": false'
+        )
+        assert written[True] == written[False]
+
+    def test_unsaved_run_makes_only_the_pool_batch(self, tmp_path, monkeypatch):
+        """Without saved trajectories the pool's candidates are the one
+        trajectory batch a run makes, and it is not alive at evaluation."""
+        made, alive = track_batches(monkeypatch)
+        run_pipeline(base_config(tmp_path, save_trajectories=False))
+        assert len(made) == 1
+        assert alive == [0]
+
+
 def track_batches(monkeypatch):
     """(made, alive): a weak reference to every trajectory batch the sampler
     makes, and how many of them are alive at each `Experiment.evaluate`."""
@@ -258,6 +294,48 @@ class TestRunSweep:
             assert ei.value.stage == "sample"
             assert isinstance(ei.value.__cause__, RuntimeError)
             assert (tmp_path / "out" / run_dir / "FAILED").read_text().startswith("stage: sample\n")
+
+    def test_evaluation_failure_fails_stage_evaluate(self, tmp_path, monkeypatch):
+        """An error evaluating raises that is not a FamelabError fails stage
+        evaluate, in run_pipeline, run_sweep and compare_paired alike."""
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("metrics broke")
+
+        monkeypatch.setattr(pipeline, "evaluate", broken)
+        a = base_config(tmp_path, name="a", guidance=GuidanceConfig(w=1.5))
+        b = base_config(tmp_path, name="b", guidance=GuidanceConfig(w=2.0))
+        sweep = SweepSpec("w", (1.5, 2.0))
+        for run, run_dir in (
+            (lambda: run_pipeline(a), "a"),
+            (lambda: run_sweep(a, sweep), "a"),
+            (lambda: compare_paired(a, b), "a_vs_b"),
+        ):
+            with pytest.raises(PipelineStageError) as ei:
+                run()
+            assert ei.value.stage == "evaluate"
+            assert isinstance(ei.value.__cause__, RuntimeError)
+            assert (tmp_path / "out" / run_dir / "FAILED").read_text().startswith("stage: evaluate\n")
+
+    def test_evaluation_famelab_error_fails_only_its_row(self, tmp_path, monkeypatch):
+        evaluate = pipeline.evaluate
+        calls = []
+
+        def first_fails(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                raise InvalidArgumentError("first row unscorable")
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "evaluate", first_fails)
+        results = run_sweep(base_config(tmp_path, n_per_class=30), SweepSpec("w", (1.5, 2.0)))
+        assert results[0] == (1.5, None)
+        assert results[1][1] is not None
+        root = tmp_path / "out" / "run"
+        csv = (root / "reports" / "sweep_w.csv").read_text().splitlines()
+        assert csv[1].endswith(",failed: InvalidArgumentError")
+        assert csv[2].endswith(",ok")
+        assert not (root / "FAILED").exists()
 
     def test_rows_share_pool_and_seeds(self, tmp_path):
         # f=0 row must be identical to a plain CFG pipeline run: same seeds,

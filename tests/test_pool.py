@@ -143,16 +143,10 @@ class TestBottomK:
             pool.records["score"], [0.2, 0.3, 0.4], rtol=1e-6
         )
 
-    def test_requires_recorded_outputs(self, cfg_source, sched):
-        cfg = SamplerConfig(schedule=sched, record_outputs=False)
+    def test_requires_recorded_outputs(self, sched):
+        # outputs cannot be switched off, so every candidate carries them
         with pytest.raises(InvalidArgumentError):
-            build_pool(
-                cfg_source,
-                cfg,
-                preset_scorer([0.1]),
-                PoolBuildConfig(n_candidates_per_class=1, n_f=1),
-                [1],
-            )
+            SamplerConfig(schedule=sched, record_outputs=False)
 
     def test_per_class_mode_groups_by_class(self, cfg_source, analytic_cfg):
         calls = []
@@ -324,15 +318,10 @@ class TestConstructorValidation:
 
     def test_missing_outputs_rejected(self, cfg_source, analytic_cfg):
         recs = self.make_records(cfg_source, analytic_cfg, [0.1])
-        sched = make_schedule("karras-like", 16, 0.02, 8.0)
-        bare = sample_batch(
-            cfg_source,
-            SamplerConfig(schedule=sched, record_outputs=False),
-            1,
-            [1],
-            1,
-        )
-        bare["score"] = 0.0
+        names = [n for n in recs.dtype.names if n != "outputs"]
+        bare = np.zeros(len(recs), np.dtype([(n, recs.dtype[n]) for n in names]))
+        for n in names:
+            bare[n] = recs[n]
         with pytest.raises(InvalidArgumentError):
             FailurePool(bare, "global", 0, 0)
 

@@ -108,7 +108,7 @@ class TestClosedFormFlow:
         # ratios reflect the integrator order, not the endpoint handling
         spec = single_gaussian(self.MEAN, self.STD)
         sched = make_schedule("karras-like", T, 1e-3, self.SIGMA_MAX)
-        cfg = SamplerConfig(schedule=sched, method=method, record_outputs=False)
+        cfg = SamplerConfig(schedule=sched, method=method)
         finals = sample_batch(plain(AnalyticSource(spec)), cfg, 99, [1], n)["states"][:, -1]
         errs = []
         for i, final in enumerate(finals):
@@ -140,7 +140,7 @@ class TestClosedFormFlow:
     def test_tight_component_collapses_to_mean(self):
         spec = single_gaussian([3.0, 4.0], 1e-6)
         sched = make_schedule("karras-like", 64, 0.01, 10.0)
-        cfg = SamplerConfig(schedule=sched, record_outputs=False)
+        cfg = SamplerConfig(schedule=sched)
         finals = sample_batch(plain(AnalyticSource(spec)), cfg, 1, [1], 8)["states"][:, -1]
         np.testing.assert_allclose(finals, np.broadcast_to([3.0, 4.0], (8, 2)), atol=1e-4)
 
@@ -165,12 +165,6 @@ class TestRecords:
         states, outputs = alone(source, cfg, derive_seed(3, 2, 1), 2)
         np.testing.assert_array_equal(rec["states"], states.astype(np.float32))
         np.testing.assert_array_equal(rec["outputs"], outputs.astype(np.float32))
-
-    def test_outputs_omitted_when_disabled(self):
-        cfg = SamplerConfig(schedule=self.sched, record_outputs=False)
-        batch = sample_batch(plain(AnalyticSource(self.spec)), cfg, 3, [2], 1)
-        assert batch.dtype == trajectory_dtype(12, 2, outputs=False)
-        assert "outputs" not in batch.dtype.names
 
     def test_recorded_outputs_are_denoiser_at_recorded_states(self):
         # states are stored float32, so recomputing at the rounded state can
@@ -225,7 +219,7 @@ class TestInitialNoise:
     def test_first_state_is_default_rng_noise(self, monkeypatch, spec, class_ids):
         monkeypatch.setattr(sampler, "CHUNK", 7)
         sched = make_schedule("karras-like", 3, 0.05, 8.0)
-        cfg = SamplerConfig(schedule=sched, method="euler", record_outputs=False)
+        cfg = SamplerConfig(schedule=sched, method="euler")
         batch = sample_batch(plain(AnalyticSource(spec)), cfg, 2**63 + 5, class_ids, 9)
         for rec in batch:
             x0 = np.random.default_rng(int(rec["seed"])).standard_normal(spec.dim)
@@ -241,7 +235,7 @@ def model():
 class TestNeuralDeterminism:
     def test_subset_bitwise_stable(self, model):
         sched = make_schedule("karras-like", 8, 0.05, 8.0)
-        cfg = SamplerConfig(schedule=sched, record_outputs=False)
+        cfg = SamplerConfig(schedule=sched)
         src = plain(NeuralSource(model))
         big = sample_batch(src, cfg, 13, [1], 7)
         small = sample_batch(src, cfg, 13, [1], 3)
@@ -251,7 +245,7 @@ class TestNeuralDeterminism:
         # n = 1 runs the MLP on a single row; its float32 record must agree
         # with the same trajectory evaluated inside a larger chunk
         sched = make_schedule("karras-like", 8, 0.05, 8.0)
-        cfg = SamplerConfig(schedule=sched, record_outputs=False)
+        cfg = SamplerConfig(schedule=sched)
         src = NeuralSource(model)
         rec = sample_batch(plain(src), cfg, 50, [1], 5)[0]
         states, _ = alone(src, cfg, derive_seed(50, 1, 0), 1)
@@ -339,7 +333,7 @@ class _ClassBlowupSource(_BlowupSource):
 class TestFailurePaths:
     def setup_method(self):
         self.sched = make_schedule("karras-like", 10, 0.05, 8.0)
-        self.cfg = SamplerConfig(schedule=self.sched, method="euler", record_outputs=False)
+        self.cfg = SamplerConfig(schedule=self.sched, method="euler")
 
     def test_divergence_reports_class_index_step(self):
         source = plain(_BlowupSource(bad_row=4, below=self.sched.sigmas[3]))
@@ -413,7 +407,7 @@ class TestSampleQuality:
     def test_conditional_samples_match_exact_sampler(self):
         spec = preset("balanced2d")
         sched = make_schedule("karras-like", 32, 0.01, 10.0)
-        cfg = SamplerConfig(schedule=sched, record_outputs=False)
+        cfg = SamplerConfig(schedule=sched)
         gen = sample_batch(plain(AnalyticSource(spec)), cfg, 2, [3], 2000)["states"][:, -1].astype(np.float64)
         ref = exact_sampler(spec, np.random.default_rng(77), class_id=3, n=4000)
         assert frechet_distance(gen, ref) < 0.05
@@ -802,7 +796,7 @@ class TestSharedStepCount:
     )
     def test_step_calls_per_chunk(self, monkeypatch, guidances, per_chunk):
         spec = preset("imbalanced2d")
-        cfg = SamplerConfig(schedule=reference_schedule(), record_outputs=False)
+        cfg = SamplerConfig(schedule=reference_schedule())
         base = AnalyticSource(spec)
         records = new_trajectories(2, 64, 2)
         records["class_id"], records["score"], records["outputs"] = 1, 0.0, 0.0

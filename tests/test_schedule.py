@@ -118,7 +118,7 @@ class TestSeeds:
         # numpy's default_rng(seed) noise scaled to sigma_max
         sched = make_schedule("karras-like", 4, 0.05, 8.0)
         source = guided_source(AnalyticSource(preset("balanced2d")), None, GuidanceConfig())
-        cfg = SamplerConfig(schedule=sched, record_outputs=False)
+        cfg = SamplerConfig(schedule=sched)
         batch = sample_batch(source, cfg, 42, [1, 2], 3)
         assert len(set(batch["seed"].tolist())) == 6
         for rec in batch:
@@ -200,7 +200,6 @@ class TestTrajectoryRecord:
             new_trajectories(1, 0, 2)
         with pytest.raises(InvalidArgumentError):
             new_trajectories(1, 3, 0)
-        assert "outputs" not in new_trajectories(1, 3, 2, outputs=False).dtype.names
 
 
 class TestTrajectoryIO:
