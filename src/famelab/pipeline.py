@@ -72,16 +72,16 @@ class Experiment:
     and schedule) is resolved on construction; a configured class the
     dataset lacks, or a pool_n_f its classes' candidates cannot fill (even
     if this run builds no pool), is then an InvalidArgumentError, raised
-    before any file or directory is written.  base, scorer and references
-    are resolved on first use, each inside the stage that names its
-    failures, so a subcommand pays only for what it touches.  The failure
-    pool is built (from pool_cfg) or loaded at most once.
+    before any file or directory is written or removed.  base, scorer and
+    references are resolved on first use, each inside the stage that names
+    its failures, so a subcommand pays only for what it touches.  The
+    failure pool is built (from pool_cfg) or loaded at most once.
     """
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self.run_dir = Path(cfg.out_dir) / cfg.name
-        (self.run_dir / "FAILED").unlink(missing_ok=True)
+        self._stale = True
         self.spec, self.schedule = self.stage("dataset", self._dataset)
         self.classes = sorted(self.spec.classes) if cfg.classes is None else list(cfg.classes)
         missing = [c for c in self.classes if c not in self.spec.classes]
@@ -106,7 +106,11 @@ class Experiment:
             raise PipelineStageError(name, exc) from exc
 
     def _path(self, *parts) -> Path:
-        """run_dir/parts, with the directory it goes into created."""
+        """run_dir/parts, with the directory it goes into created; the first
+        call removes the FAILED marker an earlier run left."""
+        if self._stale:
+            (self.run_dir / "FAILED").unlink(missing_ok=True)
+            self._stale = False
         path = self.run_dir.joinpath(*parts)
         path.parent.mkdir(parents=True, exist_ok=True)
         return path

@@ -30,7 +30,8 @@ level with the conditional output recorded there, the record a pool
 replays.  Both run one chunk loop: a chunk's shared steps are integrated
 once, through the first source and with no pool bound, and each source
 then binds its own pool records and resumes from the float64 state at the
-fork.
+fork.  The integrator keeps only the current state and writes each step
+where its caller keeps it, if anywhere: into `sample_batch`'s record rows.
 
 Trajectories are processed in lockstep chunks of fixed width, one chunk after
 another.  Per-trajectory seeds derive from (base_seed, class, index), initial
@@ -145,24 +146,21 @@ class NeuralSource:
         return self.model.fingerprint()
 
 
-def _integrate_chunk(source, cfg, x, neg, class_ids, index, start, stop):
+def _integrate_chunk(source, cfg, x, neg, class_ids, index, start, stop, record=None):
     """Lockstep-integrate steps start..stop-1 of one chunk through a guided
     source, from the float64 states x at level start; neg is what
-    `source.bind` returned for these trajectories.  Returns (states,
-    outputs): the states at levels start..stop, x first, and the conditional
-    denoiser outputs `source.step` hands back with each guided one at steps
-    start..stop-1.  Every step gets the same new scratch dict, which is
-    dropped on return.
+    `source.bind` returned for these trajectories.  Returns the float64
+    states at level stop.  Each state from x on, and the conditional output
+    `source.step` hands back with each guided one, is written as it is made
+    into record, if given: a (states, outputs) pair of arrays whose columns
+    are the levels and steps from start on.  Every step gets the same new
+    scratch dict, which is dropped on return.
 
     index gives each trajectory's index within its class, which a
     DivergedError reports with its class id.
     """
     sched = cfg.schedule
     sig = sched.sigmas
-    n, d = x.shape
-    states = np.empty((n, stop - start + 1, d))
-    states[:, 0] = x
-    outputs = np.empty((n, stop - start, d))
     scratch = {}
 
     def fail(arr, step):
@@ -179,20 +177,25 @@ def _integrate_chunk(source, cfg, x, neg, class_ids, index, start, stop):
         except DegeneratePointError:
             fail(x, k)
 
+    if record is not None:
+        record[0][:, 0] = x
     for k in range(start, stop):
-        dk, outputs[:, k - start] = guided(x, k, k)
+        dk, d1 = guided(x, k, k)
         h = sig[k + 1] - sig[k]
         rhs = (x - dk) / sig[k]
         x_next = x + h * rhs
-        if len(_levels(cfg, k)) == 2:
+        # a predictor that is not finite fails the step, not the corrector
+        if len(_levels(cfg, k)) == 2 and np.all(np.isfinite(x_next)):
             d2, _ = guided(x_next, k + 1, k)
             rhs2 = (x_next - d2) / sig[k + 1]
             x_next = x + h * 0.5 * (rhs + rhs2)
-        states[:, k + 1 - start] = x_next
         if not np.all(np.isfinite(x_next)):
             fail(x_next, k)
+        if record is not None:
+            record[0][:, k + 1 - start] = x_next
+            record[1][:, k - start] = d1
         x = x_next
-    return states, outputs
+    return x
 
 
 def _levels(cfg, k):
@@ -238,20 +241,26 @@ def _jobs(sources, base_seed, class_ids, n_per_class):
     return derive_seed(base_seed, classes, index), classes, index
 
 
-def _sample(sources, cfg, seeds, classes, index, keep):
+def _sample(sources, cfg, seeds, classes, index, batch=None):
     """Integrate the trajectories through each guided source, chunk by
     chunk.  A chunk's steps before the fork (`_fork`) are integrated once,
-    through the first source with no pool bound, and handed to
-    keep(None, rows, 0, states, outputs); each live source then binds its
-    pool records and resumes from a copy of the float64 state at the fork,
-    and its steps go to keep(i, rows, fork, states, outputs).  The shared
-    arrays are freed before any source resumes.  Returns, for each source,
-    None or the first FamelabError it would raise if sampled alone: a
-    chunk binds the source's pool first, and a chunk whose shared steps
-    failed then raises their failure."""
-    sched = cfg.schedule
+    through the first source with no pool bound; each live source then
+    binds its pool records and resumes from the float64 state at the fork.
+    Every step goes into batch's rows if a batch is given (for one source).
+    Returns, for each source, its float32-rounded final states as an (n, d)
+    float64 array in job order, or the first FamelabError it would raise if
+    sampled alone: a chunk binds the source's pool first, and a chunk whose
+    shared steps failed then raises their failure."""
+    sched, T = cfg.schedule, cfg.schedule.T
     fork = _fork(sources, cfg)
+    finals = [np.empty((len(seeds), sources[0].dim)) for _ in sources]
     errors = [None] * len(sources)
+
+    def record(rows, start, stop):
+        # batch's levels start..stop and steps start..stop-1 of these rows
+        if batch is not None:
+            return batch["states"][rows, start : stop + 1], batch["outputs"][rows, start:stop]
+
     for lo in range(0, len(seeds), CHUNK):
         live = [i for i, err in enumerate(errors) if err is None]
         if not live:
@@ -260,10 +269,7 @@ def _sample(sources, cfg, seeds, classes, index, keep):
         job = classes[rows], index[rows]
         try:
             x = initial_noise(seeds[rows], sources[0].dim) * sched.sigmas[0]
-            shared = _integrate_chunk(sources[0], cfg, x, None, *job, 0, fork)
-            keep(None, rows, 0, *shared)
-            x = shared[0][:, -1].copy()
-            del shared
+            x = _integrate_chunk(sources[0], cfg, x, None, *job, 0, fork, record(rows, 0, fork))
         except FamelabError as exc:
             x = exc
         for i in live:
@@ -271,10 +277,11 @@ def _sample(sources, cfg, seeds, classes, index, keep):
                 neg = sources[i].bind(sched, seeds[rows], classes[rows])
                 if isinstance(x, FamelabError):
                     raise x
-                keep(i, rows, fork, *_integrate_chunk(sources[i], cfg, x, neg, *job, fork, sched.T))
+                x_T = _integrate_chunk(sources[i], cfg, x, neg, *job, fork, T, record(rows, fork, T))
+                finals[i][rows] = x_T.astype(np.float32)
             except FamelabError as exc:
                 errors[i] = exc
-    return errors
+    return [err if err is not None else out for out, err in zip(finals, errors)]
 
 
 def sample_batch(
@@ -290,23 +297,18 @@ def sample_batch(
 
     Returns one `trajectory_dtype` record array in job order, class by class:
     every level's state and every step's conditional denoiser output, with
-    scores NaN.  Each chunk's float64 result is rounded into its rows as
-    soon as it is done.  Each trajectory's stream seed is
-    derive_seed(base_seed, class, index), so any (base_seed, class, index)
-    triple reproduces identically whatever else is in the batch.
+    scores NaN.  The integrator rounds each into its row as it is made.
+    Each trajectory's stream seed is derive_seed(base_seed, class, index),
+    so any (base_seed, class, index) triple reproduces identically whatever
+    else is in the batch.
     """
     seeds, classes, index = _jobs([source], base_seed, class_ids, n_per_class)
     batch = new_trajectories(len(seeds), cfg.schedule.T, source.dim)
     batch["class_id"] = classes
     batch["seed"] = seeds
-
-    def keep(_, rows, start, states, outputs):
-        batch["states"][rows, start : start + states.shape[1]] = states
-        batch["outputs"][rows, start : start + outputs.shape[1]] = outputs
-
-    [error] = _sample([source], cfg, seeds, classes, index, keep)
-    if error is not None:
-        raise error
+    [out] = _sample([source], cfg, seeds, classes, index, batch)
+    if isinstance(out, FamelabError):
+        raise out
     return batch
 
 
@@ -318,12 +320,4 @@ def sample_finals(sources, cfg: SamplerConfig, base_seed: int, class_ids, n_per_
     job order, or the FamelabError it would raise; no trajectory batch is
     made."""
     sources = list(sources)
-    seeds, classes, index = _jobs(sources, base_seed, class_ids, n_per_class)
-    finals = [np.empty((len(seeds), sources[0].dim)) for _ in sources]
-
-    def keep(i, rows, start, states, outputs):
-        if i is not None:
-            finals[i][rows] = states[:, -1].astype(np.float32)
-
-    errors = _sample(sources, cfg, seeds, classes, index, keep)
-    return [err if err is not None else out for out, err in zip(finals, errors)]
+    return _sample(sources, cfg, *_jobs(sources, base_seed, class_ids, n_per_class))

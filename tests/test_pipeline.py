@@ -128,6 +128,24 @@ class TestRunPipeline:
         run_pipeline(base_config(tmp_path))
         assert not (tmp_path / "out" / "run" / "FAILED").exists()
 
+    @pytest.mark.parametrize(
+        "over",
+        [dict(classes=(1, 99)), dict(pool_candidates=2, pool_n_f=5), dict(n_per_class=2)],
+        ids=["unknown-class", "pool-n-f", "n-per-class"],
+    )
+    def test_rejected_config_keeps_last_marker(self, tmp_path, over):
+        # a config refused before any file is written leaves the last run's
+        # marker as it was, in run_pipeline and run_sweep alike
+        with pytest.raises(PipelineStageError):
+            run_pipeline(base_config(tmp_path, dataset="nonexistent"))
+        marker = tmp_path / "out" / "run" / "FAILED"
+        before = marker.read_bytes()
+        for run in (run_pipeline, lambda cfg: run_sweep(cfg, SweepSpec("w", (1.5, 2.0)))):
+            with pytest.raises(InvalidArgumentError):
+                run(base_config(tmp_path, **over))
+            assert marker.read_bytes() == before
+        assert [p.name for p in marker.parent.iterdir()] == ["FAILED"]
+
     def test_unknown_class_is_invalid_before_any_file(self, tmp_path):
         cfg = base_config(tmp_path, classes=(1, 99))
         with pytest.raises(InvalidArgumentError, match="class 99"):

@@ -1,5 +1,7 @@
 """Integrator tests against closed-form flows and the reproducibility contract."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -56,19 +58,29 @@ def plain(base):
 
 
 def integrate(source, cfg, seeds, class_ids):
-    """Float64 (states, outputs or None) of trajectories integrated as one
-    chunk through a guided source, from their streams' initial noise."""
+    """Float64 (states, outputs) of trajectories integrated as one chunk
+    through a guided source, from their streams' initial noise."""
     seeds = np.asarray(seeds, dtype=np.uint64)
     x = initial_noise(seeds, source.dim) * cfg.schedule.sigmas[0]
     neg = source.bind(cfg.schedule, seeds, class_ids)
-    return _integrate_chunk(source, cfg, x, neg, class_ids, np.arange(len(seeds)), 0, cfg.schedule.T)
+    return integrate_from(source, cfg, x, neg, class_ids, np.arange(len(seeds)), 0, cfg.schedule.T)
+
+
+def integrate_from(source, cfg, x, neg, class_ids, index, start, stop):
+    """Float64 (states, outputs) of one `_integrate_chunk` call, recorded
+    into arrays of its own; the state it returns is the last recorded."""
+    n, d = x.shape
+    record = np.full((n, stop - start + 1, d), np.nan), np.full((n, stop - start, d), np.nan)
+    final = _integrate_chunk(source, cfg, x, neg, class_ids, index, start, stop, record)
+    assert final.tobytes() == record[0][:, -1].tobytes()
+    return record
 
 
 def alone(source, cfg, seed, class_id):
-    """Float64 states and outputs (or None) of one trajectory integrated by
-    itself from the stream `seed`."""
+    """Float64 states and outputs of one trajectory integrated by itself
+    from the stream `seed`."""
     states, outputs = integrate(plain(source), cfg, [seed], np.array([class_id]))
-    return states[0], None if outputs is None else outputs[0]
+    return states[0], outputs[0]
 
 
 class TestHandSteps:
@@ -286,6 +298,39 @@ class TestScratch:
         assert second[0] is not first[0]
 
 
+class TestChunkMemory:
+    """One chunk of 1,024 analytic trajectories at T=64 Heun, w=1.5: the
+    integrator writes each step where its caller keeps it and allocates no
+    per-step trajectory arrays, which would add 2 MiB of float64 states and
+    outputs (tracemalloc peaks measured 1.6 MiB with them written in place,
+    3.6 MiB with per-chunk arrays)."""
+
+    LIMIT = 2.5 * 2**20
+
+    def peak(self, sample):
+        """sample(source, cfg, base_seed, [1, 2], n_per_class) of 512 per
+        class, after a small warm-up call, with its tracemalloc peak."""
+        cfg = SamplerConfig(schedule=reference_schedule(), method="heun")
+        source = guided_source(AnalyticSource(preset("imbalanced2d")), None, GuidanceConfig(w=1.5))
+        sample(source, cfg, 0, [1, 2], 2)
+        tracemalloc.start()
+        try:
+            out = sample(source, cfg, 0, [1, 2], 512)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_sample_finals(self):
+        [finals], peak = self.peak(lambda source, *args: sample_finals([source], *args))
+        assert finals.shape == (1024, 2)
+        assert peak < self.LIMIT
+
+    def test_sample_batch_beyond_its_batch(self):
+        batch, peak = self.peak(sample_batch)
+        assert len(batch) == 1024
+        assert peak - batch.nbytes < self.LIMIT
+
+
 class _BlowupSource:
     """Poisons one chosen row once sigma falls to a given level.  A huge
     finite output would not do: the update x + h*(x - D)/sigma moves toward
@@ -357,6 +402,21 @@ class TestFailurePaths:
         with pytest.raises(DivergedError) as ei:
             sample_batch(source, self.cfg, 0, [3, 7], 6)
         assert (ei.value.class_id, ei.value.index, ei.value.step) == (7, 1, 3)
+
+    @pytest.mark.parametrize("method", ["euler", "heun"])
+    def test_overflowing_step_is_a_divergence(self, method):
+        # w = 1e308 overflows the first step's state; with Heun that is its
+        # predictor, which the corrector must not be handed
+        cfg = SamplerConfig(schedule=make_schedule("karras-like", 16, 0.02, 8.0), method=method)
+        base = AnalyticSource(preset("imbalanced2d"))
+        source = guided_source(base, None, GuidanceConfig(w=1e308))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergedError) as alone:
+                sample_batch(source, cfg, 8, [1, 2], 4)
+            ok, err = sample_finals([plain(base), source], cfg, 8, [1, 2], 4)
+        assert alone.value.step == 0
+        assert isinstance(ok, np.ndarray) and isinstance(err, DivergedError)
+        assert (err.class_id, err.index, err.step) == (alone.value.class_id, alone.value.index, 0)
 
     # [1, None] is test_mixed_class_kinds_rejected's case
     @pytest.mark.parametrize("class_ids", [None, [None], 1], ids=["none", "none-item", "int"])
@@ -606,13 +666,17 @@ class TestChunkInvariance:
 
 def record_chunks(monkeypatch, n_per_class):
     """Record every `_integrate_chunk` call as (source, rows in job order of
-    a batch over classes 1, 2, ..., start, stop, states, outputs)."""
+    a batch over classes 1, 2, ..., start, stop, states, outputs): the
+    float64 states and outputs it made, copied into the record the call was
+    given, if any."""
     calls = []
 
-    def integrate(source, cfg, x, neg, class_ids, index, start, stop):
-        states, outputs = _integrate_chunk(source, cfg, x, neg, class_ids, index, start, stop)
+    def integrate(source, cfg, x, neg, class_ids, index, start, stop, record=None):
+        states, outputs = integrate_from(source, cfg, x, neg, class_ids, index, start, stop)
         calls.append((source, (class_ids - 1) * n_per_class + index, start, stop, states, outputs))
-        return states, outputs
+        if record is not None:
+            record[0][...], record[1][...] = states, outputs
+        return states[:, -1].copy()
 
     monkeypatch.setattr(sampler, "_integrate_chunk", integrate)
     return calls
