@@ -12,7 +12,9 @@ quality tags; only this module reads the rows beyond `GmmSpec.mixture`.
 `GmmSpec.evaluate` is the one mixture evaluation every caller uses.  It runs
 the kernel in two parts: `gmm_terms` computes the weight-free terms of each
 component it needs once, and `gmm_reduce` does the weighted log-sum-exp and
-posterior mean over one mixture's columns of them.
+posterior mean over one mixture's columns of them.  Its index work and both
+parts' work arrays depend only on n and the mixtures, a plan that a caller's
+scratch dict keeps across calls, as the sampler's does for a chunk segment.
 
 Class ids are positive integers; id 0 is reserved for the unconditional
 (null) token used by trainable denoisers.
@@ -23,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import reduce
 
@@ -44,16 +47,14 @@ PRESET_NAMES = ("balanced2d", "imbalanced2d")
 LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _rotate(planes, qmats):
-    """Q v per component, for v given as d (K, n) planes: plane a of the
-    result is sum_b Q[:, a, b] * v_b."""
+def _rotate(planes, qmats, out):
+    """Q v per component, for v given as d (K, n) planes, into the d planes
+    of out: plane a is sum_b Q[:, a, b] * v_b."""
     d = len(planes)
-    out = []
     for a in range(d):
-        acc = planes[0] * qmats[:, a, 0, None]
+        np.multiply(planes[0], qmats[:, a, 0, None], out=out[a])
         for b in range(1, d):
-            acc = acc + planes[b] * qmats[:, a, b, None]
-        out.append(acc)
+            out[a] += planes[b] * qmats[:, a, b, None]
     return out
 
 
@@ -75,7 +76,7 @@ def _sum_components(e):
     return reduce(np.add, e[K - K % 8 :], (r[0] + r[1]) + (r[2] + r[3]))
 
 
-def gmm_terms(X, means, qmats, lams, sig2):
+def gmm_terms(X, means, qmats, lams, sig2, work=None):
     """The weight-free part of the mixture evaluation at sigma = sqrt(sig2).
 
     Returns (logdet, quad, pm): logdet (K,) the log determinant of each
@@ -84,25 +85,31 @@ def gmm_terms(X, means, qmats, lams, sig2):
     pm (d, K, n) each component's posterior mean E[x0 | x, k].  Component k
     is quad[k] and pm[:, k] alone, so a caller may evaluate a table of
     components once and hand any selection of them to `gmm_reduce`.
+    work, a (4, d, K, n) array, holds the steps if given, and quad and pm
+    are then views of it.
     """
     d = X.shape[1]
+    v, w, sd, pm = np.empty((4, d, len(means), len(X))) if work is None else work
     den = lams + sig2
     # w = Q^T (x - mu) per component; sd = w / den is Sigma_sigma^-1 (x - mu)
     # in the eigenbasis
-    w = _rotate([X[:, b] - means[:, b, None] for b in range(d)], qmats.transpose(0, 2, 1))
-    sd = [w[a] / den[:, a, None] for a in range(d)]
+    for b in range(d):
+        np.subtract(X[:, b], means[:, b, None], out=v[b])
+    _rotate(v, qmats.transpose(0, 2, 1), w)
+    np.divide(w, den.T[:, :, None], out=sd)
+    quad = v[0]  # v is spent, and w once quad is made
     with np.errstate(over="ignore"):  # quad = inf far from every component
-        quad = sd[0] * w[0]
+        np.multiply(sd[0], w[0], out=quad)
         for a in range(1, d):
-            quad = quad + sd[a] * w[a]
+            quad += sd[a] * w[a]
     logdet = np.log(den).sum(axis=1)
     # posterior mean_k = mu + Q (sd * lam)
-    shrunk = _rotate([sd[b] * lams[:, b, None] for b in range(d)], qmats)
-    pm = np.stack([means[:, a, None] + shrunk[a] for a in range(d)])
+    _rotate(np.multiply(sd, lams.T[:, :, None], out=w), qmats, pm)
+    pm += means.T[:, :, None]
     return logdet, quad, pm
 
 
-def gmm_reduce(const, quad, pm):
+def gmm_reduce(const, quad, pm, work=None):
     """The weighted reduction over the components of one mixture.
 
     const holds logw - 0.5 * (d log 2pi + logdet) per component, either a
@@ -112,16 +119,20 @@ def gmm_reduce(const, quad, pm):
     and the posterior mean E[x0 | x] (n, d).  The normaliser adds up in
     numpy's row-sum order and the mean one component at a time, einsum's
     order for d >= 2, so the bits are those of an (n, K) row-major kernel.
+    work, a (d + 1, K, n) array whose last d planes may be pm itself, holds
+    the steps if given, and resp is then a view of it.
     """
-    logcomp = const - 0.5 * quad
-    m = logcomp.max(axis=0)
+    work = np.empty((len(pm) + 1, *quad.shape)) if work is None else work
+    e, rp = work[0], work[1:]
+    np.subtract(const, np.multiply(quad, 0.5, out=e), out=e)  # log of each term
+    m = e.max(axis=0)
     safe = np.where(np.isfinite(m), m, 0.0)
-    e = np.exp(logcomp - safe)
+    np.exp(np.subtract(e, safe, out=e), out=e)
     s = _sum_components(e)
     with np.errstate(divide="ignore"):
         logp = safe + np.log(s)
-    resp = e / np.maximum(s, 1e-300)
-    mean = reduce(np.add, (resp * pm).swapaxes(0, 1), 0.0)
+    resp = np.divide(e, np.maximum(s, 1e-300), out=e)
+    mean = reduce(np.add, np.multiply(resp, pm, out=rp).swapaxes(0, 1), 0.0)
     return logp, resp, mean.T.copy()
 
 
@@ -249,10 +260,13 @@ class GmmSpec:
         self._cdfs = [choice_cdf(w[:k] / w[:k].sum()) for w, k in zip(weights, self._width)]
 
     def _row(self, class_id):
-        """The mixture-table row of one class id, or of the marginal for None."""
+        """The mixture-table row of one class id, or of the marginal for None;
+        a bool or a float is no class id."""
+        if isinstance(class_id, bool) or not isinstance(class_id, (numbers.Integral, type(None))):
+            raise NotFoundError(f"unknown class id {class_id!r}")
         try:
             return self._row_of[class_id]
-        except (KeyError, TypeError):
+        except KeyError:
             raise NotFoundError(f"unknown class id {class_id!r}") from None
 
     def mixture(self, class_id):
@@ -265,30 +279,70 @@ class GmmSpec:
 
     def _rows(self, mixture, n):
         """The mixture-table row of a class id or None, or for an (n,) array
-        of class ids, each point's row."""
+        of integer class ids, each point's row."""
         if np.ndim(mixture) == 0:
             return self._row(mixture)
         ids = np.asarray(mixture)
         if ids.shape != (n,):
             raise InvalidArgumentError(f"class_ids must have shape ({n},), got {ids.shape}")
+        if not np.issubdtype(ids.dtype, np.integer):
+            raise NotFoundError(f"class ids must be integers, got dtype {ids.dtype}")
         rows = np.minimum(np.searchsorted(self._ids, ids), len(self._ids) - 1)
         unknown = self._ids[rows] != ids
         if unknown.any():
             raise NotFoundError(f"unknown class id {ids[unknown][0]!r}")
         return rows
 
-    def evaluate(self, X, sigma, mixtures):
+    def _plan(self, n, mixtures):
+        """What `evaluate` needs of n points and these items besides X and
+        sigma: ((means, qmats, lams) of the entries they need, `gmm_terms`'
+        work, mcols, items).  mcols maps every mixture's columns into the
+        pass; an item is (row, its columns, work), or for a per-point item
+        (None, per component count k (points, flat indices into const and
+        into the pass, (k, points), work), None)."""
+        rows = [self._rows(m, n) for m in mixtures]
+        need = np.zeros(len(self._width), dtype=bool)
+        for r in rows:
+            need[r] = True
+        cols = np.unique(self._cols[need])
+        pos = np.zeros(len(self.means), dtype=np.intp)
+        pos[cols] = np.arange(len(cols))
+        mcols = pos[self._cols]
+        d = self.dim
+        items = []
+        for r in rows:
+            if np.ndim(r) == 0:
+                c = mcols[r, : self._width[r]]
+                items.append((r, c, np.empty((d + 2, len(c), n))))
+                continue
+            widths = self._width[r]
+            groups = []
+            for k in np.flatnonzero(np.bincount(widths)):
+                pts = np.flatnonzero(widths == k)
+                cflat = r[pts] * mcols.shape[1] + np.arange(k)[:, None]
+                flat = mcols.take(cflat) * n + pts
+                work = np.empty((d + 3, k, len(pts)))
+                groups.append((slice(None) if len(pts) == n else pts, cflat, flat, work))
+            items.append((None, groups, None))
+        table = self.means[cols], self.qmats[cols], self.lams[cols]
+        return table, np.empty((4, d, len(cols), n)), mcols, items
+
+    def evaluate(self, X, sigma, mixtures, scratch=None):
         """Several mixtures at the points X, a `check_points` batch, convolved
         with N(0, sigma^2 I), from one `gmm_terms` pass.
 
         Each item of mixtures is a class id, None for the marginal, or an
-        (n,) array of class ids, one per point.  The pass covers the distinct
-        table entries the items need, component-major.  Each point is then
-        reduced over its own mixture's rows of it, `quad[c]` and `pm[:, c]`,
-        duplicates gathered, not merged, so its sums run over the same terms
-        in the same order as that mixture evaluated alone.  The points of a
-        per-point item (flat takes) are reduced together per component
-        count, never padded: zero terms past width 8 regroup the pairwise sum.
+        (n,) integer array of class ids, one per point.  The pass covers the
+        distinct table entries the items need, component-major.  Each point
+        is then reduced over its own mixture's rows of it, `quad[c]` and
+        `pm[:, c]`, duplicates gathered, not merged, so its sums run over the
+        same terms in the same order as that mixture evaluated alone.  The
+        points of a per-point item (flat takes) are reduced together per
+        component count, never padded: zero terms past width 8 regroup the
+        pairwise sum.  What depends only on n and the items is a `_plan`;
+        scratch, a dict, keeps one per list length, reused while n and every
+        item equal the ones it was built from (an array by dtype and bytes),
+        and resp and quad are then its arrays, overwritten by its next call.
 
         Returns one (logp, resp, denoise, quad) per item: the log density
         (-inf where it underflows), the posterior responsibilities, the
@@ -297,34 +351,27 @@ class GmmSpec:
         over one mixture's columns, and None for a per-point item.
         """
         n, d = X.shape
-        rows = [self._rows(m, n) for m in mixtures]
-        need = np.zeros(len(self._width), dtype=bool)
-        for r in rows:
-            need[r] = True
-        cols = np.unique(self._cols[need])
-        logdet, quad, pm = gmm_terms(
-            X, self.means[cols], self.qmats[cols], self.lams[cols], float(sigma) ** 2
-        )
-        # every mixture's columns in this pass, and their constant terms
-        pos = np.zeros(len(self.means), dtype=np.intp)
-        pos[cols] = np.arange(len(cols))
-        mcols = pos[self._cols]
+        key = n, [(type(m), m) if np.ndim(m) == 0 else _ids_key(m) for m in mixtures]
+        plans = {} if scratch is None else scratch.setdefault("gmm_plans", {})
+        if plans.get(len(mixtures), (None,))[0] != key:
+            plans[len(mixtures)] = key, self._plan(n, mixtures)
+        (means, qmats, lams), work, mcols, items = plans[len(mixtures)][1]
+        logdet, quad, pm = gmm_terms(X, means, qmats, lams, float(sigma) ** 2, work)
+        # every mixture's constant terms in this pass
         const = self._logw - 0.5 * (d * LOG_2PI + logdet[mcols])
         out = []
-        for r in rows:
-            if np.ndim(r) == 0:
-                c = mcols[r, : self._width[r]]
-                q = quad[c]
-                logp, resp, denoise = gmm_reduce(const[r, : len(c), None], q, pm[:, c])
+        for r, c, work in items:
+            if r is not None:  # work holds quad and pm gathered, and gmm_reduce's planes
+                q = np.take(quad, c, axis=0, out=work[0])
+                p = np.take(pm, c, axis=1, out=work[2:])
+                logp, resp, denoise = gmm_reduce(const[r, : len(c), None], q, p, work[1:])
                 out.append((logp, resp, denoise, q))
                 continue
-            widths = self._width[r]
             logp, denoise = np.empty(n), np.empty((n, d))
-            for k in np.flatnonzero(np.bincount(widths)):
-                # flat indices of each point's own rows in the pass, (k, points)
-                pts = np.flatnonzero(widths == k)
-                flat = mcols[r[pts], :k].T * n + pts
-                got = gmm_reduce(const[r[pts], :k].T, quad.take(flat), pm.reshape(d, -1).take(flat, axis=1))
+            for pts, cflat, flat, work in c:
+                # work holds const, quad and pm gathered, and gmm_reduce's planes
+                cpts, qpts = const.take(cflat, out=work[0]), quad.take(flat, out=work[1])
+                got = gmm_reduce(cpts, qpts, pm.reshape(d, -1).take(flat, axis=1, out=work[3:]), work[2:])
                 logp[pts], denoise[pts] = got[0], got[2]
             out.append((logp, None, denoise, None))
         return out
@@ -333,6 +380,12 @@ class GmmSpec:
         blob = json.dumps(_spec_to_dict(self), sort_keys=True).encode()
         h = hashlib.blake2b(blob, digest_size=8)
         return int.from_bytes(h.digest(), "little")
+
+
+def _ids_key(ids):
+    """An array of class ids by content: its dtype, shape and bytes."""
+    ids = np.asarray(ids)
+    return ids.dtype.str, ids.shape, ids.tobytes()
 
 
 def check_points(spec, x, sigma):

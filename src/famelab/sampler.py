@@ -15,9 +15,11 @@ scratch=None)`, one output per mixture (an (n,) array of class ids, or None
 for the unconditional one, which enters only as CFG's d0 term: every
 trajectory is sampled for a class).  scratch is a dict `_integrate_chunk`
 makes for one chunk segment and passes to every step of it: a base source
-may keep work buffers there across the segment's calls (the neural source
-keeps its two hidden-layer buffers), and they are freed with the segment,
-not kept by the source.  The analytic source ignores it.
+may keep work buffers there across the segment's calls, and they are freed
+with the segment, not kept by the source.  The neural source keeps its two
+hidden-layer buffers there; the analytic source keeps `GmmSpec.evaluate`'s
+plan of each mixture list, built on the first step and reused while n and
+the class ids stay the same, so its steps redo no index work.
 
 `sample_finals` samples the same trajectories through several guided
 sources over one base, as the rows of a sweep or the sides of a paired
@@ -109,12 +111,13 @@ class AnalyticSource:
 
     def denoise(self, x, sigma, mixtures, scratch=None):
         """The posterior mean under each of `GmmSpec.evaluate`'s mixtures;
-        scratch is not used."""
+        scratch goes to `evaluate`, which keeps its plan of each item list
+        there."""
         sigma = float(sigma)
         if not sigma > 0:
             raise InvalidArgumentError(f"denoiser needs sigma > 0, got {sigma}")
         _, X = check_points(self.spec, x, sigma)
-        got = self.spec.evaluate(X, sigma, mixtures)
+        got = self.spec.evaluate(X, sigma, mixtures, scratch)
         if not all(np.isfinite(logp).all() for logp, *_ in got):
             raise DegeneratePointError("density underflowed to zero; denoiser undefined here")
         return [denoise for _, _, denoise, _ in got]

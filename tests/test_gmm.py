@@ -32,6 +32,8 @@ from famelab.gmm import (
     sample_clean_batch,
     save_spec,
 )
+from famelab.config import ExperimentConfig
+from famelab.schedule import make_schedule
 from tests.oracles import analytic_score, exact_sampler_choice, ideal_denoiser, mixture_arrays
 
 
@@ -413,6 +415,21 @@ class TestComponentTable:
         # the one-mixture functions take one class id, not one per point
         with pytest.raises(InvalidArgumentError):
             responsibilities(spec, X, np.array([1, 1, 1]))
+        # a bool or a float is no class id, nor is an array of them
+        for bad in (True, 1.0, np.True_, np.float64(1.0)):
+            for call in (
+                lambda: spec.evaluate(X, 1.0, [bad]),
+                lambda: responsibilities(spec, X, bad),
+                lambda: noised_log_density(spec, X, 1.0, bad),
+                lambda: exact_sampler(spec, np.random.default_rng(0), bad),
+            ):
+                with pytest.raises(NotFoundError):
+                    call()
+        for bad in (np.ones(3, dtype=bool), np.array([1.0, 2.0, 1.0])):
+            with pytest.raises(NotFoundError):
+                spec.evaluate(X, 1.0, [bad])
+            with pytest.raises(NotFoundError):
+                spec.evaluate(X, 1.0, [None, bad])
 
     def test_packs_hold_each_components_own_arrays(self):
         for spec in (preset("imbalanced2d"), skewed_2d()):
@@ -431,12 +448,95 @@ class TestComponentTable:
                     assert np.exp(logw[i]) == pytest.approx(c.weight * prior, rel=1e-12)
                     assert tags[i] == c.quality_tag
 
-    @pytest.mark.parametrize("bad", [0, 9, -1, "1", [1], (1,), np.array(1), np.array([1]), np.array([1, 2])])
+    @pytest.mark.parametrize(
+        "bad",
+        [0, 9, -1, "1", [1], (1,), np.array(1), np.array([1]), np.array([1, 2]), True, 1.0,
+         np.array([True]), np.array([1.0])],
+    )
     def test_mixture_unknown_id_is_not_found(self, bad):
         # an id given as an array or a list is no class id: NotFoundError,
         # never the TypeError of an unhashable key
         with pytest.raises(NotFoundError):
             preset("imbalanced2d").mixture(bad)
+
+
+def three_widths_2d():
+    """Classes of 1, 2 and 3 components with rotated covariances, one
+    component shared by classes 2 and 3, so a per-point item reduces in
+    three width groups."""
+    rot = np.array([[math.cos(0.4), -math.sin(0.4)], [math.sin(0.4), math.cos(0.4)]])
+    shared = GmmComponent(np.array([0.0, 0.5]), rot @ np.diag([0.9, 0.2]) @ rot.T, 0.3, 1.4)
+    return GmmSpec(
+        {
+            1: [GmmComponent(np.array([3.0, -1.0]), rot.T @ np.diag([0.5, 0.1]) @ rot, 1.0, 2.6)],
+            2: [GmmComponent(np.array([-2.0, 2.0]), 0.3 * np.eye(2), 0.7, 2.6), shared],
+            3: [
+                GmmComponent(np.array([1.0, 3.0]), np.array([[0.5, 0.2], [0.2, 0.4]]), 0.5, 2.6),
+                shared,
+                GmmComponent(np.array([-3.0, -2.0]), 0.6 * np.eye(2), 0.2, 2.0),
+            ],
+        },
+        {1: 0.2, 2: 0.3, 3: 0.5},
+    )
+
+
+def evaluate_bytes(spec, X, sigma, mixtures, scratch=None):
+    """`evaluate`'s outputs as bytes, taken before a later call with the
+    same scratch can overwrite its arrays."""
+    out = spec.evaluate(X, sigma, mixtures, scratch)
+    return [[None if a is None else (a.dtype, a.shape, a.tobytes()) for a in item] for item in out]
+
+
+class TestEvaluatePlan:
+    """`evaluate` keeps its plan of each item list in a scratch dict: the
+    bits do not change, and a plan is reused only for equal n and items."""
+
+    @pytest.mark.parametrize("spec", [preset("imbalanced2d"), three_widths_2d()], ids=["imbalanced2d", "widths"])
+    def test_scratch_gives_the_same_bits(self, spec):
+        cfg = ExperimentConfig()
+        sched = make_schedule(cfg.schedule_kind, cfg.n_steps, cfg.sigma_min, cfg.sigma_max)
+        assert len(sched.sigmas) == 65
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(300, 2)) * 4.0
+        ids = rng.choice(np.array(spec.class_ids), size=300)
+        scratch = {}
+        for sigma in sched.sigmas:
+            # the sampler's two lists alternate, as under cfg_interval
+            for mixtures in ([ids, None], [ids], [spec.class_ids[-1], None, ids]):
+                with_plan = evaluate_bytes(spec, X, sigma, mixtures, scratch)
+                assert with_plan == evaluate_bytes(spec, X, sigma, mixtures)
+        assert sorted(scratch["gmm_plans"]) == [1, 2, 3]
+
+    def test_plan_is_reused_only_for_equal_items(self):
+        spec = three_widths_2d()
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(40, 2)) * 3.0
+        ids = rng.integers(1, 4, size=40)
+        scratch = {}
+
+        def same(X, mixtures):
+            assert evaluate_bytes(spec, X, 0.7, mixtures, scratch) == evaluate_bytes(spec, X, 0.7, mixtures)
+
+        same(X, [ids, None])
+        ids[:20] = 3  # the same array, changed in place
+        same(X, [ids, None])
+        same(X, [rng.integers(1, 4, size=40), None])  # another array, same n
+        same(X, [1, None])
+        same(X[:25], [1, None])  # another n, the same items
+        # each equal to the plan's items, 1 or the int8 ones' bytes, but no class ids
+        for plan, bad in (([1, 2], [True, 2]), ([np.ones(40, dtype=np.int8), None], [np.ones(40, dtype=bool), None])):
+            same(X, plan)
+            for _ in range(2):
+                with pytest.raises(NotFoundError):
+                    spec.evaluate(X, 0.7, bad, scratch)
+        bad = ids.copy()
+        bad[7] = 9
+        for _ in range(2):
+            for s in (scratch, None):
+                with pytest.raises(NotFoundError):
+                    spec.evaluate(X, 0.7, [bad, None], s)
+        bad[7] = 2  # mended in place: planned anew, not refused or reused
+        same(X, [bad, None])
 
 
 class TestSpecFiles:

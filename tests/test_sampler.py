@@ -298,6 +298,28 @@ class TestScratch:
         assert second[0] is not first[0]
 
 
+class TestPlanCount:
+    """The analytic source plans `GmmSpec.evaluate` once per item list of a
+    `_integrate_chunk` call, not once per step."""
+
+    @pytest.mark.parametrize(
+        "guidance, plans",
+        [(GuidanceConfig(w=1.0), 1), (GuidanceConfig(w=1.5, cfg_interval=(0.2, 0.7)), 2)],
+        ids=["w=1", "cfg_interval"],
+    )
+    def test_one_plan_per_item_list(self, monkeypatch, guidance, plans):
+        built = []
+        plan = GmmSpec._plan
+        monkeypatch.setattr(GmmSpec, "_plan", lambda *args: built.append(args[1]) or plan(*args))
+        sched = reference_schedule()
+        cfg = SamplerConfig(schedule=sched, method="heun")
+        source = guided_source(AnalyticSource(preset("imbalanced2d")), None, guidance)
+        classes = np.repeat(np.array([1, 2, 3], dtype=np.int64), 12)
+        x = initial_noise(derive_seed(4, classes, np.arange(36)), 2) * sched.sigmas[0]
+        _integrate_chunk(source, cfg, x, None, classes, np.arange(36), 0, sched.T)
+        assert built == [36] * plans
+
+
 class TestChunkMemory:
     """One chunk of 1,024 analytic trajectories at T=64 Heun, w=1.5: the
     integrator writes each step where its caller keeps it and allocates no
