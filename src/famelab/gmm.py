@@ -10,11 +10,16 @@ every noise level then reuses the same rotation with shifted eigenvalues.
 `lams`, and each mixture as one row of columns into them, log weights and
 quality tags; only this module reads the rows beyond `GmmSpec.mixture`.
 `GmmSpec.evaluate` is the one mixture evaluation every caller uses.  It runs
-the kernel in two parts: `gmm_terms` computes the weight-free terms of each
-component it needs once, and `gmm_reduce` does the weighted log-sum-exp and
-posterior mean over one mixture's columns of them.  Its index work and both
-parts' work arrays depend only on n and the mixtures, a plan that a caller's
-scratch dict keeps across calls, as the sampler's does for a chunk segment.
+the kernel in two parts: `gmm_terms` computes the weight-free terms of
+components at points, and `gmm_reduce` does the weighted log-sum-exp and
+posterior mean over one mixture's columns of them.  The item list picks the
+pass shape: when every item is one class id per point (a conditional-only
+step), each point's terms cover only its own mixture's entries; otherwise one
+shared pass covers each entry the items need once, at every point.  A pass
+whose entries all have an eigenbasis of exactly I skips the rotations, with
+the same bits.  Its index work and both parts' work arrays depend only on n
+and the mixtures, a plan that a caller's scratch dict keeps across calls, as
+the sampler's does for a chunk segment.
 
 Class ids are positive integers; id 0 is reserved for the unconditional
 (null) token used by trainable denoisers.
@@ -36,26 +41,36 @@ from .errors import InvalidArgumentError, NotFoundError, check_class_id, check_i
 PRESET_NAMES = ("balanced2d", "imbalanced2d")
 
 # ---------------------------------------------------------------------------
-# The mixture kernel, on float64 C-contiguous arrays: X (n, d) points, means
-# (K, d), qmats (K, d, d) eigenvectors Q and lams (K, d) eigenvalues with
-# Sigma = Q diag(lams) Q^T, sig2 the squared noise level.  Per-point terms are
-# component-major (K, n) and every step runs elementwise across points, so row
-# i of every result comes from point i alone, the same bits at any batch size.
-# Only max reduces along an axis.  Sums over components are explicit sequences
-# in numpy's row-sum and einsum orders, never `.sum(axis=0)` (pairwise at n=1).
+# The mixture kernel, on float64 arrays: X (n, d) C-contiguous points, sig2 the
+# squared noise level, and each component's mean mu, eigenvectors Q and
+# eigenvalues lam (Sigma = Q diag(lam) Q^T) given as planes, one per
+# coordinate, broadcast against the points: (K, 1) for components every point
+# shares, or (k, n) for each point's own k.  Per-point terms are
+# component-major, (K, n) or (k, n), and every step runs elementwise across
+# points, so row i of every result comes from point i alone, the same bits at
+# any batch size.  Only max reduces along an axis.  Sums over components are
+# explicit sequences in numpy's row-sum and einsum orders, never
+# `.sum(axis=0)` (pairwise at n=1).
 
 LOG_2PI = math.log(2.0 * math.pi)
 
 
 def _rotate(planes, qmats, out):
-    """Q v per component, for v given as d (K, n) planes, into the d planes
-    of out: plane a is sum_b Q[:, a, b] * v_b."""
+    """Q v per component, for v given as d planes, into the d planes of out:
+    plane a is sum_b qmats[a, b] * v_b."""
     d = len(planes)
     for a in range(d):
-        np.multiply(planes[0], qmats[:, a, 0, None], out=out[a])
+        np.multiply(planes[0], qmats[a, 0], out=out[a])
         for b in range(1, d):
-            out[a] += planes[b] * qmats[:, a, b, None]
+            out[a] += planes[b] * qmats[a, b]
     return out
+
+
+def _planes(table, entries):
+    """Rows `entries` ((K, 1) or (k, n) indices) of a component table
+    (`means`, `qmats` or `lams`) as C-ordered planes over its trailing axes:
+    (d, *entries.shape), or (d, d, *entries.shape) for qmats."""
+    return np.take(np.moveaxis(table, 0, -1), entries, axis=-1)
 
 
 def _sum_components(e):
@@ -77,36 +92,51 @@ def _sum_components(e):
 
 
 def gmm_terms(X, means, qmats, lams, sig2, work=None):
-    """The weight-free part of the mixture evaluation at sigma = sqrt(sig2).
+    """The weight-free, per-point part of the mixture evaluation at sigma =
+    sqrt(sig2).
 
-    Returns (logdet, quad, pm): logdet (K,) the log determinant of each
-    noised covariance Sigma + sig2 I, quad (K, n) the squared Mahalanobis
-    distance of each point under it (at sig2 = 0, under Sigma itself), and
+    means and lams are (d, K, 1) planes of components every point shares,
+    or (d, k, n) planes of each point's own k; qmats is (d, d, K, 1) or
+    (d, d, k, n), or None when every Q is exactly I: then w = x - mu and the
+    posterior mean is sd * lam + mu, with no rotation.  That gives the
+    rotation's bits, since a product by an exact 1 is exact and one by an
+    exact 0 can only turn a -0.0 into +0.0, which the squared quadratic
+    form or the later + mu erases.  The log determinant of Sigma + sig2 I
+    is each table entry's `np.log(lams + sig2).sum(axis=1)`, for the caller.
+
+    Returns (quad, pm): quad (K, n) the squared Mahalanobis distance of each
+    point under each noised component (at sig2 = 0, under Sigma itself), and
     pm (d, K, n) each component's posterior mean E[x0 | x, k].  Component k
     is quad[k] and pm[:, k] alone, so a caller may evaluate a table of
-    components once and hand any selection of them to `gmm_reduce`.
-    work, a (4, d, K, n) array, holds the steps if given, and quad and pm
-    are then views of it.
+    components once and hand any selection of them to `gmm_reduce`.  work,
+    a (4, d, K, n) array, holds the steps if given, and quad and pm are then
+    views of it: quad its first plane, pm its last d.
     """
     d = X.shape[1]
-    v, w, sd, pm = np.empty((4, d, len(means), len(X))) if work is None else work
+    shape = np.broadcast_shapes(means.shape[1:], (len(X),))
+    v, w, sd, pm = np.empty((4, d, *shape)) if work is None else work
     den = lams + sig2
     # w = Q^T (x - mu) per component; sd = w / den is Sigma_sigma^-1 (x - mu)
     # in the eigenbasis
     for b in range(d):
-        np.subtract(X[:, b], means[:, b, None], out=v[b])
-    _rotate(v, qmats.transpose(0, 2, 1), w)
-    np.divide(w, den.T[:, :, None], out=sd)
+        np.subtract(X[:, b], means[b], out=v[b])
+    if qmats is None:
+        w = v
+    else:
+        _rotate(v, qmats.swapaxes(0, 1), w)
+    np.divide(w, den, out=sd)
     quad = v[0]  # v is spent, and w once quad is made
     with np.errstate(over="ignore"):  # quad = inf far from every component
         np.multiply(sd[0], w[0], out=quad)
         for a in range(1, d):
             quad += sd[a] * w[a]
-    logdet = np.log(den).sum(axis=1)
-    # posterior mean_k = mu + Q (sd * lam)
-    _rotate(np.multiply(sd, lams.T[:, :, None], out=w), qmats, pm)
-    pm += means.T[:, :, None]
-    return logdet, quad, pm
+    # posterior mean_k = mu + Q (sd * lam); w, when it is not v, is spent
+    if qmats is None:
+        np.multiply(sd, lams, out=pm)
+    else:
+        _rotate(np.multiply(sd, lams, out=w), qmats, pm)
+    pm += means
+    return quad, pm
 
 
 def gmm_reduce(const, quad, pm, work=None):
@@ -236,6 +266,8 @@ class GmmSpec:
         self.means = np.array([c.mean for c in distinct])
         self.lams = np.array([lam for lam, _ in eigs])
         self.qmats = np.array([q for _, q in eigs])
+        # which entries' Q is exactly I, so that `gmm_terms` need not rotate
+        self._eye = (self.qmats == np.eye(self.dim)).all(axis=(1, 2))
         # one row per mixture, each class in id order and then the marginal:
         # a class's columns are a run of the marginal's.  Entries past a
         # mixture's width repeat its first column and are never reduced over.
@@ -293,14 +325,47 @@ class GmmSpec:
             raise NotFoundError(f"unknown class id {ids[unknown][0]!r}")
         return rows
 
+    def _term_planes(self, entries):
+        """`gmm_terms`' (means, qmats, lams) planes of these table entries, (K, 1)
+        or (k, n) indices; qmats None when each of their Q is exactly I."""
+        qmats = None if self._eye[entries].all() else _planes(self.qmats, entries)
+        return _planes(self.means, entries), qmats, _planes(self.lams, entries)
+
+    def _groups(self, rows, n):
+        """The points of per-point mixture rows grouped by component count
+        k, never padded: zero terms past width 8 regroup the pairwise sum.
+        Per group, (its points, or a slice when they are all n, and (k,
+        points) flat indices into an array of one value per mixture-table
+        row and column)."""
+        widths = self._width[rows]
+        groups = []
+        for k in np.flatnonzero(np.bincount(widths)):
+            pts = np.flatnonzero(widths == k)
+            cflat = rows[pts] * self._cols.shape[1] + np.arange(k)[:, None]
+            groups.append((slice(None) if len(pts) == n else pts, cflat))
+        return groups
+
     def _plan(self, n, mixtures):
         """What `evaluate` needs of n points and these items besides X and
-        sigma: ((means, qmats, lams) of the entries they need, `gmm_terms`'
-        work, mcols, items).  mcols maps every mixture's columns into the
-        pass; an item is (row, its columns, work), or for a per-point item
-        (None, per component count k (points, flat indices into const and
-        into the pass, (k, points), work), None)."""
+        sigma: (shared pass, items).
+
+        When every item is per-point, there is no shared pass, and each item
+        is a list of its width groups, (points, flat indices into const,
+        `gmm_terms`' planes of its points' own entries, work).  Otherwise the
+        shared pass is (planes of the distinct entries the items need, its
+        work), and an item is (row, its columns in the pass, work), or for a
+        per-point item (None, per width group (points, flat indices into
+        const and into the pass, work), None)."""
         rows = [self._rows(m, n) for m in mixtures]
+        groups = [None if np.ndim(r) == 0 else self._groups(r, n) for r in rows]
+        d = self.dim
+        if all(g is not None for g in groups):
+            # work holds const gathered, then gmm_terms' (4, d, k, points)
+            return None, [
+                [(pts, cflat, self._term_planes(self._cols.take(cflat)), np.empty((4 * d + 1, *cflat.shape)))
+                 for pts, cflat in g]
+                for g in groups
+            ]
         need = np.zeros(len(self._width), dtype=bool)
         for r in rows:
             need[r] = True
@@ -308,41 +373,40 @@ class GmmSpec:
         pos = np.zeros(len(self.means), dtype=np.intp)
         pos[cols] = np.arange(len(cols))
         mcols = pos[self._cols]
-        d = self.dim
-        items = []
-        for r in rows:
-            if np.ndim(r) == 0:
+        items, at = [], np.arange(n)
+        for r, g in zip(rows, groups):
+            if g is None:
                 c = mcols[r, : self._width[r]]
                 items.append((r, c, np.empty((d + 2, len(c), n))))
                 continue
-            widths = self._width[r]
-            groups = []
-            for k in np.flatnonzero(np.bincount(widths)):
-                pts = np.flatnonzero(widths == k)
-                cflat = r[pts] * mcols.shape[1] + np.arange(k)[:, None]
-                flat = mcols.take(cflat) * n + pts
-                work = np.empty((d + 3, k, len(pts)))
-                groups.append((slice(None) if len(pts) == n else pts, cflat, flat, work))
-            items.append((None, groups, None))
-        table = self.means[cols], self.qmats[cols], self.lams[cols]
-        return table, np.empty((4, d, len(cols), n)), mcols, items
+            g = [(pts, cflat, mcols.take(cflat) * n + at[pts], np.empty((d + 3, *cflat.shape))) for pts, cflat in g]
+            items.append((None, g, None))
+        return (self._term_planes(cols[:, None]), np.empty((4, d, len(cols), n))), items
 
     def evaluate(self, X, sigma, mixtures, scratch=None):
         """Several mixtures at the points X, a `check_points` batch, convolved
-        with N(0, sigma^2 I), from one `gmm_terms` pass.
+        with N(0, sigma^2 I).
 
         Each item of mixtures is a class id, None for the marginal, or an
-        (n,) integer array of class ids, one per point.  The pass covers the
-        distinct table entries the items need, component-major.  Each point
-        is then reduced over its own mixture's rows of it, `quad[c]` and
-        `pm[:, c]`, duplicates gathered, not merged, so its sums run over the
-        same terms in the same order as that mixture evaluated alone.  The
-        points of a per-point item (flat takes) are reduced together per
-        component count, never padded: zero terms past width 8 regroup the
-        pairwise sum.  What depends only on n and the items is a `_plan`;
-        scratch, a dict, keeps one per list length, reused while n and every
-        item equal the ones it was built from (an array by dtype and bytes),
-        and resp and quad are then its arrays, overwritten by its next call.
+        (n,) integer array of class ids, one per point.  The item list alone
+        picks the shape of the `gmm_terms` work:
+        - When every item is per-point (a conditional-only step), each point
+          evaluates only its own mixture's entries: per item, its points are
+          grouped by component count k, and each group runs one pass over
+          its points' own k entries, which `gmm_reduce` reads as they are.
+        - Otherwise one shared pass covers the distinct table entries the
+          items need, component-major, and each point is reduced over its
+          own mixture's rows of it, `quad[c]` and `pm[:, c]` gathered (flat
+          takes for a per-point item, per component count).
+        Either way duplicates are gathered, not merged, so each point's sums
+        run over the same terms in the same order as its mixture evaluated
+        alone, and a pass whose entries all have Q exactly I skips the
+        rotations, as `gmm_terms` says, with the same bits.
+
+        What depends only on n and the items is a `_plan`; scratch, a dict,
+        keeps one per list length, reused while n and every item equal the
+        ones it was built from (an array by dtype and bytes), and resp and
+        quad are then its arrays, overwritten by its next call.
 
         Returns one (logp, resp, denoise, quad) per item: the log density
         (-inf where it underflows), the posterior responsibilities, the
@@ -355,10 +419,14 @@ class GmmSpec:
         plans = {} if scratch is None else scratch.setdefault("gmm_plans", {})
         if plans.get(len(mixtures), (None,))[0] != key:
             plans[len(mixtures)] = key, self._plan(n, mixtures)
-        (means, qmats, lams), work, mcols, items = plans[len(mixtures)][1]
-        logdet, quad, pm = gmm_terms(X, means, qmats, lams, float(sigma) ** 2, work)
-        # every mixture's constant terms in this pass
-        const = self._logw - 0.5 * (d * LOG_2PI + logdet[mcols])
+        shared, items = plans[len(mixtures)][1]
+        sig2 = float(sigma) ** 2
+        # every mixture's constant terms, from each table entry's log det
+        const = self._logw - 0.5 * (d * LOG_2PI + np.log(self.lams + sig2).sum(axis=1)[self._cols])
+        if shared is None:
+            return [self._reduce_own(X, sig2, const, groups) for groups in items]
+        planes, work = shared
+        quad, pm = gmm_terms(X, *planes, sig2, work)
         out = []
         for r, c, work in items:
             if r is not None:  # work holds quad and pm gathered, and gmm_reduce's planes
@@ -375,6 +443,19 @@ class GmmSpec:
                 logp[pts], denoise[pts] = got[0], got[2]
             out.append((logp, None, denoise, None))
         return out
+
+    @staticmethod
+    def _reduce_own(X, sig2, const, groups):
+        """One per-point item of a plan with no shared pass: each width
+        group's `gmm_terms` over its points' own entries, reduced in place."""
+        n, d = X.shape
+        logp, denoise = np.empty(n), np.empty((n, d))
+        for pts, cflat, planes, work in groups:
+            quad, pm = gmm_terms(X[pts], *planes, sig2, work[1:].reshape(4, d, *cflat.shape))
+            # gmm_reduce's planes: sd's last, spent once pm is made, then pm
+            got = gmm_reduce(const.take(cflat, out=work[0]), quad, pm, work[3 * d :])
+            logp[pts], denoise[pts] = got[0], got[2]
+        return logp, None, denoise, None
 
     def fingerprint(self) -> int:
         blob = json.dumps(_spec_to_dict(self), sort_keys=True).encode()

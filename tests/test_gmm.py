@@ -8,6 +8,7 @@ oracles in `tests.oracles`, the mixture kernels applied to one mixture's own
 components, which the package's sources must match bit for bit.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from famelab.errors import (
 )
 from famelab.gmm import (
     GmmComponent,
+    PRESET_NAMES,
     GmmSpec,
     check_points,
     choice_cdf,
@@ -32,9 +34,10 @@ from famelab.gmm import (
     sample_clean_batch,
     save_spec,
 )
+from famelab import gmm
 from famelab.config import ExperimentConfig
 from famelab.schedule import make_schedule
-from tests.oracles import analytic_score, exact_sampler_choice, ideal_denoiser, mixture_arrays
+from tests.oracles import analytic_score, exact_sampler_choice, gmm_eval, ideal_denoiser, mixture_arrays
 
 
 def projected_density_1d(spec: GmmSpec, u, class_id=None):
@@ -412,6 +415,9 @@ class TestComponentTable:
             spec.evaluate(X, 1.0, [None, np.array([1, 9, 2])])
         with pytest.raises(InvalidArgumentError):
             spec.evaluate(X, 1.0, [np.array([1, 2])])
+        # no items, no outputs
+        assert spec.evaluate(X, 1.0, []) == []
+        assert spec.evaluate(X, 1.0, [], {}) == []
         # the one-mixture functions take one class id, not one per point
         with pytest.raises(InvalidArgumentError):
             responsibilities(spec, X, np.array([1, 1, 1]))
@@ -480,6 +486,43 @@ def three_widths_2d():
     )
 
 
+def eye_widths_2d():
+    """Classes of 1, 2 and 3 components with isotropic covariances, so that
+    every Q is exactly I, one component shared by classes 2 and 3, and
+    -0.0 in mean coordinates."""
+    shared = GmmComponent(np.array([-0.0, 0.5]), 0.8 * np.eye(2), 0.3, 1.4)
+    return GmmSpec(
+        {
+            1: [GmmComponent(np.array([3.0, -0.0]), 0.4 * np.eye(2), 1.0, 2.6)],
+            2: [GmmComponent(np.array([-2.0, 2.0]), 0.3 * np.eye(2), 0.7, 2.6), shared],
+            3: [
+                GmmComponent(np.array([0.0, 3.0]), 0.5 * np.eye(2), 0.5, 2.6),
+                shared,
+                GmmComponent(np.array([-3.0, -2.0]), 0.6 * np.eye(2), 0.2, 2.0),
+            ],
+        },
+        {1: 0.2, 2: 0.3, 3: 0.5},
+    )
+
+
+def rotated_spec(d, seed):
+    """Three classes of 1, 2 and 3 random components in d dimensions (rotated
+    for d >= 2), one shared by classes 2 and 3, with -0.0 in a mean
+    coordinate."""
+    rng = np.random.default_rng(seed)
+
+    def comp(weight, zero=False):
+        a = rng.standard_normal((d, d))
+        mean = rng.standard_normal(d) * 2.0
+        if zero:
+            mean[0] = -0.0
+        return GmmComponent(mean, a @ a.T + 0.2 * np.eye(d), weight, 1.0 + rng.random())
+
+    shared = comp(0.3, zero=True)
+    classes = {1: [comp(1.0)], 2: [comp(0.7), shared], 3: [comp(0.5), shared, comp(0.2)]}
+    return GmmSpec(classes, {1: 0.2, 2: 0.3, 3: 0.5})
+
+
 def evaluate_bytes(spec, X, sigma, mixtures, scratch=None):
     """`evaluate`'s outputs as bytes, taken before a later call with the
     same scratch can overwrite its arrays."""
@@ -537,6 +580,132 @@ class TestEvaluatePlan:
                     spec.evaluate(X, 0.7, [bad, None], s)
         bad[7] = 2  # mended in place: planned anew, not refused or reused
         same(X, [bad, None])
+
+    @pytest.mark.parametrize(
+        "spec",
+        [preset("imbalanced2d"), preset("balanced2d"), eye_widths_2d(), three_widths_2d(),
+         rotated_spec(1, 1), rotated_spec(3, 3), rotated_spec(8, 8)],
+        ids=["imbalanced2d", "balanced2d", "eye-widths", "widths", "d=1", "d=3", "d=8"],
+    )
+    def test_per_point_pass_gives_the_shared_bits(self, spec):
+        """`evaluate(X, sigma, [ids])` evaluates each point's own entries
+        only.  Its logp and denoise equal, bit for bit with sign bits: the
+        per-point item of the shared pass, `[ids, None]`; `gmm_eval` on each
+        class's own components; and where every Q is I, the rotating path."""
+        rotating = copy.copy(spec)
+        rotating._eye = np.zeros_like(spec._eye)
+        cfg = ExperimentConfig()
+        sigmas = make_schedule(cfg.schedule_kind, cfg.n_steps, cfg.sigma_min, cfg.sigma_max).sigmas
+        assert len(sigmas) == 65 and sigmas[-1] == 0.0
+        rng = np.random.default_rng(spec.dim)
+        for n in (1, 37, 1024):
+            X = rng.normal(size=(n, spec.dim)) * 3.0
+            pick = rng.random(n)
+            X[pick < 0.1, 0], X[pick > 0.9, 0] = 0.0, -0.0
+            X[0, 0] = -0.0
+            X[-1] = spec.means[-1]  # exactly at a mean: quad 0 at sigma = 0
+            ids = rng.choice(np.array(spec.class_ids), size=n)
+            scratches = {}, {}, {}
+            for sigma in sigmas:
+                logp, resp, denoise, quad = spec.evaluate(X, sigma, [ids], scratches[0])[0]
+                assert resp is None and quad is None
+                shared = spec.evaluate(X, sigma, [ids, None], scratches[1])[0]
+                assert (logp.tobytes(), denoise.tobytes()) == (shared[0].tobytes(), shared[2].tobytes())
+                if spec._eye.all():
+                    rotated = rotating.evaluate(X, sigma, [ids], scratches[2])[0]
+                    assert (logp.tobytes(), denoise.tobytes()) == (rotated[0].tobytes(), rotated[2].tobytes())
+                for c in spec.class_ids:
+                    rows = ids == c
+                    want = gmm_eval(X[rows], *mixture_arrays(spec, c), sigma**2)
+                    assert logp[rows].tobytes() == want[0].tobytes()
+                    if spec.dim > 1:
+                        assert denoise[rows].tobytes() == want[3].tobytes()
+                    else:  # the oracle's d = 1 einsum is a dot product
+                        np.testing.assert_allclose(denoise[rows], want[3], rtol=1e-14, atol=1e-15)
+
+
+def mixed_eye_2d():
+    """Class 1 one isotropic component (Q = I), class 2 one isotropic and
+    one rotated."""
+    rot = np.array([[math.cos(0.4), -math.sin(0.4)], [math.sin(0.4), math.cos(0.4)]])
+    return GmmSpec(
+        {
+            1: [GmmComponent(np.array([2.0, 0.0]), 0.5 * np.eye(2), 1.0, 2.6)],
+            2: [
+                GmmComponent(np.array([-2.0, 0.0]), 0.5 * np.eye(2), 0.6, 2.6),
+                GmmComponent(np.array([0.0, 2.0]), rot @ np.diag([0.9, 0.2]) @ rot.T, 0.4, 1.4),
+            ],
+        },
+        {1: 0.5, 2: 0.5},
+    )
+
+
+class TestEvaluateWork:
+    """What `evaluate` hands `gmm_terms`: when every item is per-point, each
+    width group's own entries at its own points; otherwise one pass over the
+    distinct entries the items need.  A pass rotates (twice) only when one
+    of its entries' Q is not exactly I."""
+
+    N = 1024
+
+    def passes(self, monkeypatch, spec, mixtures):
+        """Each `gmm_terms` pass of one evaluate call, as (quad shape,
+        `_rotate` calls), the same with and without a plan in scratch."""
+        terms, rotate = gmm.gmm_terms, gmm._rotate
+        seen = []
+
+        def counted_terms(*args):
+            seen.append([None, 0])
+            got = terms(*args)
+            seen[-1][0] = got[-2].shape  # quad
+            return got
+
+        def counted_rotate(*args):
+            seen[-1][1] += 1
+            return rotate(*args)
+
+        monkeypatch.setattr(gmm, "gmm_terms", counted_terms)
+        monkeypatch.setattr(gmm, "_rotate", counted_rotate)
+        X = np.random.default_rng(9).normal(size=(self.N, spec.dim)) * 3.0
+        got, plans = [], {}
+        for scratch in (None, plans, plans):  # the last call reuses the second's plan
+            seen.clear()
+            spec.evaluate(X, 0.7, mixtures, scratch)
+            got.append([tuple(p) for p in seen])
+        assert got[0] == got[1] == got[2]
+        return got[0]
+
+    def ids(self, spec):
+        return np.random.default_rng(10).choice(np.array(spec.class_ids), size=self.N)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_conditional_only_evaluates_each_points_own_entries(self, monkeypatch, name):
+        spec = preset(name)
+        width = len(spec.mixture(1)[0])  # 2 on imbalanced2d, of 9 entries
+        assert self.passes(monkeypatch, spec, [self.ids(spec)]) == [((width, self.N), 0)]
+        ids = self.ids(spec)
+        assert self.passes(monkeypatch, spec, [ids, ids[::-1].copy()]) == [((width, self.N), 0)] * 2
+
+    def test_each_width_group_is_its_own_pass(self, monkeypatch):
+        spec = three_widths_2d()
+        ids = self.ids(spec)
+        want = [((k, int((ids == k).sum())), 2) for k in (1, 2, 3)]
+        assert self.passes(monkeypatch, spec, [ids]) == want
+        # a pass rotates only when one of its entries' Q is not I
+        spec = mixed_eye_2d()
+        ids = self.ids(spec)
+        want = [((1, int((ids == 1).sum())), 0), ((2, int((ids == 2).sum())), 2)]
+        assert self.passes(monkeypatch, spec, [ids]) == want
+
+    def test_a_class_id_or_the_marginal_keeps_one_shared_pass(self, monkeypatch):
+        spec = preset("imbalanced2d")
+        ids = self.ids(spec)
+        assert len(spec.means) == 9
+        for mixtures in ([ids, None], [None], [1, ids], [3, None, ids]):
+            assert self.passes(monkeypatch, spec, mixtures) == [((9, self.N), 0)]
+        assert self.passes(monkeypatch, spec, [1]) == [((2, self.N), 0)]
+        spec = three_widths_2d()
+        assert self.passes(monkeypatch, spec, [self.ids(spec), None]) == [((len(spec.means), self.N), 2)]
 
 
 class TestSpecFiles:

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from famelab.config import ExperimentConfig
-from famelab.gmm import _eval, _sum_components, gmm_reduce, gmm_terms, preset, responsibilities
+from famelab.gmm import _eval, _planes, _sum_components, gmm_reduce, gmm_terms, preset, responsibilities
 from famelab.metrics import ComponentTagScorer
 from famelab.schedule import make_schedule
 from tests.oracles import _gmm_terms_rows, gmm_eval, mixture_arrays
@@ -68,6 +68,14 @@ def random_mixture(rng, n, d, K):
     w = rng.random(K) + 0.1
     logw = np.log(w / w.sum())
     return X, means, qmats, lams, logw
+
+
+def table_terms(X, means, qmats, lams, sig2):
+    """`gmm_terms` over a whole component table, shared by every point, with
+    each entry's log determinant: (logdet, quad, pm)."""
+    entries = np.arange(len(means))[:, None]
+    quad, pm = gmm_terms(X, _planes(means, entries), _planes(qmats, entries), _planes(lams, entries), sig2)
+    return np.log(lams + sig2).sum(axis=1), quad, pm
 
 
 def reference_sigmas():
@@ -146,7 +154,7 @@ class TestGmmEval:
         cls = rng.choice(np.array(spec.class_ids), size=len(X))
         batch = spec.evaluate(X, 0.7, [None, 1, cls])
         X12, means, qmats, lams, logw = random_mixture(rng, n=30, d=3, K=12)
-        logdet, quad, pm = gmm_terms(X12, means, qmats, lams, 0.49)
+        logdet, quad, pm = table_terms(X12, means, qmats, lams, 0.49)
         const = (logw - 0.5 * (3 * LOG_2PI + logdet))[:, None]
         kernel = gmm_reduce(const, quad, pm)
         for i in range(len(X)):
@@ -173,7 +181,7 @@ class TestSplitKernel:
         for sigma in reference_sigmas()[::7]:
             X = rng.standard_normal((300, 2)) * (2.0 + sigma)
             cls = rng.choice(ids, size=len(X))
-            logdet, quad, pm = gmm_terms(X, spec.means, spec.qmats, spec.lams, sigma**2)
+            logdet, quad, pm = table_terms(X, spec.means, spec.qmats, spec.lams, sigma**2)
             mixtures = [None, *spec.class_ids]
             got = spec.evaluate(X, sigma, [*mixtures, cls])
             for class_id, (logp, resp, denoise, q) in zip(mixtures, got):

@@ -325,15 +325,17 @@ class TestChunkMemory:
     integrator writes each step where its caller keeps it and allocates no
     per-step trajectory arrays, which would add 2 MiB of float64 states and
     outputs (tracemalloc peaks measured 1.6 MiB with them written in place,
-    3.6 MiB with per-chunk arrays)."""
+    3.6 MiB with per-chunk arrays).  At w=1 each step evaluates only each
+    row's own entries, under the same limit."""
 
     LIMIT = 2.5 * 2**20
 
-    def peak(self, sample):
+    def peak(self, sample, w=1.5):
         """sample(source, cfg, base_seed, [1, 2], n_per_class) of 512 per
-        class, after a small warm-up call, with its tracemalloc peak."""
+        class at guidance weight w, after a small warm-up call, with its
+        tracemalloc peak."""
         cfg = SamplerConfig(schedule=reference_schedule(), method="heun")
-        source = guided_source(AnalyticSource(preset("imbalanced2d")), None, GuidanceConfig(w=1.5))
+        source = guided_source(AnalyticSource(preset("imbalanced2d")), None, GuidanceConfig(w=w))
         sample(source, cfg, 0, [1, 2], 2)
         tracemalloc.start()
         try:
@@ -351,6 +353,11 @@ class TestChunkMemory:
         batch, peak = self.peak(sample_batch)
         assert len(batch) == 1024
         assert peak - batch.nbytes < self.LIMIT
+
+    def test_sample_finals_conditional_only(self):
+        [finals], peak = self.peak(lambda source, *args: sample_finals([source], *args), w=1.0)
+        assert finals.shape == (1024, 2)
+        assert peak < self.LIMIT
 
 
 class _BlowupSource:
