@@ -180,8 +180,12 @@ class GmmComponent:
     quality_tag: float
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        cov = np.asarray(self.cov, dtype=np.float64)
+        # own read-only copies: the fingerprint and the spec's table are made
+        # from them, so neither the caller nor a holder of the spec may move them
+        mean = np.array(self.mean, dtype=np.float64)
+        cov = np.array(self.cov, dtype=np.float64)
+        mean.setflags(write=False)
+        cov.setflags(write=False)
         if mean.ndim != 1 or mean.size < 1:
             raise InvalidArgumentError("component mean must be a vector")
         if cov.shape != (mean.size, mean.size):

@@ -31,6 +31,8 @@ MODE_BLOCK = 1024
 # k of the k-NN precision/recall, and the points per side evaluate thins to
 KNN_K = 3
 KNN_MAX = 2048
+# centres paired per grid query, whatever the set sizes
+KNN_BLOCK = 512
 
 
 class ComponentTagScorer:
@@ -254,29 +256,41 @@ class _Grids:
         return np.repeat(np.arange(len(centres)), counts)[keep], pos[keep], sq[keep]
 
 
+def _blocks(todo):
+    """todo in consecutive pieces of at most KNN_BLOCK centres."""
+    return (todo[lo : lo + KNN_BLOCK] for lo in range(0, len(todo), KNN_BLOCK))
+
+
 def _knn_radii(grids, k):
     """Exact squared distance from each point to its k-th nearest in its own
     set, self the 0th: at the first level where more than k candidates lie
-    within reach, every point that near is one, so the k-th of a row of them."""
+    within reach, every point that near is one, so the k-th of a row of them.
+    Each level pairs its points KNN_BLOCK at a time, so the pairs and their
+    table stay a block's size, however many points share a cell."""
     radii, todo, j = np.empty(len(grids.points)), np.arange(len(grids.points)), 0
     while len(todo):
-        owner, _, sq = grids.pairs(j, grids.points[todo], np.ldexp(grids.reach, 2 * j))
-        counts = np.bincount(owner, minlength=len(todo))
-        table = np.full((len(todo), max(counts.max(), k + 1)), np.inf)
-        table[owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]] = sq
-        radii[todo] = np.partition(table, k, axis=1)[:, k]
-        todo, j = todo[counts <= k], j + 1
+        later = []
+        for block in _blocks(todo):
+            owner, _, sq = grids.pairs(j, grids.points[block], np.ldexp(grids.reach, 2 * j))
+            counts = np.bincount(owner, minlength=len(block))
+            table = np.full((len(block), max(counts.max(), k + 1)), np.inf)
+            table[owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]] = sq
+            radii[block] = np.partition(table, k, axis=1)[:, k]
+            later.append(block[counts <= k])
+        todo, j = np.concatenate(later), j + 1
     return radii
 
 
 def _coverage(centres, radii, grids):
     """Fraction of the points of `grids` inside some centre's ball, pairing
-    each centre at the first level whose reach its radius is within."""
+    each centre at the first level whose reach its radius is within,
+    KNN_BLOCK centres at a time."""
     covered, todo, j = np.zeros(len(grids.points), dtype=bool), np.arange(len(centres)), 0
     while len(todo):
         here = todo[radii[todo] <= np.ldexp(grids.reach, 2 * j)]
-        _, pos, _ = grids.pairs(j, centres[here], radii[here])
-        covered[grids.levels[j][0][pos]] = True
+        for block in _blocks(here):
+            _, pos, _ = grids.pairs(j, centres[block], radii[block])
+            covered[grids.levels[j][0][pos]] = True
         todo, j = todo[radii[todo] > np.ldexp(grids.reach, 2 * j)], j + 1
     return float(covered.mean())
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -35,9 +36,9 @@ from .metrics import (
     make_scorer,
     render_report,
 )
-from .plots import mode_scatter_svg, side_by_side_svg
+from .plots import _mode_scatter, side_by_side_svg
 from .pool import PoolBuildConfig, build_pool, load_pool, save_pool
-from .sampler import AnalyticSource, NeuralSource, SamplerConfig, sample_batch, sample_finals
+from .sampler import AnalyticSource, NeuralSource, SamplerConfig, _jobs, _record_chunks, sample_finals
 from .schedule import derive_seed, make_schedule
 
 # stage stream keys; distinct constants keep the seed chains disjoint
@@ -223,19 +224,40 @@ class Experiment:
     def sample(self, guidance: GuidanceConfig, save_trajectories: bool = False) -> dict:
         """The final states sampled under `guidance` as float64, grouped by
         class like an item of `sample_each`.  With save_trajectories whole
-        records, outputs included, are sampled (`sampler.sample_batch`) and
-        each class's are written to trajectories/class_<c>.traj."""
+        records, outputs included, are sampled chunk by chunk into one
+        chunk-sized buffer, the records `sampler.sample_batch` returns, and
+        each chunk's are appended to its classes' class_<c>.traj.part files
+        in the run directory when the chunk ends.  The parts replace
+        trajectories/class_<c>.traj once every chunk is written, so memory
+        holds one chunk of records whatever n_per_class is, and a run that
+        fails leaves trajectories/ as it was."""
         if not save_trajectories:
             [samples] = self.sample_each([guidance])
             if isinstance(samples, FamelabError):
                 raise samples
             return samples
         source = guided_source(self.base, self.pool(guidance), guidance)
-        samples = {}
-        for c, block in self._by_class(sample_batch(source, *self._sampling())):
-            self._path("trajectories", f"class_{c}.traj").write_bytes(block)
-            samples[c] = block["states"][:, -1].astype(np.float64)
-        return samples
+        cfg, *args = self._sampling()
+        jobs = _jobs([source], *args)
+        parts = {c: self._path(f"class_{c}.traj.part") for c in self.classes}
+        finals = {c: [] for c in self.classes}
+        try:
+            with ExitStack() as stack:
+                files = {c: stack.enter_context(open(path, "wb")) for c, path in parts.items()}
+                for records in _record_chunks(source, cfg, *jobs):
+                    # a class's rows are contiguous in job order
+                    cuts = np.flatnonzero(np.diff(records["class_id"])) + 1
+                    for block in np.split(records, cuts):
+                        c = int(block["class_id"][0])
+                        files[c].write(block)
+                        finals[c].append(block["states"][:, -1].astype(np.float64))
+        except BaseException:
+            for path in parts.values():
+                path.unlink(missing_ok=True)
+            raise
+        for c, path in parts.items():
+            path.replace(self._path("trajectories", f"class_{c}.traj"))
+        return {c: np.concatenate(states) for c, states in finals.items()}
 
     def sample_each(self, guidances) -> list:
         """For each guidance setting, what sample(guidance) returns or the
@@ -267,8 +289,9 @@ class Experiment:
             pooled = np.concatenate([samples[c] for c in sorted(samples)])
             refs = self.references
             pooled_ref = np.concatenate([refs[c] for c in sorted(refs)])
-            svg = mode_scatter_svg(self.spec, pooled_ref, pooled, title=self.cfg.name)
-            self._path("plots", "modes.svg").write_text(svg)
+            canvas = _mode_scatter(self.spec, pooled_ref, pooled, title=self.cfg.name)
+            with open(self._path("plots", "modes.svg"), "w") as fh:
+                fh.writelines(canvas.lines())
 
 
 def run_pipeline(cfg: ExperimentConfig) -> EvalReport:

@@ -2,7 +2,11 @@
 
 Hand-rolled SVG keeps the output byte-stable across environments: floats are
 formatted with fixed precision, element order follows input order, and there
-is no timestamp or random id anywhere in the file.
+is no timestamp or random id anywhere in the file.  A canvas holds its
+document as parts, one per set of dots (formatted by a single % over their
+coordinates) and one per other element; `Experiment.write_report` writes
+them to plots/modes.svg one by one, so the whole document is never joined
+in memory, and `mode_scatter_svg` returns the same text as one str.
 """
 
 from __future__ import annotations
@@ -54,12 +58,15 @@ class _Canvas:
             )
 
     def dots(self, pts, color, r=2.0, opacity=1.0):
+        """Add one part: a circle per point, a line each, all formatted by a
+        single % over the interleaved coordinates."""
         u, v = ((np.atleast_2d(pts) - self.lo) / (self.hi - self.lo)).T
-        for x, y in zip(u * self.size, (1.0 - v) * self.size):
-            self.parts.append(
-                f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{r}" fill="{color}" '
-                f'fill-opacity="{opacity:g}"/>'
-            )
+        if not len(u):
+            return
+        xy = np.empty(2 * len(u))
+        xy[0::2], xy[1::2] = u * self.size, (1.0 - v) * self.size
+        circle = f'<circle cx="%.2f" cy="%.2f" r="{r}" fill="{color}" fill-opacity="{opacity:g}"/>'
+        self.parts.append("\n".join([circle] * len(u)) % tuple(xy.tolist()))
 
     def text(self, x, y, s, color="#000000"):
         self.parts.append(
@@ -67,8 +74,14 @@ class _Canvas:
             f'fill="{color}">{s.translate(_ESCAPES)}</text>'
         )
 
+    def lines(self):
+        """The document's text in pieces: each part, then its newline."""
+        for part in self.parts + ["</svg>"]:
+            yield part
+            yield "\n"
+
     def render(self):
-        return "\n".join(self.parts + ["</svg>"]) + "\n"
+        return "".join(self.lines())
 
 
 def _mode_dots(cv, spec, pts, class_id):
@@ -83,6 +96,12 @@ def _mode_dots(cv, spec, pts, class_id):
 def mode_scatter_svg(spec, reference, generated, class_id=None, size=480, title="") -> str:
     """Reference set in light gray under the generated set colored by hard
     mode assignment; outliers (assigned to no component) in dark gray."""
+    return _mode_scatter(spec, reference, generated, class_id, size, title).render()
+
+
+def _mode_scatter(spec, reference, generated, class_id=None, size=480, title=""):
+    """The canvas of `mode_scatter_svg`, whose `lines` a file can take
+    without the document being joined in memory."""
     reference = np.atleast_2d(np.asarray(reference, dtype=np.float64))
     generated = np.atleast_2d(np.asarray(generated, dtype=np.float64))
     if reference.shape[1] != 2 or generated.shape[1] != 2:
@@ -93,7 +112,7 @@ def mode_scatter_svg(spec, reference, generated, class_id=None, size=480, title=
     assign = _mode_dots(cv, spec, generated, class_id)
     n_out = int((assign < 0).sum())
     cv.text(8, size - 8, f"n={len(generated)} outliers={n_out}")
-    return cv.render()
+    return cv
 
 
 def side_by_side_svg(spec, gen_a, gen_b, class_id=None, labels=("a", "b"), size=480) -> str:

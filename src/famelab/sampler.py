@@ -33,7 +33,9 @@ replays.  Both run one chunk loop: a chunk's shared steps are integrated
 once, through the first source and with no pool bound, and each source
 then binds its own pool records and resumes from the float64 state at the
 fork.  The integrator keeps only the current state and writes each step
-where its caller keeps it, if anywhere: into `sample_batch`'s record rows.
+where its caller keeps it, if anywhere: into a chunk's record rows, which
+`sample_batch` keeps in its batch and `pipeline.Experiment.sample` in one
+chunk-sized buffer that it writes out as each chunk ends (`_record_chunks`).
 
 Trajectories are processed in lockstep chunks of fixed width, one chunk after
 another.  Per-trajectory seeds derive from (base_seed, class, index), initial
@@ -287,6 +289,26 @@ def _sample(sources, cfg, seeds, classes, index, batch=None):
     return [err if err is not None else out for out, err in zip(finals, errors)]
 
 
+def _record_chunks(source, cfg, seeds, classes, index, batch=None):
+    """Sample the trajectories of one guided source as records, chunk by
+    chunk, and yield each chunk's records (the rows of job order it covers)
+    when the chunk ends.  They are batch's rows if a batch is given;
+    otherwise every chunk is written into one chunk-sized buffer, so a
+    chunk's records hold only until the next chunk is asked for.  A chunk
+    that fails raises its FamelabError."""
+    shared = batch is None
+    if shared:
+        batch = new_trajectories(min(CHUNK, len(seeds)), cfg.schedule.T, source.dim)
+    for lo in range(0, len(seeds), CHUNK):
+        rows = slice(lo, lo + CHUNK)
+        records = batch[: len(seeds[rows])] if shared else batch[rows]
+        records["class_id"], records["seed"] = classes[rows], seeds[rows]
+        [out] = _sample([source], cfg, seeds[rows], classes[rows], index[rows], records)
+        if isinstance(out, FamelabError):
+            raise out
+        yield records
+
+
 def sample_batch(
     source,
     cfg: SamplerConfig,
@@ -305,13 +327,10 @@ def sample_batch(
     so any (base_seed, class, index) triple reproduces identically whatever
     else is in the batch.
     """
-    seeds, classes, index = _jobs([source], base_seed, class_ids, n_per_class)
-    batch = new_trajectories(len(seeds), cfg.schedule.T, source.dim)
-    batch["class_id"] = classes
-    batch["seed"] = seeds
-    [out] = _sample([source], cfg, seeds, classes, index, batch)
-    if isinstance(out, FamelabError):
-        raise out
+    jobs = _jobs([source], base_seed, class_ids, n_per_class)
+    batch = new_trajectories(len(jobs[0]), cfg.schedule.T, source.dim)
+    for _ in _record_chunks(source, cfg, *jobs, batch):
+        pass
     return batch
 
 

@@ -11,6 +11,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,8 +20,9 @@ import famelab
 from famelab import cli, pipeline
 from famelab.cli import _resolve_config, build_parser, main
 from famelab.pipeline import compare_paired
-from famelab.config import ExperimentConfig
-from famelab.guidance import GuidanceConfig
+from famelab.config import ExperimentConfig, load_config
+from famelab.guidance import GuidanceConfig, guided_source
+from famelab.sampler import sample_batch
 from famelab.schedule import load_trajectories
 from tests.test_config import save_config
 
@@ -305,25 +307,21 @@ class TestStdout:
         assert "scores  :" in out
         assert (tmp_path / "out" / "run" / "pool.fmpl").exists()
 
-    def test_sample_writes_trajectories(self, tmp_path, capsys, monkeypatch):
-        # keep the batch the run sampled, to check the files against it
-        batches = []
-        sample_batch = pipeline.sample_batch
-
-        def keep(*args, **kwargs):
-            batches.append(sample_batch(*args, **kwargs))
-            return batches[-1]
-
-        monkeypatch.setattr(pipeline, "sample_batch", keep)
-        path = write_config(tmp_path)
+    def test_sample_writes_trajectories(self, tmp_path, capsys):
+        # 3 x 700 trajectories, so chunks of 1024 straddle classes; the files
+        # hold the records sample_batch returns for the run's own arguments
+        path = write_config(tmp_path, n_per_class=700, classes=(1, 2, 3))
         assert main(["sample", "--config", path]) == 0
         out = capsys.readouterr().out
-        assert "sampled : 50 trajectories (25 x 2 classes)" in out
+        assert "sampled : 2100 trajectories (700 x 3 classes)" in out
         traj_dir = tmp_path / "out" / "run" / "trajectories"
-        (batch,) = batches
-        for c in (1, 2):
+        exp = pipeline.Experiment(replace(load_config(path), name="check"))
+        guidance = exp.cfg.guidance
+        source = guided_source(exp.base, exp.pool(guidance), guidance)
+        batch = sample_batch(source, *exp._sampling())
+        for c in (1, 2, 3):
             back = load_trajectories(traj_dir / f"class_{c}.traj")
-            assert len(back) == 25
+            assert len(back) == 700
             assert (back["class_id"] == c).all()
             assert back.tobytes() == batch[batch["class_id"] == c].tobytes()
 

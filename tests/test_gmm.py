@@ -783,6 +783,26 @@ class TestSpecValidation:
         with pytest.raises(InvalidArgumentError):
             GmmComponent(np.zeros(2), np.diag([1.0, 0.0]), 1.0, 2.0)
 
+    def test_component_arrays_are_frozen_copies(self, tmp_path):
+        """A spec's fingerprint and file name the mixture it samples: no write
+        through a component, or through the arrays it was made from, moves
+        them apart."""
+        spec = preset("imbalanced2d")
+        comp = spec.classes[1][0]
+        fingerprint, x = spec.fingerprint(), np.array([[0.3, -0.2]])
+        denoise = spec.evaluate(x, 0.5, [np.array([1])])[0][2]
+        for arr in (comp.mean, comp.cov):
+            with pytest.raises(ValueError):
+                arr[0] = 99.0
+        mean, cov = np.zeros(2), np.eye(2)
+        own = GmmComponent(mean, cov, 1.0, 2.0)
+        mean[0], cov[1, 1] = 99.0, 5.0
+        assert own.mean[0] == 0.0 and own.cov[1, 1] == 1.0
+        assert spec.fingerprint() == fingerprint
+        save_spec(spec, tmp_path / "spec.json")
+        assert load_spec(tmp_path / "spec.json").fingerprint() == fingerprint
+        assert spec.evaluate(x, 0.5, [np.array([1])])[0][2].tobytes() == denoise.tobytes()
+
 
 class TestErrors:
     def test_unknown_class(self):

@@ -5,6 +5,7 @@ import json
 import shlex
 import shutil
 import sys
+import tracemalloc
 import weakref
 from xml.dom import minidom
 
@@ -13,11 +14,14 @@ import pytest
 
 from famelab.config import ExperimentConfig, SweepSpec
 from famelab.denoiser import MlpDenoiser, TrainConfig, save_checkpoint
-from famelab.errors import InvalidArgumentError, PipelineStageError
-from famelab.guidance import GuidanceConfig
+from famelab.errors import DivergedError, InvalidArgumentError, PipelineStageError
+from famelab.guidance import GuidanceConfig, guided_source
 from famelab.metrics import ComponentTagScorer
 from famelab import pipeline, sampler
 from famelab.pipeline import Experiment, compare_paired, run_pipeline, run_sweep
+from famelab.plots import mode_scatter_svg
+from famelab.sampler import sample_batch
+from famelab.schedule import load_trajectories, trajectory_dtype
 
 
 def base_config(tmp_path, **over):
@@ -65,6 +69,18 @@ class TestRunPipeline:
         assert not (root / "FAILED").exists()
         assert report.frechet < 1.0
         assert len(report.class_reports) == 2
+
+    def test_scatter_file_is_mode_scatter_svg(self, tmp_path):
+        # write_report writes the canvas part by part: the same text
+        cfg = base_config(tmp_path)
+        run_pipeline(cfg)
+        root = tmp_path / "out" / "run"
+        exp = Experiment(cfg)
+        gen = np.concatenate(
+            [load_trajectories(root / "trajectories" / f"class_{c}.traj")["states"][:, -1] for c in (1, 2)]
+        ).astype(np.float64)
+        ref = np.concatenate([exp.references[c] for c in (1, 2)])
+        assert (root / "plots" / "modes.svg").read_text() == mode_scatter_svg(exp.spec, ref, gen, title="run")
 
     def test_no_pool_artifact_when_f_zero(self, tmp_path):
         cfg = base_config(tmp_path, guidance=GuidanceConfig(w=1.5, f=0.0))
@@ -240,6 +256,98 @@ class TestRunPipeline:
         run_pipeline(base_config(tmp_path, save_trajectories=False))
         assert len(made) == 1
         assert alive == [0]
+
+
+def snapshot(root):
+    """Every file under root, by relative path, with its bytes."""
+    return {str(f.relative_to(root)): f.read_bytes() for f in sorted(root.rglob("*")) if f.is_file()}
+
+
+class TestStreamedTrajectories:
+    """`Experiment.sample` with save_trajectories writes each chunk's records
+    when the chunk ends, through one chunk-sized buffer."""
+
+    @pytest.mark.parametrize("source", ["analytic", "neural"])
+    def test_files_are_sample_batch_blocks(self, tmp_path, source):
+        # 3 x 700 trajectories: chunks of 1024 straddle classes 1|2 and 2|3
+        cfg = base_config(tmp_path, source=source, train=TINY_TRAIN, classes=(1, 2, 3), n_per_class=700)
+        exp = Experiment(cfg)
+        samples = exp.sample(cfg.guidance, save_trajectories=True)
+        source = guided_source(exp.base, exp.pool(cfg.guidance), cfg.guidance)
+        batch = sample_batch(source, *exp._sampling())
+        root = tmp_path / "out" / "run"
+        assert sorted(p.name for p in (root / "trajectories").iterdir()) == [
+            "class_1.traj", "class_2.traj", "class_3.traj"
+        ]
+        assert not list(root.glob("*.part"))
+        for b, c in enumerate((1, 2, 3)):
+            block = batch[b * 700 : (b + 1) * 700]
+            assert (root / "trajectories" / f"class_{c}.traj").read_bytes() == block.tobytes()
+            assert samples[c].dtype == np.float64
+            assert samples[c].tobytes() == block["states"][:, -1].astype(np.float64).tobytes()
+
+    def test_failure_in_a_later_chunk_leaves_trajectories_as_they_were(self, tmp_path, monkeypatch):
+        """The second chunk diverges after the first was written: the run
+        fails stage sample and leaves no file of its own, neither in a new
+        run directory nor over an earlier run's trajectories."""
+        real = sampler._integrate_chunk
+        chunks, written = [], []
+
+        def integrate(source, cfg, x, neg, class_ids, index, start, stop, record=None):
+            chunks.append(start == 0)
+            if start == 0 and sum(chunks) == 2:
+                written.append(sum(f.stat().st_size for f in (tmp_path / "out").rglob("*.part")))
+                raise DivergedError(int(class_ids[0]), int(index[0]), 0)
+            return real(source, cfg, x, neg, class_ids, index, start, stop, record)
+
+        def config(**over):
+            return base_config(tmp_path, guidance=GuidanceConfig(w=1.5), n_per_class=700, **over)
+
+        run_pipeline(config(name="earlier", seed=6))
+        root = tmp_path / "out" / "earlier"
+        before = snapshot(root / "trajectories")
+        assert len(before) == 2
+        monkeypatch.setattr(sampler, "_integrate_chunk", integrate)
+        for name in ("new", "earlier"):
+            chunks.clear()
+            with pytest.raises(PipelineStageError) as ei:
+                run_pipeline(config(name=name))
+            assert ei.value.stage == "sample"
+            assert isinstance(ei.value.__cause__, DivergedError)
+            assert sum(chunks) == 2
+            run_dir = tmp_path / "out" / name
+            assert (run_dir / "FAILED").read_text().startswith("stage: sample\n")
+            assert not list(run_dir.glob("*.part"))
+        assert not (tmp_path / "out" / "new" / "trajectories").exists()
+        assert snapshot(root / "trajectories") == before
+        # the first chunk's records were in their part files when the second failed
+        assert written == [1024 * trajectory_dtype(24, 2).itemsize] * 2
+
+
+class TestSampleMemory:
+    """Saved trajectories are written a chunk at a time, so a run holds one
+    chunk of records (1 MiB at T=64 in 2-D) whatever its size.  Sampling
+    4,096 trajectories rather than 1,024 raised the tracemalloc peak by
+    3.2 MiB of records while the whole batch was held, and by 0.14 MiB a
+    chunk at a time."""
+
+    def peak(self, tmp_path, n_per_class):
+        cfg = base_config(
+            tmp_path, name=f"n{n_per_class}", n_steps=64, sigma_min=0.01, sigma_max=10.0, n_per_class=n_per_class
+        )
+        exp = Experiment(cfg)
+        exp.pool(cfg.guidance)
+        tracemalloc.start()
+        try:
+            exp.sample(cfg.guidance, save_trajectories=True)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_does_not_grow_with_the_run(self, tmp_path):
+        self.peak(tmp_path, 2)
+        small, large = self.peak(tmp_path, 512), self.peak(tmp_path, 2048)
+        assert large - small < 2**20, (small, large)
 
 
 def track_batches(monkeypatch):

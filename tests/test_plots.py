@@ -9,6 +9,7 @@ from famelab.plots import (
     OUTLIER_COLOR,
     PALETTE,
     REFERENCE_COLOR,
+    _bounds,
     mode_scatter_svg,
     side_by_side_svg,
 )
@@ -48,6 +49,21 @@ class TestModeScatter:
     def test_footer_counts(self):
         svg = mode_scatter_svg(spec, REF, GEN, class_id=1)
         assert "n=6 outliers=1" in svg
+
+    def test_circles_read_as_formatted_one_by_one(self):
+        # a set of dots is formatted by one % over its coordinates; each
+        # circle reads as the f-string of its own point would
+        rng = np.random.default_rng(3)
+        ref, gen = rng.normal(size=(300, 2)) * 4.0, rng.normal(size=(200, 2)) * 4.0
+        lo, hi = _bounds([ref, gen])
+        u, v = ((ref - lo) / (hi - lo)).T
+        want = [
+            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.5" fill="{REFERENCE_COLOR}" fill-opacity="0.6"/>'
+            for x, y in zip(u * 480, (1.0 - v) * 480)
+        ]
+        lines = mode_scatter_svg(spec, ref, gen, class_id=1).splitlines()
+        assert lines[2 : 2 + len(ref)] == want
+        assert sum(line.startswith("<circle") for line in lines) == len(ref) + len(gen)
 
     def test_rejects_non_planar_points(self):
         with pytest.raises(InvalidArgumentError):
