@@ -12,14 +12,15 @@ quality tags; only this module reads the rows beyond `GmmSpec.mixture`.
 `GmmSpec.evaluate` is the one mixture evaluation every caller uses.  It runs
 the kernel in two parts: `gmm_terms` computes the weight-free terms of
 components at points, and `gmm_reduce` does the weighted log-sum-exp and
-posterior mean over one mixture's columns of them.  The item list picks the
-pass shape: when every item is one class id per point (a conditional-only
-step), each point's terms cover only its own mixture's entries; otherwise one
-shared pass covers each entry the items need once, at every point.  A pass
-whose entries all have an eigenbasis of exactly I skips the rotations, with
-the same bits.  Its index work and both parts' work arrays depend only on n
-and the mixtures, a plan that a caller's scratch dict keeps across calls, as
-the sampler's does for a chunk segment.
+posterior mean over one mixture's columns of them.  Each item's points are
+grouped by component count, and each group is one `gmm_reduce` over its
+points' own mixture entries.  Their terms come from a `gmm_terms` pass over
+those entries, unless the item list asks for the marginal, which needs every
+table entry: then one pass covers the whole table and each group gathers its
+terms from it.  A pass whose entries all have an eigenbasis of exactly I
+skips the rotations, with the same bits.  Its index work and both parts'
+work arrays depend only on n and the mixtures, a plan that a caller's
+scratch dict keeps across calls, as the sampler's does for a chunk segment.
 
 Class ids are positive integers; id 0 is reserved for the unconditional
 (null) token used by trainable denoisers.
@@ -227,7 +228,9 @@ class GmmSpec:
     Duplicates stay separate columns of the marginal (imbalanced2d: 16
     columns over 9 entries), so its reduction sums the same terms in the same
     order whether or not they share an entry.  `evaluate` is the only
-    reduction over these columns.
+    reduction over these columns: each point over its own mixture's, with
+    terms from a pass over those entries, or beside the marginal from one
+    pass over the whole table.
     """
 
     def __init__(self, classes: dict, class_priors: dict):
@@ -337,10 +340,13 @@ class GmmSpec:
 
     def _groups(self, rows, n):
         """The points of per-point mixture rows grouped by component count
-        k, never padded: zero terms past width 8 regroup the pairwise sum.
-        Per group, (its points, or a slice when they are all n, and (k,
-        points) flat indices into an array of one value per mixture-table
-        row and column)."""
+        k, never padded: zero terms past width 8 regroup the pairwise sum;
+        one row is one group, a column every point shares.  Per group, (its
+        points, or a slice when they are all n, and (k, points) or (k, 1)
+        flat indices into an array of one value per mixture-table row and
+        column)."""
+        if np.ndim(rows) == 0:
+            rows, n = np.array([rows]), 1
         widths = self._width[rows]
         groups = []
         for k in np.flatnonzero(np.bincount(widths)):
@@ -351,61 +357,56 @@ class GmmSpec:
 
     def _plan(self, n, mixtures):
         """What `evaluate` needs of n points and these items besides X and
-        sigma: (shared pass, items).
+        sigma: (table pass, items).
 
-        When every item is per-point, there is no shared pass, and each item
-        is a list of its width groups, (points, flat indices into const,
-        `gmm_terms`' planes of its points' own entries, work).  Otherwise the
-        shared pass is (planes of the distinct entries the items need, its
-        work), and an item is (row, its columns in the pass, work), or for a
-        per-point item (None, per width group (points, flat indices into
-        const and into the pass, work), None)."""
-        rows = [self._rows(m, n) for m in mixtures]
-        groups = [None if np.ndim(r) == 0 else self._groups(r, n) for r in rows]
-        d = self.dim
-        if all(g is not None for g in groups):
-            # work holds const gathered, then gmm_terms' (4, d, k, points)
-            return None, [
-                [(pts, cflat, self._term_planes(self._cols.take(cflat)), np.empty((4 * d + 1, *cflat.shape)))
-                 for pts, cflat in g]
-                for g in groups
-            ]
-        need = np.zeros(len(self._width), dtype=bool)
-        for r in rows:
-            need[r] = True
-        cols = np.unique(self._cols[need])
-        pos = np.zeros(len(self.means), dtype=np.intp)
-        pos[cols] = np.arange(len(cols))
-        mcols = pos[self._cols]
-        items, at = [], np.arange(n)
-        for r, g in zip(rows, groups):
-            if g is None:
-                c = mcols[r, : self._width[r]]
-                items.append((r, c, np.empty((d + 2, len(c), n))))
-                continue
-            g = [(pts, cflat, mcols.take(cflat) * n + at[pts], np.empty((d + 3, *cflat.shape))) for pts, cflat in g]
-            items.append((None, g, None))
-        return (self._term_planes(cols[:, None]), np.empty((4, d, len(cols), n))), items
+        The table pass is None, or when an item is the marginal, (`gmm_terms`'
+        planes of every table entry, its work).  Each item is a list of its
+        `_groups`, (points, flat indices into const, terms, const work,
+        work): terms are `gmm_terms`' planes of the group's own entries when
+        there is no table pass, and otherwise the rows of the table pass it
+        reads, (k,) for a class id or the marginal, or (k, points) flat
+        indices."""
+        d, at = self.dim, np.arange(n)
+        table = None
+        if any(m is None for m in mixtures):
+            M = len(self.means)
+            table = self._term_planes(np.arange(M)[:, None]), np.empty((4, d, M, n))
+        items = []
+        for m in mixtures:
+            rows, groups = self._rows(m, n), []
+            for pts, cflat in self._groups(rows, n):
+                entries = self._cols.take(cflat)
+                if table is None:  # work holds gmm_terms' 4 * d planes of (k, points)
+                    terms, planes = self._term_planes(entries), 4 * d
+                else:  # work holds quad and pm gathered, and gmm_reduce's planes
+                    terms, planes = entries[:, 0] if np.ndim(rows) == 0 else entries * n + at[pts], d + 2
+                work = np.empty((planes, len(cflat), len(at[pts])))
+                groups.append((pts, cflat, terms, np.empty(cflat.shape), work))
+            items.append(groups)
+        return table, items
 
     def evaluate(self, X, sigma, mixtures, scratch=None):
         """Several mixtures at the points X, a `check_points` batch, convolved
         with N(0, sigma^2 I).
 
         Each item of mixtures is a class id, None for the marginal, or an
-        (n,) integer array of class ids, one per point.  The item list alone
-        picks the shape of the `gmm_terms` work:
-        - When every item is per-point (a conditional-only step), each point
-          evaluates only its own mixture's entries: per item, its points are
-          grouped by component count k, and each group runs one pass over
-          its points' own k entries, which `gmm_reduce` reads as they are.
-        - Otherwise one shared pass covers the distinct table entries the
-          items need, component-major, and each point is reduced over its
-          own mixture's rows of it, `quad[c]` and `pm[:, c]` gathered (flat
-          takes for a per-point item, per component count).
-        Either way duplicates are gathered, not merged, so each point's sums
-        run over the same terms in the same order as its mixture evaluated
-        alone, and a pass whose entries all have Q exactly I skips the
-        rotations, as `gmm_terms` says, with the same bits.
+        (n,) integer array of class ids, one per point; one id (or None) is
+        that mixture at every point.  An item's points are grouped by
+        component count k, and each group is one `gmm_reduce` over its
+        points' own mixture entries, whose terms come from one of two pass
+        shapes, picked by the item list alone:
+        - When no item is the marginal, each group runs one `gmm_terms` pass
+          over its points' own k entries, which `gmm_reduce` reads as they
+          are.
+        - When one is, the marginal needs every table entry, so one pass
+          covers the whole component table, component-major, at every point,
+          and each group gathers its terms from it: whole rows for a class
+          id or the marginal, flat takes of each point's own entries for a
+          per-point item.
+        Either way duplicates stay separate columns, not merged, so each
+        point's sums run over the same terms in the same order as its
+        mixture evaluated alone, and a pass whose entries all have Q exactly
+        I skips the rotations, as `gmm_terms` says, with the same bits.
 
         What depends only on n and the items is a `_plan`; scratch, a dict,
         keeps one per list length, reused while n and every item equal the
@@ -423,43 +424,25 @@ class GmmSpec:
         plans = {} if scratch is None else scratch.setdefault("gmm_plans", {})
         if plans.get(len(mixtures), (None,))[0] != key:
             plans[len(mixtures)] = key, self._plan(n, mixtures)
-        shared, items = plans[len(mixtures)][1]
+        table, items = plans[len(mixtures)][1]
         sig2 = float(sigma) ** 2
         # every mixture's constant terms, from each table entry's log det
         const = self._logw - 0.5 * (d * LOG_2PI + np.log(self.lams + sig2).sum(axis=1)[self._cols])
-        if shared is None:
-            return [self._reduce_own(X, sig2, const, groups) for groups in items]
-        planes, work = shared
-        quad, pm = gmm_terms(X, *planes, sig2, work)
+        if table is not None:
+            quad, pm = gmm_terms(X, *table[0], sig2, table[1])
         out = []
-        for r, c, work in items:
-            if r is not None:  # work holds quad and pm gathered, and gmm_reduce's planes
-                q = np.take(quad, c, axis=0, out=work[0])
-                p = np.take(pm, c, axis=1, out=work[2:])
-                logp, resp, denoise = gmm_reduce(const[r, : len(c), None], q, p, work[1:])
-                out.append((logp, resp, denoise, q))
-                continue
+        for m, groups in zip(mixtures, items):
             logp, denoise = np.empty(n), np.empty((n, d))
-            for pts, cflat, flat, work in c:
-                # work holds const, quad and pm gathered, and gmm_reduce's planes
-                cpts, qpts = const.take(cflat, out=work[0]), quad.take(flat, out=work[1])
-                got = gmm_reduce(cpts, qpts, pm.reshape(d, -1).take(flat, axis=1, out=work[3:]), work[2:])
-                logp[pts], denoise[pts] = got[0], got[2]
-            out.append((logp, None, denoise, None))
+            for pts, cflat, terms, cwork, work in groups:
+                if table is None:
+                    q, p = gmm_terms(X[pts], *terms, sig2, work.reshape(4, d, *work.shape[1:]))
+                else:  # whole rows of the table pass for one mixture, else flat takes
+                    Q, P = (quad, pm) if terms.ndim == 1 else (quad.reshape(-1), pm.reshape(d, -1))
+                    q, p = Q.take(terms, axis=0, out=work[0]), P.take(terms, axis=1, out=work[2:])
+                # gmm_reduce's d + 1 planes: a spent one (in a pass of its own, sd's last), then pm
+                logp[pts], resp, denoise[pts] = gmm_reduce(const.take(cflat, out=cwork), q, p, work[-d - 1 :])
+            out.append((logp, resp, denoise, q) if np.ndim(m) == 0 else (logp, None, denoise, None))
         return out
-
-    @staticmethod
-    def _reduce_own(X, sig2, const, groups):
-        """One per-point item of a plan with no shared pass: each width
-        group's `gmm_terms` over its points' own entries, reduced in place."""
-        n, d = X.shape
-        logp, denoise = np.empty(n), np.empty((n, d))
-        for pts, cflat, planes, work in groups:
-            quad, pm = gmm_terms(X[pts], *planes, sig2, work[1:].reshape(4, d, *cflat.shape))
-            # gmm_reduce's planes: sd's last, spent once pm is made, then pm
-            got = gmm_reduce(const.take(cflat, out=work[0]), quad, pm, work[3 * d :])
-            logp[pts], denoise[pts] = got[0], got[2]
-        return logp, None, denoise, None
 
     def fingerprint(self) -> int:
         blob = json.dumps(_spec_to_dict(self), sort_keys=True).encode()

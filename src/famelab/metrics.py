@@ -329,11 +329,12 @@ def precision_recall(gen, real, k: int = KNN_K) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class ModeStats:
-    """Where a class's samples landed: low-tag components vs outliers."""
+    """Where a class's n samples landed: how many in a component tagged
+    below T_LOW, and how many outside every component."""
 
     n: int
-    bad_fraction: float
-    outlier_fraction: float
+    bad: int
+    outliers: int
 
 
 def assign_modes(spec, samples, class_id=None):
@@ -355,17 +356,13 @@ def assign_modes(spec, samples, class_id=None):
 
 
 def mode_stats(spec, samples, class_id=None) -> ModeStats:
-    """Fractions of samples in a component tagged below T_LOW and outside
+    """Counts of samples in a component tagged below T_LOW and outside
     every component."""
     assign = assign_modes(spec, samples, class_id)
     tags = spec.mixture(class_id)[2]
     in_mode = assign >= 0
     bad = in_mode & (tags[np.where(in_mode, assign, 0)] < T_LOW)
-    return ModeStats(
-        n=len(assign),
-        bad_fraction=float(bad.mean()),
-        outlier_fraction=float((~in_mode).mean()),
-    )
+    return ModeStats(n=len(assign), bad=int(bad.sum()), outliers=int((~in_mode).sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +466,8 @@ def evaluate(
         )
         per_class_frechet[cid] = frechet_distance(x, ref)
         ms = mode_stats(spec, x, cid)
-        bad_n += ms.bad_fraction * ms.n
-        out_n += ms.outlier_fraction * ms.n
+        bad_n += ms.bad
+        out_n += ms.outliers
         total += ms.n
 
     pooled = np.concatenate([np.atleast_2d(samples_by_class[c]) for c in sorted(samples_by_class)])

@@ -47,11 +47,13 @@ source a row's bits do not depend on its chunk either: the mixture kernel
 holds its terms component-major, (K, n), and runs every step elementwise
 across points, with sums over components as explicit sequences and only max
 reduced along an axis.  The analytic source hands the whole chunk to
-`GmmSpec.evaluate`, which evaluates every component it needs once and reduces
-each row over its own mixture's, in the same order as a per-class evaluation
-of that row.  The MLP is not row-independent: BLAS may accumulate a row's
-matmul differently with the number of rows beside it, so a neural row's
-float64 bits depend on its chunk.  The neural source calls the MLP's inference
+`GmmSpec.evaluate`, which reduces each row over its own mixture's components,
+in the same order as a per-class evaluation of that row: a conditional-only
+step evaluates only those, and a step with the marginal evaluates the whole
+component table once for every mixture of the call.  The MLP is not
+row-independent: BLAS may accumulate a row's matmul differently with the
+number of rows beside it, so a neural row's float64 bits depend on its
+chunk.  The neural source calls the MLP's inference
 forward (`denoiser._denoise`), which keeps no activations and runs its
 hidden layers in the segment's two scratch buffers; it gives the same bits
 as the training forward that backpropagation uses.  The test suite asserts
@@ -102,9 +104,10 @@ class AnalyticSource:
     """Ideal denoiser of a known mixture (the oracle the MLP approximates).
 
     Each call is one `GmmSpec.evaluate`: every requested mixture (an (n,)
-    array of class ids, or None for the marginal) is reduced from one pass
-    over the distinct components they need, and each output carries the
-    bits of that row's mixture evaluated alone.
+    array of class ids, or None for the marginal) is reduced over each
+    row's own components, from a pass over those alone or, when the marginal
+    is asked for, from one pass over the whole component table, and each
+    output carries the bits of that row's mixture evaluated alone.
     """
 
     def __init__(self, spec: GmmSpec):

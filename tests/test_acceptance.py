@@ -122,8 +122,8 @@ class NeuralFrame:
         bad, outl, scores = [], [], []
         for c, x in samples.items():
             ms = mode_stats(self.spec, x, c)
-            bad.append(ms.bad_fraction)
-            outl.append(ms.outlier_fraction)
+            bad.append(ms.bad / ms.n)
+            outl.append(ms.outliers / ms.n)
             scores.append(self.scorer(x, c))
         return RunStats(
             float(np.mean(bad)), float(np.mean(outl)), float(np.mean(np.concatenate(scores)))

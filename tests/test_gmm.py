@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from famelab.errors import (
@@ -530,6 +532,37 @@ def evaluate_bytes(spec, X, sigma, mixtures, scratch=None):
     return [[None if a is None else (a.dtype, a.shape, a.tobytes()) for a in item] for item in out]
 
 
+@st.composite
+def items_and_spec(draw):
+    """A random spec in d in {1, 2, 3} of 1 to 4 classes of 1 to 3
+    components, each rotated or isotropic, some sharing another one's table
+    entry; n in {0, 1, 37} points, -0.0 coordinates among them; a noise level;
+    and an item list mixing class ids, None and per-point id arrays."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    made, classes = [], {}
+    for cid, k in enumerate(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)), start=1):
+        classes[cid] = []
+        for _ in range(k):
+            if made and draw(st.booleans()):
+                mean, cov = made[draw(st.integers(0, len(made) - 1))]
+            elif draw(st.booleans()):
+                mean, cov = rng.normal(size=d) * 2.0, rng.uniform(0.2, 1.0) * np.eye(d)
+            else:
+                a = rng.normal(size=(d, d))
+                mean, cov = rng.normal(size=d) * 2.0, a @ a.T + 0.2 * np.eye(d)
+            made.append((mean, cov))
+            classes[cid].append(GmmComponent(mean, cov, 1.0 / k, rng.uniform(1.0, 3.0)))
+    spec = GmmSpec(classes, {c: 1.0 / len(classes) for c in classes})
+    n = draw(st.sampled_from([0, 1, 37]))
+    X = rng.normal(size=(n, d)) * 3.0
+    X[rng.random(n) < 0.2, 0] = -0.0
+    ids = np.array(spec.class_ids)
+    mixtures = [rng.choice(ids, size=n) if m == "ids" else m
+                for m in draw(st.lists(st.sampled_from([*spec.class_ids, None, "ids"]), max_size=4))]
+    return spec, X, draw(st.sampled_from([0.0, 0.01, 0.7, 10.0])), mixtures
+
+
 class TestEvaluatePlan:
     """`evaluate` keeps its plan of each item list in a scratch dict: the
     bits do not change, and a plan is reused only for equal n and items."""
@@ -581,6 +614,20 @@ class TestEvaluatePlan:
         bad[7] = 2  # mended in place: planned anew, not refused or reused
         same(X, [bad, None])
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(items_and_spec())
+    def test_each_item_gives_its_bits_alone(self, case):
+        """Whatever the list beside it, each item's outputs are those of the
+        item evaluated alone, and a class id's logp and denoise those of an
+        array holding that id, on an empty set too."""
+        spec, X, sigma, mixtures = case
+        got = evaluate_bytes(spec, X, sigma, mixtures)
+        assert got == [evaluate_bytes(spec, X, sigma, [m])[0] for m in mixtures]
+        for m, (logp, _, denoise, _) in zip(mixtures, got):
+            if m is not None and np.ndim(m) == 0:
+                want = evaluate_bytes(spec, X, sigma, [np.full(len(X), m)])[0]
+                assert (logp, denoise) == (want[0], want[2])
+
     @pytest.mark.parametrize(
         "spec",
         [preset("imbalanced2d"), preset("balanced2d"), eye_widths_2d(), three_widths_2d(),
@@ -590,7 +637,7 @@ class TestEvaluatePlan:
     def test_per_point_pass_gives_the_shared_bits(self, spec):
         """`evaluate(X, sigma, [ids])` evaluates each point's own entries
         only.  Its logp and denoise equal, bit for bit with sign bits: the
-        per-point item of the shared pass, `[ids, None]`; `gmm_eval` on each
+        per-point item of the table pass, `[ids, None]`; `gmm_eval` on each
         class's own components; and where every Q is I, the rotating path."""
         rotating = copy.copy(spec)
         rotating._eye = np.zeros_like(spec._eye)
@@ -640,11 +687,23 @@ def mixed_eye_2d():
     )
 
 
+def many_classes_2d():
+    """40 classes of 3 distinct rotated components each: 120 table entries."""
+    rng = np.random.default_rng(40)
+
+    def comp(weight):
+        a = rng.standard_normal((2, 2))
+        return GmmComponent(rng.standard_normal(2) * 5.0, a @ a.T + 0.2 * np.eye(2), weight, 2.0)
+
+    classes = {c: [comp(0.5), comp(0.3), comp(0.2)] for c in range(1, 41)}
+    return GmmSpec(classes, {c: 1 / 40 for c in classes})
+
+
 class TestEvaluateWork:
-    """What `evaluate` hands `gmm_terms`: when every item is per-point, each
-    width group's own entries at its own points; otherwise one pass over the
-    distinct entries the items need.  A pass rotates (twice) only when one
-    of its entries' Q is not exactly I."""
+    """What `evaluate` hands `gmm_terms`: when no item is the marginal, each
+    width group's own entries at its own points, a class id's at every
+    point; otherwise one pass over the whole component table.  A pass
+    rotates (twice) only when one of its entries' Q is not exactly I."""
 
     N = 1024
 
@@ -697,15 +756,25 @@ class TestEvaluateWork:
         want = [((1, int((ids == 1).sum())), 0), ((2, int((ids == 2).sum())), 2)]
         assert self.passes(monkeypatch, spec, [ids]) == want
 
-    def test_a_class_id_or_the_marginal_keeps_one_shared_pass(self, monkeypatch):
+    def test_only_a_list_with_the_marginal_runs_the_table_pass(self, monkeypatch):
         spec = preset("imbalanced2d")
         ids = self.ids(spec)
         assert len(spec.means) == 9
-        for mixtures in ([ids, None], [None], [1, ids], [3, None, ids]):
+        for mixtures in ([ids, None], [None], [3, None, ids]):
             assert self.passes(monkeypatch, spec, mixtures) == [((9, self.N), 0)]
+        # without the marginal, a class id is a pass over its own entries
         assert self.passes(monkeypatch, spec, [1]) == [((2, self.N), 0)]
+        assert self.passes(monkeypatch, spec, [1, ids]) == [((2, self.N), 0)] * 2
         spec = three_widths_2d()
         assert self.passes(monkeypatch, spec, [self.ids(spec), None]) == [((len(spec.means), self.N), 2)]
+        # the table pass grows with the table; a class's own entries do not
+        spec = many_classes_2d()
+        ids = self.ids(spec)
+        assert len(spec.means) == 120
+        for mixtures in ([7], [ids], [7, ids]):
+            assert self.passes(monkeypatch, spec, mixtures) == [((3, self.N), 2)] * len(mixtures)
+        for mixtures in ([None], [ids, None], [7, None, ids]):
+            assert self.passes(monkeypatch, spec, mixtures) == [((120, self.N), 2)]
 
 
 class TestSpecFiles:

@@ -25,6 +25,7 @@ from famelab.metrics import (
     ComponentTagScorer,
     ExternalScorer,
     LogDensityScorer,
+    ModeStats,
     assign_modes,
     class_report_csv,
     evaluate,
@@ -595,9 +596,7 @@ class TestModeAssignment:
         good = spec.classes[2][0].mean
         x = np.vstack([np.tile(good, (6, 1)), np.zeros((3, 2)), [[40.0, 40.0]]])
         ms = mode_stats(spec, x, 2)
-        assert ms.n == 10
-        assert ms.bad_fraction == pytest.approx(0.3)
-        assert ms.outlier_fraction == pytest.approx(0.1)
+        assert (ms.n, ms.bad, ms.outliers) == (10, 3, 1)
 
 
 class TestEvaluate:
@@ -623,6 +622,22 @@ class TestEvaluate:
             assert c.n == 256
             assert c.tier in ("low", "middle", "top")
         assert set(report.per_class_frechet) == set(spec.class_ids)
+
+    def test_pooled_mode_fractions_divide_integer_counts(self):
+        """7 and 14 of two classes' 100 samples are 21/200 of the pool, in
+        the bad mode and outside every component: rebuilding each count as
+        (k/100)*100 would give 21.000000000000004/200."""
+        spec = preset("imbalanced2d")
+        rng = np.random.default_rng(34)
+        samples, scores = {}, {}
+        for c, bad, far in ((1, 7, 14), (2, 14, 7)):
+            x = spec.classes[c][0].mean + 0.1 * rng.standard_normal((100, 2))
+            x[:bad] = 0.1 * rng.standard_normal((bad, 2))  # the shared mode at the origin
+            x[bad : bad + far] += 40.0
+            samples[c], scores[c] = x, np.zeros(100)
+        assert [mode_stats(spec, samples[c], c) for c in (1, 2)] == [ModeStats(100, 7, 14), ModeStats(100, 14, 7)]
+        report = evaluate(samples, samples, scores, spec=spec)
+        assert report.bad_mode_fraction == report.outlier_fraction == 21 / 200
 
     def test_deterministic(self):
         spec, samples, reference, scores = self.make_sets(128)
