@@ -3,12 +3,16 @@
 Every stage is deterministic under the config seed.  Stage streams are
 separated by fixed keys folded into the seed chain, so adding samples to one
 stage never perturbs another.  A failed stage leaves whatever artifacts were
-already written plus a FAILED marker naming the stage and cause.
+already written plus a FAILED marker naming the stage and cause.  Runs and
+sweeps write reports/digest.json once sampling ends: a hash of each sampled
+guidance's float64 final states, which moves with any bit of them that the
+float32 files round away.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import os
 from contextlib import ExitStack
@@ -221,9 +225,11 @@ class Experiment:
         sampler_cfg = SamplerConfig(schedule=self.schedule, method=cfg.method)
         return sampler_cfg, derive_seed(cfg.seed, _SAMPLE_KEY), self.classes, cfg.n_per_class
 
-    def sample(self, guidance: GuidanceConfig, save_trajectories: bool = False) -> dict:
+    def sample(self, guidance: GuidanceConfig, save_trajectories: bool = False, digest=None) -> dict:
         """The final states sampled under `guidance` as float64, grouped by
-        class like an item of `sample_each`.  With save_trajectories whole
+        class like an item of `sample_each`; digest, a hashlib object if
+        given, takes their float64 bits before the float32 cast
+        (`sampler.sample_finals`).  With save_trajectories whole
         records, outputs included, are sampled chunk by chunk into one
         chunk-sized buffer, the records `sampler.sample_batch` returns, and
         each chunk's are appended to its classes' class_<c>.traj.part files
@@ -232,7 +238,7 @@ class Experiment:
         holds one chunk of records whatever n_per_class is, and a run that
         fails leaves trajectories/ as it was."""
         if not save_trajectories:
-            [samples] = self.sample_each([guidance])
+            [samples] = self.sample_each([guidance], None if digest is None else [digest])
             if isinstance(samples, FamelabError):
                 raise samples
             return samples
@@ -244,7 +250,7 @@ class Experiment:
         try:
             with ExitStack() as stack:
                 files = {c: stack.enter_context(open(path, "wb")) for c, path in parts.items()}
-                for records in _record_chunks(source, cfg, *jobs):
+                for records in _record_chunks(source, cfg, *jobs, digest=digest):
                     # a class's rows are contiguous in job order
                     cuts = np.flatnonzero(np.diff(records["class_id"])) + 1
                     for block in np.split(records, cuts):
@@ -259,13 +265,14 @@ class Experiment:
             path.replace(self._path("trajectories", f"class_{c}.traj"))
         return {c: np.concatenate(states) for c, states in finals.items()}
 
-    def sample_each(self, guidances) -> list:
+    def sample_each(self, guidances, digests=None) -> list:
         """For each guidance setting, what sample(guidance) returns or the
         FamelabError it raises; the steps before the settings' guidance
         first differs or any of them replays are integrated once
-        (`sampler.sample_finals`)."""
+        (`sampler.sample_finals`), and digests, one hashlib object per
+        setting if given, take each setting's float64 final states."""
         sources = [guided_source(self.base, self.pool(g), g) for g in guidances]
-        finals = sample_finals(sources, *self._sampling())
+        finals = sample_finals(sources, *self._sampling(), digests=digests)
         return [out if isinstance(out, FamelabError) else dict(self._by_class(out)) for out in finals]
 
     def _by_class(self, rows):
@@ -277,6 +284,26 @@ class Experiment:
         class) and their report against the reference sets."""
         scores = {c: np.asarray(self.scorer(x, c), dtype=np.float64) for c, x in samples.items()}
         return scores, evaluate(samples, self.references, scores, spec=self.spec)
+
+    def write_digest(self, digests) -> None:
+        """Write reports/digest.json: for each (label, `_new_digest` object)
+        pair, in order, the label and the hex digest of the float64 final
+        states the object was fed, or None where it is None (a row that
+        failed).  The float32 files and summary.json's rounded numbers miss
+        a change in the last bits; this file shows it.  With the analytic
+        source each state's bits do not depend on the chunk width, so
+        neither does the digest; with the neural one they do, because BLAS
+        may sum a row's matmul differently with the rows beside it."""
+        analytic = self.cfg.source == "analytic"
+        doc = {
+            "hash": "blake2b-256 of the float64 final states before the float32 cast, "
+            "little-endian, row-major, in job order",
+            "final_states": [[label, None if h is None else h.hexdigest()] for label, h in digests],
+            "chunk_independent": analytic,
+        }
+        if not analytic:
+            doc["note"] = "neural states depend on the sampler's chunk width (BLAS), and so does this digest"
+        self._path("reports", "digest.json").write_text(_dumps(doc))
 
     def write_report(self, samples, report: EvalReport) -> None:
         """Write class_quality.csv, summary.json and report.txt, and in 2-D
@@ -294,12 +321,24 @@ class Experiment:
                 fh.writelines(canvas.lines())
 
 
+def _new_digest():
+    """The hash object `Experiment.write_digest` reports: blake2b-256."""
+    return hashlib.blake2b(digest_size=32)
+
+
 def run_pipeline(cfg: ExperimentConfig) -> EvalReport:
     exp = Experiment(cfg)
     check_sample_size(cfg.n_per_class, len(exp.classes), exp.spec.dim)
     exp._path("config.echo").write_text(_dumps(config_to_dict(cfg)))
     exp.write_dataset()
-    samples = exp.stage("sample", lambda: exp.sample(cfg.guidance, cfg.save_trajectories))
+
+    def sample_stage():
+        digest = _new_digest()
+        samples = exp.sample(cfg.guidance, cfg.save_trajectories, digest)
+        exp.write_digest([("run", digest)])
+        return samples
+
+    samples = exp.stage("sample", sample_stage)
 
     def evaluate_stage():
         _, report = exp.evaluate(samples)
@@ -345,7 +384,14 @@ def run_sweep(cfg: ExperimentConfig, sweep: SweepSpec) -> list:
         stats = (report.frechet, report.precision, report.recall, report.mean_score, report.bad_mode_fraction)
         return ",".join(f"{v:.9g}" for v in (value, *stats)) + ",ok", report
 
-    sampled = exp.stage("sample", lambda: exp.sample_each(guidances))
+    def sample_stage():
+        digests = [_new_digest() for _ in guidances]
+        sampled = exp.sample_each(guidances, digests)
+        rows = zip(sweep.values, sampled, digests)
+        exp.write_digest([(f"{sweep.axis}={v:.9g}", None if isinstance(s, FamelabError) else h) for v, s, h in rows])
+        return sampled
+
+    sampled = exp.stage("sample", sample_stage)
     rows = [exp.stage("evaluate", lambda: evaluate_row(v, s)) for v, s in zip(sweep.values, sampled)]
     csv = "\n".join([_SWEEP_COLUMNS] + [line for line, _ in rows]) + "\n"
     exp._path("reports", f"sweep_{sweep.axis}.csv").write_text(csv)

@@ -249,12 +249,16 @@ def _jobs(sources, base_seed, class_ids, n_per_class):
     return derive_seed(base_seed, classes, index), classes, index
 
 
-def _sample(sources, cfg, seeds, classes, index, batch=None):
+def _sample(sources, cfg, seeds, classes, index, batch=None, digests=None):
     """Integrate the trajectories through each guided source, chunk by
     chunk.  A chunk's steps before the fork (`_fork`) are integrated once,
     through the first source with no pool bound; each live source then
     binds its pool records and resumes from the float64 state at the fork.
     Every step goes into batch's rows if a batch is given (for one source).
+    digests, if given, holds one hashlib object per source, which is fed
+    each chunk's float64 final states, little-endian and row-major, before
+    they are rounded: the bytes of the whole (n, d) array in job order,
+    whatever the chunk width.
     Returns, for each source, its float32-rounded final states as an (n, d)
     float64 array in job order, or the first FamelabError it would raise if
     sampled alone: a chunk binds the source's pool first, and a chunk whose
@@ -286,19 +290,22 @@ def _sample(sources, cfg, seeds, classes, index, batch=None):
                 if isinstance(x, FamelabError):
                     raise x
                 x_T = _integrate_chunk(sources[i], cfg, x, neg, *job, fork, T, record(rows, fork, T))
+                if digests is not None:
+                    digests[i].update(np.ascontiguousarray(x_T, dtype="<f8"))
                 finals[i][rows] = x_T.astype(np.float32)
             except FamelabError as exc:
                 errors[i] = exc
     return [err if err is not None else out for out, err in zip(finals, errors)]
 
 
-def _record_chunks(source, cfg, seeds, classes, index, batch=None):
+def _record_chunks(source, cfg, seeds, classes, index, batch=None, digest=None):
     """Sample the trajectories of one guided source as records, chunk by
     chunk, and yield each chunk's records (the rows of job order it covers)
     when the chunk ends.  They are batch's rows if a batch is given;
     otherwise every chunk is written into one chunk-sized buffer, so a
-    chunk's records hold only until the next chunk is asked for.  A chunk
-    that fails raises its FamelabError."""
+    chunk's records hold only until the next chunk is asked for.  digest,
+    a hashlib object if given, takes the float64 final states as `_sample`
+    says.  A chunk that fails raises its FamelabError."""
     shared = batch is None
     if shared:
         batch = new_trajectories(min(CHUNK, len(seeds)), cfg.schedule.T, source.dim)
@@ -306,7 +313,8 @@ def _record_chunks(source, cfg, seeds, classes, index, batch=None):
         rows = slice(lo, lo + CHUNK)
         records = batch[: len(seeds[rows])] if shared else batch[rows]
         records["class_id"], records["seed"] = classes[rows], seeds[rows]
-        [out] = _sample([source], cfg, seeds[rows], classes[rows], index[rows], records)
+        digests = None if digest is None else [digest]
+        [out] = _sample([source], cfg, seeds[rows], classes[rows], index[rows], records, digests)
         if isinstance(out, FamelabError):
             raise out
         yield records
@@ -337,12 +345,15 @@ def sample_batch(
     return batch
 
 
-def sample_finals(sources, cfg: SamplerConfig, base_seed: int, class_ids, n_per_class: int) -> list:
+def sample_finals(
+    sources, cfg: SamplerConfig, base_seed: int, class_ids, n_per_class: int, digests=None
+) -> list:
     """Sample the same trajectories through each of several guided sources
     over one base, as the rows of a sweep or the sides of a paired compare
     are.  Returns, for each source, the float32-rounded final states of the
     batch `sample_batch` would return for it, as an (n, d) float64 array in
     job order, or the FamelabError it would raise; no trajectory batch is
-    made."""
+    made.  digests, one hashlib object per source if given, takes each
+    source's float64 final states before they are rounded (`_sample`)."""
     sources = list(sources)
-    return _sample(sources, cfg, *_jobs(sources, base_seed, class_ids, n_per_class))
+    return _sample(sources, cfg, *_jobs(sources, base_seed, class_ids, n_per_class), digests=digests)

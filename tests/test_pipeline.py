@@ -1,6 +1,7 @@
 """End-to-end pipeline stages, artifact layout, determinism, sweeps, pairs."""
 
 import gc
+import hashlib
 import json
 import shlex
 import shutil
@@ -256,6 +257,78 @@ class TestRunPipeline:
         run_pipeline(base_config(tmp_path, save_trajectories=False))
         assert len(made) == 1
         assert alive == [0]
+
+
+class TestDigest:
+    """reports/digest.json hashes each sampled guidance's float64 final
+    states before the float32 cast, in job order."""
+
+    def digest(self, tmp_path, name):
+        return json.loads((tmp_path / "out" / name / "reports" / "digest.json").read_text())
+
+    def test_analytic_digest_does_not_depend_on_chunk(self, tmp_path, monkeypatch):
+        written = []
+        for chunk in (1024, 37):
+            monkeypatch.setattr(sampler, "CHUNK", chunk)
+            run_pipeline(base_config(tmp_path, name=f"run{chunk}"))
+            run_sweep(base_config(tmp_path, name=f"sweep{chunk}", n_per_class=40), SweepSpec("f", (0.0, 0.02)))
+            written.append([(tmp_path / "out" / f"{kind}{chunk}" / "reports" / "digest.json").read_bytes()
+                            for kind in ("run", "sweep")])
+        assert written[0] == written[1]
+        run, sweep = (json.loads(b) for b in written[0])
+        assert run["chunk_independent"] and [label for label, _ in run["final_states"]] == ["run"]
+        assert [label for label, _ in sweep["final_states"]] == ["f=0", "f=0.02"]
+        # a rerun writes the same bytes; summary.json holds no digest
+        run_pipeline(base_config(tmp_path, name="run37"))
+        assert (tmp_path / "out" / "run37" / "reports" / "digest.json").read_bytes() == written[1][0]
+        summary = (tmp_path / "out" / "run37" / "reports" / "summary.json").read_text()
+        assert run["final_states"][0][1] not in summary and "final_states" not in summary
+
+    def test_digest_changes_with_one_flipped_last_bit(self, tmp_path, monkeypatch):
+        """The digest is blake2b-256 of the float64 final states in job
+        order; flipping the last bit of one of them moves it, while the
+        float32 files and summary.json's report stay as they were."""
+        real, finals = sampler._integrate_chunk, []
+
+        def integrate(source, cfg, x, neg, class_ids, index, start, stop, record=None):
+            x = real(source, cfg, x, neg, class_ids, index, start, stop, record)
+            if stop == cfg.schedule.T:
+                x.view(np.int64)[3, 1] ^= flip
+                finals.append(x.copy())
+            return x
+
+        monkeypatch.setattr(sampler, "_integrate_chunk", integrate)
+        files = ("reports/class_quality.csv", "trajectories/class_1.traj", "pool.fmpl")
+        written = {}
+        for flip in (0, 1):
+            del finals[:]
+            run_pipeline(base_config(tmp_path, out_dir=str(tmp_path / f"out{flip}")))
+            root = tmp_path / f"out{flip}" / "run"
+            [[_, digest]] = json.loads((root / "reports" / "digest.json").read_text())["final_states"]
+            # the run's one chunk, sampled after the pool's candidates
+            want = hashlib.blake2b(finals[-1].astype("<f8").tobytes(), digest_size=32).hexdigest()
+            assert digest == want
+            written[flip] = digest, {rel: (root / rel).read_bytes() for rel in files}
+            written[flip][1]["report"] = json.loads((root / "reports" / "summary.json").read_text())["report"]
+        assert written[0][0] != written[1][0]
+        assert written[0][1] == written[1][1]
+
+    def test_failed_row_and_neural_source(self, tmp_path, monkeypatch):
+        cfg = base_config(tmp_path, name="neural", source="neural", train=TINY_TRAIN, n_per_class=40)
+        run_pipeline(cfg)
+        doc = self.digest(tmp_path, "neural")
+        assert doc["chunk_independent"] is False and "BLAS" in doc["note"]
+        real = sampler._integrate_chunk
+
+        def integrate(source, cfg, x, neg, class_ids, index, start, stop, record=None):
+            if source.cfg.f == 0.05 and stop == cfg.schedule.T:
+                raise DivergedError(int(class_ids[0]), int(index[0]), start)
+            return real(source, cfg, x, neg, class_ids, index, start, stop, record)
+
+        monkeypatch.setattr(sampler, "_integrate_chunk", integrate)
+        run_sweep(base_config(tmp_path, name="sweep", n_per_class=40), SweepSpec("f", (0.02, 0.05)))
+        [[_, ok], [label, failed]] = self.digest(tmp_path, "sweep")["final_states"]
+        assert len(ok) == 64 and (label, failed) == ("f=0.05", None)
 
 
 def snapshot(root):
