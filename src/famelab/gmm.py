@@ -9,18 +9,18 @@ every noise level then reuses the same rotation with shifted eigenvalues.
 `GmmSpec` holds its distinct components as arrays, `means`, `qmats` and
 `lams`, and each mixture as one row of columns into them, log weights and
 quality tags; only this module reads the rows beyond `GmmSpec.mixture`.
-`GmmSpec.evaluate` is the one mixture evaluation every caller uses.  It runs
-the kernel in two parts: `gmm_terms` computes the weight-free terms of
-components at points, and `gmm_reduce` does the weighted log-sum-exp and
-posterior mean over one mixture's columns of them.  Each item's points are
-grouped by component count, and each group is one `gmm_reduce` over its
-points' own mixture entries.  Their terms come from a `gmm_terms` pass over
-those entries, unless the item list asks for the marginal, which needs every
-table entry: then one pass covers the whole table and each group gathers its
-terms from it.  A pass whose entries all have an eigenbasis of exactly I
-skips the rotations, with the same bits.  Its index work and both parts'
-work arrays depend only on n and the mixtures, a plan that a caller's
-scratch dict keeps across calls, as the sampler's does for a chunk segment.
+The marginal's row lists each table entry once per quality tag, its weight
+summed over the classes that share it.  `GmmSpec.evaluate` is the one
+mixture evaluation every caller uses.  It runs the kernel in two parts:
+`gmm_terms` computes the weight-free terms of components at points, and
+`gmm_reduce` does the weighted log-sum-exp and posterior mean over one
+mixture's columns of them.  Each item is evaluated on its own: its points
+are grouped by component count, and each group is one `gmm_terms` pass over
+its points' own mixture entries and one `gmm_reduce` over them.  A pass
+whose entries all have an eigenbasis of exactly I skips the rotations, with
+the same bits.  An item's index work and both parts' work arrays depend
+only on n and the item, a plan that a caller's scratch dict keeps across
+calls, as the sampler's does for a chunk segment.
 
 Class ids are positive integers; id 0 is reserved for the unconditional
 (null) token used by trainable denoisers.
@@ -108,8 +108,8 @@ def gmm_terms(X, means, qmats, lams, sig2, work=None):
     Returns (quad, pm): quad (K, n) the squared Mahalanobis distance of each
     point under each noised component (at sig2 = 0, under Sigma itself), and
     pm (d, K, n) each component's posterior mean E[x0 | x, k].  Component k
-    is quad[k] and pm[:, k] alone, so a caller may evaluate a table of
-    components once and hand any selection of them to `gmm_reduce`.  work,
+    is quad[k] and pm[:, k] alone, computed from its own planes, so its bits
+    do not depend on the components or points beside it.  work,
     a (4, d, K, n) array, holds the steps if given, and quad and pm are then
     views of it: quad its first plane, pm its last d.
     """
@@ -219,18 +219,21 @@ class GmmSpec:
     The unconditional mixture is the prior-weighted union of all classes.
 
     `means`, `qmats` and `lams` are the component table: every distinct
-    component once (a component shared by several classes, like
-    imbalanced2d's bad mode, is one entry; two components are one entry only
-    when their mean and cov bytes are equal), its covariance eigendecomposed
-    once.  Each mixture, each class in id order and then the marginal, is one
-    row of table columns, log weights and quality tags, `mixture(class_id)`.
-    A class's logw is log(weight); the marginal's adds the log class prior.
-    Duplicates stay separate columns of the marginal (imbalanced2d: 16
-    columns over 9 entries), so its reduction sums the same terms in the same
-    order whether or not they share an entry.  `evaluate` is the only
-    reduction over these columns: each point over its own mixture's, with
-    terms from a pass over those entries, or beside the marginal from one
-    pass over the whole table.
+    component once, in order of first use by the classes in id order (a
+    component shared by several classes, like imbalanced2d's bad mode, is
+    one entry; two components are one entry only when their mean and cov
+    bytes are equal), its covariance eigendecomposed once.  Each mixture,
+    each class in id order and then the marginal, is one row of table
+    columns, log weights and quality tags, `mixture(class_id)`.  A class's
+    row lists its components, logw log(weight).  The marginal's lists each
+    pair of a table entry and a quality tag once, in table order, logw the
+    log of sum p(c) * weight over the class components that have them,
+    summed exactly (`math.fsum`), so the class order does not matter:
+    imbalanced2d's marginal has 9 columns, not one per class component
+    (16).  Columns of one entry under two tags stay apart, so a mode
+    assignment reads the tag of the component it picked.  `evaluate` is
+    the only reduction over these columns: each point over its own
+    mixture's, with terms from a pass over those entries.
     """
 
     def __init__(self, classes: dict, class_priors: dict):
@@ -262,8 +265,7 @@ class GmmSpec:
         self.dim = dims.pop()
         self.classes = {cid: tuple(classes[cid]) for cid in ids}
         self.class_priors = {cid: float(class_priors[cid]) for cid in ids}
-        # the component table, in order of first use by the marginal, which
-        # lists every class's components in class order
+        # the component table, in order of first use by the classes in id order
         comps = [c for cid in ids for c in self.classes[cid]]
         keys = [(c.mean.tobytes(), c.cov.tobytes()) for c in comps]
         entry = {key: e for e, key in enumerate(dict.fromkeys(keys))}
@@ -275,25 +277,30 @@ class GmmSpec:
         self.qmats = np.array([q for _, q in eigs])
         # which entries' Q is exactly I, so that `gmm_terms` need not rotate
         self._eye = (self.qmats == np.eye(self.dim)).all(axis=(1, 2))
-        # one row per mixture, each class in id order and then the marginal:
-        # a class's columns are a run of the marginal's.  Entries past a
-        # mixture's width repeat its first column and are never reduced over.
-        ends = np.cumsum([len(self.classes[cid]) for cid in ids])
-        spans = [slice(end - len(self.classes[cid]), end) for cid, end in zip(ids, ends)]
-        spans.append(slice(0, len(comps)))
+        # one row of (columns, log weights, tags) per class, in id order, then
+        # the marginal's: one column per table entry and tag, in table order,
+        # weighing p(c) * w summed exactly (fsum) over the classes listing it
+        sizes = [len(self.classes[cid]) for cid in ids]
         logw = np.log(np.array([c.weight for c in comps]))
         tags = np.array([c.quality_tag for c in comps])
+        rows = [(cols[end - k : end], logw[end - k : end], tags[end - k : end])
+                for k, end in zip(sizes, np.cumsum(sizes))]
+        merged = {}
+        for e, c, cid in zip(cols.tolist(), comps, [cid for cid in ids for _ in self.classes[cid]]):
+            merged.setdefault((e, c.quality_tag), []).append(self.class_priors[cid] * c.weight)
+        marginal = sorted(merged, key=lambda key: key[0])
+        summed = np.log([math.fsum(merged[key]) for key in marginal])
+        rows.append(([e for e, _ in marginal], summed, [tag for _, tag in marginal]))
         self._ids = np.array(ids, dtype=np.int64)
         self._row_of = {cid: row for row, cid in enumerate([*ids, None])}
-        self._width = np.array([s.stop - s.start for s in spans])
-        self._cols = np.empty((len(spans), len(comps)), dtype=np.intp)
+        # entries past a row's width repeat its first column and are never reduced over
+        self._width = np.array([len(c) for c, _, _ in rows])
+        self._cols = np.empty((len(rows), self._width.max()), dtype=np.intp)
         self._logw = np.full(self._cols.shape, -np.inf)
         self._tags = np.zeros(self._cols.shape)
-        for row, s in enumerate(spans):
-            k = s.stop - s.start
-            self._cols[row] = cols[s.start]
-            self._cols[row, :k], self._logw[row, :k], self._tags[row, :k] = cols[s], logw[s], tags[s]
-        self._logw[-1] += [math.log(self.class_priors[cid]) for cid in ids for _ in self.classes[cid]]
+        for row, (c, w, t) in enumerate(rows):
+            self._cols[row] = c[0]
+            self._cols[row, : len(c)], self._logw[row, : len(c)], self._tags[row, : len(c)] = c, w, t
         # exact_sampler's component CDF of each row, from weights exp(logw)
         weights = np.exp(self._logw)
         self._cdfs = [choice_cdf(w[:k] / w[:k].sum()) for w, k in zip(weights, self._width)]
@@ -332,19 +339,13 @@ class GmmSpec:
             raise NotFoundError(f"unknown class id {ids[unknown][0]!r}")
         return rows
 
-    def _term_planes(self, entries):
-        """`gmm_terms`' (means, qmats, lams) planes of these table entries, (K, 1)
-        or (k, n) indices; qmats None when each of their Q is exactly I."""
-        qmats = None if self._eye[entries].all() else _planes(self.qmats, entries)
-        return _planes(self.means, entries), qmats, _planes(self.lams, entries)
-
     def _groups(self, rows, n):
         """The points of per-point mixture rows grouped by component count
         k, never padded: zero terms past width 8 regroup the pairwise sum;
         one row is one group, a column every point shares.  Per group, (its
         points, or a slice when they are all n, and (k, points) or (k, 1)
         flat indices into an array of one value per mixture-table row and
-        column)."""
+        column, such as the table's columns or each call's constants)."""
         if np.ndim(rows) == 0:
             rows, n = np.array([rows]), 1
         widths = self._width[rows]
@@ -355,35 +356,21 @@ class GmmSpec:
             groups.append((slice(None) if len(pts) == n else pts, cflat))
         return groups
 
-    def _plan(self, n, mixtures):
-        """What `evaluate` needs of n points and these items besides X and
-        sigma: (table pass, items).
-
-        The table pass is None, or when an item is the marginal, (`gmm_terms`'
-        planes of every table entry, its work).  Each item is a list of its
-        `_groups`, (points, flat indices into const, terms, const work,
-        work): terms are `gmm_terms`' planes of the group's own entries when
-        there is no table pass, and otherwise the rows of the table pass it
-        reads, (k,) for a class id or the marginal, or (k, points) flat
-        indices."""
+    def _plan(self, n, mixture):
+        """What `evaluate` needs of n points and one item besides X and
+        sigma: a list of its `_groups`, (points, flat indices into const,
+        `gmm_terms`' (means, qmats, lams) planes of the group's own entries,
+        qmats None when each of their Q is exactly I, const work, work),
+        where work holds `gmm_terms`' 4 * d planes of (k, points)."""
         d, at = self.dim, np.arange(n)
-        table = None
-        if any(m is None for m in mixtures):
-            M = len(self.means)
-            table = self._term_planes(np.arange(M)[:, None]), np.empty((4, d, M, n))
-        items = []
-        for m in mixtures:
-            rows, groups = self._rows(m, n), []
-            for pts, cflat in self._groups(rows, n):
-                entries = self._cols.take(cflat)
-                if table is None:  # work holds gmm_terms' 4 * d planes of (k, points)
-                    terms, planes = self._term_planes(entries), 4 * d
-                else:  # work holds quad and pm gathered, and gmm_reduce's planes
-                    terms, planes = entries[:, 0] if np.ndim(rows) == 0 else entries * n + at[pts], d + 2
-                work = np.empty((planes, len(cflat), len(at[pts])))
-                groups.append((pts, cflat, terms, np.empty(cflat.shape), work))
-            items.append(groups)
-        return table, items
+        groups = []
+        for pts, cflat in self._groups(self._rows(mixture, n), n):
+            entries = self._cols.take(cflat)
+            qmats = None if self._eye[entries].all() else _planes(self.qmats, entries)
+            terms = _planes(self.means, entries), qmats, _planes(self.lams, entries)
+            work = np.empty((4 * d, len(cflat), len(at[pts])))
+            groups.append((pts, cflat, terms, np.empty(cflat.shape), work))
+        return groups
 
     def evaluate(self, X, sigma, mixtures, scratch=None):
         """Several mixtures at the points X, a `check_points` batch, convolved
@@ -391,27 +378,21 @@ class GmmSpec:
 
         Each item of mixtures is a class id, None for the marginal, or an
         (n,) integer array of class ids, one per point; one id (or None) is
-        that mixture at every point.  An item's points are grouped by
-        component count k, and each group is one `gmm_reduce` over its
-        points' own mixture entries, whose terms come from one of two pass
-        shapes, picked by the item list alone:
-        - When no item is the marginal, each group runs one `gmm_terms` pass
-          over its points' own k entries, which `gmm_reduce` reads as they
-          are.
-        - When one is, the marginal needs every table entry, so one pass
-          covers the whole component table, component-major, at every point,
-          and each group gathers its terms from it: whole rows for a class
-          id or the marginal, flat takes of each point's own entries for a
-          per-point item.
-        Either way duplicates stay separate columns, not merged, so each
-        point's sums run over the same terms in the same order as its
-        mixture evaluated alone, and a pass whose entries all have Q exactly
-        I skips the rotations, as `gmm_terms` says, with the same bits.
+        that mixture at every point.  Each item is evaluated on its own,
+        whatever the list beside it: its points are grouped by component
+        count k, and each group is one `gmm_terms` pass over its points' own
+        k entries, which one `gmm_reduce` reads as they are.  A class id or
+        the marginal is one group of columns every point shares, the
+        marginal's one per distinct entry and tag (`GmmSpec`).  A pass
+        whose entries all have Q exactly I skips the rotations, as
+        `gmm_terms` says, with the same bits.
 
-        What depends only on n and the items is a `_plan`; scratch, a dict,
-        keeps one per list length, reused while n and every item equal the
-        ones it was built from (an array by dtype and bytes), and resp and
-        quad are then its arrays, overwritten by its next call.
+        What depends only on n and an item is a `_plan`; scratch, a dict,
+        keeps one per list position, reused while n and the item there equal
+        the ones it was built from (a class id or None by its mixture row,
+        an array by dtype and bytes), so the sampler's [ids, None] and [ids]
+        share ids' plan; resp and quad are then its arrays, overwritten by
+        its next call.
 
         Returns one (logp, resp, denoise, quad) per item: the log density
         (-inf where it underflows), the posterior responsibilities, the
@@ -420,26 +401,20 @@ class GmmSpec:
         over one mixture's columns, and None for a per-point item.
         """
         n, d = X.shape
-        key = n, [(type(m), m) if np.ndim(m) == 0 else _ids_key(m) for m in mixtures]
         plans = {} if scratch is None else scratch.setdefault("gmm_plans", {})
-        if plans.get(len(mixtures), (None,))[0] != key:
-            plans[len(mixtures)] = key, self._plan(n, mixtures)
-        table, items = plans[len(mixtures)][1]
+        keys = [(n, self._row(m)) if np.ndim(m) == 0 else (n, *_ids_key(m)) for m in mixtures]
+        for i, (m, key) in enumerate(zip(mixtures, keys)):
+            if plans.get(i, (None,))[0] != key:
+                plans[i] = key, self._plan(n, m)
         sig2 = float(sigma) ** 2
         # every mixture's constant terms, from each table entry's log det
         const = self._logw - 0.5 * (d * LOG_2PI + np.log(self.lams + sig2).sum(axis=1)[self._cols])
-        if table is not None:
-            quad, pm = gmm_terms(X, *table[0], sig2, table[1])
         out = []
-        for m, groups in zip(mixtures, items):
+        for i, m in enumerate(mixtures):
             logp, denoise = np.empty(n), np.empty((n, d))
-            for pts, cflat, terms, cwork, work in groups:
-                if table is None:
-                    q, p = gmm_terms(X[pts], *terms, sig2, work.reshape(4, d, *work.shape[1:]))
-                else:  # whole rows of the table pass for one mixture, else flat takes
-                    Q, P = (quad, pm) if terms.ndim == 1 else (quad.reshape(-1), pm.reshape(d, -1))
-                    q, p = Q.take(terms, axis=0, out=work[0]), P.take(terms, axis=1, out=work[2:])
-                # gmm_reduce's d + 1 planes: a spent one (in a pass of its own, sd's last), then pm
+            for pts, cflat, terms, cwork, work in plans[i][1]:
+                q, p = gmm_terms(X[pts], *terms, sig2, work.reshape(4, d, *work.shape[1:]))
+                # gmm_reduce's d + 1 planes: sd's last, spent, then pm
                 logp[pts], resp, denoise[pts] = gmm_reduce(const.take(cflat, out=cwork), q, p, work[-d - 1 :])
             out.append((logp, resp, denoise, q) if np.ndim(m) == 0 else (logp, None, denoise, None))
         return out

@@ -388,7 +388,8 @@ def run_sweep(cfg: ExperimentConfig, sweep: SweepSpec) -> list:
         digests = [_new_digest() for _ in guidances]
         sampled = exp.sample_each(guidances, digests)
         rows = zip(sweep.values, sampled, digests)
-        exp.write_digest([(f"{sweep.axis}={v:.9g}", None if isinstance(s, FamelabError) else h) for v, s, h in rows])
+        exp.write_digest([(f"{sweep.axis}={v:.9g}", None if isinstance(out, FamelabError) else h)
+                          for v, out, h in rows])
         return sampled
 
     sampled = exp.stage("sample", sample_stage)

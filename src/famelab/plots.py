@@ -3,10 +3,11 @@
 Hand-rolled SVG keeps the output byte-stable across environments: floats are
 formatted with fixed precision, element order follows input order, and there
 is no timestamp or random id anywhere in the file.  A canvas holds its
-document as parts, one per set of dots (formatted by a single % over their
-coordinates) and one per other element; `Experiment.write_report` writes
-them to plots/modes.svg one by one, so the whole document is never joined
-in memory, and `mode_scatter_svg` returns the same text as one str.
+document as parts, one per DOT_PIECE points of a set of dots (each
+formatted by a single % over its coordinates) and one per other element;
+`Experiment.write_report` writes them to plots/modes.svg one by one, so the
+whole document is never joined in memory, and `mode_scatter_svg` returns
+the same text as one str.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ PALETTE = (
     "#17becf",
 )
 REFERENCE_COLOR = "#c8c8c8"
+# points per part of a set of dots: the text one % makes, its argument
+# tuple and its template are then this size, whatever the set's
+DOT_PIECE = 1024
 # XML text escapes, as xml.sax.saxutils.escape (whose import costs MiBs of RSS)
 _ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
@@ -58,15 +62,16 @@ class _Canvas:
             )
 
     def dots(self, pts, color, r=2.0, opacity=1.0):
-        """Add one part: a circle per point, a line each, all formatted by a
-        single % over the interleaved coordinates."""
+        """Add a circle per point, a line each, as parts of DOT_PIECE
+        points, each formatted by a single % over its interleaved
+        coordinates; joined by newlines, they are the text of one %."""
         u, v = ((np.atleast_2d(pts) - self.lo) / (self.hi - self.lo)).T
-        if not len(u):
-            return
         xy = np.empty(2 * len(u))
         xy[0::2], xy[1::2] = u * self.size, (1.0 - v) * self.size
         circle = f'<circle cx="%.2f" cy="%.2f" r="{r}" fill="{color}" fill-opacity="{opacity:g}"/>'
-        self.parts.append("\n".join([circle] * len(u)) % tuple(xy.tolist()))
+        for lo in range(0, len(u), DOT_PIECE):
+            piece = xy[2 * lo : 2 * (lo + DOT_PIECE)]
+            self.parts.append("\n".join([circle] * (len(piece) // 2)) % tuple(piece.tolist()))
 
     def text(self, x, y, s, color="#000000"):
         self.parts.append(

@@ -18,8 +18,8 @@ makes for one chunk segment and passes to every step of it: a base source
 may keep work buffers there across the segment's calls, and they are freed
 with the segment, not kept by the source.  The neural source keeps its two
 hidden-layer buffers there; the analytic source keeps `GmmSpec.evaluate`'s
-plan of each mixture list, built on the first step and reused while n and
-the class ids stay the same, so its steps redo no index work.
+plan of each mixture, built on the first step that asks for it and reused
+while n and the class ids stay the same, so its steps redo no index work.
 
 `sample_finals` samples the same trajectories through several guided
 sources over one base, as the rows of a sweep or the sides of a paired
@@ -47,10 +47,11 @@ source a row's bits do not depend on its chunk either: the mixture kernel
 holds its terms component-major, (K, n), and runs every step elementwise
 across points, with sums over components as explicit sequences and only max
 reduced along an axis.  The analytic source hands the whole chunk to
-`GmmSpec.evaluate`, which reduces each row over its own mixture's components,
-in the same order as a per-class evaluation of that row: a conditional-only
-step evaluates only those, and a step with the marginal evaluates the whole
-component table once for every mixture of the call.  The MLP is not
+`GmmSpec.evaluate`, which evaluates each mixture of the call on its own and
+reduces each row over its own mixture's components, in the same order as a
+per-class evaluation of that row: a row's class (2 of `imbalanced2d`'s 9
+table entries) and, for CFG's d0, the marginal, whose columns list each
+distinct component once (9, not one per class component).  The MLP is not
 row-independent: BLAS may accumulate a row's matmul differently with the
 number of rows beside it, so a neural row's float64 bits depend on its
 chunk.  The neural source calls the MLP's inference
@@ -105,9 +106,9 @@ class AnalyticSource:
 
     Each call is one `GmmSpec.evaluate`: every requested mixture (an (n,)
     array of class ids, or None for the marginal) is reduced over each
-    row's own components, from a pass over those alone or, when the marginal
-    is asked for, from one pass over the whole component table, and each
-    output carries the bits of that row's mixture evaluated alone.
+    row's own components, from a pass over those alone, and each output
+    carries the bits of that row's mixture evaluated alone, whatever else
+    the call asks for.
     """
 
     def __init__(self, spec: GmmSpec):
@@ -116,7 +117,7 @@ class AnalyticSource:
 
     def denoise(self, x, sigma, mixtures, scratch=None):
         """The posterior mean under each of `GmmSpec.evaluate`'s mixtures;
-        scratch goes to `evaluate`, which keeps its plan of each item list
+        scratch goes to `evaluate`, which keeps its plan of each mixture
         there."""
         sigma = float(sigma)
         if not sigma > 0:

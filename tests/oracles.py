@@ -1,12 +1,11 @@
 """Mixture oracles that evaluate each mixture from its own component arrays.
 
 The package evaluates mixtures in one place, `GmmSpec.evaluate`, which runs
-the kernel once over the distinct components several mixtures share and
-gathers each mixture's rows.  The oracles here take the other route: they
-hand one mixture's components (`spec.means[cols]` and the like for the
-`cols` of `spec.mixture`, a shared component repeated) straight to a
-kernel of their own, and never call `GmmSpec.evaluate`, so a test
-comparing the two compares two paths.  That
+the kernel over each mixture's table entries, from the spec's rows of
+column indices.  The oracles here take the other route: they hand one
+mixture's components (`spec.means[cols]` and the like for the `cols` of
+`spec.mixture`) straight to a kernel of their own, and never call
+`GmmSpec.evaluate`, so a test comparing the two compares two paths.  That
 kernel, `_gmm_terms_rows` then `_gmm_reduce_rows`, is the package's earlier
 row-major one, kept verbatim: (n, K) arrays, numpy's own row sums and an
 einsum for the posterior mean.  The package's component-major kernel must
@@ -14,6 +13,10 @@ give its bits, so the comparison pins the layout change too; only at d = 1,
 where that einsum takes a vectorised dot-product path, do the posterior
 means agree to rounding instead.  The score, which the package no longer computes, is
 the responsibility-weighted -Sigma_sigma^-1 (x - mu) of each component.
+`unmerged_marginal_arrays` is the marginal as the prior-weighted union of
+the classes' own components, every duplicate a column of its own, and
+`merged_marginal` its merged columns; both are built from the classes and
+priors alone, not from the spec's rows.
 `assign_modes_two_pass` is the earlier mode assignment: the
 responsibilities, then a second pass for the einsum Mahalanobis distance.
 `exact_sampler_choice` is the earlier exact sampler, which drew component
@@ -120,9 +123,46 @@ def gmm_eval(X, means, qmats, lams, logw, sig2):
 
 
 def mixture_arrays(spec, class_id=None):
-    """(means, qmats, lams, logw) of one class's mixture, or the marginal's."""
+    """(means, qmats, lams, logw) of one class's mixture, or the marginal's,
+    as the spec's own row lists them."""
     cols, logw, _ = spec.mixture(class_id)
     return spec.means[cols], spec.qmats[cols], spec.lams[cols], logw
+
+
+def _component_arrays(comps, logw):
+    eigs = [np.linalg.eigh(c.cov) for c in comps]
+    means = np.array([c.mean for c in comps])
+    return means, np.array([q for _, q in eigs]), np.array([lam for lam, _ in eigs]), np.asarray(logw)
+
+
+def unmerged_marginal_arrays(spec):
+    """(means, qmats, lams, logw) of the marginal as the prior-weighted union
+    of the classes, from `spec.classes` and `spec.class_priors` alone: one
+    column per class component, in class id order (imbalanced2d: 16 over 9
+    distinct Gaussians), log weight log w + log p(c)."""
+    pairs = [(c, p) for cid, p in sorted(spec.class_priors.items()) for c in spec.classes[cid]]
+    return _component_arrays([c for c, _ in pairs], [math.log(c.weight) + math.log(p) for c, p in pairs])
+
+
+def merged_marginal(spec):
+    """The marginal's merged columns, rebuilt from `spec.classes` and
+    `spec.class_priors` alone: one per distinct mean and cov (by bytes) and
+    quality tag, ordered by the first class component with that mean and
+    cov, in class id order, then by the tag's first appearance; log weight
+    the log of the exact (fsum) sum of p(c) * w over its members.
+
+    Returns ((means, qmats, lams, logw), members): members[j] lists the
+    `unmerged_marginal_arrays` columns that column j merges."""
+    pairs = [(c, p) for cid, p in sorted(spec.class_priors.items()) for c in spec.classes[cid]]
+    first, groups = {}, {}
+    for i, (c, _) in enumerate(pairs):
+        gaussian = c.mean.tobytes(), c.cov.tobytes()
+        first.setdefault(gaussian, len(first))
+        groups.setdefault((first[gaussian], c.quality_tag), []).append(i)
+    order = sorted(groups, key=lambda key: key[0])
+    members = [groups[key] for key in order]
+    logw = np.log(np.array([math.fsum(pairs[i][1] * pairs[i][0].weight for i in m) for m in members]))
+    return _component_arrays([pairs[m[0]][0] for m in members], logw), members
 
 
 def _eval(spec, x, sigma, class_id):

@@ -39,7 +39,16 @@ from famelab.gmm import (
 from famelab import gmm
 from famelab.config import ExperimentConfig
 from famelab.schedule import make_schedule
-from tests.oracles import analytic_score, exact_sampler_choice, gmm_eval, ideal_denoiser, mixture_arrays
+from famelab.metrics import mode_stats
+from tests.oracles import (
+    analytic_score,
+    exact_sampler_choice,
+    gmm_eval,
+    ideal_denoiser,
+    merged_marginal,
+    mixture_arrays,
+    unmerged_marginal_arrays,
+)
 
 
 def projected_density_1d(spec: GmmSpec, u, class_id=None):
@@ -388,8 +397,8 @@ class TestComponentTable:
         assert len(spec.means) == len(spec.qmats) == len(spec.lams) == 9
         bad = spec.mixture(1)[0][1]
         assert all(spec.mixture(c)[0][1] == bad for c in spec.class_ids)
-        marginal = spec.mixture(None)[0]
-        assert len(marginal) == 16 and len(set(marginal.tolist())) == 9
+        # the marginal lists each entry once, in table order: 9 columns, not 16
+        np.testing.assert_array_equal(spec.mixture(None)[0], np.arange(9))
         assert len(preset("balanced2d").means) == 8
 
     def test_near_equal_components_stay_apart(self):
@@ -440,20 +449,28 @@ class TestComponentTable:
                 spec.evaluate(X, 1.0, [None, bad])
 
     def test_packs_hold_each_components_own_arrays(self):
-        for spec in (preset("imbalanced2d"), skewed_2d()):
-            mixtures = [(cid, [(c, 1.0) for c in spec.classes[cid]]) for cid in spec.class_ids]
-            marginal = [(c, spec.class_priors[k]) for k in spec.class_ids for c in spec.classes[k]]
-            mixtures.append((None, marginal))
-            for cid, comps in mixtures:
+        """A class's columns are its components, weight w; a marginal column
+        is every class component with its entry and tag, weight the sum of
+        p(c) * w over them."""
+        for spec in (preset("imbalanced2d"), skewed_2d(), three_widths_2d()):
+            mixtures = [(cid, [[(c, 1.0)] for c in spec.classes[cid]]) for cid in spec.class_ids]
+            merged = {}
+            for k in spec.class_ids:
+                for c in spec.classes[k]:
+                    key = c.mean.tobytes(), c.cov.tobytes(), c.quality_tag
+                    merged.setdefault(key, []).append((c, spec.class_priors[k]))
+            mixtures.append((None, list(merged.values())))
+            for cid, columns in mixtures:
                 cols, logw, tags = spec.mixture(cid)
                 means, qmats, lams, _ = mixture_arrays(spec, cid)
-                assert len(cols) == len(logw) == len(tags) == len(comps)
-                for i, (c, prior) in enumerate(comps):
+                assert len(cols) == len(logw) == len(tags) == len(columns)
+                for i, comps in enumerate(columns):
+                    c = comps[0][0]
                     lam, q = np.linalg.eigh(c.cov)
                     np.testing.assert_array_equal(means[i], c.mean)
                     np.testing.assert_array_equal(lams[i], lam)
                     np.testing.assert_array_equal(qmats[i], q)
-                    assert np.exp(logw[i]) == pytest.approx(c.weight * prior, rel=1e-12)
+                    assert np.exp(logw[i]) == pytest.approx(sum(c.weight * p for c, p in comps), rel=1e-12)
                     assert tags[i] == c.quality_tag
 
     @pytest.mark.parametrize(
@@ -581,7 +598,8 @@ class TestEvaluatePlan:
             for mixtures in ([ids, None], [ids], [spec.class_ids[-1], None, ids]):
                 with_plan = evaluate_bytes(spec, X, sigma, mixtures, scratch)
                 assert with_plan == evaluate_bytes(spec, X, sigma, mixtures)
-        assert sorted(scratch["gmm_plans"]) == [1, 2, 3]
+        # one plan per list position, not per list
+        assert sorted(scratch["gmm_plans"]) == [0, 1, 2]
 
     def test_plan_is_reused_only_for_equal_items(self):
         spec = three_widths_2d()
@@ -637,7 +655,7 @@ class TestEvaluatePlan:
     def test_per_point_pass_gives_the_shared_bits(self, spec):
         """`evaluate(X, sigma, [ids])` evaluates each point's own entries
         only.  Its logp and denoise equal, bit for bit with sign bits: the
-        per-point item of the table pass, `[ids, None]`; `gmm_eval` on each
+        same item beside the marginal, `[ids, None]`; `gmm_eval` on each
         class's own components; and where every Q is I, the rotating path."""
         rotating = copy.copy(spec)
         rotating._eye = np.zeros_like(spec._eye)
@@ -700,10 +718,10 @@ def many_classes_2d():
 
 
 class TestEvaluateWork:
-    """What `evaluate` hands `gmm_terms`: when no item is the marginal, each
-    width group's own entries at its own points, a class id's at every
-    point; otherwise one pass over the whole component table.  A pass
-    rotates (twice) only when one of its entries' Q is not exactly I."""
+    """What `evaluate` hands `gmm_terms`, item by item: each width group's
+    own entries at its own points, and a class id's or the marginal's at
+    every point.  A pass rotates (twice) only when one of its entries' Q is
+    not exactly I."""
 
     N = 1024
 
@@ -756,25 +774,137 @@ class TestEvaluateWork:
         want = [((1, int((ids == 1).sum())), 0), ((2, int((ids == 2).sum())), 2)]
         assert self.passes(monkeypatch, spec, [ids]) == want
 
-    def test_only_a_list_with_the_marginal_runs_the_table_pass(self, monkeypatch):
+    def test_each_item_runs_its_own_passes(self, monkeypatch):
+        """Whatever the list beside it, a class id or per-point ids run
+        their own entries' passes, and the marginal one pass over its
+        merged columns, one per table entry on imbalanced2d."""
         spec = preset("imbalanced2d")
         ids = self.ids(spec)
+        own, marginal = ((2, self.N), 0), ((9, self.N), 0)
         assert len(spec.means) == 9
-        for mixtures in ([ids, None], [None], [3, None, ids]):
-            assert self.passes(monkeypatch, spec, mixtures) == [((9, self.N), 0)]
-        # without the marginal, a class id is a pass over its own entries
-        assert self.passes(monkeypatch, spec, [1]) == [((2, self.N), 0)]
-        assert self.passes(monkeypatch, spec, [1, ids]) == [((2, self.N), 0)] * 2
+        assert self.passes(monkeypatch, spec, [ids, None]) == [own, marginal]
+        assert self.passes(monkeypatch, spec, [None]) == [marginal]
+        assert self.passes(monkeypatch, spec, [3, None, ids]) == [own, marginal, own]
+        assert self.passes(monkeypatch, spec, [1]) == [own]
+        assert self.passes(monkeypatch, spec, [1, ids]) == [own] * 2
         spec = three_widths_2d()
-        assert self.passes(monkeypatch, spec, [self.ids(spec), None]) == [((len(spec.means), self.N), 2)]
-        # the table pass grows with the table; a class's own entries do not
+        ids = self.ids(spec)
+        groups = [((k, int((ids == k).sum())), 2) for k in (1, 2, 3)]
+        assert self.passes(monkeypatch, spec, [ids, None]) == [*groups, ((len(spec.means), self.N), 2)]
+        # the marginal's pass grows with the table; a class's own entries do not
         spec = many_classes_2d()
         ids = self.ids(spec)
         assert len(spec.means) == 120
         for mixtures in ([7], [ids], [7, ids]):
             assert self.passes(monkeypatch, spec, mixtures) == [((3, self.N), 2)] * len(mixtures)
-        for mixtures in ([None], [ids, None], [7, None, ids]):
-            assert self.passes(monkeypatch, spec, mixtures) == [((120, self.N), 2)]
+        marginal = ((120, self.N), 2)
+        assert self.passes(monkeypatch, spec, [None]) == [marginal]
+        assert self.passes(monkeypatch, spec, [7, None, ids]) == [((3, self.N), 2), marginal, ((3, self.N), 2)]
+
+
+def shared_entry_specs():
+    """Random specs in d = 2 and 3 whose classes share table entries, some
+    under another quality tag, with their priors."""
+    specs = []
+    for seed in range(12):
+        rng = np.random.default_rng(300 + seed)
+        d = 2 + seed % 2
+        made = []
+        classes = {}
+        for cid in range(1, int(rng.integers(2, 6)) + 1):
+            k = int(rng.integers(1, 5))
+            weights = rng.dirichlet(np.ones(k))
+            classes[cid] = []
+            for w in weights:
+                if made and rng.random() < 0.5:
+                    mean, cov, tag = made[int(rng.integers(len(made)))]
+                    tag = tag if rng.random() < 0.7 else float(rng.uniform(1.0, 3.0))
+                else:
+                    a = rng.normal(size=(d, d))
+                    mean, cov, tag = rng.normal(size=d) * 3.0, a @ a.T + 0.3 * np.eye(d), float(rng.uniform(1.0, 3.0))
+                made.append((mean, cov, tag))
+                classes[cid].append(GmmComponent(mean, cov, w, tag))
+        priors = rng.dirichlet(np.ones(len(classes)))
+        specs.append(GmmSpec(classes, {c: p for c, p in zip(classes, priors)}))
+    return specs
+
+
+class TestMergedMarginal:
+    """The marginal reduces over one column per table entry and tag, which
+    changes its last bits only: it matches the unmerged union of the
+    classes to rtol 1e-12, and an oracle of the merged columns built from
+    the classes and priors alone bit for bit."""
+
+    @staticmethod
+    def cases():
+        cfg = ExperimentConfig()
+        sigmas = make_schedule(cfg.schedule_kind, cfg.n_steps, cfg.sigma_min, cfg.sigma_max).sigmas
+        assert len(sigmas) == 65
+        for spec in (preset("imbalanced2d"), preset("balanced2d")):
+            yield spec, sigmas
+        for spec in shared_entry_specs():
+            yield spec, sigmas[::8]
+
+    def test_matches_the_unmerged_union(self):
+        merges = 0
+        for spec, sigmas in self.cases():
+            (*_, members) = merged_marginal(spec)
+            merges += len(members) < sum(len(c) for c in spec.classes.values())
+            X = np.random.default_rng(spec.dim).normal(size=(200, spec.dim)) * 4.0
+            for sigma in sigmas:
+                [(logp, resp, denoise, _)] = spec.evaluate(X, sigma, [None])
+                want_logp, want_resp, _, want_denoise = gmm_eval(X, *unmerged_marginal_arrays(spec), sigma**2)
+                np.testing.assert_allclose(logp, want_logp, rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(denoise, want_denoise, rtol=1e-12, atol=1e-12)
+                # a merged column's responsibility is the sum of its members'
+                summed = np.array([want_resp[:, m].sum(axis=1) for m in members])
+                np.testing.assert_allclose(resp, summed, rtol=1e-12, atol=1e-15)
+        assert merges >= 10  # imbalanced2d and most random specs merge columns
+
+    def test_equals_the_merged_oracle_bit_for_bit(self):
+        for spec, sigmas in self.cases():
+            arrays, _ = merged_marginal(spec)
+            cols, logw, _ = spec.mixture(None)
+            np.testing.assert_array_equal(logw, arrays[3])
+            X = np.random.default_rng(spec.dim + 1).normal(size=(200, spec.dim)) * 4.0
+            for sigma in sigmas:
+                [(logp, resp, denoise, _)] = spec.evaluate(X, sigma, [None])
+                want = gmm_eval(X, *arrays, sigma**2)
+                assert logp.tobytes() == want[0].tobytes()
+                assert resp.T.tobytes() == want[1].tobytes()
+                assert denoise.tobytes() == want[3].tobytes()
+
+    def test_a_shared_entry_under_two_tags_stays_two_columns(self):
+        """Classes 1 and 2 share a Gaussian, tagged bad in class 1 and good
+        in class 2: the marginal keeps a column per tag, in table order,
+        and mode_stats counts points at that Gaussian as bad."""
+        shared = np.array([0.0, 0.0]), 0.5 * np.eye(2)
+        spec = GmmSpec(
+            {
+                1: [GmmComponent(np.array([4.0, 0.0]), 0.2 * np.eye(2), 0.4, 2.6), GmmComponent(*shared, 0.6, 1.4)],
+                2: [GmmComponent(np.array([-4.0, 0.0]), 0.2 * np.eye(2), 0.7, 2.6), GmmComponent(*shared, 0.3, 2.6)],
+            },
+            {1: 0.5, 2: 0.5},
+        )
+        cols, logw, tags = spec.mixture(None)
+        assert cols.tolist() == [0, 1, 1, 2] and tags.tolist() == [2.6, 1.4, 2.6, 2.6]
+        np.testing.assert_allclose(np.exp(logw), [0.2, 0.3, 0.15, 0.35], rtol=1e-15)
+        x = np.vstack([np.zeros((5, 2)), np.tile([4.0, 0.0], (3, 1))])
+        ms = mode_stats(spec, x, None)
+        assert (ms.n, ms.bad, ms.outliers) == (8, 5, 0)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_exact_sampler_draws_the_prior_weights(self, name):
+        """Marginal draws land in each merged column within 3 standard
+        errors of its weight, sum p(c) * w."""
+        spec = preset(name)
+        n = 100_000
+        x = exact_sampler(spec, np.random.default_rng(41), class_id=None, n=n)
+        got = np.bincount(responsibilities(spec, x, None).argmax(axis=1), minlength=len(spec.means)) / n
+        p = np.exp(spec.mixture(None)[1])
+        want = {"balanced2d": [0.125] * 8, "imbalanced2d": [0.1125, 0.1] + [0.1125] * 7}[name]
+        np.testing.assert_allclose(p, want, rtol=1e-15)
+        assert np.all(np.abs(got - p) < 3.0 * np.sqrt(p * (1.0 - p) / n)), (got, p)
 
 
 class TestSpecFiles:

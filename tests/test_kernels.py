@@ -119,7 +119,7 @@ class TestGmmEval:
         np.testing.assert_array_equal(denoise, 0.0)
 
     def test_exact_on_reference_packs(self):
-        """Every mixture of imbalanced2d (K=2 per class, K=16 marginal) at every
+        """Every mixture of imbalanced2d (K=2 per class, K=9 marginal) at every
         noise level of the reference schedule: identical to the oracle."""
         spec = preset("imbalanced2d")
         rng = np.random.default_rng(11)
@@ -170,9 +170,10 @@ class TestGmmEval:
 
 
 class TestSplitKernel:
-    """`GmmSpec.evaluate` runs `gmm_terms` once over the table entries its
-    mixtures need, then `gmm_reduce` over each mixture's rows of them: the
-    bits the row-major kernel gives on that mixture's own components."""
+    """`GmmSpec.evaluate` runs `gmm_terms` over each mixture's table entries,
+    then `gmm_reduce` over them: the bits the row-major kernel gives on that
+    mixture's own components, and those of `gmm_reduce` over the mixture's
+    rows of one pass over the whole table."""
 
     def test_table_columns_reduce_to_pack_results(self):
         spec = preset("imbalanced2d")

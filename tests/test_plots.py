@@ -6,10 +6,12 @@ import pytest
 from famelab.errors import InvalidArgumentError
 from famelab.gmm import preset
 from famelab.plots import (
+    DOT_PIECE,
     OUTLIER_COLOR,
     PALETTE,
     REFERENCE_COLOR,
     _bounds,
+    _Canvas,
     mode_scatter_svg,
     side_by_side_svg,
 )
@@ -64,6 +66,22 @@ class TestModeScatter:
         lines = mode_scatter_svg(spec, ref, gen, class_id=1).splitlines()
         assert lines[2 : 2 + len(ref)] == want
         assert sum(line.startswith("<circle") for line in lines) == len(ref) + len(gen)
+
+    @pytest.mark.parametrize("n", [0, 1, DOT_PIECE - 1, DOT_PIECE, DOT_PIECE + 1, 2 * DOT_PIECE + 5])
+    def test_dot_pieces_join_to_one_format(self, n):
+        """A set of dots is added in parts of DOT_PIECE points; joined by
+        newlines they are the text a single % over every point makes."""
+        pts = np.random.default_rng(n).normal(size=(n, 2)) * 4.0
+        cv = _Canvas(480, np.array([-9.0, -9.0]), np.array([9.0, 9.0]), "")
+        head = len(cv.parts)
+        cv.dots(pts, "#123456", r=1.5, opacity=0.6)
+        assert len(cv.parts) - head == -(-n // DOT_PIECE)
+        u, v = ((pts - cv.lo) / (cv.hi - cv.lo)).T
+        xy = np.empty(2 * n)
+        xy[0::2], xy[1::2] = u * 480, (1.0 - v) * 480
+        circle = '<circle cx="%.2f" cy="%.2f" r="1.5" fill="#123456" fill-opacity="0.6"/>'
+        want = "\n".join([circle] * n) % tuple(xy.tolist())
+        assert "\n".join(cv.parts[head:]) == want
 
     def test_rejects_non_planar_points(self):
         with pytest.raises(InvalidArgumentError):

@@ -299,8 +299,9 @@ class TestScratch:
 
 
 class TestPlanCount:
-    """The analytic source plans `GmmSpec.evaluate` once per item list of a
-    `_integrate_chunk` call, not once per step."""
+    """The analytic source plans each `GmmSpec.evaluate` item once per
+    `_integrate_chunk` call, not once per step: under cfg_interval the
+    steps' [ids, None] and [ids] share the plan of ids."""
 
     @pytest.mark.parametrize(
         "guidance, plans",
