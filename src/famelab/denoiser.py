@@ -13,12 +13,16 @@ token.  Training is plain denoising score matching with label dropout, so one
 network answers both conditional and unconditional queries.
 
 There are two forward passes over the same arithmetic.  `_denoise` is the
-inference pass (`sampler.NeuralSource.denoise`): it keeps no activations and
-runs the hidden layers through two (n, HIDDEN) buffers that swap roles from
-layer to layer, with the SiLU gate, bias adds and matmuls written into them.
-The buffers live in a scratch dict the caller may pass; the sampler makes
-one per chunk segment and hands it to every call there, so they are faulted
-in once per segment and freed with it.  `_apply` is the training pass: it
+inference pass (`sampler.NeuralSource.denoise` calls it once per block of
+rows): it keeps no activations and runs the hidden layers through two
+buffers of HIDDEN columns that swap roles from layer to layer, with the
+SiLU gate, bias adds and matmuls written into them.  The buffers live in a
+scratch dict the caller may pass; the sampler makes one per chunk segment
+and hands it to every call there.  A call of n rows runs in views of their
+first n rows whenever they hold that many, so a chunk's shorter last block
+reuses them too, and they are faulted in once per segment and freed with
+it (remade for each new n, they raised a neural run's peak RSS by about
+3 MiB).  `_apply` is the training pass: it
 keeps each layer's input, pre-activation and gate for the backward pass, but
 still adds biases and forms gates in place.  Buffer reuse matters because a
 fresh (n, HIDDEN) float64 temporary of a megabyte or so is handed back to
@@ -189,18 +193,18 @@ def _denoise(params, X, sig, tokens, scratch=None):
 
     Two (n, HIDDEN) buffers swap roles: `a` holds a pre-activation and then,
     scaled by its gate in `g`, the activation; the next layer's matmul and
-    bias go into `g`.  They are kept in scratch, a dict, for the next call of
-    the same n; without one they are the call's own.  The output is always
-    a new array.
+    bias go into `g`.  They are views of two arrays kept in scratch, a dict,
+    for any later call of at most as many rows; without one they are the
+    call's own.  The output is always a new array.
     """
     c_skip, c_out, h = _features(params, X, sig, tokens)
     scratch = {} if scratch is None else scratch
     bufs = scratch.get("hidden")
-    if bufs is None or len(bufs[0]) != len(h):
+    if bufs is None or len(bufs[0]) < len(h):
         # two arrays: one (2, n, HIDDEN) block measured 2 MiB more peak RSS
         # on a neural sampling run
         bufs = scratch["hidden"] = (np.empty((len(h), HIDDEN)), np.empty((len(h), HIDDEN)))
-    a, g = bufs
+    a, g = bufs[0][: len(h)], bufs[1][: len(h)]
     _layer(h, params["w0"], params["b0"], out=a)
     for i in range(1, N_HIDDEN):
         a *= _gate(a, g)

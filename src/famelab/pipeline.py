@@ -292,8 +292,9 @@ class Experiment:
         failed).  The float32 files and summary.json's rounded numbers miss
         a change in the last bits; this file shows it.  With the analytic
         source each state's bits do not depend on the chunk width, so
-        neither does the digest; with the neural one they do, because BLAS
-        may sum a row's matmul differently with the rows beside it."""
+        neither does the digest; with the neural one they depend on the
+        rows of their MLP block (`sampler.MLP_BLOCK`), because BLAS may sum
+        a row's matmul differently with the rows beside it."""
         analytic = self.cfg.source == "analytic"
         doc = {
             "hash": "blake2b-256 of the float64 final states before the float32 cast, "
@@ -302,7 +303,8 @@ class Experiment:
             "chunk_independent": analytic,
         }
         if not analytic:
-            doc["note"] = "neural states depend on the sampler's chunk width (BLAS), and so does this digest"
+            doc["note"] = ("neural states depend on the rows of their MLP block (BLAS), and so does this digest: "
+                           "on the chunk width only where it is not a multiple of the block")
         self._path("reports", "digest.json").write_text(_dumps(doc))
 
     def write_report(self, samples, report: EvalReport) -> None:

@@ -53,12 +53,14 @@ per-class evaluation of that row: a row's class (2 of `imbalanced2d`'s 9
 table entries) and, for CFG's d0, the marginal, whose columns list each
 distinct component once (9, not one per class component).  The MLP is not
 row-independent: BLAS may accumulate a row's matmul differently with the
-number of rows beside it, so a neural row's float64 bits depend on its
-chunk.  The neural source calls the MLP's inference
-forward (`denoiser._denoise`), which keeps no activations and runs its
-hidden layers in the segment's two scratch buffers; it gives the same bits
-as the training forward that backpropagation uses.  The test suite asserts
-cross-layout equality.
+number of rows beside it, so the neural source runs the MLP's inference
+forward (`denoiser._denoise`) on blocks of MLP_BLOCK rows, and a neural
+row's float64 bits depend on its block, not its chunk: CHUNK is a multiple
+of MLP_BLOCK, so the blocks fall at the same job-order rows whatever CHUNK
+is.  The forward keeps no activations and runs its hidden layers in the
+segment's two scratch buffers; it gives the same bits as the training
+forward that backpropagation uses.  The test suite asserts cross-layout
+equality.
 """
 
 from __future__ import annotations
@@ -77,9 +79,12 @@ from .schedule import NoiseSchedule, derive_seed, initial_noise, new_trajectorie
 
 SAMPLER_METHODS = ("euler", "heun")
 
+# rows per MLP call; a neural row's bits depend on its block (BLAS)
+MLP_BLOCK = 1024
 # lockstep width: large enough to keep kernels efficient, small enough that
-# state arrays stay cheap; must not depend on batch size
-CHUNK = 1024
+# state arrays stay cheap; must not depend on batch size, and a multiple of
+# MLP_BLOCK, so blocks fall at the same job-order rows whatever CHUNK is
+CHUNK = 2 * MLP_BLOCK
 
 
 def check_method(method) -> None:
@@ -141,14 +146,18 @@ class NeuralSource:
 
     def denoise(self, x, sigma, mixtures, scratch=None):
         """D(x; sigma, c) for each mixture, an (n,) array of class tokens or
-        None for the null token; every pass runs its hidden layers in the
-        buffers of scratch (a dict), made there on first use."""
+        None for the null token; the MLP runs on blocks of MLP_BLOCK rows,
+        and every block on the hidden-layer buffers of scratch (a dict),
+        made there on first use."""
         n = len(x)
         sig = np.full(n, float(sigma))
         out = []
         for m in mixtures:
             tokens = np.zeros(n, dtype=np.int64) if m is None else np.asarray(m, dtype=np.int64)
-            out.append(_denoise(self.model.params, x, sig, tokens, scratch))
+            d = np.empty((n, self.dim))
+            for b in (slice(lo, lo + MLP_BLOCK) for lo in range(0, n, MLP_BLOCK)):
+                d[b] = _denoise(self.model.params, x[b], sig[b], tokens[b], scratch)
+            out.append(d)
         return out
 
     def fingerprint(self) -> int:

@@ -308,8 +308,9 @@ class TestStdout:
         assert (tmp_path / "out" / "run" / "pool.fmpl").exists()
 
     def test_sample_writes_trajectories(self, tmp_path, capsys):
-        # 3 x 700 trajectories, so chunks of 1024 straddle classes; the files
-        # hold the records sample_batch returns for the run's own arguments
+        # 3 x 700 trajectories, so a chunk holds several classes and class 3
+        # straddles two chunks; the files hold the records sample_batch
+        # returns for the run's own arguments
         path = write_config(tmp_path, n_per_class=700, classes=(1, 2, 3))
         assert main(["sample", "--config", path]) == 0
         out = capsys.readouterr().out

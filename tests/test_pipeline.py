@@ -342,7 +342,8 @@ class TestStreamedTrajectories:
 
     @pytest.mark.parametrize("source", ["analytic", "neural"])
     def test_files_are_sample_batch_blocks(self, tmp_path, source):
-        # 3 x 700 trajectories: chunks of 1024 straddle classes 1|2 and 2|3
+        # 3 x 700 trajectories: a chunk of 2048 holds three classes, and class 3
+        # straddles two chunks
         cfg = base_config(tmp_path, source=source, train=TINY_TRAIN, classes=(1, 2, 3), n_per_class=700)
         exp = Experiment(cfg)
         samples = exp.sample(cfg.guidance, save_trajectories=True)
@@ -374,7 +375,9 @@ class TestStreamedTrajectories:
             return real(source, cfg, x, neg, class_ids, index, start, stop, record)
 
         def config(**over):
-            return base_config(tmp_path, guidance=GuidanceConfig(w=1.5), n_per_class=700, **over)
+            # two classes of 2/3 of a chunk each: two chunks
+            n = 2 * sampler.CHUNK // 3
+            return base_config(tmp_path, guidance=GuidanceConfig(w=1.5), n_per_class=n, **over)
 
         run_pipeline(config(name="earlier", seed=6))
         root = tmp_path / "out" / "earlier"
@@ -394,15 +397,15 @@ class TestStreamedTrajectories:
         assert not (tmp_path / "out" / "new" / "trajectories").exists()
         assert snapshot(root / "trajectories") == before
         # the first chunk's records were in their part files when the second failed
-        assert written == [1024 * trajectory_dtype(24, 2).itemsize] * 2
+        assert written == [sampler.CHUNK * trajectory_dtype(24, 2).itemsize] * 2
 
 
 class TestSampleMemory:
     """Saved trajectories are written a chunk at a time, so a run holds one
-    chunk of records (1 MiB at T=64 in 2-D) whatever its size.  Sampling
-    4,096 trajectories rather than 1,024 raised the tracemalloc peak by
-    3.2 MiB of records while the whole batch was held, and by 0.14 MiB a
-    chunk at a time."""
+    chunk of records (2 MiB at T=64 in 2-D) whatever its size.  Sampling
+    four chunks of trajectories rather than one raised the tracemalloc peak
+    by 3.2 MiB of records while the whole batch was held (chunks of 1,024),
+    and by 0.27 MiB a chunk at a time (chunks of 2,048)."""
 
     def peak(self, tmp_path, n_per_class):
         cfg = base_config(
@@ -418,8 +421,9 @@ class TestSampleMemory:
             tracemalloc.stop()
 
     def test_peak_does_not_grow_with_the_run(self, tmp_path):
+        # two classes: one chunk of rows, then four
         self.peak(tmp_path, 2)
-        small, large = self.peak(tmp_path, 512), self.peak(tmp_path, 2048)
+        small, large = self.peak(tmp_path, sampler.CHUNK // 2), self.peak(tmp_path, 2 * sampler.CHUNK)
         assert large - small < 2**20, (small, large)
 
 

@@ -1,5 +1,6 @@
 """Integrator tests against closed-form flows and the reproducibility contract."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -807,7 +808,7 @@ class TestSampleBatches:
 
     @pytest.mark.parametrize("method", ["euler", "heun"])
     def test_neural_rows_match_alone(self, monkeypatch, model, neural_pool, method):
-        # an MLP row's bits depend on its chunk, which sampling together keeps
+        # an MLP row's bits depend on its block, which sampling together keeps
         cfg = SamplerConfig(schedule=make_schedule("karras-like", 8, 0.05, 8.0), method=method)
         base = NeuralSource(model)
         sources = [
@@ -869,6 +870,43 @@ class TestSampleBatches:
         sources = [plain(AnalyticSource(spec)), plain(AnalyticSource(spec))]
         with pytest.raises(InvalidArgumentError):
             sample_finals(sources, cfg, 8, [1], 2)
+
+
+class TestNeuralBlocks:
+    """The MLP runs on blocks of MLP_BLOCK rows, and CHUNK is a multiple of
+    MLP_BLOCK, so the blocks fall at the same job-order rows whatever CHUNK
+    is and a neural row's float64 bits do not depend on it."""
+
+    def test_chunk_is_a_multiple_of_the_block(self):
+        assert sampler.CHUNK % sampler.MLP_BLOCK == 0
+
+    # with blocks of 3, running the MLP on whole chunks of 3, 6 and 9 rows
+    # instead gives three different results on OpenBLAS
+    @pytest.mark.parametrize("block, chunks", [(4, (4, 8, 12)), (3, (3, 6, 9))])
+    @pytest.mark.parametrize("method", ["euler", "heun"])
+    def test_float64_finals_do_not_depend_on_chunk(self, monkeypatch, model, neural_pool, method, block, chunks):
+        cfg = SamplerConfig(schedule=make_schedule("karras-like", 8, 0.05, 8.0), method=method)
+        base = NeuralSource(model)
+        # the replaying row forks from the shared steps at step 4 of 8
+        sources = [guided_source(base, neural_pool, GuidanceConfig(w=1.5, f=f, tau=0.5)) for f in (0.0, 0.05)]
+        rows = []
+        real = sampler._denoise
+
+        def counted(params, X, *args):
+            rows.append(len(X))
+            return real(params, X, *args)
+
+        monkeypatch.setattr(sampler, "_denoise", counted)
+        monkeypatch.setattr(sampler, "MLP_BLOCK", block)
+        got = []
+        for chunk in chunks:
+            monkeypatch.setattr(sampler, "CHUNK", chunk)
+            digests = [hashlib.blake2b(digest_size=32) for _ in sources]
+            finals = sample_finals(sources, cfg, 8, [1], 15, digests)
+            assert all(isinstance(x, np.ndarray) for x in finals)
+            got.append([h.digest() for h in digests])
+        assert got[0] == got[1] == got[2]
+        assert max(rows) == block
 
 
 class TestSharedStepCount:
