@@ -28,6 +28,7 @@ PALETTE = (
     "#8c564b",
     "#e377c2",
     "#17becf",
+    "#bcbd22",
 )
 REFERENCE_COLOR = "#c8c8c8"
 # points per part of a set of dots: the text one % makes, its argument

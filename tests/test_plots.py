@@ -1,5 +1,7 @@
 """SVG scatter rendering tests: byte determinism and structure."""
 
+from xml.dom import minidom
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,16 @@ class TestModeScatter:
         # exactly one generated point sits away from every component
         assert svg.count(f'fill="{OUTLIER_COLOR}"') == 1
         assert f'fill="{PALETTE[0]}"' in svg
+
+    def test_each_marginal_mode_has_its_own_color(self):
+        """modes.svg (class_id None) over one point at each of the
+        marginal's 9 modes: 9 fills, none the outlier's, where 8 colours
+        used to give the neighbouring ring modes 0 and 8 one."""
+        svg = mode_scatter_svg(spec, REF, spec.means, class_id=None)
+        fills = [c.getAttribute("fill") for c in minidom.parseString(svg).getElementsByTagName("circle")]
+        generated = fills[len(REF) :]
+        assert len(generated) == len(spec.means) == 9
+        assert len(set(generated)) == 9 and OUTLIER_COLOR not in generated
 
     def test_footer_counts(self):
         svg = mode_scatter_svg(spec, REF, GEN, class_id=1)
