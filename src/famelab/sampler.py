@@ -155,7 +155,8 @@ class NeuralSource:
         for m in mixtures:
             tokens = np.zeros(n, dtype=np.int64) if m is None else np.asarray(m, dtype=np.int64)
             d = np.empty((n, self.dim))
-            for b in (slice(lo, lo + MLP_BLOCK) for lo in range(0, n, MLP_BLOCK)):
+            for lo in range(0, n, MLP_BLOCK):
+                b = slice(lo, lo + MLP_BLOCK)
                 d[b] = _denoise(self.model.params, x[b], sig[b], tokens[b], scratch)
             out.append(d)
         return out
