@@ -9,8 +9,13 @@ Each case is one blake2b-256 hex digest:
 - `run/<method>/<guidance>`: the `reports/digest.json` hash of a tiny
   analytic `run_pipeline` (8 classes x 16 samples, 8 pool candidates per
   class, seed 3) under each sampler method;
+- `report/<method>/<guidance>`: the float64 bytes of every float field of
+  that run's `EvalReport`, per-class Frechet values and percentiles
+  included, in `to_dict` order;
 - `file/pool.fmpl` and `file/class_1.traj`: the bytes of the FaME heun run's
-  pool and of its class 1 trajectories.
+  pool and of its class 1 trajectories;
+- `file/sweep_f.csv`: the bytes of a 3-row f sweep's table on the same tiny
+  setup, so that what the rows of one experiment share is pinned too.
 
 The digests hold for one toolchain: numpy may compute float64 exp and log
 on a SIMD path chosen per CPU, so the file records the numpy version and the
@@ -29,14 +34,15 @@ import hashlib
 import json
 import platform
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from famelab.config import ExperimentConfig
+from famelab.config import ExperimentConfig, SweepSpec
 from famelab.gmm import preset
 from famelab.guidance import FAME_DEFAULTS, GuidanceConfig
-from famelab.pipeline import run_pipeline
+from famelab.pipeline import run_pipeline, run_sweep
 from famelab.schedule import make_schedule
 from tests.test_gmm import rotated_spec
 
@@ -50,6 +56,7 @@ RUNS = {
     "tau=1,f=0.2": GuidanceConfig(w=1.5, f=0.2, tau=1.0),
 }
 METHODS = ("euler", "heun")
+SWEEP = SweepSpec("f", (0.0, 0.02, 0.1))
 
 
 def environment() -> dict:
@@ -65,6 +72,10 @@ def environment() -> dict:
 
 def _digest():
     return hashlib.blake2b(digest_size=32)
+
+
+def _digest_of(data: bytes) -> str:
+    return hashlib.blake2b(data, digest_size=32).hexdigest()
 
 
 def evaluate_cases() -> dict:
@@ -101,20 +112,33 @@ def run_config(out_dir, method, guidance) -> ExperimentConfig:
     )
 
 
+def _floats(obj) -> list:
+    """The floats of a `to_dict` tree, depth first in its order."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return [v for item in obj for v in _floats(item)]
+    return [obj] if isinstance(obj, float) else []
+
+
 def run_cases(out_dir) -> dict:
-    """One digest per tiny run, and the FaME heun run's pool and class 1
-    trajectory bytes."""
+    """One final-state digest and one report digest per tiny run, the FaME
+    heun run's pool and class 1 trajectory bytes, and the f sweep's table."""
     out = {}
     for method in METHODS:
         for label, guidance in RUNS.items():
             cfg = run_config(out_dir, method, guidance)
-            run_pipeline(cfg)
+            report = run_pipeline(cfg)
             doc = json.loads((Path(out_dir) / cfg.name / "reports" / "digest.json").read_text())
             [[_, hexdigest]] = doc["final_states"]
             out[f"run/{method}/{label}"] = hexdigest
-    run_dir = Path(out_dir) / run_config(out_dir, "heun", FAME_DEFAULTS).name
+            floats = np.array(_floats(report.to_dict()), dtype="<f8")
+            out[f"report/{method}/{label}"] = _digest_of(floats.tobytes())
+    fame = run_config(out_dir, "heun", FAME_DEFAULTS)
     for rel in ("pool.fmpl", "trajectories/class_1.traj"):
-        out[f"file/{Path(rel).name}"] = hashlib.blake2b((run_dir / rel).read_bytes(), digest_size=32).hexdigest()
+        out[f"file/{Path(rel).name}"] = _digest_of((Path(out_dir) / fame.name / rel).read_bytes())
+    run_sweep(replace(fame, name="sweep"), SWEEP)
+    out["file/sweep_f.csv"] = _digest_of((Path(out_dir) / "sweep" / "reports" / "sweep_f.csv").read_bytes())
     return out
 
 
