@@ -3,7 +3,9 @@
 Scorers map final samples to scalar quality; distribution fidelity is
 measured by Frechet distance between gaussian moment fits and k-NN manifold
 precision/recall, whose grid candidates are rechecked on exact squared
-distances so that results equal the all-pairs computation.  Mixture-aware
+distances so that results equal the all-pairs computation.  A reference set
+measured against many sample sets keeps its k-NN state, its grids and k-th
+neighbour radii, so they are built once (`_References`).  Mixture-aware
 helpers assign samples to components through `GmmSpec.evaluate` so runs can
 report how much mass landed in low-quality modes.
 """
@@ -214,22 +216,30 @@ def frechet_distance(a, b) -> float:
     return frechet_with_flag(a, b)[0]
 
 
+def _points(x):
+    """A point set as the C-ordered float64 (n, d) array the grids index."""
+    return np.ascontiguousarray(np.atleast_2d(x), dtype=np.float64)
+
+
 def _sqdist(a, b):
     """Squared distances of points given as coordinate arrays, in cdist's order."""
     return sum((x - y) ** 2 for x, y in zip(a, b))
 
 
 class _Grids:
-    """A point set bucketed by cell over its first m = min(d, 2) coordinates,
-    at levels j of cell side h0 * 2**j / 2, each level built on first use."""
+    """A point set's k-NN state: the points bucketed by cell over their first
+    m = min(d, 2) coordinates, at levels j of cell side h0 * 2**j / 2, each
+    level built on first use and kept, and `radii`, each point's exact squared
+    distance to its k-th nearest other."""
 
-    def __init__(self, points):
+    def __init__(self, points, k):
         self.points, self.levels, self.lo = points, {}, points[:, :2].min(axis=0)
         h0 = max(np.ptp(c) for c in points.T) / (2 * np.sqrt(len(points)))
         self.h0 = h0 if 1e-150 < h0 < 1e140 else np.inf  # else squares could over/underflow
         # level j pairs a centre with every point within squared radius reach * 4**j:
         # two cells, less a margin far above the rounding of a cell coordinate
         self.reach = (self.h0 * (1 - 1e-9)) ** 2
+        self.k, self.radii = k, _knn_radii(self, k)
 
     def pairs(self, j, centres, within):
         """(owner, position in the order by cell `levels[j][0]`, exact squared
@@ -281,10 +291,11 @@ def _knn_radii(grids, k):
     return radii
 
 
-def _coverage(centres, radii, grids):
-    """Fraction of the points of `grids` inside some centre's ball, pairing
-    each centre at the first level whose reach its radius is within,
-    KNN_BLOCK centres at a time."""
+def _coverage(balls, grids):
+    """Fraction of the points of `grids` inside the ball of radius `radii` of
+    some point of `balls`, pairing each centre at the first level whose reach
+    its radius is within, KNN_BLOCK centres at a time."""
+    centres, radii = balls.points, balls.radii
     covered, todo, j = np.zeros(len(grids.points), dtype=bool), np.arange(len(centres)), 0
     while len(todo):
         here = todo[radii[todo] <= np.ldexp(grids.reach, 2 * j)]
@@ -304,9 +315,11 @@ def precision_recall(gen, real, k: int = KNN_K) -> tuple[float, float]:
     distances throughout, self excluded via the (k+1)-th order statistic.
     Grids of doubling cells find the candidates and exact squared distances,
     summed in cdist's order, decide: the all-pairs result, with no matrices.
+    `real` may also be a real set's `_Grids`, prepared once for this k.
     """
-    gen = np.ascontiguousarray(np.atleast_2d(gen), dtype=np.float64)
-    real = np.ascontiguousarray(np.atleast_2d(real), dtype=np.float64)
+    gen = _points(gen)
+    grids_real = real if isinstance(real, _Grids) else None
+    real = _points(real) if grids_real is None else grids_real.points
     if gen.shape[1] != real.shape[1]:
         raise InvalidArgumentError("sample sets have different dimensions")
     check_int("k", k)
@@ -318,9 +331,10 @@ def precision_recall(gen, real, k: int = KNN_K) -> tuple[float, float]:
         )
     if not (np.isfinite(gen).all() and np.isfinite(real).all()):
         raise InvalidArgumentError("sample sets must be finite")
-    grids_gen, grids_real = _Grids(gen), _Grids(real)
-    precision = _coverage(real, _knn_radii(grids_real, k), grids_gen)
-    return precision, _coverage(gen, _knn_radii(grids_gen, k), grids_real)
+    if grids_real is not None and grids_real.k != k:
+        raise InvalidArgumentError(f"the real set was prepared for k={grids_real.k}, not {k}")
+    grids_gen, grids_real = _Grids(gen, k), grids_real or _Grids(real, k)
+    return _coverage(grids_real, grids_gen), _coverage(grids_gen, grids_real)
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +435,21 @@ def _thin(x, cap):
     return x[idx]
 
 
+def _pooled(by_class):
+    """The sets of a dict by class, stacked in class order."""
+    return np.concatenate([np.atleast_2d(by_class[c]) for c in sorted(by_class)])
+
+
+class _References(dict):
+    """Reference sets by class that also hold `knn`, the `_Grids` of their
+    pool thinned as `evaluate` thins it, built once: `evaluate` measures every
+    sample set against that instead of building it again."""
+
+    def __init__(self, by_class):
+        super().__init__(by_class)
+        self.knn = _Grids(_points(_thin(_pooled(self), KNN_MAX)), KNN_K)
+
+
 def evaluate(
     samples_by_class: dict, reference_by_class: dict, scores_by_class: dict, spec: GmmSpec
 ) -> EvalReport:
@@ -431,6 +460,8 @@ def evaluate(
     thins deterministically to KNN_MAX points per side, which keeps its
     numbers comparable with earlier runs (the k-NN radii shrink as sets
     grow); mode statistics under `spec` are pooled over classes as well.
+    Given `_References`, it measures against their k-NN state instead of
+    preparing that of the thinned reference pool itself.
     """
     if not set(samples_by_class) == set(reference_by_class) == set(scores_by_class):
         raise InvalidArgumentError("sample, reference and score class sets differ")
@@ -470,10 +501,11 @@ def evaluate(
         out_n += ms.outliers
         total += ms.n
 
-    pooled = np.concatenate([np.atleast_2d(samples_by_class[c]) for c in sorted(samples_by_class)])
-    pooled_ref = np.concatenate([np.atleast_2d(reference_by_class[c]) for c in sorted(reference_by_class)])
+    pooled, pooled_ref = _pooled(samples_by_class), _pooled(reference_by_class)
     frechet, reg = frechet_with_flag(pooled, pooled_ref)
-    precision, recall = precision_recall(_thin(pooled, KNN_MAX), _thin(pooled_ref, KNN_MAX))
+    prepared = isinstance(reference_by_class, _References)
+    real = reference_by_class.knn if prepared else _thin(pooled_ref, KNN_MAX)
+    precision, recall = precision_recall(_thin(pooled, KNN_MAX), real)
     scores = np.concatenate(all_scores)
     return EvalReport(
         mean_score=float(scores.mean()),

@@ -34,6 +34,7 @@ from .gmm import PRESET_NAMES, exact_sampler, load_spec, preset, save_spec
 from .guidance import GuidanceConfig, guided_source
 from .metrics import (
     EvalReport,
+    _References,
     check_sample_size,
     class_report_csv,
     evaluate,
@@ -155,8 +156,11 @@ class Experiment:
 
     @_staged("evaluate-setup")
     def references(self) -> dict:
-        """Exact draws from each class, n_per_class each, on the reference stream."""
-        return {
+        """Exact draws from each class, n_per_class each, on the reference
+        stream, with the k-NN state of their thinned pool (its grids and
+        k-th neighbour radii, `metrics._References`), built here once for
+        every `evaluate` call."""
+        return _References({
             c: exact_sampler(
                 self.spec,
                 np.random.default_rng(derive_seed(self.cfg.seed, _REF_KEY, c)),
@@ -164,7 +168,7 @@ class Experiment:
                 n=self.cfg.n_per_class,
             )
             for c in self.classes
-        }
+        })
 
     def write_dataset(self) -> Path:
         """Write the spec to dataset.json."""
@@ -281,7 +285,9 @@ class Experiment:
 
     def evaluate(self, samples):
         """Scores of the final samples of each class (one scorer call per
-        class) and their report against the reference sets."""
+        class) and their report against the reference sets; every call, of
+        a run, a sweep row or a compare side, measures precision/recall
+        against the one k-NN state `references` holds."""
         scores = {c: np.asarray(self.scorer(x, c), dtype=np.float64) for c, x in samples.items()}
         return scores, evaluate(samples, self.references, scores, spec=self.spec)
 

@@ -17,8 +17,8 @@ from famelab.config import ExperimentConfig, SweepSpec
 from famelab.denoiser import MlpDenoiser, TrainConfig, save_checkpoint
 from famelab.errors import DivergedError, InvalidArgumentError, PipelineStageError
 from famelab.guidance import GuidanceConfig, guided_source
-from famelab.metrics import ComponentTagScorer
-from famelab import pipeline, sampler
+from famelab.metrics import KNN_MAX, ComponentTagScorer
+from famelab import metrics, pipeline, sampler
 from famelab.pipeline import Experiment, compare_paired, run_pipeline, run_sweep
 from famelab.plots import mode_scatter_svg
 from famelab.sampler import sample_batch
@@ -684,3 +684,54 @@ class TestComparePaired:
             _, _, sa, sb, delta = row.split(",")
             assert sa == sb
             assert float(delta) == 0.0
+
+
+class TestReferenceKnnState:
+    """The thinned reference pool's k-NN state (grids and radii) is built
+    once per experiment: every sweep row and compare side measures against
+    it, and gets the report a fresh `metrics.evaluate` on plain dicts gives."""
+
+    def track(self, monkeypatch):
+        """(points, calls): the points of every set whose radii are computed,
+        and (samples, references, scores, spec, report) of every evaluate."""
+        points, calls = [], []
+        knn_radii, evaluate = metrics._knn_radii, pipeline.evaluate
+
+        def counted(grids, k):
+            points.append(grids.points.copy())
+            return knn_radii(grids, k)
+
+        def recorded(samples, references, scores, spec):
+            report = evaluate(samples, references, scores, spec=spec)
+            calls.append((samples, references, scores, spec, report))
+            return report
+
+        monkeypatch.setattr(metrics, "_knn_radii", counted)
+        monkeypatch.setattr(pipeline, "evaluate", recorded)
+        return points, calls
+
+    def check(self, points, calls, n_rows):
+        assert len(calls) == n_rows
+        refs = calls[0][1]
+        pooled = np.concatenate([refs[c] for c in sorted(refs)])
+        assert len(pooled) > KNN_MAX  # the pool is thinned
+        thinned = metrics._thin(pooled, KNN_MAX)
+        assert sum(np.array_equal(p, thinned) for p in points) == 1
+        for samples, references, scores, spec, report in calls:
+            assert references is refs
+            assert report == metrics.evaluate(samples, dict(references), scores, spec)
+
+    def test_sweep_rows_share_it(self, tmp_path, monkeypatch):
+        points, calls = self.track(monkeypatch)
+        cfg = base_config(tmp_path, n_steps=6, n_per_class=1030)
+        results = run_sweep(cfg, SweepSpec("f", (0.0, 0.02, 0.05, 0.1)))
+        assert [report for _, report in results] == [call[-1] for call in calls]
+        self.check(points, calls, 4)
+
+    def test_compare_sides_share_it(self, tmp_path, monkeypatch):
+        points, calls = self.track(monkeypatch)
+        over = dict(n_steps=6, n_per_class=1030)
+        a = base_config(tmp_path, name="a", guidance=GuidanceConfig(w=1.5), **over)
+        result = compare_paired(a, base_config(tmp_path, name="b", **over))
+        assert (result.report_a, result.report_b) == (calls[0][-1], calls[1][-1])
+        self.check(points, calls, 2)
