@@ -484,14 +484,15 @@ def evaluate(
             )
         all_scores.append(scores)
         mean = float(scores.mean())
+        p10, p50, p90 = np.percentile(scores, (10, 50, 90))
         class_reports.append(
             ClassQualityReport(
                 class_id=cid,
                 n=len(x),
                 mean_score=mean,
-                p10=float(np.percentile(scores, 10)),
-                p50=float(np.percentile(scores, 50)),
-                p90=float(np.percentile(scores, 90)),
+                p10=float(p10),
+                p50=float(p50),
+                p90=float(p90),
                 tier=tier_for(mean),
             )
         )

@@ -639,6 +639,21 @@ class TestEvaluate:
         report = evaluate(samples, samples, scores, spec=spec)
         assert report.bad_mode_fraction == report.outlier_fraction == 21 / 200
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 256])
+    def test_percentiles_in_one_call_equal_three(self, n):
+        """evaluate takes a class's p10, p50 and p90 from one np.percentile
+        call: the bits of three separate calls, with tied scores too."""
+        rng = np.random.default_rng(n)
+        scores = rng.choice([1.4, 2.0, 2.6], size=n)
+        scores[rng.random(n) < 0.5] += rng.random()
+        three = np.array([np.percentile(scores, q) for q in (10, 50, 90)])
+        assert np.percentile(scores, (10, 50, 90)).tobytes() == three.tobytes()
+        if n > KNN_K:
+            spec = preset("imbalanced2d")
+            x = exact_sampler(spec, rng, 1, n)
+            [c] = evaluate({1: x}, {1: x}, {1: scores}, spec=spec).class_reports
+            assert np.array([c.p10, c.p50, c.p90]).tobytes() == three.tobytes()
+
     def test_deterministic(self):
         spec, samples, reference, scores = self.make_sets(128)
         a = evaluate(samples, reference, scores, spec=spec)
