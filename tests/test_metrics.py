@@ -23,6 +23,8 @@ from famelab.metrics import (
     KNN_MAX,
     OUTLIER_MAHALANOBIS,
     ComponentTagScorer,
+    _Grids,
+    _References,
     ExternalScorer,
     LogDensityScorer,
     ModeStats,
@@ -158,6 +160,19 @@ class TestPrecisionRecall:
         prec, rec = precision_recall(gen, real, k=3)
         assert prec > 0.9
         assert 0.3 < rec < 0.7
+
+    def test_prepared_real_set(self):
+        """A real set's `_Grids`, prepared once, stands in for its points:
+        the same results for every generated set, with the levels it builds
+        kept between calls; a k it was not prepared for is refused."""
+        rng = np.random.default_rng(17)
+        real = rng.normal(size=(300, 2))
+        prepared = _Grids(real, 3)
+        for gen in (rng.normal(size=(200, 2)), rng.normal(size=(400, 2)) * 2.0 + 1.0):
+            assert precision_recall(gen, prepared) == precision_recall(gen, real)
+            assert prepared.levels
+        with pytest.raises(InvalidArgumentError, match="k=3"):
+            precision_recall(gen, prepared, k=2)
 
     def test_validation(self):
         x = np.zeros((10, 2))
@@ -653,6 +668,14 @@ class TestEvaluate:
             x = exact_sampler(spec, rng, 1, n)
             [c] = evaluate({1: x}, {1: x}, {1: scores}, spec=spec).class_reports
             assert np.array([c.p10, c.p50, c.p90]).tobytes() == three.tobytes()
+
+    def test_prepared_references_give_the_plain_report(self):
+        """`_References` holds the k-NN state of the reference pool thinned
+        to KNN_MAX; evaluate against it gives the plain dict's report."""
+        spec, samples, reference, scores = self.make_sets(300)
+        prepared = _References(reference)
+        assert len(prepared.knn.points) == KNN_MAX
+        assert evaluate(samples, prepared, scores, spec=spec) == evaluate(samples, reference, scores, spec=spec)
 
     def test_deterministic(self):
         spec, samples, reference, scores = self.make_sets(128)
