@@ -508,14 +508,25 @@ def sample_clean_batch(spec: GmmSpec, rng: np.random.Generator, class_ids: np.nd
     """Clean samples for a vector of class ids (training batches).
 
     Classes are processed in sorted order with per-class draws, so the result
-    is a pure function of (seed, class_ids).
+    is a pure function of (seed, class_ids): each class draws what
+    `exact_sampler` draws for its rows.  Where every table entry's Q is
+    exactly I, the draws are then transformed for all rows at once, with
+    exact_sampler's bits: a product by an exact I is exact.  Otherwise each
+    class is sampled by exact_sampler, whose rotations BLAS rounds by row count.
     """
     class_ids = np.asarray(class_ids)
     out = np.empty((len(class_ids), spec.dim))
+    entries = np.empty(len(class_ids), dtype=np.intp)
+    eye = spec._eye.all()
     for cid in np.unique(class_ids):
         rows = np.flatnonzero(class_ids == cid)
-        out[rows] = exact_sampler(spec, rng, class_id=int(cid), n=len(rows))
-    return out
+        if not eye:
+            out[rows] = exact_sampler(spec, rng, class_id=int(cid), n=len(rows))
+            continue
+        r = spec._row(int(cid))
+        entries[rows] = spec._cols[r, spec._cdfs[r].searchsorted(rng.random(len(rows)), side="right")]
+        out[rows] = rng.standard_normal((len(rows), spec.dim))
+    return spec.means[entries] + out * np.sqrt(spec.lams[entries]) if eye else out
 
 
 # ---------------------------------------------------------------------------

@@ -305,6 +305,25 @@ class TestExactSampler:
         np.testing.assert_array_equal(a, b)
         assert a.shape == (5, 2)
 
+    @pytest.mark.parametrize("name", ["balanced2d", "imbalanced2d", "rotated"])
+    def test_clean_batch_equals_per_class_sampler(self, name):
+        """sample_clean_batch gives the bits of exact_sampler called for each
+        class in sorted id order and leaves the generator in the same state:
+        on the presets, whose Qs are all I, through one transform of every
+        row, and on a rotated spec through exact_sampler itself."""
+        spec = rotated_spec(2, 5) if name == "rotated" else preset(name)
+        assert spec._eye.all() == (name != "rotated")
+        pick = np.random.default_rng(1)
+        for n in (1, 7, 256):
+            ids = pick.choice(np.array(spec.class_ids), n)
+            got_rng, want_rng = np.random.default_rng(n), np.random.default_rng(n)
+            got = sample_clean_batch(spec, got_rng, ids)
+            want = np.empty((n, spec.dim))
+            for c in np.unique(ids):
+                want[ids == c] = exact_sampler(spec, want_rng, class_id=int(c), n=int((ids == c).sum()))
+            assert got.tobytes() == want.tobytes()
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
     def test_validation(self):
         for n in (0, True, 2.5):
             with pytest.raises(InvalidArgumentError):
