@@ -508,11 +508,9 @@ def sample_clean_batch(spec: GmmSpec, rng: np.random.Generator, class_ids: np.nd
     """Clean samples for a vector of class ids (training batches).
 
     Classes are processed in sorted order with per-class draws, so the result
-    is a pure function of (seed, class_ids): each class draws what
-    `exact_sampler` draws for its rows.  Where every table entry's Q is
-    exactly I, the draws are then transformed for all rows at once, with
-    exact_sampler's bits: a product by an exact I is exact.  Otherwise each
-    class is sampled by exact_sampler, whose rotations BLAS rounds by row count.
+    is a pure function of (seed, class_ids): `exact_sampler`'s bits.  Where
+    every Q is exactly I (a product by it is exact), all rows are transformed
+    at once; a rotation BLAS rounds by row count, so otherwise per class.
     """
     class_ids = np.asarray(class_ids)
     out = np.empty((len(class_ids), spec.dim))

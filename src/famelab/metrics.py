@@ -3,9 +3,8 @@
 Scorers map final samples to scalar quality; distribution fidelity is
 measured by Frechet distance between gaussian moment fits and k-NN manifold
 precision/recall, whose grid candidates are rechecked on exact squared
-distances so that results equal the all-pairs computation.  A reference set
-measured against many sample sets keeps its k-NN state, its grids and k-th
-neighbour radii, so they are built once (`_References`).  Mixture-aware
+distances so that results equal the all-pairs computation; a reference set's
+k-NN state, its grids and radii, is built once for many sample sets.  Mixture-aware
 helpers assign samples to components through `GmmSpec.evaluate` so runs can
 report how much mass landed in low-quality modes.
 """
@@ -217,7 +216,6 @@ def frechet_distance(a, b) -> float:
 
 
 def _points(x):
-    """A point set as the C-ordered float64 (n, d) array the grids index."""
     return np.ascontiguousarray(np.atleast_2d(x), dtype=np.float64)
 
 
@@ -291,11 +289,10 @@ def _knn_radii(grids, k):
     return radii
 
 
-def _coverage(balls, grids):
-    """Fraction of the points of `grids` inside the ball of radius `radii` of
-    some point of `balls`, pairing each centre at the first level whose reach
-    its radius is within, KNN_BLOCK centres at a time."""
-    centres, radii = balls.points, balls.radii
+def _coverage(centres, radii, grids):
+    """Fraction of the points of `grids` inside some centre's ball, pairing
+    each centre at the first level whose reach its radius is within,
+    KNN_BLOCK centres at a time."""
     covered, todo, j = np.zeros(len(grids.points), dtype=bool), np.arange(len(centres)), 0
     while len(todo):
         here = todo[radii[todo] <= np.ldexp(grids.reach, 2 * j)]
@@ -334,7 +331,7 @@ def precision_recall(gen, real, k: int = KNN_K) -> tuple[float, float]:
     if grids_real is not None and grids_real.k != k:
         raise InvalidArgumentError(f"the real set was prepared for k={grids_real.k}, not {k}")
     grids_gen, grids_real = _Grids(gen, k), grids_real or _Grids(real, k)
-    return _coverage(grids_real, grids_gen), _coverage(grids_gen, grids_real)
+    return _coverage(real, grids_real.radii, grids_gen), _coverage(gen, grids_gen.radii, grids_real)
 
 
 # ---------------------------------------------------------------------------
@@ -435,11 +432,6 @@ def _thin(x, cap):
     return x[idx]
 
 
-def _pooled(by_class):
-    """The sets of a dict by class, stacked in class order."""
-    return np.concatenate([np.atleast_2d(by_class[c]) for c in sorted(by_class)])
-
-
 class _References(dict):
     """Reference sets by class that also hold `knn`, the `_Grids` of their
     pool thinned as `evaluate` thins it, built once: `evaluate` measures every
@@ -447,7 +439,8 @@ class _References(dict):
 
     def __init__(self, by_class):
         super().__init__(by_class)
-        self.knn = _Grids(_points(_thin(_pooled(self), KNN_MAX)), KNN_K)
+        pooled = np.concatenate([np.atleast_2d(self[c]) for c in sorted(self)])
+        self.knn = _Grids(_points(_thin(pooled, KNN_MAX)), KNN_K)
 
 
 def evaluate(
@@ -460,8 +453,7 @@ def evaluate(
     thins deterministically to KNN_MAX points per side, which keeps its
     numbers comparable with earlier runs (the k-NN radii shrink as sets
     grow); mode statistics under `spec` are pooled over classes as well.
-    Given `_References`, it measures against their k-NN state instead of
-    preparing that of the thinned reference pool itself.
+    Given `_References`, it measures against their k-NN state, built once.
     """
     if not set(samples_by_class) == set(reference_by_class) == set(scores_by_class):
         raise InvalidArgumentError("sample, reference and score class sets differ")
@@ -484,25 +476,16 @@ def evaluate(
             )
         all_scores.append(scores)
         mean = float(scores.mean())
-        p10, p50, p90 = np.percentile(scores, (10, 50, 90))
-        class_reports.append(
-            ClassQualityReport(
-                class_id=cid,
-                n=len(x),
-                mean_score=mean,
-                p10=float(p10),
-                p50=float(p50),
-                p90=float(p90),
-                tier=tier_for(mean),
-            )
-        )
+        p10, p50, p90 = map(float, np.percentile(scores, (10, 50, 90)))
+        class_reports.append(ClassQualityReport(cid, len(x), mean, p10, p50, p90, tier_for(mean)))
         per_class_frechet[cid] = frechet_distance(x, ref)
         ms = mode_stats(spec, x, cid)
         bad_n += ms.bad
         out_n += ms.outliers
         total += ms.n
 
-    pooled, pooled_ref = _pooled(samples_by_class), _pooled(reference_by_class)
+    pooled = np.concatenate([np.atleast_2d(samples_by_class[c]) for c in sorted(samples_by_class)])
+    pooled_ref = np.concatenate([np.atleast_2d(reference_by_class[c]) for c in sorted(reference_by_class)])
     frechet, reg = frechet_with_flag(pooled, pooled_ref)
     prepared = isinstance(reference_by_class, _References)
     real = reference_by_class.knn if prepared else _thin(pooled_ref, KNN_MAX)

@@ -157,9 +157,8 @@ class Experiment:
     @_staged("evaluate-setup")
     def references(self) -> dict:
         """Exact draws from each class, n_per_class each, on the reference
-        stream, with the k-NN state of their thinned pool (its grids and
-        k-th neighbour radii, `metrics._References`), built here once for
-        every `evaluate` call."""
+        stream, with the k-NN state of their thinned pool, its grids and
+        radii, built once for every `evaluate` (`metrics._References`)."""
         return _References({
             c: exact_sampler(
                 self.spec,
@@ -285,9 +284,8 @@ class Experiment:
 
     def evaluate(self, samples):
         """Scores of the final samples of each class (one scorer call per
-        class) and their report against the reference sets; every call, of
-        a run, a sweep row or a compare side, measures precision/recall
-        against the one k-NN state `references` holds."""
+        class) and their report against the reference sets; every run, sweep
+        row and compare side shares the k-NN state `references` holds."""
         scores = {c: np.asarray(self.scorer(x, c), dtype=np.float64) for c, x in samples.items()}
         return scores, evaluate(samples, self.references, scores, spec=self.spec)
 
