@@ -231,6 +231,8 @@ class _Grids:
     distance to its k-th nearest other."""
 
     def __init__(self, points, k):
+        if len(points) <= k:  # else no level would hold k others for any point
+            raise InvalidArgumentError(f"k={k} needs more than k points, got {len(points)}")
         self.points, self.levels, self.lo = points, {}, points[:, :2].min(axis=0)
         h0 = max(np.ptp(c) for c in points.T) / (2 * np.sqrt(len(points)))
         self.h0 = h0 if 1e-150 < h0 < 1e140 else np.inf  # else squares could over/underflow

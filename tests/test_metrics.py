@@ -173,6 +173,9 @@ class TestPrecisionRecall:
             assert prepared.levels
         with pytest.raises(InvalidArgumentError, match="k=3"):
             precision_recall(gen, prepared, k=2)
+        # a set of k points or fewer is refused, not searched level after level
+        with pytest.raises(InvalidArgumentError, match="more than k points"):
+            _References({1: real[:2], 2: real[2:3]})
 
     def test_validation(self):
         x = np.zeros((10, 2))
