@@ -23,11 +23,11 @@ from famelab.metrics import (
     KNN_MAX,
     OUTLIER_MAHALANOBIS,
     ComponentTagScorer,
-    _Grids,
-    _References,
     ExternalScorer,
     LogDensityScorer,
     ModeStats,
+    _Grids,
+    _References,
     assign_modes,
     class_report_csv,
     evaluate,
